@@ -16,7 +16,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"time"
@@ -227,7 +226,7 @@ func coordinate(o coordOptions) error {
 		runSpan.End()
 		// Export even on failure: the trace shows the dispatch up to the
 		// abort, retries and hedges included.
-		if xerr := writeExports(hub, o); xerr != nil {
+		if xerr := telemetry.WriteFiles(hub, o.traceOut, o.metricsOut, o.reportOut); xerr != nil {
 			fmt.Fprintln(os.Stderr, "mrscan-dist:", xerr)
 		}
 	}
@@ -285,34 +284,5 @@ func coordinate(o coordOptions) error {
 	}
 	fmt.Printf("clusters found:   %d\n", res.NumClusters)
 	fmt.Printf("points in output: %d (noise skipped: %d)\n", len(records), skipped)
-	return nil
-}
-
-// writeExports dumps the hub through every exporter whose output path
-// is set.
-func writeExports(hub *telemetry.Hub, o coordOptions) error {
-	writeTo := func(path string, f func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		out, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := f(out); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	}
-	if err := writeTo(o.traceOut, hub.Trace.WriteChromeTrace); err != nil {
-		return fmt.Errorf("writing trace: %w", err)
-	}
-	if err := writeTo(o.metricsOut, hub.Metrics.WritePrometheus); err != nil {
-		return fmt.Errorf("writing metrics: %w", err)
-	}
-	if err := writeTo(o.reportOut, func(w io.Writer) error { return telemetry.WriteReport(w, hub) }); err != nil {
-		return fmt.Errorf("writing report: %w", err)
-	}
 	return nil
 }

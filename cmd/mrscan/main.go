@@ -100,35 +100,6 @@ type exports struct {
 
 func (e exports) any() bool { return e.trace != "" || e.metrics != "" || e.report != "" }
 
-// write dumps the hub through every configured exporter. It runs even
-// after a failed run so the trace shows what happened up to the abort.
-func (e exports) write(hub *telemetry.Hub) error {
-	writeTo := func(path string, f func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		out, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := f(out); err != nil {
-			out.Close()
-			return err
-		}
-		return out.Close()
-	}
-	if err := writeTo(e.trace, hub.Trace.WriteChromeTrace); err != nil {
-		return fmt.Errorf("writing trace: %w", err)
-	}
-	if err := writeTo(e.metrics, hub.Metrics.WritePrometheus); err != nil {
-		return fmt.Errorf("writing metrics: %w", err)
-	}
-	if err := writeTo(e.report, func(w io.Writer) error { return telemetry.WriteReport(w, hub) }); err != nil {
-		return fmt.Errorf("writing report: %w", err)
-	}
-	return nil
-}
-
 func run(input, output string, cfg mrscan.Config, format string, verbose bool, ckptDir string, deadline time.Duration, exp exports) error {
 	fs := lustre.New(lustre.Titan(), nil)
 	if exp.any() {
@@ -175,7 +146,7 @@ func run(input, output string, cfg mrscan.Config, format string, verbose bool, c
 	if cfg.Telemetry != nil {
 		// Export even on failure: a trace of an aborted run is exactly
 		// what you want when diagnosing it.
-		if xerr := exp.write(cfg.Telemetry); xerr != nil {
+		if xerr := telemetry.WriteFiles(cfg.Telemetry, exp.trace, exp.metrics, exp.report); xerr != nil {
 			fmt.Fprintln(os.Stderr, "mrscan:", xerr)
 		}
 	}

@@ -60,6 +60,10 @@ func TestReadFrameTypedErrors(t *testing.T) {
 					t.Fatalf("err = %v, want %v", err, tc.want)
 				}
 			}
+			// The torn-payload message reports how far the read got.
+			if tc.name == "torn payload" && !strings.Contains(err.Error(), "(4 of 12 bytes)") {
+				t.Fatalf("err = %v, want the 4 of 12 payload bytes read", err)
+			}
 			// A torn frame must never be mistaken for corruption (it
 			// would trigger a pointless NACK to a dead peer) and vice
 			// versa (a corrupt frame is healable, a torn one is not).

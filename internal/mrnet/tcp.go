@@ -388,8 +388,8 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[8:12])
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("mrnet: frame payload (%d of %d bytes): %w (%v)", 0, n, ErrFrameTorn, err)
+	if got, err := io.ReadFull(r, payload); err != nil {
+		return 0, nil, fmt.Errorf("mrnet: frame payload (%d of %d bytes): %w (%v)", got, n, ErrFrameTorn, err)
 	}
 	if integrity.Checksum(payload) != wantCRC {
 		return 0, nil, fmt.Errorf("mrnet: frame type %d: %w", ftype, ErrFrameCorrupt)

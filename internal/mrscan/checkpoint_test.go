@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,65 +70,89 @@ func TestCleanRunsDeterministic(t *testing.T) {
 	}
 }
 
-// TestKillThenResumeByteIdentical is the tentpole scenario: a fatal
-// fault kills the run at the merge phase (after the cluster checkpoint
-// is durable), a second run with -resume restores the finished phases
-// and completes, and the output is byte-identical to an uninterrupted
-// run's.
+// TestKillThenResumeByteIdentical is the driver's contract as one table:
+// a fatal fault kills the run entering each of the four phases, in each
+// of the three partition modes. The killed run's CompletedPhases is
+// exactly the prefix before the fault (every one of them durable), a
+// second run with Resume restores that same prefix — capped at merge, the
+// last snapshotted phase — and completes, and its output is
+// byte-identical to an uninterrupted run's.
 func TestKillThenResumeByteIdentical(t *testing.T) {
-	// Reference: uninterrupted run.
-	refFS := stageInput(t)
-	if _, err := Run(refFS, "input.mrsc", "output.mrsl", ckptConfig()); err != nil {
-		t.Fatal(err)
+	all := []string{PhasePartition, PhaseCluster, PhaseMerge, PhaseSweep}
+	modes := []struct {
+		name string
+		set  func(*Config)
+	}{
+		// Retries must not absorb a fatal fault — the process is dead,
+		// not erroring.
+		{"file", func(c *Config) { c.Retry = RetryPolicy{MaxAttempts: 3} }},
+		{"direct", func(c *Config) { c.DirectPartitions = true; c.Retry = RetryPolicy{MaxAttempts: 3} }},
+		// No retry policy: the partition phase overlaps the cluster phase.
+		{"aggregated", func(c *Config) { c.WriteAggregation = true }},
 	}
-	want := fileBytes(t, refFS, "output.mrsl")
+	for _, mode := range modes {
+		// Reference: uninterrupted run.
+		refFS := stageInput(t)
+		ref := ckptConfig()
+		mode.set(&ref)
+		if _, err := Run(refFS, "input.mrsc", "output.mrsl", ref); err != nil {
+			t.Fatal(err)
+		}
+		want := fileBytes(t, refFS, "output.mrsl")
 
-	// Run 1: killed entering the merge phase. Retries must not absorb a
-	// fatal fault — the process is dead, not erroring.
-	fs := stageInput(t)
-	cfg := ckptConfig()
-	cfg.Retry = RetryPolicy{MaxAttempts: 3}
-	cfg.FaultPlan = faultinject.New(0).
-		Arm(PhaseSite(PhaseMerge), faultinject.Rule{Times: 1, Fatal: true})
-	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
-	if err == nil {
-		t.Fatal("fatal fault at merge: run succeeded, want death")
-	}
-	if !faultinject.IsFatal(err) {
-		t.Fatalf("error %v is not fatal", err)
-	}
-	if !strings.Contains(err.Error(), "merge phase") {
-		t.Fatalf("error %v does not name the merge phase", err)
-	}
-	if res == nil {
-		t.Fatal("killed run returned no partial result")
-	}
-	if got := res.CompletedPhases; len(got) != 2 || got[0] != PhasePartition || got[1] != PhaseCluster {
-		t.Fatalf("partial CompletedPhases = %v, want [partition cluster]", got)
-	}
-	if res.Times.MergeRetries != 0 {
-		t.Fatalf("fatal fault was retried %d times", res.Times.MergeRetries)
-	}
+		for k, phase := range all {
+			t.Run(mode.name+"/"+phase, func(t *testing.T) {
+				// Run 1: killed entering the phase.
+				fs := stageInput(t)
+				cfg := ckptConfig()
+				mode.set(&cfg)
+				cfg.FaultPlan = faultinject.New(0).
+					Arm(PhaseSite(phase), faultinject.Rule{Times: 1, Fatal: true})
+				res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+				if err == nil {
+					t.Fatal("fatal fault: run succeeded, want death")
+				}
+				if !faultinject.IsFatal(err) {
+					t.Fatalf("error %v is not fatal", err)
+				}
+				if !strings.Contains(err.Error(), phase+" phase") {
+					t.Fatalf("error %v does not name the %s phase", err, phase)
+				}
+				if res == nil {
+					t.Fatal("killed run returned no partial result")
+				}
+				if got := res.CompletedPhases; !slices.Equal(got, all[:k]) {
+					t.Fatalf("partial CompletedPhases = %v, want %v", got, all[:k])
+				}
+				if res.Times.Retries() != 0 {
+					t.Fatalf("fatal fault was retried %d times", res.Times.Retries())
+				}
 
-	// Run 2: resume on the same FS (the durable state the crash left).
-	cfg2 := ckptConfig()
-	cfg2.Resume = true
-	res2, err := Run(fs, "input.mrsc", "output.mrsl", cfg2)
-	if err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-	if got := res2.RestoredPhases; len(got) != 2 || got[0] != PhasePartition || got[1] != PhaseCluster {
-		t.Fatalf("RestoredPhases = %v, want [partition cluster]", got)
-	}
-	if len(res2.CompletedPhases) != 4 {
-		t.Fatalf("resumed CompletedPhases = %v, want all four", res2.CompletedPhases)
-	}
-	if got := fileBytes(t, fs, "output.mrsl"); !bytes.Equal(got, want) {
-		t.Fatalf("resumed output differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
-	}
-	// A restored run has no partition plan — only the snapshot outputs.
-	if res2.Plan != nil {
-		t.Fatal("restored run reports a partition plan")
+				// Run 2: resume on the same FS (the durable state the crash left).
+				cfg2 := ckptConfig()
+				mode.set(&cfg2)
+				cfg2.Resume = true
+				res2, err := Run(fs, "input.mrsc", "output.mrsl", cfg2)
+				if err != nil {
+					t.Fatalf("resume failed: %v", err)
+				}
+				restored := all[:min(k, 3)]
+				if got := res2.RestoredPhases; !slices.Equal(got, restored) {
+					t.Fatalf("RestoredPhases = %v, want %v", got, restored)
+				}
+				if !slices.Equal(res2.CompletedPhases, all) {
+					t.Fatalf("resumed CompletedPhases = %v, want all four", res2.CompletedPhases)
+				}
+				if got := fileBytes(t, fs, "output.mrsl"); !bytes.Equal(got, want) {
+					t.Fatalf("resumed output differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+				}
+				// A restored partition phase has no plan — only the
+				// snapshot outputs.
+				if (res2.Plan == nil) != (k > 0) {
+					t.Fatalf("resumed Plan = %v with %d phases restored", res2.Plan, len(restored))
+				}
+			})
+		}
 	}
 }
 

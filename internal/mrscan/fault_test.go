@@ -217,3 +217,48 @@ func TestTCPMergeKillMidFrameRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestBadTopologyFailsBeforeAnyIO: a Topology that cannot host Leaves is
+// a configuration error, caught before the run opens a span or touches
+// the file system — not after a partition phase that, with
+// WriteAggregation, would still be writing when the run returned.
+func TestBadTopologyFailsBeforeAnyIO(t *testing.T) {
+	fs := stageInput(t)
+	before := fs.Stats()
+	cfg := aggConfig()
+	cfg.Topology = "3x3" // 9 leaves ≠ 4
+	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+	if err == nil || !strings.Contains(err.Error(), "topology") {
+		t.Fatalf("err = %v, want a topology mismatch", err)
+	}
+	if res != nil {
+		t.Fatalf("rejected config returned a result: %+v", res)
+	}
+	if after := fs.Stats(); after != before {
+		t.Fatalf("rejected config touched the file system: %+v -> %+v", before, after)
+	}
+}
+
+// TestNetworkConstructionErrorFinishes: an overlay tree that cannot be
+// built fails the run like any other phase error — a partial Result, the
+// phase named, and every span the run opened closed and in the trace.
+func TestNetworkConstructionErrorFinishes(t *testing.T) {
+	fs := stageInput(t)
+	cfg := Default(0.1, 40, 4)
+	cfg.Fanout = 1 // mrnet needs at least 2
+	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+	if err == nil || !strings.Contains(err.Error(), "partition phase") {
+		t.Fatalf("err = %v, want a partition phase error", err)
+	}
+	if res == nil {
+		t.Fatal("failed run returned no partial result")
+	}
+	if len(res.CompletedPhases) != 0 || res.Times.Total <= 0 {
+		t.Fatalf("partial result = %+v, want no completed phases and a total time", res)
+	}
+	for _, name := range []string{"mrscan.run", "phase:" + PhasePartition} {
+		if n := len(res.Telemetry.Trace.FindSpans(name)); n != 1 {
+			t.Errorf("trace holds %d ended %q spans, want 1", n, name)
+		}
+	}
+}

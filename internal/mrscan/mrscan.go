@@ -227,53 +227,6 @@ func PhaseSite(phase string) faultinject.Site {
 	return faultinject.Site("mrscan.phase." + phase)
 }
 
-// runPhase executes one phase under the retry policy, counting retries
-// and wrapping the terminal error with the phase name — every
-// unrecoverable fault names the phase it killed. Each attempt first
-// consults the fault plan at the phase's site, then checks the caller's
-// context; fatal faults and context errors are terminal (no retry).
-// Every retry emits a "mrscan.retry" event under the phase span sp and
-// bumps the per-phase retry counter (hub may be nil).
-func (r RetryPolicy) runPhase(ctx context.Context, plan *faultinject.Plan, hub *telemetry.Hub, sp *telemetry.Span, name string, retries *int, f func() error) error {
-	attempts := r.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for a := 1; a <= attempts; a++ {
-		if err = ctx.Err(); err != nil {
-			break
-		}
-		if err = plan.Check(PhaseSite(name)); err == nil {
-			err = f()
-		}
-		if err == nil {
-			return nil
-		}
-		if faultinject.IsFatal(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-			errors.Is(err, lustre.ErrCrashed) {
-			// A simulated power failure is terminal: retrying against a
-			// crashed file system can only fail again — the run must
-			// stop so the harness can Recover and restart it.
-			break
-		}
-		if a < attempts {
-			if !r.Budget.Take("mrscan.phase") {
-				err = fmt.Errorf("%w (retry denied: %w)", err, health.ErrBudgetExhausted)
-				break
-			}
-			*retries++
-			hub.Event(sp, "mrscan.retry",
-				telemetry.String("phase", name), telemetry.Int("attempt", a))
-			hub.Counter("mrscan_phase_retries_total", "phase", name).Inc()
-			if r.Backoff > 0 {
-				time.Sleep(r.Backoff)
-			}
-		}
-	}
-	return fmt.Errorf("mrscan: %s phase: %w", name, err)
-}
-
 // Default returns the configuration used by the paper's experiments:
 // dense box on, rebalancing on, 256-way fanout, K20 leaves.
 func Default(eps float64, minPts, leaves int) Config {
@@ -298,6 +251,22 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Leaves < 1 {
 		return fmt.Errorf("mrscan: need at least one leaf, got %d", c.Leaves)
+	}
+	if c.Topology != "" {
+		// Checked here, before any I/O: a tree that cannot host the leaves
+		// must not cost a partition phase to find out.
+		fanouts, err := mrnet.ParseSpec(c.Topology)
+		if err != nil {
+			return err
+		}
+		leaves := 1
+		for _, f := range fanouts {
+			leaves *= f
+		}
+		if leaves != c.Leaves {
+			return fmt.Errorf("mrscan: topology %q yields %d leaves, config says %d",
+				c.Topology, leaves, c.Leaves)
+		}
 	}
 	if c.PartitionLeaves <= 0 {
 		c.PartitionLeaves = c.Leaves / 16
@@ -413,24 +382,354 @@ const (
 	metadataFile  = "mrscan-partitions.json"
 )
 
-// partitionArtifacts lists the partition phase's durable files for the
-// sync-ordering barrier: in aggregated runs the sharded segment files
-// (the legacy partition file is never created), otherwise the partition
-// file itself, plus the metadata document either way.
-func partitionArtifacts(meta *ptio.PartitionMeta) []string {
-	if meta != nil && len(meta.Segments) > 0 {
-		names := make([]string, 0, len(meta.Segments)+1)
-		for _, s := range meta.Segments {
-			names = append(names, s.File)
-		}
-		return append(names, metadataFile)
+// Run executes the full pipeline against inputFile on fs, writing labeled
+// output to outputFile. It is RunContext without a deadline.
+func Run(fs *lustre.FS, inputFile, outputFile string, cfg Config) (*Result, error) {
+	return RunContext(context.Background(), fs, inputFile, outputFile, cfg)
+}
+
+// RunContext executes the full pipeline under ctx. Cancellation or
+// deadline expiry aborts the run at the next phase or tree-hop boundary;
+// the returned error wraps the context error and names the in-flight
+// phase, and the partial Result lists the phases that completed before
+// the abort. With Config.Checkpoint those phases are already durable, so
+// a later Resume run picks up where the deadline struck.
+func RunContext(ctx context.Context, fs *lustre.FS, inputFile, outputFile string, cfg Config) (*Result, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
 	}
-	return []string{partitionFile, metadataFile}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	r := newRun(ctx, fs, inputFile, outputFile, cfg)
+	phases := r.phases()
+	for i := range phases {
+		if phases[i].name == PhaseCluster {
+			// The last three phases, executed or restored, run over the
+			// cluster tree. It is built between the partition and cluster
+			// spans, so its startup charge lands inside neither.
+			var err error
+			if r.clusterNet, err = r.newNet("cluster", cfg.Topology, cfg.Leaves); err != nil {
+				return r.finish(err)
+			}
+		}
+		if err := r.exec(i, &phases[i]); err != nil {
+			return r.finish(err)
+		}
+	}
+	return r.finish(nil)
+}
+
+// run is the state one RunContext call threads through its phases. A
+// phase is only its own work; every concern the four share — span,
+// substrate re-parenting, restore, fault site, retry,
+// sync-before-checkpoint, bookkeeping — is applied once, by exec.
+type run struct {
+	ctx       context.Context
+	cfg       Config
+	fs        *lustre.FS
+	hub       *telemetry.Hub
+	store     *checkpoint.Store // nil without Config.Checkpoint
+	res       *Result
+	grid      grid.Grid
+	inputFile string
+	start     time.Time
+
+	runSpan *telemetry.Span
+	// curSpan tracks the in-flight phase span so fault-observer events
+	// (fired from arbitrary substrate goroutines) nest correctly.
+	curSpan atomic.Pointer[telemetry.Span]
+	// validPrefix counts the leading phases a Resume run restores.
+	validPrefix int
+	// overlapped is a phase that set join: begun, not yet committed.
+	overlapped *phase
+
+	partNet, clusterNet *mrnet.Network
+
+	// Phase outputs. The snapshot structs are the live state: an executed
+	// phase fills them, a restored one decodes into them.
+	part      partitionCkpt
+	parts     *partitionSource
+	clustered clusterCkpt
+	merged    mergeCkpt
+	mapping   map[merge.ClusterKey]int32
+	claims    map[uint64]int32
+}
+
+func newRun(ctx context.Context, fs *lustre.FS, inputFile, outputFile string, cfg Config) *run {
+	hub := cfg.Telemetry
+	if hub == nil {
+		hub = telemetry.New(fs.Clock())
+	}
+	r := &run{
+		ctx: ctx, cfg: cfg, fs: fs, hub: hub, inputFile: inputFile, start: time.Now(),
+		res:  &Result{OutputFile: outputFile, Telemetry: hub},
+		grid: grid.New(cfg.Eps),
+	}
+	fs.SetTelemetry(hub)
+	r.runSpan = hub.Start(nil, "mrscan.run")
+	r.curSpan.Store(r.runSpan)
+	if cfg.FaultPlan != nil {
+		fs.SetFaultPlan(cfg.FaultPlan)
+		// A run that may see injected corruption gets the checksummed
+		// data plane: without it a lustre bit flip escapes silently.
+		fs.EnableIntegrity()
+		cfg.FaultPlan.SetObserver(func(site faultinject.Site, ferr error, fatal bool) {
+			hub.Event(r.curSpan.Load(), "fault.injected",
+				telemetry.String("site", string(site)), telemetry.Bool("fatal", fatal))
+			hub.Counter("mrscan_faults_injected_total", "site", string(site)).Inc()
+		})
+	}
+	if cfg.Checkpoint {
+		r.store = checkpoint.NewStore(checkpoint.LustreFS(fs), runFingerprint(&cfg, fs, inputFile))
+		r.store.SetTelemetry(hub)
+		if cfg.Resume {
+			r.validPrefix = r.store.ValidPrefix([]string{PhasePartition, PhaseCluster, PhaseMerge})
+		}
+	}
+	return r
+}
+
+// newNet provisions one of the run's overlay trees: the balanced Fanout
+// tree over leaves, or the explicit topology spec when one is given
+// (setDefaults has already matched it to the leaf count).
+func (r *run) newNet(label, spec string, leaves int) (net *mrnet.Network, err error) {
+	if spec != "" {
+		net, err = mrnet.NewFromSpec(spec, r.cfg.Costs, r.fs.Clock())
+	} else {
+		net, err = mrnet.New(leaves, r.cfg.Fanout, r.cfg.Costs, r.fs.Clock())
+	}
+	if err != nil {
+		return nil, err
+	}
+	net.SetFaultPlan(r.cfg.FaultPlan)
+	net.SetTelemetry(r.hub, label)
+	return net, nil
+}
+
+// exec drives phase i (pipeline order): it opens the span the phase's
+// work records under and points the phase-agnostic substrates at it, then
+// restores the phase when it lies inside the valid checkpoint prefix, and
+// otherwise runs it under the retry policy and commits it.
+func (r *run) exec(i int, p *phase) error {
+	p.since = time.Now()
+	p.sp = r.hub.Start(r.runSpan, "phase:"+p.name, telemetry.String(telemetry.AttrKind, telemetry.KindPhase))
+	r.curSpan.Store(p.sp)
+	r.fs.SetTraceParent(p.sp)
+	if r.overlapped != nil {
+		// The previous phase's writes are still in flight: keep FS spans
+		// parented to the run, not this phase, while the two overlap.
+		r.fs.SetTraceParent(r.runSpan)
+	}
+	if r.store != nil {
+		r.store.SetTraceParent(p.sp)
+	}
+	if r.clusterNet != nil {
+		r.clusterNet.SetTraceParent(p.sp)
+	}
+
+	if i < r.validPrefix {
+		err := r.store.Load(p.name, p.snapshot)
+		if err == nil {
+			err = p.adopt()
+		}
+		if err != nil {
+			return fmt.Errorf("mrscan: restoring %s phase: %w", p.name, err)
+		}
+		r.res.RestoredPhases = append(r.res.RestoredPhases, p.name)
+		r.complete(p)
+		return nil
+	}
+	err := r.attempts(p)
+	if prev := r.overlapped; prev != nil {
+		// Close out the overlapped previous phase before this one commits
+		// anything durable: its artifacts sync and its checkpoint lands
+		// first, keeping the phase-prefix order. When both phases failed,
+		// the earlier one's error is the root cause and wins.
+		r.overlapped = nil
+		if jerr := prev.join(); jerr != nil {
+			return phaseErr(prev.name, jerr)
+		}
+		if cerr := r.commit(prev); cerr != nil {
+			return cerr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if p.join != nil {
+		r.overlapped = p // commits after the next phase's attempt, above
+		return nil
+	}
+	return r.commit(p)
+}
+
+// attempts executes the phase under the retry policy, counting retries
+// and wrapping the terminal error with the phase name — every
+// unrecoverable fault names the phase it killed. Each attempt first
+// checks the caller's context, then consults the fault plan at the
+// phase's site; fatal faults and context errors are terminal (no retry).
+func (r *run) attempts(p *phase) error {
+	policy := r.cfg.Retry
+	var err error
+	for a := 1; ; a++ {
+		if err = r.ctx.Err(); err != nil {
+			break
+		}
+		if err = r.cfg.FaultPlan.Check(PhaseSite(p.name)); err == nil {
+			err = p.attempt(p)
+		}
+		if err == nil {
+			return nil
+		}
+		if a >= policy.MaxAttempts || faultinject.IsFatal(err) || errors.Is(err, lustre.ErrCrashed) ||
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			// Out of attempts, or terminal. A simulated power failure is
+			// terminal too: retrying against a crashed file system can
+			// only fail again — the run must stop so the harness can
+			// Recover and restart it.
+			break
+		}
+		if !policy.Budget.Take("mrscan.phase") {
+			err = fmt.Errorf("%w (retry denied: %w)", err, health.ErrBudgetExhausted)
+			break
+		}
+		*p.retries++
+		r.hub.Event(p.sp, "mrscan.retry",
+			telemetry.String("phase", p.name), telemetry.Int("attempt", a))
+		r.hub.Counter("mrscan_phase_retries_total", "phase", p.name).Inc()
+		if policy.Backoff > 0 {
+			time.Sleep(policy.Backoff)
+		}
+	}
+	return phaseErr(p.name, err)
+}
+
+func phaseErr(name string, err error) error {
+	return fmt.Errorf("mrscan: %s phase: %w", name, err)
+}
+
+// commit makes an executed phase durable, then adopts and records it.
+// Sync-ordering invariant: the artifacts are fsynced and their directory
+// synced before the snapshot that references them is saved — a resume
+// re-reads the partition data, so a crash must never leave a durable
+// checkpoint over torn partitions — and before the phase is reported
+// complete: the sweep's successful return acknowledges the output file.
+func (r *run) commit(p *phase) error {
+	var names []string
+	if p.artifacts != nil {
+		names = p.artifacts()
+	}
+	for _, name := range names {
+		if err := r.fs.Sync(name); err != nil {
+			return fmt.Errorf("mrscan: syncing %s: %w", name, err)
+		}
+	}
+	if len(names) > 0 {
+		if err := r.fs.SyncDir("."); err != nil {
+			return fmt.Errorf("mrscan: syncing %s output dir: %w", p.name, err)
+		}
+	}
+	if r.store != nil && p.snapshot != nil {
+		if err := r.store.Save(p.name, p.snapshot); err != nil {
+			return fmt.Errorf("mrscan: checkpointing %s phase: %w", p.name, err)
+		}
+	}
+	if p.adopt != nil {
+		if err := p.adopt(); err != nil {
+			return phaseErr(p.name, err)
+		}
+	}
+	r.complete(p)
+	return nil
+}
+
+// complete closes a phase span and records the phase as done. Its wall
+// time is the span's own duration, so Times agree with the exported trace
+// whoever else records on the hub; the stopwatch covers hubs without a
+// tracer.
+func (r *run) complete(p *phase) {
+	r.res.CompletedPhases = append(r.res.CompletedPhases, p.name)
+	p.sp.End()
+	*p.wall = time.Since(p.since)
+	if p.sp != nil {
+		*p.wall = p.sp.WallDuration()
+	}
+}
+
+// finish finalizes the result of a run that ended with err (nil on
+// success): the caller gets both, with whatever phases completed named
+// and their stats filled. Open spans are closed so the trace of an
+// aborted run still exports.
+func (r *run) finish(err error) (*Result, error) {
+	if r.overlapped != nil {
+		// Never return under a phase that is still writing (its error is
+		// dropped: the run is already failing).
+		_ = r.overlapped.join()
+	}
+	r.curSpan.Load().End()
+	r.runSpan.End()
+	r.fs.SetTraceParent(nil)
+	for _, net := range []*mrnet.Network{r.partNet, r.clusterNet} {
+		if net != nil {
+			r.res.Stats.NetRecoveries += net.Recoveries()
+		}
+	}
+	r.res.Stats.FaultsInjected = r.cfg.FaultPlan.TotalFired()
+	r.res.Stats.SimNow = r.fs.Clock().Now()
+	r.res.Stats.Resources = r.fs.Clock().Snapshot()
+	r.res.Times.Total = time.Since(r.start)
+	return r.res, err
+}
+
+// phase is one pipeline stage as the driver sees it.
+type phase struct {
+	name string
+	// attempt does the phase's work once, recording under p.sp. It is
+	// idempotent (see Config.Retry): exec re-runs it after a transient fault.
+	attempt func(p *phase) error
+	// artifacts names the files that must be durable before the phase is
+	// checkpointed or acknowledged (nil: the phase writes none).
+	artifacts func() []string
+	// snapshot points at the run state the phase produces: what the
+	// checkpoint store saves after an executed phase and decodes into for
+	// a restored one. Nil for the sweep (see Config.Checkpoint).
+	snapshot any
+	// adopt validates the snapshot and derives what later phases and the
+	// Result read from it, executed or restored alike — a restored phase
+	// is indistinguishable from an executed one.
+	adopt func() error
+	// wall and retries are the phase's slots in Result.Times.
+	wall    *time.Duration
+	retries *int
+
+	// Set by exec: the phase's span, and the stopwatch behind wall when
+	// there is no span.
+	sp    *telemetry.Span
+	since time.Time
+	// join is set by an attempt that returns with its work still running,
+	// overlapping the next phase; it blocks until that work ends and
+	// reports its error.
+	join func() error
+}
+
+// phases lists the pipeline in execution order (paper §3, Fig. 1).
+func (r *run) phases() [4]phase {
+	t := &r.res.Times
+	return [4]phase{
+		{name: PhasePartition, attempt: r.partition, artifacts: r.partitionArtifacts,
+			snapshot: &r.part, adopt: r.adoptPartition, wall: &t.Partition, retries: &t.PartitionRetries},
+		{name: PhaseCluster, attempt: r.cluster,
+			snapshot: &r.clustered, adopt: r.adoptCluster, wall: &t.Cluster, retries: &t.ClusterRetries},
+		{name: PhaseMerge, attempt: r.merge,
+			snapshot: &r.merged, adopt: r.adoptMerge, wall: &t.Merge, retries: &t.MergeRetries},
+		{name: PhaseSweep, attempt: r.sweep, artifacts: func() []string { return []string{r.res.OutputFile} },
+			wall: &t.Sweep, retries: &t.SweepRetries},
+	}
 }
 
 // Snapshot payloads for the checkpoint store. All fields are exported
-// for gob. The structs mirror exactly the state the next phase consumes,
-// so a restored phase is indistinguishable from an executed one.
+// for gob.
 type partitionCkpt struct {
 	// Meta locates every partition inside partitionFile — or, when its
 	// Segments index is populated (WriteAggregation), inside the sharded
@@ -449,7 +748,9 @@ type partitionCkpt struct {
 	WriteSim      time.Duration
 }
 
-type leafSnapshot struct {
+// leafState is one leaf's cluster-phase output: what the merge and sweep
+// phases read, and one element of the cluster snapshot.
+type leafState struct {
 	Owned     []geom.Point
 	Labels    []int32
 	Summaries []*merge.Summary
@@ -458,7 +759,7 @@ type leafSnapshot struct {
 }
 
 type clusterCkpt struct {
-	Leaves []leafSnapshot
+	Leaves []leafState
 }
 
 type mergeCkpt struct {
@@ -485,660 +786,319 @@ func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
 }
 
-// Run executes the full pipeline against inputFile on fs, writing labeled
-// output to outputFile. It is RunContext without a deadline.
-func Run(fs *lustre.FS, inputFile, outputFile string, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), fs, inputFile, outputFile, cfg)
+// --- Phase 1: partition (separate flat MRNet network, §3.1.3) ---
+
+func (r *run) partition(p *phase) error {
+	cfg := &r.cfg
+	if r.partNet == nil {
+		var err error
+		if r.partNet, err = r.newNet("partition", "", cfg.PartitionLeaves); err != nil {
+			return err
+		}
+		r.partNet.SetTraceParent(p.sp)
+	}
+	opts := partition.DistOptions{
+		NumPartitions:  cfg.Leaves,
+		MinPts:         cfg.MinPts,
+		Rebalance:      cfg.Rebalance,
+		ShadowReps:     cfg.ShadowReps,
+		HasWeight:      cfg.HasWeight,
+		SplitThreshold: cfg.HotCellThreshold,
+		Aggregate:      cfg.WriteAggregation && !cfg.DirectPartitions,
+	}
+	if cfg.DirectPartitions {
+		direct, err := partition.DistributeDirect(r.ctx, r.partNet, r.fs, cfg.Eps, r.inputFile, opts)
+		if err != nil {
+			return err
+		}
+		r.res.Plan = direct.Plan
+		// The sims are recorded for file-mode parity but stay out of
+		// PhaseTimes: the phase wrote no Lustre bytes.
+		r.part = partitionCkpt{
+			Direct:        true,
+			Partitions:    direct.Partitions,
+			Shadows:       direct.Shadows,
+			TotalPoints:   direct.TotalPoints,
+			WrittenPoints: direct.TransferredPoints,
+			ReadSim:       direct.ReadSim,
+			WriteSim:      direct.WriteSim,
+		}
+		return nil
+	}
+	// Overlap the partition and cluster phases only when the aggregated
+	// writer provides per-partition durability signals and no retry
+	// policy demands a clean phase barrier (a whole-phase retry would
+	// rewrite segments the cluster phase already read).
+	if opts.Aggregate && cfg.Retry.MaxAttempts <= 1 {
+		return r.partitionOverlapped(p, opts)
+	}
+	dist, err := partition.Distribute(r.ctx, r.partNet, r.fs, cfg.Eps, r.inputFile, partitionFile, metadataFile, opts)
+	if err != nil {
+		return err
+	}
+	r.distributed(dist)
+	return nil
 }
 
-// RunContext executes the full pipeline under ctx. Cancellation or
-// deadline expiry aborts the run at the next phase or tree-hop boundary;
-// the returned error wraps the context error and names the in-flight
-// phase, and the partial Result lists the phases that completed before
-// the abort. With Config.Checkpoint those phases are already durable, so
-// a later Resume run picks up where the deadline struck.
-func RunContext(ctx context.Context, fs *lustre.FS, inputFile, outputFile string, cfg Config) (*Result, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+// distributed records a finished file-mode partition phase.
+func (r *run) distributed(dist *partition.DistResult) {
+	r.res.Plan = dist.Plan
+	r.part = partitionCkpt{
+		Meta:          dist.Meta,
+		TotalPoints:   dist.TotalPoints,
+		WrittenPoints: dist.WrittenPoints,
+		ReadSim:       dist.ReadSim,
+		WriteSim:      dist.WriteSim,
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	g := grid.New(cfg.Eps)
-	hub := cfg.Telemetry
-	if hub == nil {
-		hub = telemetry.New(fs.Clock())
-	}
-	fs.SetTelemetry(hub)
-	runSpan := hub.Start(nil, "mrscan.run")
-	// curSpan tracks the in-flight phase span so fault-observer events
-	// (fired from arbitrary substrate goroutines) nest correctly.
-	var curSpan atomic.Pointer[telemetry.Span]
-	if runSpan != nil {
-		curSpan.Store(runSpan)
-	}
-	if cfg.FaultPlan != nil {
-		fs.SetFaultPlan(cfg.FaultPlan)
-		// A run that may see injected corruption gets the checksummed
-		// data plane: without it a lustre bit flip escapes silently.
-		fs.EnableIntegrity()
-		cfg.FaultPlan.SetObserver(func(site faultinject.Site, ferr error, fatal bool) {
-			hub.Event(curSpan.Load(), "fault.injected",
-				telemetry.String("site", string(site)), telemetry.Bool("fatal", fatal))
-			hub.Counter("mrscan_faults_injected_total", "site", string(site)).Inc()
-		})
-	}
-	var retries struct{ partition, cluster, merge, sweep int }
+}
 
-	res := &Result{OutputFile: outputFile, Telemetry: hub}
-	var partNet, clusterNet *mrnet.Network
-	// fail finalizes the partial result: whatever phases completed are
-	// named, stats that exist are filled, and the caller gets both the
-	// result and the error. Open spans are closed so the trace of an
-	// aborted run still exports.
-	fail := func(err error) (*Result, error) {
-		if sp := curSpan.Load(); sp != nil {
-			sp.End()
-		}
-		runSpan.End()
-		fs.SetTraceParent(nil)
-		res.Times.Total = time.Since(start)
-		if partNet != nil {
-			res.Stats.NetRecoveries += partNet.Recoveries()
-		}
-		if clusterNet != nil {
-			res.Stats.NetRecoveries += clusterNet.Recoveries()
-		}
-		res.Stats.FaultsInjected = cfg.FaultPlan.TotalFired()
-		res.Stats.SimNow = fs.Clock().Now()
-		res.Stats.Resources = fs.Clock().Snapshot()
-		return res, err
-	}
-
-	var store *checkpoint.Store
-	validPrefix := 0
-	if cfg.Checkpoint {
-		store = checkpoint.NewStore(checkpoint.LustreFS(fs), runFingerprint(&cfg, fs, inputFile))
-		store.SetTelemetry(hub)
-		if cfg.Resume {
-			validPrefix = store.ValidPrefix([]string{PhasePartition, PhaseCluster, PhaseMerge})
-		}
-	}
-	// beginPhase opens the span a pipeline phase's work records under and
-	// points the phase-agnostic substrates at it.
-	beginPhase := func(name string) *telemetry.Span {
-		sp := hub.Start(runSpan, "phase:"+name, telemetry.String(telemetry.AttrKind, telemetry.KindPhase))
-		if sp != nil {
-			curSpan.Store(sp)
-		}
-		fs.SetTraceParent(sp)
-		if store != nil {
-			store.SetTraceParent(sp)
-		}
-		return sp
-	}
-	// endPhase closes a phase span and returns its wall duration, so the
-	// reported Times derive from the same spans the trace exports; the
-	// stopwatch fallback covers hubs constructed without a tracer.
-	endPhase := func(sp *telemetry.Span, name string, fallback time.Duration) time.Duration {
-		sp.End()
-		if ss := hub.Trace.FindSpans("phase:" + name); len(ss) > 0 {
-			return ss[len(ss)-1].WallDuration()
-		}
-		return fallback
-	}
-	// --- Phase 1: partition (separate flat MRNet network, §3.1.3) ---
-	partSpan := beginPhase(PhasePartition)
-	partStart := time.Now()
-	// loadPartition returns partition j's owned and shadow points,
-	// either from the partition file or from the direct transfer.
-	// partitionSize reports j's total point count (owned + shadow)
-	// without loading it — the cluster scheduler's largest-first key.
-	var loadPartition func(j int) (owned, shadow []geom.Point, err error)
-	var partitionSize func(j int) int64
-	var plan *partition.Plan
-	var totalPoints, writtenPoints int64
-	var partReadSim, partWriteSim time.Duration
-	// In the pipelined (WriteAggregation) path the partition phase runs
-	// concurrently with the cluster phase: gate admits cluster leaves as
-	// their partitions become durable, and finishPartition — called after
-	// the cluster compute, before the cluster checkpoint — collects the
-	// partition result, syncs its artifacts and writes its checkpoint, so
-	// the durable phase-prefix order (partition before cluster) is
-	// preserved. Both stay nil on every non-overlapped path.
-	var gate *partitionGate
-	var finishPartition func() error
-	if validPrefix >= 1 {
-		var pc partitionCkpt
-		if err := store.Load(PhasePartition, &pc); err != nil {
-			return fail(fmt.Errorf("mrscan: restoring %s phase: %w", PhasePartition, err))
-		}
-		totalPoints, writtenPoints = pc.TotalPoints, pc.WrittenPoints
-		if !pc.Direct {
-			// Direct snapshots carry the overlay-transfer sims for parity
-			// inspection, but PhaseTimes reports Lustre costs only.
-			partReadSim, partWriteSim = pc.ReadSim, pc.WriteSim
-		}
-		if pc.Direct {
-			parts, shadows := pc.Partitions, pc.Shadows
-			loadPartition = func(j int) ([]geom.Point, []geom.Point, error) {
-				return parts[j], shadows[j], nil
-			}
-			partitionSize = func(j int) int64 {
-				return int64(len(parts[j]) + len(shadows[j]))
-			}
-		} else {
-			meta := pc.Meta
-			loadPartition = func(j int) ([]geom.Point, []geom.Point, error) {
-				return partition.ReadPartition(fs, partitionFile, meta, j)
-			}
-			partitionSize = func(j int) int64 {
-				e := meta.Partitions[j]
-				return e.Count + e.ShadowCount
-			}
-		}
-		res.RestoredPhases = append(res.RestoredPhases, PhasePartition)
-	} else {
-		var err error
-		partNet, err = mrnet.New(cfg.PartitionLeaves, cfg.Fanout, cfg.Costs, fs.Clock())
+// partitionOverlapped pipelines the partition phase into the cluster
+// phase: Distribute keeps writing in a goroutine while this attempt
+// returns as soon as the partition layout is known, and a gate admits
+// cluster leaves as their partitions become durable. p.join has exec
+// collect the result and commit the phase after the cluster compute.
+func (r *run) partitionOverlapped(p *phase, opts partition.DistOptions) error {
+	gate := newPartitionGate(r.cfg.Leaves)
+	layout := make(chan *ptio.PartitionMeta, 1)
+	opts.OnLayout = func(m *ptio.PartitionMeta) { layout <- m }
+	opts.OnPartitionDurable = gate.markReady
+	var (
+		dist *partition.DistResult
+		err  error
+		done = make(chan struct{}) // closed once dist and err are final
+	)
+	go func() {
+		defer close(done)
+		dist, err = partition.Distribute(r.ctx, r.partNet, r.fs, r.cfg.Eps, r.inputFile, partitionFile, metadataFile, opts)
+		// The phase span ends when the writes actually finish, inside the
+		// already-open cluster span, so the trace shows the overlap;
+		// complete's later End is a no-op.
+		p.sp.End()
 		if err != nil {
-			return nil, err
+			gate.fail(phaseErr(PhasePartition, err))
+			return
 		}
-		partNet.SetFaultPlan(cfg.FaultPlan)
-		partNet.SetTelemetry(hub, "partition")
-		partNet.SetTraceParent(partSpan)
-		distOpts := partition.DistOptions{
-			NumPartitions:  cfg.Leaves,
-			MinPts:         cfg.MinPts,
-			Rebalance:      cfg.Rebalance,
-			ShadowReps:     cfg.ShadowReps,
-			HasWeight:      cfg.HasWeight,
-			SplitThreshold: cfg.HotCellThreshold,
-			Aggregate:      cfg.WriteAggregation && !cfg.DirectPartitions,
+		gate.markAllReady()
+	}()
+	join := func() error {
+		<-done
+		if err == nil {
+			r.distributed(dist)
 		}
-		// Overlap the partition and cluster phases only when the
-		// aggregated writer provides per-partition durability signals and
-		// no retry policy demands a clean phase barrier (a whole-phase
-		// retry would rewrite segments the cluster phase already read).
-		if distOpts.Aggregate && cfg.Retry.MaxAttempts <= 1 {
-			gate = newPartitionGate(cfg.Leaves)
-			type distOut struct {
-				dist *partition.DistResult
-				err  error
-			}
-			distCh := make(chan distOut, 1)
-			layoutCh := make(chan *ptio.PartitionMeta, 1)
-			distOpts.OnLayout = func(m *ptio.PartitionMeta) { layoutCh <- m }
-			distOpts.OnPartitionDurable = gate.markReady
-			go func() {
-				var dist *partition.DistResult
-				err := cfg.FaultPlan.Check(PhaseSite(PhasePartition))
-				if err == nil {
-					dist, err = partition.Distribute(ctx, partNet, fs, cfg.Eps, inputFile, partitionFile, metadataFile, distOpts)
-				}
-				// The phase span ends when the writes actually finish —
-				// concurrently with the already-open cluster span, so the
-				// trace shows the overlap. endPhase's later End is a no-op.
-				partSpan.End()
-				if err != nil {
-					err = fmt.Errorf("mrscan: %s phase: %w", PhasePartition, err)
-					gate.fail(err)
-					distCh <- distOut{err: err}
-					return
-				}
-				gate.markAllReady()
-				distCh <- distOut{dist: dist}
-			}()
-			// The layout (partition bounds and counts) arrives before any
-			// data is written; it is all the cluster scheduler needs.
-			var meta *ptio.PartitionMeta
-			select {
-			case meta = <-layoutCh:
-			case out := <-distCh:
-				if out.err != nil {
-					return fail(out.err)
-				}
-				meta = out.dist.Meta
-			}
-			loadPartition = func(j int) ([]geom.Point, []geom.Point, error) {
-				if err := gate.wait(ctx, j); err != nil {
-					return nil, nil, err
-				}
-				return partition.ReadPartition(fs, partitionFile, meta, j)
-			}
-			partitionSize = func(j int) int64 {
-				e := meta.Partitions[j]
-				return e.Count + e.ShadowCount
-			}
-			finishPartition = func() error {
-				out := <-distCh
-				distCh <- out // re-buffer: the cluster error path may call again
-				if out.err != nil {
-					return out.err
-				}
-				dist := out.dist
-				plan = dist.Plan
-				totalPoints, writtenPoints = dist.TotalPoints, dist.WrittenPoints
-				partReadSim, partWriteSim = dist.ReadSim, dist.WriteSim
-				// Sync-ordering invariant, deferred but not weakened: the
-				// segment artifacts become durable here, before the
-				// partition checkpoint below and the cluster checkpoint
-				// after — the durable prefix never holds a later phase
-				// over torn partition data.
-				for _, name := range partitionArtifacts(dist.Meta) {
-					if err := fs.Sync(name); err != nil {
-						return fmt.Errorf("mrscan: syncing %s: %w", name, err)
-					}
-				}
-				if err := fs.SyncDir("."); err != nil {
-					return fmt.Errorf("mrscan: syncing partition output dir: %w", err)
-				}
-				if store != nil {
-					pc := partitionCkpt{
-						Meta:          dist.Meta,
-						TotalPoints:   totalPoints,
-						WrittenPoints: writtenPoints,
-						ReadSim:       partReadSim,
-						WriteSim:      partWriteSim,
-					}
-					if err := store.Save(PhasePartition, &pc); err != nil {
-						return fmt.Errorf("mrscan: checkpointing %s phase: %w", PhasePartition, err)
-					}
-				}
-				res.CompletedPhases = append(res.CompletedPhases, PhasePartition)
-				res.Times.Partition = endPhase(partSpan, PhasePartition, time.Since(partStart))
-				res.Times.PartitionReadSim = partReadSim
-				res.Times.PartitionWriteSim = partWriteSim
-				return nil
-			}
-		} else {
-			var pc partitionCkpt
-			err = cfg.Retry.runPhase(ctx, cfg.FaultPlan, hub, partSpan, PhasePartition, &retries.partition, func() error {
-				if cfg.DirectPartitions {
-					direct, err := partition.DistributeDirect(ctx, partNet, fs, cfg.Eps, inputFile, distOpts)
-					if err != nil {
-						return err
-					}
-					plan = direct.Plan
-					totalPoints = direct.TotalPoints
-					writtenPoints = direct.TransferredPoints
-					loadPartition = func(j int) ([]geom.Point, []geom.Point, error) {
-						return direct.Partitions[j], direct.Shadows[j], nil
-					}
-					partitionSize = func(j int) int64 {
-						return int64(len(direct.Partitions[j]) + len(direct.Shadows[j]))
-					}
-					// The sims are recorded for file-mode parity but stay
-					// out of PhaseTimes: the phase wrote no Lustre bytes.
-					pc = partitionCkpt{
-						Direct:        true,
-						Partitions:    direct.Partitions,
-						Shadows:       direct.Shadows,
-						TotalPoints:   totalPoints,
-						WrittenPoints: writtenPoints,
-						ReadSim:       direct.ReadSim,
-						WriteSim:      direct.WriteSim,
-					}
-					return nil
-				}
-				dist, err := partition.Distribute(ctx, partNet, fs, cfg.Eps, inputFile, partitionFile, metadataFile, distOpts)
-				if err != nil {
-					return err
-				}
-				plan = dist.Plan
-				totalPoints = dist.TotalPoints
-				writtenPoints = dist.WrittenPoints
-				partReadSim = dist.ReadSim
-				partWriteSim = dist.WriteSim
-				loadPartition = func(j int) ([]geom.Point, []geom.Point, error) {
-					return partition.ReadPartition(fs, partitionFile, dist.Meta, j)
-				}
-				partitionSize = func(j int) int64 {
-					e := dist.Meta.Partitions[j]
-					return e.Count + e.ShadowCount
-				}
-				pc = partitionCkpt{
-					Meta:          dist.Meta,
-					TotalPoints:   totalPoints,
-					WrittenPoints: writtenPoints,
-					ReadSim:       partReadSim,
-					WriteSim:      partWriteSim,
-				}
-				return nil
-			})
-			if err != nil {
-				return fail(err)
-			}
-			if !cfg.DirectPartitions {
-				// Sync-ordering invariant: the partition artifacts must be
-				// durable before the phase checkpoint (or any later ack)
-				// references them — a resume that restores the partition
-				// checkpoint re-reads the partition data, so a crash must
-				// never leave a durable checkpoint over torn partitions.
-				for _, name := range partitionArtifacts(pc.Meta) {
-					if err := fs.Sync(name); err != nil {
-						return fail(fmt.Errorf("mrscan: syncing %s: %w", name, err))
-					}
-				}
-				if err := fs.SyncDir("."); err != nil {
-					return fail(fmt.Errorf("mrscan: syncing partition output dir: %w", err))
-				}
-			}
-			if store != nil {
-				if err := store.Save(PhasePartition, &pc); err != nil {
-					return fail(fmt.Errorf("mrscan: checkpointing %s phase: %w", PhasePartition, err))
-				}
-			}
-		}
+		return err
 	}
-	if finishPartition == nil {
-		res.CompletedPhases = append(res.CompletedPhases, PhasePartition)
-		res.Times.Partition = endPhase(partSpan, PhasePartition, time.Since(partStart))
-		res.Times.PartitionReadSim = partReadSim
-		res.Times.PartitionWriteSim = partWriteSim
+	// The layout (partition bounds and counts) arrives before any data is
+	// written; it is all the cluster scheduler needs.
+	select {
+	case meta := <-layout:
+		r.parts = &partitionSource{&partitionCkpt{Meta: meta}, r.fs, gate}
+		p.join = join
+		return nil
+	case <-done:
+		return join()
 	}
+}
 
-	// --- Phase 2: cluster (GPGPU DBSCAN on every leaf, §3.2) ---
-	{
-		var err error
-		if cfg.Topology != "" {
-			clusterNet, err = mrnet.NewFromSpec(cfg.Topology, cfg.Costs, fs.Clock())
-			if err != nil {
-				return nil, err
-			}
-			if clusterNet.NumLeaves() != cfg.Leaves {
-				return nil, fmt.Errorf("mrscan: topology %q yields %d leaves, config says %d",
-					cfg.Topology, clusterNet.NumLeaves(), cfg.Leaves)
-			}
-		} else {
-			clusterNet, err = mrnet.New(cfg.Leaves, cfg.Fanout, cfg.Costs, fs.Clock())
-			if err != nil {
-				return nil, err
-			}
-		}
+// partitionArtifacts lists the partition phase's durable files: in
+// aggregated runs the sharded segment files (the legacy partition file
+// is never created), otherwise the partition file itself, plus the
+// metadata document either way. A DirectPartitions run wrote no files.
+func (r *run) partitionArtifacts() []string {
+	if r.part.Direct {
+		return nil
 	}
-	clusterNet.SetFaultPlan(cfg.FaultPlan)
-	clusterNet.SetTelemetry(hub, "cluster")
-	type leafState struct {
-		owned     []geom.Point
-		labels    []int32
-		summaries []*merge.Summary
-		gpuTime   time.Duration
-		stats     gdbscan.Stats
+	meta := r.part.Meta
+	if len(meta.Segments) > 0 {
+		names := make([]string, 0, len(meta.Segments)+1)
+		for _, s := range meta.Segments {
+			names = append(names, s.File)
+		}
+		return append(names, metadataFile)
 	}
-	clusterSpan := beginPhase(PhaseCluster)
-	clusterNet.SetTraceParent(clusterSpan)
-	if gate != nil {
-		// Partition writes are still in flight: keep FS spans parented to
-		// the run, not the cluster phase, while the two phases overlap.
-		fs.SetTraceParent(runSpan)
-	}
-	clusterStart := time.Now()
-	var states []*leafState
-	if validPrefix >= 2 {
-		var cc clusterCkpt
-		if err := store.Load(PhaseCluster, &cc); err != nil {
-			return fail(fmt.Errorf("mrscan: restoring %s phase: %w", PhaseCluster, err))
-		}
-		if len(cc.Leaves) != cfg.Leaves {
-			return fail(fmt.Errorf("mrscan: %s snapshot holds %d leaves, config says %d",
-				PhaseCluster, len(cc.Leaves), cfg.Leaves))
-		}
-		states = make([]*leafState, len(cc.Leaves))
-		for i := range cc.Leaves {
-			l := &cc.Leaves[i]
-			states[i] = &leafState{
-				owned:     l.Owned,
-				labels:    l.Labels,
-				summaries: l.Summaries,
-				gpuTime:   l.GPUTime,
-				stats:     l.Stats,
-			}
-		}
-		res.RestoredPhases = append(res.RestoredPhases, PhaseCluster)
-	} else {
-		// clusterLeaf runs one leaf's GPGPU DBSCAN + summary build on a
-		// caller-provided device and workspace; the scheduler reuses both
-		// across all leaves a worker processes, so device buffers (pool)
-		// and host scratch amortize over the worker's whole share.
-		clusterLeaf := func(dev *gpusim.Device, ws *gdbscan.Workspace, leaf int) (*leafState, error) {
-			leafSpan := hub.Start(clusterSpan, "leaf", telemetry.Int("leaf", leaf))
-			defer leafSpan.End()
-			owned, shadow, err := loadPartition(leaf)
-			if err != nil {
-				return nil, err
-			}
-			combined := make([]geom.Point, 0, len(owned)+len(shadow))
-			combined = append(combined, owned...)
-			combined = append(combined, shadow...)
-			dev.SetTraceParent(leafSpan)
-			gpuStart := time.Now()
-			res, err := gdbscan.Cluster(dev, combined, gdbscan.Options{
-				Params:          dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
-				DenseBox:        cfg.DenseBox,
-				Mode:            cfg.Mode,
-				Blocks:          cfg.Blocks,
-				ThreadsPerBlock: cfg.ThreadsPerBlock,
-				LeafSize:        cfg.LeafSize,
-				Workspace:       ws,
-			})
-			if err != nil {
-				return nil, err
-			}
-			gpuTime := time.Since(gpuStart)
-			sums, err := merge.BuildSummaries(g, leaf, combined, len(owned), res.Labels, res.Core, res.NumClusters)
-			if err != nil {
-				return nil, err
-			}
-			return &leafState{
-				owned:     owned,
-				labels:    res.Labels[:len(owned)],
-				summaries: sums,
-				gpuTime:   gpuTime,
-				stats:     res.Stats,
-			}, nil
-		}
-		newDevice := func(id int) *gpusim.Device {
-			gpuCfg := cfg.GPU
-			gpuCfg.Name = fmt.Sprintf("gpu%04d", id)
-			dev := gpusim.New(gpuCfg, fs.Clock())
-			dev.SetFaultPlan(cfg.FaultPlan)
-			dev.SetTelemetry(hub)
-			return dev
-		}
-		err := cfg.Retry.runPhase(ctx, cfg.FaultPlan, hub, clusterSpan, PhaseCluster, &retries.cluster, func() error {
-			if cfg.SequentialLeaves {
-				// One leaf at a time on its own device: each simulated
-				// node measured in isolation (the host workspace is
-				// shared — it never touches simulated time).
-				states = make([]*leafState, cfg.Leaves)
-				var ws gdbscan.Workspace
-				for leaf := 0; leaf < cfg.Leaves; leaf++ {
-					if cerr := ctx.Err(); cerr != nil {
-						return cerr
-					}
-					var err error
-					states[leaf], err = clusterLeaf(newDevice(leaf), &ws, leaf)
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			workers := cfg.ClusterWorkers
-			if workers <= 0 || workers > cfg.Leaves {
-				workers = cfg.Leaves
-			}
-			sizes := make([]int64, cfg.Leaves)
-			for j := range sizes {
-				sizes[j] = partitionSize(j)
-			}
-			type workerState struct {
-				dev *gpusim.Device
-				ws  gdbscan.Workspace
-			}
-			wstates := make([]workerState, workers)
-			for w := range wstates {
-				wstates[w].dev = newDevice(w)
-			}
-			var err error
-			states, err = runLeavesGated(ctx, cfg.Leaves, workers, sizes, gate,
-				func(w, leaf int) (*leafState, error) {
-					return clusterLeaf(wstates[w].dev, &wstates[w].ws, leaf)
-				})
-			return err
-		})
-		if finishPartition != nil {
-			// Close out the overlapped partition phase before the cluster
-			// phase commits anything durable: its artifacts sync and its
-			// checkpoint lands first, keeping the phase-prefix order. On a
-			// cluster error the partition error (if any) is the root cause
-			// and wins.
-			if perr := finishPartition(); perr != nil {
-				return fail(perr)
-			}
-			finishPartition = nil
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if store != nil {
-			cc := clusterCkpt{Leaves: make([]leafSnapshot, len(states))}
-			for i, st := range states {
-				cc.Leaves[i] = leafSnapshot{
-					Owned:     st.owned,
-					Labels:    st.labels,
-					Summaries: st.summaries,
-					GPUTime:   st.gpuTime,
-					Stats:     st.stats,
-				}
-			}
-			if err := store.Save(PhaseCluster, &cc); err != nil {
-				return fail(fmt.Errorf("mrscan: checkpointing %s phase: %w", PhaseCluster, err))
-			}
-		}
-	}
-	res.CompletedPhases = append(res.CompletedPhases, PhaseCluster)
-	res.Times.Cluster = endPhase(clusterSpan, PhaseCluster, time.Since(clusterStart))
+	return []string{partitionFile, metadataFile}
+}
 
-	// --- Phase 3: merge (progressive reduction up the tree, §3.3) ---
-	mergeSpan := beginPhase(PhaseMerge)
-	clusterNet.SetTraceParent(mergeSpan)
-	mergeStart := time.Now()
-	var final []*merge.Summary
-	if validPrefix >= 3 {
-		var mc mergeCkpt
-		if err := store.Load(PhaseMerge, &mc); err != nil {
-			return fail(fmt.Errorf("mrscan: restoring %s phase: %w", PhaseMerge, err))
-		}
-		final = mc.Final
-		res.RestoredPhases = append(res.RestoredPhases, PhaseMerge)
-	} else {
-		err := cfg.Retry.runPhase(ctx, cfg.FaultPlan, hub, mergeSpan, PhaseMerge, &retries.merge, func() error {
-			var err error
-			if cfg.MergeOverTCP {
-				final, err = mergeOverTCP(g, cfg.Eps, cfg.Leaves, cfg.Fanout,
-					cfg.FaultPlan, hub,
-					func(leaf int) []*merge.Summary { return states[leaf].summaries })
+func (r *run) adoptPartition() error {
+	pc := &r.part
+	r.parts = &partitionSource{pc, r.fs, nil}
+	r.res.Stats.TotalPoints, r.res.Stats.WrittenPoints = pc.TotalPoints, pc.WrittenPoints
+	if !pc.Direct {
+		// Direct snapshots carry the overlay-transfer sims for parity
+		// inspection, but PhaseTimes reports Lustre costs only.
+		r.res.Times.PartitionReadSim, r.res.Times.PartitionWriteSim = pc.ReadSim, pc.WriteSim
+	}
+	return nil
+}
+
+// --- Phase 2: cluster (GPGPU DBSCAN on every leaf, §3.2) ---
+
+func (r *run) cluster(p *phase) error {
+	cfg := &r.cfg
+	if cfg.SequentialLeaves {
+		// One leaf at a time on its own device: each simulated node
+		// measured in isolation (the host workspace is shared — it never
+		// touches simulated time).
+		leaves := make([]leafState, cfg.Leaves)
+		var ws gdbscan.Workspace
+		for leaf := range leaves {
+			if err := r.ctx.Err(); err != nil {
 				return err
 			}
-			final, err = mrnet.Reduce(ctx, clusterNet,
-				func(leaf int) ([]*merge.Summary, error) { return states[leaf].summaries, nil },
-				func(_ *mrnet.Node, groups [][]*merge.Summary) ([]*merge.Summary, error) {
-					return merge.Combine(g, cfg.Eps, groups), nil
-				},
-				func(sums []*merge.Summary) int64 {
-					var n int64
-					for _, s := range sums {
-						n += s.WireSize()
-					}
-					return n
-				},
-			)
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if store != nil {
-			if err := store.Save(PhaseMerge, &mergeCkpt{Final: final}); err != nil {
-				return fail(fmt.Errorf("mrscan: checkpointing %s phase: %w", PhaseMerge, err))
+			var err error
+			if leaves[leaf], err = r.clusterLeaf(p.sp, r.newDevice(leaf), &ws, leaf); err != nil {
+				return err
 			}
 		}
+		r.clustered.Leaves = leaves
+		return nil
 	}
-	mapping := merge.AssignGlobalIDs(final)
-	var claims map[uint64]int32
-	if cfg.ReclaimBorders {
-		claims = merge.BorderClaims(final, mapping)
+	workers := cfg.ClusterWorkers
+	if workers <= 0 || workers > cfg.Leaves {
+		workers = cfg.Leaves
 	}
-	res.CompletedPhases = append(res.CompletedPhases, PhaseMerge)
-	res.Times.Merge = endPhase(mergeSpan, PhaseMerge, time.Since(mergeStart))
+	sizes := make([]int64, cfg.Leaves)
+	for j := range sizes {
+		sizes[j] = r.parts.size(j)
+	}
+	type workerState struct {
+		dev *gpusim.Device
+		ws  gdbscan.Workspace
+	}
+	wstates := make([]workerState, workers)
+	for w := range wstates {
+		wstates[w].dev = r.newDevice(w)
+	}
+	leaves, err := runLeavesGated(r.ctx, cfg.Leaves, workers, sizes, r.parts.gate,
+		func(w, leaf int) (leafState, error) {
+			return r.clusterLeaf(p.sp, wstates[w].dev, &wstates[w].ws, leaf)
+		})
+	r.clustered.Leaves = leaves
+	return err
+}
 
-	// --- Phase 4: sweep (global IDs down the tree, parallel write, §3.4) ---
-	sweepSpan := beginPhase(PhaseSweep)
-	clusterNet.SetTraceParent(sweepSpan)
-	sweepStart := time.Now()
-	var sw *sweep.Result
-	err := cfg.Retry.runPhase(ctx, cfg.FaultPlan, hub, sweepSpan, PhaseSweep, &retries.sweep, func() error {
-		var err error
-		sw, err = sweep.Run(ctx, clusterNet, fs, outputFile, mapping,
-			func(leaf int) (*sweep.LeafData, error) {
-				return &sweep.LeafData{Points: states[leaf].owned, Labels: states[leaf].labels}, nil
-			},
-			sweep.Options{IncludeNoise: cfg.IncludeNoise, Claims: claims},
-		)
-		return err
+func (r *run) newDevice(id int) *gpusim.Device {
+	gpuCfg := r.cfg.GPU
+	gpuCfg.Name = fmt.Sprintf("gpu%04d", id)
+	dev := gpusim.New(gpuCfg, r.fs.Clock())
+	dev.SetFaultPlan(r.cfg.FaultPlan)
+	dev.SetTelemetry(r.hub)
+	return dev
+}
+
+// clusterLeaf runs one leaf's GPGPU DBSCAN + summary build on a
+// caller-provided device and workspace; the scheduler reuses both across
+// all leaves a worker processes, so device buffers (pool) and host
+// scratch amortize over the worker's whole share.
+func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdbscan.Workspace, leaf int) (leafState, error) {
+	cfg := &r.cfg
+	leafSpan := r.hub.Start(phaseSpan, "leaf", telemetry.Int("leaf", leaf))
+	defer leafSpan.End()
+	owned, shadow, err := r.parts.load(r.ctx, leaf)
+	if err != nil {
+		return leafState{}, err
+	}
+	combined := make([]geom.Point, 0, len(owned)+len(shadow))
+	combined = append(combined, owned...)
+	combined = append(combined, shadow...)
+	dev.SetTraceParent(leafSpan)
+	gpuStart := time.Now()
+	res, err := gdbscan.Cluster(dev, combined, gdbscan.Options{
+		Params:          dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
+		DenseBox:        cfg.DenseBox,
+		Mode:            cfg.Mode,
+		Blocks:          cfg.Blocks,
+		ThreadsPerBlock: cfg.ThreadsPerBlock,
+		LeafSize:        cfg.LeafSize,
+		Workspace:       ws,
 	})
 	if err != nil {
-		return fail(err)
+		return leafState{}, err
 	}
-	// Sync-ordering invariant: a successful return acknowledges the
-	// output file, so it must be durable before the sweep phase is
-	// reported complete.
-	if err := fs.Sync(outputFile); err != nil {
-		return fail(fmt.Errorf("mrscan: syncing %s: %w", outputFile, err))
+	gpuTime := time.Since(gpuStart)
+	sums, err := merge.BuildSummaries(r.grid, leaf, combined, len(owned), res.Labels, res.Core, res.NumClusters)
+	if err != nil {
+		return leafState{}, err
 	}
-	if err := fs.SyncDir("."); err != nil {
-		return fail(fmt.Errorf("mrscan: syncing output dir: %w", err))
-	}
-	res.CompletedPhases = append(res.CompletedPhases, PhaseSweep)
-	res.Times.Sweep = endPhase(sweepSpan, PhaseSweep, time.Since(sweepStart))
-	runSpan.End()
-	fs.SetTraceParent(nil)
-	clusterNet.SetTraceParent(nil)
+	return leafState{
+		Owned:     owned,
+		Labels:    res.Labels[:len(owned)],
+		Summaries: sums,
+		GPUTime:   gpuTime,
+		Stats:     res.Stats,
+	}, nil
+}
 
-	res.NumClusters = len(final)
-	res.Plan = plan
-	res.Times.Total = time.Since(start)
-	res.Times.PartitionRetries = retries.partition
-	res.Times.ClusterRetries = retries.cluster
-	res.Times.MergeRetries = retries.merge
-	res.Times.SweepRetries = retries.sweep
-	if partNet != nil {
-		res.Stats.NetRecoveries += partNet.Recoveries()
+func (r *run) adoptCluster() error {
+	if n := len(r.clustered.Leaves); n != r.cfg.Leaves {
+		return fmt.Errorf("mrscan: %s snapshot holds %d leaves, config says %d", PhaseCluster, n, r.cfg.Leaves)
 	}
-	res.Stats.NetRecoveries += clusterNet.Recoveries()
-	res.Stats.FaultsInjected = cfg.FaultPlan.TotalFired()
-	res.Stats.TotalPoints = totalPoints
-	res.Stats.WrittenPoints = writtenPoints
-	res.Stats.OutputPoints = sw.PointsWritten
-	res.Stats.NoiseSkipped = sw.NoiseSkipped
-	for _, st := range states {
-		if st.gpuTime > res.Times.GPUDBSCAN {
-			res.Times.GPUDBSCAN = st.gpuTime
+	res := r.res
+	for i := range r.clustered.Leaves {
+		l := &r.clustered.Leaves[i]
+		if l.GPUTime > res.Times.GPUDBSCAN {
+			res.Times.GPUDBSCAN = l.GPUTime
 		}
-		res.Stats.DenseBoxes += st.stats.DenseBoxes
-		res.Stats.DenseBoxPoints += st.stats.DenseBoxPoints
-		res.Stats.Collisions += st.stats.Collisions
-		res.Stats.SeedRounds += st.stats.SeedRounds
-		if n := len(st.owned); n > res.Stats.MaxLeafPoints {
+		res.Stats.DenseBoxes += l.Stats.DenseBoxes
+		res.Stats.DenseBoxPoints += l.Stats.DenseBoxPoints
+		res.Stats.Collisions += l.Stats.Collisions
+		res.Stats.SeedRounds += l.Stats.SeedRounds
+		if n := len(l.Owned); n > res.Stats.MaxLeafPoints {
 			res.Stats.MaxLeafPoints = n
 		}
 	}
-	res.Stats.SimNow = fs.Clock().Now()
-	res.Stats.Resources = fs.Clock().Snapshot()
-	return res, nil
+	return nil
+}
+
+// --- Phase 3: merge (progressive reduction up the tree, §3.3) ---
+
+func (r *run) merge(*phase) error {
+	cfg := &r.cfg
+	leaves := r.clustered.Leaves
+	var err error
+	if cfg.MergeOverTCP {
+		r.merged.Final, err = mergeOverTCP(r.grid, cfg.Eps, leaves, cfg.Fanout, cfg.FaultPlan, r.hub)
+		return err
+	}
+	r.merged.Final, err = mrnet.Reduce(r.ctx, r.clusterNet,
+		func(leaf int) ([]*merge.Summary, error) { return leaves[leaf].Summaries, nil },
+		func(_ *mrnet.Node, groups [][]*merge.Summary) ([]*merge.Summary, error) {
+			return merge.Combine(r.grid, cfg.Eps, groups), nil
+		},
+		func(sums []*merge.Summary) int64 {
+			var n int64
+			for _, s := range sums {
+				n += s.WireSize()
+			}
+			return n
+		},
+	)
+	return err
+}
+
+func (r *run) adoptMerge() error {
+	r.res.NumClusters = len(r.merged.Final)
+	r.mapping = merge.AssignGlobalIDs(r.merged.Final)
+	if r.cfg.ReclaimBorders {
+		r.claims = merge.BorderClaims(r.merged.Final, r.mapping)
+	}
+	return nil
+}
+
+// --- Phase 4: sweep (global IDs down the tree, parallel write, §3.4) ---
+
+func (r *run) sweep(*phase) error {
+	leaves := r.clustered.Leaves
+	sw, err := sweep.Run(r.ctx, r.clusterNet, r.fs, r.res.OutputFile, r.mapping,
+		func(leaf int) (*sweep.LeafData, error) {
+			return &sweep.LeafData{Points: leaves[leaf].Owned, Labels: leaves[leaf].Labels}, nil
+		},
+		sweep.Options{IncludeNoise: r.cfg.IncludeNoise, Claims: r.claims},
+	)
+	if err != nil {
+		return err
+	}
+	r.res.Stats.OutputPoints, r.res.Stats.NoiseSkipped = sw.PointsWritten, sw.NoiseSkipped
+	return nil
 }
 
 // RunPoints is a convenience wrapper: it provisions a fresh simulated file

@@ -3,7 +3,47 @@ package mrscan
 import (
 	"context"
 	"sync"
+
+	"repro/internal/geom"
+	"repro/internal/lustre"
+	"repro/internal/partition"
 )
+
+// partitionSource hands the cluster phase its input, however the
+// partition phase delivered it: the partition snapshot says whether the
+// points sit in the partition files its Meta locates or came over the
+// overlay (Direct).
+type partitionSource struct {
+	*partitionCkpt
+	fs *lustre.FS
+	// gate, when non-nil, is the still-writing partition phase's
+	// durability gate: load waits on it and the cluster scheduler admits
+	// leaves by it.
+	gate *partitionGate
+}
+
+// load returns partition j's owned and shadow points.
+func (s *partitionSource) load(ctx context.Context, j int) (owned, shadow []geom.Point, err error) {
+	if s.Direct {
+		return s.Partitions[j], s.Shadows[j], nil
+	}
+	if s.gate != nil {
+		if err := s.gate.wait(ctx, j); err != nil {
+			return nil, nil, err
+		}
+	}
+	return partition.ReadPartition(s.fs, partitionFile, s.Meta, j)
+}
+
+// size reports j's total point count (owned + shadow) without loading
+// it — the cluster scheduler's largest-first key.
+func (s *partitionSource) size(j int) int64 {
+	if s.Direct {
+		return int64(len(s.Partitions[j]) + len(s.Shadows[j]))
+	}
+	e := s.Meta.Partitions[j]
+	return e.Count + e.ShadowCount
+}
 
 // partitionGate coordinates the partition→cluster pipeline: the
 // aggregated partition writer marks partitions ready as their segments

@@ -69,24 +69,20 @@ func (q *schedQueue) size() int {
 	return len(q.leaves)
 }
 
-// runLeavesScheduled executes fn(worker, leaf) for every leaf in
+// runLeavesGated executes fn(worker, leaf) for every leaf in
 // [0, nLeaves) on a pool of `workers` goroutines, scheduling leaves
 // largest-first by sizes[leaf] (len(sizes) must be nLeaves; a nil sizes
 // keeps index order). Results are returned indexed by leaf. The first
 // error cancels the remaining leaves; ctx cancellation is honored
 // between leaves.
-func runLeavesScheduled[T any](ctx context.Context, nLeaves, workers int, sizes []int64, fn func(worker, leaf int) (T, error)) ([]T, error) {
-	return runLeavesGated(ctx, nLeaves, workers, sizes, nil, fn)
-}
-
-// runLeavesGated is runLeavesScheduled with an optional partitionGate:
-// a worker only takes leaf j once gate reports partition j ready, so the
-// cluster phase can start on durable partitions while the partition
-// phase is still writing later ones. Workers with no admitted leaf block
-// on the gate's change channel (grabbed before scanning, so no readiness
-// transition is missed) rather than spinning; a poisoned gate aborts the
-// run with the partition phase's error. gate == nil degenerates to the
-// ungated scheduler.
+//
+// With a non-nil partitionGate a worker only takes leaf j once gate
+// reports partition j ready, so the cluster phase can start on durable
+// partitions while the partition phase is still writing later ones.
+// Workers with no admitted leaf block on the gate's change channel
+// (grabbed before scanning, so no readiness transition is missed) rather
+// than spinning; a poisoned gate aborts the run with the partition
+// phase's error.
 func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []int64, gate *partitionGate, fn func(worker, leaf int) (T, error)) ([]T, error) {
 	if workers <= 0 || workers > nLeaves {
 		workers = nLeaves

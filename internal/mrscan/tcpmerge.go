@@ -23,7 +23,7 @@ import (
 // injection site and integrity counters; a frame torn by an injected
 // sender death fails the Reduce, and the merge phase's retry rebuilds
 // the whole overlay from the surviving summaries.
-func mergeOverTCP(g grid.Grid, eps float64, leaves, fanout int, plan *faultinject.Plan, hub *telemetry.Hub, summaries func(leaf int) []*merge.Summary) ([]*merge.Summary, error) {
+func mergeOverTCP(g grid.Grid, eps float64, leaves []leafState, fanout int, plan *faultinject.Plan, hub *telemetry.Hub) ([]*merge.Summary, error) {
 	encode := func(sums []*merge.Summary) ([]byte, error) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(sums); err != nil {
@@ -38,9 +38,9 @@ func mergeOverTCP(g grid.Grid, eps float64, leaves, fanout int, plan *faultinjec
 		}
 		return sums, nil
 	}
-	net, err := mrnet.NewTCP(leaves, fanout, mrnet.TCPHandlers{
+	net, err := mrnet.NewTCP(len(leaves), fanout, mrnet.TCPHandlers{
 		Leaf: func(leaf int, _ []byte) ([]byte, error) {
-			return encode(summaries(leaf))
+			return encode(leaves[leaf].Summaries)
 		},
 		Filter: func(_ *mrnet.Node, in [][]byte) ([]byte, error) {
 			groups := make([][]*merge.Summary, len(in))

@@ -246,3 +246,54 @@ func TestTelemetryBackwardCompatible(t *testing.T) {
 		}
 	}
 }
+
+// TestTimesAreTheRunsOwnOnSharedHub: a caller-supplied hub reused across
+// runs, with its span bound so low that the second run's phase spans are
+// dropped. The second Result.Times must still be the second run's —
+// phase durations come from the run's own spans, not from whatever span
+// of that name the shared trace happens to hold.
+func TestTimesAreTheRunsOwnOnSharedHub(t *testing.T) {
+	const stall = 300 * time.Millisecond
+	hub := telemetry.New(nil)
+	run := func(cfg Config) *Result {
+		t.Helper()
+		fs := stageInput(t)
+		cfg.Telemetry = hub
+		res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Run 1 stalls in its partition phase: one transient fault, then a
+	// long backoff before the retry.
+	slow := Default(0.1, 40, 4)
+	slow.Retry = RetryPolicy{MaxAttempts: 2, Backoff: stall}
+	slow.FaultPlan = faultinject.New(0).Arm(PhaseSite(PhasePartition), faultinject.Rule{Times: 1})
+	res1 := run(slow)
+	if res1.Times.Partition < stall {
+		t.Fatalf("run 1 partition = %v, want >= the %v backoff", res1.Times.Partition, stall)
+	}
+
+	hub.Trace.SetMaxSpans(len(hub.Trace.Spans())) // full: every later span is dropped
+	res2 := run(Default(0.1, 40, 4))
+	if hub.Trace.Dropped() == 0 {
+		t.Fatal("run 2's spans were retained; the test needs them dropped")
+	}
+	if res2.Times.Partition >= stall {
+		t.Errorf("run 2 partition = %v: it reports run 1's stalled phase (%v)", res2.Times.Partition, res1.Times.Partition)
+	}
+	for _, d := range []struct {
+		phase        string
+		first, again time.Duration
+	}{
+		{PhasePartition, res1.Times.Partition, res2.Times.Partition},
+		{PhaseCluster, res1.Times.Cluster, res2.Times.Cluster},
+		{PhaseMerge, res1.Times.Merge, res2.Times.Merge},
+		{PhaseSweep, res1.Times.Sweep, res2.Times.Sweep},
+	} {
+		if d.again <= 0 || d.again == d.first {
+			t.Errorf("run 2 %s = %v (run 1: %v), want its own positive duration", d.phase, d.again, d.first)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 )
@@ -143,4 +145,35 @@ func WriteReport(w io.Writer, h *Hub) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(BuildReport(h))
+}
+
+// WriteFiles dumps h through every exporter whose output path is
+// non-empty: the Chrome trace, the Prometheus text exposition and the
+// JSON run report. The CLIs call it even after a failed run, so the
+// trace shows what happened up to the abort.
+func WriteFiles(h *Hub, tracePath, metricsPath, reportPath string) error {
+	writeTo := func(path string, f func(io.Writer) error) error {
+		if path == "" {
+			return nil
+		}
+		out, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := f(out); err != nil {
+			out.Close()
+			return err
+		}
+		return out.Close()
+	}
+	if err := writeTo(tracePath, h.Trace.WriteChromeTrace); err != nil {
+		return fmt.Errorf("writing trace: %w", err)
+	}
+	if err := writeTo(metricsPath, h.Metrics.WritePrometheus); err != nil {
+		return fmt.Errorf("writing metrics: %w", err)
+	}
+	if err := writeTo(reportPath, func(w io.Writer) error { return WriteReport(w, h) }); err != nil {
+		return fmt.Errorf("writing report: %w", err)
+	}
+	return nil
 }

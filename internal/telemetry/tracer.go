@@ -155,6 +155,22 @@ func (s *Span) End() {
 	s.t.record(data)
 }
 
+// WallDuration returns an ended span's wall-clock duration — the number
+// its recorded SpanData carries, without looking the span up by name on a
+// tracer that other runs share or that has started dropping spans. Zero
+// on a nil or still-open span.
+func (s *Span) WallDuration() time.Duration {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ended {
+		return 0
+	}
+	return s.data.WallDuration()
+}
+
 func (t *Tracer) record(d SpanData) {
 	t.mu.Lock()
 	if len(t.spans) >= t.maxSpans {

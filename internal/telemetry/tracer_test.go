@@ -26,7 +26,18 @@ func TestSpanNesting(t *testing.T) {
 	tick()
 	child.End()
 	tick()
+	// A span reports its own wall duration once ended — zero while open
+	// (and on a nil span).
+	if got := root.WallDuration(); got != 0 {
+		t.Fatalf("open root reports wall %v, want 0", got)
+	}
 	root.End()
+	if got := (*Span)(nil).WallDuration(); got != 0 {
+		t.Fatalf("nil span reports wall %v, want 0", got)
+	}
+	if child.WallDuration() != time.Millisecond || root.WallDuration() != 3*time.Millisecond {
+		t.Fatalf("ended spans report wall %v / %v, want 1ms / 3ms", child.WallDuration(), root.WallDuration())
+	}
 
 	spans := tr.Spans()
 	if len(spans) != 2 {
@@ -92,10 +103,17 @@ func TestDoubleEndAndAnnotate(t *testing.T) {
 }
 
 func TestSpanCap(t *testing.T) {
-	tr := NewTracer(nil)
+	tr, tick := fakeTracer(nil, time.Millisecond)
 	tr.SetMaxSpans(3)
+	var last *Span
 	for i := 0; i < 5; i++ {
-		tr.Start(nil, "s").End()
+		last = tr.Start(nil, "s")
+		tick()
+		last.End()
+	}
+	// A dropped span still knows its own duration.
+	if got := last.WallDuration(); got != time.Millisecond {
+		t.Fatalf("dropped span reports wall %v, want 1ms", got)
 	}
 	if got := len(tr.Spans()); got != 3 {
 		t.Fatalf("retained %d spans, want 3", got)
