@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare chaos soak crash stream gray experiments cover clean
+.PHONY: all build vet test race bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
 
 all: build vet test
 
@@ -89,11 +89,20 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed seed baseline. Fails if any Cluster, Partition (including
-# the write-stage PartitionWrite layouts), or StreamTick benchmark's
-# wall clock regressed more than 20%.
+# committed baseline of current performance (BENCH_14.json, captured by
+# `make bench-gated` at PR 14's head; BENCH_seed.json is the
+# pre-optimisation history and gates nothing). Fails if any Cluster,
+# Partition (including the write-stage PartitionWrite layouts), planner
+# (MakePlan, Split) or StreamTick benchmark's wall clock regressed more
+# than 20%.
+BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_seed.json -match '^Benchmark(Cluster|Partition|PartitionWrite|StreamTick)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_14.json -match '$(BENCHGATE)' BENCH_run.json
+
+# Run exactly the gated benchmarks (what bench-compare needs in
+# BENCH_run.json, and how BENCH_14.json was produced).
+bench-gated:
+	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/partition'
 
 # Regenerate every evaluation artifact (measured + modeled rows).
 experiments:

@@ -357,7 +357,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 // partitions back-to-back on one device. These benchmarks measure that
 // inner loop directly: repeated gdbscan.Cluster calls on a single
 // simulated device over realistic partition shapes. They are the
-// wall-clock series gated by CI against BENCH_seed.json (cmd/benchjson
+// wall-clock series gated by CI against BENCH_14.json (cmd/benchjson
 // -compare).
 
 // benchClusterPartitions splits pts into the combined (owned + shadow)
@@ -414,7 +414,7 @@ func BenchmarkClusterMultiPartition(b *testing.B) {
 // backward rebalancing pass), and the point split with shadow
 // regions — per op, at cluster-phase leaf counts. It pins the baseline
 // for the partition-phase attack (ROADMAP item 2); like the Cluster
-// series it is wall-clock gated by CI against BENCH_seed.json.
+// series it is wall-clock gated by CI against BENCH_14.json.
 func BenchmarkPartition(b *testing.B) {
 	for _, leaves := range []int{4, 8} {
 		pts := twitterData(leaves * benchPointsPerLeaf)

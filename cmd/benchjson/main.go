@@ -7,7 +7,7 @@
 //
 //	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_run.json
 //	go run ./cmd/benchjson -o BENCH_run.json bench.txt
-//	go run ./cmd/benchjson -compare BENCH_seed.json -match '^BenchmarkCluster' BENCH_run.json
+//	go run ./cmd/benchjson -compare BENCH_14.json -match '^BenchmarkCluster' BENCH_run.json
 //
 // It understands the standard benchmark line —
 //

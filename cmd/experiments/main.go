@@ -189,7 +189,7 @@ func (h *harness) fig2() {
 			// Figure 2 images of partitioned tweets.
 			owners := make([]int, len(pts))
 			for i, p := range pts {
-				owners[i] = plan.UnitOwner[partition.CellUnit(g.CellOf(p))]
+				owners[i], _ = plan.UnitOwner(partition.CellUnit(g.CellOf(p)))
 			}
 			name := fmt.Sprintf("%s/fig2-%s.ppm", *fig2Dir, map[bool]string{false: "before", true: "after"}[rebalance])
 			f, err := os.Create(name)

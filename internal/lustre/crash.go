@@ -183,22 +183,18 @@ func applyNS(ns map[string]*file, p pendingNS) {
 	}
 }
 
-// applyWrite copies data at off onto base, growing it (zero-filled) as
-// needed, and returns the possibly-reallocated slice.
-func applyWrite(base []byte, off int64, data []byte) []byte {
+// applyWrite replays one surviving write onto the file's contents,
+// growing them (zero-filled) as needed. Callers hold f.mu.
+func (f *file) applyWrite(off int64, data []byte) {
 	if len(data) == 0 {
-		return base
+		return
 	}
-	end := off + int64(len(data))
-	if end > int64(len(base)) {
-		grown := make([]byte, end)
-		copy(grown, base)
-		base = grown
-	}
-	copy(base[off:end], data)
-	return base
+	f.growTo(off, off+int64(len(data)))
+	copy(f.data[off:], data)
 }
 
+// cloneBytes returns a copy of b that shares no memory with it, spare
+// capacity included.
 func cloneBytes(b []byte) []byte {
 	if b == nil {
 		return nil
@@ -465,7 +461,7 @@ func (fs *FS) Recover() (*CrashReport, error) {
 		}
 		seen[f] = true
 		f.mu.Lock()
-		base := cloneBytes(f.durable)
+		f.data = cloneBytes(f.durable)
 		var keep []writeRec
 		for _, r := range f.dirty {
 			rpt.PendingWrites++
@@ -480,10 +476,9 @@ func (fs *FS) Recover() (*CrashReport, error) {
 		}
 		rpt.SurvivedWrites += len(keep)
 		for _, r := range keep {
-			base = applyWrite(base, r.off, r.data)
+			f.applyWrite(r.off, r.data)
 		}
-		f.data = base
-		f.durable = cloneBytes(base)
+		f.durable = cloneBytes(f.data)
 		f.dirty = nil
 		f.imu.Lock()
 		f.sums = nil

@@ -174,6 +174,33 @@ type file struct {
 	tainted map[int64]int64
 }
 
+// growTo makes room for a write of [off, end): it extends the file to end
+// bytes when it is shorter and zeroes the hole [old size, off) a write
+// past EOF leaves — the bytes the caller is not about to overwrite. It
+// reslices within capacity (spare capacity is not trusted to be clean)
+// and otherwise reallocates to at least double, so a writer appending
+// chunk by chunk copies O(bytes) in total instead of the whole file per
+// chunk. Callers hold f.mu.
+//
+// Nothing else may ever alias f.data's backing array: the durable image
+// and the crash image are cloneBytes copies, so a later in-capacity growth
+// cannot write through to them.
+func (f *file) growTo(off, end int64) {
+	old := int64(len(f.data))
+	if end <= old {
+		return
+	}
+	if end > int64(cap(f.data)) {
+		grown := make([]byte, old, max(end, 2*int64(cap(f.data))))
+		copy(grown, f.data)
+		f.data = grown
+	}
+	f.data = f.data[:end]
+	if off > old {
+		clear(f.data[old:off])
+	}
+}
+
 // ErrNotExist is returned when opening a file that was never created.
 var ErrNotExist = errors.New("lustre: file does not exist")
 
@@ -539,11 +566,7 @@ func (h *Handle) WriteAt(p []byte, off int64) (int, error) {
 			return 0, fmt.Errorf("lustre: write %q at %d: stored block %d: %w", h.name, off, corrupt[0], ErrCorruptData)
 		}
 	}
-	if end > int64(len(h.f.data)) {
-		grown := make([]byte, end)
-		copy(grown, h.f.data)
-		h.f.data = grown
-	}
+	h.f.growTo(off, end)
 	copy(h.f.data[off:end], p)
 	if withIntegrity {
 		h.f.recomputeSums(off, end, oldSize)

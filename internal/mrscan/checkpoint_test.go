@@ -261,11 +261,16 @@ func TestCancelMidRun(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	res, err := RunContext(ctx, fs, "input.mrsc", "output.mrsl", ckptConfig())
+	// The whole run takes about as long as the timer, so its first write
+	// straggles past it: the cancel always lands mid-run.
+	cfg := ckptConfig()
+	var err error
+	if cfg.FaultPlan, err = faultinject.Parse("lustre.write:delay=100ms,times=1", 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunContext(ctx, fs, "input.mrsc", "output.mrsl", cfg)
 	if err == nil {
-		// The run may finish before the cancel lands on a fast machine;
-		// that is not a failure of the abort path.
-		t.Skip("run finished before cancellation")
+		t.Fatal("run finished despite cancellation")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
@@ -277,7 +282,7 @@ func TestCancelMidRun(t *testing.T) {
 		t.Fatalf("partial result inconsistent with cancellation: %+v", res)
 	}
 	// Completed phases are durable: a resume picks up from them.
-	cfg := ckptConfig()
+	cfg = ckptConfig()
 	cfg.Resume = true
 	res2, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
 	if err != nil {

@@ -16,6 +16,7 @@ func BenchmarkMakePlan(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		h := g.HistogramOf(dataset.Twitter(n, 1))
 		b.Run(fmt.Sprintf("points=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := MakePlan(g, h, 64, 40, true); err != nil {
 					b.Fatal(err)
@@ -23,6 +24,19 @@ func BenchmarkMakePlan(b *testing.B) {
 			}
 		})
 	}
+	// The sparse shape (paper §4.2, the repo benchmark's batch_io): about
+	// 50 k non-empty cells of a few points each, where the plan is all
+	// sorting and table building and the rebalancing pass has nothing to do.
+	sdss := grid.New(0.00015)
+	h := sdss.HistogramOf(dataset.SDSS(150_000, 1))
+	b.Run("sdss/points=150000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := MakePlan(sdss, h, 16, 5, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkSplit(b *testing.B) {
@@ -35,6 +49,7 @@ func BenchmarkSplit(b *testing.B) {
 	}
 	for _, reps := range []bool{false, true} {
 		b.Run(fmt.Sprintf("shadowreps=%v", reps), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Split(plan, pts, SplitOptions{ShadowReps: reps}); err != nil {
 					b.Fatal(err)

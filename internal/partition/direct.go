@@ -2,11 +2,9 @@ package partition
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/grid"
 	"repro/internal/lustre"
 	"repro/internal/mrnet"
 	"repro/internal/ptio"
@@ -21,7 +19,10 @@ type DirectResult struct {
 	// points.
 	Partitions [][]geom.Point
 	Shadows    [][]geom.Point
-	// Wall-clock durations of the stages.
+	// Wall-clock durations of the stages, cut as in DistResult: ReadTime
+	// is stage 1, PlanTime stage 2 (hot-cell resolution and the root's
+	// serial MakePlanUnits) alone, TransferTime stage 3 including the
+	// leaves' Split.
 	ReadTime     time.Duration
 	PlanTime     time.Duration
 	TransferTime time.Duration
@@ -50,74 +51,12 @@ type DirectResult struct {
 // contents travel over the overlay network (charged per byte on the
 // simulated clock) and never touch the file system.
 func DistributeDirect(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps float64, inputFile string, opt DistOptions) (*DirectResult, error) {
-	if opt.NumPartitions < 1 {
-		return nil, fmt.Errorf("partition: NumPartitions must be positive, got %d", opt.NumPartitions)
+	st, err := readAndPlan(ctx, net, fs, eps, inputFile, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.MinPts < 1 {
-		return nil, fmt.Errorf("partition: MinPts must be positive, got %d", opt.MinPts)
-	}
-	g := grid.New(eps)
-	leaves := net.NumLeaves()
+	plan, shard := st.plan, st.shard
 	rs := int64(ptio.RecordSize(opt.HasWeight))
-
-	// --- Stage 1: leaves read shards; histogram reduction (as in
-	// Distribute) ---
-	readStart := time.Now()
-	simAtStart := fs.Clock().Total()
-	total, err := openInput(fs, inputFile, opt.HasWeight)
-	if err != nil {
-		return nil, err
-	}
-	shard := make([][]geom.Point, leaves)
-	hist, err := mrnet.Reduce(ctx, net,
-		func(leaf int) (*grid.Histogram, error) {
-			lo := total * int64(leaf) / int64(leaves)
-			hi := total * int64(leaf+1) / int64(leaves)
-			h, err := fs.Open(inputFile)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, (hi-lo)*rs)
-			if _, err := h.ReadAt(buf, ptio.DatasetHeaderSize+lo*rs); err != nil {
-				return nil, fmt.Errorf("reading shard [%d,%d): %w", lo, hi, err)
-			}
-			pts, err := ptio.DecodeRecords(buf, opt.HasWeight)
-			if err != nil {
-				return nil, err
-			}
-			shard[leaf] = pts
-			return g.HistogramOf(pts), nil
-		},
-		func(_ *mrnet.Node, parts []*grid.Histogram) (*grid.Histogram, error) {
-			out := grid.NewHistogram()
-			for _, h := range parts {
-				out.Add(h)
-			}
-			return out, nil
-		},
-		func(h *grid.Histogram) int64 { return int64(len(h.Counts)) * 12 },
-	)
-	if err != nil {
-		return nil, err
-	}
-	readTime := time.Since(readStart)
-	readSim := fs.Clock().Total() - simAtStart
-
-	// --- Stage 2: serial planning at the root ---
-	planStart := time.Now()
-	uh, err := resolveUnits(ctx, net, g, hist, shard, opt.SplitThreshold)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := MakePlanUnits(g, uh, PlanOptions{
-		NumPartitions: opt.NumPartitions,
-		MinPts:        opt.MinPts,
-		Rebalance:     opt.Rebalance,
-	})
-	if err != nil {
-		return nil, err
-	}
-	planTime := time.Since(planStart)
 
 	// --- Stage 3: contributions travel the overlay as messages ---
 	transferStart := time.Now()
@@ -162,12 +101,12 @@ func DistributeDirect(ctx context.Context, net *mrnet.Network, fs *lustre.FS, ep
 		Plan:              plan,
 		Partitions:        combined.Partitions,
 		Shadows:           combined.Shadows,
-		ReadTime:          readTime,
-		PlanTime:          planTime,
+		ReadTime:          st.readTime,
+		PlanTime:          st.planTime,
 		TransferTime:      transferTime,
-		ReadSim:           readSim,
+		ReadSim:           st.readSim,
 		WriteSim:          writeSim,
-		TotalPoints:       total,
+		TotalPoints:       st.total,
 		TransferredPoints: transferred,
 	}, nil
 }

@@ -60,11 +60,9 @@ type DistOptions struct {
 	OnPartitionDurable func(j int)
 }
 
-// resolveUnits lifts the cell histogram to ownership units. When hot
-// cells exist, the root announces their subdivision depths down the tree
-// and the leaves reduce per-tile counts back up (a second, small
-// histogram round).
-func resolveUnits(ctx context.Context, net *mrnet.Network, g grid.Grid, hist *grid.Histogram, shard [][]geom.Point, threshold int64) (*UnitHistogram, error) {
+// hotCells picks the subdivision depth of every cell holding more than
+// threshold points (none when threshold is not positive).
+func hotCells(hist *grid.Histogram, threshold int64) map[grid.Coord]uint8 {
 	depth := make(map[grid.Coord]uint8)
 	if threshold > 0 {
 		for c, n := range hist.Counts {
@@ -73,9 +71,13 @@ func resolveUnits(ctx context.Context, net *mrnet.Network, g grid.Grid, hist *gr
 			}
 		}
 	}
-	if len(depth) == 0 {
-		return FromCellHistogram(hist), nil
-	}
+	return depth
+}
+
+// tileCounts is the second, small histogram round hot cells cost: the
+// root announces their subdivision depths down the tree and the leaves
+// reduce per-unit counts back up.
+func tileCounts(ctx context.Context, net *mrnet.Network, g grid.Grid, shard [][]geom.Point, depth map[grid.Coord]uint8) (*UnitHistogram, error) {
 	// Announce depths; leaves only need the hot cells.
 	if err := mrnet.Multicast(ctx, net, depth, nil,
 		func(int, map[grid.Coord]uint8) error { return nil },
@@ -111,7 +113,12 @@ func resolveUnits(ctx context.Context, net *mrnet.Network, g grid.Grid, hist *gr
 type DistResult struct {
 	Plan *Plan
 	Meta *ptio.PartitionMeta
-	// Wall-clock durations of the phase's three stages.
+	// Wall-clock durations of the phase's three stages, cut where
+	// DirectResult cuts them. ReadTime is stage 1 (shard reads and the
+	// histogram reduction); PlanTime is stage 2 (hot-cell resolution and
+	// the root's serial MakePlanUnits) and nothing else; WriteTime is
+	// stage 3: the leaves' Split, the root's offset layout and the
+	// partition writes.
 	ReadTime  time.Duration
 	PlanTime  time.Duration
 	WriteTime time.Duration
@@ -180,17 +187,28 @@ func openInput(fs *lustre.FS, inputFile string, hasWeight bool) (int64, error) {
 	return total, nil
 }
 
-// Distribute runs the distributed partition phase: the partitioner leaves
-// read shards of the input file, reduce an Eps-cell histogram to the
-// root, the root forms the plan serially (§3.1.2) and broadcasts offset
-// assignments, and the leaves write every partition's points (and shadow
-// points) into a single output file in parallel. The root writes a JSON
-// metadata file locating each partition ("the root generates a metadata
-// file to specify the offset from which each partition starts").
-//
-// The partitioner runs on its own (typically flat) network, separate from
-// the cluster-phase tree, as in the paper.
-func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps float64, inputFile, outputFile, metaFile string, opt DistOptions) (*DistResult, error) {
+// planned is what stages 1 and 2 hand to the delivery stage, whichever
+// way the partitions then travel (Distribute: files; DistributeDirect:
+// messages).
+type planned struct {
+	// total is the input's record count; shard[l] the slice of it leaf l
+	// read and keeps in memory.
+	total int64
+	shard [][]geom.Point
+	plan  *Plan
+	// readTime and readSim cover stage 1, planTime stage 2.
+	readTime, planTime time.Duration
+	readSim            time.Duration
+}
+
+// readAndPlan runs the two stages both partitioners share. Stage 1: the
+// leaves read equal shards of the input and reduce an Eps-cell histogram
+// to the root — "the partitioner is able to distribute the entire input
+// dataset across the memory of the leaf processes and only send a point
+// count of each non-empty Eps x Eps cell to the root" (§3.1.3). Stage 2:
+// the root resolves hot cells into tiles (one more small reduction, only
+// when there are any) and serially forms the plan (§3.1.2).
+func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps float64, inputFile string, opt DistOptions) (*planned, error) {
 	if opt.NumPartitions < 1 {
 		return nil, fmt.Errorf("partition: NumPartitions must be positive, got %d", opt.NumPartitions)
 	}
@@ -201,11 +219,6 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	leaves := net.NumLeaves()
 	rs := int64(ptio.RecordSize(opt.HasWeight))
 
-	// --- Stage 1: leaves read shards; histogram reduction to the root ---
-	// Only cell counts travel up the tree: "the partitioner is able to
-	// distribute the entire input dataset across the memory of the leaf
-	// processes and only send a point count of each non-empty Eps x Eps
-	// cell to the root" (§3.1.3).
 	readStart := time.Now()
 	simAtStart := fs.Clock().Total()
 	total, err := openInput(fs, inputFile, opt.HasWeight)
@@ -244,23 +257,52 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	if err != nil {
 		return nil, err
 	}
-	readTime := time.Since(readStart)
-	readSim := fs.Clock().Total() - simAtStart
+	st := &planned{
+		total:    total,
+		shard:    shard,
+		readTime: time.Since(readStart),
+		readSim:  fs.Clock().Total() - simAtStart,
+	}
 
-	// --- Stage 2: the root serially forms the plan ---
 	planStart := time.Now()
-	uh, err := resolveUnits(ctx, net, g, hist, shard, opt.SplitThreshold)
+	if depth := hotCells(hist, opt.SplitThreshold); len(depth) == 0 {
+		st.plan, err = MakePlan(g, hist, opt.NumPartitions, opt.MinPts, opt.Rebalance)
+	} else {
+		var uh *UnitHistogram
+		if uh, err = tileCounts(ctx, net, g, shard, depth); err == nil {
+			st.plan, err = MakePlanUnits(g, uh, PlanOptions{
+				NumPartitions: opt.NumPartitions,
+				MinPts:        opt.MinPts,
+				Rebalance:     opt.Rebalance,
+			})
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	plan, err := MakePlanUnits(g, uh, PlanOptions{
-		NumPartitions: opt.NumPartitions,
-		MinPts:        opt.MinPts,
-		Rebalance:     opt.Rebalance,
-	})
+	st.planTime = time.Since(planStart)
+	return st, nil
+}
+
+// Distribute runs the distributed partition phase: the partitioner leaves
+// read shards of the input file, reduce an Eps-cell histogram to the
+// root, the root forms the plan serially (§3.1.2) and broadcasts offset
+// assignments, and the leaves write every partition's points (and shadow
+// points) into a single output file in parallel. The root writes a JSON
+// metadata file locating each partition ("the root generates a metadata
+// file to specify the offset from which each partition starts").
+//
+// The partitioner runs on its own (typically flat) network, separate from
+// the cluster-phase tree, as in the paper.
+func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps float64, inputFile, outputFile, metaFile string, opt DistOptions) (*DistResult, error) {
+	st, err := readAndPlan(ctx, net, fs, eps, inputFile, opt)
 	if err != nil {
 		return nil, err
 	}
+	leaves, plan, shard := net.NumLeaves(), st.plan, st.shard
+
+	// --- Stage 3: leaves write partitions in parallel ---
+	writeStart := time.Now()
 	splitOpt := SplitOptions{ShadowReps: opt.ShadowReps}
 
 	// Leaves split their shards against the plan and report contribution
@@ -304,18 +346,15 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	if opt.Aggregate {
 		places = buildSegmentLayout(meta, allCounts, outputFile, opt.NumPartitions, opt.SegmentShards)
 	}
-	planTime := time.Since(planStart)
 	if opt.OnLayout != nil {
 		opt.OnLayout(meta)
 	}
 
-	// --- Stage 3: leaves write partitions in parallel ---
 	// Each leaf holds a random portion of the data and "may need to
 	// contribute some point data to nearly every partition. These
 	// contributions are generally small, and each must be written at a
 	// specific offset" — the small random writes that dominate the phase.
 	// Aggregate mode replaces them with per-leaf sequential segment runs.
-	writeStart := time.Now()
 	simAtWrite := fs.Clock().Total()
 	if opt.Aggregate {
 		err = writePartitionsAggregated(ctx, net, fs, contribs, places, meta, opt)
@@ -343,12 +382,12 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	return &DistResult{
 		Plan:          plan,
 		Meta:          meta,
-		ReadTime:      readTime,
-		PlanTime:      planTime,
+		ReadTime:      st.readTime,
+		PlanTime:      st.planTime,
 		WriteTime:     writeTime,
-		ReadSim:       readSim,
+		ReadSim:       st.readSim,
 		WriteSim:      writeSim,
-		TotalPoints:   total,
+		TotalPoints:   st.total,
 		WrittenPoints: written,
 	}, nil
 }

@@ -168,7 +168,7 @@ func TestShadowCompleteness(t *testing.T) {
 	eps2 := eps * eps
 	for a := 0; a < len(pts); a += 3 {
 		ca := g.CellOf(pts[a])
-		owner := plan.UnitOwner[CellUnit(ca)]
+		owner, _ := plan.UnitOwner(CellUnit(ca))
 		for b := range pts {
 			if a == b || geom.Dist2(pts[a], pts[b]) > eps2 {
 				continue
@@ -287,9 +287,6 @@ func TestSplitShadowMatchesPlanCounts(t *testing.T) {
 		if int64(len(split.Shadows[i])) != s.ShadowCount {
 			t.Errorf("partition %d: split %d shadow points, plan says %d", i, len(split.Shadows[i]), s.ShadowCount)
 		}
-		if int64(len(split.Shadows[i])) != ShadowSize(plan, i, SplitOptions{}) {
-			t.Errorf("partition %d: ShadowSize mismatch", i)
-		}
 	}
 }
 
@@ -312,9 +309,16 @@ func TestShadowRepsBounded(t *testing.T) {
 	}
 	reduced := false
 	for i := range split.Shadows {
-		if int64(len(split.Shadows[i])) != ShadowSize(plan, i, opt) {
-			t.Errorf("partition %d: %d shadow reps, ShadowSize says %d",
-				i, len(split.Shadows[i]), ShadowSize(plan, i, opt))
+		// One shard sees every point, so each shadow unit contributes
+		// min(its count, MaxShadowReps) — the plan's ShadowCount with
+		// every unit capped.
+		var capped int64
+		for _, u := range plan.Specs[i].Shadow {
+			capped += min(h.Counts[u.Cell], MaxShadowReps)
+		}
+		if int64(len(split.Shadows[i])) != capped {
+			t.Errorf("partition %d: %d shadow reps, capped ShadowCount is %d",
+				i, len(split.Shadows[i]), capped)
 		}
 		if len(split.Shadows[i]) > len(full.Shadows[i]) {
 			t.Errorf("partition %d: reps (%d) exceed full shadow (%d)",

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -35,54 +34,87 @@ type SplitResult struct {
 
 // Split distributes pts according to the plan. Every point lands in
 // exactly one partition (its unit's owner) and in the shadow set of every
-// partition whose shadow region covers its unit.
+// partition whose shadow region covers its unit. Owned points keep input
+// order; a partition's shadow points are ordered by unit, input order
+// within a unit.
+//
+// It is a stable counting sort over the plan's shadow slots (one slot per
+// partition × shadow unit, numbered partition-major in unit order): one
+// pass sizes every bucket, a second drops each point into place.
 func Split(plan *Plan, pts []geom.Point, opt SplitOptions) (*SplitResult, error) {
+	nParts := plan.NumPartitions()
+	unitOf := make([]int32, len(pts))
+	ownedEnd := make([]int, nParts)
+	slotEnd := make([]int, plan.slotOff[nParts])
+	for i, p := range pts {
+		x := plan.unitIndexOf(p)
+		if x < 0 {
+			return nil, fmt.Errorf("partition: point %v in cell %v owned by no partition (stale plan?)", p, plan.Grid.CellOf(p))
+		}
+		unitOf[i] = int32(x)
+		ownedEnd[plan.owner[x]]++
+		for _, slot := range plan.shadowSlots[plan.shadowStart[x]:plan.shadowStart[x+1]] {
+			slotEnd[slot]++
+		}
+	}
+	// Counts become write cursors (exclusive prefix sums); after the
+	// placement pass each cursor sits at its bucket's end.
+	owned := make([]geom.Point, len(pts))
+	shadow := make([]geom.Point, cursors(slotEnd))
+	cursors(ownedEnd)
+	for i, p := range pts {
+		x := unitOf[i]
+		owned[ownedEnd[plan.owner[x]]] = p
+		ownedEnd[plan.owner[x]]++
+		for _, slot := range plan.shadowSlots[plan.shadowStart[x]:plan.shadowStart[x+1]] {
+			shadow[slotEnd[slot]] = p
+			slotEnd[slot]++
+		}
+	}
 	res := &SplitResult{
-		Partitions: make([][]geom.Point, plan.NumPartitions()),
-		Shadows:    make([][]geom.Point, plan.NumPartitions()),
+		Partitions: make([][]geom.Point, nParts),
+		Shadows:    make([][]geom.Point, nParts),
 	}
-	shadowOf := plan.ShadowOf()
-	// Group shadow contributions per (partition, unit) so the
-	// representative reduction can operate region-wise. For whole-cell
-	// units this is the paper's per-shadow-cell reduction; for quadrant
-	// tiles of split cells the reduction applies per tile, which is what
-	// keeps a tile leaf's shadow bounded even when its cell holds
-	// millions of points.
-	type shadowKey struct {
-		part int
-		unit Unit
-	}
-	shadowGroups := make(map[shadowKey][]geom.Point)
-	for _, p := range pts {
-		u := plan.hist.unitOfPoint(plan.Grid, p)
-		owner, ok := plan.UnitOwner[u]
-		if !ok {
-			return nil, fmt.Errorf("partition: point %v in unit %v owned by no partition (stale plan?)", p, u)
+	ownedLo, shadowLo := 0, 0
+	for j := 0; j < nParts; j++ {
+		if hi := ownedEnd[j]; hi > ownedLo {
+			res.Partitions[j] = owned[ownedLo:hi:hi]
+			ownedLo = hi
 		}
-		res.Partitions[owner] = append(res.Partitions[owner], p)
-		for _, sp := range shadowOf[u] {
-			shadowGroups[shadowKey{sp, u}] = append(shadowGroups[shadowKey{sp, u}], p)
+		first, last := plan.slotOff[j], plan.slotOff[j+1]
+		if first == last || slotEnd[last-1] == shadowLo {
+			continue
 		}
-	}
-	// Deterministic order: units sorted per partition.
-	keys := make([]shadowKey, 0, len(shadowGroups))
-	for k := range shadowGroups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].part != keys[b].part {
-			return keys[a].part < keys[b].part
+		if !opt.ShadowReps {
+			hi := slotEnd[last-1]
+			res.Shadows[j] = shadow[shadowLo:hi:hi]
+			shadowLo = hi
+			continue
 		}
-		return keys[a].unit.Less(keys[b].unit)
-	})
-	for _, k := range keys {
-		unitPts := shadowGroups[k]
-		if opt.ShadowReps {
-			unitPts = ShadowRepsRect(k.unit.Rect(plan.Grid), unitPts)
+		// The representative reduction operates region-wise. For
+		// whole-cell units this is the paper's per-shadow-cell reduction;
+		// for quadrant tiles of split cells it applies per tile, which is
+		// what keeps a tile leaf's shadow bounded even when its cell holds
+		// millions of points.
+		for slot := first; slot < last; slot++ {
+			hi := slotEnd[slot]
+			rect := plan.Specs[j].Shadow[slot-first].Rect(plan.Grid)
+			res.Shadows[j] = append(res.Shadows[j], ShadowRepsRect(rect, shadow[shadowLo:hi])...)
+			shadowLo = hi
 		}
-		res.Shadows[k.part] = append(res.Shadows[k.part], unitPts...)
 	}
 	return res, nil
+}
+
+// cursors turns bucket sizes into exclusive prefix sums in place and
+// returns the total.
+func cursors(n []int) int {
+	sum := 0
+	for i, c := range n {
+		n[i] = sum
+		sum += c
+	}
+	return sum
 }
 
 // ShadowReps reduces a shadow cell's contents to at most MaxShadowReps
@@ -135,24 +167,4 @@ func ShadowRepsRect(r geom.Rect, cellPts []geom.Point) []geom.Point {
 		}
 	}
 	return out
-}
-
-// ShadowSize returns the exact number of shadow points partition i will
-// receive under the given options — used by the distributed partitioner
-// to compute file offsets before any data moves.
-func ShadowSize(plan *Plan, i int, opt SplitOptions) int64 {
-	s := plan.Specs[i]
-	if !opt.ShadowReps {
-		return s.ShadowCount
-	}
-	// Representative reduction caps each shadow *unit* at 8 points.
-	var total int64
-	for _, u := range s.Shadow {
-		n := plan.hist.Counts[u]
-		if n > MaxShadowReps {
-			n = MaxShadowReps
-		}
-		total += n
-	}
-	return total
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -51,14 +53,25 @@ func (u Unit) String() string {
 
 // Less orders units in the partitioner's iteration order: cells in grid
 // iteration order; within a split cell, quadrant tiles by path.
-func (u Unit) Less(o Unit) bool {
-	if u.Cell != o.Cell {
-		return u.Cell.Less(o.Cell)
+func (u Unit) Less(o Unit) bool { return compareUnits(u, o) < 0 }
+
+// cellKey packs a cell into one integer whose unsigned order is the grid
+// iteration order (x slow, y fast): flipping the sign bits maps int32
+// order onto uint32 order.
+func cellKey(c grid.Coord) uint64 {
+	return uint64(uint32(c.CX)^(1<<31))<<32 | uint64(uint32(c.CY)^(1<<31))
+}
+
+// compareUnits is Less as a three-way comparison on the packed cell key —
+// the form slices.SortFunc and slices.BinarySearchFunc take.
+func compareUnits(a, b Unit) int {
+	if ka, kb := cellKey(a.Cell), cellKey(b.Cell); ka != kb {
+		return cmp.Compare(ka, kb)
 	}
-	if u.Depth != o.Depth {
-		return u.Depth < o.Depth
+	if a.Depth != b.Depth {
+		return cmp.Compare(a.Depth, b.Depth)
 	}
-	return u.Path < o.Path
+	return cmp.Compare(a.Path, b.Path)
 }
 
 // Rect returns the region covered by the unit.
@@ -140,17 +153,6 @@ func NewUnitHistogram() *UnitHistogram {
 	return &UnitHistogram{Counts: make(map[Unit]int64), Depth: make(map[grid.Coord]uint8)}
 }
 
-// FromCellHistogram lifts a plain cell histogram to depth-0 units.
-func FromCellHistogram(h *grid.Histogram) *UnitHistogram {
-	uh := NewUnitHistogram()
-	for c, n := range h.Counts {
-		if n != 0 {
-			uh.Counts[CellUnit(c)] = n
-		}
-	}
-	return uh
-}
-
 // QuadCounts tallies pts into units for the given per-cell depths (cells
 // absent from depth get depth 0). This is what partitioner leaves compute
 // for the hot cells the root announces.
@@ -172,28 +174,129 @@ func (uh *UnitHistogram) Total() int64 {
 	return t
 }
 
-// unitOfPoint maps a point to its owning-granularity unit under uh.Depth.
-func (uh *UnitHistogram) unitOfPoint(g grid.Grid, p geom.Point) Unit {
-	c := g.CellOf(p)
-	return UnitOf(g, p, uh.Depth[c])
+// unitCount is one histogram entry on its way into a unitTable.
+type unitCount struct {
+	u Unit
+	n int64
 }
 
-// cellUnits returns all units of cell c present in the histogram.
-func (uh *UnitHistogram) cellUnits(c grid.Coord) []Unit {
-	d := uh.Depth[c]
-	if d == 0 {
-		if n := uh.Counts[CellUnit(c)]; n > 0 {
-			return []Unit{CellUnit(c)}
-		}
-		return nil
+// unitTable is the layout the planner and Split work on — the sorted cell
+// array of grid DBSCAN (Wang, Gu & Shun): the non-empty units in
+// iteration order, their point counts in a parallel slice, and one hash
+// from a cell to the index of its first unit. The units of a cell are
+// adjacent, a partition is an index range, and every later step is an
+// index sweep: nothing after the sort touches a Go map.
+type unitTable struct {
+	units  []Unit
+	counts []int64
+	// slots is an open-addressing hash (linear probing, power-of-two
+	// size, at most half full): a slot holds 1 + the index of the first
+	// unit of a cell, 0 when free. It is one allocation whatever the unit
+	// count; a Go map allocates per 1024-entry table.
+	slots []int32
+	shift uint
+}
+
+// sortEntries orders entries by compareUnits and returns them (in entries
+// or in a scratch copy). The root sorts every non-empty cell of the run
+// here, so it is a byte-wise LSD radix sort on the packed cell key —
+// skipping the bytes all keys share, typically four of eight — followed by
+// a comparison sort of each split cell's few tiles.
+func sortEntries(entries []unitCount) []unitCount {
+	allOnes, anyOnes := ^uint64(0), uint64(0) // bits set in every key, in some key
+	for _, e := range entries {
+		k := cellKey(e.u.Cell)
+		allOnes &= k
+		anyOnes |= k
 	}
-	var out []Unit
-	tiles := 1 << (2 * d)
-	for path := 0; path < tiles; path++ {
-		u := Unit{Cell: c, Depth: d, Path: uint16(path)}
-		if uh.Counts[u] > 0 {
-			out = append(out, u)
+	src, dst := entries, make([]unitCount, len(entries))
+	for shift := 0; shift < 64; shift += 8 {
+		if (allOnes^anyOnes)>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, e := range src {
+			next[cellKey(e.u.Cell)>>shift&0xff]++
+		}
+		cursors(next[:])
+		for _, e := range src {
+			b := cellKey(e.u.Cell) >> shift & 0xff
+			dst[next[b]] = e
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	for i := 0; i < len(src); {
+		j := i + 1
+		for j < len(src) && src[j].u.Cell == src[i].u.Cell {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], func(a, b unitCount) int { return compareUnits(a.u, b.u) })
+		}
+		i = j
+	}
+	return src
+}
+
+// newUnitTable sorts entries into a table (and may reorder them). Entries
+// must be distinct units with positive counts.
+func newUnitTable(entries []unitCount) *unitTable {
+	entries = sortEntries(entries)
+	t := &unitTable{
+		units:  make([]Unit, len(entries)),
+		counts: make([]int64, len(entries)),
+	}
+	for i, e := range entries {
+		t.units[i], t.counts[i] = e.u, e.n
+	}
+	bits := uint(4)
+	for 1<<bits < 2*len(entries) {
+		bits++
+	}
+	t.slots = make([]int32, 1<<bits)
+	t.shift = 64 - bits
+	for i, u := range t.units {
+		if i > 0 && t.units[i-1].Cell == u.Cell {
+			continue
+		}
+		h := t.slot(u.Cell)
+		for t.slots[h] != 0 {
+			h = (h + 1) & (len(t.slots) - 1)
+		}
+		t.slots[h] = int32(i + 1)
+	}
+	return t
+}
+
+// slot is the home slot of cell c (Fibonacci hashing of the packed key).
+func (t *unitTable) slot(c grid.Coord) int {
+	return int(cellKey(c) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// firstOf returns the index of cell c's first unit, or -1 when the cell
+// is empty.
+func (t *unitTable) firstOf(c grid.Coord) int {
+	for h := t.slot(c); ; h = (h + 1) & (len(t.slots) - 1) {
+		s := int(t.slots[h])
+		if s == 0 {
+			return -1
+		}
+		if t.units[s-1].Cell == c {
+			return s - 1
 		}
 	}
-	return out
+}
+
+// indexOf returns u's index, or -1 when the table does not hold it.
+func (t *unitTable) indexOf(u Unit) int {
+	f := t.firstOf(u.Cell)
+	if f < 0 || t.units[f] == u {
+		return f
+	}
+	k, ok := slices.BinarySearchFunc(t.units[f:], u, compareUnits)
+	if !ok {
+		return -1
+	}
+	return f + k
 }
