@@ -9,8 +9,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, so the CI test job
+# (make test) enforces formatting.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # Default test run: vet, the full suite, then the race detector over the
 # concurrency-heavy fault-tolerance, telemetry, and cluster-phase
@@ -89,20 +92,20 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_14.json, captured by
-# `make bench-gated` at PR 14's head; BENCH_seed.json is the
-# pre-optimisation history and gates nothing). Fails if any Cluster,
-# Partition (including the write-stage PartitionWrite layouts), planner
-# (MakePlan, Split) or StreamTick benchmark's wall clock regressed more
-# than 20%.
-BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split)
+# committed baseline of current performance (BENCH_15.json, captured by
+# `make bench-gated` at PR 15's head; BENCH_14.json and BENCH_seed.json
+# are history and gate nothing). Fails if any Cluster, GPUDBSCAN,
+# KD-tree Build, Partition (including the write-stage PartitionWrite
+# layouts), planner (MakePlan, Split) or StreamTick benchmark's wall
+# clock regressed more than 20%.
+BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_14.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_15.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_14.json was produced).
+# BENCH_run.json, and how BENCH_15.json was produced).
 bench-gated:
-	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/partition'
+	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/partition ./internal/kdtree ./internal/gdbscan'
 
 # Regenerate every evaluation artifact (measured + modeled rows).
 experiments:

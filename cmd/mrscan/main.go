@@ -35,7 +35,7 @@ func main() {
 		minPts     = flag.Int("minpts", 40, "DBSCAN MinPts")
 		leaves     = flag.Int("leaves", 8, "cluster-phase leaf processes (one simulated GPGPU each)")
 		partNodes  = flag.Int("partnodes", 0, "partitioner processes (default leaves/16, min 1)")
-		denseBox   = flag.Bool("densebox", true, "enable the dense box optimization (§3.2.3)")
+		denseBox   = flag.Bool("densebox", true, "enable the dense box optimization (§3.2.3): Eps-cell KD leaves, all-core cells skip expansion")
 		shadowReps = flag.Bool("shadowreps", false, "enable representative shadow regions (§3.1.3)")
 		noise      = flag.Bool("noise", false, "include noise points (cluster -1) in the output")
 		weight     = flag.Bool("weight", false, "input records carry the weight field")
@@ -192,7 +192,7 @@ func run(input, output string, cfg mrscan.Config, format string, verbose bool, c
 	fmt.Printf("input points:      %d\n", res.Stats.TotalPoints)
 	fmt.Printf("clusters found:    %d\n", res.NumClusters)
 	fmt.Printf("points in output:  %d (noise skipped: %d)\n", res.Stats.OutputPoints, res.Stats.NoiseSkipped)
-	fmt.Printf("dense boxes:       %d (eliminated %d points)\n", res.Stats.DenseBoxes, res.Stats.DenseBoxPoints)
+	fmt.Printf("dense boxes:       %d (removed %d points from expansion)\n", res.Stats.DenseBoxes, res.Stats.DenseBoxPoints)
 	fmt.Println("phase breakdown (wall):")
 	fmt.Printf("  partition        %12v\n", res.Times.Partition)
 	fmt.Printf("  cluster          %12v  (GPGPU DBSCAN, slowest leaf: %v)\n", res.Times.Cluster, res.Times.GPUDBSCAN)

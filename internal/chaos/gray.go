@@ -111,9 +111,9 @@ func (o *GrayOptions) setDefaults() {
 
 // GrayLeg is the audit of one leg of a seeded gray campaign.
 type GrayLeg struct {
-	Name    string `json:"name"`
-	OK      bool   `json:"ok"`
-	Reason  string `json:"reason,omitempty"`
+	Name   string `json:"name"`
+	OK     bool   `json:"ok"`
+	Reason string `json:"reason,omitempty"`
 	// Quarantined lists the components quarantined during the leg; the
 	// audit requires it to be exactly the sick set.
 	Quarantined []string `json:"quarantined,omitempty"`
@@ -732,4 +732,3 @@ func RunGray(o GrayOptions) *GrayReport {
 	}
 	return rpt
 }
-

@@ -233,10 +233,10 @@ func RunOverloadSeed(seed int64, o OverloadOptions) OverloadRunReport {
 			jp := jobPlan{tenant: t, stagger: time.Duration(rng.Intn(4)) * time.Millisecond}
 			switch r := rng.Float64(); {
 			case r < o.FaultRate/2:
-				jp.plan = faultinject.New(seed + int64(t*100+j)).Arm(
+				jp.plan = faultinject.New(seed+int64(t*100+j)).Arm(
 					faultinject.GPULaunch, faultinject.Rule{Times: 2})
 			case r < o.FaultRate:
-				jp.plan = faultinject.New(seed + int64(t*100+j)).Arm(
+				jp.plan = faultinject.New(seed+int64(t*100+j)).Arm(
 					mrscan.PhaseSite(mrscan.PhaseMerge), faultinject.Rule{Times: 1, Fatal: true})
 			}
 			plans = append(plans, jp)

@@ -42,7 +42,7 @@ type WorkRequest struct {
 	Leaf     int
 	Eps      float64
 	MinPts   int
-	DenseBox bool
+	DenseBox bool // gdbscan.Options.DenseBox: Eps cells and dense boxes on
 	// Owned points first; Shadow completes the Eps-neighborhoods.
 	Owned  []geom.Point
 	Shadow []geom.Point

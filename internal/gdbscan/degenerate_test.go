@@ -65,12 +65,12 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestDenseBoxLinkingAcrossLeaves pins the linkDenseBoxes path: two
+// TestDenseBoxLinkingAcrossLeaves pins the linkBoxes path: two
 // adjacent KD leaves that are both dense boxes, density-reachable only
 // through each other (no expanded core point between them), must come out
 // as ONE cluster, matching the reference implementation. Expansion can
 // never merge them — every member is pre-labeled and skipped — so only
-// the box↔box linking sweep makes this correct.
+// the box↔box linking pass makes this correct.
 func TestDenseBoxLinkingAcrossLeaves(t *testing.T) {
 	const minPts = 4
 	eps := 0.1

@@ -5,25 +5,33 @@
 //
 // The algorithm runs on a gpusim.Device:
 //
-//  1. A region KD-tree is built on the host and flattened to arrays
+//  1. A region KD-tree is built on the host straight into flat arrays
 //     (CUDA-DClust's modified KD-tree whose leaves are point regions).
-//  2. Dense box pass: KD leaves with diagonal ≤ Eps and ≥ MinPts points
-//     are "dense boxes": every pair of their points is within Eps, so all
-//     are core points of one cluster and none needs expansion.
-//  3. Pass one classifies core points: one thread per point counts
-//     Eps-neighbors, stopping as soon as MinPts is reached.
-//  4. Pass two expands core points: each GPGPU block claims a seed and
-//     grows a cluster; when two blocks touch the same core point the
-//     collision is recorded in a per-block collision list (Figure 4) and
-//     rectified afterwards with union-find on the host.
-//  5. A final pass attaches border points whose only core neighbors were
-//     never expanded (dense box members).
+//     With DenseBox on, regions are subdivided down to Eps cells: leaves
+//     whose diagonal is ≤ Eps, so their points are mutually within Eps.
+//  2. Pass one classifies core points: one thread per point counts
+//     Eps-neighbors, stopping as soon as MinPts is reached. Members of an
+//     Eps cell holding ≥ MinPts points are core without counting (the
+//     paper's §3.2.3 test).
+//  3. Dense boxes: every Eps cell whose points are all core is a box —
+//     one cluster, pre-assigned one ID, none of its points expanded.
+//  4. Pass two expands the remaining core points: each GPGPU block claims
+//     a seed and grows a cluster over core points; when two blocks touch
+//     the same core point, or a block reaches any member of a box, the
+//     collision is recorded in a per-block collision list (Figure 4).
+//     Adjacent boxes are found by traversing the tree with a box's
+//     rectangle and linked by an early-exit point-pair test.
+//  5. Collisions are rectified with union-find on the host, then a final
+//     pass joins every non-core point to the adjacent cluster whose first
+//     core point comes first in (Point.ID, index) order — the cluster
+//     sequential DBSCAN visiting points in that order would give it — so
+//     labels are a function of the input alone.
 //
 // Input is copied to the device once and results retrieved once. The
 // CUDA-DClust compatibility mode (ModeCUDADClust) instead charges two
 // synchronous transfers per expansion round and disables both the early
-// classification exit and dense boxes, reproducing the cost profile the
-// paper optimizes away.
+// classification exit and dense boxes (cells included), reproducing the
+// cost profile the paper optimizes away.
 //
 // A leaf node processes its partitions back-to-back on one device, so
 // Cluster supports an optional Workspace: host-side scratch (the KD-tree
@@ -35,7 +43,6 @@ package gdbscan
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/dbscan"
@@ -72,8 +79,10 @@ func (m Mode) String() string {
 // Options configures a clustering run.
 type Options struct {
 	Params dbscan.Params
-	// DenseBox enables the §3.2.3 optimization. Ignored (off) in
-	// ModeCUDADClust.
+	// DenseBox enables the §3.2.3 optimization: the KD-tree is subdivided
+	// to Eps cells and every all-core cell is a dense box. Off, the tree
+	// keeps LeafSize-point leaves and every core point is expanded.
+	// Ignored (off) in ModeCUDADClust.
 	DenseBox bool
 	// Mode selects Mr. Scan or the CUDA-DClust cost profile.
 	Mode Mode
@@ -83,8 +92,8 @@ type Options struct {
 	// ThreadsPerBlock is the width of the data-parallel passes
 	// (classification, border attach; default 256).
 	ThreadsPerBlock int
-	// LeafSize is the KD-tree region capacity (default kdtree default).
-	// It bounds dense-box granularity.
+	// LeafSize is the KD-tree region capacity (default kdtree default):
+	// the most points one leaf — and so one dense box — holds.
 	LeafSize int
 	// Workspace, when non-nil, provides reusable host-side scratch for
 	// this call, eliminating per-partition allocation when one caller
@@ -111,13 +120,20 @@ func (o *Options) setDefaults() {
 
 // Stats reports algorithm-level counters for a run.
 type Stats struct {
-	// DenseBoxes is the number of KD leaves eliminated as dense boxes;
-	// DenseBoxPoints is the number of points they removed from expansion
-	// (the paper's p in O((n-p) log n)).
-	DenseBoxes      int
-	DenseBoxPoints  int
-	SeedRounds      int
-	Collisions      int
+	// DenseBoxes is the number of KD leaves eliminated as dense boxes
+	// (all-core Eps cells, whether proven by the ≥ MinPts count or by
+	// classification); DenseBoxPoints is the number of points they
+	// removed from expansion (the paper's p in O((n-p) log n)).
+	DenseBoxes     int
+	DenseBoxPoints int
+	// SeedRounds is the number of expansion kernels: seeds / Blocks.
+	SeedRounds int
+	// Collisions is the number of cluster-ID unions rectified on the
+	// host: block↔block and block↔box contacts recorded by the expansion
+	// kernels plus box↔box links.
+	Collisions int
+	// BorderAttached is the number of non-core points the border pass
+	// joined to a cluster.
 	BorderAttached  int
 	CorePoints      int
 	DeviceH2DBytes  int64
@@ -160,20 +176,39 @@ type blockScratch struct {
 	seen [collSeenSlots]uint64
 }
 
+// collisionSlot returns the pair's key and its slot in the seen filter.
+func collisionSlot(a, b int32) (key uint64, slot uint64) {
+	key = uint64(uint32(a))<<32 | uint64(uint32(b))
+	return key, (key * 0x9E3779B97F4A7C15) >> (64 - 7)
+}
+
+// collide records that clusters a and b are one cluster, unless the seen
+// filter shows the pair was just recorded.
+func (bs *blockScratch) collide(a, b int32) {
+	key, slot := collisionSlot(a, b)
+	if bs.seen[slot] != key {
+		bs.seen[slot] = key
+		bs.collisions = append(bs.collisions, collision{a, b})
+	}
+}
+
 // Workspace holds every reusable host-side array of a Cluster call. The
 // zero value is ready to use; pass the same Workspace to successive
 // calls (one partition after another on the same leaf) to stop them
 // re-allocating the KD-tree, coordinate columns, and per-block expansion
 // state. Not safe for concurrent use.
 type Workspace struct {
-	kd          kdtree.Workspace
-	xs, ys      []float64
-	labels      []int32
-	skipExpand  []bool
-	seeds       []int32
-	seedCluster []int32
-	boxes       []kdtree.Leaf
-	blocks      []blockScratch
+	kd      kdtree.Workspace
+	labels  []int32
+	leafBox []int32
+	seeds   []int32
+	lead    []int32
+	compact []int32
+	near    []int32
+	blocks  []blockScratch
+	// boxPairs counts the box pairs the last call's linking pass
+	// examined: the clock-free cost the tests' linearity guard bounds.
+	boxPairs int
 }
 
 // grow resizes s to n elements, reallocating only when capacity is
@@ -183,6 +218,37 @@ func grow[E any](s []E, n int) []E {
 		return make([]E, n)
 	}
 	return s[:n]
+}
+
+// fill resizes s to n elements, all set to v.
+func fill(s []int32, n int, v int32) []int32 {
+	s = grow(s, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+// clustering is the state of one Cluster call, shared by its passes.
+type clustering struct {
+	dev   *gpusim.Device
+	opt   Options
+	ws    *Workspace
+	pts   []geom.Point
+	flat  *kdtree.Flat
+	stats Stats
+
+	xs, ys []float64
+	eps2   float64
+	// labels holds raw cluster IDs (-1: none yet): boxes take 0..nBoxes-1,
+	// the expansion seed ws.seeds[si] takes nBoxes+si. merges records which
+	// IDs are one cluster; compactLabels renumbers the clusters densely.
+	labels []int32
+	core   []bool
+	// leafBox maps a tree node to the ID of the dense box it is, or -1.
+	leafBox []int32
+	nBoxes  int32
+	merges  *dsu.DSU
 }
 
 // Cluster runs the GPGPU DBSCAN over pts on dev.
@@ -195,26 +261,8 @@ func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error)
 	if n == 0 {
 		return &Result{Labels: []int32{}, Core: []bool{}}, nil
 	}
-	ws := opt.Workspace
-	if ws == nil {
-		ws = &Workspace{}
-	}
-
-	eps := opt.Params.Eps
-	// minNeighbors excludes the point itself (the DBSCAN neighborhood
-	// includes the point, see dbscan.Params).
-	minNeighbors := opt.Params.MinPts - 1
-
-	// Host-side index construction (CUDA-DClust builds the KD-tree on the
-	// CPU and ships the flattened arrays) — into the workspace's backing
-	// arrays, so per-partition builds reuse allocations.
-	tree, flat := ws.kd.Build(pts, opt.LeafSize)
-	ws.xs = grow(ws.xs, n)
-	ws.ys = grow(ws.ys, n)
-	xs, ys := ws.xs, ws.ys
-	for i, p := range pts {
-		xs[i], ys[i] = p.X, p.Y
-	}
+	c := newClustering(dev, pts, opt)
+	flat := c.flat
 
 	// Device allocation: point coords, flattened tree, flags and labels.
 	// Buffers are leased from the device pool: the second partition on a
@@ -240,54 +288,99 @@ func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error)
 		return nil, err
 	}
 
-	ws.labels = grow(ws.labels, n)
-	labels := ws.labels
-	for i := range labels {
-		labels[i] = -1
-	}
-	core := make([]bool, n) // returned to the caller; never pooled
-	var stats Stats
-
-	// --- Dense box pass (§3.2.3) ---
-	// Cluster IDs: dense boxes take 0..nBoxes-1; expansion seeds take
-	// nBoxes..nBoxes+len(seeds)-1 (sparse; compacted at the end).
-	ws.boxes = ws.boxes[:0]
-	nextCluster := int32(0)
-	ws.skipExpand = grow(ws.skipExpand, n)
-	skipExpand := ws.skipExpand // dense-box members are not expanded
-	for i := range skipExpand {
-		skipExpand[i] = false
+	if err := c.classify(); err != nil {
+		return nil, err
 	}
 	if opt.DenseBox {
-		tree.VisitLeaves(func(leaf kdtree.Leaf) {
-			if len(leaf.Points) >= opt.Params.MinPts && leaf.Bounds.Diagonal() <= eps {
-				id := nextCluster
-				nextCluster++
-				for _, pi := range leaf.Points {
-					labels[pi] = id
+		c.promoteBoxes()
+	}
+	if err := c.expand(outBuf); err != nil {
+		return nil, err
+	}
+	c.linkBoxes()
+	if err := c.attachBorders(); err != nil {
+		return nil, err
+	}
+
+	// Single result copy back (labels + core flags).
+	if err := dev.CopyFromDevice(outBuf, outBuf.Size()); err != nil {
+		return nil, err
+	}
+	out, numClusters := c.compactLabels()
+
+	endStats := dev.Stats()
+	c.stats.DeviceH2DBytes = endStats.H2DBytes - startStats.H2DBytes
+	c.stats.DeviceD2HBytes = endStats.D2HBytes - startStats.D2HBytes
+	c.stats.DeviceTransfers = (endStats.H2DTransfers + endStats.D2HTransfers) -
+		(startStats.H2DTransfers + startStats.D2HTransfers)
+
+	return &Result{
+		Labels:      out,
+		Core:        c.core,
+		NumClusters: numClusters,
+		Stats:       c.stats,
+	}, nil
+}
+
+// newClustering builds the host-side state of a run over a non-empty pts:
+// the KD-tree and the cleared per-point and per-node arrays. opt has its
+// defaults set.
+func newClustering(dev *gpusim.Device, pts []geom.Point, opt Options) *clustering {
+	ws := opt.Workspace
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	eps := opt.Params.Eps
+	c := &clustering{dev: dev, opt: opt, ws: ws, pts: pts, eps2: eps * eps}
+	// Host-side index construction (CUDA-DClust builds the KD-tree on the
+	// CPU and ships the flattened arrays) — into the workspace's backing
+	// arrays, so per-partition builds reuse allocations.
+	var tree *kdtree.Tree
+	if opt.DenseBox {
+		tree, c.flat = ws.kd.BuildCells(pts, opt.LeafSize, eps)
+	} else {
+		tree, c.flat = ws.kd.Build(pts, opt.LeafSize)
+	}
+	c.xs, c.ys = tree.Coords()
+	ws.labels = fill(ws.labels, len(pts), -1)
+	c.labels = ws.labels
+	c.core = make([]bool, len(pts)) // returned to the caller; never pooled
+	ws.leafBox = fill(ws.leafBox, len(c.flat.Left), -1)
+	c.leafBox = ws.leafBox
+	return c
+}
+
+// leafPoints returns the point indices of leaf node ni.
+func (c *clustering) leafPoints(ni int) []int32 {
+	s := c.flat.Start[ni]
+	return c.flat.Order[s : s+c.flat.Count[ni]]
+}
+
+// classify is pass one: one thread per point counts Eps-neighbors, with
+// early exit at MinPts in Mr. Scan mode ("expansion during this phase
+// stops as soon as MinPts is reached"). With DenseBox, the members of an
+// Eps cell that holds ≥ MinPts points are core by the paper's §3.2.3
+// argument and skip the count.
+func (c *clustering) classify() error {
+	n, core, flat, xs, ys := len(c.pts), c.core, c.flat, c.xs, c.ys
+	eps := c.opt.Params.Eps
+	if c.opt.DenseBox {
+		for ni, left := range flat.Left {
+			if left < 0 && int(flat.Count[ni]) >= c.opt.Params.MinPts && flat.Diag2(ni) <= c.eps2 {
+				for _, pi := range c.leafPoints(ni) {
 					core[pi] = true
-					skipExpand[pi] = true
 				}
-				ws.boxes = append(ws.boxes, leaf)
 			}
-		})
-		stats.DenseBoxes = len(ws.boxes)
-		for _, b := range ws.boxes {
-			stats.DenseBoxPoints += len(b.Points)
 		}
 	}
-	boxes := ws.boxes
-	nBoxes := nextCluster
-
-	// --- Pass one: classify core points ---
-	// One thread per point; early exit at MinPts in Mr. Scan mode
-	// ("expansion during this phase stops as soon as MinPts is reached").
+	// minNeighbors excludes the point itself (the DBSCAN neighborhood
+	// includes the point, see dbscan.Params).
+	minNeighbors := c.opt.Params.MinPts - 1
 	countLimit := minNeighbors
-	if opt.Mode == ModeCUDADClust {
+	if c.opt.Mode == ModeCUDADClust {
 		countLimit = 0 // full count: the unoptimized profile
 	}
-	lc := gpusim.GridFor(n, opt.ThreadsPerBlock)
-	err = dev.Launch("gdbscan/classify", lc, func(ctx gpusim.KernelCtx) {
+	err := c.dev.Launch("gdbscan/classify", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
 		if i >= n || core[i] {
 			return
@@ -296,33 +389,53 @@ func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error)
 			core[i] = true
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
+	c.stats.CorePoints = countTrue(core)
+	return err
+}
 
-	// --- Pass two: expansion ---
-	// Seeds in index order; each block claims one seed per round. In
-	// Mr. Scan mode only core points are seeds (found by pass one); the
-	// CUDA-DClust profile seeds every point and discovers coreness as it
-	// goes.
-	seeds := ws.seeds[:0]
-	for i := 0; i < n; i++ {
-		if skipExpand[i] {
+// promoteBoxes turns every Eps cell whose points are all core into a
+// dense box (§3.2.3 carried to its conclusion): its points are mutually
+// within Eps and all core, hence one cluster, so they take one
+// pre-assigned cluster ID and none is expanded.
+func (c *clustering) promoteBoxes() {
+	for ni, left := range c.flat.Left {
+		if left >= 0 || c.flat.Diag2(ni) > c.eps2 {
 			continue
 		}
-		if core[i] || opt.Mode == ModeCUDADClust {
+		members := c.leafPoints(ni)
+		allCore := true
+		for _, pi := range members {
+			if !c.core[pi] {
+				allCore = false
+				break
+			}
+		}
+		if !allCore {
+			continue
+		}
+		for _, pi := range members {
+			c.labels[pi] = c.nBoxes
+		}
+		c.leafBox[ni] = c.nBoxes
+		c.nBoxes++
+		c.stats.DenseBoxPoints += len(members)
+	}
+	c.stats.DenseBoxes = int(c.nBoxes)
+}
+
+// expand is pass two. Seeds in index order; each block claims one seed
+// per round. In Mr. Scan mode only core points outside dense boxes are
+// seeds (found by pass one); the CUDA-DClust profile seeds every point.
+func (c *clustering) expand(outBuf *gpusim.Buffer) error {
+	opt, ws, dev := &c.opt, c.ws, c.dev
+	seeds := ws.seeds[:0]
+	for i, l := range c.labels {
+		if l < 0 && (c.core[i] || opt.Mode == ModeCUDADClust) {
 			seeds = append(seeds, int32(i))
 		}
 	}
 	ws.seeds = seeds
-	stats.CorePoints = countTrue(core)
-
-	seedCluster := grow(ws.seedCluster, len(seeds))
-	ws.seedCluster = seedCluster
-	for si := range seeds {
-		seedCluster[si] = nBoxes + int32(si)
-	}
-	maxCluster := nBoxes + int32(len(seeds))
+	c.merges = dsu.New(int(c.nBoxes) + len(seeds))
 
 	// Per-block scratch: expansion queue, KD traversal stack, collision
 	// list and duplicate filter. Each block is executed by exactly one
@@ -332,21 +445,9 @@ func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error)
 	// synchronize; the CUDA-DClust profile drains per round between its
 	// synchronous copies.
 	ws.blocks = grow(ws.blocks, opt.Blocks)
-	blocks := ws.blocks
-	for b := range blocks {
-		blocks[b].collisions = blocks[b].collisions[:0]
-		blocks[b].seen = [collSeenSlots]uint64{}
-	}
-	merges := dsu.New(int(maxCluster))
-	drainCollisions := func() {
-		for b := range blocks {
-			for _, c := range blocks[b].collisions {
-				if merges.Union(int(c.a), int(c.b)) {
-					stats.Collisions++
-				}
-			}
-			blocks[b].collisions = blocks[b].collisions[:0]
-		}
+	for b := range ws.blocks {
+		ws.blocks[b].collisions = ws.blocks[b].collisions[:0]
+		ws.blocks[b].seen = [collSeenSlots]uint64{}
 	}
 
 	// §3.2.2: Mr. Scan issues every expansion kernel in bulk on a stream
@@ -358,263 +459,343 @@ func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error)
 	if opt.Mode == ModeMrScan {
 		stream = dev.NewStream()
 	}
-
-	eps2 := eps * eps
-	for round := 0; round*opt.Blocks < len(seeds); round++ {
-		base := round * opt.Blocks
-		blocksThisRound := len(seeds) - base
-		if blocksThisRound > opt.Blocks {
-			blocksThisRound = opt.Blocks
-		}
-		stats.SeedRounds++
-		kernel := func(ctx gpusim.KernelCtx) {
-			si := base + ctx.Block
-			seed := seeds[si]
-			if !core[seed] {
-				return // CUDA-DClust profile: seed turned out non-core
-			}
-			// Claim the seed. If another cluster already owns it, this
-			// seed never starts a cluster (it was absorbed).
-			myID := seedCluster[si]
-			if !atomic.CompareAndSwapInt32(&labels[seed], -1, myID) {
-				return
-			}
-			bs := &blocks[ctx.Block]
-			bounds, left, right := flat.Bounds, flat.Left, flat.Right
-			starts, counts, order := flat.Start, flat.Count, flat.Order
-			q := append(bs.queue[:0], seed)
-			stack := bs.stack
-			for len(q) > 0 {
-				p := q[len(q)-1]
-				q = q[:len(q)-1]
-				cx, cy := xs[p], ys[p]
-				// Inlined KD range traversal (kdtree.Flat.Range) with the
-				// block's reusable stack: the expansion visits every
-				// neighbor of every core point, so per-visit callback
-				// indirection is the cluster phase's hottest cost.
-				stack = append(stack[:0], 0)
-				for len(stack) > 0 {
-					ni := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					bnd := bounds[4*ni : 4*ni+4 : 4*ni+4]
-					var dx, dy float64
-					if cx < bnd[0] {
-						dx = bnd[0] - cx
-					} else if cx > bnd[2] {
-						dx = cx - bnd[2]
-					}
-					if cy < bnd[1] {
-						dy = bnd[1] - cy
-					} else if cy > bnd[3] {
-						dy = cy - bnd[3]
-					}
-					if dx*dx+dy*dy > eps2 {
-						continue
-					}
-					if left[ni] >= 0 {
-						stack = append(stack, left[ni], right[ni])
-						continue
-					}
-					s0, c0 := starts[ni], counts[ni]
-					for _, nb := range order[s0 : s0+c0] {
-						if nb == p {
-							continue
-						}
-						ddx := cx - xs[nb]
-						ddy := cy - ys[nb]
-						if ddx*ddx+ddy*ddy > eps2 {
-							continue
-						}
-						// Most neighbor visits land on points this block
-						// already claimed (a cluster's points see each
-						// other from many range queries), so check with a
-						// plain atomic load before paying for a CAS.
-						other := atomic.LoadInt32(&labels[nb])
-						if other == myID {
-							continue
-						}
-						if !core[nb] {
-							if other < 0 {
-								// Border point: first cluster to reach it
-								// claims it (DBSCAN's order dependence,
-								// §2.1).
-								atomic.CompareAndSwapInt32(&labels[nb], -1, myID)
-							}
-							continue
-						}
-						if other < 0 && atomic.CompareAndSwapInt32(&labels[nb], -1, myID) {
-							// Unlabeled implies not a dense-box member
-							// (boxes pre-label), so nb always expands.
-							q = append(q, nb)
-						} else if other = atomic.LoadInt32(&labels[nb]); other != myID {
-							// Figure 4: two blocks share a core point —
-							// the clusters are the same cluster. The seen
-							// filter drops repeats of the same ID pair.
-							key := uint64(uint32(myID))<<32 | uint64(uint32(other))
-							slot := (key * 0x9E3779B97F4A7C15) >> (64 - 7)
-							if bs.seen[slot] != key {
-								bs.seen[slot] = key
-								bs.collisions = append(bs.collisions, collision{myID, other})
-							}
-						}
-					}
-				}
-			}
-			bs.queue = q[:0]
-			bs.stack = stack[:0]
-		}
+	for base := 0; base < len(seeds); base += opt.Blocks {
+		blocksThisRound := min(len(seeds)-base, opt.Blocks)
+		c.stats.SeedRounds++
+		kernel := func(ctx gpusim.KernelCtx) { c.expandSeed(ctx.Block, base+ctx.Block) }
 		lc := gpusim.LaunchConfig{Blocks: blocksThisRound, ThreadsPerBlock: 1}
 		if stream != nil {
 			stream.LaunchAsync("gdbscan/expand", lc, kernel)
 			continue
 		}
 		if err := dev.Launch("gdbscan/expand", lc, kernel); err != nil {
-			return nil, err
+			return err
 		}
-		drainCollisions()
+		c.drainCollisions()
 		// The baseline copies block state out and new seeds in after
 		// every iteration (§3.2.2: "at least two memory operations
 		// between the host and GPGPU after every DBSCAN iteration").
 		// Only the blocks active this round move state — the final
 		// partial round is cheaper, and the ablation's modeled bytes
 		// must match 2×(points/blocks) exactly.
-		stateBytes := int64(blocksThisRound) * 64
-		if stateBytes > outBuf.Size() {
-			stateBytes = outBuf.Size()
-		}
+		stateBytes := min(int64(blocksThisRound)*64, outBuf.Size())
 		if err := dev.CopyFromDevice(outBuf, stateBytes); err != nil {
-			return nil, err
+			return err
 		}
 		if err := dev.CopyToDevice(outBuf, stateBytes); err != nil {
-			return nil, err
+			return err
 		}
-		stats.RoundTransferBytes = append(stats.RoundTransferBytes, 2*stateBytes)
+		c.stats.RoundTransferBytes = append(c.stats.RoundTransferBytes, 2*stateBytes)
 	}
 	if stream != nil {
 		if err := stream.Synchronize(); err != nil {
-			return nil, err
+			return err
 		}
-		drainCollisions()
+		c.drainCollisions()
 	}
-
-	// --- Dense box linking ---
-	// Two dense boxes can be directly density-reachable with no expanded
-	// point between them; expansion alone would never merge them. Link
-	// boxes whose regions come within Eps and contain a point pair within
-	// Eps. (The same pass links boxes to already-labeled neighbors via
-	// expansion, so only box↔box needs handling.)
-	if len(boxes) > 1 {
-		linkDenseBoxes(pts, boxes, eps, func(a, b int) {
-			merges.Union(a, b)
-		})
-	}
-
-	// --- Border attachment ---
-	// Points that are non-core and unlabeled can still be border points
-	// if their only core neighbors are dense-box members (never
-	// expanded). One thread per point; first core neighbor wins.
-	err = dev.Launch("gdbscan/border", lc, func(ctx gpusim.KernelCtx) {
-		i := ctx.GlobalID()
-		if i >= n || core[i] || atomic.LoadInt32(&labels[i]) >= 0 {
-			return
-		}
-		flat.Range(xs, ys, xs[i], ys[i], eps, int32(i), func(nb int32) bool {
-			if core[nb] {
-				if l := atomic.LoadInt32(&labels[nb]); l >= 0 {
-					atomic.StoreInt32(&labels[i], l)
-					return false
-				}
-			}
-			return true
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Single result copy back (labels + core flags).
-	if err := dev.CopyFromDevice(outBuf, outBuf.Size()); err != nil {
-		return nil, err
-	}
-
-	// --- Collision rectification on the CPU ---
-	// "When all points have been classified, the CPU merges clusters that
-	// have collided and the final clusters are revealed."
-	compact := make(map[int32]int32)
-	out := make([]int32, n)
-	borderAttached := 0
-	for i := 0; i < n; i++ {
-		l := labels[i]
-		if l < 0 {
-			out[i] = dbscan.Noise
-			continue
-		}
-		root := int32(merges.Find(int(l)))
-		id, ok := compact[root]
-		if !ok {
-			id = int32(len(compact))
-			compact[root] = id
-		}
-		out[i] = id
-		if !core[i] {
-			borderAttached++
-		}
-	}
-	stats.BorderAttached = borderAttached
-
-	endStats := dev.Stats()
-	stats.DeviceH2DBytes = endStats.H2DBytes - startStats.H2DBytes
-	stats.DeviceD2HBytes = endStats.D2HBytes - startStats.D2HBytes
-	stats.DeviceTransfers = (endStats.H2DTransfers + endStats.D2HTransfers) -
-		(startStats.H2DTransfers + startStats.D2HTransfers)
-
-	return &Result{
-		Labels:      out,
-		Core:        core,
-		NumClusters: len(compact),
-		Stats:       stats,
-	}, nil
+	return nil
 }
 
-// linkDenseBoxes unions dense boxes (by cluster index == box index) whose
-// point sets contain a pair within eps. A sweep over boxes sorted by MinX
-// prunes far-apart pairs; candidate pairs are rejected by bounding-box
-// distance before the point-pair test.
-func linkDenseBoxes(pts []geom.Point, boxes []kdtree.Leaf, eps float64, union func(a, b int)) {
-	order := make([]int, len(boxes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return boxes[order[a]].Bounds.MinX < boxes[order[b]].Bounds.MinX
-	})
-	eps2 := eps * eps
-	for oi, bi := range order {
-		bb := boxes[bi].Bounds
-		for _, bj := range order[oi+1:] {
-			ob := boxes[bj].Bounds
-			if ob.MinX > bb.MaxX+eps {
-				break // sweep: no later box can be within eps in x
+// drainCollisions unions the cluster pairs the blocks recorded.
+func (c *clustering) drainCollisions() {
+	for b := range c.ws.blocks {
+		bs := &c.ws.blocks[b]
+		for _, col := range bs.collisions {
+			if c.merges.Union(int(col.a), int(col.b)) {
+				c.stats.Collisions++
 			}
-			if !bb.Inflate(eps).Intersects(ob) {
+		}
+		bs.collisions = bs.collisions[:0]
+	}
+}
+
+// expandSeed is the expansion kernel body of one block: claim seed si and
+// grow its cluster over the core points density-reachable from it. Only
+// core points are claimed; non-core neighbors are left to attachBorders.
+func (c *clustering) expandSeed(block, si int) {
+	labels, core := c.labels, c.core
+	seed := c.ws.seeds[si]
+	if !core[seed] {
+		return // CUDA-DClust profile: seed turned out non-core
+	}
+	// Claim the seed. If another cluster already owns it, this seed
+	// never starts a cluster (it was absorbed).
+	myID := c.nBoxes + int32(si)
+	if !atomic.CompareAndSwapInt32(&labels[seed], -1, myID) {
+		return
+	}
+	bs := &c.ws.blocks[block]
+	xs, ys, eps2, leafBox := c.xs, c.ys, c.eps2, c.leafBox
+	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	starts, counts, order := c.flat.Start, c.flat.Count, c.flat.Order
+	q := append(bs.queue[:0], seed)
+	stack := bs.stack
+	for len(q) > 0 {
+		p := q[len(q)-1]
+		q = q[:len(q)-1]
+		cx, cy := xs[p], ys[p]
+		// Inlined KD range traversal (kdtree.Flat.Range) with the
+		// block's reusable stack: the expansion visits every neighbor of
+		// every expanded point, so per-visit callback indirection is the
+		// kernel's hottest cost.
+		stack = append(stack[:0], 0)
+		for len(stack) > 0 {
+			ni := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
 				continue
 			}
-			if boxesWithinEps(pts, boxes[bi].Points, boxes[bj].Points, eps2) {
-				union(bi, bj)
+			if left[ni] >= 0 {
+				stack = append(stack, left[ni], right[ni])
+				continue
+			}
+			members := order[starts[ni] : starts[ni]+counts[ni]]
+			if box := leafBox[ni]; box >= 0 {
+				// A dense box is one cluster: the first member within
+				// Eps settles the collision and the rest of the leaf is
+				// skipped — as is the whole leaf once the pair is known.
+				if key, slot := collisionSlot(myID, box); bs.seen[slot] == key {
+					continue
+				}
+				for _, nb := range members {
+					ddx := cx - xs[nb]
+					ddy := cy - ys[nb]
+					if ddx*ddx+ddy*ddy <= eps2 {
+						bs.collide(myID, box)
+						break
+					}
+				}
+				continue
+			}
+			for _, nb := range members {
+				if nb == p || !core[nb] {
+					continue
+				}
+				ddx := cx - xs[nb]
+				ddy := cy - ys[nb]
+				if ddx*ddx+ddy*ddy > eps2 {
+					continue
+				}
+				// Most neighbor visits land on points this block already
+				// claimed (a cluster's points see each other from many
+				// range queries), so check with a plain atomic load
+				// before paying for a CAS.
+				other := atomic.LoadInt32(&labels[nb])
+				if other == myID {
+					continue
+				}
+				if other < 0 && atomic.CompareAndSwapInt32(&labels[nb], -1, myID) {
+					q = append(q, nb)
+				} else if other = atomic.LoadInt32(&labels[nb]); other != myID {
+					// Figure 4: two blocks share a core point — the
+					// clusters are the same cluster.
+					bs.collide(myID, other)
+				}
+			}
+		}
+	}
+	bs.queue = q[:0]
+	bs.stack = stack[:0]
+}
+
+// linkBoxes unions dense boxes that are directly density-reachable: two
+// boxes with no expanded point between them are never joined by
+// expansion. Candidate pairs come from traversing the tree with each
+// box's rectangle (every leaf rectangle within Eps of it); a pair not
+// already connected is decided by boxesTouch.
+func (c *clustering) linkBoxes() {
+	c.ws.boxPairs = 0
+	if c.nBoxes < 2 {
+		return
+	}
+	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	var buf [64]int32
+	for a, boxA := range c.leafBox {
+		if boxA < 0 {
+			continue
+		}
+		ra := bounds[4*a : 4*a+4]
+		stack := append(buf[:0], 0)
+		for len(stack) > 0 {
+			ni := int(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			rb := bounds[4*ni : 4*ni+4]
+			dx := max(0, rb[0]-ra[2], ra[0]-rb[2])
+			dy := max(0, rb[1]-ra[3], ra[1]-rb[3])
+			if dx*dx+dy*dy > c.eps2 {
+				continue
+			}
+			if left[ni] >= 0 {
+				stack = append(stack, left[ni], right[ni])
+				continue
+			}
+			// Each unordered pair is examined once, from its lower node.
+			boxB := c.leafBox[ni]
+			if boxB < 0 || ni <= a {
+				continue
+			}
+			c.ws.boxPairs++
+			if !c.merges.Same(int(boxA), int(boxB)) && c.boxesTouch(a, ni) {
+				c.merges.Union(int(boxA), int(boxB))
+				c.stats.Collisions++
 			}
 		}
 	}
 }
 
-func boxesWithinEps(pts []geom.Point, a, b []int32, eps2 float64) bool {
-	for _, i := range a {
-		for _, j := range b {
-			if geom.Dist2(pts[i], pts[j]) <= eps2 {
+// boxesTouch reports whether leaves a and b hold a point pair within Eps.
+// Only members within Eps of the other leaf's rectangle can be part of
+// such a pair, and the first pair found ends the test.
+func (c *clustering) boxesTouch(a, b int) bool {
+	xs, ys := c.xs, c.ys
+	ra, rb := c.flat.Bounds[4*a:4*a+4], c.flat.Bounds[4*b:4*b+4]
+	near := c.ws.near[:0]
+	for _, i := range c.leafPoints(a) {
+		if rectDist2(rb, xs[i], ys[i]) <= c.eps2 {
+			near = append(near, i)
+		}
+	}
+	c.ws.near = near
+	if len(near) == 0 {
+		return false
+	}
+	for _, j := range c.leafPoints(b) {
+		if rectDist2(ra, xs[j], ys[j]) > c.eps2 {
+			continue
+		}
+		for _, i := range near {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			if dx*dx+dy*dy <= c.eps2 {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// rectDist2 returns the squared distance from (x, y) to the rectangle
+// b = [MinX, MinY, MaxX, MaxY] (0 inside it).
+func rectDist2(b []float64, x, y float64) float64 {
+	var dx, dy float64
+	if x < b[0] {
+		dx = b[0] - x
+	} else if x > b[2] {
+		dx = x - b[2]
+	}
+	if y < b[1] {
+		dy = b[1] - y
+	} else if y > b[3] {
+		dy = y - b[3]
+	}
+	return dx*dx + dy*dy
+}
+
+// attachBorders resolves the recorded collisions and then runs the border
+// kernel: one thread per non-core point joins it to the adjacent cluster
+// (one with a core point within Eps) whose lead — its first core point in
+// (Point.ID, index) order — comes first. Sequential DBSCAN visiting
+// points in that order starts each cluster at its lead and lets the
+// earliest-started cluster keep a contested border point, so this is its
+// labelling, whatever the block scheduling or tree shape was.
+func (c *clustering) attachBorders() error {
+	pts, labels, core, merges := c.pts, c.labels, c.core, c.merges
+	before := func(a, b int32) bool {
+		return pts[a].ID < pts[b].ID || (pts[a].ID == pts[b].ID && a < b)
+	}
+	// lead[id] is the lead of the merged cluster that raw ID id belongs
+	// to: found per union-find root first, then copied to every ID.
+	lead := fill(c.ws.lead, merges.Len(), -1)
+	c.ws.lead = lead
+	for i, l := range labels {
+		if l < 0 || !core[i] {
+			continue
+		}
+		if root := merges.Find(int(l)); lead[root] < 0 || before(int32(i), lead[root]) {
+			lead[root] = int32(i)
+		}
+	}
+	for id := range lead {
+		lead[id] = lead[merges.Find(id)]
+	}
+
+	n, xs, ys, eps2, leafBox := len(pts), c.xs, c.ys, c.eps2, c.leafBox
+	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	return c.dev.Launch("gdbscan/border", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
+		i := ctx.GlobalID()
+		if i >= n || core[i] {
+			return
+		}
+		cx, cy := xs[i], ys[i]
+		best := int32(-1)
+		var buf [64]int32
+		stack := append(buf[:0], 0)
+		for len(stack) > 0 {
+			ni := int(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			if rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
+				continue
+			}
+			if left[ni] >= 0 {
+				stack = append(stack, left[ni], right[ni])
+				continue
+			}
+			box := leafBox[ni]
+			if box >= 0 && lead[box] == best {
+				continue // a box is one cluster, and it is already chosen
+			}
+			for _, nb := range c.leafPoints(ni) {
+				if !core[nb] {
+					continue
+				}
+				cand := lead[labels[nb]]
+				if cand == best {
+					continue
+				}
+				dx, dy := cx-xs[nb], cy-ys[nb]
+				if dx*dx+dy*dy > eps2 {
+					continue
+				}
+				if best < 0 || before(cand, best) {
+					best = cand
+				}
+				if box >= 0 {
+					break // every other member is in the same cluster
+				}
+			}
+		}
+		if best >= 0 {
+			labels[i] = labels[best]
+		}
+	})
+}
+
+// compactLabels is the end of collision rectification on the CPU ("when
+// all points have been classified, the CPU merges clusters that have
+// collided and the final clusters are revealed"): sparse raw IDs become
+// dense cluster IDs 0..k-1, numbered in order of first appearance.
+func (c *clustering) compactLabels() (out []int32, numClusters int) {
+	n := len(c.pts)
+	// A merged cluster is identified by its lead point.
+	compact := fill(c.ws.compact, n, -1)
+	c.ws.compact = compact
+	out = make([]int32, n)
+	next := int32(0)
+	for i, l := range c.labels {
+		if l < 0 {
+			out[i] = dbscan.Noise
+			continue
+		}
+		lead := c.ws.lead[l]
+		if compact[lead] < 0 {
+			compact[lead] = next
+			next++
+		}
+		out[i] = compact[lead]
+		if !c.core[i] {
+			c.stats.BorderAttached++
+		}
+	}
+	return out, int(next)
 }
 
 func countTrue(bs []bool) int {

@@ -1,6 +1,7 @@
 package gdbscan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,67 +52,51 @@ func mixedDataset(seed int64, n int) []geom.Point {
 }
 
 // validate checks a gdbscan result against the reference sequential
-// DBSCAN. Core flags and the partition of core points must match exactly;
-// border points may legally differ in cluster assignment (DBSCAN order
-// dependence, §2.1) but must be attached to a cluster with a core
-// neighbor within Eps; noise sets must match exactly.
+// DBSCAN: core flags must match exactly and the labels must be the
+// reference's up to renaming on *every* point — core, border and noise.
+// Border points are included because the border rule gives a contested
+// one to the cluster sequential DBSCAN would, provided pts carry IDs that
+// do not decrease along the slice (so the rule's (ID, index) order is the
+// reference's visiting order).
 func validate(t *testing.T, pts []geom.Point, params dbscan.Params, res *Result) {
 	t.Helper()
 	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Labels) != len(pts) || len(res.Core) != len(pts) {
-		t.Fatalf("result sizes %d/%d, want %d", len(res.Labels), len(res.Core), len(pts))
+	if err := matchesReference(ref, res); err != nil {
+		t.Fatal(err)
 	}
-	for i := range pts {
+}
+
+// matchesReference reports how res differs from ref: a core flag, or a
+// pair of points the two clusterings group differently (noise counts as
+// one group that must map to noise).
+func matchesReference(ref *dbscan.Result, res *Result) error {
+	n := len(ref.Labels)
+	if len(res.Labels) != n || len(res.Core) != n {
+		return fmt.Errorf("result sizes %d/%d, want %d", len(res.Labels), len(res.Core), n)
+	}
+	refToGot := map[int]int32{dbscan.Noise: dbscan.Noise}
+	gotToRef := map[int32]int{dbscan.Noise: dbscan.Noise}
+	for i := 0; i < n; i++ {
 		if res.Core[i] != ref.Core[i] {
-			t.Fatalf("core flag of point %d = %v, want %v", i, res.Core[i], ref.Core[i])
-		}
-	}
-	// Partition of core points: bidirectional label mapping.
-	refToGot := map[int]int32{}
-	gotToRef := map[int32]int{}
-	for i := range pts {
-		if !ref.Core[i] {
-			continue
+			return fmt.Errorf("core flag of point %d = %v, want %v", i, res.Core[i], ref.Core[i])
 		}
 		r, g := ref.Labels[i], res.Labels[i]
-		if g < 0 {
-			t.Fatalf("core point %d unlabeled", i)
-		}
 		if prev, ok := refToGot[r]; ok && prev != g {
-			t.Fatalf("ref cluster %d split into %d and %d (point %d)", r, prev, g, i)
+			return fmt.Errorf("point %d (core=%v): ref cluster %d maps to both %d and %d", i, ref.Core[i], r, prev, g)
 		}
 		if prev, ok := gotToRef[g]; ok && prev != r {
-			t.Fatalf("got cluster %d merges ref clusters %d and %d (point %d)", g, prev, r, i)
+			return fmt.Errorf("point %d (core=%v): got cluster %d maps to both ref %d and %d", i, ref.Core[i], g, prev, r)
 		}
 		refToGot[r] = g
 		gotToRef[g] = r
 	}
-	// Noise must match exactly.
-	eps2 := params.Eps * params.Eps
-	for i := range pts {
-		refNoise := ref.Labels[i] == dbscan.Noise
-		gotNoise := res.Labels[i] == dbscan.Noise
-		if refNoise != gotNoise {
-			t.Fatalf("noise status of point %d = %v, want %v", i, gotNoise, refNoise)
-		}
-		// Border points: must have a core neighbor in the same got-cluster.
-		if !gotNoise && !res.Core[i] {
-			ok := false
-			for j := range pts {
-				if j != i && res.Core[j] && res.Labels[j] == res.Labels[i] &&
-					geom.Dist2(pts[i], pts[j]) <= eps2 {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				t.Fatalf("border point %d not adjacent to a core of its cluster %d", i, res.Labels[i])
-			}
-		}
+	if want := len(refToGot) - 1; res.NumClusters != want {
+		return fmt.Errorf("NumClusters = %d, labels hold %d", res.NumClusters, want)
 	}
+	return nil
 }
 
 func TestMatchesReferenceSmall(t *testing.T) {
@@ -352,8 +337,8 @@ func TestRingShape(t *testing.T) {
 }
 
 func TestDeterministicCorePartitionUnderConcurrency(t *testing.T) {
-	// Block-level races may reassign border points between runs, but the
-	// partition of core points must be stable. Run repeatedly.
+	// Block-level races decide which block claims a core point, but not
+	// the clusters that come out. Run repeatedly.
 	pts := mixedDataset(11, 2000)
 	params := dbscan.Params{Eps: 0.1, MinPts: 4}
 	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)

@@ -4,44 +4,48 @@
 //
 //  1. Range queries bound the candidate set for Eps-neighborhood tests.
 //  2. The leaf subdivisions drive the dense-box optimization (§3.2.3): a
-//     leaf whose region has diagonal ≤ Eps and point count ≥ MinPts is a
-//     "dense box" — all its points are mutually within Eps, hence all core
-//     and all in one cluster, and none needs individual expansion.
+//     leaf whose region has diagonal ≤ Eps is a *cell* — all its points
+//     are mutually within Eps, so once they are known to be core they are
+//     one cluster and none needs individual expansion. BuildCells
+//     subdivides until leaves are such cells.
 //
-// The tree can be flattened into index arrays (Flatten) — the layout a real
-// CUDA kernel would traverse with an explicit stack, and the form consumed
-// by the gpusim kernels.
+// The tree is built straight into index arrays (Flat) — the layout a real
+// CUDA kernel traverses with an explicit stack, and the form consumed by
+// the gpusim kernels. Each level of the build splits at the median found
+// by selection (nth_element), not by sorting, so the build is O(n log n).
 package kdtree
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // DefaultLeafSize is the leaf region capacity used when the caller passes
 // a non-positive leaf size.
 const DefaultLeafSize = 64
 
+// cellFloor ends the Eps-cell subdivision in sparse space: a region of at
+// most this many points becomes a leaf even when its diagonal exceeds
+// Eps. Without it BuildCells would split sparse regions down to single
+// points — a node per point bought for cells that can never be dense
+// boxes. Measured on the Twitter and SDSS workloads the cluster phase is
+// flat for floors 4…32; 8 keeps the node arrays at ≤ n/2 entries.
+const cellFloor = 8
+
 // Tree is a region KD-tree over a point set. It stores a permutation of
 // point indices; leaves own contiguous ranges of that permutation.
 type Tree struct {
-	pts     []geom.Point
-	order   []int32 // permutation of point indices; leaves own ranges
-	nodes   []node
-	leafCap int
-}
-
-type node struct {
-	bounds geom.Rect
-	// Internal nodes: axis 0 (x) or 1 (y), split value, children indices.
-	// Leaves: left == -1, [start,count) into order.
-	axis        int8
-	left, right int32
-	split       float64
-	start       int32
-	count       int32
+	pts []geom.Point
+	// xs, ys are the coordinate columns of pts: the selection build and
+	// the range queries read coordinates by index far more often than
+	// they need a whole Point.
+	xs, ys []float64
+	flat   Flat
+	// leafCap is the leaf capacity; cellDiag2 > 0 additionally demands
+	// the Eps-cell stop rule (squared cell diagonal).
+	leafCap   int
+	cellDiag2 float64
+	// scanned counts the elements examined by the build's bounds,
+	// selection and tie passes: the clock-free cost the complexity guard
+	// in the tests bounds.
+	scanned int64
 }
 
 // Build constructs a tree over pts with the given leaf capacity.
@@ -49,96 +53,158 @@ type node struct {
 // must not mutate the slice while the tree is in use.
 func Build(pts []geom.Point, leafCap int) *Tree {
 	t := &Tree{}
-	t.buildInto(pts, leafCap)
+	t.buildInto(pts, leafCap, 0)
 	return t
 }
 
-// buildInto (re)constructs the tree over pts, reusing t's order and node
-// backing arrays when their capacity suffices.
-func (t *Tree) buildInto(pts []geom.Point, leafCap int) {
+// buildInto (re)constructs the tree over pts, reusing t's backing arrays
+// when their capacity suffices. With cellEps > 0 a region stops splitting
+// only when it holds ≤ leafCap points and is either an Eps cell
+// (diagonal ≤ cellEps) or holds ≤ cellFloor points.
+func (t *Tree) buildInto(pts []geom.Point, leafCap int, cellEps float64) {
 	if leafCap <= 0 {
 		leafCap = DefaultLeafSize
 	}
+	n := len(pts)
 	t.pts = pts
 	t.leafCap = leafCap
-	if cap(t.order) < len(pts) {
-		t.order = make([]int32, len(pts))
+	t.cellDiag2 = cellEps * cellEps
+	t.scanned = 0
+	t.xs = grow(t.xs, n)
+	t.ys = grow(t.ys, n)
+	f := &t.flat
+	f.Order = grow(f.Order, n)
+	for i, p := range pts {
+		t.xs[i], t.ys[i] = p.X, p.Y
+		f.Order[i] = int32(i)
 	}
-	t.order = t.order[:len(pts)]
-	t.nodes = t.nodes[:0]
-	for i := range t.order {
-		t.order[i] = int32(i)
+	// Size the node arrays once. A median split of a region that must
+	// split (more than minLeaf points) leaves at least minLeaf/2 points on
+	// each side, which bounds the leaf count; only splits pushed off the
+	// median by tied coordinates can exceed it, and then append grows.
+	minLeaf := leafCap
+	if cellEps > 0 && cellFloor < minLeaf {
+		minLeaf = cellFloor
 	}
-	if len(pts) > 0 {
-		t.build(0, int32(len(pts)))
+	nodes := 2*(n/((minLeaf+1)/2)) + 1
+	f.Bounds = grow(f.Bounds, 4*nodes)[:0]
+	f.Left = grow(f.Left, nodes)[:0]
+	f.Right = grow(f.Right, nodes)[:0]
+	f.Start = grow(f.Start, nodes)[:0]
+	f.Count = grow(f.Count, nodes)[:0]
+	if n > 0 {
+		t.build(0, int32(n))
 	}
 }
 
-// build recursively constructs the subtree over order[start:end) and
+// build recursively constructs the subtree over Order[start:end) and
 // returns its node index.
 func (t *Tree) build(start, end int32) int32 {
-	bounds := geom.EmptyRect()
-	for _, i := range t.order[start:end] {
-		bounds = bounds.Extend(t.pts[i])
+	f := &t.flat
+	seg := f.Order[start:end]
+	minX, minY, maxX, maxY := t.xs[seg[0]], t.ys[seg[0]], t.xs[seg[0]], t.ys[seg[0]]
+	for _, i := range seg[1:] {
+		x, y := t.xs[i], t.ys[i]
+		if x < minX {
+			minX = x
+		} else if x > maxX {
+			maxX = x
+		}
+		if y < minY {
+			minY = y
+		} else if y > maxY {
+			maxY = y
+		}
 	}
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{bounds: bounds, left: -1, right: -1, start: start, count: end - start})
-	if int(end-start) <= t.leafCap {
+	t.scanned += int64(len(seg))
+	idx := int32(len(f.Left))
+	f.Bounds = append(f.Bounds, minX, minY, maxX, maxY)
+	f.Left = append(f.Left, -1)
+	f.Right = append(f.Right, -1)
+	f.Start = append(f.Start, start)
+	f.Count = append(f.Count, end-start)
+
+	w, h := maxX-minX, maxY-minY
+	if len(seg) <= t.leafCap && (t.cellDiag2 == 0 || len(seg) <= cellFloor || w*w+h*h <= t.cellDiag2) {
 		return idx
 	}
 	// Split on the wider axis at the median, mirroring CUDA-DClust's
 	// balanced subdivision of the point space.
-	axis := int8(0)
-	if bounds.Height() > bounds.Width() {
-		axis = 1
+	key, lo, extent := t.xs, minX, w
+	if h > w {
+		key, lo, extent = t.ys, minY, h
 	}
-	seg := t.order[start:end]
+	if extent == 0 {
+		return idx // all points identical: nothing to split on
+	}
 	mid := len(seg) / 2
-	if axis == 0 {
-		slices.SortFunc(seg, func(a, b int32) int { return cmp.Compare(t.pts[a].X, t.pts[b].X) })
-	} else {
-		slices.SortFunc(seg, func(a, b int32) int { return cmp.Compare(t.pts[a].Y, t.pts[b].Y) })
+	t.scanned += selectNth(seg, key, mid)
+	// Make the split strict around the median value v: the left child
+	// takes every coordinate < v — or, when v is the region's minimum,
+	// every coordinate == v — so equal coordinates never straddle the
+	// split and neither child is empty.
+	v := key[seg[mid]]
+	from, to := 0, mid
+	if v == lo {
+		from, to = mid, len(seg)
 	}
-	split := coord(t.pts[seg[mid]], axis)
-	// Degenerate data (many identical coordinates) can make one side
-	// empty; fall back to a leaf in that case.
-	if coord(t.pts[seg[0]], axis) == coord(t.pts[seg[len(seg)-1]], axis) {
-		return idx
-	}
-	// Ensure mid splits strictly: move mid forward past equal coords so
-	// the left child is non-empty and the right child starts at a value
-	// >= split.
-	for mid > 0 && coord(t.pts[seg[mid-1]], axis) == split {
-		mid--
-	}
-	if mid == 0 {
-		for mid < len(seg) && coord(t.pts[seg[mid]], axis) == split {
+	t.scanned += int64(to - from)
+	mid = from
+	for i := from; i < to; i++ {
+		if k := key[seg[i]]; k < v || k == lo {
+			seg[i], seg[mid] = seg[mid], seg[i]
 			mid++
 		}
-		if mid < len(seg) {
-			split = coord(t.pts[seg[mid]], axis)
-		}
-	}
-	if mid == 0 || mid == len(seg) {
-		return idx
 	}
 	left := t.build(start, start+int32(mid))
 	right := t.build(start+int32(mid), end)
-	n := &t.nodes[idx]
-	n.axis = axis
-	n.split = split
-	n.left = left
-	n.right = right
-	n.start = 0
-	n.count = 0
+	f.Left[idx], f.Right[idx] = left, right
+	f.Start[idx], f.Count[idx] = 0, 0
 	return idx
 }
 
-func coord(p geom.Point, axis int8) float64 {
-	if axis == 0 {
-		return p.X
+// selectNth permutes ord so that key[ord[k]] is the k-th smallest key of
+// the segment, nothing before position k is greater and nothing after it
+// is smaller (C++'s nth_element). Quickselect with a deterministic
+// median-of-three pivot and Hoare partitioning, which stays balanced on
+// runs of equal keys. It returns the number of elements it examined.
+func selectNth(ord []int32, key []float64, k int) (scanned int64) {
+	lo, hi := 0, len(ord)-1
+	for lo < hi {
+		scanned += int64(hi - lo + 1)
+		a, b, c := key[ord[lo]], key[ord[lo+(hi-lo)/2]], key[ord[hi]]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		pivot := max(a, b)
+		i, j := lo, hi
+		for i <= j {
+			for key[ord[i]] < pivot {
+				i++
+			}
+			for key[ord[j]] > pivot {
+				j--
+			}
+			if i <= j {
+				ord[i], ord[j] = ord[j], ord[i]
+				i++
+				j--
+			}
+		}
+		// ord[lo..j] ≤ pivot ≤ ord[i..hi]; anything between is == pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return scanned
+		}
 	}
-	return p.Y
+	return scanned
 }
 
 // Len returns the number of indexed points.
@@ -147,85 +213,37 @@ func (t *Tree) Len() int { return len(t.pts) }
 // Points returns the indexed point slice.
 func (t *Tree) Points() []geom.Point { return t.pts }
 
+// Coords returns the coordinate columns of the indexed points
+// (xs[i], ys[i] = Points()[i].X, .Y) — what Flat's queries take. They
+// share the tree's lifetime; do not mutate.
+func (t *Tree) Coords() (xs, ys []float64) { return t.xs, t.ys }
+
+// Nodes returns the number of tree nodes (internal + leaf).
+func (t *Tree) Nodes() int { return len(t.flat.Left) }
+
+// Flat returns the tree's array form. It aliases the tree (no copy), so
+// it is valid until the tree is rebuilt.
+func (t *Tree) Flat() *Flat { return &t.flat }
+
 // Range invokes fn with the index of every point within eps of center,
 // excluding the point index self (pass a negative self to include all).
 // fn returning false stops the search early.
 func (t *Tree) Range(center geom.Point, eps float64, self int32, fn func(i int32) bool) {
-	if len(t.nodes) == 0 {
-		return
-	}
-	eps2 := eps * eps
-	// Explicit stack, as a GPU kernel would use; no recursion.
-	stack := make([]int32, 1, 64)
-	stack[0] = 0
-	for len(stack) > 0 {
-		ni := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &t.nodes[ni]
-		if n.bounds.Dist2ToPoint(center) > eps2 {
-			continue
-		}
-		if n.left < 0 { // leaf
-			for _, i := range t.order[n.start : n.start+n.count] {
-				if i == self {
-					continue
-				}
-				if geom.Dist2(center, t.pts[i]) <= eps2 {
-					if !fn(i) {
-						return
-					}
-				}
-			}
-			continue
-		}
-		stack = append(stack, n.left, n.right)
-	}
+	t.flat.Range(t.xs, t.ys, center.X, center.Y, eps, self, fn)
 }
 
 // CountRange returns the number of points within eps of center (excluding
 // self), stopping early once limit is reached (limit <= 0 counts all).
 func (t *Tree) CountRange(center geom.Point, eps float64, self int32, limit int) int {
-	count := 0
-	t.Range(center, eps, self, func(int32) bool {
-		count++
-		return limit <= 0 || count < limit
-	})
-	return count
+	return t.flat.CountRange(t.xs, t.ys, center.X, center.Y, eps, self, limit)
 }
 
-// Leaf describes one leaf region, for dense-box detection.
-type Leaf struct {
-	Bounds geom.Rect
-	// Indices of the points in the region (a sub-slice of the tree's
-	// internal ordering; do not mutate).
-	Points []int32
-}
-
-// Leaves returns every leaf region of the tree.
-func (t *Tree) Leaves() []Leaf {
-	var out []Leaf
-	t.VisitLeaves(func(l Leaf) { out = append(out, l) })
-	return out
-}
-
-// VisitLeaves invokes fn for every leaf region of the tree, in node
-// order, without allocating the slice Leaves builds.
-func (t *Tree) VisitLeaves(fn func(Leaf)) {
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		if n.left < 0 {
-			fn(Leaf{
-				Bounds: n.bounds,
-				Points: t.order[n.start : n.start+n.count],
-			})
-		}
-	}
-}
-
-// Flat is the array-of-structs flattening of the tree used by the gpusim
+// Flat is the array-of-structs form of the tree used by the gpusim
 // kernels — the representation a real GPU implementation would copy to
 // device memory (tree-of-pointers layouts cannot be traversed efficiently
-// on a GPU; CUDA-DClust flattens exactly like this).
+// on a GPU; CUDA-DClust flattens exactly like this). Nodes are in
+// pre-order: node 0 is the root and a left child directly follows its
+// parent.
 type Flat struct {
 	// Per node i:
 	//   Bounds[4i..4i+3] = MinX, MinY, MaxX, MaxY
@@ -240,42 +258,13 @@ type Flat struct {
 	Order []int32
 }
 
-// Flatten produces the array form of the tree. The result owns its
-// arrays (Order is a copy), so it outlives later reuse of the tree.
-func (t *Tree) Flatten() *Flat {
-	f := &Flat{}
-	t.flattenInto(f, false)
-	return f
-}
-
-// flattenInto fills f from the tree, reusing f's backing arrays when
-// their capacity suffices. With shareOrder the flat view aliases the
-// tree's permutation instead of copying it — valid as long as neither
-// is rebuilt while the other is in use.
-func (t *Tree) flattenInto(f *Flat, shareOrder bool) {
-	n := len(t.nodes)
-	f.Bounds = grow(f.Bounds, 4*n)
-	f.Left = grow(f.Left, n)
-	f.Right = grow(f.Right, n)
-	f.Start = grow(f.Start, n)
-	f.Count = grow(f.Count, n)
-	if shareOrder {
-		f.Order = t.order
-	} else {
-		f.Order = grow(f.Order, len(t.order))
-		copy(f.Order, t.order)
-	}
-	for i := range t.nodes {
-		nd := &t.nodes[i]
-		f.Bounds[4*i] = nd.bounds.MinX
-		f.Bounds[4*i+1] = nd.bounds.MinY
-		f.Bounds[4*i+2] = nd.bounds.MaxX
-		f.Bounds[4*i+3] = nd.bounds.MaxY
-		f.Left[i] = nd.left
-		f.Right[i] = nd.right
-		f.Start[i] = nd.start
-		f.Count[i] = nd.count
-	}
+// Diag2 returns the squared diagonal of node ni's bounding rectangle. A
+// leaf with Diag2 ≤ Eps² is an Eps cell: every pair of its points passes
+// the squared-distance neighborhood test.
+func (f *Flat) Diag2(ni int) float64 {
+	b := f.Bounds[4*ni : 4*ni+4]
+	w, h := b[2]-b[0], b[3]-b[1]
+	return w*w + h*h
 }
 
 // grow resizes s to n elements, reallocating only when capacity is
@@ -287,39 +276,43 @@ func grow[E any](s []E, n int) []E {
 	return s[:n]
 }
 
-// Workspace holds the backing arrays of a tree and its flattened form so
-// repeated build+flatten cycles (one per partition on a cluster-phase
-// leaf) reuse allocations instead of re-allocating. The zero value is
-// ready to use. A Workspace serves one build at a time: the Tree and
-// Flat returned by Build become invalid at the next Build call. Not safe
-// for concurrent use.
+// Workspace holds the backing arrays of a tree so repeated builds (one
+// per partition on a cluster-phase leaf) reuse allocations instead of
+// re-allocating. The zero value is ready to use. A Workspace serves one
+// build at a time: the Tree and Flat returned by a build become invalid
+// at the next one. Not safe for concurrent use.
 type Workspace struct {
 	tree Tree
-	flat Flat
 }
 
 // Build constructs the region KD-tree over pts into the workspace's
-// arrays and returns the tree plus its flattened form (which shares the
-// tree's point permutation — no copy).
+// arrays and returns the tree plus its array form.
 func (w *Workspace) Build(pts []geom.Point, leafCap int) (*Tree, *Flat) {
-	w.tree.buildInto(pts, leafCap)
-	w.tree.flattenInto(&w.flat, true)
-	return &w.tree, &w.flat
+	w.tree.buildInto(pts, leafCap, 0)
+	return &w.tree, &w.tree.flat
 }
 
-// Nodes returns the number of tree nodes (internal + leaf).
-func (t *Tree) Nodes() int { return len(t.nodes) }
+// BuildCells is Build with the Eps-cell stop rule: regions keep
+// splitting past leafCap until their diagonal is ≤ eps (or they hold
+// only a handful of points), so that dense space is tiled by leaves whose
+// points are mutually within eps — the candidates for dense boxes.
+func (w *Workspace) BuildCells(pts []geom.Point, leafCap int, eps float64) (*Tree, *Flat) {
+	w.tree.buildInto(pts, leafCap, eps)
+	return &w.tree, &w.tree.flat
+}
 
-// Range over a Flat tree: identical traversal to Tree.Range but driven
-// entirely from flat arrays plus the point coordinate slices, as the GPU
-// kernels do.
+// Range invokes fn with the index of every point within eps of (cx, cy),
+// excluding index self, driven entirely from the flat arrays plus the
+// point coordinate columns, as the GPU kernels do. fn returning false
+// stops the search early.
 func (f *Flat) Range(xs, ys []float64, cx, cy, eps float64, self int32, fn func(i int32) bool) {
 	if len(f.Left) == 0 {
 		return
 	}
 	eps2 := eps * eps
-	stack := make([]int32, 1, 64)
-	stack[0] = 0
+	// Explicit stack, as a GPU kernel would use; no recursion.
+	var buf [64]int32
+	stack := append(buf[:0], 0)
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 )
 
@@ -14,6 +15,28 @@ func randomPoints(rng *rand.Rand, n int, scale float64) []geom.Point {
 		pts[i] = geom.Point{ID: uint64(i), X: rng.Float64() * scale, Y: rng.Float64() * scale}
 	}
 	return pts
+}
+
+// leaf is one leaf region of a tree: its bounds and the point indices it
+// owns.
+type leaf struct {
+	Bounds geom.Rect
+	Points []int32
+}
+
+// leavesOf lists every leaf region of f, in node order.
+func leavesOf(f *Flat) []leaf {
+	var out []leaf
+	for ni, left := range f.Left {
+		if left < 0 {
+			b := f.Bounds[4*ni : 4*ni+4]
+			out = append(out, leaf{
+				Bounds: geom.Rect{MinX: b[0], MinY: b[1], MaxX: b[2], MaxY: b[3]},
+				Points: f.Order[f.Start[ni] : f.Start[ni]+f.Count[ni]],
+			})
+		}
+	}
+	return out
 }
 
 func bruteRange(pts []geom.Point, center geom.Point, eps float64, self int32) map[int32]bool {
@@ -154,7 +177,7 @@ func TestLeavesPartitionThePoints(t *testing.T) {
 	pts := randomPoints(rng, 777, 10)
 	tr := Build(pts, 32)
 	seen := make([]bool, len(pts))
-	for _, leaf := range tr.Leaves() {
+	for _, leaf := range leavesOf(tr.Flat()) {
 		if len(leaf.Points) == 0 {
 			t.Error("empty leaf")
 		}
@@ -182,12 +205,8 @@ func TestFlattenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	pts := randomPoints(rng, 600, 1)
 	tr := Build(pts, 16)
-	f := tr.Flatten()
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i], ys[i] = p.X, p.Y
-	}
+	f := tr.Flat()
+	xs, ys := tr.Coords()
 	for trial := 0; trial < 40; trial++ {
 		center := geom.Point{X: rng.Float64(), Y: rng.Float64()}
 		eps := rng.Float64() * 0.2
@@ -245,9 +264,23 @@ func TestNodesCount(t *testing.T) {
 func BenchmarkBuild10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randomPoints(rng, 10000, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(pts, 64)
+	}
+}
+
+// BenchmarkBuildSDSS10k is BenchmarkBuild10k on the clumped, duplicate-
+// bearing shape of the SDSS workload, built with its Eps cells — the
+// tree the cluster phase builds per partition.
+func BenchmarkBuildSDSS10k(b *testing.B) {
+	pts := dataset.SDSS(10000, 8)
+	var ws Workspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ws.BuildCells(pts, 64, 0.00015)
 	}
 }
 

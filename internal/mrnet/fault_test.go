@@ -3,6 +3,7 @@ package mrnet
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -188,28 +189,49 @@ func TestAbortStopsHopCharges(t *testing.T) {
 	}
 }
 
+// TestMulticastAbortStopsDescent: once a leaf failure is registered, no
+// node that has not yet forwarded the payload does so. The ordering is
+// explicit: every subtree that does not hold the failing leaf 0 parks in
+// its split until the collective is marked aborted, so whatever those
+// subtrees charge, they charge after the failure.
 func TestMulticastAbortStopsDescent(t *testing.T) {
 	net := mustNew(t, 64, 4)
 	boom := errors.New("leaf dead")
+	op := &opState{ctx: context.Background()}
 	var delivered sync.Map
-	err := Multicast(context.Background(), net, 1, nil,
+	err := op.finish(multicastAt(net, net.root, 1,
+		func(n *Node, v int) ([]int, error) {
+			if n.firstLeaf != 0 {
+				for deadline := time.Now().Add(10 * time.Second); !op.aborted(); runtime.Gosched() {
+					if time.Now().After(deadline) {
+						return nil, errors.New("leaf 0's failure never aborted the collective")
+					}
+				}
+			}
+			return []int{v, v, v, v}, nil
+		},
 		func(leaf int, v int) error {
 			if leaf == 0 {
 				return boom
 			}
-			time.Sleep(50 * time.Millisecond)
 			delivered.Store(leaf, true)
 			return nil
 		},
-		nil)
+		nil, op))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want leaf failure", err)
 	}
-	// The first level of hops raced ahead of the failure, but the full
-	// broadcast (84 edges) must not have completed.
-	if p := net.Stats().Packets; p >= 84 {
-		t.Errorf("aborted multicast charged %d hops, want < 84", p)
+	// Only leaf 0's three ancestors forward, four hops each; the other 72
+	// of the tree's 84 edges sit behind parked nodes.
+	if p := net.Stats().Packets; p > 12 {
+		t.Errorf("aborted multicast charged %d hops, want at most 12 of 84", p)
 	}
+	delivered.Range(func(leaf, _ any) bool {
+		if leaf.(int) >= 4 {
+			t.Errorf("leaf %d received the payload after the abort", leaf)
+		}
+		return true
+	})
 }
 
 // TestRecoveryPreservesLeafOrder checks the splice keeps DFS leaf order,

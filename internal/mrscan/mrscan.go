@@ -62,7 +62,9 @@ type Config struct {
 	// the balanced Fanout tree.
 	Topology string
 
-	// DenseBox enables the §3.2.3 optimization (default on via Default).
+	// DenseBox enables the §3.2.3 optimization (default on via Default):
+	// leaves subdivide their KD-tree to Eps cells and every all-core cell
+	// is a dense box. Off is the full-expansion arm of the ablation.
 	DenseBox bool
 	// ShadowReps enables the partitioner's representative-shadow
 	// optimization (§3.1.3).

@@ -64,9 +64,9 @@ func rawDatasetHeader(version, flags uint16, count uint64) []byte {
 func FuzzParseDatasetHeader(f *testing.F) {
 	f.Add(rawDatasetHeader(Version, 0, 0))
 	f.Add(rawDatasetHeader(Version, FlagWeight, 1<<40))
-	f.Add(rawDatasetHeader(Version, 0, 1<<63))      // count overflows int64
-	f.Add(rawDatasetHeader(Version, 0xfffe, 42))    // unknown flag bits
-	f.Add(rawDatasetHeader(Version+1, 0, 7))        // newer writer
+	f.Add(rawDatasetHeader(Version, 0, 1<<63))          // count overflows int64
+	f.Add(rawDatasetHeader(Version, 0xfffe, 42))        // unknown flag bits
+	f.Add(rawDatasetHeader(Version+1, 0, 7))            // newer writer
 	f.Add(rawDatasetHeader(Version, FlagWeight, 5)[:7]) // torn mid-header
 	flipped := rawDatasetHeader(Version, 0, 99)
 	flipped[0] ^= 0x40 // single-bit magic flip

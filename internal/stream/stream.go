@@ -127,10 +127,10 @@ type fragEdge struct {
 // cell holds the live points of one Eps×Eps grid cell, bucketed by
 // Eps/3 sub-box, plus its current fragment decomposition.
 type cell struct {
-	pts     []int32                  // live slots in this cell
-	buckets map[grid.Coord][]int32   // sub-box coord -> live slots
-	nfrags  int32                    // fragments among this cell's cores
-	fragMin []uint64                 // per fragment, smallest member point ID
+	pts     []int32                // live slots in this cell
+	buckets map[grid.Coord][]int32 // sub-box coord -> live slots
+	nfrags  int32                  // fragments among this cell's cores
+	fragMin []uint64               // per fragment, smallest member point ID
 }
 
 // Engine is a sliding-window incremental DBSCAN engine. It is not safe

@@ -316,10 +316,10 @@ func TestWindowStateRoundTrip(t *testing.T) {
 func TestRestoreRejectsBadState(t *testing.T) {
 	cfg := Config{Eps: 1, MinPts: 2, WindowTicks: 3}
 	cases := []WindowState{
-		{Tick: 5, Ticks: []TickArrivals{{Tick: 1, Points: nil}}},  // outside window
-		{Tick: 5, Ticks: []TickArrivals{{Tick: 6, Points: nil}}},  // in the future
-		{Tick: -1},                                                // negative cursor
-		{Tick: 5, Ticks: []TickArrivals{{Tick: 4}, {Tick: 4}}},    // duplicate tick
+		{Tick: 5, Ticks: []TickArrivals{{Tick: 1, Points: nil}}}, // outside window
+		{Tick: 5, Ticks: []TickArrivals{{Tick: 6, Points: nil}}}, // in the future
+		{Tick: -1}, // negative cursor
+		{Tick: 5, Ticks: []TickArrivals{{Tick: 4}, {Tick: 4}}},                                    // duplicate tick
 		{Tick: 5, Ticks: []TickArrivals{{Tick: 4, Points: []geom.Point{{ID: 7}, {ID: 7, X: 1}}}}}, // duplicate ID
 	}
 	for i, ws := range cases {
@@ -417,7 +417,7 @@ func TestConfigValidation(t *testing.T) {
 		{Eps: -1, MinPts: 2, WindowTicks: 2},
 		{Eps: 1, MinPts: 0, WindowTicks: 2},
 		{Eps: 1, MinPts: 2, WindowTicks: 0},
-		{Eps: 1, MinPts: 2, WindowTicks: 2, SubsampleThreshold: 10},                    // rate unset
+		{Eps: 1, MinPts: 2, WindowTicks: 2, SubsampleThreshold: 10},                   // rate unset
 		{Eps: 1, MinPts: 2, WindowTicks: 2, SubsampleThreshold: 10, SubsampleRate: 2}, // rate > 1
 		{Eps: 1, MinPts: 2, WindowTicks: 2, ReanchorEvery: -1},
 	}
@@ -475,11 +475,11 @@ func TestIsomorphic(t *testing.T) {
 		want bool
 	}{
 		{[]int{0, 0, 1, Noise}, []int{1, 1, 0, Noise}, true},
-		{[]int{0, 0, 1}, []int{0, 1, 1}, false},         // splits a cluster
-		{[]int{0, 1}, []int{0, 0}, false},               // merges clusters
-		{[]int{0, Noise}, []int{0, 0}, false},           // noise mismatch
+		{[]int{0, 0, 1}, []int{0, 1, 1}, false}, // splits a cluster
+		{[]int{0, 1}, []int{0, 0}, false},       // merges clusters
+		{[]int{0, Noise}, []int{0, 0}, false},   // noise mismatch
 		{[]int{}, []int{}, true},
-		{[]int{0}, []int{0, 1}, false},                  // length mismatch
+		{[]int{0}, []int{0, 1}, false}, // length mismatch
 	}
 	for i, c := range cases {
 		if got := Isomorphic(c.a, c.b); got != c.want {
