@@ -92,20 +92,22 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_15.json, captured by
-# `make bench-gated` at PR 15's head; BENCH_14.json and BENCH_seed.json
-# are history and gate nothing). Fails if any Cluster, GPUDBSCAN,
-# KD-tree Build, Partition (including the write-stage PartitionWrite
-# layouts), planner (MakePlan, Split) or StreamTick benchmark's wall
-# clock regressed more than 20%.
+# committed baseline of current performance (BENCH_16.json, captured by
+# `make bench-gated` at PR 16's head; BENCH_15.json, BENCH_14.json and
+# BENCH_seed.json are history and gate nothing — PR 16 re-based because
+# its flat stream engine put StreamTick far below BENCH_15). Fails if any
+# Cluster, GPUDBSCAN, KD-tree Build, Partition (including the
+# write-stage PartitionWrite layouts), planner (MakePlan, Split) or
+# StreamTick (engine at two shapes, and the served tick with its durable
+# commit) benchmark's wall clock regressed more than 20%.
 BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_15.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_16.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_15.json was produced).
+# BENCH_run.json, and how BENCH_16.json was produced).
 bench-gated:
-	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/partition ./internal/kdtree ./internal/gdbscan'
+	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan'
 
 # Regenerate every evaluation artifact (measured + modeled rows).
 experiments:

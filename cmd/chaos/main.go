@@ -33,9 +33,11 @@
 //
 // With -mode stream it audits the sliding-window streaming engine: a
 // seeded firehose is fed through the server with a drain/restart in the
-// middle, invalid batches are injected along the way, and after every
-// tick the served labels must exactly equal a fault-free reference
-// engine fed the same sequence.
+// middle and, later, a power cut inside a tick's save (snapshot
+// published, manifest not yet committed); invalid batches are injected
+// along the way, and after every tick and every recovery the served
+// labels must exactly equal a fault-free reference engine fed the same
+// sequence.
 //
 //	chaos -mode stream -seeds 10
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/dataset"
@@ -13,11 +14,13 @@ import (
 )
 
 // The stream scenario audits the sliding-window engine's serving
-// contract across faults: a server ingests a seeded firehose, is
-// drained and killed mid-sequence, and a fresh instance on the same
+// contract across faults: a server ingests a seeded firehose and is
+// taken down twice mid-sequence — once drained between two ticks, once
+// by a power cut inside a tick's save (the tick's snapshot published,
+// the manifest commit not) — and each time a fresh instance on the same
 // state directory recovers the stream and keeps ticking. Because the
 // engine's labels are deterministic (restart-stable cluster IDs), the
-// audit is exact equality — after every tick, on either side of the
+// audit is exact equality — after every tick, on either side of a
 // restart, the served snapshot must be bit-identical to a fault-free
 // reference engine fed the same full sequence. Invalid batches
 // (duplicate IDs, over-quota ticks) injected along the way must be
@@ -66,6 +69,8 @@ type StreamRunReport struct {
 	Ticks         int `json:"ticks"`
 	Points        int `json:"points"`
 	RestartAtTick int `json:"restart_at_tick"`
+	// StrikeAtTick is the tick whose save the power cut interrupted.
+	StrikeAtTick int `json:"strike_at_tick"`
 	// InvalidRejected counts injected bad batches the server rejected
 	// with typed errors (every injection must land here).
 	InvalidRejected int `json:"invalid_rejected"`
@@ -91,15 +96,16 @@ func RunStream(o StreamOptions) *StreamReport {
 			o.Logf("stream seed %d: FAIL: %s", seed, r.Reason)
 		} else {
 			rpt.OK++
-			o.Logf("stream seed %d: ok (%d ticks, %d points, restart at tick %d, %d invalid rejected, %d clusters)",
-				seed, r.Ticks, r.Points, r.RestartAtTick, r.InvalidRejected, r.FinalClusters)
+			o.Logf("stream seed %d: ok (%d ticks, %d points, restart at tick %d, cut inside the save of tick %d, %d invalid rejected, %d clusters)",
+				seed, r.Ticks, r.Points, r.RestartAtTick, r.StrikeAtTick, r.InvalidRejected, r.FinalClusters)
 		}
 	}
 	return rpt
 }
 
-// RunStreamSeed runs one seeded firehose through a drain/restart
-// lifecycle and audits label fidelity against the fault-free reference.
+// RunStreamSeed runs one seeded firehose through a drain/restart and a
+// power cut inside a save, and audits label fidelity against the
+// fault-free reference.
 func RunStreamSeed(seed int64, o StreamOptions) StreamRunReport {
 	o.setDefaults()
 	start := time.Now()
@@ -128,10 +134,12 @@ func RunStreamSeed(seed int64, o StreamOptions) StreamRunReport {
 		return fail("building reference engine: %v", err)
 	}
 
-	// The restart strikes somewhere in the interior of the sequence so
-	// both generations tick a nonempty share.
+	// Both strikes land in the interior of the sequence so all three
+	// generations tick a nonempty share: the drain between ticks cut-1
+	// and cut, the power cut inside the save of tick strike.
 	cut := 2 + rng.Intn(o.Ticks-3)
-	rep.RestartAtTick = cut
+	strike := cut + 1 + rng.Intn(o.Ticks-1-cut)
+	rep.RestartAtTick, rep.StrikeAtTick = cut, strike
 
 	cfg := server.Config{Workers: 1, StateDir: stateDir}
 	srv, err := server.New(cfg)
@@ -169,16 +177,8 @@ func RunStreamSeed(seed int64, o StreamOptions) StreamRunReport {
 		if err != nil {
 			return fmt.Errorf("tick %d snapshot: %w", ti, err)
 		}
-		want := ref.Snapshot()
-		if len(got.Points) != len(want.Points) || got.NumClusters != want.NumClusters {
-			return fmt.Errorf("tick %d: served window (%d pts, %d clusters) != reference (%d pts, %d clusters)",
-				ti, len(got.Points), got.NumClusters, len(want.Points), want.NumClusters)
-		}
-		for i := range got.Points {
-			if got.Points[i].ID != want.Points[i].ID || got.Labels[i] != want.Labels[i] {
-				return fmt.Errorf("tick %d point %d: served (id %d, label %d) != reference (id %d, label %d)",
-					ti, i, got.Points[i].ID, got.Labels[i], want.Points[i].ID, want.Labels[i])
-			}
+		if err := sameWindow(got, ref.Snapshot()); err != nil {
+			return fmt.Errorf("tick %d: %w", ti, err)
 		}
 		rep.FinalClusters = got.NumClusters
 		return nil
@@ -195,52 +195,122 @@ func RunStreamSeed(seed int64, o StreamOptions) StreamRunReport {
 	srv.Drain()
 	srv.Close()
 
-	// Generation 2 on the same directory must recover the stream with
-	// its window intact before serving, then keep ticking.
-	srv2, err := server.New(cfg)
+	// restart starts the next generation on the same directory: it must
+	// recover the stream, at tick want, with the reference's window,
+	// before serving.
+	restart := func(want int) (*server.Server, error) {
+		next, err := server.New(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("restarting server: %w", err)
+		}
+		audit := func() error {
+			st, err := next.StreamStatus(id)
+			if err != nil {
+				return fmt.Errorf("stream not recovered: %w", err)
+			}
+			if !st.Recovered || st.Tick != want {
+				return fmt.Errorf("stream recovered=%v at tick %d, want tick %d", st.Recovered, st.Tick, want)
+			}
+			got, err := next.StreamSnapshot(id)
+			if err != nil {
+				return fmt.Errorf("recovered snapshot: %w", err)
+			}
+			return sameWindow(got, ref.Snapshot())
+		}
+		if err := audit(); err != nil {
+			next.Close()
+			return nil, err
+		}
+		return next, nil
+	}
+
+	srv2, err := restart(cut)
 	if err != nil {
-		return fail("restarting server: %v", err)
+		return fail("after the drain: %v", err)
 	}
-	defer srv2.Close()
-	st, err := srv2.StreamStatus(id)
-	if err != nil {
-		return fail("stream not recovered after restart: %v", err)
-	}
-	if !st.Recovered {
-		return fail("stream %s present after restart but not flagged recovered", id)
-	}
-	if st.Tick != cut {
-		return fail("recovered stream at tick %d, want %d", st.Tick, cut)
-	}
-	got, err := srv2.StreamSnapshot(id)
-	if err != nil {
-		return fail("recovered snapshot: %v", err)
-	}
-	want := ref.Snapshot()
-	if len(got.Points) != len(want.Points) {
-		return fail("recovered window has %d points, reference %d", len(got.Points), len(want.Points))
-	}
-	for i := range got.Points {
-		if got.Points[i].ID != want.Points[i].ID || got.Labels[i] != want.Labels[i] {
-			return fail("recovered point %d: (id %d, label %d) != reference (id %d, label %d)",
-				i, got.Points[i].ID, got.Labels[i], want.Points[i].ID, want.Labels[i])
+	for ti := cut; ti < strike; ti++ {
+		if err := feed(srv2, ti); err != nil {
+			srv2.Close()
+			return fail("generation 2: %v", err)
 		}
 	}
 
-	for ti := cut; ti < o.Ticks; ti++ {
-		if err := feed(srv2, ti); err != nil {
-			return fail("generation 2: %v", err)
+	// Power cut inside the save of tick strike, after the tick's snapshot
+	// was published and before the manifest commit: generation 2 takes
+	// the tick, then every file that existed before it is put back as it
+	// was (the manifest, the snapshot the tick retired) while the files
+	// the tick created stay. The tick was never acknowledged, so the
+	// reference does not see it; generation 3 must come up at the tick
+	// before, sweep the orphan, and take the tick again from the client.
+	streamDir := filepath.Join(stateDir, "streams", id)
+	before, err := readDir(streamDir)
+	if err == nil {
+		_, err = srv2.StreamTick(id, batches[strike])
+	}
+	srv2.Close()
+	for name, data := range before {
+		if err == nil {
+			err = os.WriteFile(filepath.Join(streamDir, name), data, 0o644)
+		}
+	}
+	if err != nil {
+		return fail("staging the power cut: %v", err)
+	}
+	srv3, err := restart(strike)
+	if err != nil {
+		return fail("after the power cut: %v", err)
+	}
+	defer srv3.Close()
+	if after, err := readDir(streamDir); err != nil || len(after) != len(before) {
+		return fail("recovery left %d files in the stream directory, %d before the interrupted tick (%v)",
+			len(after), len(before), err)
+	}
+
+	for ti := strike; ti < o.Ticks; ti++ {
+		if err := feed(srv3, ti); err != nil {
+			return fail("generation 3: %v", err)
 		}
 		if time.Since(start) > o.RunTimeout {
 			return fail("campaign exceeded its %v wall-time bound at tick %d", o.RunTimeout, ti)
 		}
 	}
 
-	if err := srv2.CloseStream(id); err != nil {
+	if err := srv3.CloseStream(id); err != nil {
 		return fail("closing stream: %v", err)
 	}
 
 	rep.Outcome = OutcomeOK
 	rep.Elapsed = time.Since(start)
 	return rep
+}
+
+// sameWindow requires the served snapshot to equal the reference's,
+// point for point and label for label.
+func sameWindow(got, want stream.Snapshot) error {
+	if len(got.Points) != len(want.Points) || got.NumClusters != want.NumClusters {
+		return fmt.Errorf("served window (%d pts, %d clusters) != reference (%d pts, %d clusters)",
+			len(got.Points), got.NumClusters, len(want.Points), want.NumClusters)
+	}
+	for i := range got.Points {
+		if got.Points[i].ID != want.Points[i].ID || got.Labels[i] != want.Labels[i] {
+			return fmt.Errorf("point %d: served (id %d, label %d) != reference (id %d, label %d)",
+				i, got.Points[i].ID, got.Labels[i], want.Points[i].ID, want.Labels[i])
+		}
+	}
+	return nil
+}
+
+// readDir returns the contents of every file in dir by name.
+func readDir(dir string) (map[string][]byte, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			return nil, err
+		}
+	}
+	return files, nil
 }

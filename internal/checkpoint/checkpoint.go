@@ -30,10 +30,18 @@
 //     ErrCorrupt on any mismatch, so a damaged checkpoint re-executes
 //     its phase rather than poisoning the output.
 //
+// A phase saved again replaces its snapshot in place. A log that keeps a
+// moving window of entries (the server's stream ticks) uses Rotate
+// instead: entries are published under names that never repeat and
+// retired in the manifest write that records their successor, so the
+// manifest rename is the log's single commit point; Sweep collects what
+// a crash on either side of it leaves behind.
+//
 // The package is storage-agnostic: it talks to an FS interface
 // implemented by the simulated Lustre file system (LustreFS) and by a
-// real OS directory (DirFS, used by the distributed CLI whose
-// coordinator outlives process restarts).
+// real OS directory (DirFS, used by the distributed CLI, whose
+// coordinator outlives process restarts, and by the job server's
+// streams).
 package checkpoint
 
 import (
@@ -45,6 +53,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -84,6 +93,9 @@ type FS interface {
 	Open(name string) (File, error)
 	Rename(oldname, newname string) error
 	Remove(name string) error
+	// List names every file on the store (Sweep looks for snapshots the
+	// manifest does not reference).
+	List() ([]string, error)
 	// SyncDir makes completed renames durable (fsync of the store's
 	// directory). Stores are flat, so one directory suffices.
 	SyncDir() error
@@ -101,6 +113,7 @@ func (l lustreFS) Create(name string) (File, error) { return l.fs.Create(name), 
 func (l lustreFS) Open(name string) (File, error)   { return l.fs.Open(name) }
 func (l lustreFS) Rename(o, n string) error         { return l.fs.Rename(o, n) }
 func (l lustreFS) Remove(name string) error         { l.fs.Remove(name); return nil }
+func (l lustreFS) List() ([]string, error)          { return l.fs.List(), nil }
 func (l lustreFS) SyncDir() error                   { return l.fs.SyncDir(".") }
 
 // dirFS implements FS on a real OS directory, for checkpoint state that
@@ -139,6 +152,20 @@ func (d dirFS) Remove(name string) error {
 		return nil
 	}
 	return err
+}
+
+func (d dirFS) List() ([]string, error) {
+	entries, err := os.ReadDir(d.dir)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
 }
 
 func (d dirFS) SyncDir() error {
@@ -247,45 +274,106 @@ func (s *Store) ensureManifest() {
 // durable before the manifest references it (write-then-rename, snapshot
 // first), so a crash between the two leaves a consistent store.
 func (s *Store) Save(phase string, payload any) error {
+	return s.Rotate(phase, phase, payload)
+}
+
+// Rotate is Save for a log of phases: it snapshots payload as phase and,
+// in the same manifest write, drops the entries of the retire phases —
+// one commit point moves the log's window forward. The retired files are
+// removed once the manifest that no longer names them is durable; a crash
+// before that leaves them for Sweep. A log whose phase names never repeat
+// (a sequence number in the name) therefore never overwrites a file the
+// durable manifest references. kind labels the span and the counters in
+// place of the phase name, so a numbered log costs two series, not two
+// per entry.
+func (s *Store) Rotate(kind, phase string, payload any, retire ...string) error {
 	hub, parent := s.telemetry()
-	sp := hub.Start(parent, "checkpoint.save", telemetry.String("phase", phase))
+	sp := hub.Start(parent, "checkpoint.save", telemetry.String("phase", kind))
+	defer sp.End()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
-		sp.End()
 		return fmt.Errorf("checkpoint: encoding %s: %w", phase, err)
 	}
 	sp.Annotate(telemetry.Int("bytes", buf.Len()))
 	name := phaseFile(phase)
 	crc, err := s.writeFile(name, buf.Bytes())
 	if err != nil {
-		sp.End()
 		return err
 	}
-	hub.Counter("checkpoint_saves_total", "phase", phase).Inc()
-	hub.Counter("checkpoint_bytes_total", "phase", phase).Add(int64(buf.Len()))
-	defer sp.End()
+	hub.Counter("checkpoint_saves_total", "phase", kind).Inc()
+	hub.Counter("checkpoint_bytes_total", "phase", kind).Add(int64(buf.Len()))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ensureManifest()
 	entry := Entry{Phase: phase, File: name, CRC: crc, Bytes: int64(buf.Len())}
+	next := s.manifest
+	next.Entries = make([]Entry, 0, len(s.manifest.Entries)+1)
+	var retired []string
 	replaced := false
-	for i, e := range s.manifest.Entries {
-		if e.Phase == phase {
-			s.manifest.Entries[i] = entry
+	for _, e := range s.manifest.Entries {
+		switch {
+		case e.Phase == phase:
+			next.Entries = append(next.Entries, entry)
 			replaced = true
-			break
+		case slices.Contains(retire, e.Phase):
+			retired = append(retired, e.File)
+		default:
+			next.Entries = append(next.Entries, e)
 		}
 	}
 	if !replaced {
-		s.manifest.Entries = append(s.manifest.Entries, entry)
+		next.Entries = append(next.Entries, entry)
 	}
-	return s.saveManifestLocked()
+	// The in-memory manifest follows the on-store one: a failed write
+	// leaves both where they were.
+	if err := s.saveManifest(&next); err != nil {
+		return err
+	}
+	s.manifest = next
+	for _, file := range retired {
+		// Best effort: the commit above is what counts, and Sweep collects
+		// whatever a failed or interrupted removal leaves behind.
+		_ = s.fs.Remove(file)
+	}
+	return nil
 }
 
-// saveManifestLocked durably rewrites the manifest. Callers hold s.mu.
-func (s *Store) saveManifestLocked() error {
+// Sweep removes the checkpoint files the manifest does not reference:
+// snapshots orphaned by a crash between their publication and the
+// manifest commit (or between the commit and a retired file's removal)
+// and in-flight temps. It returns how many it removed. A store whose
+// manifest lists nothing — new, unreadable, or another run's — is left
+// alone: there is nothing to tell an orphan from.
+func (s *Store) Sweep() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ensureManifest()
+	if len(s.manifest.Entries) == 0 {
+		return 0, nil
+	}
+	names, err := s.fs.List()
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: listing store: %w", err)
+	}
+	removed := 0
+	for _, name := range names {
+		if !IsCheckpointFile(name) || name == manifestName ||
+			slices.ContainsFunc(s.manifest.Entries, func(e Entry) bool { return e.File == name }) {
+			continue
+		}
+		if err := s.fs.Remove(name); err != nil {
+			return removed, fmt.Errorf("checkpoint: sweeping %s: %w", name, err)
+		}
+		removed++
+	}
+	return removed, nil
+}
+
+// saveManifest durably writes m as the store's manifest. Callers hold
+// s.mu.
+func (s *Store) saveManifest(m *Manifest) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&s.manifest); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
 	_, err := s.writeFile(manifestName, buf.Bytes())

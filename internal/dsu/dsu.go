@@ -9,7 +9,8 @@ package dsu
 import "sync"
 
 // DSU is a sequential disjoint-set forest with union by rank and path
-// compression. The zero value is unusable; construct with New.
+// compression. The zero value is an empty forest; size it with New or
+// Reset.
 type DSU struct {
 	parent []int32
 	rank   []int8
@@ -18,15 +19,24 @@ type DSU struct {
 
 // New returns a DSU over n singleton elements 0..n-1.
 func New(n int) *DSU {
-	d := &DSU{
-		parent: make([]int32, n),
-		rank:   make([]int8, n),
-		count:  n,
+	d := &DSU{}
+	d.Reset(n)
+	return d
+}
+
+// Reset makes d a forest of n singletons again, reusing its arrays when
+// they are large enough — a caller that rebuilds a forest per step
+// allocates only when n outgrows every earlier one.
+func (d *DSU) Reset(n int) {
+	if cap(d.parent) < n {
+		d.parent = make([]int32, n)
+		d.rank = make([]int8, n)
 	}
+	d.parent, d.rank, d.count = d.parent[:n], d.rank[:n], n
 	for i := range d.parent {
 		d.parent[i] = int32(i)
+		d.rank[i] = 0
 	}
-	return d
 }
 
 // Len returns the number of elements.

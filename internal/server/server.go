@@ -57,6 +57,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/lustre"
@@ -323,6 +324,7 @@ type Server struct {
 
 	streams   map[string]*streamState
 	streamSeq int
+	streamFS  func(dir string) (checkpoint.FS, error) // opens a stream's store directory
 
 	global *breaker
 	lat    *latencyWindow
@@ -336,19 +338,26 @@ type Server struct {
 // cfg.StateDir holds suspended jobs from a previous instance they are
 // recovered and re-queued for resumption before New returns.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, checkpoint.DirFS)
+}
+
+// newServer is New with the file system stream stores open their
+// directories through (tests substitute one that fails on cue).
+func newServer(cfg Config, streamFS func(dir string) (checkpoint.FS, error)) (*Server, error) {
 	cfg.setDefaults()
 	hub := cfg.Telemetry
 	if hub == nil {
 		hub = telemetry.New(nil)
 	}
 	s := &Server{
-		cfg:     cfg,
-		hub:     hub,
-		jr:      newJournal(cfg.JournalFS, cfg.StateDir, hub),
-		tenants: make(map[string]*tenantState),
-		jobs:    make(map[string]*Job),
-		streams: make(map[string]*streamState),
-		lat:     newLatencyWindow(64),
+		cfg:      cfg,
+		hub:      hub,
+		jr:       newJournal(cfg.JournalFS, cfg.StateDir, hub),
+		tenants:  make(map[string]*tenantState),
+		jobs:     make(map[string]*Job),
+		streams:  make(map[string]*streamState),
+		streamFS: streamFS,
+		lat:      newLatencyWindow(64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.global = newBreaker(cfg.GlobalBreakerThreshold, cfg.BreakerCooldown,

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -22,13 +25,28 @@ import (
 // on concurrent streams.
 //
 // Durability differs from jobs by design: instead of journal + replay,
-// every tick persists the engine's WindowState through a
-// checkpoint.Store under StateDir/streams/<id>/ (atomic write-then-
-// rename, CRC-verified). The window is therefore crash-consistent by
-// construction — there is nothing to stage at drain time, and a new
-// server on the same directory restores every stream before it starts
-// serving. Stream state lives on the real filesystem (checkpoint.DirFS);
-// the crash-simulating JournalFS covers only the job journal.
+// a stream's window is a log of its ticks in a checkpoint.Store under
+// StateDir/streams/<id>/. A tick persists only its own arrivals, as one
+// snapshot named by tick number ("tick-<n>"), and one manifest write
+// both records that snapshot and drops the tick that just left the
+// window (Store.Rotate). The manifest rename is the single commit
+// point: tick snapshots never reuse a name, so nothing the durable
+// manifest references is ever overwritten, and a power cut anywhere
+// inside a save leaves the window either before or after that tick.
+// Files the manifest does not name — a snapshot published just before
+// the cut, a retired one not yet removed — are swept on recovery, so
+// the directory holds at most WindowTicks + 3 snapshot files. A tick's
+// save runs beside the engine's repair of the same arrivals, from the
+// moment the engine has admitted them, and the tick is acknowledged when
+// both are done. Memory never stays ahead of disk: a tick whose save
+// failed stays queued and the next successful save commits it first.
+// There is nothing to stage at drain time, and a new server on the same
+// directory restores every stream (stream.Restore over the listed
+// ticks) before it starts serving. A directory written by the earlier whole-window format (one
+// "window" snapshot, rewritten every tick) is converted the first time
+// it is recovered. Stream state lives on the real filesystem
+// (checkpoint.DirFS); the crash-simulating JournalFS covers only the
+// job journal.
 
 // Stream-specific typed errors.
 var (
@@ -83,6 +101,47 @@ type streamState struct {
 	mu    sync.Mutex
 	eng   *stream.Engine
 	store *checkpoint.Store // nil without a StateDir
+	// pending queues the ticks the engine has applied and the store has
+	// not (one per call unless a save failed).
+	pending []stream.TickArrivals
+}
+
+// Phase names of a stream's store. tickSaveKind is the one telemetry
+// label every tick save reports under: a label per tick number would
+// grow the hub by two series a tick.
+const (
+	specPhase         = "spec"
+	tickSaveKind      = "tick"
+	legacyWindowPhase = "window" // the whole-window snapshot of the earlier format
+)
+
+func tickPhase(tick int) string { return "tick-" + strconv.Itoa(tick) }
+
+// tickOf is tickPhase's inverse; ok is false for any other phase.
+func tickOf(phase string) (tick int, ok bool) {
+	tick, err := strconv.Atoi(strings.TrimPrefix(phase, "tick-"))
+	return tick, err == nil && tickPhase(tick) == phase
+}
+
+// persist commits every pending tick, oldest first, each with the ticks
+// it pushes out of the window (whatever the manifest still lists of
+// them) retired in the same manifest write. It stops at the first
+// failure; what is left stays pending. Callers hold st.mu.
+func (st *streamState) persist() error {
+	for len(st.pending) > 0 {
+		ta := st.pending[0]
+		var retire []string
+		for _, phase := range st.store.Completed() {
+			if t, ok := tickOf(phase); ok && t <= ta.Tick-st.spec.WindowTicks {
+				retire = append(retire, phase)
+			}
+		}
+		if err := st.store.Rotate(tickSaveKind, tickPhase(ta.Tick), ta, retire...); err != nil {
+			return err
+		}
+		st.pending = st.pending[1:]
+	}
+	return nil
 }
 
 // persistedStreamSpec is the gob image of a stream's configuration,
@@ -183,7 +242,7 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 	if s.cfg.StateDir != "" {
 		store, err := s.openStreamStore(id)
 		if err == nil {
-			err = store.Save("spec", fromSpec(sp))
+			err = store.Save(specPhase, fromSpec(sp))
 		}
 		if err != nil {
 			s.mu.Lock()
@@ -202,7 +261,7 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 }
 
 func (s *Server) openStreamStore(id string) (*checkpoint.Store, error) {
-	fs, err := checkpoint.DirFS(s.streamDir(id))
+	fs, err := s.streamFS(s.streamDir(id))
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +285,10 @@ func (s *Server) lookupStream(id string) (*streamState, error) {
 // apply per tick: draining rejects new points, and the tenant's point
 // quota is charged for arrivals and refunded for expiries, so a
 // stream's live window counts against the same budget as queued jobs.
-// On success the window state is durably checkpointed before returning.
+// On success the tick is durable before returning. If the engine takes
+// the tick but the save fails, the call returns the checkpoint error
+// with the window advanced in memory; the tick stays queued and becomes
+// durable with the next tick that saves.
 func (s *Server) StreamTick(id string, pts []geom.Point) (stream.TickStats, error) {
 	st, err := s.lookupStream(id)
 	if err != nil {
@@ -253,10 +315,28 @@ func (s *Server) StreamTick(id string, pts []geom.Point) (stream.TickStats, erro
 	s.mu.Unlock()
 
 	st.mu.Lock()
-	stats, err := st.eng.Tick(pts)
+	// A tick's save needs its arrivals, not what the engine makes of them,
+	// so it runs beside the repair, from the moment the engine has
+	// admitted the batch (after which nothing can refuse it), and is
+	// joined before the tick is acknowledged. After the repair instead,
+	// the save's four syncs would be a third of the tick and the tick rate
+	// would follow the disk's latency from one minute to the next.
+	var saving chan error
+	stats, err := st.eng.TickAdmitted(pts, func(tick int) {
+		if st.store == nil {
+			return
+		}
+		st.pending = append(st.pending, stream.TickArrivals{Tick: tick, Points: pts})
+		saving = make(chan error, 1)
+		go func() { saving <- st.persist() }()
+	})
 	var saveErr error
-	if err == nil && st.store != nil {
-		saveErr = st.store.Save("window", st.eng.WindowState())
+	if saving != nil {
+		if saveErr = <-saving; saveErr != nil {
+			// The queue outlives the call; pts is the caller's.
+			last := &st.pending[len(st.pending)-1]
+			last.Points = slices.Clone(last.Points)
+		}
 	}
 	st.mu.Unlock()
 
@@ -366,11 +446,11 @@ func (s *Server) CloseStream(id string) error {
 }
 
 // recoverStreams restores every stream checkpointed by a previous
-// instance on the same state directory: spec and window are loaded and
-// verified (CRC + manifest), the engine is rebuilt via stream.Restore —
-// whose labels provably equal the pre-crash labels — and the tenant's
-// quota tokens are re-acquired. A corrupt stream refuses startup
-// loudly, like interior journal corruption.
+// instance on the same state directory: spec and window ticks are loaded
+// and verified (CRC + manifest), the engine is rebuilt via
+// stream.Restore — whose labels provably equal the pre-crash labels —
+// and the tenant's quota tokens are re-acquired. A corrupt stream
+// refuses startup loudly, like interior journal corruption.
 func (s *Server) recoverStreams() error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -396,36 +476,92 @@ func (s *Server) recoverStreams() error {
 			return fmt.Errorf("server: recovering stream %s: %w", id, err)
 		}
 		var psp persistedStreamSpec
-		if err := store.Load("spec", &psp); err != nil {
+		if err := store.Load(specPhase, &psp); err != nil {
 			return fmt.Errorf("server: recovering stream %s spec: %w", id, err)
 		}
 		sp := psp.spec()
-		var ws stream.WindowState
-		switch err := store.Load("window", &ws); {
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			// Created but never ticked: restore an empty window.
-			ws = stream.WindowState{}
-		case err != nil:
+		st := &streamState{id: id, spec: sp, recovered: true, store: store}
+		ws, err := st.loadWindow()
+		if err != nil {
 			return fmt.Errorf("server: recovering stream %s window: %w", id, err)
 		}
-		eng, err := stream.Restore(s.engineConfig(id, sp), ws)
-		if err != nil {
+		if st.eng, err = stream.Restore(s.engineConfig(id, sp), ws); err != nil {
 			return fmt.Errorf("server: restoring stream %s: %w", id, err)
 		}
-		st := &streamState{id: id, spec: sp, recovered: true, eng: eng, store: store}
 		s.mu.Lock()
 		s.streams[id] = st
 		if seq := streamSeqOf(id); seq > s.streamSeq {
 			s.streamSeq = seq
 		}
 		t := s.tenantLocked(sp.Tenant)
-		t.tokens += int64(eng.Len())
+		t.tokens += int64(st.eng.Len())
 		s.hub.Gauge("server_tenant_tokens", "tenant", t.name).Set(t.tokens)
 		s.hub.Counter("server_streams_recovered_total", "tenant", sp.Tenant).Inc()
 		s.hub.Gauge("server_streams_active", "tenant", sp.Tenant).Add(1)
 		s.mu.Unlock()
 		s.hub.Event(nil, "server.stream-recovered", telemetry.String("tenant", sp.Tenant),
 			telemetry.String("stream", id))
+	}
+	return nil
+}
+
+// loadWindow reads the window a stream's store holds — the ticks its
+// manifest lists, after converting a whole-window snapshot of the
+// earlier format — and sweeps the files an interrupted save left
+// behind. A stream created but never ticked restores an empty window.
+func (st *streamState) loadWindow() (stream.WindowState, error) {
+	var ws stream.WindowState
+	if st.store.Has(legacyWindowPhase) {
+		if err := st.upgradeLegacyWindow(); err != nil {
+			return ws, err
+		}
+	}
+	var ticks []int
+	for _, phase := range st.store.Completed() {
+		if t, ok := tickOf(phase); ok {
+			ticks = append(ticks, t)
+		}
+	}
+	sort.Ints(ticks)
+	for _, t := range ticks {
+		var ta stream.TickArrivals
+		if err := st.store.Load(tickPhase(t), &ta); err != nil {
+			return ws, err
+		}
+		ws.Tick = t // ascending: ends on the cursor
+		if len(ta.Points) > 0 {
+			ws.Ticks = append(ws.Ticks, ta)
+		}
+	}
+	_, err := st.store.Sweep()
+	return ws, err
+}
+
+// upgradeLegacyWindow re-commits a whole-window snapshot as tick
+// entries. The cursor tick goes last and its commit retires the
+// "window" phase, so an interrupted upgrade still finds "window" and
+// resumes: ticks already committed are skipped, and none of them is the
+// cursor. After that commit nothing writes "window" again.
+func (st *streamState) upgradeLegacyWindow() error {
+	var ws stream.WindowState
+	if err := st.store.Load(legacyWindowPhase, &ws); err != nil {
+		return err
+	}
+	ticks := ws.Ticks
+	if n := len(ticks); n == 0 || ticks[n-1].Tick != ws.Tick {
+		ticks = append(ticks, stream.TickArrivals{Tick: ws.Tick}) // an empty tick still carries the cursor
+	}
+	for i, ta := range ticks {
+		if st.store.Has(tickPhase(ta.Tick)) {
+			continue
+		}
+		var retire []string
+		if i == len(ticks)-1 {
+			retire = []string{legacyWindowPhase}
+		}
+		if err := st.store.Rotate(tickSaveKind, tickPhase(ta.Tick), ta, retire...); err != nil {
+			return err
+		}
 	}
 	return nil
 }

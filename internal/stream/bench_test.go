@@ -8,15 +8,12 @@ import (
 	"repro/internal/geom"
 )
 
-// benchWindow builds a steady-state 100k-point window (20 ticks × 5k)
+// benchWindow builds a steady-state window (20 ticks × perTick points)
 // plus follow-on batches to tick through during measurement.
-func benchWindow(b *testing.B) (*Engine, [][]geom.Point) {
+func benchWindow(b *testing.B, perTick int, seed int64) (*Engine, [][]geom.Point) {
 	b.Helper()
-	const (
-		window  = 20
-		perTick = 5000
-	)
-	batches := dataset.Firehose(window+b.N+1, perTick, 9, dataset.DefaultFirehoseOptions())
+	const window = 20
+	batches := dataset.Firehose(window+b.N+1, perTick, seed, dataset.DefaultFirehoseOptions())
 	e, err := New(Config{Eps: 0.12, MinPts: 8, WindowTicks: window})
 	if err != nil {
 		b.Fatal(err)
@@ -29,12 +26,8 @@ func benchWindow(b *testing.B) (*Engine, [][]geom.Point) {
 	return e, batches[window:]
 }
 
-// BenchmarkStreamTick measures one incremental tick (5k arrivals + 5k
-// expiries) against a 100k-point steady-state window. Compare with
-// BenchmarkStreamFullRecluster: per-tick cost tracks the dirtied-cell
-// count, not the window size.
-func BenchmarkStreamTick(b *testing.B) {
-	e, batches := benchWindow(b)
+func benchTicks(b *testing.B, perTick int, seed int64) {
+	e, batches := benchWindow(b, perTick, seed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,11 +37,22 @@ func BenchmarkStreamTick(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamTick measures one incremental tick (5k arrivals + 5k
+// expiries) against a 100k-point steady-state window. Compare with
+// BenchmarkStreamFullRecluster: per-tick cost tracks the dirtied-cell
+// count, not the window size.
+func BenchmarkStreamTick(b *testing.B) { benchTicks(b, 5000, 9) }
+
+// BenchmarkStreamTickServeShape is the same at the repo benchmark's
+// serve_stream shape: 2 000 arrivals and expiries a tick against a
+// 40k-point window.
+func BenchmarkStreamTickServeShape(b *testing.B) { benchTicks(b, 2000, 7) }
+
 // BenchmarkStreamFullRecluster is the baseline BenchmarkStreamTick
 // beats: a from-scratch batch DBSCAN over the same 100k-point window
 // every tick.
 func BenchmarkStreamFullRecluster(b *testing.B) {
-	e, _ := benchWindow(b)
+	e, _ := benchWindow(b, 5000, 9)
 	snap := e.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()

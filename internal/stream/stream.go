@@ -24,12 +24,23 @@
 //     closed).
 //
 // Connectivity is tracked two-level, mirroring the paper's merge design:
-// per-cell fragments (intra-cell core components, a dsu.DSU per rebuild)
-// and a global fragment graph (dsu.Keyed over (cell, fragment) keys)
-// whose inter-cell edges are cached per adjacent cell pair and
-// recomputed only for pairs touching repaired cells. Component labeling
-// is rebuilt from the cache every tick — O(#cells + #fragments + #edges),
-// cheap next to neighborhood recomputation.
+// per-cell fragments (intra-cell core components; the cores of one
+// sub-box always share a fragment) and a global fragment graph whose
+// inter-cell edges are cached per adjacent cell pair and recomputed only
+// for pairs touching repaired cells. Component labeling is rebuilt from
+// the cache every tick — O(#cells + #fragments + #edges), cheap next to
+// neighborhood recomputation.
+//
+// Storage is flat — the sorted-cell-array layout of grid DBSCAN (Wang,
+// Gu & Shun) made incremental: cells live in a slab indexed by a dense
+// id and recycle through a free list; one open-addressing table maps a
+// coordinate to its id and is consulted only when a point arrives or a
+// cell is created; every cell caches its eight neighbours' ids, so the
+// repair walks 3×3 blocks by array index. A point slot records its cell
+// and sub-box. A pair's edges sit in a buffer on its lower cell (four
+// forward neighbours per cell) that is truncated and refilled. The
+// per-tick work sets are generation-stamped marks plus reused lists, so
+// a steady-state tick allocates nothing.
 //
 // Labels are a pure function of the window contents: border points
 // anchor to their nearest core (ties to the smallest point ID) and
@@ -46,10 +57,11 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dsu"
@@ -92,13 +104,17 @@ type Config struct {
 
 // TickStats summarizes one Tick's work.
 type TickStats struct {
-	Tick              int           // 1-based tick index just completed
-	Arrivals          int           // points ingested this tick
-	Expired           int           // points expired this tick
-	DirtyCells        int           // cells with arrivals or expiries
-	CoreCells         int           // cells whose points had core flags recomputed
-	FragCells         int           // cells whose fragments were rebuilt
-	PairsRebuilt      int           // adjacent cell pairs with edges recomputed
+	Tick       int // 1-based tick index just completed
+	Arrivals   int // points ingested this tick
+	Expired    int // points expired this tick
+	DirtyCells int // cells with arrivals or expiries
+	CoreCells  int // cells whose points had core flags recomputed
+	FragCells  int // cells whose fragments were rebuilt
+	// PairsRebuilt counts the adjacent cell pairs whose edges were
+	// recomputed: pairs touching a repaired cell where both cells hold a
+	// fragment. A pair with an absent or core-less side only has its
+	// buffer truncated and is not counted.
+	PairsRebuilt      int
 	BorderCells       int           // cells whose border anchors were reassigned
 	SubsampledQueries int           // core tests that took the subsampled path
 	WindowPoints      int           // live points after this tick
@@ -107,60 +123,129 @@ type TickStats struct {
 	Elapsed           time.Duration // wall time spent in Tick
 }
 
-// fragKey identifies one intra-cell core fragment globally.
-type fragKey struct {
-	C grid.Coord
-	F int32
-}
-
-// pairKey identifies an unordered adjacent cell pair; A.Less(B) holds.
-type pairKey struct {
-	A, B grid.Coord
-}
-
-// fragEdge records Eps-connectivity between fragment FA of the pair's A
-// cell and fragment FB of its B cell.
+// fragEdge records Eps-connectivity between fragment FA of a pair's
+// lower cell and fragment FB of its upper cell.
 type fragEdge struct {
 	FA, FB int32
 }
 
-// cell holds the live points of one Eps×Eps grid cell, bucketed by
-// Eps/3 sub-box, plus its current fragment decomposition.
-type cell struct {
-	pts     []int32                // live slots in this cell
-	buckets map[grid.Coord][]int32 // sub-box coord -> live slots
-	nfrags  int32                  // fragments among this cell's cores
-	fragMin []uint64               // per fragment, smallest member point ID
+// subBox is one Eps/3 sub-box of a cell. The two grids are computed
+// independently (x/Eps and x/(Eps/3), each rounded), so a point an ulp
+// from a cell border may report a sub-box coordinate one outside the
+// cell's own 3×3 — a cell therefore keeps a short list keyed by the
+// absolute sub-box coordinate, nine entries in practice and never more
+// than 5×5. Every shortcut above is stated on sub-box coordinates alone
+// and has a ≥ 5 % margin (2√2/3 ≈ 0.943 against 1), so which cell such a
+// point is filed under never matters to them.
+type subBox struct {
+	sx, sy  int32
+	frag    int32   // fragment of this sub-box's cores; -1 when it has none
+	ncore   int32   // slots[:ncore] are the cores, as of the cell's last fragment rebuild
+	minCore uint64  // smallest core point ID (while frag >= 0)
+	slots   []int32 // live points, from Engine.slotBufs
 }
+
+func (sb *subBox) cores() []int32 { return sb.slots[:sb.ncore] }
+
+// Per-tick work-set membership, valid while cell.gen == Engine.gen.
+const (
+	markDirty   uint8 = 1 << iota // gained or lost a point this tick
+	markInspect                   // core flags to recompute
+	markChanged                   // fragments to rebuild
+	markBorder                    // border anchors to reassign
+	markPair                      // markPair<<k: forward pair k already rebuilt
+)
+
+// cell holds the live points of one Eps×Eps grid cell, bucketed by
+// sub-box, its fragment decomposition and the edges to the four
+// neighbours that sort after it.
+type cell struct {
+	coord grid.Coord
+	n     int32 // live points; 0 also while the cell sits on the free list
+	// nbr caches the slab ids of the Moore neighbours in
+	// Coord.Neighbors order, -1 where no cell exists. The neighbour at
+	// index i holds this cell at index 7-i.
+	nbr  [8]int32
+	subs []subBox // emptied sub-boxes stay listed until the cell is freed
+
+	nfrags   int32
+	fragBase int32 // global id of fragment 0, assigned by relabel
+
+	// fwd[k] holds the fragment edges of the pair (this cell, nbr[4+k]):
+	// each unordered pair is stored once, on its lower cell. The buffers
+	// come from Engine.edgeBufs.
+	fwd [4][]fragEdge
+
+	gen   uint64
+	marks uint8
+}
+
+// live reports whether the slab entry holds a cell rather than sitting
+// on the free list: a cell is created for a point, so it lists at least
+// one sub-box until freeCell clears them.
+func (c *cell) live() bool { return len(c.subs) > 0 }
 
 // Engine is a sliding-window incremental DBSCAN engine. It is not safe
 // for concurrent use; callers serialize Tick/Snapshot externally.
 type Engine struct {
-	cfg Config
-	g   grid.Grid // Eps cells
-	sg  grid.Grid // Eps/3 sub-boxes
+	cfg  Config
+	g    grid.Grid // Eps cells
+	sg   grid.Grid // Eps/3 sub-boxes
+	eps2 float64
 
 	tick int // completed ticks
 
 	// Slot storage: point state indexed by slot; expired slots recycle
 	// through free.
 	pts    []geom.Point
-	live   []bool
+	cellOf []int32 // slab id of the slot's cell
+	subOf  []int32 // index of the slot's sub-box in its cell's subs
+	pos    []int32 // index of the slot in its sub-box's slots
 	core   []bool
-	frag   []int32 // fragment index within the slot's cell; -1 if not core
 	anchor []int32 // core slot this point labels through; -1 = noise; self for cores
 	free   []int32
-	byID   map[uint64]int32
+	byID   *table // live point ID -> slot
 
-	ring  [][]int32 // ring[t%W] = slots that arrived at tick t
-	cells map[grid.Coord]*cell
-	pairs map[pairKey][]fragEdge
+	ring [][]int32 // ring[t%W] = slots that arrived at tick t
 
-	cluster   map[fragKey]int32 // fragment -> dense cluster ID, rebuilt each tick
+	// Cell slab: freed ids recycle through freeCells; ids maps a packed
+	// coordinate to its slab id. A slab entry's subs is cut, once, from
+	// subArena; the buffers hanging off a cell come from the two pools.
+	cells     []cell
+	freeCells []int32
+	ids       *table
+	subArena  []subBox
+	slotBufs  pool[int32]
+	edgeBufs  pool[fragEdge]
+
+	// Per-tick work sets: marks on the cells plus these reused lists.
+	gen                             uint64
+	dirty, inspect, changed, border []int32
+	cand, far                       []*subBox // a block's sub-boxes; those in reach of one of them
+
+	// relabel's output and scratch: label[cell.fragBase+f] is the dense
+	// cluster ID of a cell's fragment f.
+	label     []int32
+	compMin   []uint64
+	roots     []int32
+	uf        dsu.DSU // over global fragment ids in relabel, over sub-boxes in rebuildFragments
 	nclusters int
 
 	hub *telemetry.Hub
+	m   metrics
 }
+
+// metrics are the engine's hub handles, resolved once (nil-safe on a nil
+// hub) so a tick does no registry lookups.
+type metrics struct {
+	ticks, ingested, expired, dirtyCells, recomputed, subsampled, reanchors *telemetry.Counter
+	windowPoints, clusters                                                  *telemetry.Gauge
+	tickSeconds                                                             *telemetry.Histogram
+}
+
+// claimed is the byID value of a batch's IDs between validation and
+// ingest.
+const claimed = -1
 
 // New validates cfg and returns an empty engine.
 func New(cfg Config) (*Engine, error) {
@@ -182,16 +267,29 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Name == "" {
 		cfg.Name = "stream"
 	}
+	hub, name := cfg.Telemetry, cfg.Name
 	return &Engine{
-		cfg:     cfg,
-		g:       grid.New(cfg.Eps),
-		sg:      grid.New(cfg.Eps / 3),
-		byID:    make(map[uint64]int32),
-		ring:    make([][]int32, cfg.WindowTicks),
-		cells:   make(map[grid.Coord]*cell),
-		pairs:   make(map[pairKey][]fragEdge),
-		cluster: make(map[fragKey]int32),
-		hub:     cfg.Telemetry,
+		cfg:  cfg,
+		g:    grid.New(cfg.Eps),
+		sg:   grid.New(cfg.Eps / 3),
+		eps2: cfg.Eps * cfg.Eps,
+		byID: newTable(),
+		ring: make([][]int32, cfg.WindowTicks),
+		ids:  newTable(),
+		gen:  1,
+		hub:  hub,
+		m: metrics{
+			ticks:        hub.Counter("stream_ticks_total", "stream", name),
+			ingested:     hub.Counter("stream_points_ingested_total", "stream", name),
+			expired:      hub.Counter("stream_points_expired_total", "stream", name),
+			dirtyCells:   hub.Counter("stream_dirty_cells_total", "stream", name),
+			recomputed:   hub.Counter("stream_cells_recomputed_total", "stream", name),
+			subsampled:   hub.Counter("stream_subsampled_queries_total", "stream", name),
+			reanchors:    hub.Counter("stream_reanchors_total", "stream", name),
+			windowPoints: hub.Gauge("stream_window_points", "stream", name),
+			clusters:     hub.Gauge("stream_clusters", "stream", name),
+			tickSeconds:  hub.Histogram("stream_tick_seconds", []float64{.0001, .001, .01, .1, 1, 10}, "stream", name),
+		},
 	}, nil
 }
 
@@ -202,7 +300,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) TickIndex() int { return e.tick }
 
 // Len returns the number of live points in the window.
-func (e *Engine) Len() int { return len(e.byID) }
+func (e *Engine) Len() int { return e.byID.n }
 
 // NumClusters returns the cluster count after the last tick.
 func (e *Engine) NumClusters() int { return e.nclusters }
@@ -212,98 +310,125 @@ func (e *Engine) NumClusters() int { return e.nclusters }
 // batch is validated before any mutation — on error the window is
 // unchanged. Point IDs must be unique within the live window.
 func (e *Engine) Tick(arrivals []geom.Point) (TickStats, error) {
+	return e.TickAdmitted(arrivals, nil)
+}
+
+// TickAdmitted is Tick for a caller that persists what it feeds the
+// engine: admitted, when not nil, is called with the tick's number once
+// the batch has passed validation and before the window changes. Nothing
+// can refuse the batch after that, so the caller may make the arrivals
+// durable while the engine repairs the window.
+func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (TickStats, error) {
 	start := time.Now()
-	batch := make(map[uint64]struct{}, len(arrivals))
-	for _, p := range arrivals {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return TickStats{}, fmt.Errorf("stream: point %d has non-finite coordinates (%v, %v)", p.ID, p.X, p.Y)
-		}
-		if _, dup := batch[p.ID]; dup {
-			return TickStats{}, fmt.Errorf("stream: duplicate point ID %d in batch", p.ID)
-		}
-		if _, dup := e.byID[p.ID]; dup {
-			return TickStats{}, fmt.Errorf("stream: point ID %d already live in window", p.ID)
-		}
-		batch[p.ID] = struct{}{}
+	if err := e.claim(arrivals); err != nil {
+		return TickStats{}, err
 	}
 
 	e.tick++
-	sp := e.hub.Start(nil, "stream.tick",
-		telemetry.String("stream", e.cfg.Name),
-		telemetry.Int("tick", e.tick),
-		telemetry.Int("arrivals", len(arrivals)))
+	if admitted != nil {
+		admitted(e.tick)
+	}
+	var sp *telemetry.Span
+	if e.hub != nil {
+		sp = e.hub.Start(nil, "stream.tick",
+			telemetry.String("stream", e.cfg.Name),
+			telemetry.Int("tick", e.tick),
+			telemetry.Int("arrivals", len(arrivals)))
+	}
 
-	dirty := make(map[grid.Coord]struct{})
+	e.gen++
+	e.dirty = e.dirty[:0]
 	slot := e.tick % e.cfg.WindowTicks
 
-	// Expire the arrivals of tick-W.
+	// Expire the arrivals of tick-W, then ingest this tick's.
 	expired := len(e.ring[slot])
 	for _, s := range e.ring[slot] {
-		c := e.g.CellOf(e.pts[s])
-		e.removeFromCell(c, s)
-		dirty[c] = struct{}{}
-		delete(e.byID, e.pts[s].ID)
-		e.live[s] = false
-		e.core[s] = false
-		e.frag[s] = -1
-		e.anchor[s] = -1
-		e.free = append(e.free, s)
+		e.remove(s)
 	}
 	e.ring[slot] = e.ring[slot][:0]
-
-	// Ingest this tick's arrivals.
 	for _, p := range arrivals {
-		s := e.alloc()
-		e.pts[s] = p
-		e.live[s] = true
-		e.byID[p.ID] = s
-		c := e.g.CellOf(p)
-		e.insertIntoCell(c, s)
-		dirty[c] = struct{}{}
-		e.ring[slot] = append(e.ring[slot], s)
+		e.ring[slot] = append(e.ring[slot], e.insert(p))
 	}
 
 	st := TickStats{
 		Tick:       e.tick,
 		Arrivals:   len(arrivals),
 		Expired:    expired,
-		DirtyCells: len(dirty),
+		DirtyCells: len(e.dirty),
 	}
 	if e.cfg.ReanchorEvery > 0 && e.tick%e.cfg.ReanchorEvery == 0 {
 		e.reanchorAll(&st)
 		st.Reanchored = true
 	} else {
-		e.repair(dirty, &st)
+		e.repair(&st)
 	}
-	st.WindowPoints = len(e.byID)
+	st.WindowPoints = e.Len()
 	st.Clusters = e.nclusters
 	st.Elapsed = time.Since(start)
 
-	name := e.cfg.Name
-	e.hub.Counter("stream_ticks_total", "stream", name).Inc()
-	e.hub.Counter("stream_points_ingested_total", "stream", name).Add(int64(len(arrivals)))
-	e.hub.Counter("stream_points_expired_total", "stream", name).Add(int64(expired))
-	e.hub.Counter("stream_dirty_cells_total", "stream", name).Add(int64(st.DirtyCells))
-	e.hub.Counter("stream_cells_recomputed_total", "stream", name).Add(int64(st.CoreCells))
-	e.hub.Counter("stream_subsampled_queries_total", "stream", name).Add(int64(st.SubsampledQueries))
+	e.m.ticks.Inc()
+	e.m.ingested.Add(int64(len(arrivals)))
+	e.m.expired.Add(int64(expired))
+	e.m.dirtyCells.Add(int64(st.DirtyCells))
+	e.m.recomputed.Add(int64(st.CoreCells))
+	e.m.subsampled.Add(int64(st.SubsampledQueries))
 	if st.Reanchored {
-		e.hub.Counter("stream_reanchors_total", "stream", name).Inc()
+		e.m.reanchors.Inc()
 	}
-	e.hub.Gauge("stream_window_points", "stream", name).Set(int64(len(e.byID)))
-	e.hub.Gauge("stream_clusters", "stream", name).Set(int64(e.nclusters))
-	e.hub.Histogram("stream_tick_seconds", []float64{.0001, .001, .01, .1, 1, 10}, "stream", name).
-		Observe(st.Elapsed.Seconds())
-	sp.Annotate(
-		telemetry.Int("dirty_cells", st.DirtyCells),
-		telemetry.Int("clusters", e.nclusters),
-		telemetry.Int("window_points", len(e.byID)),
-		telemetry.Bool("reanchored", st.Reanchored))
-	sp.End()
+	e.m.windowPoints.Set(int64(st.WindowPoints))
+	e.m.clusters.Set(int64(e.nclusters))
+	e.m.tickSeconds.Observe(st.Elapsed.Seconds())
+	if sp != nil {
+		sp.Annotate(
+			telemetry.Int("dirty_cells", st.DirtyCells),
+			telemetry.Int("clusters", e.nclusters),
+			telemetry.Int("window_points", st.WindowPoints),
+			telemetry.Bool("reanchored", st.Reanchored))
+		sp.End()
+	}
 	return st, nil
 }
 
+// claim validates a batch and reserves its IDs in byID (insert fills in
+// the slots). On error every reservation is undone.
+func (e *Engine) claim(arrivals []geom.Point) error {
+	for i, p := range arrivals {
+		var err error
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			err = fmt.Errorf("stream: point %d has non-finite coordinates (%v, %v)", p.ID, p.X, p.Y)
+		} else if s, live := e.byID.get(p.ID); !live {
+			e.byID.put(p.ID, claimed)
+			continue
+		} else if s == claimed {
+			err = fmt.Errorf("stream: duplicate point ID %d in batch", p.ID)
+		} else {
+			err = fmt.Errorf("stream: point ID %d already live in window", p.ID)
+		}
+		for _, q := range arrivals[:i] {
+			e.byID.del(q.ID)
+		}
+		return err
+	}
+	return nil
+}
+
+// mark adds cell id to the work set bit names and reports whether it was
+// newly added.
+func (e *Engine) mark(id int32, bit uint8) bool {
+	c := &e.cells[id]
+	if c.gen != e.gen {
+		c.gen, c.marks = e.gen, 0
+	}
+	if c.marks&bit != 0 {
+		return false
+	}
+	c.marks |= bit
+	return true
+}
+
 // repair re-establishes the labeling invariants after the cells in
-// dirty gained or lost points. The five phases and their recompute sets:
+// e.dirty gained or lost points. The five phases and their recompute
+// sets:
 //
 //  1. core flags over dirty ∪ N(dirty) — a point's core status depends
 //     only on its 3×3 cell neighborhood, so flips are confined there;
@@ -317,149 +442,200 @@ func (e *Engine) Tick(arrivals []geom.Point) (TickStats, error) {
 //     point could gain, lose, or re-rank lives in an adjacent cell of
 //     one of those;
 //  5. global relabel from the edge cache.
-func (e *Engine) repair(dirty map[grid.Coord]struct{}, st *TickStats) {
-	changed := make(map[grid.Coord]struct{})
-	emptied := make(map[grid.Coord]struct{})
-	for c := range dirty {
-		cc := e.cells[c]
-		if cc == nil || len(cc.pts) == 0 {
-			if cc != nil {
-				delete(e.cells, c)
-			}
-			emptied[c] = struct{}{}
-			continue
+//
+// An emptied cell is freed up front, once its neighbours are in the
+// inspect and border sets: unlinking it truncates the edge buffers that
+// pointed at it, and no later phase can meet it through a neighbour id.
+func (e *Engine) repair(st *TickStats) {
+	e.inspect, e.changed, e.border = e.inspect[:0], e.changed[:0], e.border[:0]
+	for _, id := range e.dirty {
+		if e.mark(id, markInspect) {
+			e.inspect = append(e.inspect, id)
 		}
-		changed[c] = struct{}{}
+		emptied := e.cells[id].n == 0
+		if !emptied && e.mark(id, markChanged) {
+			e.changed = append(e.changed, id)
+		}
+		for _, n := range e.cells[id].nbr {
+			if n < 0 {
+				continue
+			}
+			if e.mark(n, markInspect) {
+				e.inspect = append(e.inspect, n)
+			}
+			if emptied && e.mark(n, markBorder) {
+				e.border = append(e.border, n)
+			}
+		}
+		if emptied {
+			e.freeCell(id)
+		}
 	}
 
-	// Phase 1: core flags.
-	inspect := make(map[grid.Coord]struct{}, 3*len(dirty))
-	for c := range dirty {
-		inspect[c] = struct{}{}
-		for _, n := range c.Neighbors() {
-			inspect[n] = struct{}{}
-		}
-	}
-	for c := range inspect {
-		cc := e.cells[c]
-		if cc == nil {
+	// Phase 1: core flags. (A cell freed above has n == 0.)
+	for _, id := range e.inspect {
+		if e.cells[id].n == 0 {
 			continue
 		}
 		st.CoreCells++
-		flipped := false
-		for _, s := range cc.pts {
-			now := e.isCore(s, st)
-			if now != e.core[s] {
-				e.core[s] = now
-				flipped = true
-			}
-		}
-		if flipped {
-			changed[c] = struct{}{}
+		if e.recomputeCores(id, st) && e.mark(id, markChanged) {
+			e.changed = append(e.changed, id)
 		}
 	}
 
 	// Phase 2: fragments.
-	for c := range changed {
-		if cc := e.cells[c]; cc != nil {
-			e.rebuildFragments(cc)
-			st.FragCells++
-		}
+	for _, id := range e.changed {
+		e.rebuildFragments(&e.cells[id])
 	}
+	st.FragCells = len(e.changed)
 
-	// Phase 3: inter-cell edges.
-	stale := make(map[pairKey]struct{})
-	for c := range changed {
-		for _, n := range c.Neighbors() {
-			stale[makePair(c, n)] = struct{}{}
+	// Phase 3: inter-cell edges, each pair once.
+	for _, id := range e.changed {
+		for dir, n := range e.cells[id].nbr {
+			if n < 0 {
+				continue
+			}
+			lo, k := id, dir-4
+			if dir < 4 {
+				lo, k = n, 3-dir
+			}
+			if e.mark(lo, markPair<<k) && e.rebuildPair(lo, k) {
+				st.PairsRebuilt++
+			}
 		}
-	}
-	for c := range emptied {
-		for _, n := range c.Neighbors() {
-			stale[makePair(c, n)] = struct{}{}
-		}
-	}
-	for pk := range stale {
-		e.rebuildPair(pk)
-		st.PairsRebuilt++
 	}
 
 	// Phase 4: border anchors.
-	borders := make(map[grid.Coord]struct{})
-	for c := range changed {
-		borders[c] = struct{}{}
-		for _, n := range c.Neighbors() {
-			borders[n] = struct{}{}
+	for _, id := range e.changed {
+		if e.mark(id, markBorder) {
+			e.border = append(e.border, id)
+		}
+		for _, n := range e.cells[id].nbr {
+			if n >= 0 && e.mark(n, markBorder) {
+				e.border = append(e.border, n)
+			}
 		}
 	}
-	for c := range emptied {
-		for _, n := range c.Neighbors() {
-			borders[n] = struct{}{}
+	for _, id := range e.border {
+		if e.cells[id].n == 0 {
+			continue
 		}
-	}
-	for c := range borders {
-		if cc := e.cells[c]; cc != nil {
-			e.reassignBorders(cc)
-			st.BorderCells++
-		}
+		e.reassignBorders(id)
+		st.BorderCells++
 	}
 
 	// Phase 5: relabel.
 	e.relabel()
 }
 
-// reanchorAll discards the connectivity cache and recomputes everything,
-// bounding incremental drift (and powering Restore).
+// reanchorAll recomputes everything — every cell dirty, so every edge
+// buffer is refilled — bounding incremental drift (and powering
+// Restore).
 func (e *Engine) reanchorAll(st *TickStats) {
-	e.pairs = make(map[pairKey][]fragEdge)
-	dirty := make(map[grid.Coord]struct{}, len(e.cells))
-	for c := range e.cells {
-		dirty[c] = struct{}{}
+	e.gen++
+	e.dirty = e.dirty[:0]
+	for id := range e.cells {
+		if e.cells[id].live() {
+			e.mark(int32(id), markDirty)
+			e.dirty = append(e.dirty, int32(id))
+		}
 	}
-	e.repair(dirty, st)
+	e.repair(st)
 }
 
-// isCore computes the DBSCAN core predicate for slot s: at least
-// MinPts-1 other points within Eps (the Eps-neighborhood is closed).
-func (e *Engine) isCore(s int32, st *TickStats) bool {
-	if e.cfg.MinPts <= 1 {
-		return true
-	}
-	p := e.pts[s]
-	c := e.g.CellOf(p)
-	cc := e.cells[c]
-	// Dense-box shortcut: an Eps/3 sub-box with >= MinPts points makes
-	// all of them core without a single distance test.
-	if len(cc.buckets[e.sg.CellOf(p)]) >= e.cfg.MinPts {
-		return true
-	}
-	around := cellsAround(c)
-	if e.cfg.SubsampleThreshold > 0 {
-		pop := 0
-		for _, n := range around {
-			if nc := e.cells[n]; nc != nil {
-				pop += len(nc.pts)
-			}
-		}
-		if pop >= e.cfg.SubsampleThreshold {
-			return e.isCoreSampled(s, p, around, st)
-		}
-	}
-	eps2 := e.cfg.Eps * e.cfg.Eps
-	need := e.cfg.MinPts - 1
-	count := 0
+// block returns cell id and its neighbours, -1 where none exists.
+func (e *Engine) block(id int32) [9]int32 {
+	var b [9]int32
+	b[0] = id
+	copy(b[1:], e.cells[id].nbr[:])
+	return b
+}
+
+// blockSubs lists in e.cand the sub-boxes of a 3×3 block that hold a
+// point (or, with coresOnly, a core).
+func (e *Engine) blockSubs(around *[9]int32, coresOnly bool) {
+	e.cand = e.cand[:0]
 	for _, n := range around {
-		nc := e.cells[n]
-		if nc == nil {
+		if n < 0 || coresOnly && e.cells[n].nfrags == 0 {
 			continue
 		}
-		for _, q := range nc.pts {
-			if q == s {
-				continue
+		subs := e.cells[n].subs
+		for i := range subs {
+			if sb := &subs[i]; coresOnly && sb.ncore > 0 || !coresOnly && len(sb.slots) > 0 {
+				e.cand = append(e.cand, sb)
 			}
-			if geom.Dist2(p, e.pts[q]) <= eps2 {
-				count++
-				if count >= need {
+		}
+	}
+}
+
+// recomputeCores recomputes the DBSCAN core predicate — at least MinPts
+// points, itself included, within Eps (the Eps-neighborhood is closed) —
+// for every point of cell id and reports whether any flag flipped.
+// Whole sub-boxes are decided first: every point of the sub-boxes within
+// Chebyshev distance 1 is within Eps of every point of this one, so
+// MinPts of them make all of its points core without a distance test,
+// and fewer still count towards each point's total; only the sub-boxes
+// at distance 2..4 are scanned. (The subsampled path keeps the plain
+// rule — a sub-box of >= MinPts points is core, every other point takes
+// the sampled query — so that its labels are a function of the window
+// alone, not of this shortcut.)
+func (e *Engine) recomputeCores(id int32, st *TickStats) bool {
+	around := e.block(id)
+	pop := 0
+	for _, n := range around {
+		if n >= 0 {
+			pop += int(e.cells[n].n)
+		}
+	}
+	sampled := e.cfg.SubsampleThreshold > 0 && pop >= e.cfg.SubsampleThreshold
+	listed := false // e.cand is built for the first sub-box that needs it
+	flipped := false
+	c := &e.cells[id]
+	for i := range c.subs {
+		sb := &c.subs[i]
+		near := len(sb.slots)
+		if !sampled && near < e.cfg.MinPts && pop >= e.cfg.MinPts {
+			if !listed {
+				e.blockSubs(&around, false)
+				listed = true
+			}
+			near = 0
+			e.far = e.far[:0]
+			for _, t := range e.cand {
+				if d := chebyshev(sb, t); d <= 1 {
+					near += len(t.slots)
+				} else if d <= 4 {
+					e.far = append(e.far, t)
+				}
+			}
+		}
+		for _, s := range sb.slots {
+			now := near >= e.cfg.MinPts
+			switch {
+			case now:
+			case sampled:
+				st.SubsampledQueries++
+				now = e.isCoreSampled(s, &around)
+			case pop >= e.cfg.MinPts: // else the whole block is too sparse
+				now = e.isCore(s, e.cfg.MinPts-near)
+			}
+			if now != e.core[s] {
+				e.core[s] = now
+				flipped = true
+			}
+		}
+	}
+	return flipped
+}
+
+// isCore reports whether slot s has need (>= 1) Eps-neighbours among
+// the points of e.far.
+func (e *Engine) isCore(s int32, need int) bool {
+	p := e.pts[s]
+	for _, t := range e.far {
+		for _, q := range t.slots {
+			if geom.Dist2(p, e.pts[q]) <= e.eps2 {
+				if need--; need == 0 {
 					return true
 				}
 			}
@@ -472,28 +648,25 @@ func (e *Engine) isCore(s int32, st *TickStats) bool {
 // examined with probability SubsampleRate (deterministic per point
 // pair), and the hit count is compared against the proportionally
 // scaled threshold.
-func (e *Engine) isCoreSampled(s int32, p geom.Point, around [9]grid.Coord, st *TickStats) bool {
-	st.SubsampledQueries++
+func (e *Engine) isCoreSampled(s int32, around *[9]int32) bool {
+	p := e.pts[s]
 	rate := e.cfg.SubsampleRate
 	need := rate * float64(e.cfg.MinPts-1)
-	eps2 := e.cfg.Eps * e.cfg.Eps
 	hits := 0.0
 	for _, n := range around {
-		nc := e.cells[n]
-		if nc == nil {
+		if n < 0 {
 			continue
 		}
-		for _, q := range nc.pts {
-			if q == s {
-				continue
-			}
-			if !sampled(e.cfg.Seed, p.ID, e.pts[q].ID, rate) {
-				continue
-			}
-			if geom.Dist2(p, e.pts[q]) <= eps2 {
-				hits++
-				if hits >= need {
-					return true
+		subs := e.cells[n].subs
+		for i := range subs {
+			for _, q := range subs[i].slots {
+				if q == s || !sampled(e.cfg.Seed, p.ID, e.pts[q].ID, rate) {
+					continue
+				}
+				if geom.Dist2(p, e.pts[q]) <= e.eps2 {
+					if hits++; hits >= need {
+						return true
+					}
 				}
 			}
 		}
@@ -501,221 +674,196 @@ func (e *Engine) isCoreSampled(s int32, p geom.Point, around [9]grid.Coord, st *
 	return hits >= need
 }
 
-// rebuildFragments recomputes cc's intra-cell core components. Cores in
-// one sub-box are mutually within Eps, so fragments are unions of whole
-// sub-box core sets; only sub-box pairs at Chebyshev distance 2 (the
-// in-cell maximum) need distance tests.
-func (e *Engine) rebuildFragments(cc *cell) {
-	type bucket struct {
-		sb    grid.Coord
-		cores []int32
-	}
-	var buckets []bucket
-	for sb, slots := range cc.buckets {
-		var cores []int32
-		for _, s := range slots {
-			if e.core[s] {
-				cores = append(cores, s)
-			}
-		}
-		if len(cores) > 0 {
-			buckets = append(buckets, bucket{sb, cores})
-		}
-	}
-
-	d := dsu.New(len(buckets))
-	eps2 := e.cfg.Eps * e.cfg.Eps
-	for i := 0; i < len(buckets); i++ {
-		for j := i + 1; j < len(buckets); j++ {
-			if chebyshev(buckets[i].sb, buckets[j].sb) <= 1 {
-				d.Union(i, j)
+// rebuildFragments partitions each of c's sub-boxes cores-first and
+// recomputes the intra-cell core components. Cores in one sub-box are
+// mutually within Eps, so fragments are unions of whole sub-box core
+// sets; sub-boxes at Chebyshev distance <= 1 join for free and only the
+// rest (distance 2, the in-cell maximum, when the grids align) take a
+// distance scan, and only while still apart.
+func (e *Engine) rebuildFragments(c *cell) {
+	subs := c.subs
+	for i := range subs {
+		sb := &subs[i]
+		sb.ncore, sb.frag, sb.minCore = 0, -1, math.MaxUint64
+		for j, s := range sb.slots {
+			if !e.core[s] {
 				continue
 			}
-			if bucketsTouch(e.pts, buckets[i].cores, buckets[j].cores, eps2) {
-				d.Union(i, j)
+			if nc := sb.ncore; int(nc) != j {
+				q := sb.slots[nc]
+				sb.slots[nc], sb.slots[j] = s, q
+				e.pos[s], e.pos[q] = nc, int32(j)
+			}
+			sb.ncore++
+			sb.minCore = min(sb.minCore, e.pts[s].ID)
+		}
+	}
+	e.uf.Reset(len(subs))
+	for pass := 0; pass < 2; pass++ {
+		for i := range subs {
+			for j := i + 1; j < len(subs); j++ {
+				if subs[i].ncore == 0 || subs[j].ncore == 0 {
+					continue
+				}
+				near := chebyshev(&subs[i], &subs[j]) <= 1
+				if pass == 0 && near ||
+					pass == 1 && !near && !e.uf.Same(i, j) && e.bucketsTouch(subs[i].cores(), subs[j].cores()) {
+					e.uf.Union(i, j)
+				}
 			}
 		}
 	}
 
-	slotBucket := make(map[int32]int, len(cc.pts))
-	for bi := range buckets {
-		for _, s := range buckets[bi].cores {
-			slotBucket[s] = bi
-		}
-	}
-	rootFrag := make(map[int]int32, len(buckets))
-	cc.nfrags = 0
-	cc.fragMin = cc.fragMin[:0]
-	for _, s := range cc.pts {
-		if !e.core[s] {
-			e.frag[s] = -1
+	// Number the fragments by sub-box order; a fragment's root sub-box
+	// carries its number while the others are assigned.
+	c.nfrags = 0
+	for i := range subs {
+		if subs[i].ncore == 0 {
 			continue
 		}
-		r := d.Find(slotBucket[s])
-		f, ok := rootFrag[r]
-		if !ok {
-			f = cc.nfrags
-			cc.nfrags++
-			rootFrag[r] = f
-			cc.fragMin = append(cc.fragMin, e.pts[s].ID)
-		} else if id := e.pts[s].ID; id < cc.fragMin[f] {
-			cc.fragMin[f] = id
+		root := &subs[e.uf.Find(i)]
+		if root.frag < 0 {
+			root.frag = c.nfrags
+			c.nfrags++
 		}
-		e.frag[s] = f
+		subs[i].frag = root.frag
 	}
 }
 
-// rebuildPair recomputes the fragment edges between an adjacent cell
-// pair. Sub-box pairs at Chebyshev distance <= 1 connect for free,
-// >= 5 cannot connect, and 2..4 take one early-exit distance scan; one
-// hit per bucket pair suffices because a bucket's cores share a
-// fragment.
-func (e *Engine) rebuildPair(pk pairKey) {
-	ca, cb := e.cells[pk.A], e.cells[pk.B]
-	if ca == nil || cb == nil || ca.nfrags == 0 || cb.nfrags == 0 {
-		delete(e.pairs, pk)
-		return
+// rebuildPair refills the edge buffer of the pair (lo, its forward
+// neighbour k) and reports whether there was anything to compute: a
+// side without fragments leaves the buffer empty. Sub-box pairs at
+// Chebyshev distance <= 1 connect for free, >= 5 cannot connect, and
+// 2..4 take one early-exit distance scan — after the free ones, and only
+// for a fragment pair not yet linked; one hit per sub-box pair suffices
+// because a sub-box's cores share a fragment.
+func (e *Engine) rebuildPair(lo int32, k int) bool {
+	a := &e.cells[lo]
+	b := &e.cells[a.nbr[4+k]]
+	a.fwd[k] = a.fwd[k][:0]
+	if a.nfrags == 0 || b.nfrags == 0 {
+		return false
 	}
-	bucketsA := e.coreBuckets(ca)
-	bucketsB := e.coreBuckets(cb)
-	eps2 := e.cfg.Eps * e.cfg.Eps
-	var edges []fragEdge
-	seen := make(map[fragEdge]struct{})
-	for _, ba := range bucketsA {
-		for _, bb := range bucketsB {
-			dc := chebyshev(ba.sb, bb.sb)
-			if dc >= 5 {
+	edges := a.fwd[k]
+	all := int(a.nfrags) * int(b.nfrags)
+	for pass := 0; pass < 2 && len(edges) < all; pass++ {
+		for i := range a.subs {
+			sa := &a.subs[i]
+			if sa.frag < 0 {
 				continue
 			}
-			ed := fragEdge{FA: e.frag[ba.cores[0]], FB: e.frag[bb.cores[0]]}
-			if _, dup := seen[ed]; dup {
-				continue
-			}
-			if dc <= 1 || bucketsTouch(e.pts, ba.cores, bb.cores, eps2) {
-				seen[ed] = struct{}{}
-				edges = append(edges, ed)
+			for j := range b.subs {
+				sb := &b.subs[j]
+				if sb.frag < 0 {
+					continue
+				}
+				ed := fragEdge{FA: sa.frag, FB: sb.frag}
+				dc := chebyshev(sa, sb)
+				if pass == 0 && dc <= 1 && !slices.Contains(edges, ed) ||
+					pass == 1 && dc >= 2 && dc <= 4 && !slices.Contains(edges, ed) && e.bucketsTouch(sa.cores(), sb.cores()) {
+					edges = e.edgeBufs.push(edges, ed)
+				}
 			}
 		}
 	}
-	if len(edges) == 0 {
-		delete(e.pairs, pk)
-	} else {
-		e.pairs[pk] = edges
-	}
+	a.fwd[k] = edges
+	return true
 }
 
-type coreBucket struct {
-	sb    grid.Coord
-	cores []int32
-}
-
-func (e *Engine) coreBuckets(cc *cell) []coreBucket {
-	out := make([]coreBucket, 0, len(cc.buckets))
-	for sb, slots := range cc.buckets {
-		var cores []int32
-		for _, s := range slots {
-			if e.core[s] {
-				cores = append(cores, s)
-			}
-		}
-		if len(cores) > 0 {
-			out = append(out, coreBucket{sb, cores})
-		}
-	}
-	return out
-}
-
-// reassignBorders recomputes the anchor of every point in cc: cores
+// reassignBorders recomputes the anchor of every point in cell id: cores
 // anchor to themselves; non-cores anchor to the nearest core within Eps
 // (ties to the smallest point ID, keeping labels a pure function of the
-// window contents), or to nothing (noise).
-func (e *Engine) reassignBorders(cc *cell) {
-	eps2 := e.cfg.Eps * e.cfg.Eps
-	for _, s := range cc.pts {
-		if e.core[s] {
+// window contents), or to nothing (noise). Only sub-boxes within
+// Chebyshev distance 4 can hold such a core.
+func (e *Engine) reassignBorders(id int32) {
+	around := e.block(id)
+	e.blockSubs(&around, true)
+	c := &e.cells[id]
+	for i := range c.subs {
+		sb := &c.subs[i]
+		for _, s := range sb.cores() {
 			e.anchor[s] = s
+		}
+		if int(sb.ncore) == len(sb.slots) {
 			continue
 		}
-		p := e.pts[s]
-		best := int32(-1)
-		bestD := math.Inf(1)
-		var bestID uint64
-		for _, n := range cellsAround(e.g.CellOf(p)) {
-			nc := e.cells[n]
-			if nc == nil {
-				continue
-			}
-			for _, q := range nc.pts {
-				if !e.core[q] {
-					continue
-				}
-				d := geom.Dist2(p, e.pts[q])
-				if d > eps2 {
-					continue
-				}
-				id := e.pts[q].ID
-				if best < 0 || d < bestD || (d == bestD && id < bestID) {
-					best, bestD, bestID = q, d, id
-				}
+		e.far = e.far[:0]
+		for _, t := range e.cand {
+			if chebyshev(sb, t) <= 4 {
+				e.far = append(e.far, t)
 			}
 		}
-		e.anchor[s] = best
+		for _, s := range sb.slots[sb.ncore:] {
+			best := int32(-1)
+			if len(e.far) > 0 {
+				p := e.pts[s]
+				bestD := math.Inf(1)
+				var bestID uint64
+				for _, t := range e.far {
+					for _, q := range t.cores() {
+						d := geom.Dist2(p, e.pts[q])
+						if d > e.eps2 {
+							continue
+						}
+						qid := e.pts[q].ID
+						if best < 0 || d < bestD || (d == bestD && qid < bestID) {
+							best, bestD, bestID = q, d, qid
+						}
+					}
+				}
+			}
+			e.anchor[s] = best
+		}
 	}
 }
 
-// relabel rebuilds the global cluster map from the fragment graph.
+// relabel rebuilds the fragment → cluster table from the edge buffers.
 // Cluster IDs are dense and ordered by each component's smallest member
 // point ID, so they are stable across restarts and re-anchors.
 func (e *Engine) relabel() {
-	k := dsu.NewKeyed[fragKey]()
-	for c, cc := range e.cells {
-		for f := int32(0); f < cc.nfrags; f++ {
-			k.Add(fragKey{c, f})
-		}
+	total := int32(0)
+	for id := range e.cells {
+		c := &e.cells[id]
+		c.fragBase = total
+		total += c.nfrags
 	}
-	for pk, edges := range e.pairs {
-		ca, cb := e.cells[pk.A], e.cells[pk.B]
-		if ca == nil || cb == nil {
-			continue
-		}
-		for _, ed := range edges {
-			// Guard against a stale edge outliving a fragment rebuild.
-			if ed.FA >= ca.nfrags || ed.FB >= cb.nfrags {
-				continue
-			}
-			k.Union(fragKey{pk.A, ed.FA}, fragKey{pk.B, ed.FB})
-		}
-	}
-	compMin := make(map[fragKey]uint64)
-	for c, cc := range e.cells {
-		for f := int32(0); f < cc.nfrags; f++ {
-			r := k.Find(fragKey{c, f})
-			if m, ok := compMin[r]; !ok || cc.fragMin[f] < m {
-				compMin[r] = cc.fragMin[f]
+	e.uf.Reset(int(total))
+	for id := range e.cells {
+		c := &e.cells[id]
+		for k := range c.fwd {
+			for _, ed := range c.fwd[k] {
+				e.uf.Union(int(c.fragBase+ed.FA), int(e.cells[c.nbr[4+k]].fragBase+ed.FB))
 			}
 		}
 	}
-	type comp struct {
-		root fragKey
-		min  uint64
+	e.compMin = slices.Grow(e.compMin[:0], int(total))[:total]
+	for i := range e.compMin {
+		e.compMin[i] = math.MaxUint64
 	}
-	comps := make([]comp, 0, len(compMin))
-	for r, m := range compMin {
-		comps = append(comps, comp{r, m})
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i].min < comps[j].min })
-	id := make(map[fragKey]int32, len(comps))
-	for i, cp := range comps {
-		id[cp.root] = int32(i)
-	}
-	e.cluster = make(map[fragKey]int32)
-	for c, cc := range e.cells {
-		for f := int32(0); f < cc.nfrags; f++ {
-			fk := fragKey{c, f}
-			e.cluster[fk] = id[k.Find(fk)]
+	for id := range e.cells {
+		c := &e.cells[id]
+		for i := range c.subs {
+			if sb := &c.subs[i]; sb.frag >= 0 {
+				r := e.uf.Find(int(c.fragBase + sb.frag))
+				e.compMin[r] = min(e.compMin[r], sb.minCore)
+			}
 		}
 	}
-	e.nclusters = len(comps)
+	e.roots = e.roots[:0]
+	for g := int32(0); g < total; g++ {
+		if e.uf.Find(int(g)) == int(g) {
+			e.roots = append(e.roots, g)
+		}
+	}
+	slices.SortFunc(e.roots, func(a, b int32) int { return cmp.Compare(e.compMin[a], e.compMin[b]) })
+	e.label = slices.Grow(e.label[:0], int(total))[:total]
+	for rank, r := range e.roots {
+		e.label[r] = int32(rank)
+	}
+	for g := range e.label {
+		e.label[g] = e.label[e.uf.Find(g)]
+	}
+	e.nclusters = len(e.roots)
 }
 
 // labelOf resolves slot s's cluster label through its anchor.
@@ -724,11 +872,8 @@ func (e *Engine) labelOf(s int32) int {
 	if a < 0 {
 		return Noise
 	}
-	fk := fragKey{e.g.CellOf(e.pts[a]), e.frag[a]}
-	if cl, ok := e.cluster[fk]; ok {
-		return int(cl)
-	}
-	return Noise
+	c := &e.cells[e.cellOf[a]]
+	return int(e.label[c.fragBase+c.subs[e.subOf[a]].frag])
 }
 
 // Snapshot is a consistent view of the window after a tick: points in
@@ -742,11 +887,11 @@ type Snapshot struct {
 
 // Snapshot materializes the current window labeling. O(window size).
 func (e *Engine) Snapshot() Snapshot {
-	slots := make([]int32, 0, len(e.byID))
-	for _, s := range e.byID {
-		slots = append(slots, s)
+	slots := make([]int32, 0, e.Len())
+	for _, batch := range e.ring {
+		slots = append(slots, batch...)
 	}
-	sort.Slice(slots, func(i, j int) bool { return e.pts[slots[i]].ID < e.pts[slots[j]].ID })
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(e.pts[a].ID, e.pts[b].ID) })
 	snap := Snapshot{
 		Tick:        e.tick,
 		Points:      make([]geom.Point, len(slots)),
@@ -807,26 +952,21 @@ func Restore(cfg Config, ws WindowState) (*Engine, error) {
 	if ws.Tick < 0 {
 		return nil, fmt.Errorf("stream: restore: negative tick %d", ws.Tick)
 	}
-	seenTick := make(map[int]struct{}, len(ws.Ticks))
+	seen := make([]bool, e.cfg.WindowTicks) // in-window ticks have distinct ring slots
 	for _, ta := range ws.Ticks {
 		if ta.Tick < 1 || ta.Tick > ws.Tick || ta.Tick <= ws.Tick-e.cfg.WindowTicks {
 			return nil, fmt.Errorf("stream: restore: tick %d outside window ending at %d", ta.Tick, ws.Tick)
 		}
-		if _, dup := seenTick[ta.Tick]; dup {
+		slot := ta.Tick % e.cfg.WindowTicks
+		if seen[slot] {
 			return nil, fmt.Errorf("stream: restore: tick %d recorded twice", ta.Tick)
 		}
-		seenTick[ta.Tick] = struct{}{}
-		slot := ta.Tick % e.cfg.WindowTicks
+		seen[slot] = true
 		for _, p := range ta.Points {
-			if _, dup := e.byID[p.ID]; dup {
+			if _, dup := e.byID.get(p.ID); dup {
 				return nil, fmt.Errorf("stream: restore: point ID %d recorded twice", p.ID)
 			}
-			s := e.alloc()
-			e.pts[s] = p
-			e.live[s] = true
-			e.byID[p.ID] = s
-			e.insertIntoCell(e.g.CellOf(p), s)
-			e.ring[slot] = append(e.ring[slot], s)
+			e.ring[slot] = append(e.ring[slot], e.insert(p))
 		}
 	}
 	e.tick = ws.Tick
@@ -837,93 +977,164 @@ func Restore(cfg Config, ws WindowState) (*Engine, error) {
 
 // --- slot and cell plumbing ---
 
-func (e *Engine) alloc() int32 {
+// insert files p under a slot in its cell and sub-box and returns the
+// slot.
+func (e *Engine) insert(p geom.Point) int32 {
+	var s int32
 	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		return s
-	}
-	e.pts = append(e.pts, geom.Point{})
-	e.live = append(e.live, false)
-	e.core = append(e.core, false)
-	e.frag = append(e.frag, -1)
-	e.anchor = append(e.anchor, -1)
-	return int32(len(e.pts) - 1)
-}
-
-func (e *Engine) insertIntoCell(c grid.Coord, s int32) {
-	cc := e.cells[c]
-	if cc == nil {
-		cc = &cell{buckets: make(map[grid.Coord][]int32)}
-		e.cells[c] = cc
-	}
-	cc.pts = append(cc.pts, s)
-	sb := e.sg.CellOf(e.pts[s])
-	cc.buckets[sb] = append(cc.buckets[sb], s)
-}
-
-// removeFromCell detaches s; an emptied cell stays in the map until the
-// next repair classifies it (so its pair edges are invalidated there).
-func (e *Engine) removeFromCell(c grid.Coord, s int32) {
-	cc := e.cells[c]
-	cc.pts = removeSlot(cc.pts, s)
-	sb := e.sg.CellOf(e.pts[s])
-	b := removeSlot(cc.buckets[sb], s)
-	if len(b) == 0 {
-		delete(cc.buckets, sb)
+		s, e.free = e.free[n-1], e.free[:n-1]
 	} else {
-		cc.buckets[sb] = b
+		s = int32(len(e.pts))
+		e.pts = append(e.pts, geom.Point{})
+		e.cellOf = append(e.cellOf, 0)
+		e.subOf = append(e.subOf, 0)
+		e.pos = append(e.pos, 0)
+		e.core = append(e.core, false)
+		e.anchor = append(e.anchor, 0)
 	}
+	e.pts[s], e.core[s], e.anchor[s] = p, false, -1
+	e.byID.put(p.ID, s)
+
+	co := e.g.CellOf(p)
+	id, ok := e.ids.get(cellKey(co))
+	if !ok {
+		id = e.newCell(co)
+	}
+	if e.mark(id, markDirty) {
+		e.dirty = append(e.dirty, id)
+	}
+	c := &e.cells[id]
+	c.n++
+	sc := e.sg.CellOf(p)
+	k := 0
+	for k < len(c.subs) && (c.subs[k].sx != sc.CX || c.subs[k].sy != sc.CY) {
+		k++
+	}
+	if k == len(c.subs) {
+		c.subs = append(c.subs, subBox{sx: sc.CX, sy: sc.CY, frag: -1})
+	}
+	sb := &c.subs[k]
+	e.cellOf[s], e.subOf[s], e.pos[s] = id, int32(k), int32(len(sb.slots))
+	sb.slots = e.slotBufs.push(sb.slots, s)
+	return s
 }
 
-func removeSlot(s []int32, v int32) []int32 {
-	for i, x := range s {
-		if x == v {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
+// remove detaches slot s from its cell; an emptied cell stays in the
+// slab until the next repair classifies it.
+func (e *Engine) remove(s int32) {
+	id := e.cellOf[s]
+	if e.mark(id, markDirty) {
+		e.dirty = append(e.dirty, id)
+	}
+	c := &e.cells[id]
+	c.n--
+	// Fill s's place with the last core if s is one, then that place (or
+	// s's) with the last slot: the cores stay in front.
+	sb := &c.subs[e.subOf[s]]
+	hole := e.pos[s]
+	if hole < sb.ncore {
+		sb.ncore--
+		hole = e.move(sb, sb.ncore, hole)
+	}
+	last := int32(len(sb.slots) - 1)
+	if hole != last {
+		e.move(sb, last, hole)
+	}
+	sb.slots = sb.slots[:last]
+	e.byID.del(e.pts[s].ID)
+	e.free = append(e.free, s)
+}
+
+// move copies the slot at index from of sb.slots to index to and returns
+// from, the place it vacated.
+func (e *Engine) move(sb *subBox, from, to int32) int32 {
+	q := sb.slots[from]
+	sb.slots[to], e.pos[q] = q, to
+	return from
+}
+
+// newCell takes a slab entry for coordinate co and links it with the
+// neighbours that exist.
+func (e *Engine) newCell(co grid.Coord) int32 {
+	var id int32
+	if n := len(e.freeCells); n > 0 {
+		id, e.freeCells = e.freeCells[n-1], e.freeCells[:n-1]
+	} else {
+		id = int32(len(e.cells))
+		if len(e.subArena) < subsPerCell {
+			e.subArena = make([]subBox, 128*subsPerCell)
+		}
+		e.cells = append(e.cells, cell{subs: e.subArena[:0:subsPerCell]})
+		e.subArena = e.subArena[subsPerCell:]
+	}
+	c := &e.cells[id]
+	c.coord = co
+	for i, nc := range co.Neighbors() {
+		n, ok := e.ids.get(cellKey(nc))
+		if !ok {
+			n = -1
+		} else {
+			e.cells[n].nbr[7-i] = id
+		}
+		c.nbr[i] = n
+	}
+	e.ids.put(cellKey(co), id)
+	return id
+}
+
+// subsPerCell is the sub-box capacity a slab entry starts with: the 3×3
+// of aligned grids (a misaligned point makes append grow it).
+const subsPerCell = 9
+
+// freeCell unlinks an emptied cell from its neighbours — dropping the
+// pair edges on both sides — and returns its buffers to the pools and
+// its entry to the free list.
+func (e *Engine) freeCell(id int32) {
+	c := &e.cells[id]
+	for i, n := range c.nbr {
+		if n < 0 {
+			continue
+		}
+		e.cells[n].nbr[7-i] = -1
+		if i < 4 { // n is the pair's lower cell; this one is its forward neighbour 3-i
+			e.cells[n].fwd[3-i] = e.cells[n].fwd[3-i][:0]
 		}
 	}
-	return s
+	for k := range c.fwd {
+		e.edgeBufs.put(c.fwd[k])
+		c.fwd[k] = nil
+	}
+	for i := range c.subs {
+		e.slotBufs.put(c.subs[i].slots)
+	}
+	c.subs, c.nfrags = c.subs[:0], 0
+	e.ids.del(cellKey(c.coord))
+	e.freeCells = append(e.freeCells, id)
 }
 
 // --- geometry helpers ---
 
-func cellsAround(c grid.Coord) [9]grid.Coord {
-	n := c.Neighbors()
-	var out [9]grid.Coord
-	out[0] = c
-	copy(out[1:], n[:])
-	return out
-}
+// cellKey packs a coordinate into a table key.
+func cellKey(c grid.Coord) uint64 { return uint64(uint32(c.CX))<<32 | uint64(uint32(c.CY)) }
 
-func chebyshev(a, b grid.Coord) int32 {
-	dx := a.CX - b.CX
+func chebyshev(a, b *subBox) int32 {
+	dx := a.sx - b.sx
 	if dx < 0 {
 		dx = -dx
 	}
-	dy := a.CY - b.CY
+	dy := a.sy - b.sy
 	if dy < 0 {
 		dy = -dy
 	}
-	if dx > dy {
-		return dx
-	}
-	return dy
+	return max(dx, dy)
 }
 
-func makePair(a, b grid.Coord) pairKey {
-	if b.Less(a) {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
-// bucketsTouch reports whether any cross pair is within eps2, with
-// early exit on the first hit.
-func bucketsTouch(pts []geom.Point, as, bs []int32, eps2 float64) bool {
+// bucketsTouch reports whether any cross pair is within Eps, with early
+// exit on the first hit.
+func (e *Engine) bucketsTouch(as, bs []int32) bool {
 	for _, a := range as {
 		for _, b := range bs {
-			if geom.Dist2(pts[a], pts[b]) <= eps2 {
+			if geom.Dist2(e.pts[a], e.pts[b]) <= e.eps2 {
 				return true
 			}
 		}

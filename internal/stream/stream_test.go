@@ -33,13 +33,16 @@ func mustTick(t *testing.T, e *Engine, batch []geom.Point) TickStats {
 }
 
 // checkSnapshot asserts the engine's current labeling is a valid DBSCAN
-// labeling of the window contents.
+// labeling of the window contents and, stronger, exactly the canonical
+// one (contract_test.go).
 func checkSnapshot(t *testing.T, e *Engine) Snapshot {
 	t.Helper()
 	snap := e.Snapshot()
 	if err := EquivalentDBSCAN(snap.Points, e.Config().Eps, e.Config().MinPts, snap.Labels); err != nil {
 		t.Fatalf("tick %d (window %d points): %v", snap.Tick, len(snap.Points), err)
 	}
+	checkCanonical(t, e, snap)
+	checkLayout(t, e)
 	return snap
 }
 
@@ -528,5 +531,36 @@ func TestRandomizedChurn(t *testing.T) {
 		}
 		mustTick(t, e, batch)
 		checkSnapshot(t, e)
+	}
+}
+
+// TestTickAdmittedHook: the hook runs once per accepted batch, with the
+// tick's number, once the batch is past validation; a refused batch
+// never reaches it.
+func TestTickAdmittedHook(t *testing.T) {
+	e, err := New(Config{Eps: 0.1, MinPts: 2, WindowTicks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(firstID uint64) []geom.Point {
+		return []geom.Point{{ID: firstID, X: 1, Y: 1}, {ID: firstID + 1, X: 1.05, Y: 1}}
+	}
+	for tick := 1; tick <= 4; tick++ {
+		calls := 0
+		st, err := e.TickAdmitted(batch(uint64(10*tick)), func(n int) {
+			calls++
+			if n != tick {
+				t.Fatalf("hook of tick %d called with %d", tick, n)
+			}
+		})
+		if err != nil || calls != 1 || st.Tick != tick {
+			t.Fatalf("tick %d: hook ran %d times, stats say tick %d, %v", tick, calls, st.Tick, err)
+		}
+	}
+	if _, err := e.TickAdmitted(batch(40), func(int) { t.Fatal("hook ran for a refused batch") }); err == nil {
+		t.Fatal("a batch repeating live IDs was accepted")
+	}
+	if e.TickIndex() != 4 {
+		t.Fatalf("a refused batch moved the cursor to %d", e.TickIndex())
 	}
 }
