@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
+.PHONY: all build vet test race fuzz-smoke bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
 
 all: build vet test
 
@@ -27,6 +27,16 @@ test: vet
 
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of coverage-guided fuzzing on each wire decoder (summaries
+# block, WorkRequest, WorkResponse): no panic, no allocation beyond a
+# small multiple of the input, one encoding per value. Minimising every
+# new corpus entry would eat the whole budget, hence the 1s cap.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
 
 # Seeded chaos campaign: every run must match the fault-free reference
 # (or fail loudly) with zero silent corruption escapes. CHAOSFLAGS
@@ -92,22 +102,24 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_16.json, captured by
-# `make bench-gated` at PR 16's head; BENCH_15.json, BENCH_14.json and
-# BENCH_seed.json are history and gate nothing — PR 16 re-based because
-# its flat stream engine put StreamTick far below BENCH_15). Fails if any
-# Cluster, GPUDBSCAN, KD-tree Build, Partition (including the
-# write-stage PartitionWrite layouts), planner (MakePlan, Split) or
+# committed baseline of current performance (BENCH_17.json, captured by
+# `make bench-gated` at PR 17's head; BENCH_16.json and earlier are
+# history and gate nothing — PR 17 re-based because it added the distrib
+# and merge benchmarks and put Combine far below anything older). Fails if
+# any Cluster, GPUDBSCAN, KD-tree Build, Partition (including the
+# write-stage PartitionWrite layouts), planner (MakePlan, Split),
 # StreamTick (engine at two shapes, and the served tick with its durable
-# commit) benchmark's wall clock regressed more than 20%.
-BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN)
+# commit), merge (BuildSummaries, Combine) or distrib (DistribRun end to
+# end over loopback, WireCodec encode/decode) benchmark's wall clock
+# regressed more than 20%.
+BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_16.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_17.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_16.json was produced).
+# BENCH_run.json, and how BENCH_17.json was produced).
 bench-gated:
-	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan'
+	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 
 # Regenerate every evaluation artifact (measured + modeled rows).
 experiments:

@@ -198,8 +198,7 @@ func coordinate(o coordOptions) error {
 		if err != nil {
 			return fmt.Errorf("opening checkpoint dir: %w", err)
 		}
-		runID := fmt.Sprintf("mrscan-dist|%s|%d|%g|%d|%d", input, len(pts), eps, minPts, leaves)
-		store := checkpoint.NewStore(bk, runID)
+		store := checkpoint.NewStore(bk, distrib.CheckpointRunID(input, len(pts), runOpts))
 		if !o.resume {
 			// A fresh (non-resume) run must not restore stale snapshots
 			// from an earlier invocation over the same directory.

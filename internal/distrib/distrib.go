@@ -6,8 +6,9 @@
 //
 // This is the deployment shape of the real system — MRNet backends on
 // separate Titan nodes receiving work from the tree — realized with
-// nothing but the standard library: gob-encoded messages in versioned,
-// CRC32C-checksummed envelopes over TCP (see envelope.go). The
+// nothing but the standard library: fixed-record binary messages
+// (codec.go) in versioned, CRC32C-checksummed envelopes over TCP
+// (envelope.go). The
 // in-process pipeline (internal/mrscan) remains the fast path; this
 // package exists so the clustering protocol demonstrably survives a
 // process boundary, including one that corrupts bits in flight.
@@ -17,12 +18,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/dbscan"
@@ -51,6 +53,10 @@ type WorkRequest struct {
 	Ping bool
 	// Done tells the worker to exit after acknowledging.
 	Done bool
+	// TraceID ties the exchange to the coordinator's trace; the worker
+	// echoes it. DispatchContext stamps requests that carry none with its
+	// dispatch span's ID.
+	TraceID uint64
 }
 
 // WorkResponse is a worker's result for one partition.
@@ -61,8 +67,14 @@ type WorkResponse struct {
 	NumClusters int
 	// Ping acknowledges a heartbeat.
 	Ping bool
-	// Err carries a worker-side failure (gob cannot encode error values).
+	// Err carries a worker-side failure.
 	Err string
+	// TraceID echoes the request's.
+	TraceID uint64
+	// Worker-side stage times in nanoseconds: decoding the request, the
+	// GPGPU DBSCAN, building the summaries. What is left of the
+	// coordinator's round trip is encoding and the wire.
+	DecodeNS, ClusterNS, SummariseNS int64
 }
 
 // Hello is the first message a worker sends after dialing in.
@@ -70,18 +82,19 @@ type Hello struct {
 	Pid int
 }
 
-// IsConnClosed reports whether err looks like the far end closing the
-// connection — what a worker sees when the coordinator drops it after a
-// failure or shuts down without a Done message. Workers treat it as a
-// normal exit.
+// IsConnClosed reports whether err is the far end closing the connection
+// — what a worker sees when the coordinator drops it after a failure or
+// shuts down without a Done message, including mid-envelope. Workers
+// treat it as a normal exit. It classifies by type: a payload that fails
+// to decode (integrity.ErrMalformed) is not a closed connection, whatever
+// its text says.
 func IsConnClosed(err error) bool {
-	if err == nil {
-		return false
+	for _, closed := range []error{io.EOF, net.ErrClosed, syscall.ECONNRESET, syscall.EPIPE, integrity.ErrTorn} {
+		if errors.Is(err, closed) {
+			return true
+		}
 	}
-	s := err.Error()
-	return strings.Contains(s, "use of closed network connection") ||
-		strings.Contains(s, "EOF") ||
-		strings.Contains(s, "connection reset")
+	return false
 }
 
 // WorkerOptions tunes a worker's behavior.
@@ -111,14 +124,11 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 		return fmt.Errorf("distrib: worker dialing coordinator: %w", err)
 	}
 	defer conn.Close()
-	hello, err := gobEncode(&Hello{Pid: pid})
-	if err != nil {
-		return fmt.Errorf("distrib: worker hello: %w", err)
-	}
 	// lastSent backs the NACK protocol: whenever the coordinator's CRC
 	// rejects our last envelope, recvVerified resends these bytes.
-	lastSent := hello
-	if err := writeEnvelope(conn, envData, hello); err != nil {
+	lastSent := sealEnvelope(appendHello(newEnvelope(nil, helloLen), &Hello{Pid: pid}), envData)
+	var recvBuf []byte
+	if _, err := conn.Write(lastSent); err != nil {
 		return fmt.Errorf("distrib: worker hello: %w", err)
 	}
 	// One simulated device and one workspace for the connection's
@@ -128,12 +138,13 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 	var scratch workerScratch
 	served := 0
 	for {
-		p, err := recvVerified(conn, &lastSent)
+		p, err := recvVerified(conn, &lastSent, &recvBuf)
 		if err != nil {
 			return fmt.Errorf("distrib: worker receiving: %w", err)
 		}
-		var req WorkRequest
-		if err := gobDecode(p, &req); err != nil {
+		begin := time.Now()
+		req, err := decodeRequest(p)
+		if err != nil {
 			return fmt.Errorf("distrib: worker receiving: %w", err)
 		}
 		if req.Done {
@@ -143,18 +154,17 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 		if req.Ping {
 			resp = &WorkResponse{Leaf: req.Leaf, Ping: true}
 		} else {
+			decodeNS := time.Since(begin).Nanoseconds()
 			if opt.Delay > 0 && (opt.LimpOps == 0 || served < opt.LimpOps) {
 				time.Sleep(opt.Delay)
 			}
 			served++
-			resp = serve(&req, &scratch)
+			resp = serve(req, &scratch)
+			resp.DecodeNS = decodeNS
 		}
-		out, err := gobEncode(resp)
-		if err != nil {
-			return fmt.Errorf("distrib: worker replying: %w", err)
-		}
-		lastSent = out
-		if err := writeEnvelope(conn, envData, out); err != nil {
+		resp.TraceID = req.TraceID
+		lastSent = sealEnvelope(appendResponse(newEnvelope(lastSent, resp.wireSize()), resp), envData)
+		if _, err := conn.Write(lastSent); err != nil {
 			return fmt.Errorf("distrib: worker replying: %w", err)
 		}
 	}
@@ -177,6 +187,7 @@ func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
 	if scratch.dev == nil {
 		scratch.dev = gpusim.New(gpusim.K20(), nil)
 	}
+	begin := time.Now()
 	res, err := gdbscan.Cluster(scratch.dev, combined, gdbscan.Options{
 		Params:    dbscan.Params{Eps: req.Eps, MinPts: req.MinPts},
 		DenseBox:  req.DenseBox,
@@ -186,12 +197,14 @@ func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
 		resp.Err = err.Error()
 		return resp
 	}
-	g := grid.New(req.Eps)
-	sums, err := merge.BuildSummaries(g, req.Leaf, combined, len(req.Owned), res.Labels, res.Core, res.NumClusters)
+	resp.ClusterNS = time.Since(begin).Nanoseconds()
+	begin = time.Now()
+	sums, err := merge.BuildSummaries(grid.New(req.Eps), req.Leaf, combined, len(req.Owned), res.Labels, res.Core, res.NumClusters)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
+	resp.SummariseNS = time.Since(begin).Nanoseconds()
 	resp.Summaries = sums
 	resp.Labels = res.Labels[:len(req.Owned)]
 	resp.NumClusters = res.NumClusters
@@ -348,10 +361,21 @@ type coordMetrics struct {
 	hedgesWon         *telemetry.Counter
 	corruptRedispatch *telemetry.Counter
 	probes            *telemetry.Counter
+	// stages are distrib_worker_stage_seconds{stage=…}: the worker-side
+	// times every winning-or-losing real response reports.
+	stages [len(workerStages)]*telemetry.Histogram
 }
 
+// workerStages is the metric's whole label set, in WorkResponse order.
+var workerStages = [...]string{"decode", "cluster", "summarise"}
+
 func resolveCoordMetrics(h *telemetry.Hub) coordMetrics {
+	var stages [len(workerStages)]*telemetry.Histogram
+	for i, name := range workerStages {
+		stages[i] = h.Histogram("distrib_worker_stage_seconds", telemetry.DefSecondsBuckets(), "stage", name)
+	}
 	return coordMetrics{
+		stages:            stages,
 		retries:           h.Counter("distrib_retries_total"),
 		workersLost:       h.Counter("distrib_workers_lost_total"),
 		hedgesLaunched:    h.Counter("distrib_hedges_launched_total"),
@@ -406,7 +430,10 @@ type workerConn struct {
 	// interleave with dispatch without corrupting the envelope stream.
 	mu   sync.Mutex
 	conn net.Conn
-	pid  int
+	// sendBuf and recvBuf are the last request envelope and response
+	// payload, reused by the next exchange (under mu).
+	sendBuf, recvBuf []byte
+	pid              int
 	// idx is the worker's accept order — the index WorkerFaultSite
 	// targets for per-worker injection. Stable across removals of other
 	// workers.
@@ -454,27 +481,29 @@ func (c *Coordinator) exchange(w *workerConn, req *WorkRequest, timeout time.Dur
 		}
 		defer w.conn.SetDeadline(time.Time{})
 	}
-	payload, err := gobEncode(req)
-	if err != nil {
-		return nil, err
-	}
+	wire := sealEnvelope(appendRequest(newEnvelope(w.sendBuf, req.wireSize()), req), envData)
+	w.sendBuf = wire
 	sendSites := []faultinject.Site{faultinject.DistribRequest, WorkerFaultSite(w.idx)}
-	// send emits the request envelope, flipping one wire bit when a
-	// corrupt rule fires (at most one site per attempt, so injections
-	// and detections stay one-to-one). The payload stays clean: a
-	// retransmit re-consults the plan rather than replaying the flip.
-	send := func() (faultinject.Site, error) {
-		wire := encodeEnvelope(envData, payload)
-		var injected faultinject.Site
+	// send emits the request envelope, flipping one wire bit for the
+	// write when a corrupt rule fires (at most one site per attempt, so
+	// injections and detections stay one-to-one). The envelope itself
+	// stays clean: a retransmit re-consults the plan rather than
+	// replaying the flip.
+	send := func() (injected faultinject.Site, err error) {
+		var flip *byte
+		var mask byte
 		for _, s := range sendSites {
-			if cr := plan.CorruptCheck(s, int64(len(payload))); cr != nil {
-				wire[envHdrLen+cr.Offset] ^= 1 << cr.Bit
-				injected = s
+			if cr := plan.CorruptCheck(s, int64(len(wire)-envHdrLen)); cr != nil {
+				flip, mask, injected = &wire[envHdrLen+cr.Offset], 1<<cr.Bit, s
+				*flip ^= mask
 				break
 			}
 		}
-		_, werr := w.conn.Write(wire)
-		return injected, werr
+		_, err = w.conn.Write(wire)
+		if flip != nil {
+			*flip ^= mask
+		}
+		return injected, err
 	}
 	pending, err := send()
 	if err != nil {
@@ -482,7 +511,7 @@ func (c *Coordinator) exchange(w *workerConn, req *WorkRequest, timeout time.Dur
 	}
 	nacks, resends := 0, 0
 	for {
-		kind, p, crc, err := readEnvelope(w.conn)
+		kind, p, crc, err := readEnvelope(w.conn, &w.recvBuf)
 		if err != nil {
 			if pending != "" {
 				// The flipped request died with the connection before
@@ -525,7 +554,7 @@ func (c *Coordinator) exchange(w *workerConn, req *WorkRequest, timeout time.Dur
 					return nil, fmt.Errorf("distrib: worker %d: giving up after %d corrupt responses: %w", w.pid, nacks, ErrPayloadCorrupt)
 				}
 				c.envelopeRetransmit()
-				if err := writeEnvelope(w.conn, envNack, nil); err != nil {
+				if _, err := w.conn.Write(nackEnvelope); err != nil {
 					return nil, err
 				}
 				continue
@@ -536,14 +565,29 @@ func (c *Coordinator) exchange(w *workerConn, req *WorkRequest, timeout time.Dur
 				// cannot leak an injection.
 				c.corruptionMasked(pending)
 			}
-			var resp WorkResponse
-			if err := gobDecode(p, &resp); err != nil {
-				return nil, err
+			resp, err := decodeResponse(p)
+			if err == nil && resp.TraceID != req.TraceID {
+				err = fmt.Errorf("distrib: worker %d answered trace %d with trace %d", w.pid, req.TraceID, resp.TraceID)
 			}
-			return &resp, nil
+			return resp, err
 		default:
 			return nil, fmt.Errorf("distrib: unknown envelope kind %d", kind)
 		}
+	}
+}
+
+// recordStages observes a response's worker-side stage times and, when a
+// trace parent is set, lays them end to end from the exchange's start as
+// child spans of the dispatch span (the worker's clock never crosses the
+// wire, only its durations). Nil handles and a nil hub record nothing.
+func (cm *coordMetrics) recordStages(hub *telemetry.Hub, traced bool, dsp *telemetry.Span, begin time.Time, resp *WorkResponse) {
+	for i, ns := range [...]int64{resp.DecodeNS, resp.ClusterNS, resp.SummariseNS} {
+		d := time.Duration(ns)
+		cm.stages[i].Observe(d.Seconds())
+		if traced {
+			hub.RecordWall(dsp, "distrib.worker."+workerStages[i], begin, d, telemetry.Int("leaf", resp.Leaf))
+		}
+		begin = begin.Add(d)
 	}
 }
 
@@ -649,7 +693,7 @@ func (c *Coordinator) AcceptWorkers(n int, timeout time.Duration) error {
 		// message, so a peer from another protocol revision (or plain
 		// garbage on the port) is rejected here with a ProtocolError
 		// naming the mismatched field, not deep inside a dispatch.
-		kind, p, crc, err := readEnvelope(conn)
+		kind, p, crc, err := readEnvelope(conn, &w.recvBuf)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("distrib: worker %d hello: %w", i, err)
@@ -658,8 +702,8 @@ func (c *Coordinator) AcceptWorkers(n int, timeout time.Duration) error {
 			conn.Close()
 			return fmt.Errorf("distrib: worker %d hello: %w", i, ErrPayloadCorrupt)
 		}
-		var hello Hello
-		if err := gobDecode(p, &hello); err != nil {
+		hello, err := decodeHello(p)
+		if err != nil {
 			conn.Close()
 			return fmt.Errorf("distrib: worker %d hello: %w", i, err)
 		}
@@ -812,6 +856,11 @@ func (c *Coordinator) DispatchContext(ctx context.Context, reqs []WorkRequest) (
 	dsp := hub.Start(parent, "distrib.dispatch",
 		telemetry.Int("partitions", len(reqs)), telemetry.Int("workers", len(workers)))
 	defer dsp.End()
+	for i := range reqs { // before any worker goroutine reads them
+		if reqs[i].TraceID == 0 {
+			reqs[i].TraceID = uint64(dsp.ID())
+		}
+	}
 
 	responses := make([]*WorkResponse, len(reqs))
 	// Sized for the worst case — every attempt plus one hedge per index
@@ -1139,6 +1188,7 @@ func (c *Coordinator) DispatchContext(ctx context.Context, reqs []WorkRequest) (
 					return
 				}
 				tracker.ObserveSuccess(comp, time.Since(begin))
+				cm.recordStages(hub, parent != nil, dsp, begin, resp)
 				hmu.Lock()
 				inflight[ri]--
 				if done[ri] {
@@ -1193,9 +1243,8 @@ func (c *Coordinator) Shutdown() {
 	// probe of a quarantined worker, a hedge, or a late original.
 	for _, w := range workers {
 		w.mu.Lock()
-		if p, err := gobEncode(&WorkRequest{Done: true}); err == nil {
-			_ = writeEnvelope(w.conn, envData, p)
-		}
+		// Best effort: the close below ends the worker too.
+		_, _ = w.conn.Write(sealEnvelope(appendRequest(newEnvelope(nil, requestHdr), &WorkRequest{Done: true}), envData))
 		w.conn.Close()
 		w.mu.Unlock()
 		w.dead.Store(true)

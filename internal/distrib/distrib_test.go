@@ -15,15 +15,16 @@ import (
 // startWorkers launches n protocol workers as goroutines dialing the
 // coordinator over real TCP (the protocol is identical whether the other
 // end is a goroutine or a separate process; TestMain exercises the
-// process case).
-func startWorkers(t *testing.T, c *Coordinator, n int) *sync.WaitGroup {
+// process case). One WorkerOptions value may be passed for all of them.
+func startWorkers(t *testing.T, c *Coordinator, n int, opt ...WorkerOptions) *sync.WaitGroup {
 	t.Helper()
+	opt = append(opt, WorkerOptions{})
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := Worker(c.Addr(), 1000+i); err != nil && !IsConnClosed(err) {
+			if err := WorkerWithOptions(c.Addr(), 1000+i, opt[0]); err != nil && !IsConnClosed(err) {
 				t.Errorf("worker %d: %v", i, err)
 			}
 		}(i)

@@ -1,9 +1,7 @@
 package distrib
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -16,29 +14,29 @@ import (
 //
 // Every message — including the worker's Hello — travels as:
 //
-//	[2B magic "MS"][1B version][1B kind][4B LE payload len][4B LE CRC32C][gob payload]
+//	[2B magic "MS"][1B version][1B kind][4B LE payload len][4B LE CRC32C][payload]
 //
 // The magic and version bytes reject a peer speaking a different
 // protocol revision at the first message with a ProtocolError, instead
-// of a confusing gob decode failure deep in a dispatch. The CRC32C
-// trailer covers the gob payload: a receiver whose recomputed sum
-// differs answers with a NACK envelope and the sender retransmits,
-// bounded by maxEnvelopeRetries per exchange, after which the exchange
-// fails with ErrPayloadCorrupt and the dispatch layer redispatches the
-// partition.
+// of a confusing decode failure deep in a dispatch. The CRC32C covers
+// the payload: a receiver whose recomputed sum differs answers with a
+// NACK envelope and the sender retransmits, bounded by
+// maxEnvelopeRetries per exchange, after which the exchange fails with
+// ErrPayloadCorrupt and the dispatch layer redispatches the partition.
 //
-// Each payload is gob-encoded with a fresh encoder so every envelope is
-// self-contained: a retransmitted envelope is byte-identical to the
-// original, with no stream state to resynchronize (a plain gob stream
-// sends type descriptors once, which would make replay impossible).
+// Payloads are the fixed-record encodings of codec.go, appended straight
+// into the envelope's buffer behind twelve reserved header bytes and
+// sealed once. Each envelope is self-contained and a value has exactly
+// one encoding, so a retransmit is the same bytes written again.
+// Version 1 carried gob payloads.
 
 const (
 	envMagic   = "MS"
-	envVersion = 1
+	envVersion = 2
 	envHdrLen  = 12
 
 	// envelope kinds.
-	envData = 1 // gob payload
+	envData = 1 // a Hello, WorkRequest or WorkResponse
 	envNack = 2 // checksum reject: resend your last envelope
 
 	// maxEnvelope bounds a payload (64 MiB — partitions carry point
@@ -58,49 +56,39 @@ var ErrPayloadCorrupt = integrity.ErrChecksum
 // errors.Is-compatible with integrity.ErrTorn.
 var ErrEnvelopeTorn = integrity.ErrTorn
 
-// gobEncode serializes v with a fresh encoder (self-contained bytes).
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("distrib: encoding %T: %w", v, err)
+// newEnvelope returns a buffer holding the reserved header, with room
+// for a payload of the given size to be appended: buf itself when it is
+// large enough (a connection reuses its last envelope's), else a new one.
+func newEnvelope(buf []byte, payloadSize int) []byte {
+	if cap(buf) < envHdrLen+payloadSize {
+		buf = make([]byte, envHdrLen+payloadSize)
 	}
-	return buf.Bytes(), nil
+	return buf[:envHdrLen]
 }
 
-// gobDecode deserializes a self-contained payload into v.
-func gobDecode(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("distrib: decoding %T: %w", v, err)
-	}
-	return nil
+// sealEnvelope fills in the header of env (newEnvelope's buffer with the
+// payload appended) and returns the finished wire bytes.
+func sealEnvelope(env []byte, kind byte) []byte {
+	payload := env[envHdrLen:]
+	copy(env, envMagic)
+	env[2] = envVersion
+	env[3] = kind
+	binary.LittleEndian.PutUint32(env[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(env[8:12], integrity.Checksum(payload))
+	return env
 }
 
-// encodeEnvelope assembles a full wire envelope around payload.
-func encodeEnvelope(kind byte, payload []byte) []byte {
-	buf := make([]byte, envHdrLen+len(payload))
-	copy(buf, envMagic)
-	buf[2] = envVersion
-	buf[3] = kind
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:12], integrity.Checksum(payload))
-	copy(buf[envHdrLen:], payload)
-	return buf
-}
-
-// writeEnvelope emits one clean envelope (no fault injection) — the
-// worker side, NACKs, and the shutdown message use it.
-func writeEnvelope(w io.Writer, kind byte, payload []byte) error {
-	_, err := w.Write(encodeEnvelope(kind, payload))
-	return err
-}
+// nackEnvelope is the one NACK there is.
+var nackEnvelope = sealEnvelope(newEnvelope(nil, 0), envNack)
 
 // readEnvelope reads one envelope and validates its framing: magic and
 // version (ProtocolError on mismatch), length (ErrTooLarge), and
 // completeness (io.EOF for a clean close between envelopes,
 // ErrEnvelopeTorn mid-envelope). The payload's CRC is returned
 // unverified so the caller can apply receive-side fault injection
-// before checking it.
-func readEnvelope(r io.Reader) (kind byte, payload []byte, crc uint32, err error) {
+// before checking it. The payload lands in *buf, grown when too small and
+// overwritten by the connection's next read: decoders copy out of it.
+func readEnvelope(r io.Reader, buf *[]byte) (kind byte, payload []byte, crc uint32, err error) {
 	var hdr [envHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -125,7 +113,10 @@ func readEnvelope(r io.Reader) (kind byte, payload []byte, crc uint32, err error
 		return 0, nil, 0, fmt.Errorf("distrib: envelope of %d bytes: %w", n, integrity.ErrTooLarge)
 	}
 	crc = binary.LittleEndian.Uint32(hdr[8:12])
-	payload = make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	payload = (*buf)[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("distrib: envelope payload: %w (%v)", ErrEnvelopeTorn, err)
 	}
@@ -135,12 +126,12 @@ func readEnvelope(r io.Reader) (kind byte, payload []byte, crc uint32, err error
 // recvVerified reads envelopes off conn until a clean data envelope
 // arrives, running the receiver's half of the integrity protocol with
 // no fault injection and no counters — the worker side. A corrupt
-// payload is NACKed (bounded); an incoming NACK triggers resend, the
-// caller's last sent payload.
-func recvVerified(conn net.Conn, lastSent *[]byte) ([]byte, error) {
+// payload is NACKed (bounded); an incoming NACK resends lastSent, the
+// caller's last sealed envelope.
+func recvVerified(conn net.Conn, lastSent, buf *[]byte) ([]byte, error) {
 	nacks, resends := 0, 0
 	for {
-		kind, p, crc, err := readEnvelope(conn)
+		kind, p, crc, err := readEnvelope(conn, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +144,7 @@ func recvVerified(conn net.Conn, lastSent *[]byte) ([]byte, error) {
 			if *lastSent == nil {
 				return nil, fmt.Errorf("distrib: NACK with nothing to resend")
 			}
-			if err := writeEnvelope(conn, envData, *lastSent); err != nil {
+			if _, err := conn.Write(*lastSent); err != nil {
 				return nil, err
 			}
 		case envData:
@@ -169,7 +160,7 @@ func recvVerified(conn net.Conn, lastSent *[]byte) ([]byte, error) {
 				if nacks > maxEnvelopeRetries+1 {
 					return nil, fmt.Errorf("distrib: giving up after %d corrupt envelopes: %w", nacks, ErrPayloadCorrupt)
 				}
-				if err := writeEnvelope(conn, envNack, nil); err != nil {
+				if _, err := conn.Write(nackEnvelope); err != nil {
 					return nil, err
 				}
 				continue

@@ -13,7 +13,7 @@ import (
 // runOnce clusters pts on n workers with the given fault plan and
 // returns the labels, so fault-free and faulty runs can be compared
 // exactly.
-func runOnce(t *testing.T, pts []geom.Point, n int, plan *faultinject.Plan) ([]int, Stats) {
+func runOnce(t *testing.T, pts []geom.Point, n int, plan *faultinject.Plan, opt ...WorkerOptions) ([]int, Stats) {
 	t.Helper()
 	c, err := NewCoordinator()
 	if err != nil {
@@ -21,7 +21,7 @@ func runOnce(t *testing.T, pts []geom.Point, n int, plan *faultinject.Plan) ([]i
 	}
 	c.RequestTimeout = 30 * time.Second
 	c.SetFaultPlan(plan)
-	wg := startWorkers(t, c, n)
+	wg := startWorkers(t, c, n, opt...)
 	res, err := c.Run(pts, Options{Eps: 0.1, MinPts: 10, Leaves: 9, DenseBox: true})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,10 @@ func TestWorkerDeathMidDispatchReassigns(t *testing.T) {
 
 	plan := faultinject.New(0).
 		Arm(WorkerFaultSite(1), faultinject.Rule{After: 1})
-	got, stats := runOnce(t, pts, 3, plan)
+	// The fault fires on worker 1's second partition, so it must get two
+	// of the nine: a few ms per exchange keeps three workers in step
+	// however the scheduler staggers their start.
+	got, stats := runOnce(t, pts, 3, plan, WorkerOptions{Delay: 3 * time.Millisecond})
 	if stats.WorkersLost != 1 {
 		t.Errorf("WorkersLost = %d, want 1", stats.WorkersLost)
 	}

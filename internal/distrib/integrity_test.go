@@ -204,17 +204,17 @@ func TestCorruptResponderRemovedByMaxElapsed(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		hello, err := gobEncode(&Hello{Pid: 4999})
-		if err != nil || writeEnvelope(conn, envData, hello) != nil {
+		hello := sealEnvelope(appendHello(newEnvelope(nil, helloLen), &Hello{Pid: 4999}), envData)
+		if _, err := conn.Write(hello); err != nil {
 			return
 		}
 		// Every data envelope we emit has one payload byte flipped after
 		// the CRC was computed; NACKs are answered by resending the same
 		// corrupt bytes, so the coordinator's budget always trips.
-		bad := encodeEnvelope(envData, []byte("not a gob response"))
+		bad := sealEnvelope(append(newEnvelope(nil, 0), "not a response"...), envData)
 		bad[envHdrLen] ^= 0x08
 		for {
-			kind, _, _, err := readEnvelope(conn)
+			kind, _, _, err := readEnvelope(conn, new([]byte))
 			if err != nil {
 				return // removed by the coordinator
 			}

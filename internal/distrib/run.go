@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/geom"
@@ -24,6 +25,15 @@ type Options struct {
 	// re-dispatching them. Back the store with checkpoint.DirFS to
 	// survive coordinator process restarts.
 	Checkpoint *checkpoint.Store
+}
+
+// CheckpointRunID fingerprints a run for the store behind
+// Options.Checkpoint: the input's name and size, the parameters that
+// shape every partition's response, and the shape of the summaries the
+// snapshots hold — a store written under another ID is ignored, its
+// partitions dispatched again.
+func CheckpointRunID(input string, n int, opt Options) string {
+	return fmt.Sprintf("mrscan-dist|%s|%d|%g|%d|%d|summary-v%d", input, n, opt.Eps, opt.MinPts, opt.Leaves, merge.SummarySchema)
 }
 
 // clusterSnapshot names partition i's checkpoint on the store.
@@ -126,31 +136,58 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 		groups = append(groups, r.Summaries)
 	}
 	final := merge.Combine(g, opt.Eps, groups)
-	mapping := merge.AssignGlobalIDs(final)
-
-	// Sweep: resolve owned labels to global IDs, align by point ID.
-	byID := make(map[uint64]int, len(pts))
-	for leaf, r := range responses {
-		for i, p := range reqs[leaf].Owned {
-			l := r.Labels[i]
-			if l < 0 {
-				byID[p.ID] = -1
-				continue
-			}
-			gid, ok := mapping[merge.ClusterKey{Leaf: int32(leaf), Local: l}]
-			if !ok {
-				return nil, fmt.Errorf("distrib: leaf %d cluster %d missing from mapping", leaf, l)
-			}
-			byID[p.ID] = int(gid)
-		}
-	}
-	labels := make([]int, len(pts))
-	for i, p := range pts {
-		l, ok := byID[p.ID]
-		if !ok {
-			return nil, fmt.Errorf("distrib: point %d not returned by any worker", p.ID)
-		}
-		labels[i] = l
+	labels, err := alignLabels(pts, reqs, responses, merge.AssignGlobalIDs(final))
+	if err != nil {
+		return nil, err
 	}
 	return &Result{Labels: labels, NumClusters: len(final), RestoredPartitions: restoredCount}, nil
+}
+
+// alignLabels is the sweep: it resolves every leaf's owned labels to
+// global IDs through one table per leaf (-1 where the mapping has no
+// entry) and aligns them with pts by point ID.
+func alignLabels(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32) ([]int, error) {
+	global := make([][]int32, len(reqs))
+	starts := make([]int, len(reqs)+1) // leaf's owned points are pairs starts[leaf]..starts[leaf+1]
+	for leaf, r := range responses {
+		if len(r.Labels) != len(reqs[leaf].Owned) {
+			return nil, fmt.Errorf("distrib: leaf %d returned %d labels for %d points", leaf, len(r.Labels), len(reqs[leaf].Owned))
+		}
+		starts[leaf+1] = starts[leaf] + len(r.Labels)
+		global[leaf] = make([]int32, max(r.NumClusters, 0))
+		for i := range global[leaf] {
+			global[leaf][i] = -1
+		}
+	}
+	for k, gid := range mapping {
+		if l := int(k.Leaf); l >= 0 && l < len(global) && k.Local >= 0 && int(k.Local) < len(global[l]) {
+			global[l][k.Local] = gid
+		}
+	}
+	const absent = -2
+	var unmapped error
+	leaf := 0
+	labels, dup, ok := geom.AlignByID(pts, starts[len(reqs)], func(i int) (uint64, int) {
+		for i >= starts[leaf+1] { // pairs are asked for in order
+			leaf++
+		}
+		i -= starts[leaf]
+		l := int(responses[leaf].Labels[i])
+		if l >= 0 && l < len(global[leaf]) && global[leaf][l] >= 0 {
+			l = int(global[leaf][l])
+		} else if l >= 0 {
+			unmapped = fmt.Errorf("distrib: leaf %d cluster %d missing from mapping", leaf, l)
+		}
+		return reqs[leaf].Owned[i].ID, l
+	}, absent)
+	if unmapped != nil {
+		return nil, unmapped
+	}
+	if !ok {
+		return nil, fmt.Errorf("distrib: point %d returned by two leaves", dup)
+	}
+	if i := slices.Index(labels, absent); i >= 0 {
+		return nil, fmt.Errorf("distrib: point %d not returned by any worker", pts[i].ID)
+	}
+	return labels, nil
 }

@@ -36,6 +36,13 @@ func (c Coord) Less(o Coord) bool {
 	return c.CY < o.CY
 }
 
+// Key packs the cell into one integer whose unsigned order is Less's
+// (x slow, y fast): flipping the sign bits maps int32 order onto uint32
+// order. Sorted cell tables (partition units, merge summaries) key on it.
+func (c Coord) Key() uint64 {
+	return uint64(uint32(c.CX)^(1<<31))<<32 | uint64(uint32(c.CY)^(1<<31))
+}
+
 // Neighbors returns the 8 surrounding cells (Moore neighborhood) in a
 // deterministic order.
 func (c Coord) Neighbors() [8]Coord {

@@ -1,7 +1,7 @@
 // Package integrity holds the CRC32C checksum primitives and the typed
 // wire-corruption errors shared by every checksummed data plane in the
 // pipeline: checkpoint envelopes, Lustre block sums, mrnet TCP frame
-// trailers, and distrib gob envelopes.
+// trailers, and distrib envelopes.
 //
 // All planes use CRC32C (the Castagnoli polynomial) — the same checksum
 // Lustre's T10-PI integration and NVMe end-to-end protection use, and
@@ -49,10 +49,16 @@ var ErrTorn = errors.New("integrity: torn message (short read mid-frame)")
 // — either a corrupted header or a protocol mismatch, never retried.
 var ErrTooLarge = errors.New("integrity: message exceeds size limit")
 
+// ErrMalformed reports a payload that arrived whole and checksum-clean
+// but does not parse: a count that overruns the bytes present, records
+// out of canonical order, trailing bytes. The sender is buggy or hostile
+// — never retried, and never mistaken for a closed connection.
+var ErrMalformed = errors.New("integrity: malformed message")
+
 // ProtocolError reports a magic or version mismatch during a handshake
 // or frame decode: the peer speaks a different protocol revision (or is
-// not a peer at all). Surfaced instead of letting gob fail obscurely
-// deep in an exchange.
+// not a peer at all). Surfaced instead of a payload decoder failing
+// obscurely deep in an exchange.
 type ProtocolError struct {
 	// Plane names the protocol that rejected the peer (e.g.
 	// "mrnet.tcp", "distrib").

@@ -2,49 +2,40 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
-	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/partition"
 )
 
 // benchSummaries builds realistic per-leaf summaries from exact local
 // clusterings of a partitioned Twitter dataset.
 func benchSummaries(b *testing.B, n, nParts int) [][]*Summary {
 	b.Helper()
-	params := dbscan.Params{Eps: 0.1, MinPts: 40}
-	pts := dataset.Twitter(n, 4)
-	gg := grid.New(params.Eps)
-	h := gg.HistogramOf(pts)
-	plan, err := partition.MakePlan(gg, h, nParts, params.MinPts, true)
-	if err != nil {
-		b.Fatal(err)
+	gg, leaves := leafInputs(b, dataset.Twitter(n, 4), dbscan.Params{Eps: 0.1, MinPts: 40}, nParts)
+	flat, _ := buildBoth(b, gg, leaves)
+	return flat
+}
+
+// BenchmarkBuildSummaries summarizes all 16 leaves of the two shapes the
+// end-to-end benchmark runs: sparse SDSS (thousands of small clusters a
+// leaf) and dense Twitter (a few large ones).
+func BenchmarkBuildSummaries(b *testing.B) {
+	for _, tc := range dataCases()[1:] {
+		gg, leaves := leafInputs(b, tc.pts, tc.params, tc.leaves)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for leaf, in := range leaves {
+					if _, err := BuildSummaries(gg, leaf, in.pts, in.owned, in.labels, in.core, in.n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
-	split, err := partition.Split(plan, pts, partition.SplitOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	groups := make([][]*Summary, nParts)
-	for leaf := 0; leaf < nParts; leaf++ {
-		combined := append(append([]geom.Point(nil), split.Partitions[leaf]...), split.Shadows[leaf]...)
-		res, err := dbscan.Cluster(combined, params, dbscan.IndexGrid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		labels := make([]int32, len(res.Labels))
-		for i, l := range res.Labels {
-			labels[i] = int32(l)
-		}
-		sums, err := BuildSummaries(gg, leaf, combined, len(split.Partitions[leaf]), labels, res.Core, res.NumClusters)
-		if err != nil {
-			b.Fatal(err)
-		}
-		groups[leaf] = sums
-	}
-	return groups
 }
 
 func BenchmarkCombine(b *testing.B) {
@@ -68,20 +59,7 @@ func benchClone(groups [][]*Summary) [][]*Summary {
 	for gi, grp := range groups {
 		out[gi] = make([]*Summary, len(grp))
 		for si, s := range grp {
-			c := &Summary{Key: s.Key, Members: append([]ClusterKey(nil), s.Members...), Cells: make(map[grid.Coord]*CellData, len(s.Cells))}
-			for coord, cd := range s.Cells {
-				nc := newCellData()
-				nc.Owned = cd.Owned
-				nc.Reps = append([]geom.Point(nil), cd.Reps...)
-				for id, p := range cd.OwnedNonCore {
-					nc.OwnedNonCore[id] = p
-				}
-				for id, p := range cd.ShadowNonCore {
-					nc.ShadowNonCore[id] = p
-				}
-				c.Cells[coord] = nc
-			}
-			out[gi][si] = c
+			out[gi][si] = &Summary{Key: s.Key, Members: slices.Clone(s.Members), Cells: slices.Clone(s.Cells), Points: slices.Clone(s.Points)}
 		}
 	}
 	return out

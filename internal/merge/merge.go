@@ -9,6 +9,15 @@
 // overlap) plus the cluster's non-core points in the cell, tagged by
 // whether the cell is owned or shadow from that leaf's view.
 //
+// A Summary is flat: its cells are a slice sorted by packed cell key, each
+// a (start, counts) run into one point array — representatives, then
+// owner-view non-core, then shadow-view non-core, each by ID — and a
+// leaf's summaries cut their runs from one arena (summary.go). Building
+// is a radix + counting sort by (label, cell); combining is a sorted join
+// over the cell lists; neither touches a hash map. Summary points carry
+// no Weight: nothing downstream of a summary reads it, and the wire
+// records (AppendSummaries) omit it.
+//
 // Internal tree nodes merge the summaries of their children with the
 // paper's three overlap rules:
 //
@@ -29,8 +38,9 @@
 package merge
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/dsu"
 	"repro/internal/geom"
@@ -42,70 +52,143 @@ import (
 // the core points of a grid cell of arbitrary density").
 const MaxReps = 8
 
-// ClusterKey names a leaf-local cluster globally.
-type ClusterKey struct {
-	Leaf  int32
-	Local int32
+// ref is one entry of a sorted join: a packed cell key with two payload
+// indices — (label, point) while building, (summary, cell) while combining.
+type ref struct {
+	key  uint64
+	a, b int32
 }
 
-// Less orders keys (by leaf, then local id).
-func (k ClusterKey) Less(o ClusterKey) bool {
-	if k.Leaf != o.Leaf {
-		return k.Leaf < o.Leaf
+// sortByKey stably sorts refs by key, ping-ponging with tmp (same length),
+// and returns the buffer that holds the result and the one that is spare:
+// a byte-wise LSD radix sort that skips the bytes every key shares (a
+// leaf's cells typically differ in three or four of eight).
+func sortByKey(refs, tmp []ref) (sorted, spare []ref) {
+	allOnes, anyOnes := ^uint64(0), uint64(0)
+	for _, r := range refs {
+		allOnes &= r.key
+		anyOnes |= r.key
 	}
-	return k.Local < o.Local
-}
-
-// CellData is one cluster's presence in one grid cell.
-type CellData struct {
-	// Reps are at most MaxReps representative core points.
-	Reps []geom.Point
-	// OwnedNonCore holds non-core member points classified by the cell's
-	// owner (complete-information) view, keyed by point ID.
-	OwnedNonCore map[uint64]geom.Point
-	// ShadowNonCore holds non-core member points classified by shadow
-	// (incomplete-information) views.
-	ShadowNonCore map[uint64]geom.Point
-	// Owned reports whether this summary includes the owner leaf's copy
-	// of the cell.
-	Owned bool
-}
-
-func newCellData() *CellData {
-	return &CellData{
-		OwnedNonCore:  make(map[uint64]geom.Point),
-		ShadowNonCore: make(map[uint64]geom.Point),
+	for shift := 0; shift < 64; shift += 8 {
+		if (allOnes^anyOnes)>>shift&0xff == 0 {
+			continue
+		}
+		var next [257]int
+		for _, r := range refs {
+			next[r.key>>shift&0xff+1]++
+		}
+		for i := 1; i < len(next); i++ {
+			next[i] += next[i-1]
+		}
+		for _, r := range refs {
+			b := r.key >> shift & 0xff
+			tmp[next[b]] = r
+			next[b]++
+		}
+		refs, tmp = tmp, refs
 	}
+	return refs, tmp
 }
 
-// Points returns the number of points carried for the cell.
-func (cd *CellData) Points() int {
-	return len(cd.Reps) + len(cd.OwnedNonCore) + len(cd.ShadowNonCore)
-}
-
-// Summary is one cluster's merge-phase representation.
-type Summary struct {
-	// Key identifies the summary; after merging it is the smallest
-	// member key.
-	Key ClusterKey
-	// Members lists every original (leaf, local) cluster merged into
-	// this summary — the sweep phase maps each back to the global ID.
-	Members []ClusterKey
-	// Cells maps grid cells to the cluster's per-cell data.
-	Cells map[grid.Coord]*CellData
-}
-
-// WireSize estimates the summary's serialized size in bytes, for the
-// overlay cost model.
-func (s *Summary) WireSize() int64 {
-	var n int64 = 8 + int64(len(s.Members))*8
-	for range s.Cells {
-		n += 8
+// sortByA stably sorts refs by a ∈ [0, n) into tmp: one counting pass.
+func sortByA(refs, tmp []ref, n int) []ref {
+	next := make([]int32, n+1)
+	for _, r := range refs {
+		next[r.a+1]++
 	}
-	for _, cd := range s.Cells {
-		n += int64(cd.Points()) * 24
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
 	}
-	return n
+	for _, r := range refs {
+		tmp[next[r.a]] = r
+		next[r.a]++
+	}
+	return tmp
+}
+
+// builder accumulates summaries whose cell, member and point runs are cut
+// from three shared arrays. Runs are recorded as offsets while the arrays
+// grow and turned into slices once, by finish.
+type builder struct {
+	g       grid.Grid
+	sums    []Summary
+	ends    [][3]int // per summary: end offsets in members, cells, points
+	members []ClusterKey
+	cells   []Cell
+	points  []geom.Point
+	// per-cell scratch, reused
+	cand, own, shd []geom.Point
+}
+
+// reset empties the per-cell scratch.
+func (b *builder) reset() { b.cand, b.own, b.shd = b.cand[:0], b.own[:0], b.shd[:0] }
+
+// addCell closes the scratch into one cell of the open summary: cand
+// (distinct IDs) reduces to at most MaxReps representatives, own and shd
+// become ID-sorted sets, and a point the owner view holds leaves shd.
+func (b *builder) addCell(c grid.Coord, owned bool) {
+	n, base := len(b.points), 0
+	if k := len(b.ends); k > 0 {
+		base = b.ends[k-1][2] // where the open summary's points begin
+	}
+	cell := Cell{Coord: c, Start: int32(n - base), Owned: owned}
+	b.points = appendReps(b.points, b.g, c, b.cand)
+	cell.NReps = int32(len(b.points) - n)
+	own := setByID(b.own)
+	shd := withoutIDs(setByID(b.shd), own)
+	cell.NOwnedNonCore, cell.NShadowNonCore = int32(len(own)), int32(len(shd))
+	b.points = append(append(b.points, own...), shd...)
+	b.cells = append(b.cells, cell)
+}
+
+// closeSummary ends the open summary: its members are what b.members
+// gained since the last one, sorted.
+func (b *builder) closeSummary(key ClusterKey) {
+	b.sums = append(b.sums, Summary{Key: key})
+	b.ends = append(b.ends, [3]int{len(b.members), len(b.cells), len(b.points)})
+}
+
+// finish appends the built summaries to out.
+func (b *builder) finish(out []*Summary) []*Summary {
+	var lo [3]int
+	for i := range b.sums {
+		s, hi := &b.sums[i], b.ends[i]
+		s.Members = b.members[lo[0]:hi[0]:hi[0]]
+		s.Cells = b.cells[lo[1]:hi[1]:hi[1]]
+		s.Points = b.points[lo[2]:hi[2]:hi[2]]
+		out, lo = append(out, s), hi
+	}
+	return out
+}
+
+func byID(a, b geom.Point) int { return cmp.Compare(a.ID, b.ID) }
+
+// setByID sorts pts by ID and drops duplicate IDs, in place.
+func setByID(pts []geom.Point) []geom.Point {
+	if len(pts) < 2 {
+		return pts
+	}
+	slices.SortFunc(pts, byID)
+	return slices.CompactFunc(pts, func(a, b geom.Point) bool { return a.ID == b.ID })
+}
+
+// withoutIDs compacts run, in place, to the points whose ID is absent
+// from drop; both are sorted by ID.
+func withoutIDs(run, drop []geom.Point) []geom.Point {
+	if len(drop) == 0 {
+		return run
+	}
+	k, d := 0, 0
+	for _, p := range run {
+		for d < len(drop) && drop[d].ID < p.ID {
+			d++
+		}
+		if d == len(drop) || drop[d].ID != p.ID {
+			run[k] = p
+			k++
+		}
+	}
+	return run[:k]
 }
 
 // BuildSummaries converts one leaf's clustering result into summaries.
@@ -119,245 +202,241 @@ func BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, lab
 	if ownedCount < 0 || ownedCount > len(pts) {
 		return nil, fmt.Errorf("merge: ownedCount %d out of range", ownedCount)
 	}
-	sums := make([]*Summary, numClusters)
-	for i := range sums {
-		key := ClusterKey{Leaf: int32(leaf), Local: int32(i)}
-		sums[i] = &Summary{Key: key, Members: []ClusterKey{key}, Cells: make(map[grid.Coord]*CellData)}
-	}
-	// Collect per (cluster, cell) core candidates for rep selection.
-	type sc struct {
-		cluster int32
-		cell    grid.Coord
-	}
-	coreCandidates := make(map[sc][]geom.Point)
+	// One sort by (label, cell) over the clustered points; noise is left out.
+	buf := make([]ref, 2*len(pts))
+	refs := buf[:0:len(pts)]
 	for i, p := range pts {
 		l := labels[i]
 		if l < 0 {
-			continue // noise
+			continue
 		}
 		if int(l) >= numClusters {
 			return nil, fmt.Errorf("merge: label %d out of range (%d clusters)", l, numClusters)
 		}
-		c := g.CellOf(p)
-		cd := sums[l].Cells[c]
-		if cd == nil {
-			cd = newCellData()
-			sums[l].Cells[c] = cd
-		}
-		owned := i < ownedCount
-		if owned {
-			cd.Owned = true
-		}
-		if core[i] {
-			coreCandidates[sc{l, c}] = append(coreCandidates[sc{l, c}], p)
-		} else if owned {
-			cd.OwnedNonCore[p.ID] = p
-		} else {
-			cd.ShadowNonCore[p.ID] = p
-		}
+		refs = append(refs, ref{g.CellOf(p).Key(), l, int32(i)})
 	}
-	for k, cand := range coreCandidates {
-		sums[k.cluster].Cells[k.cell].Reps = SelectReps(g, k.cell, cand)
-	}
-	// Drop clusters with no presence (can happen if every member was a
-	// shadow point that another label claimed — keep them anyway if they
-	// have cells; empty ones would confuse upstream merging).
-	out := sums[:0]
-	for _, s := range sums {
-		if len(s.Cells) > 0 {
-			out = append(out, s)
+	sorted, spare := sortByKey(refs, buf[len(pts):][:len(refs)])
+	refs = sortByA(sorted, spare, numClusters)
+	// Size the arrays exactly: a cell keeps its non-core points and at most
+	// MaxReps of its core ones.
+	var nSums, nCells, nPoints, cores int
+	for i, r := range refs {
+		if i == 0 || r.a != refs[i-1].a {
+			nSums++
 		}
+		if i == 0 || r.a != refs[i-1].a || r.key != refs[i-1].key {
+			nCells, cores = nCells+1, 0
+		}
+		if core[r.b] {
+			if cores++; cores > MaxReps {
+				continue
+			}
+		}
+		nPoints++
 	}
-	return out, nil
+	b := builder{g: g, sums: make([]Summary, 0, nSums), ends: make([][3]int, 0, nSums), members: make([]ClusterKey, 0, nSums),
+		cells: make([]Cell, 0, nCells), points: make([]geom.Point, 0, nPoints)}
+	for i := 0; i < len(refs); {
+		label := refs[i].a
+		for i < len(refs) && refs[i].a == label {
+			key, owned := refs[i].key, false
+			first := pts[refs[i].b]
+			b.reset()
+			for ; i < len(refs) && refs[i].a == label && refs[i].key == key; i++ {
+				pi := int(refs[i].b)
+				p := pts[pi]
+				p.Weight = 0
+				owned = owned || pi < ownedCount
+				switch {
+				case core[pi]:
+					b.cand = append(b.cand, p)
+				case pi < ownedCount:
+					b.own = append(b.own, p)
+				default:
+					b.shd = append(b.shd, p)
+				}
+			}
+			b.addCell(g.CellOf(first), owned)
+		}
+		k := ClusterKey{Leaf: int32(leaf), Local: label}
+		b.members = append(b.members, k)
+		b.closeSummary(k)
+	}
+	return b.finish(nil), nil
 }
 
 // SelectReps picks at most MaxReps representative points: for each of the
 // cell's 8 anchors, the candidate core point nearest it (deduplicated by
-// ID). The Figure 5 invariant follows: every core point of the cluster in
-// this cell lies within Eps of at least one selected representative.
+// ID, ties to the smaller ID), sorted by ID. The Figure 5 invariant
+// follows: every core point of the cluster in this cell lies within Eps
+// of at least one selected representative.
 func SelectReps(g grid.Grid, cell grid.Coord, cand []geom.Point) []geom.Point {
+	return appendReps(nil, g, cell, cand)
+}
+
+// appendReps appends SelectReps' choice to dst.
+func appendReps(dst []geom.Point, g grid.Grid, cell grid.Coord, cand []geom.Point) []geom.Point {
+	n := len(dst)
 	if len(cand) <= MaxReps {
-		out := append([]geom.Point(nil), cand...)
-		sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-		return out
-	}
-	anchors := g.Anchors(cell)
-	chosen := make(map[uint64]geom.Point, MaxReps)
-	for _, a := range anchors {
-		best := -1
-		bestD := 0.0
-		for i, p := range cand {
-			d := geom.Dist2(p, a)
-			if best < 0 || d < bestD || (d == bestD && p.ID < cand[best].ID) {
-				best, bestD = i, d
+		dst = append(dst, cand...)
+	} else {
+		for _, a := range g.Anchors(cell) {
+			best, bestD := 0, geom.Dist2(cand[0], a)
+			for i, p := range cand[1:] {
+				if d := geom.Dist2(p, a); d < bestD || (d == bestD && p.ID < cand[best].ID) {
+					best, bestD = i+1, d
+				}
 			}
+			dst = append(dst, cand[best])
 		}
-		chosen[cand[best].ID] = cand[best]
 	}
-	out := make([]geom.Point, 0, len(chosen))
-	for _, p := range chosen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	return dst[:n+len(setByID(dst[n:]))]
 }
 
 // Combine merges the summary groups arriving at one tree node (one group
 // per child) and returns the reduced summary list. It applies the three
 // overlap rules per shared cell and fuses merged clusters' summaries.
+// Rule 3 edits the incoming summaries in place, and a cluster nothing
+// merged with is returned as the summary that came in.
 func Combine(g grid.Grid, eps float64, groups [][]*Summary) []*Summary {
 	var all []*Summary
+	nCells := 0
 	for _, grp := range groups {
 		all = append(all, grp...)
+		for _, s := range grp {
+			nCells += len(s.Cells)
+		}
 	}
 	if len(all) <= 1 {
 		return all
 	}
-	eps2 := eps * eps
-
-	// Cell index over all incoming summaries.
-	type ref struct {
-		sum *Summary
-		cd  *CellData
+	// Join the sorted cell lists: after the sort every cell's (summary,
+	// cell) refs are adjacent, in summary order.
+	buf := make([]ref, 2*nCells)
+	refs := buf[:0:nCells]
+	for si, s := range all {
+		for ci := range s.Cells {
+			refs = append(refs, ref{s.Cells[ci].Coord.Key(), int32(si), int32(ci)})
+		}
 	}
-	cellIndex := make(map[grid.Coord][]ref)
-	for _, s := range all {
-		for c, cd := range s.Cells {
-			cellIndex[c] = append(cellIndex[c], ref{s, cd})
+	refs, _ = sortByKey(refs, buf[nCells:])
+	uf := dsu.New(len(all))
+	var owner []geom.Point
+	for i, j := 0, 0; i < len(refs); i = j {
+		for j = i + 1; j < len(refs) && refs[j].key == refs[i].key; j++ {
+		}
+		if j-i > 1 {
+			owner = overlap(all, refs[i:j], eps*eps, uf, owner[:0])
 		}
 	}
 
-	uf := dsu.NewKeyed[ClusterKey]()
-	for _, s := range all {
-		uf.Add(s.Key)
+	// Fuse by union-find root: one counting sort brings each set's
+	// summaries together; singletons pass through.
+	sets := make([]ref, 2*len(all))
+	for si := range all {
+		sets[si] = ref{a: int32(uf.Find(si)), b: int32(si)}
 	}
-	for _, refs := range cellIndex {
-		if len(refs) < 2 {
+	sets = sortByA(sets[:len(all)], sets[len(all):], len(all))
+	out := make([]*Summary, 0, uf.Count())
+	b := builder{g: g}
+	for i, j := 0, 0; i < len(sets); i = j {
+		for j = i + 1; j < len(sets) && sets[j].a == sets[i].a; j++ {
+		}
+		if j-i == 1 {
+			out = append(out, all[sets[i].b])
+		} else {
+			refs = b.fuse(all, sets[i:j], refs[:0])
+		}
+	}
+	out = b.finish(out)
+	slices.SortFunc(out, func(a, b *Summary) int { return a.Key.Compare(b.Key) })
+	return out
+}
+
+// overlap applies the three rules to one cell's refs (≥ 2 summaries). It
+// returns the owner scratch for reuse.
+func overlap(all []*Summary, refs []ref, eps2 float64, uf *dsu.DSU, owner []geom.Point) []geom.Point {
+	cell := func(r ref) (*Summary, *Cell) { return all[r.a], &all[r.a].Cells[r.b] }
+	// Rule 1: core/core overlap via representatives.
+	for i, ri := range refs {
+		si, ci := cell(ri)
+		for _, rj := range refs[i+1:] {
+			sj, cj := cell(rj)
+			if !uf.Same(int(ri.a), int(rj.a)) && repsWithinEps(si.Reps(ci), sj.Reps(cj), eps2) {
+				uf.Union(int(ri.a), int(rj.a))
+			}
+		}
+	}
+	// Rule 3: drop from every shadow copy the points the cell's owner
+	// classified non-core ("we resolve this case by removing all duplicate
+	// non-core points from the shadow region").
+	for _, r := range refs {
+		s, c := cell(r)
+		owner = append(owner, s.OwnedNonCore(c)...)
+	}
+	if owner = setByID(owner); len(owner) > 0 {
+		for _, r := range refs {
+			s, c := cell(r)
+			c.NShadowNonCore = int32(len(withoutIDs(s.ShadowNonCore(c), owner)))
+		}
+	}
+	// Rule 2: non-core/core overlap. What is left in a shadow copy is
+	// non-core only in shadow views (the owner saw it as core, or had no
+	// record); within Eps of an owner-side representative it merges the
+	// clusters.
+	for _, ri := range refs {
+		si, ci := cell(ri)
+		if ci.NShadowNonCore == 0 {
 			continue
 		}
-		// Rule 1: core/core overlap via representatives.
-		for i := 0; i < len(refs); i++ {
-			for j := i + 1; j < len(refs); j++ {
-				if uf.Same(refs[i].sum.Key, refs[j].sum.Key) {
-					continue
-				}
-				if repsWithinEps(refs[i].cd.Reps, refs[j].cd.Reps, eps2) {
-					uf.Union(refs[i].sum.Key, refs[j].sum.Key)
-				}
-			}
-		}
-		// Rule 2: non-core/core overlap. Points non-core only in shadow
-		// views (the owner saw them as core, or had no record) within Eps
-		// of an owner-side representative merge the clusters.
-		ownerNonCore := make(map[uint64]bool)
-		for _, r := range refs {
-			for id := range r.cd.OwnedNonCore {
-				ownerNonCore[id] = true
-			}
-		}
-		for i := 0; i < len(refs); i++ {
-			if len(refs[i].cd.ShadowNonCore) == 0 {
-				continue
-			}
-			for j := 0; j < len(refs); j++ {
-				if i == j || !refs[j].cd.Owned || len(refs[j].cd.Reps) == 0 {
-					continue
-				}
-				if uf.Same(refs[i].sum.Key, refs[j].sum.Key) {
-					continue
-				}
-				for id, p := range refs[i].cd.ShadowNonCore {
-					if ownerNonCore[id] {
-						continue // genuinely non-core: rule 3 territory
-					}
-					if pointNearReps(p, refs[j].cd.Reps, eps2) {
-						uf.Union(refs[i].sum.Key, refs[j].sum.Key)
-						break
-					}
-				}
-			}
-		}
-		// Rule 3: drop duplicate non-core points from shadow copies
-		// ("we resolve this case by removing all duplicate non-core
-		// points from the shadow region").
-		for _, r := range refs {
-			for id := range r.cd.ShadowNonCore {
-				if ownerNonCore[id] {
-					delete(r.cd.ShadowNonCore, id)
-				}
+		for _, rj := range refs {
+			sj, cj := cell(rj)
+			if ri.a != rj.a && cj.Owned && !uf.Same(int(ri.a), int(rj.a)) &&
+				repsWithinEps(si.ShadowNonCore(ci), sj.Reps(cj), eps2) {
+				uf.Union(int(ri.a), int(rj.a))
 			}
 		}
 	}
-
-	// Fuse summaries by union-find root.
-	byRoot := make(map[ClusterKey][]*Summary)
-	for _, s := range all {
-		root := uf.Find(s.Key)
-		byRoot[root] = append(byRoot[root], s)
-	}
-	out := make([]*Summary, 0, len(byRoot))
-	for _, members := range byRoot {
-		out = append(out, fuse(g, members))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key.Less(out[b].Key) })
-	return out
+	return owner
 }
 
-// fuse combines the summaries of one merged cluster.
-func fuse(g grid.Grid, sums []*Summary) *Summary {
-	if len(sums) == 1 {
-		return sums[0]
-	}
-	merged := &Summary{Cells: make(map[grid.Coord]*CellData)}
-	minKey := sums[0].Key
-	for _, s := range sums {
-		if s.Key.Less(minKey) {
+// fuse adds the summary of one merged set (refs' b fields index all):
+// its cells are the sorted union of the members' cells, and every cell's
+// runs the sorted unions of its copies' runs — an owner-view non-core
+// point trumps a shadow classification (rule 3 within the fused cluster),
+// and representatives are re-reduced so upstream payloads stay bounded
+// (the Figure 5 invariant is preserved under re-selection from the
+// union). It returns the cells scratch for reuse.
+func (b *builder) fuse(all []*Summary, set []ref, cells []ref) []ref {
+	minKey, mlo := all[set[0].b].Key, len(b.members)
+	for _, r := range set {
+		s := all[r.b]
+		if s.Key.Compare(minKey) < 0 {
 			minKey = s.Key
 		}
-		merged.Members = append(merged.Members, s.Members...)
-		for c, cd := range s.Cells {
-			dst := merged.Cells[c]
-			if dst == nil {
-				dst = newCellData()
-				merged.Cells[c] = dst
-			}
-			dst.Owned = dst.Owned || cd.Owned
-			dst.Reps = append(dst.Reps, cd.Reps...)
-			for id, p := range cd.OwnedNonCore {
-				dst.OwnedNonCore[id] = p
-				// A point non-core in the owner's view trumps any shadow
-				// classification (rule 3 within the fused cluster).
-				delete(dst.ShadowNonCore, id)
-			}
-			for id, p := range cd.ShadowNonCore {
-				if _, dup := dst.OwnedNonCore[id]; !dup {
-					dst.ShadowNonCore[id] = p
-				}
-			}
+		b.members = append(b.members, s.Members...)
+		for ci := range s.Cells {
+			cells = append(cells, ref{s.Cells[ci].Coord.Key(), r.b, int32(ci)})
 		}
 	}
-	merged.Key = minKey
-	sort.Slice(merged.Members, func(a, b int) bool { return merged.Members[a].Less(merged.Members[b]) })
-	// Re-reduce representatives so upstream payloads stay bounded; the
-	// Figure 5 invariant is preserved under re-selection from the union.
-	for c, cd := range merged.Cells {
-		if len(cd.Reps) > MaxReps {
-			cd.Reps = SelectReps(g, c, dedupByID(cd.Reps))
+	slices.SortFunc(b.members[mlo:], ClusterKey.Compare)
+	slices.SortFunc(cells, func(x, y ref) int { return cmp.Compare(x.key, y.key) })
+	for i := 0; i < len(cells); {
+		key, owned := cells[i].key, false
+		var coord grid.Coord
+		b.reset()
+		for ; i < len(cells) && cells[i].key == key; i++ {
+			s, c := all[cells[i].a], &all[cells[i].a].Cells[cells[i].b]
+			coord, owned = c.Coord, owned || c.Owned
+			b.cand = append(b.cand, s.Reps(c)...)
+			b.own = append(b.own, s.OwnedNonCore(c)...)
+			b.shd = append(b.shd, s.ShadowNonCore(c)...)
 		}
+		b.cand = setByID(b.cand)
+		b.addCell(coord, owned)
 	}
-	return merged
-}
-
-func dedupByID(pts []geom.Point) []geom.Point {
-	seen := make(map[uint64]bool, len(pts))
-	out := pts[:0]
-	for _, p := range pts {
-		if !seen[p.ID] {
-			seen[p.ID] = true
-			out = append(out, p)
-		}
-	}
-	return out
+	b.closeSummary(minKey)
+	return cells
 }
 
 func repsWithinEps(a, b []geom.Point, eps2 float64) bool {
@@ -366,15 +445,6 @@ func repsWithinEps(a, b []geom.Point, eps2 float64) bool {
 			if geom.Dist2(p, q) <= eps2 {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-func pointNearReps(p geom.Point, reps []geom.Point, eps2 float64) bool {
-	for _, r := range reps {
-		if geom.Dist2(p, r) <= eps2 {
-			return true
 		}
 	}
 	return false
@@ -400,10 +470,10 @@ func BorderClaims(sums []*Summary, mapping map[ClusterKey]int32) map[uint64]int3
 		if !ok {
 			continue
 		}
-		for _, cd := range s.Cells {
-			for id := range cd.ShadowNonCore {
-				if prev, dup := claims[id]; !dup || gid < prev {
-					claims[id] = gid
+		for i := range s.Cells {
+			for _, p := range s.ShadowNonCore(&s.Cells[i]) {
+				if prev, dup := claims[p.ID]; !dup || gid < prev {
+					claims[p.ID] = gid
 				}
 			}
 		}
@@ -415,9 +485,13 @@ func BorderClaims(sums []*Summary, mapping map[ClusterKey]int32) map[uint64]int3
 // globally unique identifier is assigned to each cluster") and returns
 // the mapping from every original (leaf, local) cluster key.
 func AssignGlobalIDs(sums []*Summary) map[ClusterKey]int32 {
-	ordered := append([]*Summary(nil), sums...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].Key.Less(ordered[b].Key) })
-	mapping := make(map[ClusterKey]int32)
+	ordered := slices.Clone(sums)
+	slices.SortFunc(ordered, func(a, b *Summary) int { return a.Key.Compare(b.Key) })
+	n := 0
+	for _, s := range ordered {
+		n += len(s.Members)
+	}
+	mapping := make(map[ClusterKey]int32, n)
 	for id, s := range ordered {
 		for _, m := range s.Members {
 			mapping[m] = int32(id)

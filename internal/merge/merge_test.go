@@ -17,12 +17,17 @@ func key(leaf, local int32) ClusterKey { return ClusterKey{Leaf: leaf, Local: lo
 // mkSummary builds a summary with reps (core) and non-core points placed
 // in their natural cells.
 func mkSummary(k ClusterKey, owned map[grid.Coord]bool, reps, ownedNC, shadowNC []geom.Point) *Summary {
-	s := &Summary{Key: k, Members: []ClusterKey{k}, Cells: make(map[grid.Coord]*CellData)}
-	cell := func(p geom.Point) *CellData {
+	return toFlat(mkRefSummary(k, owned, reps, ownedNC, shadowNC))
+}
+
+// mkRefSummary is mkSummary in the oracle's map representation.
+func mkRefSummary(k ClusterKey, owned map[grid.Coord]bool, reps, ownedNC, shadowNC []geom.Point) *refSummary {
+	s := &refSummary{Key: k, Members: []ClusterKey{k}, Cells: make(map[grid.Coord]*refCellData)}
+	cell := func(p geom.Point) *refCellData {
 		c := g.CellOf(p)
 		cd := s.Cells[c]
 		if cd == nil {
-			cd = newCellData()
+			cd = newRefCellData()
 			cd.Owned = owned[c]
 			s.Cells[c] = cd
 		}
@@ -39,6 +44,25 @@ func mkSummary(k ClusterKey, owned map[grid.Coord]bool, reps, ownedNC, shadowNC 
 		cell(p).ShadowNonCore[p.ID] = p
 	}
 	return s
+}
+
+// cellAt returns s's cell at c, or nil.
+func cellAt(s *Summary, c grid.Coord) *Cell {
+	for i := range s.Cells {
+		if s.Cells[i].Coord == c {
+			return &s.Cells[i]
+		}
+	}
+	return nil
+}
+
+func hasID(run []geom.Point, id uint64) bool {
+	for _, p := range run {
+		if p.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSelectRepsSmallPassThrough(t *testing.T) {
@@ -184,9 +208,9 @@ func TestCombineRule3DropsDuplicates(t *testing.T) {
 	out := Combine(g, eps, [][]*Summary{{a}, {b}})
 	for _, s := range out {
 		if s.Key == key(0, 0) {
-			cd := s.Cells[grid.Coord{CX: 1, CY: 0}]
-			if cd != nil && len(cd.ShadowNonCore) != 0 {
-				t.Errorf("duplicate shadow non-core point must be dropped, still have %v", cd.ShadowNonCore)
+			cd := cellAt(s, grid.Coord{CX: 1, CY: 0})
+			if cd != nil && cd.NShadowNonCore != 0 {
+				t.Errorf("duplicate shadow non-core point must be dropped, still have %v", s.ShadowNonCore(cd))
 			}
 		}
 	}
@@ -258,9 +282,9 @@ func TestCombineRepsStayBounded(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("all clusters share the cell and are within eps; got %d", len(out))
 	}
-	cd := out[0].Cells[cell]
-	if len(cd.Reps) > MaxReps {
-		t.Errorf("fused cell carries %d reps, max %d", len(cd.Reps), MaxReps)
+	cd := cellAt(out[0], cell)
+	if cd.NReps > MaxReps {
+		t.Errorf("fused cell carries %d reps, max %d", cd.NReps, MaxReps)
 	}
 }
 
@@ -285,28 +309,28 @@ func TestBuildSummaries(t *testing.T) {
 	if s.Key != key(7, 0) {
 		t.Errorf("Key = %+v", s.Key)
 	}
-	c00 := s.Cells[grid.Coord{CX: 0, CY: 0}]
+	c00 := cellAt(s, grid.Coord{CX: 0, CY: 0})
 	if c00 == nil || !c00.Owned {
 		t.Fatalf("cell (0,0) must be present and owned: %+v", c00)
 	}
-	if len(c00.Reps) != 1 || c00.Reps[0].ID != 0 {
-		t.Errorf("cell (0,0) reps = %v", c00.Reps)
+	if reps := s.Reps(c00); len(reps) != 1 || reps[0].ID != 0 {
+		t.Errorf("cell (0,0) reps = %v", reps)
 	}
-	if _, ok := c00.OwnedNonCore[1]; !ok {
+	if !hasID(s.OwnedNonCore(c00), 1) {
 		t.Error("point 1 must be owned non-core")
 	}
-	c10 := s.Cells[grid.Coord{CX: 1, CY: 0}]
+	c10 := cellAt(s, grid.Coord{CX: 1, CY: 0})
 	if c10 == nil || c10.Owned {
 		t.Fatalf("cell (1,0) must be present and shadow: %+v", c10)
 	}
-	if len(c10.Reps) != 1 || c10.Reps[0].ID != 3 {
-		t.Errorf("cell (1,0) reps = %v", c10.Reps)
+	if reps := s.Reps(c10); len(reps) != 1 || reps[0].ID != 3 {
+		t.Errorf("cell (1,0) reps = %v", reps)
 	}
-	if _, ok := c10.ShadowNonCore[4]; !ok {
+	if !hasID(s.ShadowNonCore(c10), 4) {
 		t.Error("point 4 must be shadow non-core")
 	}
-	if s.WireSize() <= 0 {
-		t.Error("WireSize must be positive")
+	if got, want := s.WireSize(), int64(len(AppendSummaries(nil, sums))-BlockHeaderSize); got != want {
+		t.Errorf("WireSize = %d, encoded size %d", got, want)
 	}
 }
 

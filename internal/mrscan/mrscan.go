@@ -769,7 +769,8 @@ type mergeCkpt struct {
 }
 
 // runFingerprint derives the checkpoint RunID from every configuration
-// field that shapes phase outputs, plus the input file's name and size.
+// field that shapes phase outputs, the input file's name and size, and the
+// shape of the summaries the cluster and merge snapshots hold.
 // Checkpoints written under a different fingerprint are ignored by
 // Resume — restoring a snapshot into a run that would have computed
 // something else silently corrupts the output.
@@ -779,12 +780,12 @@ func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 		size = s
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t",
+	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t|summary-v%d",
 		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
 		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
-		cfg.WriteAggregation)
+		cfg.WriteAggregation, merge.SummarySchema)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
 }
 
@@ -1141,20 +1142,11 @@ func LabelsByID(fs *lustre.FS, file string, pts []geom.Point) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[uint64]int64, len(out))
-	for _, lp := range out {
-		if _, dup := byID[lp.Point.ID]; dup {
-			return nil, fmt.Errorf("mrscan: point %d written twice", lp.Point.ID)
-		}
-		byID[lp.Point.ID] = lp.Cluster
-	}
-	labels := make([]int, len(pts))
-	for i, p := range pts {
-		if c, ok := byID[p.ID]; ok {
-			labels[i] = int(c)
-		} else {
-			labels[i] = -1
-		}
+	labels, dup, ok := geom.AlignByID(pts, len(out), func(i int) (uint64, int) {
+		return out[i].Point.ID, int(out[i].Cluster)
+	}, -1)
+	if !ok {
+		return nil, fmt.Errorf("mrscan: point %d written twice", dup)
 	}
 	return labels, nil
 }

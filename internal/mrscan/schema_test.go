@@ -1,0 +1,234 @@
+package mrscan
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/gdbscan"
+	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/lustre"
+	"repro/internal/merge"
+	"repro/internal/ptio"
+	"repro/internal/sweep"
+)
+
+// The map-shaped summary (merge.SummarySchema 1) and the snapshots that
+// held it, as the parent revision wrote them.
+type v1CellData struct {
+	Reps          []geom.Point
+	OwnedNonCore  map[uint64]geom.Point
+	ShadowNonCore map[uint64]geom.Point
+	Owned         bool
+}
+
+type v1Summary struct {
+	Key     merge.ClusterKey
+	Members []merge.ClusterKey
+	Cells   map[grid.Coord]*v1CellData
+}
+
+type v1LeafState struct {
+	Owned     []geom.Point
+	Labels    []int32
+	Summaries []*v1Summary
+	GPUTime   int64
+	Stats     gdbscan.Stats
+}
+
+type v1ClusterCkpt struct{ Leaves []v1LeafState }
+
+type v1MergeCkpt struct{ Final []*v1Summary }
+
+func toV1(sums []*merge.Summary) []*v1Summary {
+	out := make([]*v1Summary, len(sums))
+	for i, s := range sums {
+		v := &v1Summary{Key: s.Key, Members: s.Members, Cells: map[grid.Coord]*v1CellData{}}
+		for j := range s.Cells {
+			c := &s.Cells[j]
+			cd := &v1CellData{Reps: s.Reps(c), Owned: c.Owned, OwnedNonCore: map[uint64]geom.Point{}, ShadowNonCore: map[uint64]geom.Point{}}
+			for _, p := range s.OwnedNonCore(c) {
+				cd.OwnedNonCore[p.ID] = p
+			}
+			for _, p := range s.ShadowNonCore(c) {
+				cd.ShadowNonCore[p.ID] = p
+			}
+			v.Cells[c.Coord] = cd
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// v1Fingerprint is runFingerprint as the parent revision computed it.
+func v1Fingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
+	size, _ := fs.Size(inputFile)
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t",
+		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
+		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
+		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
+		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
+		cfg.WriteAggregation)
+	return fmt.Sprintf("mrscan-%016x", h.Sum64())
+}
+
+// TestV1SummaryNeverDecodesUsable pins why the fingerprint carries the
+// summary schema: gob matches fields by name, so a schema-1 summary fed
+// to the flat type must fail or come out empty — it can never come out
+// right, and a resumed run that trusted it would merge nothing.
+func TestV1SummaryNeverDecodesUsable(t *testing.T) {
+	k := merge.ClusterKey{Leaf: 1}
+	old := []*v1Summary{{Key: k, Members: []merge.ClusterKey{k}, Cells: map[grid.Coord]*v1CellData{
+		{CX: 1}: {Reps: []geom.Point{{ID: 7, X: 0.15}}, Owned: true},
+	}}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var got []*merge.Summary
+	if err := gob.NewDecoder(&buf).Decode(&got); err == nil && len(got) == 1 && len(got[0].Cells) == 1 && got[0].Cells[0].NReps == 1 {
+		t.Fatal("a schema-1 summary decoded into a usable flat one; the schema constant would be unnecessary")
+	}
+}
+
+// TestResumeIgnoresV1Snapshots: a state directory the parent revision
+// left behind — cluster and merge snapshots holding map-shaped summaries
+// under the parent's fingerprint — is not restored from: every phase is
+// recomputed and the output is a fresh run's.
+func TestResumeIgnoresV1Snapshots(t *testing.T) {
+	cfg := ckptConfig()
+	refFS := stageInput(t)
+	if _, err := Run(refFS, "input.mrsc", "output.mrsl", cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := fileBytes(t, refFS, "output.mrsl")
+
+	// Rewrite refFS's snapshots as the parent would have written them
+	// (fingerprints are taken over the defaulted config, as Run does).
+	fs := refFS
+	full := cfg
+	if err := full.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	cur := checkpoint.NewStore(checkpoint.LustreFS(fs), runFingerprint(&full, fs, "input.mrsc"))
+	var part partitionCkpt
+	var cl clusterCkpt
+	var mg mergeCkpt
+	for name, into := range map[string]any{PhasePartition: &part, PhaseCluster: &cl, PhaseMerge: &mg} {
+		if err := cur.Load(name, into); err != nil {
+			t.Fatalf("loading the %s snapshot: %v", name, err)
+		}
+	}
+	if v1Fingerprint(&full, fs, "input.mrsc") == runFingerprint(&full, fs, "input.mrsc") {
+		t.Fatal("fingerprint does not carry the summary schema")
+	}
+	old := checkpoint.NewStore(checkpoint.LustreFS(fs), v1Fingerprint(&full, fs, "input.mrsc"))
+	oldCl := v1ClusterCkpt{}
+	for _, l := range cl.Leaves {
+		oldCl.Leaves = append(oldCl.Leaves, v1LeafState{Owned: l.Owned, Labels: l.Labels, Summaries: toV1(l.Summaries), Stats: l.Stats})
+	}
+	for _, snap := range []struct {
+		name string
+		v    any
+	}{{PhasePartition, &part}, {PhaseCluster, &oldCl}, {PhaseMerge, &v1MergeCkpt{Final: toV1(mg.Final)}}} {
+		if err := old.Save(snap.name, snap.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := old.ValidPrefix([]string{PhasePartition, PhaseCluster, PhaseMerge}); got != 3 {
+		t.Fatalf("fixture store holds %d valid phases, want 3", got)
+	}
+
+	cfg.Resume = true
+	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.RestoredPhases) != 0 {
+		t.Fatalf("RestoredPhases = %v from a schema-1 store, want none", res.RestoredPhases)
+	}
+	if !bytes.Equal(fileBytes(t, fs, "output.mrsl"), want) {
+		t.Fatal("output after ignoring schema-1 snapshots differs from a fresh run's")
+	}
+}
+
+// labelsByIDMap is LabelsByID as it was: a hash map over the output.
+func labelsByIDMap(fs *lustre.FS, file string, pts []geom.Point) ([]int, error) {
+	out, err := sweep.ReadOutput(fs, file)
+	if err != nil {
+		return nil, err
+	}
+	byID := make(map[uint64]int64, len(out))
+	for _, lp := range out {
+		if _, dup := byID[lp.Point.ID]; dup {
+			return nil, fmt.Errorf("mrscan: point %d written twice", lp.Point.ID)
+		}
+		byID[lp.Point.ID] = lp.Cluster
+	}
+	labels := make([]int, len(pts))
+	for i, p := range pts {
+		if c, ok := byID[p.ID]; ok {
+			labels[i] = int(c)
+		} else {
+			labels[i] = -1
+		}
+	}
+	return labels, nil
+}
+
+// TestLabelsByIDMatchesMapVersion: on dense, shuffled, offset and sparse
+// IDs, with a third of the points absent from the output (⇒ -1), an
+// output point the input lacks, and input points repeated, LabelsByID
+// agrees with the map version — including on "written twice".
+func TestLabelsByIDMatchesMapVersion(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(3))
+	perm := rng.Perm(n)
+	ids := map[string]func(i int) uint64{
+		"dense":    func(i int) uint64 { return uint64(i) },
+		"shuffled": func(i int) uint64 { return uint64(perm[i]) },
+		"offset":   func(i int) uint64 { return 1<<40 + uint64(perm[i]) },
+		"sparse":   func(i int) uint64 { return uint64(perm[i])*1_000_003 + 17 },
+	}
+	for name, id := range ids {
+		for _, twice := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/twice=%t", name, twice), func(t *testing.T) {
+				pts := make([]geom.Point, n)
+				var out []ptio.LabeledPoint
+				for i := range pts {
+					pts[i] = geom.Point{ID: id(i), X: float64(i)}
+					if i%3 != 0 {
+						out = append(out, ptio.LabeledPoint{Point: pts[i], Cluster: int64(i % 7)})
+					}
+				}
+				out = append(out, ptio.LabeledPoint{Point: geom.Point{ID: 1 << 50}, Cluster: 1})
+				if twice {
+					out = append(out, out[5])
+				}
+				pts = append(pts, pts[4], pts[4], pts[9])
+				fs := lustre.New(lustre.Titan(), nil)
+				if err := ptio.WriteLabeled(fs.Create("out.mrsl"), out); err != nil {
+					t.Fatal(err)
+				}
+				got, err := LabelsByID(fs, "out.mrsl", pts)
+				want, werr := labelsByIDMap(fs, "out.mrsl", pts)
+				if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+					t.Fatalf("err = %v, map version says %v", err, werr)
+				}
+				if twice != (err != nil) {
+					t.Fatalf("twice=%t but err = %v", twice, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatal("labels differ from the map version's")
+				}
+			})
+		}
+	}
+}

@@ -55,17 +55,10 @@ func (u Unit) String() string {
 // iteration order; within a split cell, quadrant tiles by path.
 func (u Unit) Less(o Unit) bool { return compareUnits(u, o) < 0 }
 
-// cellKey packs a cell into one integer whose unsigned order is the grid
-// iteration order (x slow, y fast): flipping the sign bits maps int32
-// order onto uint32 order.
-func cellKey(c grid.Coord) uint64 {
-	return uint64(uint32(c.CX)^(1<<31))<<32 | uint64(uint32(c.CY)^(1<<31))
-}
-
 // compareUnits is Less as a three-way comparison on the packed cell key —
 // the form slices.SortFunc and slices.BinarySearchFunc take.
 func compareUnits(a, b Unit) int {
-	if ka, kb := cellKey(a.Cell), cellKey(b.Cell); ka != kb {
+	if ka, kb := a.Cell.Key(), b.Cell.Key(); ka != kb {
 		return cmp.Compare(ka, kb)
 	}
 	if a.Depth != b.Depth {
@@ -205,7 +198,7 @@ type unitTable struct {
 func sortEntries(entries []unitCount) []unitCount {
 	allOnes, anyOnes := ^uint64(0), uint64(0) // bits set in every key, in some key
 	for _, e := range entries {
-		k := cellKey(e.u.Cell)
+		k := e.u.Cell.Key()
 		allOnes &= k
 		anyOnes |= k
 	}
@@ -216,11 +209,11 @@ func sortEntries(entries []unitCount) []unitCount {
 		}
 		var next [256]int
 		for _, e := range src {
-			next[cellKey(e.u.Cell)>>shift&0xff]++
+			next[e.u.Cell.Key()>>shift&0xff]++
 		}
 		cursors(next[:])
 		for _, e := range src {
-			b := cellKey(e.u.Cell) >> shift & 0xff
+			b := e.u.Cell.Key() >> shift & 0xff
 			dst[next[b]] = e
 			next[b]++
 		}
@@ -271,7 +264,7 @@ func newUnitTable(entries []unitCount) *unitTable {
 
 // slot is the home slot of cell c (Fibonacci hashing of the packed key).
 func (t *unitTable) slot(c grid.Coord) int {
-	return int(cellKey(c) * 0x9E3779B97F4A7C15 >> t.shift)
+	return int(c.Key() * 0x9E3779B97F4A7C15 >> t.shift)
 }
 
 // firstOf returns the index of cell c's first unit, or -1 when the cell

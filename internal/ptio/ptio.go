@@ -128,11 +128,16 @@ func EncodeRecords(pts []geom.Point, hasWeight bool) []byte {
 // DecodeRecords decodes headerless records. The byte length must be an
 // exact multiple of the record size.
 func DecodeRecords(data []byte, hasWeight bool) ([]geom.Point, error) {
+	return AppendPoints(make([]geom.Point, 0, len(data)/RecordSize(hasWeight)), data, hasWeight)
+}
+
+// AppendPoints is DecodeRecords into a caller's slice: wire decoders
+// cut many runs from one arena with it.
+func AppendPoints(pts []geom.Point, data []byte, hasWeight bool) ([]geom.Point, error) {
 	rs := RecordSize(hasWeight)
 	if len(data)%rs != 0 {
 		return nil, fmt.Errorf("ptio: %d bytes is not a multiple of record size %d", len(data), rs)
 	}
-	pts := make([]geom.Point, 0, len(data)/rs)
 	for off := 0; off < len(data); off += rs {
 		p := geom.Point{
 			ID: binary.LittleEndian.Uint64(data[off:]),

@@ -112,6 +112,15 @@ func (h *Hub) Event(parent *Span, name string, attrs ...Attr) {
 	h.Trace.Event(parent, name, attrs...)
 }
 
+// RecordWall records a completed span that someone else timed on the
+// wall clock: it ran from start for d.
+func (h *Hub) RecordWall(parent *Span, name string, start time.Time, d time.Duration, attrs ...Attr) {
+	if h == nil {
+		return
+	}
+	h.Trace.RecordWall(parent, name, start, d, attrs...)
+}
+
 // RecordSim records a completed span whose cost lives on the simulated
 // clock: wall duration is an instant, sim duration is cost. This is how
 // substrates report modeled hardware charges (a PCIe transfer, a Lustre

@@ -206,6 +206,20 @@ func (t *Tracer) RecordSim(parent *Span, name string, cost time.Duration, attrs 
 	})
 }
 
+// RecordWall records a completed span that ran from start for d on the
+// wall clock, measured by someone else — a remote worker's stage reported
+// over the wire. Sim time is an instant at the clock's current reading.
+func (t *Tracer) RecordWall(parent *Span, name string, start time.Time, d time.Duration, attrs ...Attr) {
+	if t == nil {
+		return
+	}
+	w, sim := start.Sub(t.epoch), t.simNow()
+	t.record(SpanData{
+		ID: t.nextID.Add(1), Parent: parent.ID(), Name: name,
+		StartWall: w, EndWall: w + max(d, 0), StartSim: sim, EndSim: sim, Attrs: attrs,
+	})
+}
+
 // Event records an instant event under parent's timeline.
 func (t *Tracer) Event(parent *Span, name string, attrs ...Attr) {
 	if t == nil {
