@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
+.PHONY: all build vet test race fuzz-smoke loc bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
 
 all: build vet test
 
@@ -20,23 +20,36 @@ vet:
 # packages (gdbscan expansion blocks and gpusim buffer pools are hot
 # concurrent paths; chaos and lustre exercise the integrity ledger
 # under concurrent leaves; server schedules concurrent jobs over all of
-# them).
+# them); integrity is the frame link both socket planes run on.
 test: vet
 	$(GO) test ./...
-	$(GO) test -race -short ./internal/distrib ./internal/mrnet ./internal/mrscan ./internal/telemetry ./internal/gdbscan ./internal/gpusim ./internal/chaos ./internal/lustre ./internal/server ./internal/checkpoint ./internal/stream ./internal/partition ./internal/ptio ./internal/health
+	$(GO) test -race -short ./internal/distrib ./internal/mrnet ./internal/mrscan ./internal/telemetry ./internal/gdbscan ./internal/gpusim ./internal/chaos ./internal/lustre ./internal/server ./internal/checkpoint ./internal/stream ./internal/partition ./internal/ptio ./internal/health ./internal/integrity
 
 race:
 	$(GO) test -race ./...
 
 # Ten seconds of coverage-guided fuzzing on each wire decoder (summaries
-# block, WorkRequest, WorkResponse): no panic, no allocation beyond a
-# small multiple of the input, one encoding per value. Minimising every
-# new corpus entry would eat the whole budget, hence the 1s cap.
+# block, WorkRequest, WorkResponse) and on the frame reader under both
+# socket planes' parameters: no panic, no allocation beyond a small
+# multiple of the input (the frame reader: beyond the plane's limit), one
+# encoding per value. Minimising every new corpus entry would eat the
+# whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
+	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/integrity
+
+# Non-test Go lines (wc -l: code, comments and blanks) per top-level
+# package, then in total with and without benchmark/ — the number
+# ROADMAP item 4 is stated in.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); pkg = n == 1 ? "." : (n == 2 ? p[1] : p[1] "/" p[2]); \
+		lines[pkg] += $$1; all += $$1; if (p[1] != "benchmark") core += $$1 } \
+		END { for (k in lines) printf "%7d  %s\n", lines[k], k | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n%7d  total outside benchmark/\n", all, core }'
 
 # Seeded chaos campaign: every run must match the fault-free reference
 # (or fail loudly) with zero silent corruption escapes. CHAOSFLAGS

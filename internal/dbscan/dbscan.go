@@ -14,7 +14,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/kdtree"
-	"repro/internal/rtree"
 )
 
 // Label values for points that are not members of any cluster.
@@ -33,9 +32,6 @@ const (
 	IndexGrid
 	// IndexKDTree uses the region KD-tree (CUDA-DClust's index).
 	IndexKDTree
-	// IndexRTree uses the R*-tree — "the R*-tree typically used in a CPU
-	// implementation of DBSCAN" (§3.2.1).
-	IndexRTree
 )
 
 // String names the index kind for experiment output.
@@ -47,8 +43,6 @@ func (k IndexKind) String() string {
 		return "grid"
 	case IndexKDTree:
 		return "kdtree"
-	case IndexRTree:
-		return "rtree"
 	default:
 		return fmt.Sprintf("IndexKind(%d)", int(k))
 	}
@@ -113,8 +107,6 @@ func buildIndex(pts []geom.Point, eps float64, kind IndexKind) neighborIndex {
 		return &gridIndex{idx: grid.NewIndex(grid.New(eps), pts), eps: eps}
 	case IndexKDTree:
 		return &kdIndex{t: kdtree.Build(pts, 0), eps: eps, pts: pts}
-	case IndexRTree:
-		return &rIndex{t: rtree.Build(pts), eps: eps, pts: pts}
 	default:
 		return &bruteIndex{pts: pts, eps: eps}
 	}
@@ -250,24 +242,4 @@ func (k *kdIndex) countAtLeast(i int32, want int) bool {
 		return true
 	}
 	return k.t.CountRange(k.pts[i], k.eps, i, want) >= want
-}
-
-type rIndex struct {
-	t   *rtree.Tree
-	pts []geom.Point
-	eps float64
-}
-
-func (r *rIndex) neighbors(i int32, fn func(j int32)) {
-	r.t.Range(r.pts[i], r.eps, i, func(j int32) bool {
-		fn(j)
-		return true
-	})
-}
-
-func (r *rIndex) countAtLeast(i int32, want int) bool {
-	if want <= 0 {
-		return true
-	}
-	return r.t.CountRange(r.pts[i], r.eps, i, want) >= want
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/geom"
 )
 
-var allKinds = []IndexKind{IndexBrute, IndexGrid, IndexKDTree, IndexRTree}
+var allKinds = []IndexKind{IndexBrute, IndexGrid, IndexKDTree}
 
 // blob generates n points around (cx,cy) within radius r.
 func blob(rng *rand.Rand, idBase uint64, n int, cx, cy, r float64) []geom.Point {
@@ -190,7 +190,7 @@ func TestIndexAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []IndexKind{IndexGrid, IndexKDTree, IndexRTree} {
+	for _, kind := range []IndexKind{IndexGrid, IndexKDTree} {
 		t.Run(kind.String(), func(t *testing.T) {
 			got, err := Cluster(pts, params, kind)
 			if err != nil {
@@ -299,7 +299,7 @@ func BenchmarkClusterIndexes(b *testing.B) {
 		pts = append(pts, blob(rng, uint64(c*1000), 500, rng.Float64()*10, rng.Float64()*10, 0.2)...)
 	}
 	params := Params{Eps: 0.1, MinPts: 4}
-	for _, kind := range []IndexKind{IndexGrid, IndexKDTree, IndexRTree} {
+	for _, kind := range []IndexKind{IndexGrid, IndexKDTree} {
 		b.Run(kind.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Cluster(pts, params, kind); err != nil {

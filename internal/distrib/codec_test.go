@@ -152,7 +152,7 @@ func TestIsConnClosedClassifiesByType(t *testing.T) {
 	}
 	conn.Close()
 	_, useOfClosed := conn.Read(make([]byte, 1))
-	_, _, _, torn := readEnvelope(bytes.NewReader(sealEnvelope(newEnvelope(nil, 0), envData)[:7]), new([]byte))
+	_, _, _, torn := wire.Read(bytes.NewReader(wire.Seal(wire.Begin(nil, 0), envData)[:7]), new([]byte))
 
 	cases := []struct {
 		name string
@@ -169,7 +169,7 @@ func TestIsConnClosedClassifiesByType(t *testing.T) {
 		{"malformed payload mentioning EOF", fmt.Errorf("decoding: unexpected EOF: %w", integrity.ErrMalformed), false},
 		{"plain text mentioning EOF", errors.New("unexpected EOF in payload"), false},
 		{"io.ErrUnexpectedEOF", io.ErrUnexpectedEOF, false},
-		{"checksum", fmt.Errorf("x: %w", ErrPayloadCorrupt), false},
+		{"checksum", fmt.Errorf("x: %w", integrity.ErrChecksum), false},
 		{"too large", fmt.Errorf("x: %w", integrity.ErrTooLarge), false},
 		{"protocol mismatch", &integrity.ProtocolError{Plane: "distrib", Field: "version", Got: 1, Want: 2}, false},
 		{"timeout", os.ErrDeadlineExceeded, false},
@@ -195,7 +195,7 @@ func TestV1PeerRejectedAtHello(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		old := sealEnvelope(append(newEnvelope(nil, 0), "gob bytes"...), envData)
+		old := wire.Seal(append(wire.Begin(nil, 0), "gob bytes"...), envData)
 		old[2] = 1
 		conn.Write(old)
 		conn.Read(make([]byte, 1)) // until the coordinator hangs up
@@ -543,19 +543,19 @@ func BenchmarkDistribRun(b *testing.B) {
 // 16 responses; MB/s is over the encoded bytes.
 func BenchmarkWireCodec(b *testing.B) {
 	reqs, resps := sampleExchange(b, dataset.SDSS(150_000, 5), sdssOpt)
-	var wire [][]byte
+	var enc [][]byte
 	var size int64
 	for i := range reqs {
-		wire = append(wire, appendRequest(nil, &reqs[i]), appendResponse(nil, resps[i]))
-		size += int64(len(wire[2*i]) + len(wire[2*i+1]))
+		enc = append(enc, appendRequest(nil, &reqs[i]), appendResponse(nil, resps[i]))
+		size += int64(len(enc[2*i]) + len(enc[2*i+1]))
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := range reqs {
-				sealEnvelope(appendRequest(newEnvelope(nil, reqs[j].wireSize()), &reqs[j]), envData)
-				sealEnvelope(appendResponse(newEnvelope(nil, resps[j].wireSize()), resps[j]), envData)
+				wire.Seal(appendRequest(wire.Begin(nil, reqs[j].wireSize()), &reqs[j]), envData)
+				wire.Seal(appendResponse(wire.Begin(nil, resps[j].wireSize()), resps[j]), envData)
 			}
 		}
 	})
@@ -564,10 +564,10 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := range reqs {
-				if _, err := decodeRequest(wire[2*j]); err != nil {
+				if _, err := decodeRequest(enc[2*j]); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := decodeResponse(wire[2*j+1]); err != nil {
+				if _, err := decodeResponse(enc[2*j+1]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,13 +15,12 @@
 package distrib
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -124,11 +123,15 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 		return fmt.Errorf("distrib: worker dialing coordinator: %w", err)
 	}
 	defer conn.Close()
-	// lastSent backs the NACK protocol: whenever the coordinator's CRC
-	// rejects our last envelope, recvVerified resends these bytes.
-	lastSent := sealEnvelope(appendHello(newEnvelope(nil, helloLen), &Hello{Pid: pid}), envData)
-	var recvBuf []byte
-	if _, err := conn.Write(lastSent); err != nil {
+	link := wire.NewLink(conn, integrity.Hooks{})
+	// Tolerate one corrupt receipt more than the coordinator will
+	// retransmit (initial send + maxEnvelopeRetries resends): the
+	// coordinator must always exhaust its budget first and fail with
+	// ErrChecksum on its side, where the dispatch layer redispatches the
+	// partition — rather than this side closing the connection and turning
+	// verified corruption into a generic conn loss.
+	link.Tolerate = maxEnvelopeRetries + 1
+	if err := link.Send(envData, appendHello(link.Begin(helloLen), &Hello{Pid: pid})); err != nil {
 		return fmt.Errorf("distrib: worker hello: %w", err)
 	}
 	// One simulated device and one workspace for the connection's
@@ -138,7 +141,7 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 	var scratch workerScratch
 	served := 0
 	for {
-		p, err := recvVerified(conn, &lastSent, &recvBuf)
+		_, p, err := link.Recv(envData)
 		if err != nil {
 			return fmt.Errorf("distrib: worker receiving: %w", err)
 		}
@@ -163,8 +166,7 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 			resp.DecodeNS = decodeNS
 		}
 		resp.TraceID = req.TraceID
-		lastSent = sealEnvelope(appendResponse(newEnvelope(lastSent, resp.wireSize()), resp), envData)
-		if _, err := conn.Write(lastSent); err != nil {
+		if err := link.Send(envData, appendResponse(link.Begin(resp.wireSize()), resp)); err != nil {
 			return fmt.Errorf("distrib: worker replying: %w", err)
 		}
 	}
@@ -286,11 +288,11 @@ type Stats struct {
 	// These do not consume a partition's MaxAttempts; they are bounded
 	// per worker by RetryPolicy.MaxElapsed.
 	CorruptionRedispatches int
-	// ServeOrder records the request indices in the order they were
-	// handed to workers, across every dispatch of this coordinator. The
-	// dispatch queues partitions largest first, so the head of each
-	// dispatch's window is its biggest partition — the slowest-node
-	// bound (§5) made observable.
+	// ServeOrder records the request indices in the order the last
+	// finished dispatch handed them to workers (retries and hedges
+	// included). The dispatch queues partitions largest first, so its head
+	// is the biggest partition — the slowest-node bound (§5) made
+	// observable.
 	ServeOrder []int
 }
 
@@ -342,9 +344,10 @@ type Coordinator struct {
 	// acceptSeq numbers workers in accept order across AcceptWorkers
 	// calls, so WorkerFaultSite indices stay unique for the
 	// coordinator's lifetime.
-	acceptSeq  int
-	plan       *faultinject.Plan
-	closed     bool
+	acceptSeq int
+	plan      *faultinject.Plan
+	closed    bool
+	// serveOrder is the last finished dispatch's Stats.ServeOrder.
 	serveOrder []int
 	hub        *telemetry.Hub
 	parent     *telemetry.Span
@@ -425,19 +428,26 @@ func (c *Coordinator) telemetry() (*telemetry.Hub, *telemetry.Span) {
 	return c.hub, c.parent
 }
 
+func (c *Coordinator) faultPlan() *faultinject.Plan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.plan
+}
+
 type workerConn struct {
 	// mu serializes request/response exchanges, so heartbeats can
 	// interleave with dispatch without corrupting the envelope stream.
-	mu   sync.Mutex
-	conn net.Conn
-	// sendBuf and recvBuf are the last request envelope and response
-	// payload, reused by the next exchange (under mu).
-	sendBuf, recvBuf []byte
-	pid              int
-	// idx is the worker's accept order — the index WorkerFaultSite
-	// targets for per-worker injection. Stable across removals of other
+	mu sync.Mutex
+	// link is the connection's end of the wire: its buffers are reused by
+	// every exchange (under mu).
+	link *integrity.Link
+	pid  int
+	// idx is the worker's accept order — the index WorkerFaultSite and
+	// WorkerComponent (site, comp) name. Stable across removals of other
 	// workers.
 	idx  int
+	site faultinject.Site
+	comp string
 	dead atomic.Bool
 	// corruptSince is the UnixNano of the worker's first corrupt
 	// exchange in the current streak (0 = clean); when the streak
@@ -457,122 +467,80 @@ type workerConn struct {
 
 var errWorkerDead = fmt.Errorf("distrib: worker connection already closed")
 
-// exchange performs one request/response round trip over the
-// checksummed envelope protocol, bounded by timeout when positive.
-// Coordinator-side fault injection flips wire bits here: send-side at
-// distrib.request and the per-worker site (the request the worker
-// receives), receive-side at distrib.response (the response as it
-// crossed the wire). Every CRC failure — the worker's (signalled by its
-// NACK) or our own — is counted as a detection; an exchange that
-// exhausts maxEnvelopeRetries fails with ErrPayloadCorrupt and the
-// dispatch layer redispatches the partition.
+// exchange performs one request/response round trip on the worker's
+// link, bounded by timeout when positive. A round trip whose corruption
+// outlasts the retransmit budget fails with integrity.ErrChecksum and
+// the dispatch layer redispatches the partition.
 func (c *Coordinator) exchange(w *workerConn, req *WorkRequest, timeout time.Duration) (*WorkResponse, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead.Load() {
 		return nil, errWorkerDead
 	}
-	c.mu.Lock()
-	plan := c.plan
-	c.mu.Unlock()
 	if timeout > 0 {
-		if err := w.conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		if err := w.link.Conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
-		defer w.conn.SetDeadline(time.Time{})
+		defer w.link.Conn.SetDeadline(time.Time{})
 	}
-	wire := sealEnvelope(appendRequest(newEnvelope(w.sendBuf, req.wireSize()), req), envData)
-	w.sendBuf = wire
-	sendSites := []faultinject.Site{faultinject.DistribRequest, WorkerFaultSite(w.idx)}
-	// send emits the request envelope, flipping one wire bit for the
-	// write when a corrupt rule fires (at most one site per attempt, so
-	// injections and detections stay one-to-one). The envelope itself
-	// stays clean: a retransmit re-consults the plan rather than
-	// replaying the flip.
-	send := func() (injected faultinject.Site, err error) {
-		var flip *byte
-		var mask byte
-		for _, s := range sendSites {
-			if cr := plan.CorruptCheck(s, int64(len(wire)-envHdrLen)); cr != nil {
-				flip, mask, injected = &wire[envHdrLen+cr.Offset], 1<<cr.Bit, s
-				*flip ^= mask
-				break
-			}
-		}
-		_, err = w.conn.Write(wire)
-		if flip != nil {
-			*flip ^= mask
-		}
-		return injected, err
+	if err := w.link.Send(envData, appendRequest(w.link.Begin(req.wireSize()), req)); err != nil {
+		return nil, err
 	}
-	pending, err := send()
+	_, p, err := w.link.Recv(envData)
 	if err != nil {
 		return nil, err
 	}
-	nacks, resends := 0, 0
-	for {
-		kind, p, crc, err := readEnvelope(w.conn, &w.recvBuf)
-		if err != nil {
-			if pending != "" {
-				// The flipped request died with the connection before
-				// any verifier saw it: masked, not detected.
-				c.corruptionMasked(pending)
-			}
-			return nil, err
-		}
-		switch kind {
-		case envNack:
-			// The worker's CRC caught our corrupted request.
-			if pending != "" {
-				c.corruptionDetected(pending, resends < maxEnvelopeRetries)
-				pending = ""
-			}
-			resends++
-			if resends > maxEnvelopeRetries {
-				return nil, fmt.Errorf("distrib: worker %d rejected %d retransmits: %w", w.pid, resends, ErrPayloadCorrupt)
-			}
-			c.envelopeRetransmit()
-			if pending, err = send(); err != nil {
-				return nil, err
-			}
-		case envData:
-			injSite := faultinject.Site("")
-			if len(p) > 0 {
-				if cr := plan.CorruptCheck(faultinject.DistribResponse, int64(len(p))); cr != nil {
-					p[cr.Offset] ^= 1 << cr.Bit
-					injSite = faultinject.DistribResponse
+	resp, err := decodeResponse(p)
+	if err == nil && resp.TraceID != req.TraceID {
+		err = fmt.Errorf("distrib: worker %d answered trace %d with trace %d", w.pid, req.TraceID, resp.TraceID)
+	}
+	return resp, err
+}
+
+// linkHooks is the coordinator's side of a worker link: fault injection
+// flips wire bits send-side at distrib.request and at site, the worker's
+// own (the request the worker receives; at most one site per write, so
+// injections and detections stay one-to-one) and receive-side at
+// distrib.response (the response as it crossed the wire). The worker
+// keeps no ledger, so every CRC failure is booked here on the shared
+// integrity counters, labeled by injection site: the worker's when its
+// NACK arrives, and with our own the retransmit it asks for.
+func (c *Coordinator) linkHooks(site faultinject.Site) integrity.Hooks {
+	detected := func(site faultinject.Site, healed bool) {
+		hub, parent := c.telemetry()
+		hub.Counter(integrity.MetricDetected, "site", string(site)).Inc()
+		hub.Event(parent, "integrity.corruption.detected",
+			telemetry.String("site", string(site)), telemetry.Bool("healed", healed))
+	}
+	retransmit := func() {
+		hub, _ := c.telemetry()
+		hub.Counter("distrib_envelope_retransmits_total").Inc()
+	}
+	return integrity.Hooks{
+		OnSend: func(n int) (*faultinject.Corruption, error) {
+			plan := c.faultPlan()
+			for _, s := range [...]faultinject.Site{faultinject.DistribRequest, site} {
+				if cr := plan.CorruptCheck(s, int64(n)); cr != nil {
+					return cr, nil
 				}
 			}
-			if integrity.Checksum(p) != crc {
-				if injSite == "" {
-					injSite = faultinject.DistribResponse
-				}
-				nacks++
-				healed := nacks <= maxEnvelopeRetries
-				c.corruptionDetected(injSite, healed)
-				if !healed {
-					return nil, fmt.Errorf("distrib: worker %d: giving up after %d corrupt responses: %w", w.pid, nacks, ErrPayloadCorrupt)
-				}
-				c.envelopeRetransmit()
-				if _, err := w.conn.Write(nackEnvelope); err != nil {
-					return nil, err
-				}
-				continue
+			return nil, nil
+		},
+		OnRecv: func(n int) *faultinject.Corruption {
+			return c.faultPlan().CorruptCheck(faultinject.DistribResponse, int64(n))
+		},
+		Detected: func(healed bool) {
+			detected(faultinject.DistribResponse, healed)
+			if healed {
+				retransmit()
 			}
-			if pending != "" {
-				// Unreachable in the current protocol (a corrupted
-				// request is always NACKed first), kept so the ledger
-				// cannot leak an injection.
-				c.corruptionMasked(pending)
-			}
-			resp, err := decodeResponse(p)
-			if err == nil && resp.TraceID != req.TraceID {
-				err = fmt.Errorf("distrib: worker %d answered trace %d with trace %d", w.pid, req.TraceID, resp.TraceID)
-			}
-			return resp, err
-		default:
-			return nil, fmt.Errorf("distrib: unknown envelope kind %d", kind)
-		}
+		},
+		Rejected:   detected,
+		Retransmit: retransmit,
+		Masked: func(site faultinject.Site) {
+			hub, _ := c.telemetry()
+			hub.Counter(integrity.MetricMasked, "site", string(site)).Inc()
+		},
 	}
 }
 
@@ -589,27 +557,6 @@ func (cm *coordMetrics) recordStages(hub *telemetry.Hub, traced bool, dsp *telem
 		}
 		begin = begin.Add(d)
 	}
-}
-
-// corruptionDetected counts one CRC-caught corruption on the shared
-// integrity counter, labeled by injection site.
-func (c *Coordinator) corruptionDetected(site faultinject.Site, healed bool) {
-	hub, parent := c.telemetry()
-	hub.Counter(integrity.MetricDetected, "site", string(site)).Inc()
-	hub.Event(parent, "integrity.corruption.detected",
-		telemetry.String("site", string(site)), telemetry.Bool("healed", healed))
-}
-
-// corruptionMasked counts an injected flip that no verifier ever saw
-// (the connection died first).
-func (c *Coordinator) corruptionMasked(site faultinject.Site) {
-	hub, _ := c.telemetry()
-	hub.Counter(integrity.MetricMasked, "site", string(site)).Inc()
-}
-
-func (c *Coordinator) envelopeRetransmit() {
-	hub, _ := c.telemetry()
-	hub.Counter("distrib_envelope_retransmits_total").Inc()
 }
 
 // NewCoordinator listens for workers on a loopback port.
@@ -657,7 +604,7 @@ func (c *Coordinator) Stats() Stats {
 		HedgesLaunched:         int(c.cm.hedgesLaunched.Value()),
 		HedgesWon:              int(c.cm.hedgesWon.Value()),
 		CorruptionRedispatches: int(c.cm.corruptRedispatch.Value()),
-		ServeOrder:             append([]int(nil), c.serveOrder...),
+		ServeOrder:             c.serveOrder,
 	}
 }
 
@@ -685,30 +632,26 @@ func (c *Coordinator) AcceptWorkers(n int, timeout time.Duration) error {
 		seq := c.acceptSeq
 		c.acceptSeq++
 		c.mu.Unlock()
-		w := &workerConn{conn: conn, idx: seq}
+		w := &workerConn{link: wire.NewLink(conn, integrity.Hooks{}), idx: seq, site: WorkerFaultSite(seq), comp: WorkerComponent(seq)}
 		if !deadline.IsZero() {
 			conn.SetReadDeadline(deadline)
 		}
-		// The hello rides the same checksummed envelope as every other
+		// The hello rides the same checksummed frame as every other
 		// message, so a peer from another protocol revision (or plain
 		// garbage on the port) is rejected here with a ProtocolError
 		// naming the mismatched field, not deep inside a dispatch.
-		kind, p, crc, err := readEnvelope(conn, &w.recvBuf)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("distrib: worker %d hello: %w", i, err)
+		_, p, err := w.link.Recv(envData)
+		var hello Hello
+		if err == nil {
+			hello, err = decodeHello(p)
 		}
-		if kind != envData || integrity.Checksum(p) != crc {
-			conn.Close()
-			return fmt.Errorf("distrib: worker %d hello: %w", i, ErrPayloadCorrupt)
-		}
-		hello, err := decodeHello(p)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("distrib: worker %d hello: %w", i, err)
 		}
 		conn.SetReadDeadline(time.Time{})
 		w.pid = hello.Pid
+		w.link.Hooks = c.linkHooks(w.site) // injection starts with the first request
 		c.mu.Lock()
 		c.workers = append(c.workers, w)
 		c.mu.Unlock()
@@ -730,14 +673,9 @@ func (c *Coordinator) removeWorker(w *workerConn) {
 	if w.dead.Swap(true) {
 		return
 	}
-	w.conn.Close()
+	w.link.Conn.Close()
 	c.mu.Lock()
-	for i, o := range c.workers {
-		if o == w {
-			c.workers = append(c.workers[:i], c.workers[i+1:]...)
-			break
-		}
-	}
+	c.workers = slices.DeleteFunc(c.workers, func(o *workerConn) bool { return o == w })
 	hub, parent, cm := c.hub, c.parent, c.cm
 	c.mu.Unlock()
 	hub.Event(parent, "distrib.worker_lost", telemetry.Int("pid", w.pid))
@@ -765,7 +703,7 @@ func (c *Coordinator) Heartbeat(timeout time.Duration) int {
 		wg.Add(1)
 		go func(w *workerConn) {
 			defer wg.Done()
-			if err := checkConnFault(plan, w.idx); err != nil {
+			if err := checkConnFault(plan, w); err != nil {
 				c.removeWorker(w)
 				return
 			}
@@ -781,447 +719,11 @@ func (c *Coordinator) Heartbeat(timeout time.Duration) int {
 
 // checkConnFault consults the generic and per-worker connection fault
 // sites.
-func checkConnFault(plan *faultinject.Plan, wi int) error {
+func checkConnFault(plan *faultinject.Plan, w *workerConn) error {
 	if err := plan.Check(faultinject.DistribConn); err != nil {
 		return err
 	}
-	return plan.Check(WorkerFaultSite(wi))
-}
-
-// workItem is one queue entry: a request index, possibly a hedge copy.
-type workItem struct {
-	ri    int
-	hedge bool
-}
-
-// quantile returns the q-quantile (0..1) of d (nearest-rank on a sorted
-// copy). Callers guarantee len(d) > 0.
-func quantile(d []time.Duration, q float64) time.Duration {
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
-}
-
-// stragglerMinSamples is how many completed exchanges the hedger needs
-// before the running p95 is meaningful.
-const stragglerMinSamples = 3
-
-// Dispatch is DispatchContext without a deadline.
-func (c *Coordinator) Dispatch(reqs []WorkRequest) ([]*WorkResponse, error) {
-	return c.DispatchContext(context.Background(), reqs)
-}
-
-// DispatchContext ships every partition to the worker pool and collects
-// responses indexed by request position.
-//
-// Partitions are pulled from a shared queue, so fast workers take more
-// of them. A worker whose exchange fails (connection error, injected
-// fault, or RequestTimeout expiry) is dropped immediately — its
-// connection closed, its outstanding partition re-queued to the
-// survivors after a backoff (Retry). The dispatch fails only when a
-// partition exhausts Retry.MaxAttempts, a worker reports an
-// application-level error (resp.Err — deterministic, so re-execution
-// cannot help), or zero workers survive.
-//
-// With StragglerFactor set, a hedging monitor watches in-flight
-// partitions and re-issues stragglers to idle workers (see the field
-// doc). The dispatch returns as soon as every partition has a winning
-// response — it does not wait out a straggler whose result lost; such a
-// worker finishes its exchange in the background and then observes the
-// completed dispatch.
-//
-// Cancelling ctx aborts the dispatch: every worker connection is closed
-// (unblocking any exchange in flight — the pool does not survive a
-// cancellation) and the context's error is returned.
-func (c *Coordinator) DispatchContext(ctx context.Context, reqs []WorkRequest) ([]*WorkResponse, error) {
-	c.mu.Lock()
-	workers := append([]*workerConn(nil), c.workers...)
-	plan := c.plan
-	hub, parent, cm := c.hub, c.parent, c.cm
-	c.mu.Unlock()
-	retry := c.Retry.withDefaults()
-	timeout := c.RequestTimeout
-	tracker, budget := c.Health, c.Budget
-	probeInterval := c.ProbeInterval
-	if probeInterval <= 0 {
-		probeInterval = 5 * time.Millisecond
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("distrib: no workers connected")
-	}
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	dsp := hub.Start(parent, "distrib.dispatch",
-		telemetry.Int("partitions", len(reqs)), telemetry.Int("workers", len(workers)))
-	defer dsp.End()
-	for i := range reqs { // before any worker goroutine reads them
-		if reqs[i].TraceID == 0 {
-			reqs[i].TraceID = uint64(dsp.ID())
-		}
-	}
-
-	responses := make([]*WorkResponse, len(reqs))
-	// Sized for the worst case — every attempt plus one hedge per index
-	// — so queue sends never block.
-	queue := make(chan workItem, len(reqs)*(retry.MaxAttempts+1))
-	// Largest partitions first: the dispatch finishes when its slowest
-	// partition does (§5's slowest-node bound), so the biggest must
-	// never be the one still queued when the pool drains.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := &reqs[order[a]], &reqs[order[b]]
-		return len(ra.Owned)+len(ra.Shadow) > len(rb.Owned)+len(rb.Shadow)
-	})
-	for _, i := range order {
-		queue <- workItem{ri: i}
-	}
-	attempts := make([]int, len(reqs)) // guarded by hmu
-
-	var (
-		pending  atomic.Int64
-		alive    atomic.Int64
-		allDone  = make(chan struct{})
-		abort    = make(chan struct{})
-		failOnce sync.Once
-		failMu   sync.Mutex
-		failErr  error
-
-		// Per-index dispatch state and the service-time samples feeding
-		// the straggler monitor.
-		hmu       sync.Mutex
-		done      = make([]bool, len(reqs))
-		inflight  = make([]int, len(reqs))
-		started   = make([]time.Time, len(reqs))
-		hedged    = make([]bool, len(reqs))
-		durations []time.Duration
-	)
-	pending.Store(int64(len(reqs)))
-	alive.Store(int64(len(workers)))
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		failOnce.Do(func() { close(abort) })
-	}
-	// requeue hands a failed partition back to the pool after a backoff,
-	// or aborts the run when the partition is out of attempts or the
-	// retry budget denies the redispatch.
-	requeue := func(ri int, cause error) {
-		hmu.Lock()
-		attempts[ri]++
-		out := attempts[ri] >= retry.MaxAttempts
-		n := attempts[ri]
-		hmu.Unlock()
-		if out {
-			fail(fmt.Errorf("distrib: leaf %d failed on %d workers, giving up: %w",
-				reqs[ri].Leaf, n, cause))
-			return
-		}
-		if !budget.Take("distrib.redispatch") {
-			fail(fmt.Errorf("distrib: leaf %d redispatch after %w: %w",
-				reqs[ri].Leaf, cause, health.ErrBudgetExhausted))
-			return
-		}
-		cm.retries.Inc()
-		hub.Event(dsp, "distrib.retry",
-			telemetry.Int("leaf", reqs[ri].Leaf), telemetry.Int("attempt", n))
-		delay := retry.backoff(n)
-		go func() {
-			time.Sleep(delay)
-			queue <- workItem{ri: ri}
-		}()
-	}
-
-	// Cancellation watcher: a dead context must unblock exchanges that
-	// are mid-Decode, so it severs every connection.
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				fail(fmt.Errorf("distrib: dispatch aborted: %w", ctx.Err()))
-				for _, w := range workers {
-					c.removeWorker(w)
-				}
-			case <-allDone:
-			case <-abort:
-			}
-		}()
-	}
-
-	// Straggler monitor: hedge any partition whose single in-flight
-	// attempt has outlived StragglerFactor × the running p95.
-	if c.StragglerFactor > 0 {
-		go func() {
-			tick := time.NewTicker(2 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-allDone:
-					return
-				case <-abort:
-					return
-				case <-tick.C:
-				}
-				hmu.Lock()
-				if len(durations) < stragglerMinSamples {
-					hmu.Unlock()
-					continue
-				}
-				p95 := quantile(durations, 0.95)
-				threshold := time.Duration(float64(p95) * c.StragglerFactor)
-				var launched int
-				for ri := range reqs {
-					if done[ri] || hedged[ri] || inflight[ri] != 1 {
-						continue
-					}
-					if time.Since(started[ri]) <= threshold {
-						continue
-					}
-					hedged[ri] = true
-					launched++
-					queue <- workItem{ri: ri, hedge: true}
-					hub.Event(dsp, "distrib.hedge", telemetry.Int("leaf", reqs[ri].Leaf))
-				}
-				hmu.Unlock()
-				if launched > 0 {
-					cm.hedgesLaunched.Add(int64(launched))
-				}
-			}
-		}()
-	}
-
-	// Health monitor: while a worker's real dispatch item is in flight,
-	// emit one observation per crossing of the class slow threshold, so
-	// a limping worker accumulates evidence before its operation
-	// completes (or its hedge wins).
-	if tracker != nil {
-		go func() {
-			tick := time.NewTicker(2 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-allDone:
-					return
-				case <-abort:
-					return
-				case <-tick.C:
-				}
-				thr := tracker.SlowThreshold("worker")
-				if thr <= 0 {
-					continue
-				}
-				c.mu.Lock()
-				live := append([]*workerConn(nil), c.workers...)
-				c.mu.Unlock()
-				for _, w := range live {
-					b := w.busySince.Load()
-					if b == 0 {
-						continue
-					}
-					elapsed := time.Since(time.Unix(0, b))
-					k := w.slowCrossings.Load()
-					if elapsed > time.Duration(k+1)*thr {
-						w.slowCrossings.Add(1)
-						tracker.ObserveInFlight(WorkerComponent(w.idx), elapsed)
-					}
-				}
-			}
-		}()
-	}
-
-	// probe pings a quarantined worker so it can earn Probation; a probe
-	// that errors removes the worker like any failed exchange. Returns
-	// false when the dispatch (or the worker) is finished.
-	probe := func(w *workerConn) bool {
-		comp := WorkerComponent(w.idx)
-		begin := time.Now()
-		resp, err := c.exchange(w, &WorkRequest{Ping: true}, timeout)
-		ok := err == nil && resp.Ping
-		tracker.ObserveProbe(comp, time.Since(begin), ok)
-		cm.probes.Inc()
-		hub.Event(dsp, "distrib.probe",
-			telemetry.Int("worker", w.idx), telemetry.Bool("ok", ok))
-		if err != nil {
-			c.removeWorker(w)
-			if alive.Add(-1) == 0 {
-				fail(fmt.Errorf("distrib: no surviving workers: %w", err))
-			}
-			return false
-		}
-		select {
-		case <-abort:
-			return false
-		case <-allDone:
-			return false
-		case <-time.After(probeInterval):
-			return true
-		}
-	}
-
-	for _, w := range workers {
-		go func(w *workerConn) {
-			comp := WorkerComponent(w.idx)
-			for {
-				// A quarantined worker takes no partitions: it is probed
-				// until it earns Probation (or the dispatch ends).
-				for tracker.Quarantined(comp) {
-					if !probe(w) {
-						return
-					}
-				}
-				var it workItem
-				select {
-				case <-abort:
-					return
-				case <-allDone:
-					return
-				case it = <-queue:
-				}
-				ri := it.ri
-				hmu.Lock()
-				if done[ri] {
-					hmu.Unlock()
-					continue // hedge or requeue that already lost
-				}
-				inflight[ri]++
-				if inflight[ri] == 1 {
-					started[ri] = time.Now()
-				}
-				hmu.Unlock()
-				c.mu.Lock()
-				c.serveOrder = append(c.serveOrder, ri)
-				c.mu.Unlock()
-				if err := checkConnFault(plan, w.idx); err != nil {
-					// Injected connection fault: sever exactly as a
-					// crashed worker node would.
-					c.removeWorker(w)
-					hmu.Lock()
-					inflight[ri]--
-					covered := done[ri] || inflight[ri] > 0
-					hmu.Unlock()
-					if !covered {
-						requeue(ri, err)
-					}
-					if alive.Add(-1) == 0 {
-						fail(fmt.Errorf("distrib: leaf %d: no surviving workers: %w", reqs[ri].Leaf, err))
-					}
-					return
-				}
-				begin := time.Now()
-				w.busySince.Store(begin.UnixNano())
-				w.slowCrossings.Store(0)
-				resp, err := c.exchange(w, &reqs[ri], timeout)
-				w.busySince.Store(0)
-				if errors.Is(err, ErrPayloadCorrupt) && ctx.Err() == nil {
-					// Verified corruption: the exchange failed CRC past
-					// its retransmit budget, so nothing was trusted and
-					// re-execution is free. Redispatch after a backoff
-					// WITHOUT consuming the partition's MaxAttempts; a
-					// worker whose corruption streak outlives
-					// Retry.MaxElapsed is removed like a crashed node.
-					now := time.Now()
-					first := w.corruptSince.Load()
-					if first == 0 {
-						first = now.UnixNano()
-						w.corruptSince.Store(first)
-					}
-					tracker.ObserveCorruption(comp)
-					hmu.Lock()
-					inflight[ri]--
-					covered := done[ri] || inflight[ri] > 0
-					hmu.Unlock()
-					cm.corruptRedispatch.Inc()
-					hub.Event(dsp, "distrib.corrupt_redispatch",
-						telemetry.Int("leaf", reqs[ri].Leaf), telemetry.Int("worker", w.idx))
-					if !covered {
-						if !budget.Take("distrib.redispatch") {
-							fail(fmt.Errorf("distrib: leaf %d redispatch after %w: %w",
-								reqs[ri].Leaf, err, health.ErrBudgetExhausted))
-							return
-						}
-						delay := retry.backoff(1)
-						go func() {
-							time.Sleep(delay)
-							queue <- workItem{ri: ri}
-						}()
-					}
-					if now.Sub(time.Unix(0, first)) > retry.MaxElapsed {
-						c.removeWorker(w)
-						hub.Event(dsp, "distrib.worker_corrupt_removed", telemetry.Int("worker", w.idx))
-						if alive.Add(-1) == 0 {
-							fail(fmt.Errorf("distrib: leaf %d: no surviving workers: %w", reqs[ri].Leaf, err))
-						}
-						return
-					}
-					continue
-				}
-				if err != nil {
-					c.removeWorker(w)
-					tracker.ObserveError(comp)
-					hmu.Lock()
-					inflight[ri]--
-					// Another copy in flight (or already won) covers
-					// this index; re-queue only an uncovered one.
-					covered := done[ri] || inflight[ri] > 0
-					hmu.Unlock()
-					if ctx.Err() != nil {
-						return
-					}
-					if !covered {
-						requeue(ri, err)
-					}
-					if alive.Add(-1) == 0 {
-						fail(fmt.Errorf("distrib: leaf %d: no surviving workers: %w", reqs[ri].Leaf, err))
-					}
-					return
-				}
-				w.corruptSince.Store(0) // clean exchange ends any corruption streak
-				if resp.Err != "" {
-					fail(fmt.Errorf("distrib: worker %d leaf %d: %s", w.pid, resp.Leaf, resp.Err))
-					return
-				}
-				tracker.ObserveSuccess(comp, time.Since(begin))
-				cm.recordStages(hub, parent != nil, dsp, begin, resp)
-				hmu.Lock()
-				inflight[ri]--
-				if done[ri] {
-					hmu.Unlock()
-					continue // lost the race: discard
-				}
-				done[ri] = true
-				durations = append(durations, time.Since(begin))
-				hmu.Unlock()
-				responses[ri] = resp
-				if it.hedge {
-					cm.hedgesWon.Inc()
-					hub.Event(dsp, "distrib.hedge_won", telemetry.Int("leaf", reqs[ri].Leaf))
-				}
-				if c.OnResponse != nil {
-					c.OnResponse(ri, resp)
-				}
-				if pending.Add(-1) == 0 {
-					close(allDone)
-					return
-				}
-			}
-		}(w)
-	}
-	select {
-	case <-allDone:
-		return responses, nil
-	case <-abort:
-		failMu.Lock()
-		err := failErr
-		failMu.Unlock()
-		return nil, err
-	}
+	return plan.Check(w.site)
 }
 
 // Shutdown tells every worker to exit and closes the listener. It is
@@ -1243,9 +745,10 @@ func (c *Coordinator) Shutdown() {
 	// probe of a quarantined worker, a hedge, or a late original.
 	for _, w := range workers {
 		w.mu.Lock()
-		// Best effort: the close below ends the worker too.
-		_, _ = w.conn.Write(sealEnvelope(appendRequest(newEnvelope(nil, requestHdr), &WorkRequest{Done: true}), envData))
-		w.conn.Close()
+		// Best effort: the close below ends the worker too. A goodbye is
+		// not an exchange — nobody will answer it — so no fault rule may fire.
+		_ = w.link.SendClean(envData, appendRequest(w.link.Begin(requestHdr), &WorkRequest{Done: true}))
+		w.link.Conn.Close()
 		w.mu.Unlock()
 		w.dead.Store(true)
 	}

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -18,11 +17,8 @@ import (
 // ProtocolError naming the mismatched field, never accepted into the
 // worker pool.
 func TestAcceptWorkersRejectsForeignProtocol(t *testing.T) {
-	badVersion := make([]byte, envHdrLen)
-	copy(badVersion, envMagic)
+	badVersion := wire.Seal(wire.Begin(nil, 0), envData)
 	badVersion[2] = envVersion + 7
-	badVersion[3] = envData
-	binary.LittleEndian.PutUint32(badVersion[4:8], 0)
 
 	cases := []struct {
 		name  string
@@ -174,7 +170,7 @@ func TestPersistentCorrupterRemoved(t *testing.T) {
 // TestCorruptResponderRemovedByMaxElapsed drives the MaxElapsed removal
 // branch itself: a raw protocol speaker that answers every request with
 // a corrupt envelope and resends the same bytes on every NACK. The
-// coordinator exhausts its NACK budget per exchange (ErrPayloadCorrupt
+// coordinator exhausts its NACK budget per exchange (ErrChecksum
 // → redispatch, no MaxAttempts consumed) while the responder never
 // crashes — only the corruption-streak clock can remove it.
 func TestCorruptResponderRemovedByMaxElapsed(t *testing.T) {
@@ -204,17 +200,17 @@ func TestCorruptResponderRemovedByMaxElapsed(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		hello := sealEnvelope(appendHello(newEnvelope(nil, helloLen), &Hello{Pid: 4999}), envData)
+		hello := wire.Seal(appendHello(wire.Begin(nil, helloLen), &Hello{Pid: 4999}), envData)
 		if _, err := conn.Write(hello); err != nil {
 			return
 		}
 		// Every data envelope we emit has one payload byte flipped after
 		// the CRC was computed; NACKs are answered by resending the same
 		// corrupt bytes, so the coordinator's budget always trips.
-		bad := sealEnvelope(append(newEnvelope(nil, 0), "not a response"...), envData)
-		bad[envHdrLen] ^= 0x08
+		bad := wire.Seal(append(wire.Begin(nil, 0), "not a response"...), envData)
+		bad[integrity.HeaderLen] ^= 0x08
 		for {
-			kind, _, _, err := readEnvelope(conn, new([]byte))
+			kind, _, _, err := wire.Read(conn, new([]byte))
 			if err != nil {
 				return // removed by the coordinator
 			}

@@ -85,25 +85,7 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 		}
 	}
 
-	// Restore checkpointed partitions; dispatch only the rest. A corrupt
-	// or missing snapshot simply re-dispatches that partition.
-	responses := make([]*WorkResponse, opt.Leaves)
-	var todo []WorkRequest
-	restoredCount := 0
-	if opt.Checkpoint != nil {
-		for leaf := range reqs {
-			var resp WorkResponse
-			if err := opt.Checkpoint.Load(clusterSnapshot(leaf), &resp); err == nil && resp.Leaf == leaf {
-				responses[leaf] = &resp
-				restoredCount++
-				continue
-			}
-			todo = append(todo, reqs[leaf])
-		}
-	} else {
-		todo = reqs
-	}
-
+	responses, todo := restorePartitions(opt.Checkpoint, reqs)
 	if len(todo) > 0 {
 		// Stream each winning response into its snapshot as it arrives —
 		// a coordinator killed mid-dispatch resumes with the partitions
@@ -140,7 +122,26 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Labels: labels, NumClusters: len(final), RestoredPartitions: restoredCount}, nil
+	return &Result{Labels: labels, NumClusters: len(final), RestoredPartitions: len(reqs) - len(todo)}, nil
+}
+
+// restorePartitions loads the partitions a previous run checkpointed on
+// store (nil: none) and returns the requests still to dispatch. A corrupt
+// or missing snapshot simply re-dispatches that partition.
+func restorePartitions(store *checkpoint.Store, reqs []WorkRequest) (responses []*WorkResponse, todo []WorkRequest) {
+	responses = make([]*WorkResponse, len(reqs))
+	if store == nil {
+		return responses, reqs
+	}
+	for leaf := range reqs {
+		var resp WorkResponse
+		if err := store.Load(clusterSnapshot(leaf), &resp); err == nil && resp.Leaf == leaf {
+			responses[leaf] = &resp
+			continue
+		}
+		todo = append(todo, reqs[leaf])
+	}
+	return responses, todo
 }
 
 // alignLabels is the sweep: it resolves every leaf's owned labels to

@@ -176,7 +176,7 @@ func DecodeSummaries(p []byte) ([]*Summary, error) {
 	if BlockHeaderSize+n*summaryHdrLen+nMembers*keyLen+nCells*cellRecLen+nPoints*pointRecLen != uint64(len(p)) {
 		return nil, malformed("%d summaries, %d members, %d cells, %d points do not make %d bytes", n, nMembers, nCells, nPoints, len(p))
 	}
-	if n == 0 {
+	if n == 0 && len(p) == BlockHeaderSize { // else: totals with no summary to hold them, refused below
 		return nil, nil
 	}
 	sums, out := make([]Summary, n), make([]*Summary, n)

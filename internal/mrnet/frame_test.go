@@ -1,89 +1,18 @@
 package mrnet
 
 import (
-	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/integrity"
 	"repro/internal/telemetry"
 )
-
-// mangle returns a valid encoded frame with fn applied to it.
-func mangle(ftype byte, payload []byte, fn func([]byte)) []byte {
-	buf := encodeFrame(ftype, payload)
-	if fn != nil {
-		fn(buf)
-	}
-	return buf
-}
-
-func TestReadFrameTypedErrors(t *testing.T) {
-	payload := []byte("twelve bytes")
-	cases := []struct {
-		name string
-		wire []byte
-		want error
-	}{
-		{"clean close", nil, io.EOF},
-		{"torn header", mangle(frameUp, payload, nil)[:5], ErrFrameTorn},
-		{"torn payload", mangle(frameUp, payload, nil)[:frameHdrLen+4], ErrFrameTorn},
-		{"bad magic", mangle(frameUp, payload, func(b []byte) { b[0] = 'X' }), nil},
-		{"bad version", mangle(frameUp, payload, func(b []byte) { b[2] = frameVersion + 9 }), nil},
-		{"oversized", mangle(frameUp, payload, func(b []byte) {
-			binary.LittleEndian.PutUint32(b[4:8], maxFrame+1)
-		}), ErrFrameTooLarge},
-		{"flipped payload bit", mangle(frameUp, payload, func(b []byte) { b[frameHdrLen] ^= 0x10 }), ErrFrameCorrupt},
-		{"flipped crc bit", mangle(frameUp, payload, func(b []byte) { b[9] ^= 0x01 }), ErrFrameCorrupt},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readFrame(bytes.NewReader(tc.wire))
-			if err == nil {
-				t.Fatal("readFrame accepted a damaged frame")
-			}
-			switch tc.name {
-			case "bad magic", "bad version":
-				if !integrity.IsProtocolMismatch(err) {
-					t.Fatalf("err = %v, want a ProtocolError", err)
-				}
-				var pe *integrity.ProtocolError
-				if !errors.As(err, &pe) || pe.Plane != "mrnet.tcp" {
-					t.Fatalf("err = %v, want mrnet.tcp plane", err)
-				}
-			default:
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("err = %v, want %v", err, tc.want)
-				}
-			}
-			// The torn-payload message reports how far the read got.
-			if tc.name == "torn payload" && !strings.Contains(err.Error(), "(4 of 12 bytes)") {
-				t.Fatalf("err = %v, want the 4 of 12 payload bytes read", err)
-			}
-			// A torn frame must never be mistaken for corruption (it
-			// would trigger a pointless NACK to a dead peer) and vice
-			// versa (a corrupt frame is healable, a torn one is not).
-			if tc.want == ErrFrameTorn && errors.Is(err, ErrFrameCorrupt) {
-				t.Fatalf("torn frame classified as corrupt: %v", err)
-			}
-			if tc.want == ErrFrameCorrupt && errors.Is(err, ErrFrameTorn) {
-				t.Fatalf("corrupt frame classified as torn: %v", err)
-			}
-		})
-	}
-}
-
-func TestReadFrameRoundTrip(t *testing.T) {
-	payload := []byte{1, 2, 3, 4, 5}
-	ftype, got, err := readFrame(bytes.NewReader(encodeFrame(frameDown, payload)))
-	if err != nil || ftype != frameDown || !bytes.Equal(got, payload) {
-		t.Fatalf("roundtrip = (%d, %v, %v), want (%d, %v, nil)", ftype, got, err, frameDown, payload)
-	}
-}
 
 // sumOverlay builds a small TCP overlay whose Reduce sums leaf indexes.
 func sumOverlay(t *testing.T, leaves, fanout int) *TCPNetwork {
@@ -163,7 +92,7 @@ func TestTCPKillMidFrame(t *testing.T) {
 }
 
 // TestTCPPersistentCorruptionFailsLoudly: a link corrupting beyond the
-// retransmit budget surfaces ErrFrameCorrupt instead of looping forever.
+// retransmit budget surfaces ErrChecksum instead of looping forever.
 func TestTCPPersistentCorruptionFailsLoudly(t *testing.T) {
 	net := sumOverlay(t, 2, 2)
 	net.SetFaultPlan(faultinject.New(0).
@@ -175,11 +104,82 @@ func TestTCPPersistentCorruptionFailsLoudly(t *testing.T) {
 	// The failure may surface typed (detected by the root itself) or as
 	// a frameError relayed from a child — where the type is necessarily
 	// lost crossing the wire but the message survives.
-	if !errors.Is(err, ErrFrameCorrupt) && !strings.Contains(err.Error(), "corrupt") {
+	if !errors.Is(err, integrity.ErrChecksum) && !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("err = %v, want a corruption failure", err)
 	}
 	detected, _, _ := net.FrameIntegrity()
 	if detected < int64(maxFrameRetries)+1 {
 		t.Fatalf("detected %d corruptions, want > retry budget %d", detected, maxFrameRetries)
+	}
+}
+
+// TestTCPFrameGoldenBytes pins this plane's parameters to the wire the
+// revision before the shared frame wrote (hex printed by its encodeFrame;
+// the header layout itself is pinned in internal/integrity).
+func TestTCPFrameGoldenBytes(t *testing.T) {
+	for got, want := range map[string]string{
+		hex.EncodeToString(rawFrame(frameUp, "Mr. Scan golden payload")): "4d520102170000001984fb944d722e205363616e20676f6c64656e207061796c6f6164",
+		hex.EncodeToString(rawFrame(tcpFrame.Nack, "")):                  "4d5201040000000000000000",
+	} {
+		if got != want {
+			t.Errorf("frame = %s, want %s", got, want)
+		}
+	}
+}
+
+// rawFrame is one sealed frame as a misbehaving peer would write it.
+func rawFrame(ftype byte, payload string) []byte {
+	return tcpFrame.Seal(append(tcpFrame.Begin(nil, len(payload)), payload...), ftype)
+}
+
+// TestTCPGatherRejectsWrongFrameType: a child answering an operation with
+// anything but its upstream contribution (or an error) fails the gather
+// with ErrMalformed — it is never combined as if it were one.
+func TestTCPGatherRejectsWrongFrameType(t *testing.T) {
+	for _, ftype := range []byte{frameDown, frameHello, 77} {
+		overlay := &TCPNetwork{handlers: sumHandlers(func(int) uint64 { return 0 })}
+		tree, err := New(1, 2, CostModel{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, conn := net.Pipe()
+		root := &tcpNode{node: tree.nodes[0], children: []*integrity.Link{overlay.link(conn, 0)}}
+		go func() {
+			var buf []byte
+			if _, _, _, err := tcpFrame.Read(raw, &buf); err == nil { // the operation start
+				raw.Write(rawFrame(ftype, "12345678"))
+			}
+		}()
+		_, err = overlay.runSubtree(root, []byte("go"))
+		if !errors.Is(err, integrity.ErrMalformed) {
+			t.Errorf("child answered with frame type %d: err = %v, want ErrMalformed", ftype, err)
+		}
+		raw.Close()
+		conn.Close()
+	}
+}
+
+// TestTCPServeRejectsWrongFrameType: a node whose parent sends anything
+// but an operation start — an upstream frame, or a NACK when nothing was
+// ever sent up — hangs up instead of skipping it or retransmitting a frame
+// that does not exist.
+func TestTCPServeRejectsWrongFrameType(t *testing.T) {
+	for _, ftype := range []byte{frameUp, frameNack} {
+		overlay := &TCPNetwork{handlers: sumHandlers(func(int) uint64 { return 0 })}
+		tree, err := New(1, 2, CostModel{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, conn := net.Pipe()
+		leaf := tree.nodes[len(tree.nodes)-1]
+		go overlay.serve(&tcpNode{node: leaf, parent: overlay.link(conn, leaf.id)})
+		raw.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := raw.Write(rawFrame(ftype, "")); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := raw.Read(make([]byte, 64)); err != io.EOF {
+			t.Errorf("after frame type %d the node wrote %d bytes (err %v), want a closed edge", ftype, n, err)
+		}
+		raw.Close()
 	}
 }

@@ -186,18 +186,38 @@ func New(leaves, fanout int, costs CostModel, clock *simclock.Clock) (*Network, 
 	if fanout < 2 {
 		return nil, fmt.Errorf("mrnet: fanout must be at least 2, got %d", fanout)
 	}
-	if clock == nil {
-		clock = simclock.New()
-	}
-	net := &Network{costs: costs, clock: clock, label: "net"}
-	net.hub = telemetry.New(clock)
-	net.m = resolveNetMetrics(net.hub, net.label)
-	net.root = &Node{id: 0, level: 0, leafIndex: -1}
-	net.nodes = append(net.nodes, net.root)
+	net := newTree(costs, clock)
 	net.build(net.root, leaves, fanout)
 	net.clock.Charge("mrnet/startup",
 		costs.StartupBase+time.Duration(len(net.nodes))*costs.StartupPerNode)
 	return net, nil
+}
+
+// newTree returns a network holding only its root, counting on a private
+// hub until SetTelemetry installs the run's.
+func newTree(costs CostModel, clock *simclock.Clock) *Network {
+	if clock == nil {
+		clock = simclock.New()
+	}
+	net := &Network{costs: costs, clock: clock, label: "net", hub: telemetry.New(clock)}
+	net.m = resolveNetMetrics(net.hub, net.label)
+	net.root = &Node{leafIndex: -1}
+	net.nodes = []*Node{net.root}
+	return net
+}
+
+// addChild attaches a new process under parent.
+func (net *Network) addChild(parent *Node) *Node {
+	c := &Node{id: len(net.nodes), level: parent.level + 1, parent: parent, leafIndex: -1}
+	parent.children = append(parent.children, c)
+	net.nodes = append(net.nodes, c)
+	return c
+}
+
+// addLeaf makes n, childless, the next leaf in DFS order.
+func (net *Network) addLeaf(n *Node) {
+	n.leafIndex, n.firstLeaf, n.numLeaves = len(net.leaves), len(net.leaves), 1
+	net.leaves = append(net.leaves, n)
 }
 
 // build attaches the subtree holding `leaves` leaf processes under parent.
@@ -206,17 +226,7 @@ func (net *Network) build(parent *Node, leaves, fanout int) {
 	parent.numLeaves = leaves
 	if leaves <= fanout {
 		for i := 0; i < leaves; i++ {
-			leaf := &Node{
-				id:        len(net.nodes),
-				level:     parent.level + 1,
-				parent:    parent,
-				leafIndex: len(net.leaves),
-				firstLeaf: len(net.leaves),
-				numLeaves: 1,
-			}
-			parent.children = append(parent.children, leaf)
-			net.nodes = append(net.nodes, leaf)
-			net.leaves = append(net.leaves, leaf)
+			net.addLeaf(net.addChild(parent))
 		}
 		return
 	}
@@ -228,15 +238,7 @@ func (net *Network) build(parent *Node, leaves, fanout int) {
 	for g := 0; g < groups; g++ {
 		// Spread leaves as evenly as possible over the groups.
 		share := (remaining + (groups - g) - 1) / (groups - g)
-		internal := &Node{
-			id:        len(net.nodes),
-			level:     parent.level + 1,
-			parent:    parent,
-			leafIndex: -1,
-		}
-		parent.children = append(parent.children, internal)
-		net.nodes = append(net.nodes, internal)
-		net.build(internal, share, fanout)
+		net.build(net.addChild(parent), share, fanout)
 		remaining -= share
 	}
 }
@@ -625,6 +627,13 @@ func (o *opState) fail(err error) {
 	o.cancelled.Store(true)
 }
 
+// failf is fail with the error built in place; it returns what it recorded.
+func (o *opState) failf(format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	o.fail(err)
+	return err
+}
+
 func (o *opState) aborted() bool {
 	return o.cancelled.Load() || o.ctx.Err() != nil
 }
@@ -658,6 +667,60 @@ func (o *opState) finish(err error) error {
 // Sizer reports the wire size of a payload for the cost model. A nil
 // Sizer charges only per-hop latency.
 type Sizer[T any] func(T) int64
+
+func (s Sizer[T]) of(v T) int64 {
+	if s == nil {
+		return 0
+	}
+	return s(v)
+}
+
+// crossEdge carries one payload of the given size over the edge whose child
+// endpoint is c, from → to naming the direction in errors. Nothing moves
+// once the operation is aborted. A NodeFailedError — the link's quarantine
+// re-parenting c preemptively — is returned as it is and fails nothing; any
+// other failure fails the operation.
+func (net *Network) crossEdge(from, to, c *Node, bytes int64, op *opState) error {
+	if op.aborted() {
+		return errAborted
+	}
+	ferr := net.faultPlan().Check(faultinject.MRNetHop)
+	if ferr == nil {
+		ferr = net.transmitHop(c, bytes)
+	}
+	var nf *NodeFailedError
+	if ferr == nil || errors.As(ferr, &nf) {
+		return ferr
+	}
+	return op.failf("mrnet: hop from node %d to node %d: %w", from.id, to.id, ferr)
+}
+
+// reparentCrashed settles a round of n's children, given each one's error:
+// the first fatal one is returned; the children that crashed (a
+// NodeFailedError) are removed from the tree, theirs re-parented to n, and
+// retry says the round must run again over the new child list — finite
+// internal nodes bound the number of rounds.
+func (net *Network) reparentCrashed(errs []error, op *opState) (retry bool, err error) {
+	var crashed []int
+	for _, err := range errs {
+		var nf *NodeFailedError
+		if errors.As(err, &nf) {
+			crashed = append(crashed, nf.ID)
+		} else if err != nil && !errors.Is(err, errAborted) {
+			return false, err
+		}
+	}
+	if op.aborted() {
+		return false, errAborted
+	}
+	for _, id := range crashed {
+		if err := net.FailNode(id); err != nil {
+			op.fail(err)
+			return false, err
+		}
+	}
+	return len(crashed) > 0, nil
+}
 
 // Reduce performs an upstream reduction: leafFn runs at every leaf (in
 // parallel), combine runs at every internal node and at the root over its
@@ -695,18 +758,14 @@ func reduceAt[T any](net *Network, n *Node, leafFn func(int) (T, error), combine
 	if n.IsLeaf() {
 		v, err := leafFn(n.leafIndex)
 		if err != nil {
-			err = fmt.Errorf("mrnet: leaf %d: %w", n.leafIndex, err)
-			op.fail(err)
-			return zero, err
+			return zero, op.failf("mrnet: leaf %d: %w", n.leafIndex, err)
 		}
 		return v, nil
 	}
 	if n.parent != nil { // internal, non-root: subject to crash injection
 		if ferr := net.faultPlan().Check(faultinject.MRNetNode); ferr != nil {
 			if faultinject.IsFatal(ferr) {
-				err := fmt.Errorf("mrnet: node %d: %w", n.id, ferr)
-				op.fail(err)
-				return zero, err
+				return zero, op.failf("mrnet: node %d: %w", n.id, ferr)
 			}
 			return zero, &NodeFailedError{ID: n.id, cause: ferr}
 		}
@@ -733,32 +792,10 @@ func reduceAt[T any](net *Network, n *Node, leafFn func(int) (T, error), combine
 			go func(i int, c *Node) {
 				defer wg.Done()
 				v, err := reduceAt(net, c, leafFn, combine, size, op)
+				if err == nil {
+					err = net.crossEdge(c, n, c, size.of(v), op)
+				}
 				if err != nil {
-					errs[i] = err
-					return
-				}
-				if op.aborted() {
-					errs[i] = errAborted
-					return
-				}
-				if ferr := net.faultPlan().Check(faultinject.MRNetHop); ferr != nil {
-					err = fmt.Errorf("mrnet: hop from node %d to node %d: %w", c.id, n.id, ferr)
-					op.fail(err)
-					errs[i] = err
-					return
-				}
-				var b int64
-				if size != nil {
-					b = size(v)
-				}
-				if ferr := net.transmitHop(c, b); ferr != nil {
-					var nf *NodeFailedError
-					if errors.As(ferr, &nf) {
-						errs[i] = ferr // preemptive re-parent, not fatal
-						return
-					}
-					err = fmt.Errorf("mrnet: hop from node %d to node %d: %w", c.id, n.id, ferr)
-					op.fail(err)
 					errs[i] = err
 					return
 				}
@@ -769,43 +806,24 @@ func reduceAt[T any](net *Network, n *Node, leafFn func(int) (T, error), combine
 			}(i, c)
 		}
 		wg.Wait()
-		var crashed []int
-		for _, err := range errs {
-			var nf *NodeFailedError
-			if errors.As(err, &nf) {
-				crashed = append(crashed, nf.ID)
-			} else if err != nil && !errors.Is(err, errAborted) {
-				return zero, err
-			}
+		if retry, err := net.reparentCrashed(errs, op); err != nil {
+			return zero, err
+		} else if retry {
+			continue
 		}
-		if op.aborted() {
-			return zero, errAborted
+		hub, parent, m, spans := net.telemetry()
+		var sp *telemetry.Span
+		if spans {
+			sp = hub.Start(parent, "mrnet.filter", telemetry.Int("node", n.id))
 		}
-		if len(crashed) == 0 {
-			hub, parent, m, spans := net.telemetry()
-			var sp *telemetry.Span
-			if spans {
-				sp = hub.Start(parent, "mrnet.filter", telemetry.Int("node", n.id))
-			}
-			fstart := time.Now()
-			v, err := combine(n, results)
-			m.filterSec.Observe(time.Since(fstart).Seconds())
-			sp.End()
-			if err != nil {
-				err = fmt.Errorf("mrnet: filter at node %d: %w", n.id, err)
-				op.fail(err)
-				return zero, err
-			}
-			return v, nil
+		fstart := time.Now()
+		v, err := combine(n, results)
+		m.filterSec.Observe(time.Since(fstart).Seconds())
+		sp.End()
+		if err != nil {
+			return zero, op.failf("mrnet: filter at node %d: %w", n.id, err)
 		}
-		for _, id := range crashed {
-			if err := net.FailNode(id); err != nil {
-				op.fail(err)
-				return zero, err
-			}
-		}
-		// Retry with the re-parented child list; finite internal nodes
-		// bound the number of recovery rounds.
+		return v, nil
 	}
 }
 
@@ -830,18 +848,14 @@ func multicastAt[T any](net *Network, n *Node, payload T, split func(*Node, T) (
 	}
 	if n.IsLeaf() {
 		if err := deliver(n.leafIndex, payload); err != nil {
-			err = fmt.Errorf("mrnet: leaf %d: %w", n.leafIndex, err)
-			op.fail(err)
-			return err
+			return op.failf("mrnet: leaf %d: %w", n.leafIndex, err)
 		}
 		return nil
 	}
 	if n.parent != nil { // internal, non-root: subject to crash injection
 		if ferr := net.faultPlan().Check(faultinject.MRNetNode); ferr != nil {
 			if faultinject.IsFatal(ferr) {
-				err := fmt.Errorf("mrnet: node %d: %w", n.id, ferr)
-				op.fail(err)
-				return err
+				return op.failf("mrnet: node %d: %w", n.id, ferr)
 			}
 			return &NodeFailedError{ID: n.id, cause: ferr}
 		}
@@ -854,15 +868,10 @@ func multicastAt[T any](net *Network, n *Node, payload T, split func(*Node, T) (
 		if split != nil {
 			out, err := split(n, payload)
 			if err != nil {
-				err = fmt.Errorf("mrnet: split at node %d: %w", n.id, err)
-				op.fail(err)
-				return err
+				return op.failf("mrnet: split at node %d: %w", n.id, err)
 			}
 			if len(out) != len(children) {
-				err = fmt.Errorf("mrnet: split at node %d returned %d payloads for %d children",
-					n.id, len(out), len(children))
-				op.fail(err)
-				return err
+				return op.failf("mrnet: split at node %d returned %d payloads for %d children", n.id, len(out), len(children))
 			}
 			copy(parts, out)
 		} else {
@@ -882,32 +891,11 @@ func multicastAt[T any](net *Network, n *Node, payload T, split func(*Node, T) (
 			wg.Add(1)
 			go func(i int, c *Node) {
 				defer wg.Done()
-				if op.aborted() {
-					errs[i] = errAborted
-					return
+				err := net.crossEdge(n, c, c, size.of(parts[i]), op)
+				if err == nil {
+					err = multicastAt(net, c, parts[i], split, deliver, size, op)
 				}
-				if ferr := net.faultPlan().Check(faultinject.MRNetHop); ferr != nil {
-					err := fmt.Errorf("mrnet: hop from node %d to node %d: %w", n.id, c.id, ferr)
-					op.fail(err)
-					errs[i] = err
-					return
-				}
-				var b int64
-				if size != nil {
-					b = size(parts[i])
-				}
-				if ferr := net.transmitHop(c, b); ferr != nil {
-					var nf *NodeFailedError
-					if errors.As(ferr, &nf) {
-						errs[i] = ferr // preemptive re-parent, not fatal
-						return
-					}
-					err := fmt.Errorf("mrnet: hop from node %d to node %d: %w", n.id, c.id, ferr)
-					op.fail(err)
-					errs[i] = err
-					return
-				}
-				if err := multicastAt(net, c, parts[i], split, deliver, size, op); err != nil {
+				if err != nil {
 					errs[i] = err
 					return
 				}
@@ -917,26 +905,8 @@ func multicastAt[T any](net *Network, n *Node, payload T, split func(*Node, T) (
 			}(i, c)
 		}
 		wg.Wait()
-		var crashed []int
-		for _, err := range errs {
-			var nf *NodeFailedError
-			if errors.As(err, &nf) {
-				crashed = append(crashed, nf.ID)
-			} else if err != nil && !errors.Is(err, errAborted) {
-				return err
-			}
-		}
-		if op.aborted() {
-			return errAborted
-		}
-		if len(crashed) == 0 {
-			return nil
-		}
-		for _, id := range crashed {
-			if err := net.FailNode(id); err != nil {
-				op.fail(err)
-				return err
-			}
+		if retry, err := net.reparentCrashed(errs, op); err != nil || !retry {
+			return err
 		}
 	}
 }

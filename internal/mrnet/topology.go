@@ -63,12 +63,7 @@ func NewRegular(fanouts []int, costs CostModel, clock *simclock.Clock) (*Network
 			return nil, fmt.Errorf("mrnet: fanouts must be positive, got %v", fanouts)
 		}
 	}
-	if clock == nil {
-		clock = simclock.New()
-	}
-	net := &Network{costs: costs, clock: clock}
-	net.root = &Node{id: 0, level: 0, leafIndex: -1}
-	net.nodes = append(net.nodes, net.root)
+	net := newTree(costs, clock)
 	net.buildRegular(net.root, fanouts)
 	net.clock.Charge("mrnet/startup",
 		costs.StartupBase+time.Duration(len(net.nodes))*costs.StartupPerNode)
@@ -76,24 +71,13 @@ func NewRegular(fanouts []int, costs CostModel, clock *simclock.Clock) (*Network
 }
 
 func (net *Network) buildRegular(parent *Node, fanouts []int) {
-	parent.firstLeaf = len(net.leaves)
 	if len(fanouts) == 0 {
-		// parent is a leaf.
-		parent.leafIndex = len(net.leaves)
-		parent.numLeaves = 1
-		net.leaves = append(net.leaves, parent)
+		net.addLeaf(parent)
 		return
 	}
+	parent.firstLeaf = len(net.leaves)
 	for i := 0; i < fanouts[0]; i++ {
-		child := &Node{
-			id:        len(net.nodes),
-			level:     parent.level + 1,
-			parent:    parent,
-			leafIndex: -1,
-		}
-		parent.children = append(parent.children, child)
-		net.nodes = append(net.nodes, child)
-		net.buildRegular(child, fanouts[1:])
+		net.buildRegular(net.addChild(parent), fanouts[1:])
 	}
 	parent.numLeaves = len(net.leaves) - parent.firstLeaf
 }

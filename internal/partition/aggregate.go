@@ -16,9 +16,7 @@ package partition
 //
 // Readers reassemble a partition from its runs in leaf order — the same
 // concatenation order the legacy layout stores — so both layouts yield
-// byte-identical partitions. Compact rewrites the segments into the
-// legacy contiguous layout with one sequential pass per segment for
-// consumers that will re-read partitions many times.
+// byte-identical partitions.
 
 import (
 	"context"
@@ -277,78 +275,4 @@ func readPartitionSegments(fs *lustre.FS, meta *ptio.PartitionMeta, j int) (poin
 		return nil, nil, err
 	}
 	return points, shadow, nil
-}
-
-// Compact rewrites an aggregated (segmented) layout into the legacy
-// contiguous one: each segment file is read once, in full and
-// sequentially, and each partition region is written once, sequentially —
-// the cheap compaction a consumer runs before re-reading partitions many
-// times. It returns a fresh metadata document describing outputFile in
-// the legacy layout (no segment index); the segment files are left in
-// place.
-func Compact(fs *lustre.FS, meta *ptio.PartitionMeta, outputFile string) (*ptio.PartitionMeta, error) {
-	if len(meta.Segments) == 0 {
-		return nil, fmt.Errorf("partition: Compact needs a segmented layout (metadata has no segment index)")
-	}
-	rs := int64(ptio.RecordSize(meta.HasWeight))
-	segData := make(map[string][]byte, len(meta.Segments))
-	for _, seg := range meta.Segments {
-		h, err := fs.Open(seg.File)
-		if err != nil {
-			return nil, fmt.Errorf("partition: opening segment: %w", err)
-		}
-		buf := make([]byte, h.Size())
-		if len(buf) > 0 {
-			if _, err := h.ReadAt(buf, 0); err != nil {
-				return nil, fmt.Errorf("partition: reading segment %s: %w", seg.File, err)
-			}
-		}
-		segData[seg.File] = buf
-	}
-	out := &ptio.PartitionMeta{Eps: meta.Eps, HasWeight: meta.HasWeight}
-	h := fs.Create(outputFile)
-	var cursor int64
-	for j := range meta.Partitions {
-		ownedRefs, shadowRefs := partitionRuns(meta, j)
-		gather := func(refs []segRunRef, want int64) ([]byte, error) {
-			var buf []byte
-			for _, ref := range refs {
-				data := segData[ref.file]
-				lo, hi := ref.run.Offset, ref.run.Offset+ref.run.Count*rs
-				if hi > int64(len(data)) {
-					return nil, fmt.Errorf("partition: segment %s run [%d,%d) exceeds file size %d",
-						ref.file, lo, hi, len(data))
-				}
-				buf = append(buf, data[lo:hi]...)
-			}
-			if int64(len(buf)) != want*rs {
-				return nil, fmt.Errorf("partition: compacting partition %d: runs hold %d bytes, metadata entry says %d",
-					j, len(buf), want*rs)
-			}
-			return buf, nil
-		}
-		e := meta.Partitions[j]
-		owned, err := gather(ownedRefs, e.Count)
-		if err != nil {
-			return nil, err
-		}
-		shad, err := gather(shadowRefs, e.ShadowCount)
-		if err != nil {
-			return nil, err
-		}
-		entry := ptio.PartitionEntry{
-			Offset:       cursor,
-			Count:        e.Count,
-			ShadowOffset: cursor + int64(len(owned)),
-			ShadowCount:  e.ShadowCount,
-		}
-		if buf := append(owned, shad...); len(buf) > 0 {
-			if _, err := h.WriteAt(buf, cursor); err != nil {
-				return nil, fmt.Errorf("partition: compacting partition %d: %w", j, err)
-			}
-			cursor += int64(len(buf))
-		}
-		out.Partitions = append(out.Partitions, entry)
-	}
-	return out, nil
 }

@@ -229,41 +229,6 @@ func TestAggregateCutsWriteCost(t *testing.T) {
 	}
 }
 
-// TestCompactEquivalence: compacting the segmented layout into the
-// legacy contiguous layout must preserve every partition exactly.
-func TestCompactEquivalence(t *testing.T) {
-	opt := DistOptions{NumPartitions: 6, MinPts: 4, Aggregate: true}
-	res, fs := aggEnv(t, dataset.Twitter(8000, 17), 4, opt)
-
-	cmeta, err := Compact(fs, res.Meta, "parts-compact.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmeta.Segments) != 0 {
-		t.Fatal("compacted metadata still carries a segment index")
-	}
-	for j := 0; j < opt.NumPartitions; j++ {
-		wantOwned, wantShadow, err := ReadPartition(fs, "parts.bin", res.Meta, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOwned, gotShadow, err := ReadPartition(fs, "parts-compact.bin", cmeta, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotOwned, wantOwned) {
-			t.Errorf("partition %d: owned points differ after compaction", j)
-		}
-		if !reflect.DeepEqual(gotShadow, wantShadow) {
-			t.Errorf("partition %d: shadow points differ after compaction", j)
-		}
-	}
-	// Compacting a legacy layout is a caller error.
-	if _, err := Compact(fs, cmeta, "again.bin"); err == nil {
-		t.Error("Compact accepted a layout with no segment index")
-	}
-}
-
 // TestDurabilityCallbacks: OnLayout fires once before any data lands;
 // OnPartitionDurable fires exactly once per partition, and by the time it
 // does, that partition is fully readable through the segment index.

@@ -37,7 +37,7 @@ type DistOptions struct {
 	// region (§5.1.1's "small random writes" — 65.2% of the phase), each
 	// leaf appends its whole contribution as one sequential run into a
 	// sharded segment file, and the metadata carries a segment index from
-	// which ReadPartition (or Compact) reassembles every partition
+	// which ReadPartition reassembles every partition
 	// byte-identically. O(leaves×partitions) random writes become
 	// O(leaves) sequential ones.
 	Aggregate bool

@@ -9,8 +9,7 @@
 // distribution by minimum overlap), and one round of forced reinsertion
 // per level, which is the R*-tree's signature optimization.
 //
-// It backs the reference DBSCAN's IndexRTree option and the PDBSCAN
-// baseline's replicated index.
+// It backs the PDBSCAN baseline's replicated index.
 package rtree
 
 import (
