@@ -20,7 +20,9 @@ vet:
 # packages (gdbscan expansion blocks and gpusim buffer pools are hot
 # concurrent paths; chaos and lustre exercise the integrity ledger
 # under concurrent leaves; server schedules concurrent jobs over all of
-# them); integrity is the frame link both socket planes run on.
+# them); integrity is the frame link both socket planes run on. -short
+# trims the other packages' long cases (mrscan alone would exceed the
+# 10m timeout); no internal/chaos test skips under it.
 test: vet
 	$(GO) test ./...
 	$(GO) test -race -short ./internal/distrib ./internal/mrnet ./internal/mrscan ./internal/telemetry ./internal/gdbscan ./internal/gpusim ./internal/chaos ./internal/lustre ./internal/server ./internal/checkpoint ./internal/stream ./internal/partition ./internal/ptio ./internal/health ./internal/integrity

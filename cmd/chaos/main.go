@@ -1,242 +1,198 @@
-// Command chaos runs the seeded end-to-end integrity harness: each seed
-// generates a random fault schedule (errors, silent bit flips, node
-// kills, stragglers, process death), runs the full pipeline under it,
-// and audits the invariants — labels match a fault-free reference (or
-// quality ≥ the floor, or a loud fail-stop), every injected corruption
-// is detected/masked/latent with zero silent escapes, and the run stays
-// inside its wall-time bound.
+// Command chaos runs the seeded chaos campaigns of internal/chaos: one
+// scenario run per seed, each audited against a fault-free reference,
+// behind one runner (seed loop, per-seed deadline, verdict, report). The
+// scenario files carry what each mode injects and which invariants it
+// audits; -mode picks one:
 //
-//	chaos -seeds 20                 # seeds 1..20
-//	chaos -seeds 5 -seed-base 100   # seeds 100..104
-//	chaos -seeds 20 -out report.json
+//	pipeline  random fault schedules (errors, silent bit flips, node
+//	          kills, stragglers, process death) under the full pipeline:
+//	          labels match or fail-stop loudly, zero silent corruption
+//	          escapes (internal/chaos/chaos.go)
+//	overload  multi-tenant bursts past queue capacity, a drain and a
+//	          restart per seed: typed rejections only, zero silent
+//	          drops, quality floors met (overload.go)
+//	crash     power failure at every sampled durability-relevant
+//	          file-system operation: nothing acknowledged is lost,
+//	          recovery is idempotent, labels exact (crash.go)
+//	stream    a firehose through a drain/restart and a power cut inside
+//	          a tick's save: served labels equal the reference engine's
+//	          after every tick (stream.go)
+//	gray      faults that pass every liveness check — a 20x-slow worker,
+//	          a flapping link, a degraded OST, a starved retry budget:
+//	          exact-sick-set quarantine within two dispatches, exact
+//	          labels, bounded retry spend and wall time (gray.go)
 //
-// With -mode overload it instead storms the job server: multi-tenant
-// bursts past queue capacity with seeded faults, a mid-campaign drain
-// and restart on the same state directory, and the serving-contract
-// audit — typed rejections only, zero silent drops, quality floors met.
-//
+//	chaos -seeds 20 -out chaos-report.json   # seeds 1..20, pipeline
+//	chaos -seeds 5 -seed-base 100            # seeds 100..104
 //	chaos -mode overload -seeds 10
-//
-// With -mode crash it simulates power failure instead of runtime
-// faults: a probe run enumerates every durability-relevant file-system
-// operation, then each sampled operation becomes a crash point — power
-// is lost exactly there, unsynced writes drop and tear, unsynced
-// renames vanish — and the restarted process must lose nothing it
-// acknowledged: checkpointed phases restore instead of recomputing,
-// journaled jobs are re-admitted and terminate, recovery is idempotent
-// under a second crash, and the final labels equal the fault-free
-// reference exactly. The -drop-syncs / -drop-dir-syncs mutation flags
-// turn chosen fsyncs into lies; a correct harness must then FAIL.
-//
 //	chaos -mode crash -seeds 10 -crash-points 20
-//	chaos -mode crash -seeds 2 -drop-syncs '*.ckpt*'   # must FAIL
-//
-// With -mode stream it audits the sliding-window streaming engine: a
-// seeded firehose is fed through the server with a drain/restart in the
-// middle and, later, a power cut inside a tick's save (snapshot
-// published, manifest not yet committed); invalid batches are injected
-// along the way, and after every tick and every recovery the served
-// labels must exactly equal a fault-free reference engine fed the same
-// sequence.
-//
-//	chaos -mode stream -seeds 10
-//
-// With -mode gray it injects gray failures — faults that pass every
-// liveness check: a 20x-slow worker, a flapping tree link, a degraded
-// OST, transient phase errors under an exhausted retry budget — and
-// audits the adaptive health layer: sick components quarantined within
-// -gray-quarantine-dispatches dispatches with zero false quarantines,
-// labels byte-identical to a fault-free reference, retry spend inside
-// the shared token budget, and wall time within -gray-wall-factor of
-// the healthy baseline.
-//
-//	chaos -mode gray -seeds 5
+//	chaos -mode crash -seeds 2 -drop-syncs '*.ckpt*'   # mutation: must FAIL
 //	chaos -mode gray -seeds 5 -gray-workers 8 -gray-slow-factor 20
 //
-// Exit status is nonzero if any run FAILs (loud fail-stop runs are
-// acceptable; silent corruption, bad labels, or dropped jobs are not).
+// Every mode takes -seeds, -seed-base, -duration (one seed's wall-time
+// budget) and -out; the other flags are the chosen mode's own, and
+// chaos -mode M -h lists them. The -drop-syncs / -drop-dir-syncs
+// mutation flags turn chosen fsyncs into lies; a correct crash harness
+// must then FAIL.
+//
+// Exit status is 1 if any run FAILs (loud fail-stop runs are acceptable;
+// silent corruption, bad labels, or dropped jobs are not) and 2 on a bad
+// command line.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/chaos"
 )
 
-func main() {
-	var (
-		mode     = flag.String("mode", "pipeline", "campaign kind: pipeline | overload | crash | stream")
-		seeds    = flag.Int("seeds", 20, "number of seeded schedules to run")
-		seedBase = flag.Int64("seed-base", 1, "first seed")
-		points   = flag.Int("points", 0, "dataset points per run (0 = mode default)")
-		leaves   = flag.Int("leaves", 0, "cluster-phase leaves (0 = mode default)")
-		rate     = flag.Float64("fault-rate", 0, "fault schedule intensity in (0,1] (0 = mode default)")
-		duration = flag.Duration("duration", 2*time.Minute, "wall-time bound per run")
-		floor    = flag.Float64("quality-floor", 0, "minimum DBDC quality vs the fault-free reference (0 = mode default)")
-		tenants  = flag.Int("tenants", 0, "overload mode: concurrent tenants (0 = default)")
-		jobs     = flag.Int("jobs-per-tenant", 0, "overload mode: burst size per tenant (0 = default)")
-		out      = flag.String("out", "", "write the JSON campaign report to this file")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		crashPoints  = flag.Int("crash-points", 0, "crash mode: pipeline crash points per seed (0 = default, <0 disables the leg)")
-		journalPts   = flag.Int("journal-crash-points", 0, "crash mode: job-journal crash points per seed (0 = default, <0 disables the leg)")
-		journalJobs  = flag.Int("journal-jobs", 0, "crash mode: submit burst size of the journal workload (0 = default)")
-		dropSyncs    = flag.String("drop-syncs", "", "crash mode mutation: file fsyncs matching this pattern silently lie (campaign must FAIL)")
-		dropDirSyncs = flag.Bool("drop-dir-syncs", false, "crash mode mutation: every directory sync silently lies (campaign must FAIL)")
-
-		ticks   = flag.Int("ticks", 0, "stream mode: firehose length in ticks (0 = default)")
-		perTick = flag.Int("per-tick", 0, "stream mode: points per tick (0 = default)")
-		window  = flag.Int("window-ticks", 0, "stream mode: sliding window in ticks (0 = default)")
-
-		grayWorkers    = flag.Int("gray-workers", 0, "gray mode: dispatch fleet size (0 = default 8)")
-		grayPartitions = flag.Int("gray-partitions", 0, "gray mode: partitions per dispatch (0 = default 72)")
-		graySlow       = flag.Int("gray-slow-factor", 0, "gray mode: slowdown of the limping worker (0 = default 20)")
-		grayBudget     = flag.Int("gray-retry-budget", 0, "gray mode: shared retry token budget per leg (0 = default 64)")
-		grayWall       = flag.Float64("gray-wall-factor", 0, "gray mode: wall-time bound vs healthy baseline (0 = default 1.5)")
-		grayK          = flag.Int("gray-quarantine-dispatches", 0, "gray mode: dispatches allowed before quarantine (0 = default 2)")
-	)
-	flag.Parse()
-
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-
-	switch *mode {
-	case "pipeline":
-		opt := chaos.Options{
-			Seeds:        chaos.Seeds(*seedBase, *seeds),
-			Points:       *points,
-			Leaves:       *leaves,
-			FaultRate:    *rate,
-			RunTimeout:   *duration,
-			QualityFloor: *floor,
-			Logf:         logf,
-		}
-		rpt := chaos.Run(opt)
-		writeReport(*out, rpt)
-		fmt.Printf("chaos: %d runs: %d ok, %d faulted (fail-stop), %d FAILED\n",
-			len(rpt.Runs), rpt.OK, rpt.Faulted, rpt.Failed)
-		if rpt.Failed > 0 {
-			for _, r := range rpt.Runs {
-				if r.Outcome == chaos.OutcomeFail {
-					fmt.Printf("  seed %d: %s\n", r.Seed, r.Reason)
-				}
-			}
-			os.Exit(1)
-		}
-	case "overload":
-		rpt := chaos.RunOverload(chaos.OverloadOptions{
-			Seeds:         chaos.Seeds(*seedBase, *seeds),
-			Tenants:       *tenants,
-			JobsPerTenant: *jobs,
-			Points:        *points,
-			Leaves:        *leaves,
-			FaultRate:     *rate,
-			RunTimeout:    *duration,
-			DegradedFloor: *floor,
-			Logf:          logf,
-		})
-		writeReport(*out, rpt)
-		fmt.Printf("chaos overload: %d runs: %d ok, %d FAILED\n",
-			len(rpt.Runs), rpt.OK, rpt.Failed)
-		if rpt.Failed > 0 {
-			for _, r := range rpt.Runs {
-				if r.Outcome == chaos.OutcomeFail {
-					fmt.Printf("  seed %d: %s\n", r.Seed, r.Reason)
-				}
-			}
-			os.Exit(1)
-		}
-	case "crash":
-		rpt := chaos.RunCrash(chaos.CrashOptions{
-			Seeds:              chaos.Seeds(*seedBase, *seeds),
-			Points:             *points,
-			Leaves:             *leaves,
-			CrashPoints:        *crashPoints,
-			JournalCrashPoints: *journalPts,
-			JournalJobs:        *journalJobs,
-			RunTimeout:         *duration,
-			DropSyncs:          *dropSyncs,
-			DropDirSyncs:       *dropDirSyncs,
-			Logf:               logf,
-		})
-		writeReport(*out, rpt)
-		fmt.Printf("chaos crash: %d seeds, %d crash points: %d ok, %d FAILED\n",
-			len(rpt.Runs), rpt.CrashPoints, rpt.OK, rpt.Failed)
-		if rpt.Failed > 0 {
-			for _, r := range rpt.Runs {
-				if r.Outcome == chaos.OutcomeFail {
-					fmt.Printf("  seed %d: %s\n", r.Seed, r.Reason)
-				}
-			}
-			os.Exit(1)
-		}
-	case "stream":
-		rpt := chaos.RunStream(chaos.StreamOptions{
-			Seeds:       chaos.Seeds(*seedBase, *seeds),
-			Ticks:       *ticks,
-			PerTick:     *perTick,
-			WindowTicks: *window,
-			RunTimeout:  *duration,
-			Logf:        logf,
-		})
-		writeReport(*out, rpt)
-		fmt.Printf("chaos stream: %d runs: %d ok, %d FAILED\n",
-			len(rpt.Runs), rpt.OK, rpt.Failed)
-		if rpt.Failed > 0 {
-			for _, r := range rpt.Runs {
-				if r.Outcome == chaos.OutcomeFail {
-					fmt.Printf("  seed %d: %s\n", r.Seed, r.Reason)
-				}
-			}
-			os.Exit(1)
-		}
-	case "gray":
-		rpt := chaos.RunGray(chaos.GrayOptions{
-			Seeds:                   chaos.Seeds(*seedBase, *seeds),
-			Workers:                 *grayWorkers,
-			Partitions:              *grayPartitions,
-			Points:                  *points,
-			SlowFactor:              *graySlow,
-			RetryBudget:             *grayBudget,
-			WallFactor:              *grayWall,
-			MaxQuarantineDispatches: *grayK,
-			RunTimeout:              *duration,
-			Logf:                    logf,
-		})
-		writeReport(*out, rpt)
-		fmt.Printf("chaos gray: %d runs: %d ok, %d FAILED\n",
-			len(rpt.Runs), rpt.OK, rpt.Failed)
-		if rpt.Failed > 0 {
-			for _, r := range rpt.Runs {
-				for _, l := range r.Legs {
-					if !l.OK {
-						fmt.Printf("  seed %d leg %s: %s\n", r.Seed, l.Name, l.Reason)
-					}
-				}
-			}
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "chaos: unknown -mode %q (want pipeline, overload, crash, stream or gray)\n", *mode)
-		os.Exit(2)
-	}
+// result is what the one summary/exit path needs of a finished
+// campaign, whatever its mode; it is also what -out marshals.
+type result interface {
+	Summary() string
+	Failures() []string
 }
 
-func writeReport(path string, rpt any) {
-	if path == "" {
-		return
+// campaign runs a bound scenario under the shared campaign settings.
+type campaign func(context.Context, chaos.Campaign) result
+
+// modes is the mode table. bind registers the mode's own flags on fs,
+// each bound straight into a field of the scenario's options, and
+// returns the campaign to run once they are parsed.
+var modes = []struct {
+	name string
+	bind func(fs *flag.FlagSet) campaign
+}{
+	{"pipeline", func(fs *flag.FlagSet) campaign {
+		var o chaos.Options
+		fs.IntVar(&o.Points, "points", 0, "dataset points per run (0 = 6000)")
+		fs.IntVar(&o.Leaves, "leaves", 0, "cluster-phase leaves (0 = 4)")
+		fs.Float64Var(&o.FaultRate, "fault-rate", 0, "fault schedule intensity in (0,1] (0 = 0.6)")
+		fs.Float64Var(&o.QualityFloor, "quality-floor", 0, "minimum DBDC quality of a run's labels vs the fault-free reference (0 = 0.995)")
+		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
+	}},
+	{"overload", func(fs *flag.FlagSet) campaign {
+		var o chaos.OverloadOptions
+		fs.IntVar(&o.Tenants, "tenants", 0, "concurrent tenants (0 = 3)")
+		fs.IntVar(&o.JobsPerTenant, "jobs-per-tenant", 0, "burst size per tenant (0 = 6)")
+		fs.IntVar(&o.Points, "points", 0, "dataset points per job (0 = 4000)")
+		fs.IntVar(&o.Leaves, "leaves", 0, "cluster-phase leaves per job (0 = 2)")
+		fs.Float64Var(&o.FaultRate, "fault-rate", 0, "share of jobs carrying a fault plan, in (0,1] (0 = 0.5)")
+		fs.Float64Var(&o.DegradedFloor, "quality-floor", 0, "minimum DBDC quality of a degraded-mode job vs the fault-free reference (0 = 0.95); full-quality jobs are always held to 0.995")
+		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
+	}},
+	{"crash", func(fs *flag.FlagSet) campaign {
+		var o chaos.CrashOptions
+		fs.IntVar(&o.Points, "points", 0, "dataset points per pipeline run (0 = 2000)")
+		fs.IntVar(&o.Leaves, "leaves", 0, "cluster-phase leaves (0 = 4)")
+		fs.IntVar(&o.CrashPoints, "crash-points", 0, "pipeline crash points per seed (0 = 20, <0 disables the leg)")
+		fs.IntVar(&o.JournalCrashPoints, "journal-crash-points", 0, "job-journal crash points per seed (0 = 4, <0 disables the leg)")
+		fs.IntVar(&o.JournalJobs, "journal-jobs", 0, "submit burst size of the journal workload (0 = 3)")
+		fs.StringVar(&o.DropSyncs, "drop-syncs", "", "mutation: file fsyncs matching this pattern silently lie (campaign must FAIL)")
+		fs.BoolVar(&o.DropDirSyncs, "drop-dir-syncs", false, "mutation: every directory sync silently lies (campaign must FAIL)")
+		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
+	}},
+	{"stream", func(fs *flag.FlagSet) campaign {
+		var o chaos.StreamOptions
+		fs.IntVar(&o.Ticks, "ticks", 0, "firehose length in ticks (0 = 12)")
+		fs.IntVar(&o.PerTick, "per-tick", 0, "points per tick (0 = 300)")
+		fs.IntVar(&o.WindowTicks, "window-ticks", 0, "sliding window in ticks (0 = 4)")
+		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
+	}},
+	{"gray", func(fs *flag.FlagSet) campaign {
+		var o chaos.GrayOptions
+		fs.IntVar(&o.Points, "points", 0, "worker-leg dataset points (0 = 4000)")
+		fs.IntVar(&o.Workers, "gray-workers", 0, "dispatch fleet size (0 = 8)")
+		fs.IntVar(&o.SlowFactor, "gray-slow-factor", 0, "slowdown of the limping worker (0 = 20)")
+		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
+	}},
+}
+
+func modeNames(sep string) string {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.name
 	}
-	data, err := json.MarshalIndent(rpt, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: encoding report: %v\n", err)
-		os.Exit(1)
+	return strings.Join(names, sep)
+}
+
+// modeArg finds -mode in args ahead of parsing, because which other
+// flags exist depends on it.
+func modeArg(args []string) string {
+	for i, a := range args {
+		name, value, inline := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		switch {
+		case name != "mode" || !strings.HasPrefix(a, "-"):
+		case inline:
+			return value
+		case i+1 < len(args):
+			return args[i+1]
+		}
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: writing report: %v\n", err)
-		os.Exit(1)
+	return modes[0].name
+}
+
+// run is the whole command: pick the mode, parse its flags, run the
+// campaign, write the report, print the summary and any failures.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.String("mode", modes[0].name, "campaign kind: "+modeNames(" | "))
+	seeds := fs.Int("seeds", 20, "number of seeded schedules to run")
+	seedBase := fs.Int64("seed-base", 1, "first seed")
+	duration := fs.Duration("duration", 2*time.Minute, "wall-time budget per seed")
+	out := fs.String("out", "", "write the JSON campaign report to this file")
+
+	var bound campaign
+	name := modeArg(args)
+	for _, m := range modes {
+		if m.name == name {
+			bound = m.bind(fs)
+		}
 	}
+	if bound == nil {
+		fmt.Fprintf(stderr, "chaos: unknown -mode %q (want %s)\n", name, modeNames(", "))
+		return 2
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	rpt := bound(context.Background(), chaos.Campaign{
+		Seeds:      chaos.Seeds(*seedBase, *seeds),
+		RunTimeout: *duration,
+		Logf:       func(format string, args ...any) { fmt.Fprintf(stderr, "chaos "+name+": "+format+"\n", args...) },
+	})
+	if *out != "" {
+		data, err := json.MarshalIndent(rpt, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*out, data, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "chaos: writing report: %v\n", err)
+			return 1
+		}
+	}
+	fmt.Fprintln(stdout, rpt.Summary())
+	failures := rpt.Failures()
+	for _, f := range failures {
+		fmt.Fprintf(stdout, "  %s\n", f)
+	}
+	if len(failures) > 0 {
+		return 1
+	}
+	return 0
 }

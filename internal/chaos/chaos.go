@@ -14,7 +14,8 @@
 //     accounted for — detected by a checksum, masked before any reader
 //     saw it, or still latent in a file no output depended on. The
 //     ledger injected == detected + masked + latent balances per site.
-//  3. Bounded wall time: each run completes within RunTimeout.
+//  3. Bounded wall time: each seed completes within the campaign's
+//     RunTimeout (the runner's deadline; see campaign.go).
 //
 // Every schedule derives deterministically from its seed: a replayed
 // seed regenerates the same dataset and arms the identical fault plan.
@@ -28,23 +29,20 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
-	"repro/internal/geom"
 	"repro/internal/integrity"
 	"repro/internal/lustre"
 	"repro/internal/mrscan"
-	"repro/internal/ptio"
 	"repro/internal/quality"
 	"repro/internal/telemetry"
 )
 
-// Options configures a chaos campaign.
+// Options are the pipeline scenario's knobs.
 type Options struct {
-	// Seeds are the schedules to run, one pipeline campaign per seed.
-	Seeds []int64
 	// Points is the dataset size per run (default 6000).
 	Points int
 	// Leaves is the cluster-phase tree width (default 4).
@@ -53,51 +51,18 @@ type Options struct {
 	// (default 0.6); each candidate fault kind joins the schedule with
 	// probability proportional to it.
 	FaultRate float64
-	// RunTimeout bounds each pipeline run's wall time (default 2m);
-	// exceeding it is a chaos failure, not a hang.
-	RunTimeout time.Duration
 	// QualityFloor is the minimum acceptable DBDC score versus the
 	// fault-free reference labels (default 0.995, the paper's floor).
 	QualityFloor float64
-	// Logf, when set, receives per-run progress lines.
-	Logf func(format string, args ...any)
 }
 
-func (o *Options) setDefaults() {
-	if o.Points <= 0 {
-		o.Points = 6000
-	}
-	if o.Leaves <= 0 {
-		o.Leaves = 4
-	}
-	if o.FaultRate <= 0 {
-		o.FaultRate = 0.6
-	}
-	if o.RunTimeout <= 0 {
-		o.RunTimeout = 2 * time.Minute
-	}
-	if o.QualityFloor <= 0 {
-		o.QualityFloor = 0.995
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
+func (o Options) withDefaults() Options {
+	orDefault(&o.Points, 6000)
+	orDefault(&o.Leaves, 4)
+	orDefault(&o.FaultRate, 0.6)
+	orDefault(&o.QualityFloor, paperFloor)
+	return o
 }
-
-// Outcome classifies one seeded run.
-type Outcome string
-
-const (
-	// OutcomeOK: the run completed and its labels pass the quality gate.
-	OutcomeOK Outcome = "ok"
-	// OutcomeFaulted: the run failed loudly (fail-stop) — acceptable, as
-	// long as the corruption ledger still balances.
-	OutcomeFaulted Outcome = "faulted"
-	// OutcomeFail: an invariant broke — silent escape, quality below the
-	// floor, double-counted ledger, or timeout. Chaos campaigns must
-	// report zero of these.
-	OutcomeFail Outcome = "FAIL"
-)
 
 // SiteLedger is one injection site's corruption accounting.
 type SiteLedger struct {
@@ -115,10 +80,8 @@ func (l SiteLedger) Escapes() int64 {
 
 // RunReport is the result of one seeded schedule.
 type RunReport struct {
-	Seed    int64    `json:"seed"`
-	Outcome Outcome  `json:"outcome"`
-	Reason  string   `json:"reason,omitempty"`
-	Spec    []string `json:"spec"`
+	Header
+	Spec []string `json:"spec"`
 	// Quality is the DBDC score versus the fault-free reference
 	// (1.0 when identical); -1 when the run failed before producing
 	// output.
@@ -127,25 +90,12 @@ type RunReport struct {
 	Resumed   bool                  `json:"resumed,omitempty"`
 	Ledger    map[string]SiteLedger `json:"ledger"`
 	Escapes   int64                 `json:"escapes"`
-	Elapsed   time.Duration         `json:"elapsed_ns"`
 	Err       string                `json:"err,omitempty"`
 }
 
-// Report aggregates a campaign.
-type Report struct {
-	Runs    []RunReport `json:"runs"`
-	OK      int         `json:"ok"`
-	Faulted int         `json:"faulted"`
-	Failed  int         `json:"failed"`
-}
-
-// Seeds returns [base, base+n) for convenience.
-func Seeds(base int64, n int) []int64 {
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = base + int64(i)
-	}
-	return s
+func (Options) summarize(rpt *Report[*RunReport]) (string, map[string]int) {
+	return fmt.Sprintf("chaos: %d runs: %d ok, %d faulted (fail-stop), %d FAILED",
+		len(rpt.Runs), rpt.OK, rpt.Faulted, rpt.Failed), map[string]int{"faulted": rpt.Faulted}
 }
 
 // ledgerSites are the checksummed planes whose corruption accounting
@@ -166,54 +116,47 @@ func genSchedule(rng *rand.Rand, plan *faultinject.Plan, rate float64) (spec []s
 	note := func(format string, args ...any) { spec = append(spec, fmt.Sprintf(format, args...)) }
 	pick := func(p float64) bool { return rng.Float64() < p*rate }
 
-	// Silent corruption on the checksummed byte and transfer planes.
-	if pick(0.9) {
-		n := 1 + rng.Int63n(2)
-		after := rng.Int63n(60)
-		plan.Arm(faultinject.LustreRead, faultinject.Rule{Corrupt: true, Times: n, After: after})
-		note("corrupt lustre.read times=%d after=%d", n, after)
+	// Silent corruption on the checksummed byte and transfer planes: a
+	// candidate joins with chance p, then draws 1..times flips starting
+	// after up to `after` clean operations.
+	for _, c := range []struct {
+		site         faultinject.Site
+		p            float64
+		times, after int64
+	}{
+		{faultinject.LustreRead, 0.9, 2, 60},
+		{faultinject.LustreWrite, 0.9, 2, 60},
+		{faultinject.GPUTransfer, 0.7, 2, 20},
+		{faultinject.MRNetHop, 0.7, 2, 10},
+		{faultinject.MRNetFrame, 0.5, 3, 6},
+	} {
+		if !pick(c.p) {
+			continue
+		}
+		n := 1 + rng.Int63n(c.times)
+		after := rng.Int63n(c.after)
+		plan.Arm(c.site, faultinject.Rule{Corrupt: true, Times: n, After: after})
+		suffix := ""
+		if c.site == faultinject.MRNetFrame {
+			tcpMerge, suffix = true, " (merge over TCP)"
+		}
+		note("corrupt %s times=%d after=%d%s", c.site, n, after, suffix)
 	}
-	if pick(0.9) {
-		n := 1 + rng.Int63n(2)
-		after := rng.Int63n(60)
-		plan.Arm(faultinject.LustreWrite, faultinject.Rule{Corrupt: true, Times: n, After: after})
-		note("corrupt lustre.write times=%d after=%d", n, after)
-	}
-	if pick(0.7) {
-		n := 1 + rng.Int63n(2)
-		after := rng.Int63n(20)
-		plan.Arm(faultinject.GPUTransfer, faultinject.Rule{Corrupt: true, Times: n, After: after})
-		note("corrupt gpusim.transfer times=%d after=%d", n, after)
-	}
-	if pick(0.7) {
-		n := 1 + rng.Int63n(2)
-		after := rng.Int63n(10)
-		plan.Arm(faultinject.MRNetHop, faultinject.Rule{Corrupt: true, Times: n, After: after})
-		note("corrupt mrnet.hop times=%d after=%d", n, after)
-	}
-	if pick(0.5) {
-		tcpMerge = true
-		n := 1 + rng.Int63n(3)
-		after := rng.Int63n(6)
-		plan.Arm(faultinject.MRNetFrame, faultinject.Rule{Corrupt: true, Times: n, After: after})
-		note("corrupt mrnet.frame times=%d after=%d (merge over TCP)", n, after)
-	}
-
 	// Transient errors, healed by phase retry or overlay re-parenting.
-	if pick(0.5) {
-		after := rng.Int63n(40)
-		plan.Arm(faultinject.LustreRead, faultinject.Rule{Times: 1, After: after})
-		note("error lustre.read after=%d", after)
-	}
-	if pick(0.4) {
-		after := rng.Int63n(10)
-		plan.Arm(faultinject.MRNetHop, faultinject.Rule{Times: 1, After: after})
-		note("error mrnet.hop after=%d", after)
-	}
-	if pick(0.4) {
-		after := rng.Int63n(8)
-		plan.Arm(faultinject.GPULaunch, faultinject.Rule{Times: 1, After: after})
-		note("error gpusim.launch after=%d", after)
+	for _, e := range []struct {
+		site  faultinject.Site
+		p     float64
+		after int64
+	}{
+		{faultinject.LustreRead, 0.5, 40},
+		{faultinject.MRNetHop, 0.4, 10},
+		{faultinject.GPULaunch, 0.4, 8},
+	} {
+		if pick(e.p) {
+			after := rng.Int63n(e.after)
+			plan.Arm(e.site, faultinject.Rule{Times: 1, After: after})
+			note("error %s after=%d", e.site, after)
+		}
 	}
 	// Node kill: an internal tree node dies and its children re-parent.
 	if pick(0.4) {
@@ -239,45 +182,15 @@ func genSchedule(rng *rand.Rand, plan *faultinject.Plan, rate float64) (spec []s
 	return spec, hasFatal, tcpMerge
 }
 
-// baseConfig is the pipeline configuration both the reference and the
-// chaos run share.
-func baseConfig(o Options) mrscan.Config {
-	cfg := mrscan.Default(0.1, 20, o.Leaves)
-	cfg.IncludeNoise = true
-	return cfg
-}
-
-// reference runs the pipeline fault-free and returns its labels.
-func reference(ctx context.Context, pts []geom.Point, o Options) ([]int, error) {
-	fs := lustre.New(lustre.Titan(), nil)
-	if err := ptio.WriteDataset(fs.Create("input.mrsc"), pts, false); err != nil {
-		return nil, err
-	}
-	res, err := mrscan.RunContext(ctx, fs, "input.mrsc", "output.mrsl", baseConfig(o))
-	if err != nil {
-		return nil, fmt.Errorf("chaos: fault-free reference run failed: %w", err)
-	}
-	return mrscan.LabelsByID(fs, res.OutputFile, pts)
-}
-
-// RunSeed executes one seeded schedule and audits the invariants.
-func RunSeed(seed int64, o Options) RunReport {
-	o.setDefaults()
-	start := time.Now()
-	rep := RunReport{Seed: seed, Quality: -1, Ledger: map[string]SiteLedger{}}
-	fail := func(format string, args ...any) RunReport {
-		rep.Outcome = OutcomeFail
-		rep.Reason = fmt.Sprintf(format, args...)
-		rep.Elapsed = time.Since(start)
-		return rep
-	}
+// run executes one seeded schedule and audits the invariants.
+func (o Options) run(ctx context.Context, seed int64) *RunReport {
+	o = o.withDefaults()
+	rep := &RunReport{Quality: -1, Ledger: map[string]SiteLedger{}}
 
 	pts := dataset.Twitter(o.Points, seed)
-	refCtx, cancelRef := context.WithTimeout(context.Background(), o.RunTimeout)
-	defer cancelRef()
-	refLabels, err := reference(refCtx, pts, o)
+	refLabels, err := referenceLabels(ctx, pts, o.Leaves)
 	if err != nil {
-		return fail("reference: %v", err)
+		return failf(rep, "reference: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -285,64 +198,36 @@ func RunSeed(seed int64, o Options) RunReport {
 	spec, hasFatal, tcpMerge := genSchedule(rng, plan, o.FaultRate)
 	rep.Spec = spec
 
-	fs := lustre.New(lustre.Titan(), nil)
-	if err := ptio.WriteDataset(fs.Create("input.mrsc"), pts, false); err != nil {
-		return fail("writing input: %v", err)
+	fs, err := stagedTitan(pts)
+	if err != nil {
+		return failf(rep, "writing input: %v", err)
 	}
 	hub := telemetry.New(fs.Clock())
-	cfg := baseConfig(o)
+	cfg := baseConfig(o.Leaves)
 	cfg.FaultPlan = plan
 	cfg.Telemetry = hub
 	cfg.Retry = mrscan.RetryPolicy{MaxAttempts: 3}
 	cfg.MergeOverTCP = tcpMerge
 	cfg.Checkpoint = hasFatal
 
-	ctx, cancel := context.WithTimeout(context.Background(), o.RunTimeout)
-	defer cancel()
-	res, runErr := mrscan.RunContext(ctx, fs, "input.mrsc", "output.mrsl", cfg)
+	res, runErr := mrscan.RunContext(ctx, fs, inputFile, outputFile, cfg)
 	if runErr != nil && hasFatal && faultinject.IsFatal(runErr) {
 		// The scheduled process death struck; restart from the durable
 		// checkpoints, exactly as an operator (or ALPS) would.
 		rep.Resumed = true
 		cfg.Resume = true
-		resumeCtx, cancelResume := context.WithTimeout(context.Background(), o.RunTimeout)
-		defer cancelResume()
-		res, runErr = mrscan.RunContext(resumeCtx, fs, "input.mrsc", "output.mrsl", cfg)
+		res, runErr = mrscan.RunContext(ctx, fs, inputFile, outputFile, cfg)
 	}
-	rep.Elapsed = time.Since(start)
 
 	// Invariant 2: the corruption ledger balances — no silent escapes,
 	// no double counting — whether or not the run completed.
-	audit := func() {
-		rep.Ledger = map[string]SiteLedger{}
-		rep.Escapes = 0
-		report := fs.IntegrityReport()
-		for _, site := range ledgerSites {
-			l := SiteLedger{
-				Injected: plan.CorruptionsInjected(site),
-				Detected: hub.Counter(integrity.MetricDetected, "site", string(site)).Value(),
-				Masked:   hub.Counter(integrity.MetricMasked, "site", string(site)).Value(),
-			}
-			if site == faultinject.LustreWrite {
-				l.Latent = report.Latent
-			}
-			if l.Injected+l.Detected+l.Masked+l.Latent > 0 {
-				rep.Ledger[string(site)] = l
-			}
-			rep.Escapes += l.Escapes()
-		}
+	if rep.auditLedger(fs, plan, hub) != 0 {
+		return failf(rep, "corruption ledger off by %d (ledger %+v)", rep.Escapes, rep.Ledger)
 	}
-	audit()
-	if rep.Escapes != 0 {
-		return fail("corruption ledger off by %d (ledger %+v)", rep.Escapes, rep.Ledger)
-	}
-
 	if runErr != nil {
-		if errors.Is(runErr, context.DeadlineExceeded) {
-			return fail("run exceeded %v wall bound: %v", o.RunTimeout, runErr)
-		}
 		// Fail-stop: the pipeline refused to produce output rather than
-		// risk wrong labels. Acceptable — the ledger above balanced.
+		// risk wrong labels. Acceptable — the ledger above balanced. (A
+		// run the seed's deadline stopped is the runner's to fail.)
 		rep.Outcome = OutcomeFaulted
 		rep.Err = runErr.Error()
 		return rep
@@ -350,67 +235,55 @@ func RunSeed(seed int64, o Options) RunReport {
 
 	// Invariant 1: output quality versus the fault-free reference.
 	labels, err := mrscan.LabelsByID(fs, res.OutputFile, pts)
-	if err != nil {
-		if errors.Is(err, lustre.ErrCorruptData) {
-			// Stored corruption struck the output file itself, and the
-			// consumer's checksummed read — the last hop of the
-			// end-to-end chain — caught it. A loud fail-stop: no wrong
-			// labels reached anyone. The detection just retired a
-			// latent taint, so refresh the ledger before returning.
-			rep.Outcome = OutcomeFaulted
-			rep.Err = err.Error()
-			audit()
-			if rep.Escapes != 0 {
-				return fail("corruption ledger off by %d after output read (ledger %+v)", rep.Escapes, rep.Ledger)
-			}
-			return rep
+	if errors.Is(err, lustre.ErrCorruptData) {
+		// Stored corruption struck the output file itself, and the
+		// consumer's checksummed read — the last hop of the end-to-end
+		// chain — caught it. A loud fail-stop: no wrong labels reached
+		// anyone. The detection just retired a latent taint, so refresh
+		// the ledger before returning.
+		rep.Outcome = OutcomeFaulted
+		rep.Err = err.Error()
+		if rep.auditLedger(fs, plan, hub) != 0 {
+			return failf(rep, "corruption ledger off by %d after output read (ledger %+v)", rep.Escapes, rep.Ledger)
 		}
-		return fail("reading output: %v", err)
+		return rep
+	}
+	if err != nil {
+		return failf(rep, "reading output: %v", err)
 	}
 	q, err := quality.Score(refLabels, labels)
 	if err != nil {
-		return fail("scoring: %v", err)
+		return failf(rep, "scoring: %v", err)
 	}
 	rep.Quality = q
-	rep.Identical = equalLabels(refLabels, labels)
+	rep.Identical = slices.Equal(refLabels, labels)
 	if !rep.Identical && q < o.QualityFloor {
-		return fail("quality %.6f below floor %.4f", q, o.QualityFloor)
+		return failf(rep, "quality %.6f below floor %.4f", q, o.QualityFloor)
 	}
 	rep.Outcome = OutcomeOK
 	return rep
 }
 
-func equalLabels(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// auditLedger recomputes the per-site corruption ledger from the plan's
+// injection counts, the hub's detection counters and the file system's
+// latent taints, and returns the total of unaccounted injections.
+func (r *RunReport) auditLedger(fs *lustre.FS, plan *faultinject.Plan, hub *telemetry.Hub) int64 {
+	r.Ledger = map[string]SiteLedger{}
+	r.Escapes = 0
+	latent := fs.IntegrityReport().Latent
+	for _, site := range ledgerSites {
+		l := SiteLedger{
+			Injected: plan.CorruptionsInjected(site),
+			Detected: hub.Counter(integrity.MetricDetected, "site", string(site)).Value(),
+			Masked:   hub.Counter(integrity.MetricMasked, "site", string(site)).Value(),
 		}
-	}
-	return true
-}
-
-// Run executes the whole campaign sequentially (each run is itself
-// concurrent across leaves) and aggregates the report.
-func Run(o Options) *Report {
-	o.setDefaults()
-	rpt := &Report{}
-	for _, seed := range o.Seeds {
-		r := RunSeed(seed, o)
-		rpt.Runs = append(rpt.Runs, r)
-		switch r.Outcome {
-		case OutcomeOK:
-			rpt.OK++
-		case OutcomeFaulted:
-			rpt.Faulted++
-		default:
-			rpt.Failed++
+		if site == faultinject.LustreWrite {
+			l.Latent = latent
 		}
-		o.Logf("chaos: seed %d: %s quality=%.6f escapes=%d elapsed=%v faults=%d [%s]",
-			seed, r.Outcome, r.Quality, r.Escapes, r.Elapsed.Round(time.Millisecond),
-			len(r.Spec), r.Reason)
+		if l.Injected+l.Detected+l.Masked+l.Latent > 0 {
+			r.Ledger[string(site)] = l
+		}
+		r.Escapes += l.Escapes()
 	}
-	return rpt
+	return r.Escapes
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -9,17 +10,8 @@ import (
 // either produces reference-quality labels or fail-stops loudly, and
 // the corruption ledger balances exactly.
 func TestCampaignInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos campaign skipped in -short mode")
-	}
-	opt := Options{
-		Seeds:      Seeds(1, 4),
-		Points:     2500,
-		Leaves:     4,
-		RunTimeout: time.Minute,
-		Logf:       t.Logf,
-	}
-	rpt := Run(opt)
+	c := Campaign{Seeds: Seeds(1, 4), RunTimeout: time.Minute, Logf: t.Logf}
+	rpt := Run(context.Background(), c, Options{Points: 2500, Leaves: 4})
 	if rpt.Failed != 0 {
 		for _, r := range rpt.Runs {
 			if r.Outcome == OutcomeFail {
@@ -39,12 +31,9 @@ func TestCampaignInvariants(t *testing.T) {
 
 // The schedule generator is a pure function of the seed.
 func TestScheduleDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos runs skipped in -short mode")
-	}
-	opt := Options{Points: 2000, Leaves: 2, RunTimeout: time.Minute}
-	a := RunSeed(7, opt)
-	b := RunSeed(7, opt)
+	c := Campaign{Seeds: []int64{7, 7}, RunTimeout: time.Minute}
+	rpt := Run(context.Background(), c, Options{Points: 2000, Leaves: 2})
+	a, b := rpt.Runs[0], rpt.Runs[1]
 	if len(a.Spec) != len(b.Spec) {
 		t.Fatalf("replay armed a different schedule: %v vs %v", a.Spec, b.Spec)
 	}

@@ -36,21 +36,17 @@ import (
 	"fmt"
 	"math/rand"
 	"path"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/lustre"
 	"repro/internal/mrscan"
-	"repro/internal/ptio"
 	"repro/internal/server"
 )
 
-// CrashOptions configures a crash-point campaign.
+// CrashOptions are the crash-point scenario's knobs.
 type CrashOptions struct {
-	// Seeds are the campaigns to run, one op-space enumeration per seed.
-	Seeds []int64
 	// Points is the pipeline dataset size per run (default 2000).
 	Points int
 	// Leaves is the cluster-phase tree width (default 4).
@@ -68,8 +64,6 @@ type CrashOptions struct {
 	// second power failure is armed during the recovery itself, and the
 	// second recovery must leave the same end state (default 3).
 	RecoveryCrashEvery int
-	// RunTimeout bounds each pipeline run or job wait (default 2m).
-	RunTimeout time.Duration
 
 	// DropSyncs is a path.Match pattern; file fsyncs on matching names
 	// silently lie (succeed but persist nothing). A mutation hook: the
@@ -78,55 +72,49 @@ type CrashOptions struct {
 	DropSyncs string
 	// DropDirSyncs makes every directory sync lie. Mutation hook.
 	DropDirSyncs bool
-
-	// Logf, when set, receives per-crash-point progress lines.
-	Logf func(format string, args ...any)
 }
 
-func (o *CrashOptions) setDefaults() {
-	if o.Points <= 0 {
-		o.Points = 2000
-	}
-	if o.Leaves <= 0 {
-		o.Leaves = 4
-	}
+func (o CrashOptions) withDefaults() CrashOptions {
+	orDefault(&o.Points, 2000)
+	orDefault(&o.Leaves, 4)
+	// Negative means "skip the leg", so only zero takes the default.
 	if o.CrashPoints == 0 {
 		o.CrashPoints = 20
 	}
 	if o.JournalCrashPoints == 0 {
 		o.JournalCrashPoints = 4
 	}
-	if o.JournalJobs <= 0 {
-		o.JournalJobs = 3
-	}
-	if o.RecoveryCrashEvery <= 0 {
-		o.RecoveryCrashEvery = 3
-	}
-	if o.RunTimeout <= 0 {
-		o.RunTimeout = 2 * time.Minute
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
+	orDefault(&o.JournalJobs, 3)
+	orDefault(&o.RecoveryCrashEvery, 3)
+	return o
 }
 
-// syncFilter builds the lying-fsync filter from the mutation hooks; nil
-// when no mutation is armed.
-func (o CrashOptions) syncFilter() func(kind lustre.OpKind, name string) bool {
-	if o.DropSyncs == "" && !o.DropDirSyncs {
-		return nil
-	}
-	return func(kind lustre.OpKind, name string) bool {
-		if o.DropDirSyncs && kind == lustre.OpSyncDir {
-			return false
+// newCrashSim returns a crash-simulated Titan file system with the
+// lying-fsync mutation hooks, if any, installed. pts, when given, are
+// staged as the pipeline input before the simulator is enabled, so the
+// baseline is durable and the op space covers only the run itself.
+func (o CrashOptions) newCrashSim(simSeed int64, pts []geom.Point) (*lustre.FS, error) {
+	fs := lustre.New(lustre.Titan(), nil)
+	if pts != nil {
+		if err := stageInput(fs, pts); err != nil {
+			return nil, err
 		}
-		if o.DropSyncs != "" && kind == lustre.OpSync {
-			if ok, _ := path.Match(o.DropSyncs, name); ok {
+	}
+	fs.EnableCrashSim(simSeed)
+	if o.DropSyncs != "" || o.DropDirSyncs {
+		fs.SetSyncFilter(func(kind lustre.OpKind, name string) bool {
+			if o.DropDirSyncs && kind == lustre.OpSyncDir {
 				return false
 			}
-		}
-		return true
+			if o.DropSyncs != "" && kind == lustre.OpSync {
+				if ok, _ := path.Match(o.DropSyncs, name); ok {
+					return false
+				}
+			}
+			return true
+		})
 	}
+	return fs, nil
 }
 
 // CrashPointReport is the audit of one pipeline crash point.
@@ -145,8 +133,7 @@ type CrashPointReport struct {
 	AckedPhases []string `json:"acked_phases,omitempty"`
 	// RestoredPhases is what the post-crash resume actually restored.
 	RestoredPhases []string `json:"restored_phases,omitempty"`
-	Outcome        Outcome  `json:"outcome"`
-	Reason         string   `json:"reason,omitempty"`
+	Verdict
 }
 
 // JournalCrashReport is the audit of one job-server journal crash point.
@@ -158,49 +145,42 @@ type JournalCrashReport struct {
 	AckedJobs int `json:"acked_jobs"`
 	// TornTail records that replay found (and repaired) a torn final
 	// journal record — expected wreckage, not a failure.
-	TornTail bool    `json:"torn_tail,omitempty"`
-	Outcome  Outcome `json:"outcome"`
-	Reason   string  `json:"reason,omitempty"`
+	TornTail bool `json:"torn_tail,omitempty"`
+	Verdict
 }
 
 // CrashRunReport aggregates one seed's crash points.
 type CrashRunReport struct {
-	Seed    int64   `json:"seed"`
-	Outcome Outcome `json:"outcome"`
-	Reason  string  `json:"reason,omitempty"`
+	Header
 	// PipelineOps / JournalOps are the op-space sizes the probe runs
 	// measured; crash points are sampled from [2, ops].
-	PipelineOps int64                `json:"pipeline_ops,omitempty"`
-	JournalOps  int64                `json:"journal_ops,omitempty"`
-	Points      []CrashPointReport   `json:"points,omitempty"`
-	Journal     []JournalCrashReport `json:"journal,omitempty"`
-	Elapsed     time.Duration        `json:"elapsed_ns"`
+	PipelineOps int64                 `json:"pipeline_ops,omitempty"`
+	JournalOps  int64                 `json:"journal_ops,omitempty"`
+	Points      []*CrashPointReport   `json:"points,omitempty"`
+	Journal     []*JournalCrashReport `json:"journal,omitempty"`
 }
 
-// CrashCampaignReport aggregates a campaign.
-type CrashCampaignReport struct {
-	Runs []CrashRunReport `json:"runs"`
-	// CrashPoints is the total number of crash points exercised.
-	CrashPoints int `json:"crash_points"`
-	OK          int `json:"ok"`
-	Failed      int `json:"failed"`
-}
-
-// RunCrash executes a crash-point campaign over all seeds.
-func RunCrash(o CrashOptions) CrashCampaignReport {
-	o.setDefaults()
-	var rep CrashCampaignReport
-	for _, seed := range o.Seeds {
-		r := RunCrashSeed(seed, o)
-		rep.Runs = append(rep.Runs, r)
-		rep.CrashPoints += len(r.Points) + len(r.Journal)
-		if r.Outcome == OutcomeFail {
-			rep.Failed++
-		} else {
-			rep.OK++
-		}
+// note folds one crash point's verdict into the seed's: the first point
+// to fail is the seed's reason.
+func (r *CrashRunReport) note(leg string, seq int64, v Verdict) {
+	if v.Outcome == OutcomeFail && r.Outcome != OutcomeFail {
+		failf(r, "%s crash@%d: %s", leg, seq, v.Reason)
 	}
-	return rep
+}
+
+// crashPoints is the total number of crash points a campaign exercised.
+func crashPoints(rpt *Report[*CrashRunReport]) int {
+	n := 0
+	for _, r := range rpt.Runs {
+		n += len(r.Points) + len(r.Journal)
+	}
+	return n
+}
+
+func (CrashOptions) summarize(rpt *Report[*CrashRunReport]) (string, map[string]int) {
+	n := crashPoints(rpt)
+	return fmt.Sprintf("chaos crash: %d seeds, %d crash points: %d ok, %d FAILED",
+		len(rpt.Runs), n, rpt.OK, rpt.Failed), map[string]int{"crash_points": n}
 }
 
 // ckptPhases are the checkpointable phases, in pipeline order. The
@@ -208,96 +188,74 @@ func RunCrash(o CrashOptions) CrashCampaignReport {
 // it is never part of the acknowledgment set.
 var ckptPhases = []string{mrscan.PhasePartition, mrscan.PhaseCluster, mrscan.PhaseMerge}
 
-// RunCrashSeed enumerates one seed's op spaces and audits every sampled
-// crash point in both legs.
-func RunCrashSeed(seed int64, o CrashOptions) CrashRunReport {
-	o.setDefaults()
-	start := time.Now()
-	rep := CrashRunReport{Seed: seed, Outcome: OutcomeOK}
-	fail := func(format string, args ...any) CrashRunReport {
-		rep.Outcome = OutcomeFail
-		rep.Reason = fmt.Sprintf(format, args...)
-		rep.Elapsed = time.Since(start)
-		return rep
-	}
-	note := func(outcome Outcome, reason string) {
-		if outcome == OutcomeFail && rep.Outcome != OutcomeFail {
-			rep.Outcome = OutcomeFail
-			rep.Reason = reason
-		}
-	}
-
+// run enumerates one seed's op spaces and audits every sampled crash
+// point in both legs.
+func (o CrashOptions) run(ctx context.Context, seed int64) *CrashRunReport {
+	o = o.withDefaults()
+	rep := &CrashRunReport{}
+	rep.Outcome = OutcomeOK
 	if o.CrashPoints > 0 {
-		pts := dataset.Twitter(o.Points, seed)
-		base := Options{Points: o.Points, Leaves: o.Leaves, RunTimeout: o.RunTimeout}
-		base.setDefaults()
-		refCtx, cancelRef := context.WithTimeout(context.Background(), o.RunTimeout)
-		refLabels, err := reference(refCtx, pts, base)
-		cancelRef()
-		if err != nil {
-			return fail("reference: %v", err)
-		}
-
-		// Probe: the same checkpointed run, crash sim counting ops but
-		// never armed, to measure the op space.
-		probeFS, err := newCrashFS(pts, seed)
-		if err != nil {
-			return fail("probe: %v", err)
-		}
-		probeCtx, cancelProbe := context.WithTimeout(context.Background(), o.RunTimeout)
-		_, err = mrscan.RunContext(probeCtx, probeFS, "input.mrsc", "output.mrsl", crashPipelineCfg(o))
-		cancelProbe()
-		if err != nil {
-			return fail("probe run: %v", err)
-		}
-		rep.PipelineOps = probeFS.OpCount()
-		if rep.PipelineOps < 2 {
-			return fail("probe run recorded only %d durability ops", rep.PipelineOps)
-		}
-
-		rng := rand.New(rand.NewSource(seed*0x9e3779b9 + 1))
-		for i, k := range sampleSeqs(rng, 2, rep.PipelineOps, o.CrashPoints) {
-			pr := runPipelineCrashPoint(seed, k, (i+1)%o.RecoveryCrashEvery == 0, pts, refLabels, o)
-			rep.Points = append(rep.Points, pr)
-			note(pr.Outcome, fmt.Sprintf("pipeline crash@%d: %s", pr.Seq, pr.Reason))
-			o.Logf("chaos crash: seed %d pipeline crash@%d: %s", seed, k, pr.Outcome)
+		if err := o.pipelineLeg(ctx, seed, rep); err != nil {
+			return failf(rep, "%v", err)
 		}
 	}
-
 	if o.JournalCrashPoints > 0 {
-		jops, err := journalProbe(seed, o)
-		if err != nil {
-			return fail("journal probe: %v", err)
-		}
-		rep.JournalOps = jops
-		jrng := rand.New(rand.NewSource(seed*0x9e3779b9 + 2))
-		for i, k := range sampleSeqs(jrng, 2, jops, o.JournalCrashPoints) {
-			jr := runJournalCrashPoint(seed, k, (i+1)%o.RecoveryCrashEvery == 0, o)
-			rep.Journal = append(rep.Journal, jr)
-			note(jr.Outcome, fmt.Sprintf("journal crash@%d: %s", jr.Seq, jr.Reason))
-			o.Logf("chaos crash: seed %d journal crash@%d: %s", seed, k, jr.Outcome)
+		if err := o.journalLeg(ctx, seed, rep); err != nil {
+			return failf(rep, "%v", err)
 		}
 	}
-
-	rep.Elapsed = time.Since(start)
 	return rep
 }
 
-// newCrashFS provisions a file system with the input dataset already on
-// stable storage (written before the simulator is enabled, so the
-// baseline is durable and the op space covers only the run itself).
-func newCrashFS(pts []geom.Point, simSeed int64) (*lustre.FS, error) {
-	fs := lustre.New(lustre.Titan(), nil)
-	if err := ptio.WriteDataset(fs.Create("input.mrsc"), pts, false); err != nil {
-		return nil, err
+// pipelineLeg probes the checkpointed pipeline's op space and audits the
+// sampled crash points in it. An error means the leg could not be set
+// up; a crash point that breaks an invariant is noted in rep instead.
+func (o CrashOptions) pipelineLeg(ctx context.Context, seed int64, rep *CrashRunReport) error {
+	pts := dataset.Twitter(o.Points, seed)
+	refLabels, err := referenceLabels(ctx, pts, o.Leaves)
+	if err != nil {
+		return fmt.Errorf("reference: %w", err)
 	}
-	fs.EnableCrashSim(simSeed)
-	return fs, nil
+	// Probe: the same checkpointed run, crash sim counting ops but never
+	// armed, to measure the op space.
+	probeFS, err := o.newCrashSim(seed, pts)
+	if err != nil {
+		return fmt.Errorf("probe: %w", err)
+	}
+	if _, err := mrscan.RunContext(ctx, probeFS, inputFile, outputFile, o.pipelineCfg()); err != nil {
+		return fmt.Errorf("probe run: %w", err)
+	}
+	rep.PipelineOps = probeFS.OpCount()
+	if rep.PipelineOps < 2 {
+		return fmt.Errorf("probe run recorded only %d durability ops", rep.PipelineOps)
+	}
+	rng := rand.New(rand.NewSource(seed*0x9e3779b9 + 1))
+	for i, k := range sampleSeqs(rng, 2, rep.PipelineOps, o.CrashPoints) {
+		pr := o.pipelineCrashPoint(ctx, seed, k, (i+1)%o.RecoveryCrashEvery == 0, pts, refLabels)
+		rep.Points = append(rep.Points, pr)
+		rep.note("pipeline", pr.Seq, pr.Verdict)
+	}
+	return nil
 }
 
-func crashPipelineCfg(o CrashOptions) mrscan.Config {
-	cfg := mrscan.Default(0.1, 20, o.Leaves)
-	cfg.IncludeNoise = true
+// journalLeg is pipelineLeg for the job server's write-ahead journal.
+func (o CrashOptions) journalLeg(ctx context.Context, seed int64, rep *CrashRunReport) error {
+	jops, err := o.journalProbe(ctx, seed)
+	if err != nil {
+		return fmt.Errorf("journal probe: %w", err)
+	}
+	rep.JournalOps = jops
+	rng := rand.New(rand.NewSource(seed*0x9e3779b9 + 2))
+	for i, k := range sampleSeqs(rng, 2, jops, o.JournalCrashPoints) {
+		jr := o.journalCrashPoint(ctx, seed, k, (i+1)%o.RecoveryCrashEvery == 0)
+		rep.Journal = append(rep.Journal, jr)
+		rep.note("journal", jr.Seq, jr.Verdict)
+	}
+	return nil
+}
+
+func (o CrashOptions) pipelineCfg() mrscan.Config {
+	cfg := baseConfig(o.Leaves)
 	cfg.Checkpoint = true
 	return cfg
 }
@@ -308,72 +266,59 @@ func sampleSeqs(rng *rand.Rand, lo, hi int64, n int) []int64 {
 	if hi < lo {
 		return nil
 	}
-	seen := make(map[int64]bool)
 	var out []int64
 	for i := 0; i < 4*n && len(out) < n; i++ {
-		k := lo + rng.Int63n(hi-lo+1)
-		if !seen[k] {
-			seen[k] = true
+		if k := lo + rng.Int63n(hi-lo+1); !slices.Contains(out, k) {
 			out = append(out, k)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
-// runPipelineCrashPoint loses power at op k of a checkpointed pipeline
+// ackedPhases accumulates, across every crashed attempt of one crash
+// point, the phases whose checkpoint Save returned — the
+// durably-acknowledged set.
+type ackedPhases map[string]bool
+
+func (a ackedPhases) note(r *mrscan.Result) {
+	if r != nil {
+		for _, p := range r.CompletedPhases {
+			a[p] = true
+		}
+	}
+}
+
+// list returns the checkpointable phases of the set, in pipeline order.
+func (a ackedPhases) list() []string {
+	var out []string
+	for _, p := range ckptPhases {
+		if a[p] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// pipelineCrashPoint loses power at op k of a checkpointed pipeline
 // run, recovers, and audits: acknowledged phase checkpoints restore
 // instead of recomputing, the resumed labels equal the fault-free
 // reference exactly, and (for double-crash points) a second power
 // failure during the recovery changes nothing.
-func runPipelineCrashPoint(seed, k int64, doubleCrash bool, pts []geom.Point, refLabels []int, o CrashOptions) CrashPointReport {
-	pr := CrashPointReport{Seq: k, DoubleCrash: doubleCrash, Outcome: OutcomeOK}
-	fail := func(format string, args ...any) CrashPointReport {
-		pr.Outcome = OutcomeFail
-		pr.Reason = fmt.Sprintf(format, args...)
-		return pr
-	}
+func (o CrashOptions) pipelineCrashPoint(ctx context.Context, seed, k int64, doubleCrash bool, pts []geom.Point, refLabels []int) *CrashPointReport {
+	pr := &CrashPointReport{Seq: k, DoubleCrash: doubleCrash, Verdict: Verdict{Outcome: OutcomeOK}}
 
 	simSeed := seed*1_000_003 + k
-	fs, err := newCrashFS(pts, simSeed)
+	fs, err := o.newCrashSim(simSeed, pts)
 	if err != nil {
-		return fail("staging input: %v", err)
-	}
-	if f := o.syncFilter(); f != nil {
-		fs.SetSyncFilter(f)
+		return failf(pr, "staging input: %v", err)
 	}
 	fs.ArmCrash(k)
 
-	// acked accumulates, across every crashed attempt, the phases whose
-	// checkpoint Save returned — the durably-acknowledged set.
-	acked := make(map[string]bool)
-	noteAcked := func(r *mrscan.Result) {
-		if r == nil {
-			return
-		}
-		for _, p := range r.CompletedPhases {
-			for _, cp := range ckptPhases {
-				if p == cp {
-					acked[p] = true
-				}
-			}
-		}
-	}
-	ackedList := func() []string {
-		var out []string
-		for _, p := range ckptPhases {
-			if acked[p] {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-
-	cfg := crashPipelineCfg(o)
-	ctx, cancel := context.WithTimeout(context.Background(), o.RunTimeout)
-	res, runErr := mrscan.RunContext(ctx, fs, "input.mrsc", "output.mrsl", cfg)
-	cancel()
-	noteAcked(res)
+	acked := ackedPhases{}
+	cfg := o.pipelineCfg()
+	res, runErr := mrscan.RunContext(ctx, fs, inputFile, outputFile, cfg)
+	acked.note(res)
 
 	if runErr == nil {
 		// The run finished before its armed point was reached (op
@@ -383,75 +328,72 @@ func runPipelineCrashPoint(seed, k int64, doubleCrash bool, pts []geom.Point, re
 		pr.CompletedBeforeCrash = true
 		fs.CrashNow()
 		if _, err := fs.Recover(); err != nil {
-			return fail("recover: %v", err)
+			return failf(pr, "recover: %v", err)
 		}
 		labels, err := mrscan.LabelsByID(fs, res.OutputFile, pts)
 		if err != nil {
-			return fail("completed run lost its synced output: %v", err)
+			return failf(pr, "completed run lost its synced output: %v", err)
 		}
-		if !equalLabels(labels, refLabels) {
-			return fail("completed run's durable output differs from the reference")
+		if !slices.Equal(labels, refLabels) {
+			return failf(pr, "completed run's durable output differs from the reference")
 		}
-		pr.AckedPhases = ackedList()
+		pr.AckedPhases = acked.list()
 		return pr
 	}
 	if !fs.Crashed() {
-		return fail("run failed without a crash: %v", runErr)
+		return failf(pr, "run failed without a crash: %v", runErr)
 	}
 	if _, err := fs.Recover(); err != nil {
-		return fail("recover: %v", err)
+		return failf(pr, "recover: %v", err)
 	}
 
-	resumeCfg := cfg
-	resumeCfg.Resume = true
-
+	cfg.Resume = true
 	if doubleCrash {
-		// Idempotence: lose power again during the recovery run itself,
-		// recover a second time, and require the final resume to uphold
-		// the same invariants.
-		rng := rand.New(rand.NewSource(simSeed ^ 0x7e57))
-		fs.ArmCrash(fs.OpCount() + 1 + rng.Int63n(32))
-		ctx2, cancel2 := context.WithTimeout(context.Background(), o.RunTimeout)
-		res2, err2 := mrscan.RunContext(ctx2, fs, "input.mrsc", "output.mrsl", resumeCfg)
-		cancel2()
-		noteAcked(res2)
-		if err2 != nil && !fs.Crashed() {
-			return fail("recovery run failed without a crash: %v", err2)
-		}
-		if !fs.Crashed() {
-			// The recovery outran the second armed point; power-fail now.
-			fs.CrashNow()
-		}
-		if _, err := fs.Recover(); err != nil {
-			return fail("second recover: %v", err)
+		if err := crashDuringResume(ctx, fs, cfg, simSeed, acked); err != nil {
+			return failf(pr, "%v", err)
 		}
 	}
 
-	ctx3, cancel3 := context.WithTimeout(context.Background(), o.RunTimeout)
-	res3, err3 := mrscan.RunContext(ctx3, fs, "input.mrsc", "output.mrsl", resumeCfg)
-	cancel3()
-	if err3 != nil {
-		return fail("resume after recovery failed: %v", err3)
-	}
-	labels, err := mrscan.LabelsByID(fs, res3.OutputFile, pts)
+	res, err = mrscan.RunContext(ctx, fs, inputFile, outputFile, cfg)
 	if err != nil {
-		return fail("reading resumed output: %v", err)
+		return failf(pr, "resume after recovery failed: %v", err)
 	}
-	if !equalLabels(labels, refLabels) {
-		return fail("resumed labels differ from the fault-free reference")
+	labels, err := mrscan.LabelsByID(fs, res.OutputFile, pts)
+	if err != nil {
+		return failf(pr, "reading resumed output: %v", err)
 	}
-	pr.AckedPhases = ackedList()
-	pr.RestoredPhases = res3.RestoredPhases
-	restored := make(map[string]bool, len(res3.RestoredPhases))
-	for _, p := range res3.RestoredPhases {
-		restored[p] = true
+	if !slices.Equal(labels, refLabels) {
+		return failf(pr, "resumed labels differ from the fault-free reference")
 	}
-	for _, p := range ackedList() {
-		if !restored[p] {
-			return fail("acknowledged %s checkpoint was lost: the resume re-executed it", p)
+	pr.AckedPhases = acked.list()
+	pr.RestoredPhases = res.RestoredPhases
+	for _, p := range pr.AckedPhases {
+		if !slices.Contains(res.RestoredPhases, p) {
+			return failf(pr, "acknowledged %s checkpoint was lost: the resume re-executed it", p)
 		}
 	}
 	return pr
+}
+
+// crashDuringResume is the idempotence half of a double-crash point: it
+// loses power again during the recovery run itself and recovers a second
+// time, so the caller's final resume must uphold the same invariants.
+func crashDuringResume(ctx context.Context, fs *lustre.FS, resumeCfg mrscan.Config, simSeed int64, acked ackedPhases) error {
+	rng := rand.New(rand.NewSource(simSeed ^ 0x7e57))
+	fs.ArmCrash(fs.OpCount() + 1 + rng.Int63n(32))
+	res, err := mrscan.RunContext(ctx, fs, inputFile, outputFile, resumeCfg)
+	acked.note(res)
+	if err != nil && !fs.Crashed() {
+		return fmt.Errorf("recovery run failed without a crash: %w", err)
+	}
+	if !fs.Crashed() {
+		// The recovery outran the second armed point; power-fail now.
+		fs.CrashNow()
+	}
+	if _, err := fs.Recover(); err != nil {
+		return fmt.Errorf("second recover: %w", err)
+	}
+	return nil
 }
 
 // Journal leg: the job server's write-ahead journal under power
@@ -467,7 +409,7 @@ func journalServerConfig(jfs server.JournalFS) server.Config {
 	}
 }
 
-func journalWorkload(seed int64, o CrashOptions) []server.JobSpec {
+func (o CrashOptions) journalWorkload(seed int64) []server.JobSpec {
 	specs := make([]server.JobSpec, o.JournalJobs)
 	for i := range specs {
 		specs[i] = server.JobSpec{
@@ -481,179 +423,146 @@ func journalWorkload(seed int64, o CrashOptions) []server.JobSpec {
 
 // journalProbe runs the journal workload to completion with the crash
 // sim counting (never armed) and returns the op-space size.
-func journalProbe(seed int64, o CrashOptions) (int64, error) {
-	sfs := lustre.New(lustre.Titan(), nil)
-	sfs.EnableCrashSim(seed)
+func (o CrashOptions) journalProbe(ctx context.Context, seed int64) (int64, error) {
+	sfs, err := o.newCrashSim(seed, nil)
+	if err != nil {
+		return 0, err
+	}
 	srv, err := server.New(journalServerConfig(server.LustreJournalFS(sfs)))
 	if err != nil {
 		return 0, err
 	}
 	defer srv.Close()
 	var ids []string
-	for _, spec := range journalWorkload(seed, o) {
+	for _, spec := range o.journalWorkload(seed) {
 		id, err := srv.Submit(spec)
 		if err != nil {
 			return 0, err
 		}
 		ids = append(ids, id)
 	}
-	if err := waitTerminal(srv, ids, o.RunTimeout); err != nil {
+	if err := waitTerminal(ctx, srv, ids); err != nil {
 		return 0, err
 	}
 	return sfs.OpCount(), nil
 }
 
-// waitTerminal polls until every job is in a terminal state.
-func waitTerminal(srv *server.Server, ids []string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		pending := ""
-		for _, id := range ids {
-			st, err := srv.Status(id)
-			if err != nil {
-				return fmt.Errorf("job %s: %w", id, err)
-			}
-			if !st.State.Terminal() {
-				pending = id
-				break
-			}
-		}
-		if pending == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s not terminal after %v", pending, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// waitTerminalSettled is waitTerminal without the error: after a crash
-// the in-memory jobs still settle (their pipelines run on private file
-// systems), we just give them the chance to before auditing.
-func waitTerminalSettled(srv *server.Server, ids []string, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		done := true
-		for _, id := range ids {
-			st, err := srv.Status(id)
-			if err != nil || !st.State.Terminal() {
-				done = false
-				break
-			}
-		}
-		if done {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// runJournalCrashPoint loses power at journal op k during a submit
-// burst and audits the acknowledgment invariant: every job whose Submit
+// journalCrashPoint loses power at journal op k during a submit burst
+// and audits the acknowledgment invariant: every job whose Submit
 // returned an ID has a durable journal record, and after restart it is
 // journaled terminal or re-admitted and driven to termination. Interior
 // journal corruption is never acceptable; a torn tail is repaired and
 // counted.
-func runJournalCrashPoint(seed, k int64, doubleCrash bool, o CrashOptions) JournalCrashReport {
-	jr := JournalCrashReport{Seq: k, DoubleCrash: doubleCrash, Outcome: OutcomeOK}
-	fail := func(format string, args ...any) JournalCrashReport {
-		jr.Outcome = OutcomeFail
-		jr.Reason = fmt.Sprintf(format, args...)
-		return jr
-	}
+func (o CrashOptions) journalCrashPoint(ctx context.Context, seed, k int64, doubleCrash bool) *JournalCrashReport {
+	jr := &JournalCrashReport{Seq: k, DoubleCrash: doubleCrash, Verdict: Verdict{Outcome: OutcomeOK}}
 
-	sfs := lustre.New(lustre.Titan(), nil)
-	sfs.EnableCrashSim(seed*1_000_003 + k)
-	if f := o.syncFilter(); f != nil {
-		sfs.SetSyncFilter(f)
+	sfs, err := o.newCrashSim(seed*1_000_003+k, nil)
+	if err != nil {
+		return failf(jr, "crash sim: %v", err)
 	}
 	jfs := server.LustreJournalFS(sfs)
 	srv, err := server.New(journalServerConfig(jfs))
 	if err != nil {
-		return fail("starting server: %v", err)
+		return failf(jr, "starting server: %v", err)
 	}
 	sfs.ArmCrash(k)
 
 	var acked []string
-	for _, spec := range journalWorkload(seed, o) {
+	for _, spec := range o.journalWorkload(seed) {
 		if id, err := srv.Submit(spec); err == nil {
 			acked = append(acked, id)
 		}
 	}
 	jr.AckedJobs = len(acked)
-	waitTerminalSettled(srv, acked, o.RunTimeout)
+	// After a crash the in-memory jobs still settle (their pipelines run
+	// on private file systems); give them the chance to before auditing.
+	// If the seed's budget ends first, the audit below finds them.
+	_ = waitTerminal(ctx, srv, acked)
 	srv.Close()
 	if !sfs.Crashed() {
 		sfs.CrashNow()
 	}
 	if _, err := sfs.Recover(); err != nil {
-		return fail("recover: %v", err)
+		return failf(jr, "recover: %v", err)
 	}
 
 	// Audit 1: every acknowledged job has a durable journal record —
 	// Submit fsynced the queued record before returning the ID.
 	states, torn, err := server.JournalStates(jfs, "state")
 	if err != nil {
-		return fail("journal replay: %v", err)
+		return failf(jr, "journal replay: %v", err)
 	}
 	jr.TornTail = torn
 	for _, id := range acked {
 		if _, ok := states[id]; !ok {
-			return fail("acknowledged job %s has no durable journal record", id)
+			return failf(jr, "acknowledged job %s has no durable journal record", id)
 		}
 	}
 
 	if doubleCrash {
-		// Idempotence: lose power again during the restart's journal
-		// replay (which may be mid torn-tail repair), recover, and
-		// require the next restart to proceed as if the first crash
-		// never happened twice.
-		rng := rand.New(rand.NewSource(seed ^ (k << 8)))
-		sfs.ArmCrash(sfs.OpCount() + 1 + rng.Int63n(8))
-		srv2, err := server.New(journalServerConfig(jfs))
-		if err == nil {
-			// Recovery outran the armed point; power-fail underneath the
-			// running server instead.
-			srv2.Close()
-		} else if !sfs.Crashed() {
-			return fail("restart failed without a crash: %v", err)
-		}
-		if !sfs.Crashed() {
-			sfs.CrashNow()
-		}
-		if _, err := sfs.Recover(); err != nil {
-			return fail("second recover: %v", err)
+		if err := crashDuringRestart(sfs, jfs, seed, k); err != nil {
+			return failf(jr, "%v", err)
 		}
 	}
+	if err := auditReadmission(ctx, jfs, acked); err != nil {
+		return failf(jr, "%v", err)
+	}
+	return jr
+}
 
-	// Audit 2: a server restarted on the surviving state re-admits every
-	// acknowledged non-terminal job and drives it to termination.
-	srv3, err := server.New(journalServerConfig(jfs))
-	if err != nil {
-		return fail("restart on recovered state: %v", err)
+// crashDuringRestart is the idempotence half of a double-crash journal
+// point: it loses power again during the restart's journal replay (which
+// may be mid torn-tail repair) and recovers, so the next restart must
+// proceed as if the first crash never happened twice.
+func crashDuringRestart(sfs *lustre.FS, jfs server.JournalFS, seed, k int64) error {
+	rng := rand.New(rand.NewSource(seed ^ (k << 8)))
+	sfs.ArmCrash(sfs.OpCount() + 1 + rng.Int63n(8))
+	srv, err := server.New(journalServerConfig(jfs))
+	if err == nil {
+		// Recovery outran the armed point; power-fail underneath the
+		// running server instead.
+		srv.Close()
+	} else if !sfs.Crashed() {
+		return fmt.Errorf("restart failed without a crash: %w", err)
 	}
-	defer srv3.Close()
-	states, _, err = server.JournalStates(jfs, "state")
+	if !sfs.Crashed() {
+		sfs.CrashNow()
+	}
+	if _, err := sfs.Recover(); err != nil {
+		return fmt.Errorf("second recover: %w", err)
+	}
+	return nil
+}
+
+// auditReadmission is audit 2 of a journal crash point: a server
+// restarted on the surviving state re-admits every acknowledged
+// non-terminal job and drives it to termination.
+func auditReadmission(ctx context.Context, jfs server.JournalFS, acked []string) error {
+	srv, err := server.New(journalServerConfig(jfs))
 	if err != nil {
-		return fail("journal replay after restart: %v", err)
+		return fmt.Errorf("restart on recovered state: %w", err)
+	}
+	defer srv.Close()
+	states, _, err := server.JournalStates(jfs, "state")
+	if err != nil {
+		return fmt.Errorf("journal replay after restart: %w", err)
 	}
 	var pending []string
 	for _, id := range acked {
 		st, ok := states[id]
 		if !ok {
-			return fail("acknowledged job %s lost its journal record across recovery", id)
+			return fmt.Errorf("acknowledged job %s lost its journal record across recovery", id)
 		}
 		if st == server.StateCompleted || st == server.StateFailed {
 			continue
 		}
-		if _, err := srv3.Status(id); err != nil {
-			return fail("acknowledged job %s (journaled %q) not re-admitted after restart", id, st)
+		if _, err := srv.Status(id); err != nil {
+			return fmt.Errorf("acknowledged job %s (journaled %q) not re-admitted after restart", id, st)
 		}
 		pending = append(pending, id)
 	}
-	if err := waitTerminal(srv3, pending, o.RunTimeout); err != nil {
-		return fail("re-admitted jobs did not terminate: %v", err)
+	if err := waitTerminal(ctx, srv, pending); err != nil {
+		return fmt.Errorf("re-admitted jobs did not terminate: %w", err)
 	}
-	return jr
+	return nil
 }

@@ -13,16 +13,14 @@ import (
 // clean bill: no acknowledged state lost at any sampled crash point.
 func TestCrashCampaignSmoke(t *testing.T) {
 	o := CrashOptions{
-		Seeds:              Seeds(1, 2),
 		Points:             600,
 		Leaves:             2,
 		CrashPoints:        4,
 		JournalCrashPoints: 2,
 		JournalJobs:        2,
 		RecoveryCrashEvery: 2,
-		Logf:               t.Logf,
 	}
-	rep := RunCrash(o)
+	rep := Run(context.Background(), Campaign{Seeds: Seeds(1, 2), Logf: t.Logf}, o)
 	if rep.Failed != 0 {
 		for _, r := range rep.Runs {
 			if r.Outcome == OutcomeFail {
@@ -30,7 +28,7 @@ func TestCrashCampaignSmoke(t *testing.T) {
 			}
 		}
 	}
-	if rep.CrashPoints == 0 {
+	if crashPoints(rep) == 0 {
 		t.Fatal("campaign exercised no crash points")
 	}
 }
@@ -39,26 +37,20 @@ func TestCrashCampaignSmoke(t *testing.T) {
 // the recovery run itself — across many seeds and requires the final
 // state to be identical to the fault-free reference every time.
 func TestRecoveryIdempotence(t *testing.T) {
-	o := CrashOptions{Points: 300, Leaves: 2}
-	o.setDefaults()
+	o := CrashOptions{Points: 300, Leaves: 2}.withDefaults()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	for seed := int64(1); seed <= 20; seed++ {
 		pts := dataset.Twitter(o.Points, seed)
-		base := Options{Points: o.Points, Leaves: o.Leaves, RunTimeout: o.RunTimeout}
-		base.setDefaults()
-		ctx, cancel := context.WithTimeout(context.Background(), o.RunTimeout)
-		refLabels, err := reference(ctx, pts, base)
-		cancel()
+		refLabels, err := referenceLabels(ctx, pts, o.Leaves)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		probeFS, err := newCrashFS(pts, seed)
+		probeFS, err := o.newCrashSim(seed, pts)
 		if err != nil {
 			t.Fatalf("seed %d: probe: %v", seed, err)
 		}
-		ctx2, cancel2 := context.WithTimeout(context.Background(), o.RunTimeout)
-		_, err = mrscan.RunContext(ctx2, probeFS, "input.mrsc", "output.mrsl", crashPipelineCfg(o))
-		cancel2()
-		if err != nil {
+		if _, err = mrscan.RunContext(ctx, probeFS, inputFile, outputFile, o.pipelineCfg()); err != nil {
 			t.Fatalf("seed %d: probe run: %v", seed, err)
 		}
 		// Crash mid-run, then again during the recovery.
@@ -66,7 +58,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 		if k < 2 {
 			k = 2
 		}
-		pr := runPipelineCrashPoint(seed, k, true, pts, refLabels, o)
+		pr := o.pipelineCrashPoint(ctx, seed, k, true, pts, refLabels)
 		if pr.Outcome != OutcomeOK {
 			t.Errorf("seed %d crash@%d: %s", seed, k, pr.Reason)
 		}
@@ -78,8 +70,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 // the campaign to FAIL. A crash harness that stays green under a lying
 // fsync would prove nothing.
 func TestMutationLyingCheckpointSyncFails(t *testing.T) {
-	rep := RunCrash(CrashOptions{
-		Seeds:              Seeds(1, 2),
+	rep := Run(context.Background(), Campaign{Seeds: Seeds(1, 2)}, CrashOptions{
 		Points:             500,
 		Leaves:             2,
 		CrashPoints:        8,
@@ -96,8 +87,7 @@ func TestMutationLyingCheckpointSyncFails(t *testing.T) {
 // TestMutationLyingDirSyncFails drops every directory sync — renames
 // and creates never become durable — and requires the campaign to FAIL.
 func TestMutationLyingDirSyncFails(t *testing.T) {
-	rep := RunCrash(CrashOptions{
-		Seeds:              Seeds(1, 3),
+	rep := Run(context.Background(), Campaign{Seeds: Seeds(1, 3)}, CrashOptions{
 		Points:             500,
 		Leaves:             2,
 		CrashPoints:        6,
@@ -112,11 +102,11 @@ func TestMutationLyingDirSyncFails(t *testing.T) {
 
 // TestCrashOptionsDisableLegs checks the <0 escape hatches.
 func TestCrashOptionsDisableLegs(t *testing.T) {
-	rep := RunCrashSeed(1, CrashOptions{
+	c := Campaign{Seeds: Seeds(1, 1), RunTimeout: time.Minute}
+	rep := Run(context.Background(), c, CrashOptions{
 		Points: 300, Leaves: 2,
 		CrashPoints: -1, JournalCrashPoints: 2, JournalJobs: 2,
-		RunTimeout: time.Minute,
-	})
+	}).Runs[0]
 	if len(rep.Points) != 0 {
 		t.Fatalf("pipeline leg ran despite CrashPoints<0: %d points", len(rep.Points))
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -11,15 +12,8 @@ import (
 // preemptively re-parented, the slow OST excluded from shard placement,
 // and the phase-retry budget enforced loudly.
 func TestGrayCampaignInvariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("gray campaign skipped in -short mode")
-	}
-	rpt := RunGray(GrayOptions{
-		Seeds:      Seeds(1, 1),
-		Points:     3000,
-		RunTimeout: time.Minute,
-		Logf:       t.Logf,
-	})
+	c := Campaign{Seeds: Seeds(1, 1), RunTimeout: time.Minute, Logf: t.Logf}
+	rpt := Run(context.Background(), c, GrayOptions{Points: 3000})
 	if rpt.Failed != 0 {
 		for _, r := range rpt.Runs {
 			for _, l := range r.Legs {

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -32,16 +33,14 @@ import (
 //     the typed admission errors (ErrQueueFull, ErrQuotaExceeded,
 //     ErrDraining, ErrBreakerOpen) — never an anonymous error.
 //  3. Quality under load: completed full-quality jobs score >=
-//     QualityFloor against a fault-free pipeline reference; degraded
+//     the paper's 0.995 floor against a fault-free pipeline reference; degraded
 //     jobs are marked as such and score >= DegradedFloor.
 //
 // Which jobs get rejected or degraded depends on scheduling interleave
 // — the invariants are written to hold for every interleave.
 
-// OverloadOptions configures an overload campaign.
+// OverloadOptions are the overload scenario's knobs.
 type OverloadOptions struct {
-	// Seeds are the campaign seeds (one server lifecycle per seed).
-	Seeds []int64
 	// Tenants is the number of concurrently submitting tenants
 	// (default 3). JobsPerTenant is each tenant's burst size (default 6).
 	Tenants       int
@@ -53,62 +52,29 @@ type OverloadOptions struct {
 	Points int
 	// Leaves is the pipeline tree width per job (default 2).
 	Leaves int
-	// Workers is the server's executor pool (default 2).
-	Workers int
-	// FaultRate in [0,1] scales how many jobs carry fault plans
+	// FaultRate in (0,1] scales how many jobs carry fault plans
 	// (default 0.5).
 	FaultRate float64
-	// RunTimeout bounds one seed's full lifecycle (default 2m).
-	RunTimeout time.Duration
-	// QualityFloor for full-quality jobs (default 0.995);
-	// DegradedFloor for degraded-mode jobs (default 0.95).
-	QualityFloor  float64
+	// DegradedFloor is the minimum DBDC score of a degraded-mode job
+	// (default 0.95). Full-quality jobs are held to the paper's floor.
 	DegradedFloor float64
-	// Logf, when set, receives per-seed progress lines.
-	Logf func(format string, args ...any)
 }
 
-func (o *OverloadOptions) setDefaults() {
-	if o.Tenants <= 0 {
-		o.Tenants = 3
-	}
-	if o.JobsPerTenant <= 0 {
-		o.JobsPerTenant = 6
-	}
-	if o.Points <= 0 {
-		o.Points = 4000
-	}
-	if o.Leaves <= 0 {
-		o.Leaves = 2
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.FaultRate < 0 || o.FaultRate > 1 {
-		o.FaultRate = 0.5
-	} else if o.FaultRate == 0 {
+func (o OverloadOptions) withDefaults() OverloadOptions {
+	orDefault(&o.Tenants, 3)
+	orDefault(&o.JobsPerTenant, 6)
+	orDefault(&o.Points, 4000)
+	orDefault(&o.Leaves, 2)
+	if o.FaultRate <= 0 || o.FaultRate > 1 {
 		o.FaultRate = 0.5
 	}
-	if o.RunTimeout <= 0 {
-		o.RunTimeout = 2 * time.Minute
-	}
-	if o.QualityFloor <= 0 {
-		o.QualityFloor = 0.995
-	}
-	if o.DegradedFloor <= 0 {
-		o.DegradedFloor = 0.95
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
+	orDefault(&o.DegradedFloor, 0.95)
+	return o
 }
 
 // OverloadRunReport is the audited result of one seed's lifecycle.
 type OverloadRunReport struct {
-	Seed    int64         `json:"seed"`
-	Outcome Outcome       `json:"outcome"`
-	Reason  string        `json:"reason,omitempty"`
-	Elapsed time.Duration `json:"elapsed_ns"`
+	Header
 
 	Submitted int            `json:"submitted"`
 	Admitted  int            `json:"admitted"`
@@ -128,105 +94,94 @@ type OverloadRunReport struct {
 	MinDegradedQuality float64 `json:"min_degraded_quality"`
 }
 
-// OverloadReport aggregates an overload campaign.
-type OverloadReport struct {
-	Runs   []OverloadRunReport `json:"runs"`
-	OK     int                 `json:"ok"`
-	Failed int                 `json:"failed"`
-}
-
-// RunOverload executes the overload campaign.
-func RunOverload(o OverloadOptions) *OverloadReport {
-	o.setDefaults()
-	rpt := &OverloadReport{}
-	for _, seed := range o.Seeds {
-		r := RunOverloadSeed(seed, o)
-		rpt.Runs = append(rpt.Runs, r)
-		if r.Outcome == OutcomeFail {
-			rpt.Failed++
-			o.Logf("overload seed %d: FAIL: %s", seed, r.Reason)
-		} else {
-			rpt.OK++
-			o.Logf("overload seed %d: ok (admitted %d, rejected %v, degraded %d, resumed %d, suspended-at-drain %d)",
-				seed, r.Admitted, r.Rejected, r.Degraded, r.Resumed, r.SuspendedAtDrain)
-		}
-	}
-	return rpt
+func (OverloadOptions) summarize(rpt *Report[*OverloadRunReport]) (string, map[string]int) {
+	return plainSummary("overload", rpt)
 }
 
 // overloadJob tracks one admitted job across both server generations.
 type overloadJob struct {
 	id     string
 	tenant int
+	status server.JobStatus
+	labels []int
 }
 
-// RunOverloadSeed runs one full server lifecycle under the seeded storm
-// and audits the invariants.
-func RunOverloadSeed(seed int64, o OverloadOptions) OverloadRunReport {
-	o.setDefaults()
-	start := time.Now()
-	rep := OverloadRunReport{
-		Seed: seed, Rejected: map[string]int{},
-		MinQuality: -1, MinDegradedQuality: -1,
-	}
-	fail := func(format string, args ...any) OverloadRunReport {
-		rep.Outcome = OutcomeFail
-		rep.Reason = fmt.Sprintf(format, args...)
-		rep.Elapsed = time.Since(start)
-		return rep
-	}
-	deadline := start.Add(o.RunTimeout)
+// jobPlan is one submission of the storm.
+type jobPlan struct {
+	tenant  int
+	plan    *faultinject.Plan
+	stagger time.Duration
+}
+
+// overloadRun is one seed's lifecycle in flight.
+type overloadRun struct {
+	o    OverloadOptions
+	rep  *OverloadRunReport
+	pts  [][]geom.Point // per tenant
+	refs [][]int        // per tenant: fault-free pipeline labels
+	jobs []*overloadJob // admitted
+}
+
+// run takes one server through its whole life under the seeded storm —
+// burst, drain, restart on the same state directory — and audits the
+// invariants.
+func (o OverloadOptions) run(ctx context.Context, seed int64) *OverloadRunReport {
+	o = o.withDefaults()
+	rep := &OverloadRunReport{Rejected: map[string]int{}, MinQuality: -1, MinDegradedQuality: -1}
+	r := &overloadRun{o: o, rep: rep}
 
 	stateDir, err := os.MkdirTemp("", "mrscan-overload-")
 	if err != nil {
-		return fail("creating state dir: %v", err)
+		return failf(rep, "creating state dir: %v", err)
 	}
 	defer os.RemoveAll(stateDir)
 
-	// Per-tenant datasets and fault-free pipeline references.
-	pts := make([][]geom.Point, o.Tenants)
-	refs := make([][]int, o.Tenants)
 	for t := 0; t < o.Tenants; t++ {
-		pts[t] = dataset.Twitter(o.Points, seed*100+int64(t))
-		cfg := mrscan.Default(0.1, 20, o.Leaves)
-		cfg.IncludeNoise = true
-		_, labels, err := mrscan.RunPoints(pts[t], cfg)
+		pts := dataset.Twitter(o.Points, seed*100+int64(t))
+		labels, err := referenceLabels(ctx, pts, o.Leaves)
 		if err != nil {
-			return fail("tenant %d reference run: %v", t, err)
+			return failf(rep, "tenant %d: %v", t, err)
 		}
-		refs[t] = labels
+		r.pts, r.refs = append(r.pts, pts), append(r.refs, labels)
 	}
 
 	// A deliberately tight server: queues sized below the burst so
 	// saturation rejects, the degrade watermark low so overload degrades,
 	// a short drain deadline so the mid-campaign SIGTERM suspends
-	// in-flight work instead of waiting it out.
+	// in-flight work instead of waiting it out, a two-worker pool the
+	// default burst saturates. No job may outlast what is left of the
+	// seed's budget.
+	deadline, _ := ctx.Deadline()
 	cfg := server.Config{
-		Workers:           o.Workers,
+		Workers:           2,
 		QueuePerTenant:    2,
 		QueueTotal:        2 * o.Tenants,
 		DegradeQueueDepth: 2,
 		BreakerThreshold:  -1, // rejection mix is queue/quota/drain here
-		JobTimeout:        o.RunTimeout,
+		JobTimeout:        time.Until(deadline),
 		DrainTimeout:      20 * time.Millisecond,
 		Retry:             mrscan.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
 		StateDir:          stateDir,
 	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		return fail("starting server: %v", err)
-	}
-
-	// The storm: every tenant bursts its jobs concurrently; a seeded
-	// slice of them carry fault plans (transient gpusim faults the retry
-	// policy heals, fatal faults modeling a worker process death the
-	// server must resume from checkpoints).
 	rng := rand.New(rand.NewSource(seed))
-	type jobPlan struct {
-		tenant  int
-		plan    *faultinject.Plan
-		stagger time.Duration
+	if err := r.generation1(cfg, seed, rng); err != nil {
+		return failf(rep, "%v", err)
 	}
+	if err := r.generation2(ctx, cfg); err != nil {
+		return failf(rep, "%v", err)
+	}
+	if err := r.audit(); err != nil {
+		return failf(rep, "%v", err)
+	}
+	rep.Outcome = OutcomeOK
+	return rep
+}
+
+// stormPlans draws the storm: every tenant's burst, a seeded slice of
+// it carrying fault plans (transient gpusim faults the retry policy
+// heals, fatal faults modeling a worker process death the server must
+// resume from checkpoints).
+func (o OverloadOptions) stormPlans(seed int64, rng *rand.Rand) []jobPlan {
 	var plans []jobPlan
 	for t := 0; t < o.Tenants; t++ {
 		for j := 0; j < o.JobsPerTenant; j++ {
@@ -242,14 +197,31 @@ func RunOverloadSeed(seed int64, o OverloadOptions) OverloadRunReport {
 			plans = append(plans, jp)
 		}
 	}
+	return plans
+}
 
-	var (
-		mu       sync.Mutex
-		admitted []overloadJob
-		badRejs  []string
-	)
+// rejectionReason names a typed admission error; "" for any other.
+func rejectionReason(err error) string {
+	switch {
+	case errors.Is(err, server.ErrQueueFull):
+		return "queue_full"
+	case errors.Is(err, server.ErrQuotaExceeded):
+		return "quota"
+	case errors.Is(err, server.ErrDraining):
+		return "draining"
+	case errors.Is(err, server.ErrBreakerOpen):
+		return "breaker"
+	}
+	return ""
+}
+
+// storm has every tenant submit its burst concurrently and books each
+// submission as admitted or as a typed rejection. It returns the errors
+// of the rejections that were not typed.
+func (r *overloadRun) storm(srv *server.Server, plans []jobPlan) (untyped []string) {
+	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for t := 0; t < o.Tenants; t++ {
+	for t := 0; t < r.o.Tenants; t++ {
 		wg.Add(1)
 		go func(tenant int) {
 			defer wg.Done()
@@ -260,141 +232,124 @@ func RunOverloadSeed(seed int64, o OverloadOptions) OverloadRunReport {
 				time.Sleep(jp.stagger)
 				id, err := srv.Submit(server.JobSpec{
 					Tenant:    fmt.Sprintf("tenant-%d", tenant),
-					Points:    pts[tenant],
+					Points:    r.pts[tenant],
 					Eps:       0.1,
 					MinPts:    20,
-					Leaves:    o.Leaves,
+					Leaves:    r.o.Leaves,
 					FaultPlan: jp.plan,
 				})
 				mu.Lock()
-				rep.Submitted++
-				if err != nil {
-					switch {
-					case errors.Is(err, server.ErrQueueFull):
-						rep.Rejected["queue_full"]++
-					case errors.Is(err, server.ErrQuotaExceeded):
-						rep.Rejected["quota"]++
-					case errors.Is(err, server.ErrDraining):
-						rep.Rejected["draining"]++
-					case errors.Is(err, server.ErrBreakerOpen):
-						rep.Rejected["breaker"]++
-					default:
-						badRejs = append(badRejs, err.Error())
-					}
+				r.rep.Submitted++
+				if err == nil {
+					r.jobs = append(r.jobs, &overloadJob{id: id, tenant: tenant})
+				} else if reason := rejectionReason(err); reason != "" {
+					r.rep.Rejected[reason]++
 				} else {
-					admitted = append(admitted, overloadJob{id: id, tenant: tenant})
+					untyped = append(untyped, err.Error())
 				}
 				mu.Unlock()
 			}
 		}(t)
 	}
 	wg.Wait()
-	rep.Admitted = len(admitted)
-	if len(badRejs) > 0 {
-		srv.Close()
-		return fail("%d rejections with untyped errors, e.g. %q", len(badRejs), badRejs[0])
-	}
+	r.rep.Admitted = len(r.jobs)
+	return untyped
+}
 
-	// Let the pool chew for a moment, then SIGTERM: drain (suspending
-	// whatever the deadline catches mid-run) and shut the instance down.
+// generation1 is the first server's life: the storm, a moment for the
+// pool to chew, then SIGTERM — drain (suspending whatever the drain
+// deadline catches mid-run) and shut down. Jobs terminal here must
+// already obey the contract; suspended ones transfer to generation 2.
+func (r *overloadRun) generation1(cfg server.Config, seed int64, rng *rand.Rand) error {
+	srv, err := server.New(cfg)
+	if err != nil {
+		return fmt.Errorf("starting server: %w", err)
+	}
+	defer srv.Close()
+	if untyped := r.storm(srv, r.o.stormPlans(seed, rng)); len(untyped) > 0 {
+		return fmt.Errorf("%d rejections with untyped errors, e.g. %q", len(untyped), untyped[0])
+	}
 	time.Sleep(time.Duration(10+rng.Intn(20)) * time.Millisecond)
 	srv.Drain()
-
-	// Snapshot generation 1: jobs terminal here must already obey the
-	// contract; suspended ones transfer to generation 2.
-	type jobOutcome struct {
-		status server.JobStatus
-		labels []int
+	for _, j := range r.jobs {
+		if err := j.settle(srv, "after drain"); err != nil {
+			return err
+		}
+		if j.status.State == server.StateSuspended {
+			r.rep.SuspendedAtDrain++
+		}
 	}
-	outcomes := map[string]jobOutcome{}
-	for _, j := range admitted {
-		st, err := srv.Status(j.id)
-		if err != nil {
-			srv.Close()
-			return fail("job %s admitted but unknown to the server after drain: %v", j.id, err)
-		}
-		oc := jobOutcome{status: st}
-		if st.State == server.StateCompleted {
-			if oc.labels, err = srv.Result(j.id); err != nil {
-				srv.Close()
-				return fail("job %s completed but has no result: %v", j.id, err)
-			}
-		}
-		if st.State == server.StateSuspended {
-			rep.SuspendedAtDrain++
-		}
-		outcomes[j.id] = oc
-	}
-	srv.Close()
+	return nil
+}
 
-	// Generation 2: restart on the same state directory; every
-	// suspended (or never-started) job must be recovered and driven to
-	// a terminal state.
-	srv2, err := server.New(cfg)
+// settle records the job's status on srv and, when it completed, its
+// labels.
+func (j *overloadJob) settle(srv *server.Server, when string) error {
+	st, err := srv.Status(j.id)
 	if err != nil {
-		return fail("restarting server: %v", err)
+		return fmt.Errorf("job %s admitted but unknown to the server %s: %w", j.id, when, err)
 	}
-	defer srv2.Close()
-	for {
-		pending := 0
-		for _, j := range admitted {
-			oc := outcomes[j.id]
-			if oc.status.State == server.StateCompleted || oc.status.State == server.StateFailed {
-				continue
-			}
-			st, err := srv2.Status(j.id)
-			if err != nil {
-				return fail("job %s suspended at drain but unknown after restart: %v", j.id, err)
-			}
-			if !st.State.Terminal() {
-				pending++
-				continue
-			}
-			if st.State == server.StateSuspended {
-				return fail("job %s suspended again on a server that is not draining", j.id)
-			}
-			oc.status = st
-			if st.State == server.StateCompleted {
-				if oc.labels, err = srv2.Result(j.id); err != nil {
-					return fail("job %s completed after restart but has no result: %v", j.id, err)
-				}
-			}
-			outcomes[j.id] = oc
+	j.status = st
+	if st.State == server.StateCompleted {
+		if j.labels, err = srv.Result(j.id); err != nil {
+			return fmt.Errorf("job %s completed %s but has no result: %w", j.id, when, err)
 		}
-		if pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail("%d admitted jobs still pending at the %v campaign deadline", pending, o.RunTimeout)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	return nil
+}
 
-	// The audit: every admitted job is terminal in exactly one accepted
-	// way, and completed work meets its quality floor.
-	for _, j := range admitted {
-		oc := outcomes[j.id]
-		st := oc.status
-		switch st.State {
+// generation2 restarts on the same state directory: every suspended (or
+// never-started) job must be recovered and driven to a terminal state
+// before the seed's budget ends.
+func (r *overloadRun) generation2(ctx context.Context, cfg server.Config) error {
+	srv, err := server.New(cfg)
+	if err != nil {
+		return fmt.Errorf("restarting server: %w", err)
+	}
+	defer srv.Close()
+	var carried []*overloadJob
+	var ids []string
+	for _, j := range r.jobs {
+		if st := j.status.State; st != server.StateCompleted && st != server.StateFailed {
+			carried, ids = append(carried, j), append(ids, j.id)
+		}
+	}
+	if err := waitTerminal(ctx, srv, ids); err != nil {
+		return fmt.Errorf("after restart, of %d jobs carried over: %w", len(ids), err)
+	}
+	for _, j := range carried {
+		if err := j.settle(srv, "after restart"); err != nil {
+			return err
+		}
+		if j.status.State == server.StateSuspended {
+			return fmt.Errorf("job %s suspended again on a server that is not draining", j.id)
+		}
+	}
+	return nil
+}
+
+// audit requires every admitted job to be terminal in exactly one
+// accepted way, and completed work to meet its quality floor.
+func (r *overloadRun) audit() error {
+	rep := r.rep
+	for _, j := range r.jobs {
+		switch st := j.status; st.State {
 		case server.StateCompleted:
 			rep.Completed++
-			q, err := quality.Score(refs[j.tenant], oc.labels)
+			q, err := quality.Score(r.refs[j.tenant], j.labels)
 			if err != nil {
-				return fail("job %s quality: %v", j.id, err)
+				return fmt.Errorf("job %s quality: %w", j.id, err)
 			}
-			floor := o.QualityFloor
+			floor, worst := paperFloor, &rep.MinQuality
 			if st.Degraded {
 				rep.Degraded++
-				floor = o.DegradedFloor
-				if rep.MinDegradedQuality < 0 || q < rep.MinDegradedQuality {
-					rep.MinDegradedQuality = q
-				}
-			} else if rep.MinQuality < 0 || q < rep.MinQuality {
-				rep.MinQuality = q
+				floor, worst = r.o.DegradedFloor, &rep.MinDegradedQuality
+			}
+			if *worst < 0 || q < *worst {
+				*worst = q
 			}
 			if q < floor {
-				return fail("job %s (degraded=%v) quality %.4f below floor %.3f",
-					j.id, st.Degraded, q, floor)
+				return fmt.Errorf("job %s (degraded=%v) quality %.4f below floor %.3f", j.id, st.Degraded, q, floor)
 			}
 			if st.Resumed {
 				rep.Resumed++
@@ -402,18 +357,15 @@ func RunOverloadSeed(seed int64, o OverloadOptions) OverloadRunReport {
 		case server.StateFailed:
 			rep.Failed++
 			if st.Err == "" {
-				return fail("job %s failed silently — no error recorded", j.id)
+				return fmt.Errorf("job %s failed silently — no error recorded", j.id)
 			}
 		default:
-			return fail("job %s ended the campaign in state %q — a silent drop", j.id, st.State)
+			return fmt.Errorf("job %s ended the campaign in state %q — a silent drop", j.id, st.State)
 		}
 	}
 	if got := rep.Completed + rep.Failed; got != rep.Admitted {
-		return fail("accounting leak: %d admitted != %d completed + %d failed",
+		return fmt.Errorf("accounting leak: %d admitted != %d completed + %d failed",
 			rep.Admitted, rep.Completed, rep.Failed)
 	}
-
-	rep.Outcome = OutcomeOK
-	rep.Elapsed = time.Since(start)
-	return rep
+	return nil
 }

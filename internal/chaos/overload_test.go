@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 	"time"
@@ -11,13 +12,8 @@ import (
 // mid-campaign drain and restart — and requires the serving contract to
 // hold: typed rejections only, zero silent drops, floors met.
 func TestOverloadSeed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload campaign skipped in -short mode")
-	}
-	rep := RunOverloadSeed(1, OverloadOptions{
-		RunTimeout: time.Minute,
-		Logf:       t.Logf,
-	})
+	c := Campaign{Seeds: Seeds(1, 1), RunTimeout: time.Minute, Logf: t.Logf}
+	rep := Run(context.Background(), c, OverloadOptions{}).Runs[0]
 	if rep.Outcome != OutcomeOK {
 		t.Fatalf("overload seed 1: %s: %s", rep.Outcome, rep.Reason)
 	}
@@ -36,14 +32,8 @@ func TestOverloadSeed(t *testing.T) {
 // TestOverloadCampaign runs a few seeds and checks the aggregate report
 // marshals and carries per-seed audits.
 func TestOverloadCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload campaign skipped in -short mode")
-	}
-	rpt := RunOverload(OverloadOptions{
-		Seeds:      Seeds(100, 2),
-		RunTimeout: time.Minute,
-		Logf:       t.Logf,
-	})
+	c := Campaign{Seeds: Seeds(100, 2), RunTimeout: time.Minute, Logf: t.Logf}
+	rpt := Run(context.Background(), c, OverloadOptions{})
 	if rpt.Failed != 0 {
 		for _, r := range rpt.Runs {
 			if r.Outcome == OutcomeFail {

@@ -1,13 +1,13 @@
 package chaos
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestStreamCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stream chaos campaign is slow")
-	}
-	opt := StreamOptions{Seeds: Seeds(1, 4), Ticks: 10, PerTick: 200, Logf: t.Logf}
-	rpt := RunStream(opt)
+	c := Campaign{Seeds: Seeds(1, 4), Logf: t.Logf}
+	rpt := Run(context.Background(), c, StreamOptions{Ticks: 10, PerTick: 200})
 	if rpt.Failed != 0 {
 		for _, r := range rpt.Runs {
 			if r.Outcome == OutcomeFail {

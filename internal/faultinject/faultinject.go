@@ -502,20 +502,6 @@ func (p *Plan) TotalCorruptions() int64 {
 	return n
 }
 
-// Corruptions returns the injection log (site + offset per flip),
-// bounded at maxCorruptionLog entries; the counters stay exact beyond
-// that.
-func (p *Plan) Corruptions() []Corruption {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Corruption, len(p.log))
-	copy(out, p.log)
-	return out
-}
-
 // Fired returns how many failures have been injected at the site so far
 // (summed over its rules; a shared rule counts once per site it fired
 // at — i.e. per firing Check call).

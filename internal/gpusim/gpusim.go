@@ -451,9 +451,6 @@ type KernelCtx struct {
 // (blockIdx.x*blockDim.x + threadIdx.x).
 func (c KernelCtx) GlobalID() int { return c.Block*c.ThreadsPerBlock + c.Thread }
 
-// GlobalThreads returns the total number of threads in the launch.
-func (c KernelCtx) GlobalThreads() int { return c.Blocks * c.ThreadsPerBlock }
-
 // Kernel is the device function type. Each invocation is one thread.
 type Kernel func(ctx KernelCtx)
 

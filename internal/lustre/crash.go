@@ -286,16 +286,6 @@ func (fs *FS) OpCount() int64 {
 	return fs.cs.seq
 }
 
-// OpLog returns a copy of the op log.
-func (fs *FS) OpLog() []Op {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.cs == nil {
-		return nil
-	}
-	return append([]Op(nil), fs.cs.ops...)
-}
-
 // crashCheck fails fast when the power is out. It is free when crash
 // simulation is disabled.
 func (fs *FS) crashCheck() error {

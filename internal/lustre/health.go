@@ -34,13 +34,6 @@ func (fs *FS) EnableOSTHealth(cfg health.Config) *health.Tracker {
 	return t
 }
 
-// OSTHealth returns the tracker installed by EnableOSTHealth, or nil.
-func (fs *FS) OSTHealth() *health.Tracker {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.ostHealth
-}
-
 // SetRetryBudget installs the shared retry budget consulted before an
 // integrity reread heals a transient read corruption. When the budget is
 // exhausted the heal is denied and the read fails loudly with

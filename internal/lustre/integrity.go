@@ -76,13 +76,6 @@ func (fs *FS) EnableIntegrity() {
 	fs.mu.Unlock()
 }
 
-// IntegrityEnabled reports whether block checksumming is on.
-func (fs *FS) IntegrityEnabled() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.integrity
-}
-
 // IntegrityReport returns the corruption ledger: how many injected
 // corruptions were detected, masked, or remain latent in live files.
 func (fs *FS) IntegrityReport() IntegrityReport {

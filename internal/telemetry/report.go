@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 )
 
 // AttrKind is the attribute key marking a span's role in the report.
@@ -129,15 +128,6 @@ func (r *Report) Phase(name string) (PhaseRow, bool) {
 		}
 	}
 	return PhaseRow{}, false
-}
-
-// WallTotal sums the phase rows' wall durations.
-func (r *Report) WallTotal() time.Duration {
-	var n int64
-	for _, p := range r.Phases {
-		n += p.WallNs
-	}
-	return time.Duration(n)
 }
 
 // WriteReport builds the report from h and writes it as indented JSON.
