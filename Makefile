@@ -117,22 +117,24 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_17.json, captured by
-# `make bench-gated` at PR 17's head; BENCH_16.json and earlier are
-# history and gate nothing — PR 17 re-based because it added the distrib
-# and merge benchmarks and put Combine far below anything older). Fails if
-# any Cluster, GPUDBSCAN, KD-tree Build, Partition (including the
+# committed baseline of current performance (BENCH_20.json, captured by
+# `make bench-gated` at PR 20's head; BENCH_17.json and earlier are
+# history and gate nothing — PR 20 re-based because cell-count
+# classification put the Cluster and GPUDBSCAN rows well below PR 17's
+# and added Classify). Fails if any Cluster, GPUDBSCAN, Classify (gdbscan
+# pass one alone on one partition of each batch shape), KD-tree Build,
+# Partition (including the
 # write-stage PartitionWrite layouts), planner (MakePlan, Split),
 # StreamTick (engine at two shapes, and the served tick with its durable
 # commit), merge (BuildSummaries, Combine) or distrib (DistribRun end to
 # end over loopback, WireCodec encode/decode) benchmark's wall clock
 # regressed more than 20%.
-BENCHGATE = ^Benchmark(Cluster|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec)
+BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_17.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_20.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_17.json was produced).
+# BENCH_run.json, and how BENCH_20.json was produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

@@ -193,6 +193,7 @@ func run(input, output string, cfg mrscan.Config, format string, verbose bool, c
 	fmt.Printf("clusters found:    %d\n", res.NumClusters)
 	fmt.Printf("points in output:  %d (noise skipped: %d)\n", res.Stats.OutputPoints, res.Stats.NoiseSkipped)
 	fmt.Printf("dense boxes:       %d (removed %d points from expansion)\n", res.Stats.DenseBoxes, res.Stats.DenseBoxPoints)
+	fmt.Printf("decided per cell:  %d core + %d non-core of %d clustered points\n", res.Stats.CellCorePoints, res.Stats.CellNonCorePoints, res.Stats.WrittenPoints)
 	fmt.Println("phase breakdown (wall):")
 	fmt.Printf("  partition        %12v\n", res.Times.Partition)
 	fmt.Printf("  cluster          %12v  (GPGPU DBSCAN, slowest leaf: %v)\n", res.Times.Cluster, res.Times.GPUDBSCAN)

@@ -9,10 +9,17 @@
 //     (CUDA-DClust's modified KD-tree whose leaves are point regions).
 //     With DenseBox on, regions are subdivided down to Eps cells: leaves
 //     whose diagonal is ≤ Eps, so their points are mutually within Eps.
-//  2. Pass one classifies core points: one thread per point counts
-//     Eps-neighbors, stopping as soon as MinPts is reached. Members of an
-//     Eps cell holding ≥ MinPts points are core without counting (the
-//     paper's §3.2.3 test).
+//  2. Pass one classifies core points by cell counts. A bounds kernel,
+//     one thread per leaf, traverses the tree with the leaf's rectangle
+//     and sums the subtree counts of the nodes wholly within Eps of the
+//     whole leaf (a lower bound on every member's neighborhood) and the
+//     counts of the leaves within Eps of any of it (an upper bound):
+//     lower ≥ MinPts makes every member core and upper < MinPts none,
+//     with no per-point work — the paper's §3.2.3 test ("an Eps cell
+//     holding ≥ MinPts points") is the special case of a leaf bounding
+//     itself. Only the points of the remaining cells are counted, one
+//     thread each, over the cell's list of straddling leaves, stopping
+//     as soon as MinPts is reached.
 //  3. Dense boxes: every Eps cell whose points are all core is a box —
 //     one cluster, pre-assigned one ID, none of its points expanded.
 //  4. Pass two expands the remaining core points: each GPGPU block claims
@@ -35,14 +42,16 @@
 //
 // A leaf node processes its partitions back-to-back on one device, so
 // Cluster supports an optional Workspace: host-side scratch (the KD-tree
-// and its flattened arrays, coordinate columns, per-block queues and
-// traversal stacks) is built into caller-provided backing arrays, and
-// device buffers are leased from the device's pool (gpusim.AllocPooled),
-// making repeated calls allocation-free on the classify/expand hot path.
+// and its flattened arrays, coordinate columns, cell verdicts and
+// straddling lists, per-block queues and traversal stacks) is built into
+// caller-provided backing arrays, and device buffers are leased from the
+// device's pool (gpusim.AllocPooled), making repeated calls
+// allocation-free on the classify/expand hot path.
 package gdbscan
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/dbscan"
@@ -121,11 +130,17 @@ func (o *Options) setDefaults() {
 // Stats reports algorithm-level counters for a run.
 type Stats struct {
 	// DenseBoxes is the number of KD leaves eliminated as dense boxes
-	// (all-core Eps cells, whether proven by the ≥ MinPts count or by
-	// classification); DenseBoxPoints is the number of points they
-	// removed from expansion (the paper's p in O((n-p) log n)).
+	// (all-core Eps cells, whether proven by a cell bound or point by
+	// point); DenseBoxPoints is the number of points they removed from
+	// expansion (the paper's p in O((n-p) log n)).
 	DenseBoxes     int
 	DenseBoxPoints int
+	// CellCorePoints and CellNonCorePoints count the points whose core
+	// flag a cell bound settled — every member of the leaf core, or none
+	// — without a neighborhood count of their own. Zero in
+	// ModeCUDADClust, which counts every neighborhood in full.
+	CellCorePoints    int
+	CellNonCorePoints int
 	// SeedRounds is the number of expansion kernels: seeds / Blocks.
 	SeedRounds int
 	// Collisions is the number of cluster-ID unions rectified on the
@@ -206,9 +221,21 @@ type Workspace struct {
 	compact []int32
 	near    []int32
 	blocks  []blockScratch
+	// Cell-count classification: per node, the bounds kernel's verdict on
+	// the leaf; the leaves it left undecided; per bounds-kernel block, the
+	// straddling lists of its undecided leaves, back to back.
+	cells     []cellBound
+	undecided []int32
+	straddle  [][]int32
+	// hasCore marks the tree nodes with a core point beneath them.
+	hasCore []bool
 	// boxPairs counts the box pairs the last call's linking pass
 	// examined: the clock-free cost the tests' linearity guard bounds.
 	boxPairs int
+	// leafScans counts the leaf scans of the last call's classify kernel
+	// (one member against one straddling leaf, point by point): the
+	// clock-free cost of classification.
+	leafScans atomic.Int64
 }
 
 // grow resizes s to n elements, reallocating only when capacity is
@@ -356,41 +383,217 @@ func (c *clustering) leafPoints(ni int) []int32 {
 	return c.flat.Order[s : s+c.flat.Count[ni]]
 }
 
-// classify is pass one: one thread per point counts Eps-neighbors, with
-// early exit at MinPts in Mr. Scan mode ("expansion during this phase
-// stops as soon as MinPts is reached"). With DenseBox, the members of an
-// Eps cell that holds ≥ MinPts points are core by the paper's §3.2.3
-// argument and skip the count.
+// cellBound is the bounds kernel's verdict on one leaf.
+type cellBound struct {
+	// lo is the number of points within Eps of every point of the leaf,
+	// itself included: the summed counts of the nodes whose rectangles lie
+	// wholly within Eps of the leaf's. lo ≥ MinPts makes every member
+	// core; noneCore says the leaves within reach hold < MinPts points.
+	lo int32
+	// at, n locate the straddling leaves of an undecided leaf — within
+	// Eps of some of it but not wholly within Eps of all of it — in its
+	// block's list: the only points its members still have to test.
+	at, n int32
+}
+
+const noneCore = -1
+
+// classify is pass one. Mr. Scan mode decides coreness per cell from
+// subtree counts and counts neighbors only for the points of the cells
+// the bounds leave undecided, with early exit at MinPts ("expansion
+// during this phase stops as soon as MinPts is reached"). The CUDA-DClust
+// profile counts every point's whole neighborhood.
 func (c *clustering) classify() error {
-	n, core, flat, xs, ys := len(c.pts), c.core, c.flat, c.xs, c.ys
-	eps := c.opt.Params.Eps
-	if c.opt.DenseBox {
-		for ni, left := range flat.Left {
-			if left < 0 && int(flat.Count[ni]) >= c.opt.Params.MinPts && flat.Diag2(ni) <= c.eps2 {
-				for _, pi := range c.leafPoints(ni) {
-					core[pi] = true
+	pass := c.classifyCells
+	if c.opt.Mode == ModeCUDADClust {
+		pass = c.classifyFull
+	}
+	err := pass()
+	c.stats.CorePoints = countTrue(c.core)
+	return err
+}
+
+// classifyCells runs the bounds kernel and then the classify kernel over
+// the leaves it left undecided: one block per leaf, so its members share
+// the leaf's list; as in the expansion kernel a block is one thread here.
+func (c *clustering) classifyCells() error {
+	c.ws.leafScans.Store(0)
+	if err := c.boundCells(); err != nil || len(c.ws.undecided) == 0 {
+		return err
+	}
+	undecided := c.ws.undecided
+	lc := gpusim.LaunchConfig{Blocks: len(undecided), ThreadsPerBlock: 1}
+	return c.dev.Launch("gdbscan/classify", lc, func(ctx gpusim.KernelCtx) {
+		c.classifyCell(undecided[ctx.Block])
+	})
+}
+
+// boundCells runs the bounds kernel, one thread per leaf (boundCell), and
+// lists the leaves it left undecided for the classify kernel.
+func (c *clustering) boundCells() error {
+	ws, left, nodes := c.ws, c.flat.Left, len(c.flat.Left)
+	lc := gpusim.GridFor(nodes, c.opt.ThreadsPerBlock)
+	ws.cells = grow(ws.cells, nodes)
+	for len(ws.straddle) < lc.Blocks {
+		ws.straddle = append(ws.straddle, nil)
+	}
+	for b := range ws.straddle {
+		ws.straddle[b] = ws.straddle[b][:0]
+	}
+	err := c.dev.Launch("gdbscan/cell-bounds", lc, func(ctx gpusim.KernelCtx) {
+		// A block's threads run one after another, so they share the
+		// block's list without locks.
+		if ni := ctx.GlobalID(); ni < nodes && left[ni] < 0 {
+			ws.straddle[ctx.Block] = c.boundCell(int32(ni), ws.straddle[ctx.Block])
+		}
+	})
+	ws.undecided = ws.undecided[:0]
+	minPts := c.opt.Params.MinPts
+	for ni, cell := range ws.cells {
+		switch {
+		case left[ni] >= 0:
+		case int(cell.lo) >= minPts:
+			c.stats.CellCorePoints += int(c.flat.Count[ni])
+		case cell.lo == noneCore:
+			c.stats.CellNonCorePoints += int(c.flat.Count[ni])
+		default:
+			ws.undecided = append(ws.undecided, int32(ni))
+		}
+	}
+	return err
+}
+
+// boundCell is the bounds kernel body for leaf a: the verdict on it lands
+// in ws.cells[a] and, when every member is core, in their core flags.
+// Only an undecided leaf keeps the straddling leaves it appended to list.
+func (c *clustering) boundCell(a int32, list []int32) []int32 {
+	at, minPts := len(list), c.opt.Params.MinPts
+	lo, hi, list := c.cellBounds(a, list)
+	cell := cellBound{lo: int32(lo), at: int32(at)}
+	switch {
+	case lo >= minPts:
+		for _, pi := range c.leafPoints(int(a)) {
+			c.core[pi] = true
+		}
+		list = list[:at]
+	case hi < minPts:
+		cell.lo = noneCore
+		list = list[:at]
+	default:
+		// A member's nearest points are its own leaf's: scanned first,
+		// they end most counts soonest (at MinPts 1, all in one scan).
+		if own := slices.Index(list[at:], a); own > 0 {
+			list[at], list[at+own] = a, list[at]
+		}
+		cell.n = int32(len(list) - at)
+	}
+	c.ws.cells[a] = cell
+	return list
+}
+
+// straddling returns the list boundCell left for undecided leaf a, in the
+// buffer of the bounds-kernel block that thread a belongs to.
+func (c *clustering) straddling(a int32) []int32 {
+	cell := c.ws.cells[a]
+	return c.ws.straddle[int(a)/c.opt.ThreadsPerBlock][cell.at : cell.at+cell.n]
+}
+
+// cellBounds traverses the tree with leaf a's rectangle and brackets the
+// neighborhood size |N_Eps(p)| (p included) of every member p between lo
+// and hi. A node whose rectangle is wholly within Eps of a's — the
+// farthest corner pair passes the neighbor test — holds only neighbors of
+// every member: its subtree count goes to both bounds with no descent. A
+// leaf merely within Eps of a's rectangle goes to hi and onto list: one
+// of a's straddling leaves, the only points a member has left to test.
+// Both tests use the neighbor test's arithmetic on rectangle sides that
+// bound the points' coordinates, and rounding is monotone, so they agree
+// with the per-point test bit for bit. The traversal stops once lo
+// reaches MinPts (hi and list are then incomplete, and not needed).
+func (c *clustering) cellBounds(a int32, list []int32) (lo, hi int, _ []int32) {
+	bounds, left, right, counts := c.flat.Bounds, c.flat.Left, c.flat.Right, c.flat.Count
+	minPts, eps2 := c.opt.Params.MinPts, c.eps2
+	ra := bounds[4*a : 4*a+4 : 4*a+4]
+	var buf [64]int32
+	stack := append(buf[:0], 0)
+	for len(stack) > 0 && lo < minPts {
+		ni := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		rb := bounds[4*ni : 4*ni+4 : 4*ni+4]
+		dx := max(0, rb[0]-ra[2], ra[0]-rb[2])
+		dy := max(0, rb[1]-ra[3], ra[1]-rb[3])
+		if dx*dx+dy*dy > eps2 {
+			continue
+		}
+		fx := max(ra[2]-rb[0], rb[2]-ra[0])
+		fy := max(ra[3]-rb[1], rb[3]-ra[1])
+		switch {
+		case fx*fx+fy*fy <= eps2:
+			lo += int(counts[ni])
+			hi += int(counts[ni])
+		case left[ni] >= 0:
+			stack = append(stack, left[ni], right[ni])
+		default:
+			hi += int(counts[ni])
+			list = append(list, ni)
+		}
+	}
+	return lo, hi, list
+}
+
+// classifyCell is the classify kernel body for undecided leaf a: every
+// member starts at the leaf's lower bound and walks its straddling leaves
+// — out of the member's reach: skipped; wholly inside its disc: counted
+// whole; else scanned — until it has MinPts neighbors. Counts include the
+// point itself (dbscan.Params): its own leaf is part of lo or on the list.
+func (c *clustering) classifyCell(a int32) {
+	xs, ys, eps2, minPts := c.xs, c.ys, c.eps2, c.opt.Params.MinPts
+	bounds, starts, counts, order := c.flat.Bounds, c.flat.Start, c.flat.Count, c.flat.Order
+	lo, list := int(c.ws.cells[a].lo), c.straddling(a)
+	scans := int64(0)
+	for _, pi := range c.leafPoints(int(a)) {
+		cx, cy := xs[pi], ys[pi]
+		count := lo
+		for _, li := range list {
+			b := bounds[4*li : 4*li+4 : 4*li+4]
+			if rectDist2(b, cx, cy) > eps2 {
+				continue
+			}
+			if rectFar2(b, cx, cy) <= eps2 {
+				count += int(counts[li])
+			} else {
+				scans++
+				for _, nb := range order[starts[li] : starts[li]+counts[li]] {
+					dx, dy := cx-xs[nb], cy-ys[nb]
+					if dx*dx+dy*dy <= eps2 {
+						if count++; count >= minPts {
+							break
+						}
+					}
 				}
+			}
+			if count >= minPts {
+				c.core[pi] = true
+				break
 			}
 		}
 	}
+	c.ws.leafScans.Add(scans)
+}
+
+// classifyFull is the CUDA-DClust profile's pass one (the §3.2.2 ablation
+// arm): one thread per point counts its whole Eps-neighborhood.
+func (c *clustering) classifyFull() error {
+	n, core, flat, xs, ys := len(c.pts), c.core, c.flat, c.xs, c.ys
+	eps := c.opt.Params.Eps
 	// minNeighbors excludes the point itself (the DBSCAN neighborhood
 	// includes the point, see dbscan.Params).
 	minNeighbors := c.opt.Params.MinPts - 1
-	countLimit := minNeighbors
-	if c.opt.Mode == ModeCUDADClust {
-		countLimit = 0 // full count: the unoptimized profile
-	}
-	err := c.dev.Launch("gdbscan/classify", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
+	return c.dev.Launch("gdbscan/classify", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
-		if i >= n || core[i] {
-			return
-		}
-		if flat.CountRange(xs, ys, xs[i], ys[i], eps, int32(i), countLimit) >= minNeighbors {
+		if i < n && flat.CountRange(xs, ys, xs[i], ys[i], eps, int32(i), 0) >= minNeighbors {
 			core[i] = true
 		}
 	})
-	c.stats.CorePoints = countTrue(core)
-	return err
 }
 
 // promoteBoxes turns every Eps cell whose points are all core into a
@@ -690,13 +893,24 @@ func rectDist2(b []float64, x, y float64) float64 {
 	return dx*dx + dy*dy
 }
 
+// rectFar2 returns the squared distance from (x, y) to the farthest point
+// of the rectangle b: ≤ Eps² means every point of b passes the neighbor
+// test against (x, y).
+func rectFar2(b []float64, x, y float64) float64 {
+	fx := max(x-b[0], b[2]-x)
+	fy := max(y-b[1], b[3]-y)
+	return fx*fx + fy*fy
+}
+
 // attachBorders resolves the recorded collisions and then runs the border
 // kernel: one thread per non-core point joins it to the adjacent cluster
 // (one with a core point within Eps) whose lead — its first core point in
 // (Point.ID, index) order — comes first. Sequential DBSCAN visiting
 // points in that order starts each cluster at its lead and lets the
 // earliest-started cluster keep a contested border point, so this is its
-// labelling, whatever the block scheduling or tree shape was.
+// labelling, whatever the block scheduling or tree shape was. Subtrees
+// without a core point (markCoreNodes) are skipped before their rectangle
+// is tested.
 func (c *clustering) attachBorders() error {
 	pts, labels, core, merges := c.pts, c.labels, c.core, c.merges
 	before := func(a, b int32) bool {
@@ -720,6 +934,7 @@ func (c *clustering) attachBorders() error {
 
 	n, xs, ys, eps2, leafBox := len(pts), c.xs, c.ys, c.eps2, c.leafBox
 	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	hasCore := c.markCoreNodes()
 	return c.dev.Launch("gdbscan/border", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
 		if i >= n || core[i] {
@@ -732,7 +947,7 @@ func (c *clustering) attachBorders() error {
 		for len(stack) > 0 {
 			ni := int(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
-			if rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
+			if !hasCore[ni] || rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
 				continue
 			}
 			if left[ni] >= 0 {
@@ -767,6 +982,29 @@ func (c *clustering) attachBorders() error {
 			labels[i] = labels[best]
 		}
 	})
+}
+
+// markCoreNodes fills and returns ws.hasCore: whether a node has a core
+// point beneath it. Nodes are in pre-order, children after their parent,
+// so one reverse sweep sees both children before the parent.
+func (c *clustering) markCoreNodes() []bool {
+	left, right := c.flat.Left, c.flat.Right
+	hasCore := grow(c.ws.hasCore, len(left))
+	c.ws.hasCore = hasCore
+	for ni := len(left) - 1; ni >= 0; ni-- {
+		if left[ni] >= 0 {
+			hasCore[ni] = hasCore[left[ni]] || hasCore[right[ni]]
+			continue
+		}
+		hasCore[ni] = false
+		for _, pi := range c.leafPoints(ni) {
+			if c.core[pi] {
+				hasCore[ni] = true
+				break
+			}
+		}
+	}
+	return hasCore
 }
 
 // compactLabels is the end of collision rectification on the CPU ("when

@@ -24,21 +24,7 @@ func TestPropertyMatchesReference(t *testing.T) {
 		minPts := int(minRaw)%12 + 2
 		blocks := int(blocksRaw)%16 + 1
 		leafSize := int(leafRaw)%48 + 4
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			// A mix of clumps and scatter in a small window so clusters
-			// actually form.
-			if i%3 == 0 {
-				pts[i] = geom.Point{ID: uint64(i), X: rng.Float64() * 2, Y: rng.Float64() * 2}
-			} else {
-				cx := float64(i%5) * 0.35
-				pts[i] = geom.Point{
-					ID: uint64(i),
-					X:  cx + rng.NormFloat64()*0.03,
-					Y:  0.5 + rng.NormFloat64()*0.03,
-				}
-			}
-		}
+		pts := clumpsAndScatter(rng, n)
 		params := dbscan.Params{Eps: 0.1, MinPts: minPts}
 		res, err := Cluster(testDevice(), pts, Options{
 			Params:   params,
@@ -58,6 +44,25 @@ func TestPropertyMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// clumpsAndScatter is the property tests' input: a mix of clumps and
+// scatter in a small window, so clusters actually form at Eps 0.1.
+func clumpsAndScatter(rng *rand.Rand, n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		if i%3 == 0 {
+			pts[i] = geom.Point{ID: uint64(i), X: rng.Float64() * 2, Y: rng.Float64() * 2}
+		} else {
+			cx := float64(i%5) * 0.35
+			pts[i] = geom.Point{
+				ID: uint64(i),
+				X:  cx + rng.NormFloat64()*0.03,
+				Y:  0.5 + rng.NormFloat64()*0.03,
+			}
+		}
+	}
+	return pts
 }
 
 // TestPropertyLatticeAndDegenerate exercises structured inputs that

@@ -13,7 +13,8 @@ import (
 )
 
 // refNode is a node of the reference tree: the pointer-free node the
-// build used before it wrote straight into Flat's arrays.
+// build used before it wrote straight into Flat's arrays. start/count is
+// the node's range of order — the whole subtree's for an internal node.
 type refNode struct {
 	bounds      geom.Rect
 	axis        int8
@@ -92,7 +93,6 @@ func (t *refTree) build(start, end int32) int32 {
 	right := t.build(start+int32(mid), end)
 	n := &t.nodes[idx]
 	n.axis, n.split, n.left, n.right = axis, split, left, right
-	n.start, n.count = 0, 0
 	return idx
 }
 
@@ -129,8 +129,9 @@ func tieHeavyInputs() map[string][]geom.Point {
 
 // TestSelectionBuildMatchesSortBuild: the selection build must produce
 // the reference's tree — the same nodes in the same order, with the same
-// bounds, the same split axes and values, and the same point *sets* in
-// every leaf (the order inside a leaf is unspecified in both).
+// bounds, the same split axes and values, the same subtree ranges and the
+// same point *sets* in every leaf (the order inside a leaf is unspecified
+// in both).
 func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 	for name, pts := range tieHeavyInputs() {
 		for _, leafCap := range []int{1, 8, 64} {

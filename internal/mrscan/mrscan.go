@@ -336,9 +336,14 @@ type Stats struct {
 	NoiseSkipped   int64
 	DenseBoxes     int
 	DenseBoxPoints int
-	Collisions     int
-	SeedRounds     int
-	MaxLeafPoints  int
+	// CellCorePoints and CellNonCorePoints count, over every leaf's
+	// partition (WrittenPoints in all), the points whose core flag a KD
+	// cell's count bounds settled with no neighborhood count of their own.
+	CellCorePoints    int
+	CellNonCorePoints int
+	Collisions        int
+	SeedRounds        int
+	MaxLeafPoints     int
 	// NetRecoveries counts overlay internal-node failures absorbed by
 	// re-parenting children to the grandparent (both networks).
 	NetRecoveries int64
@@ -1043,6 +1048,8 @@ func (r *run) adoptCluster() error {
 		}
 		res.Stats.DenseBoxes += l.Stats.DenseBoxes
 		res.Stats.DenseBoxPoints += l.Stats.DenseBoxPoints
+		res.Stats.CellCorePoints += l.Stats.CellCorePoints
+		res.Stats.CellNonCorePoints += l.Stats.CellNonCorePoints
 		res.Stats.Collisions += l.Stats.Collisions
 		res.Stats.SeedRounds += l.Stats.SeedRounds
 		if n := len(l.Owned); n > res.Stats.MaxLeafPoints {

@@ -241,9 +241,14 @@ func DecodeLabeled(data []byte) ([]LabeledPoint, error) {
 		return nil, fmt.Errorf("ptio: %d bytes is not a multiple of labeled record size %d",
 			len(data), LabeledRecordSize)
 	}
-	out := make([]LabeledPoint, 0, len(data)/LabeledRecordSize)
+	return appendLabeledRecords(make([]LabeledPoint, 0, len(data)/LabeledRecordSize), data), nil
+}
+
+// appendLabeledRecords decodes data, a whole number of labeled records,
+// onto lps.
+func appendLabeledRecords(lps []LabeledPoint, data []byte) []LabeledPoint {
 	for off := 0; off < len(data); off += LabeledRecordSize {
-		out = append(out, LabeledPoint{
+		lps = append(lps, LabeledPoint{
 			Point: geom.Point{
 				ID: binary.LittleEndian.Uint64(data[off:]),
 				X:  math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
@@ -252,7 +257,7 @@ func DecodeLabeled(data []byte) ([]LabeledPoint, error) {
 			Cluster: int64(binary.LittleEndian.Uint64(data[off+24:])),
 		})
 	}
-	return out, nil
+	return lps
 }
 
 // LabeledHeader returns the 16-byte MRSL file header for count records.
@@ -288,6 +293,18 @@ func WriteLabeled(w io.Writer, pts []LabeledPoint) error {
 
 // ReadLabeled reads a complete MRSL file from r.
 func ReadLabeled(r io.Reader) ([]LabeledPoint, error) {
+	// The header count is untrusted input. The result is sized from it
+	// once — capped by the bytes the reader says it holds, or by one batch
+	// when it does not say, growing from there only with records actually
+	// read — so a corrupt count cannot force a giant allocation.
+	const batch = 1 << 16
+	held := uint64(batch)
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		held = uint64(v.Len()) / LabeledRecordSize
+	case interface{ Size() int64 }:
+		held = uint64(max(v.Size(), 0)) / LabeledRecordSize
+	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -297,20 +314,15 @@ func ReadLabeled(r io.Reader) ([]LabeledPoint, error) {
 		return nil, fmt.Errorf("ptio: bad magic %q", hdr[:4])
 	}
 	count := binary.LittleEndian.Uint64(hdr[8:])
-	const batch = 1 << 16
-	lps := make([]LabeledPoint, 0, min64(count, batch))
-	buf := make([]byte, batch*LabeledRecordSize)
+	lps := make([]LabeledPoint, 0, min64(count, held))
+	buf := make([]byte, min64(count, batch)*LabeledRecordSize)
 	for read := uint64(0); read < count; {
 		n := min64(count-read, batch)
 		chunk := buf[:n*LabeledRecordSize]
 		if _, err := io.ReadFull(br, chunk); err != nil {
 			return nil, fmt.Errorf("ptio: reading labeled records %d..%d of %d: %w", read, read+n, count, err)
 		}
-		decoded, err := DecodeLabeled(chunk)
-		if err != nil {
-			return nil, err
-		}
-		lps = append(lps, decoded...)
+		lps = appendLabeledRecords(lps, chunk)
 		read += n
 	}
 	return lps, nil

@@ -2,6 +2,8 @@ package ptio
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,6 +127,91 @@ func TestLabeledRoundTrip(t *testing.T) {
 		want.Point.Weight = 0 // labeled records do not carry weight
 		if got[i] != want {
 			t.Errorf("labeled %d = %+v, want %+v", i, got[i], want)
+		}
+	}
+}
+
+// labeledFile encodes n labeled records behind a header claiming count.
+func labeledFile(n int, count int64) []byte {
+	data := LabeledHeader(count)
+	for i := 0; i < n; i++ {
+		data = AppendLabeled(data, LabeledPoint{Point: geom.Point{ID: uint64(i), X: float64(i), Y: -float64(i)}, Cluster: int64(i % 7)})
+	}
+	return data
+}
+
+// sizedReader tells ReadLabeled its size the way a lustre.Handle does;
+// bareReader hides bytes.Reader's Len and Size, like a pipe or a socket.
+type sizedReader struct {
+	io.Reader
+	size int64
+}
+
+func (r sizedReader) Size() int64 { return r.size }
+
+type bareReader struct{ io.Reader }
+
+// TestReadLabeledSizesResultOnce: a well-formed file lands in one slice
+// sized from the header — through a reader that reports Len, one that
+// reports Size and one that reports nothing — with every record in place
+// across the 64 Ki batch boundary.
+func TestReadLabeledSizesResultOnce(t *testing.T) {
+	const n = 1<<16 + 1000
+	data := labeledFile(n, n)
+	for name, open := range map[string]func() io.Reader{
+		"Len":  func() io.Reader { return bytes.NewReader(data) },
+		"Size": func() io.Reader { return sizedReader{bareReader{bytes.NewReader(data)}, int64(len(data))} },
+		"bare": func() io.Reader { return bareReader{bytes.NewReader(data)} },
+	} {
+		got, err := ReadLabeled(open())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != n {
+			t.Fatalf("%s: read %d records, want %d", name, len(got), n)
+		}
+		for _, i := range []int{0, 1<<16 - 1, 1 << 16, n - 1} {
+			want := LabeledPoint{Point: geom.Point{ID: uint64(i), X: float64(i), Y: -float64(i)}, Cluster: int64(i % 7)}
+			if got[i] != want {
+				t.Errorf("%s: record %d = %+v, want %+v", name, i, got[i], want)
+			}
+		}
+		if name != "bare" && cap(got) != n {
+			t.Errorf("%s: result has capacity %d, want exactly the header's %d", name, cap(got), n)
+		}
+	}
+}
+
+// TestReadLabeledHostileHeader: a header count the bytes do not back —
+// a file torn mid-record, or a count of 2⁶⁰ in front of three records —
+// is an error, and costs memory in proportion to the bytes present (one
+// batch when the reader cannot say how many that is), not to the count.
+func TestReadLabeledHostileHeader(t *testing.T) {
+	torn := labeledFile(100, 100)
+	torn = torn[:len(torn)-5]
+	huge := labeledFile(3, 1<<60)
+	const batchBytes = (1 << 16) * (LabeledRecordSize + 40) // one batch: its read buffer and its records
+	for name, tc := range map[string]struct {
+		data   []byte
+		open   func(data []byte) io.Reader
+		budget uint64
+	}{
+		"torn/Len":  {torn, func(d []byte) io.Reader { return bytes.NewReader(d) }, 1 << 16},
+		"torn/bare": {torn, func(d []byte) io.Reader { return bareReader{bytes.NewReader(d)} }, 1 << 16},
+		"huge/Len":  {huge, func(d []byte) io.Reader { return bytes.NewReader(d) }, batchBytes},
+		"huge/Size": {huge, func(d []byte) io.Reader { return sizedReader{bareReader{bytes.NewReader(d)}, int64(len(d))} }, batchBytes},
+		"huge/bare": {huge, func(d []byte) io.Reader { return bareReader{bytes.NewReader(d)} }, 2 * batchBytes},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadLabeled(tc.open(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a header count the file does not hold must be rejected", name)
+		}
+		// 64 KiB of bufio buffer rides on every call.
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > tc.budget+(1<<17) {
+			t.Errorf("%s: allocated %d bytes for a %d-byte file, budget %d", name, spent, len(tc.data), tc.budget+(1<<17))
 		}
 	}
 }
