@@ -34,14 +34,20 @@ race:
 # block, WorkRequest, WorkResponse) and on the frame reader under both
 # socket planes' parameters: no panic, no allocation beyond a small
 # multiple of the input (the frame reader: beyond the plane's limit), one
-# encoding per value. Minimising every new corpus entry would eat the
-# whole budget, hence the 1s cap.
+# encoding per value. Then the HTTP edge: the point-array scanner against
+# encoding/json (same verdict, same bits), and the two point-bearing POSTs
+# through server.Handler (documented status, allocation bounded by the
+# body's length, goroutines return). Minimising every new corpus entry
+# would eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkRequest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/integrity
+	$(GO) test -run='^$$' -fuzz=FuzzPointsBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzStreamTickBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number
@@ -117,24 +123,27 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_20.json, captured by
-# `make bench-gated` at PR 20's head; BENCH_17.json and earlier are
-# history and gate nothing — PR 20 re-based because cell-count
-# classification put the Cluster and GPUDBSCAN rows well below PR 17's
-# and added Classify). Fails if any Cluster, GPUDBSCAN, Classify (gdbscan
+# committed baseline of current performance (BENCH_21.json: the
+# SubmitDecode rows are the per-row median of three `make bench-gated`
+# captures at PR 21's head, the rest are BENCH_20.json's — PR 21 touches
+# none of the code under them, and the box read 1.3-1.6x slow on the
+# parent too the day it was captured; BENCH_20.json and earlier are
+# history and gate nothing). Fails if any Cluster, GPUDBSCAN, Classify (gdbscan
 # pass one alone on one partition of each batch shape), KD-tree Build,
 # Partition (including the
 # write-stage PartitionWrite layouts), planner (MakePlan, Split),
 # StreamTick (engine at two shapes, and the served tick with its durable
-# commit), merge (BuildSummaries, Combine) or distrib (DistribRun end to
-# end over loopback, WireCodec encode/decode) benchmark's wall clock
-# regressed more than 20%.
-BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec)
+# commit), merge (BuildSummaries, Combine), distrib (DistribRun end to
+# end over loopback, WireCodec encode/decode) or SubmitDecode (the HTTP
+# edge's body scanner on both serve_jobs body sizes, beside the
+# encoding/json path it replaced) benchmark's wall clock regressed more
+# than 20%.
+BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_20.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_21.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_20.json was produced).
+# BENCH_run.json, and how BENCH_21.json's rows were produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

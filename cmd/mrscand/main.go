@@ -55,6 +55,17 @@ import (
 	"repro/internal/server"
 )
 
+// Connection limits of the HTTP server, beside the per-body byte limits
+// server.Handler sets itself. A body may be hundreds of megabytes (a
+// tenant's whole point quota inline), so the read timeout is generous;
+// the header timeout is what stops a client that never sends a request.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
@@ -112,7 +123,11 @@ func main() {
 		log.Printf("mrscand: repaired a torn journal tail (crash mid-append) in %s", *stateDir)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := &http.Server{
+		Addr: *addr, Handler: s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("mrscand: serving on %s (workers=%d, state-dir=%q)", *addr, *workers, *stateDir)

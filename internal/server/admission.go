@@ -41,44 +41,75 @@ func (s *Server) tenantLocked(name string) *tenantState {
 	return t
 }
 
-// admitLocked is the admission decision for one submission: drain gate,
-// breaker gate, queue bounds, quota. On success the tenant's quota
-// tokens are charged; every rejection increments
-// server_jobs_rejected_total{tenant,reason} and emits a transition
-// event. Caller holds s.mu.
-func (s *Server) admitLocked(spec *JobSpec) error {
-	reject := func(reason string, err error) error {
-		s.hub.Counter("server_jobs_rejected_total", "tenant", spec.Tenant, "reason", reason).Inc()
-		s.hub.Event(nil, "server.rejected", telemetry.String("tenant", spec.Tenant),
-			telemetry.String("reason", reason))
-		return err
-	}
+// refusalLocked is the admission decision for need more points from
+// tenant, changing nothing: drain gate, breaker gate, queue bounds,
+// quota. A tenant never seen holds nothing. Caller holds s.mu.
+func (s *Server) refusalLocked(tenant string, need int64, now time.Time) (reason string, err error) {
 	if s.draining || s.closed {
-		return reject("draining", fmt.Errorf("%w: tenant %s", ErrDraining, spec.Tenant))
+		return "draining", fmt.Errorf("%w: tenant %s", ErrDraining, tenant)
 	}
-	now := time.Now()
-	t := s.tenantLocked(spec.Tenant)
-	if !s.global.allow(now) {
-		return reject("breaker", fmt.Errorf("%w: pipeline (global)", ErrBreakerOpen))
+	if s.global.isOpen(now) {
+		return "breaker", fmt.Errorf("%w: pipeline (global)", ErrBreakerOpen)
 	}
-	if !t.breaker.allow(now) {
-		return reject("breaker", fmt.Errorf("%w: tenant %s", ErrBreakerOpen, spec.Tenant))
-	}
-	if len(t.queue) >= s.cfg.QueuePerTenant {
-		return reject("queue_full", fmt.Errorf("%w: tenant %s at %d queued jobs",
-			ErrQueueFull, spec.Tenant, len(t.queue)))
+	var held int64
+	if t := s.tenants[tenant]; t != nil {
+		if t.breaker.isOpen(now) {
+			return "breaker", fmt.Errorf("%w: tenant %s", ErrBreakerOpen, tenant)
+		}
+		if len(t.queue) >= s.cfg.QueuePerTenant {
+			return "queue_full", fmt.Errorf("%w: tenant %s at %d queued jobs",
+				ErrQueueFull, tenant, len(t.queue))
+		}
+		held = t.tokens
 	}
 	if s.queued >= s.cfg.QueueTotal {
-		return reject("queue_full", fmt.Errorf("%w: server at %d queued jobs",
-			ErrQueueFull, s.queued))
+		return "queue_full", fmt.Errorf("%w: server at %d queued jobs", ErrQueueFull, s.queued)
 	}
-	need := int64(len(spec.Points))
-	if s.cfg.TenantQuota > 0 && t.tokens+need > s.cfg.TenantQuota {
-		return reject("quota", fmt.Errorf("%w: tenant %s holds %d of %d points, job needs %d",
-			ErrQuotaExceeded, spec.Tenant, t.tokens, s.cfg.TenantQuota, need))
+	if s.cfg.TenantQuota > 0 && held+need > s.cfg.TenantQuota {
+		return "quota", fmt.Errorf("%w: tenant %s holds %d of %d points, job needs %d",
+			ErrQuotaExceeded, tenant, held, s.cfg.TenantQuota, need)
+	}
+	return "", nil
+}
+
+// admitLocked admits one submission or refuses it: on success the
+// tenant's quota tokens are charged. Caller holds s.mu.
+func (s *Server) admitLocked(tenant string, need int64) error {
+	now := time.Now()
+	t := s.tenantLocked(tenant)
+	s.global.closeIfCooled(now)
+	t.breaker.closeIfCooled(now)
+	if reason, err := s.refusalLocked(tenant, need, now); err != nil {
+		s.refusedLocked(tenant, reason)
+		return err
 	}
 	t.tokens += need
 	return nil
+}
+
+// refusedLocked books one refused submission. Caller holds s.mu.
+func (s *Server) refusedLocked(tenant, reason string) {
+	s.hub.Counter("server_jobs_rejected_total", "tenant", tenant, "reason", reason).Inc()
+	s.hub.Event(nil, "server.rejected", telemetry.String("tenant", tenant),
+		telemetry.String("reason", reason))
+}
+
+// precheck is admission run early, on what the HTTP edge knows before it
+// has paid for the points: it refuses (and books) what Submit would
+// refuse for the same tenant and point count, and otherwise changes
+// nothing — Submit's own admission stays the authority.
+func (s *Server) precheck(tenant string, need int64) error {
+	if tenant == "" {
+		tenant = "default"
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reason, err := s.refusalLocked(tenant, need, time.Now())
+	if err != nil {
+		s.hub.Counter("server_jobs_submitted_total", "tenant", tenant).Inc()
+		s.refusedLocked(tenant, reason)
+	}
+	return err
 }
 
 // enqueueLocked appends the job to its tenant's queue. Caller holds

@@ -25,30 +25,32 @@ type breaker struct {
 	state       *telemetry.Gauge
 }
 
-// newBreaker returns a breaker; threshold < 0 disables it (allow always
-// passes). trips/state may be nil-handle telemetry instruments.
+// newBreaker returns a breaker; threshold < 0 disables it (it never
+// opens). trips/state may be nil-handle telemetry instruments.
 func newBreaker(threshold int, cooldown time.Duration, trips *telemetry.Counter, state *telemetry.Gauge) *breaker {
 	return &breaker{threshold: threshold, cooldown: cooldown, trips: trips, state: state}
 }
 
-// allow reports whether admission may proceed, closing the breaker
-// first if its cooldown has elapsed.
-func (b *breaker) allow(now time.Time) bool {
+// isOpen reports whether the breaker rejects admission at now.
+func (b *breaker) isOpen(now time.Time) bool {
 	if b.threshold < 0 {
-		return true
+		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if now.Before(b.openUntil) {
-		return false
-	}
-	if !b.openUntil.IsZero() {
-		// Cooldown over: close and forget the failure streak.
+	return now.Before(b.openUntil)
+}
+
+// closeIfCooled closes a breaker whose cooldown has elapsed and forgets
+// the failure streak that opened it.
+func (b *breaker) closeIfCooled(now time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.openUntil.IsZero() && !now.Before(b.openUntil) {
 		b.openUntil = time.Time{}
 		b.consecutive = 0
 		b.state.Set(0)
 	}
-	return true
 }
 
 // recordFailure counts one failed job; it reports true exactly when

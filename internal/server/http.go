@@ -12,12 +12,15 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/stream"
 )
 
 // HTTP front end for the job server, mounted by cmd/mrscand:
 //
 //	POST /api/v1/jobs             submit → 202 {"id":...}, or a typed
-//	                              rejection: 429 queue_full/quota,
+//	                              refusal: 400 bad_request, 413 too_large,
+//	                              422 duplicate_id/invalid_point/
+//	                              invalid_params, 429 queue_full/quota,
 //	                              503 draining/breaker
 //	GET  /api/v1/jobs             list job statuses
 //	GET  /api/v1/jobs/{id}        one job's status
@@ -32,7 +35,8 @@ import (
 //	GET    /api/v1/streams                list stream statuses
 //	GET    /api/v1/streams/{id}           one stream's status
 //	POST   /api/v1/streams/{id}/points    feed one tick of arrivals →
-//	                                      tick stats; 429 quota applies
+//	                                      tick stats; 400, 413, 422 and
+//	                                      429 quota as for jobs
 //	GET    /api/v1/streams/{id}/clusters  cluster summary (ids + sizes)
 //	GET    /api/v1/streams/{id}/snapshot  full labeled window (chunked)
 //	DELETE /api/v1/streams/{id}           close and discard the stream
@@ -41,35 +45,24 @@ import (
 // readable reasons mirroring the typed errors, and 429s carry a
 // Retry-After hint — backpressure that HTTP clients can act on.
 //
+// Every POST body is read under a byte limit (body.go): a tenant's point
+// quota times the longest a point can be written for the two point-
+// bearing POSTs, 1 MiB for stream creation. A submission is refused as
+// early as what has been read allows: a tenant named before its points
+// goes through admission's gates before they are scanned, and a dataset
+// request before anything is generated.
+//
 // Large label payloads (job results, stream snapshots) are written
 // incrementally through a fixed-size buffer rather than materialized as
 // one in-memory JSON document, so a million-point result costs the
 // handler kilobytes, not hundreds of megabytes.
 
-// submitRequest is the POST body. Either inline points or a generated
-// dataset must be given.
-type submitRequest struct {
-	Tenant string  `json:"tenant"`
-	Eps    float64 `json:"eps"`
-	MinPts int     `json:"min_pts"`
-	Leaves int     `json:"leaves,omitempty"`
-	// DeadlineMS overrides the server's per-job timeout (milliseconds).
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// NoDegrade opts out of degraded mode for this job.
-	NoDegrade bool `json:"no_degrade,omitempty"`
-	// Points carries the dataset inline…
-	Points []pointJSON `json:"points,omitempty"`
-	// …or Dataset asks the server to generate one of the paper's
-	// distributions (handy for curl-driven exploration and soak tests).
-	Dataset *datasetJSON `json:"dataset,omitempty"`
-}
-
-type pointJSON struct {
-	ID uint64  `json:"id"`
-	X  float64 `json:"x"`
-	Y  float64 `json:"y"`
-}
-
+// A job submission is an object of tenant, eps, min_pts, leaves,
+// deadline_ms (overrides the server's per-job timeout), no_degrade
+// (opts out of degraded mode) and either points — [{"id","x","y"},…]
+// inline — or dataset, which asks the server to generate one of the
+// paper's distributions (handy for curl-driven exploration and soak
+// tests).
 type datasetJSON struct {
 	Dist string `json:"dist"` // twitter | sdss | uniform
 	N    int    `json:"n"`
@@ -84,14 +77,14 @@ type errorJSON struct {
 // Handler returns the HTTP API over the server.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /api/v1/jobs", limited(s.bodyLimit(), s.handleSubmit))
 	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("POST /api/v1/streams", s.handleStreamCreate)
+	mux.HandleFunc("POST /api/v1/streams", limited(createStreamLimit, s.handleStreamCreate))
 	mux.HandleFunc("GET /api/v1/streams", s.handleStreamList)
 	mux.HandleFunc("GET /api/v1/streams/{id}", s.handleStreamStatus)
-	mux.HandleFunc("POST /api/v1/streams/{id}/points", s.handleStreamTick)
+	mux.HandleFunc("POST /api/v1/streams/{id}/points", limited(s.bodyLimit(), s.handleStreamTick))
 	mux.HandleFunc("GET /api/v1/streams/{id}/clusters", s.handleStreamClusters)
 	mux.HandleFunc("GET /api/v1/streams/{id}/snapshot", s.handleStreamSnapshot)
 	mux.HandleFunc("DELETE /api/v1/streams/{id}", s.handleStreamDelete)
@@ -106,52 +99,108 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid JSON: " + err.Error(), Reason: "bad_request"})
-		return
+// refuse answers a request with the status and reason of err.
+func refuse(w http.ResponseWriter, err error) {
+	code, reason := rejectionStatus(err)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
 	}
-	spec := JobSpec{
-		Tenant: req.Tenant, Eps: req.Eps, MinPts: req.MinPts,
-		Leaves: req.Leaves, NoDegrade: req.NoDegrade,
-	}
-	if req.DeadlineMS > 0 {
-		spec.Deadline = time.Duration(req.DeadlineMS) * time.Millisecond
-	}
-	switch {
-	case len(req.Points) > 0:
-		spec.Points = make([]geom.Point, len(req.Points))
-		for i, p := range req.Points {
-			spec.Points[i] = geom.Point{ID: p.ID, X: p.X, Y: p.Y}
-		}
-	case req.Dataset != nil:
-		pts, err := generate(*req.Dataset)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorJSON{Error: err.Error(), Reason: "bad_request"})
-			return
-		}
-		spec.Points = pts
-	default:
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "submission needs points or dataset", Reason: "bad_request"})
-		return
-	}
+	writeJSON(w, code, errorJSON{Error: err.Error(), Reason: reason})
+}
 
-	id, err := s.Submit(spec)
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := readBody(r)
 	if err != nil {
-		code, reason := rejectionStatus(err)
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, code, errorJSON{Error: err.Error(), Reason: reason})
+		refuse(w, err)
+		return
+	}
+	spec, ds, err := s.decodeSubmission(*body)
+	releaseBody(body)
+	if err == nil && len(spec.Points) == 0 {
+		spec.Points, err = s.generateFor(spec.Tenant, ds)
+	}
+	var id string
+	if err == nil {
+		id, err = s.Submit(spec)
+	}
+	if err != nil {
+		refuse(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
-// rejectionStatus maps the typed admission errors onto HTTP semantics.
+// decodeSubmission decodes a job submission. Members are decoded in the
+// order they arrive, so with the tenant ahead of its points (the order
+// the README shows) a submission admission would turn away is refused
+// with the points unscanned.
+func (s *Server) decodeSubmission(body []byte) (spec JobSpec, ds *datasetJSON, err error) {
+	var (
+		deadlineMS int64
+		haveTenant bool
+	)
+	o := object{b: body, depth: 1}
+	for o.next() {
+		switch {
+		case o.keyIs("tenant"):
+			o.decode(&spec.Tenant)
+			haveTenant = true
+		case o.keyIs("eps"):
+			o.decode(&spec.Eps)
+		case o.keyIs("min_pts"):
+			o.decode(&spec.MinPts)
+		case o.keyIs("leaves"):
+			o.decode(&spec.Leaves)
+		case o.keyIs("deadline_ms"):
+			o.decode(&deadlineMS)
+		case o.keyIs("no_degrade"):
+			o.decode(&spec.NoDegrade)
+		case o.keyIs("dataset"):
+			o.decode(&ds)
+		case o.keyIs("points"):
+			if haveTenant {
+				if err := s.precheck(spec.Tenant, 0); err != nil {
+					return JobSpec{}, nil, err
+				}
+			}
+			spec.Points = o.points(s.pointsLimit())
+		}
+	}
+	if o.err != nil {
+		return JobSpec{}, nil, o.err
+	}
+	if deadlineMS > 0 {
+		spec.Deadline = time.Duration(deadlineMS) * time.Millisecond
+	}
+	return spec, ds, nil
+}
+
+// generateFor generates the dataset a submission without points asked
+// for — once admission has seen its size: a refused 10 M-point request
+// must not allocate its 320 MB first.
+func (s *Server) generateFor(tenant string, ds *datasetJSON) ([]geom.Point, error) {
+	if ds == nil {
+		return nil, errors.New("submission needs points or dataset")
+	}
+	if err := s.precheck(tenant, int64(ds.N)); err != nil {
+		return nil, err
+	}
+	return generate(*ds)
+}
+
+// rejectionStatus maps the typed errors onto HTTP semantics; anything
+// untyped is the client's malformed request.
 func rejectionStatus(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
+	case errors.Is(err, errDuplicateID):
+		return http.StatusUnprocessableEntity, "duplicate_id"
+	case errors.Is(err, errInvalidPoint):
+		return http.StatusUnprocessableEntity, "invalid_point"
+	case errors.Is(err, ErrInvalidInput):
+		return http.StatusUnprocessableEntity, "invalid_params"
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, ErrQuotaExceeded):
@@ -170,7 +219,7 @@ func rejectionStatus(err error) (int, string) {
 }
 
 func generate(d datasetJSON) ([]geom.Point, error) {
-	if d.N <= 0 || d.N > 10_000_000 {
+	if d.N <= 0 || d.N > maxDatasetPoints {
 		return nil, fmt.Errorf("dataset n must be in (0, 10M], got %d", d.N)
 	}
 	switch d.Dist {
@@ -264,19 +313,10 @@ type tickStatsJSON struct {
 	ElapsedMS    float64 `json:"elapsed_ms"`
 }
 
-// streamError writes a stream-API error with the right HTTP semantics.
-func streamError(w http.ResponseWriter, err error) {
-	code, reason := rejectionStatus(err)
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, errorJSON{Error: err.Error(), Reason: reason})
-}
-
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	var req createStreamRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid JSON: " + err.Error(), Reason: "bad_request"})
+		refuse(w, fmt.Errorf("invalid JSON: %w", err))
 		return
 	}
 	id, err := s.CreateStream(StreamSpec{
@@ -286,7 +326,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		Seed: req.Seed,
 	})
 	if err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"id": id})
@@ -299,27 +339,26 @@ func (s *Server) handleStreamList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.StreamStatus(r.PathValue("id"))
 	if err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points []pointJSON `json:"points"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorJSON{Error: "invalid JSON: " + err.Error(), Reason: "bad_request"})
+	body, err := readBody(r)
+	if err != nil {
+		refuse(w, err)
 		return
 	}
-	pts := make([]geom.Point, len(req.Points))
-	for i, p := range req.Points {
-		pts[i] = geom.Point{ID: p.ID, X: p.X, Y: p.Y}
+	pts, err := s.decodeTick(*body)
+	releaseBody(body)
+	var stats stream.TickStats
+	if err == nil {
+		stats, err = s.StreamTick(r.PathValue("id"), pts)
 	}
-	stats, err := s.StreamTick(r.PathValue("id"), pts)
 	if err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, tickStatsJSON{
@@ -330,10 +369,22 @@ func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeTick decodes a stream tick, {"points":[…]}.
+func (s *Server) decodeTick(body []byte) ([]geom.Point, error) {
+	var pts []geom.Point
+	o := object{b: body, depth: 1}
+	for o.next() {
+		if o.keyIs("points") {
+			pts = o.points(s.pointsLimit())
+		}
+	}
+	return pts, o.err
+}
+
 func (s *Server) handleStreamClusters(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.StreamSnapshot(r.PathValue("id"))
 	if err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	sizes := make(map[int]int)
@@ -370,7 +421,7 @@ func (s *Server) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, err := s.StreamSnapshot(id)
 	if err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -401,7 +452,7 @@ func (s *Server) handleStreamSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.CloseStream(r.PathValue("id")); err != nil {
-		streamError(w, err)
+		refuse(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

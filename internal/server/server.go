@@ -11,7 +11,7 @@
 //	            │                   │    ↘ suspended (drain / process death)
 //	            ↘ rejected           ↘ resumed → running → …
 //	              (ErrQueueFull | ErrQuotaExceeded |
-//	               ErrDraining  | ErrBreakerOpen)
+//	               ErrDraining  | ErrBreakerOpen | ErrInvalidInput)
 //
 // Four mechanisms implement it:
 //
@@ -83,6 +83,13 @@ var (
 	// ErrBreakerOpen: the tenant's (or the global) circuit breaker is
 	// open after consecutive failures; admission resumes after cooldown.
 	ErrBreakerOpen = errors.New("server: circuit breaker open")
+	// ErrInvalidInput: the submission can never run, whatever the load —
+	// two points share an ID, a coordinate is not finite or lies 2³⁰ Eps
+	// cells or more from the origin (grid.Coord is int32), or the
+	// parameters are out of range. It is refused before it holds tokens or
+	// becomes a job, so a client's bad input never counts against a
+	// breaker.
+	ErrInvalidInput = errors.New("server: invalid input")
 	// ErrUnknownJob: no job with that ID.
 	ErrUnknownJob = errors.New("server: unknown job")
 	// ErrJobNotFinished: the job exists but has not reached a terminal
@@ -380,8 +387,10 @@ func newServer(cfg Config, streamFS func(dir string) (checkpoint.FS, error)) (*S
 // Hub returns the server-level telemetry hub (metrics + events).
 func (s *Server) Hub() *telemetry.Hub { return s.hub }
 
-// Submit runs admission control and either queues the job (returning
-// its ID) or rejects it with one of the typed errors. The degraded-mode
+// Submit validates the input (ErrInvalidInput: nothing is held, counted
+// or created for input that could never run), runs admission control and
+// either queues the job (returning its ID) or rejects it with one of the
+// typed errors. The degraded-mode
 // decision is taken here — "new jobs run degraded" once the overload
 // watermarks are crossed — and recorded on the job before it runs.
 func (s *Server) Submit(spec JobSpec) (string, error) {
@@ -391,8 +400,8 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	if len(spec.Points) == 0 {
 		return "", fmt.Errorf("server: job has no points")
 	}
-	if spec.Eps <= 0 || spec.MinPts < 1 {
-		return "", fmt.Errorf("server: invalid parameters eps=%v minPts=%d", spec.Eps, spec.MinPts)
+	if err := validateInput(spec.Points, spec.Eps, spec.MinPts); err != nil {
+		return "", err
 	}
 	if spec.Leaves <= 0 {
 		spec.Leaves = 2
@@ -400,7 +409,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 
 	s.mu.Lock()
 	s.hub.Counter("server_jobs_submitted_total", "tenant", spec.Tenant).Inc()
-	if err := s.admitLocked(&spec); err != nil {
+	if err := s.admitLocked(spec.Tenant, int64(len(spec.Points))); err != nil {
 		s.mu.Unlock()
 		return "", err
 	}

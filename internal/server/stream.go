@@ -285,6 +285,8 @@ func (s *Server) lookupStream(id string) (*streamState, error) {
 // apply per tick: draining rejects new points, and the tenant's point
 // quota is charged for arrivals and refunded for expiries, so a
 // stream's live window counts against the same budget as queued jobs.
+// A batch with a bad coordinate or an ID already in use (in the batch or
+// the live window) is refused with ErrInvalidInput, the window untouched.
 // On success the tick is durable before returning. If the engine takes
 // the tick but the save fails, the call returns the checkpoint error
 // with the window advanced in memory; the tick stays queued and becomes
@@ -295,6 +297,9 @@ func (s *Server) StreamTick(id string, pts []geom.Point) (stream.TickStats, erro
 		return stream.TickStats{}, err
 	}
 	tenant := st.spec.Tenant
+	if err := validatePoints(pts, st.spec.Eps); err != nil {
+		return stream.TickStats{}, err
+	}
 
 	s.mu.Lock()
 	if s.draining || s.closed {
@@ -354,7 +359,9 @@ func (s *Server) StreamTick(id string, pts []geom.Point) (stream.TickStats, erro
 	s.hub.Gauge("server_tenant_tokens", "tenant", tenant).Set(t.tokens)
 	s.mu.Unlock()
 	if err != nil {
-		return stream.TickStats{}, err
+		// The batch passed validatePoints, so what the engine refused is an
+		// ID still live in the window.
+		return stream.TickStats{}, fmt.Errorf("%w: %v", errDuplicateID, err)
 	}
 	if saveErr != nil {
 		return stats, fmt.Errorf("server: checkpointing stream %s: %w", id, saveErr)

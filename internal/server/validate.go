@@ -1,0 +1,84 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/geom"
+)
+
+// Input validation for Submit and StreamTick. What it refuses would
+// otherwise be admitted, run, and fail (or mislabel) inside the
+// pipeline, where failLocked books the failure against the tenant's and
+// the global breaker — a client's bad bodies would shed every tenant.
+// Refused here it costs one pass over the points and no map.
+
+// The three kinds of ErrInvalidInput, by the HTTP reason they map to.
+var (
+	errDuplicateID   = fmt.Errorf("%w: duplicate point ID", ErrInvalidInput)
+	errInvalidPoint  = fmt.Errorf("%w: point", ErrInvalidInput)
+	errInvalidParams = fmt.Errorf("%w: parameters", ErrInvalidInput)
+)
+
+// maxCell bounds |coordinate|/Eps at half of what grid.Coord's int32
+// holds: a cell index, its neighbours' and the difference of any two
+// then fit, with room for the rounding of the division.
+const maxCell = 1 << 30
+
+func validateInput(pts []geom.Point, eps float64, minPts int) error {
+	if !(eps > 0) || math.IsInf(eps, 0) || minPts < 1 {
+		return fmt.Errorf("%w: eps=%v minPts=%d", errInvalidParams, eps, minPts)
+	}
+	return validatePoints(pts, eps)
+}
+
+// validatePoints refuses a coordinate that is not finite or lies maxCell
+// cells or more from the origin, and an ID carried by two points.
+func validatePoints(pts []geom.Point, eps float64) error {
+	if len(pts) == 0 {
+		return nil
+	}
+	lo, hi := pts[0].ID, pts[0].ID
+	reach := maxCell * eps
+	for _, p := range pts {
+		// NaN fails every comparison, so the negated form catches it.
+		if !(math.Abs(p.X) < reach && math.Abs(p.Y) < reach) {
+			return fmt.Errorf("%w %d at (%v, %v) is not finite or beyond %d Eps cells of the origin",
+				errInvalidPoint, p.ID, p.X, p.Y, maxCell)
+		}
+		lo, hi = min(lo, p.ID), max(hi, p.ID)
+	}
+	if dup, ok := duplicateID(pts, lo, hi); ok {
+		return fmt.Errorf("%w %d", errDuplicateID, dup)
+	}
+	return nil
+}
+
+// duplicateID finds an ID two points share. IDs spanning at most 64 per
+// point (every generated dataset's do) are marked in a bit table of that
+// span, as geom.AlignByID tells duplicates; anything sparser is sorted.
+func duplicateID(pts []geom.Point, lo, hi uint64) (uint64, bool) {
+	if span := hi - lo; span/64 < uint64(len(pts)) {
+		seen := make([]uint64, span/64+1)
+		for _, p := range pts {
+			w, bit := (p.ID-lo)/64, uint64(1)<<((p.ID-lo)%64)
+			if seen[w]&bit != 0 {
+				return p.ID, true
+			}
+			seen[w] |= bit
+		}
+		return 0, false
+	}
+	ids := make([]uint64, len(pts))
+	for i, p := range pts {
+		ids[i] = p.ID
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return ids[i], true
+		}
+	}
+	return 0, false
+}
