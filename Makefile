@@ -123,27 +123,27 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_21.json: the
-# SubmitDecode rows are the per-row median of three `make bench-gated`
-# captures at PR 21's head, the rest are BENCH_20.json's — PR 21 touches
-# none of the code under them, and the box read 1.3-1.6x slow on the
-# parent too the day it was captured; BENCH_20.json and earlier are
-# history and gate nothing). Fails if any Cluster, GPUDBSCAN, Classify (gdbscan
-# pass one alone on one partition of each batch shape), KD-tree Build,
-# Partition (including the
-# write-stage PartitionWrite layouts), planner (MakePlan, Split),
-# StreamTick (engine at two shapes, and the served tick with its durable
-# commit), merge (BuildSummaries, Combine), distrib (DistribRun end to
-# end over loopback, WireCodec encode/decode) or SubmitDecode (the HTTP
-# edge's body scanner on both serve_jobs body sizes, beside the
-# encoding/json path it replaced) benchmark's wall clock regressed more
-# than 20%.
-BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode)
+# committed baseline of current performance (BENCH_22.json: BENCH_21.json's
+# rows plus the two RunPoints rows, which are the per-row median of three
+# `make bench-gated` captures at PR 22's head; EXPERIMENTS.md "Batch data
+# path (PR 22)" says which other rows were re-captured and why; BENCH_21.json
+# and earlier are history and gate nothing). Fails if any Cluster,
+# GPUDBSCAN, Classify (gdbscan pass one alone on one partition of each
+# batch shape), KD-tree Build, Partition (including the write-stage
+# PartitionWrite layouts), planner (MakePlan, Split), StreamTick (engine at
+# two shapes, and the served tick with its durable commit), merge
+# (BuildSummaries, Combine), distrib (DistribRun end to end over loopback,
+# WireCodec encode/decode), SubmitDecode (the HTTP edge's body scanner on
+# both serve_jobs body sizes, beside the encoding/json path it replaced) or
+# RunPoints (the whole front door at the two batch workloads' shapes)
+# benchmark's wall clock regressed more than 20%, or its B/op — which
+# repeats to under 1% where ns/op moves by tens — grew more than 5%.
+BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_21.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_22.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_21.json's rows were produced).
+# BENCH_run.json, and how BENCH_22.json's rows were produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

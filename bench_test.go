@@ -409,6 +409,29 @@ func BenchmarkClusterMultiPartition(b *testing.B) {
 	}
 }
 
+// BenchmarkRunPoints is the whole front door at the two batch workloads'
+// shapes (benchmark/'s batch_io and batch_dense): points in, aligned
+// labels out, through every file of the batch data path. B/op here is the
+// number behind alloc_mb_per_mpoint, and it repeats to well under 1 %,
+// which is what lets benchjson gate it.
+func BenchmarkRunPoints(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		pts  []Point
+		cfg  Config
+	}{
+		{"sdss150k_16", dataset.SDSS(150_000, 1), Default(0.00015, 5, 16)},
+		{"twitter60k_8", twitterData(60_000), Default(0.1, 40, 8)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runPipeline(b, c.pts, c.cfg)
+			}
+		})
+	}
+}
+
 // BenchmarkPartition is the partition-phase microbenchmark: the full
 // in-memory partition computation — density histogram, plan (with the
 // backward rebalancing pass), and the point split with shadow

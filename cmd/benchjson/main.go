@@ -22,9 +22,14 @@
 // package + name — the host's GOMAXPROCS suffix ("-8") is stripped, so
 // baselines transfer between machines with different core counts — and
 // the command exits nonzero if any matched benchmark's wall clock
-// (ns/op) regressed by more than -threshold percent, or if a baseline
-// benchmark selected by -match is missing from the run (deleting the
-// gated benchmark must not pass the gate).
+// (ns/op) regressed by more than -threshold percent, if its allocation
+// (B/op, where the baseline recorded one) grew by more than
+// -bytes-threshold percent, or if a baseline benchmark selected by -match
+// is missing from the run (deleting the gated benchmark must not pass the
+// gate). Bytes get the tighter gate because they repeat: B/op moves by
+// well under 1 % between runs of these benchmarks where ns/op moves by
+// tens. Growth below bytesNoiseFloor is never a failure: a row that
+// allocates a kilobyte doubles when the runtime parks one more goroutine.
 package main
 
 import (
@@ -65,6 +70,7 @@ func main() {
 	out := flag.String("o", "BENCH_run.json", "output JSON file (- for stdout)")
 	compare := flag.String("compare", "", "baseline JSON file; compare the input run against it instead of converting")
 	threshold := flag.Float64("threshold", 20, "ns/op regression threshold in percent for -compare")
+	bytesThreshold := flag.Float64("bytes-threshold", 5, "B/op regression threshold in percent for -compare (rows whose baseline has no B/op are skipped)")
 	match := flag.String("match", "", "regexp selecting benchmark names for -compare (default: all baseline benchmarks)")
 	flag.Parse()
 
@@ -89,7 +95,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		report, failed, err := compareRuns(base, cur, *threshold, *match)
+		report, failed, err := compareRuns(base, cur, *threshold, *bytesThreshold, *match)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -139,6 +145,12 @@ func readRun(in io.Reader) (*Run, error) {
 	return parse(bytes.NewReader(data))
 }
 
+// bytesNoiseFloor is the B/op growth the bytes gate ignores whatever the
+// percentage: the allocation-free kernels (Classify: 0.8-6 KB/op over six
+// -benchtime=3x captures) move by that much on runtime bookkeeping alone.
+// Rows of 320 KB/op and more — all but five — are gated at the percentage.
+const bytesNoiseFloor = 16 << 10
+
 // benchKey identifies a benchmark across runs: package plus name with
 // the trailing GOMAXPROCS suffix ("-8") removed, so a baseline captured
 // on one machine gates runs from another.
@@ -148,11 +160,12 @@ func benchKey(b *Benchmark) string {
 	return b.Package + " " + procSuffix.ReplaceAllString(b.Name, "")
 }
 
-// compareRuns diffs cur against base on ns/op. It returns a human
-// report, whether the gate failed, and any setup error (bad regexp).
-// Failures: a matched benchmark regressing past thresholdPct, or a
-// matched baseline benchmark absent from cur.
-func compareRuns(base, cur *Run, thresholdPct float64, match string) (string, bool, error) {
+// compareRuns diffs cur against base on ns/op and, where the baseline row
+// has one, on B/op. It returns a human report, whether the gate failed,
+// and any setup error (bad regexp). Failures: a matched benchmark's ns/op
+// regressing past thresholdPct or its B/op past bytesPct, or a matched
+// baseline benchmark absent from cur.
+func compareRuns(base, cur *Run, thresholdPct, bytesPct float64, match string) (string, bool, error) {
 	var re *regexp.Regexp
 	if match != "" {
 		var err error
@@ -191,12 +204,20 @@ func compareRuns(base, cur *Run, thresholdPct float64, match string) (string, bo
 		}
 		fmt.Fprintf(&sb, "%s %-60s %14.0f -> %14.0f ns/op  %+7.1f%%\n",
 			verdict, key, b.NsPerOp, c.NsPerOp, deltaPct)
+		if b.BytesPerOp > 0 {
+			bytesDelta := (c.BytesPerOp - b.BytesPerOp) / b.BytesPerOp * 100
+			if bytesDelta > bytesPct && c.BytesPerOp-b.BytesPerOp > bytesNoiseFloor {
+				fmt.Fprintf(&sb, "REGRESS  %-60s %14.0f -> %14.0f B/op   %+7.1f%%\n",
+					key, b.BytesPerOp, c.BytesPerOp, bytesDelta)
+				failed = true
+			}
+		}
 	}
 	if compared == 0 && !failed {
 		fmt.Fprintf(&sb, "benchjson: no baseline benchmarks matched\n")
 		failed = true
 	}
-	fmt.Fprintf(&sb, "benchjson: compared %d benchmarks against baseline (threshold %+.0f%%)\n", compared, thresholdPct)
+	fmt.Fprintf(&sb, "benchjson: compared %d benchmarks against baseline (threshold %+.0f%% ns/op, %+.0f%% B/op)\n", compared, thresholdPct, bytesPct)
 	return sb.String(), failed, nil
 }
 

@@ -62,7 +62,7 @@ func run(benches ...Benchmark) *Run { return &Run{Benchmarks: benches} }
 func TestCompareWithinThreshold(t *testing.T) {
 	base := run(Benchmark{Package: "repro", Name: "BenchmarkCluster/parts=4", NsPerOp: 100})
 	cur := run(Benchmark{Package: "repro", Name: "BenchmarkCluster/parts=4", NsPerOp: 110})
-	report, failed, err := compareRuns(base, cur, 20, "")
+	report, failed, err := compareRuns(base, cur, 20, 5, "")
 	if err != nil || failed {
 		t.Fatalf("10%% slowdown under 20%% threshold failed: %v\n%s", err, report)
 	}
@@ -71,7 +71,7 @@ func TestCompareWithinThreshold(t *testing.T) {
 func TestCompareRegressionFails(t *testing.T) {
 	base := run(Benchmark{Package: "repro", Name: "BenchmarkCluster", NsPerOp: 100})
 	cur := run(Benchmark{Package: "repro", Name: "BenchmarkCluster", NsPerOp: 125})
-	report, failed, err := compareRuns(base, cur, 20, "")
+	report, failed, err := compareRuns(base, cur, 20, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestCompareRegressionFails(t *testing.T) {
 func TestCompareImprovementPasses(t *testing.T) {
 	base := run(Benchmark{Package: "repro", Name: "BenchmarkCluster", NsPerOp: 100})
 	cur := run(Benchmark{Package: "repro", Name: "BenchmarkCluster", NsPerOp: 50})
-	if _, failed, _ := compareRuns(base, cur, 20, ""); failed {
+	if _, failed, _ := compareRuns(base, cur, 20, 5, ""); failed {
 		t.Fatal("a 50% improvement must pass")
 	}
 }
@@ -92,7 +92,7 @@ func TestCompareStripsProcSuffix(t *testing.T) {
 	// Baseline captured on a 1-core host, run produced on an 8-core one.
 	base := run(Benchmark{Package: "repro", Name: "BenchmarkCluster/parts=4", NsPerOp: 100})
 	cur := run(Benchmark{Package: "repro", Name: "BenchmarkCluster/parts=4-8", NsPerOp: 105})
-	report, failed, err := compareRuns(base, cur, 20, "")
+	report, failed, err := compareRuns(base, cur, 20, 5, "")
 	if err != nil || failed {
 		t.Fatalf("suffix mismatch broke the comparison: %v\n%s", err, report)
 	}
@@ -104,7 +104,7 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 		Benchmark{Package: "repro", Name: "BenchmarkOther", NsPerOp: 100},
 	)
 	cur := run(Benchmark{Package: "repro", Name: "BenchmarkOther", NsPerOp: 100})
-	report, failed, err := compareRuns(base, cur, 20, "")
+	report, failed, err := compareRuns(base, cur, 20, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,58 @@ func TestCompareMatchFilter(t *testing.T) {
 		Benchmark{Package: "repro", Name: "BenchmarkNoisy", NsPerOp: 900},
 	)
 	// The noisy benchmark regressed 9x, but only Cluster is gated.
-	if _, failed, err := compareRuns(base, cur, 20, "^BenchmarkCluster"); err != nil || failed {
+	if _, failed, err := compareRuns(base, cur, 20, 5, "^BenchmarkCluster"); err != nil || failed {
 		t.Fatal("match filter did not exclude the un-gated benchmark")
 	}
 	// No benchmark matching the filter at all is a gate failure.
-	if _, failed, _ := compareRuns(base, cur, 20, "^BenchmarkAbsent"); !failed {
+	if _, failed, _ := compareRuns(base, cur, 20, 5, "^BenchmarkAbsent"); !failed {
 		t.Fatal("empty comparison must fail, not silently pass")
 	}
 	// A bad regexp is a setup error.
-	if _, _, err := compareRuns(base, cur, 20, "("); err == nil {
+	if _, _, err := compareRuns(base, cur, 20, 5, "("); err == nil {
 		t.Fatal("invalid regexp accepted")
+	}
+}
+
+func TestCompareBytesGate(t *testing.T) {
+	base := run(
+		Benchmark{Package: "repro", Name: "BenchmarkRunPoints/sdss", NsPerOp: 100, BytesPerOp: 70_000_000},
+		Benchmark{Package: "repro", Name: "BenchmarkNoMem", NsPerOp: 100}, // captured without -benchmem
+	)
+	within := run(
+		Benchmark{Package: "repro", Name: "BenchmarkRunPoints/sdss", NsPerOp: 115, BytesPerOp: 72_000_000},
+		Benchmark{Package: "repro", Name: "BenchmarkNoMem", NsPerOp: 100, BytesPerOp: 1 << 30},
+	)
+	if report, failed, err := compareRuns(base, within, 20, 5, ""); err != nil || failed {
+		t.Fatalf("+2.9%% B/op under a 5%% gate (and a row with no baseline B/op) failed: %v\n%s", err, report)
+	}
+	// Faster, but a second copy of the files is back: the bytes gate
+	// fails what the wall-clock gate would wave through.
+	grown := run(
+		Benchmark{Package: "repro", Name: "BenchmarkRunPoints/sdss", NsPerOp: 90, BytesPerOp: 114_000_000},
+		Benchmark{Package: "repro", Name: "BenchmarkNoMem", NsPerOp: 100},
+	)
+	report, failed, err := compareRuns(base, grown, 20, 5, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed || !strings.Contains(report, "B/op") || !strings.Contains(report, "REGRESS") {
+		t.Fatalf("+63%% B/op passed a 5%% gate:\n%s", report)
+	}
+	if _, failed, _ := compareRuns(base, grown, 20, 100, ""); failed {
+		t.Fatal("-bytes-threshold 100 must let +63% through")
+	}
+	// A kilobyte row doubling is runtime bookkeeping, not a regression.
+	tiny := run(Benchmark{Package: "repro", Name: "BenchmarkClassify", NsPerOp: 100, BytesPerOp: 816})
+	if report, failed, _ := compareRuns(tiny, run(Benchmark{Package: "repro", Name: "BenchmarkClassify", NsPerOp: 100, BytesPerOp: 1584}), 20, 5, ""); failed {
+		t.Fatalf("+768 B on an 816 B row failed the gate:\n%s", report)
+	}
+	// Fewer bytes, or none reported by the run, never fail.
+	shrunk := run(
+		Benchmark{Package: "repro", Name: "BenchmarkRunPoints/sdss", NsPerOp: 100, BytesPerOp: 1},
+		Benchmark{Package: "repro", Name: "BenchmarkNoMem", NsPerOp: 100},
+	)
+	if report, failed, _ := compareRuns(base, shrunk, 20, 5, ""); failed {
+		t.Fatalf("an allocation saving failed the gate:\n%s", report)
 	}
 }

@@ -148,22 +148,13 @@ func restorePartitions(store *checkpoint.Store, reqs []WorkRequest) (responses [
 // global IDs through one table per leaf (-1 where the mapping has no
 // entry) and aligns them with pts by point ID.
 func alignLabels(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32) ([]int, error) {
-	global := make([][]int32, len(reqs))
+	global := merge.GlobalByLeaf(mapping, len(reqs))
 	starts := make([]int, len(reqs)+1) // leaf's owned points are pairs starts[leaf]..starts[leaf+1]
 	for leaf, r := range responses {
 		if len(r.Labels) != len(reqs[leaf].Owned) {
 			return nil, fmt.Errorf("distrib: leaf %d returned %d labels for %d points", leaf, len(r.Labels), len(reqs[leaf].Owned))
 		}
 		starts[leaf+1] = starts[leaf] + len(r.Labels)
-		global[leaf] = make([]int32, max(r.NumClusters, 0))
-		for i := range global[leaf] {
-			global[leaf][i] = -1
-		}
-	}
-	for k, gid := range mapping {
-		if l := int(k.Leaf); l >= 0 && l < len(global) && k.Local >= 0 && int(k.Local) < len(global[l]) {
-			global[l][k.Local] = gid
-		}
 	}
 	const absent = -2
 	var unmapped error

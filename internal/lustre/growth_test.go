@@ -3,9 +3,15 @@ package lustre
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/faultinject"
 )
 
 // TestAppendAllocatesLinearly: a writer appending chunk by chunk must
@@ -170,4 +176,135 @@ func TestConcurrentDisjointWritesGrowOneFile(t *testing.T) {
 			t.Fatalf("byte %d = %d, want %d", i, b, want)
 		}
 	}
+}
+
+// TestGrowIsNotAWrite: Grow reserves capacity and nothing else. Two file
+// systems run the same seeded script — writes under a write-corruption
+// plan with integrity on, a sync, an unsynced tail — one of them calling
+// Grow along the way; everything observable must agree, before and after
+// a power failure.
+func TestGrowIsNotAWrite(t *testing.T) {
+	type observed struct {
+		size      int64
+		pastEnd   error
+		stats     Stats
+		ops       int64
+		sim       time.Duration
+		durable   []byte
+		integrity IntegrityReport
+		recovered []byte
+	}
+	run := func(grow bool) observed {
+		fs := New(testConfig(), nil)
+		fs.EnableIntegrity()
+		fs.EnableCrashSim(11)
+		fs.SetFaultPlan(faultinject.New(3).Arm(faultinject.LustreWrite, faultinject.Rule{Corrupt: true, After: 2, Times: 1}))
+		h := fs.Create("dir/file")
+		if grow {
+			h.Grow(1 << 20)
+		}
+		for off := 0; off < 5*integrityBlock; off += integrityBlock {
+			if _, err := h.WriteAt(bytes.Repeat([]byte{byte(off/integrityBlock + 1)}, integrityBlock), int64(off)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.SyncDir("dir"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt([]byte("unsynced tail"), 5*integrityBlock); err != nil {
+			t.Fatal(err)
+		}
+		if grow {
+			h.Grow(1 << 20) // also with content, a durable image and dirty writes in place
+			if cap(h.f.data)-len(h.f.data) < 1<<20 {
+				t.Fatalf("Grow(1 MiB) left %d spare bytes", cap(h.f.data)-len(h.f.data))
+			}
+		}
+		var o observed
+		o.size = h.Size()
+		_, o.pastEnd = h.ReadAt(make([]byte, 8), o.size)
+		o.stats, o.ops, o.sim = fs.Stats(), fs.OpCount(), fs.Clock().Total()
+		o.durable = cloneBytes(h.f.durable)
+		o.integrity = fs.IntegrityReport()
+		fs.CrashNow()
+		if _, err := fs.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		o.recovered = readBack(t, fs, "dir/file")
+		return o
+	}
+	plain, grown := run(false), run(true)
+	if plain.pastEnd != io.EOF {
+		t.Fatalf("read at the end of the file: %v, want io.EOF", plain.pastEnd)
+	}
+	if !reflect.DeepEqual(plain, grown) {
+		t.Errorf("Grow changed what the file system shows:\nwithout %+v\nwith    %+v", plain, grown)
+	}
+}
+
+// TestGrownFileAllocatesOnce: after Grow(final size) the file's bytes are
+// allocated — every write, sequential or concurrent and out of order,
+// lands in that one array.
+func TestGrownFileAllocatesOnce(t *testing.T) {
+	const chunk, chunks = 64 << 10, 64
+	t.Run("sequential", func(t *testing.T) {
+		fs := New(Titan(), nil)
+		h := fs.Create("out")
+		h.Grow(chunk * chunks)
+		array := unsafe.SliceData(h.f.data)
+		buf := bytes.Repeat([]byte{0xCD}, chunk)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < chunks; i++ {
+			if _, err := h.Write(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if unsafe.SliceData(h.f.data) != array || cap(h.f.data) != chunk*chunks {
+			t.Error("writes into reserved capacity reallocated the file")
+		}
+		// The cost records and counters of 64 writes are a few KiB; one
+		// more copy of the file would be 4 MiB.
+		if got := after.TotalAlloc - before.TotalAlloc; got > chunk {
+			t.Errorf("writing %d MiB into a grown file allocated %d bytes", chunk*chunks>>20, got)
+		}
+		if h.Size() != chunk*chunks {
+			t.Fatalf("Size = %d, want %d", h.Size(), chunk*chunks)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		const writers, regions, regionLen = 16, 32, 96
+		fs := New(testConfig(), nil)
+		root := fs.Create("parts")
+		root.Grow(writers * regions * regionLen)
+		array := unsafe.SliceData(root.f.data)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := fs.OpenOrCreate("parts")
+				for r := regions - 1; r >= 0; r-- {
+					off := int64((r*writers + w) * regionLen)
+					if _, err := h.WriteAt(bytes.Repeat([]byte{byte(w + 1)}, regionLen), off); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if unsafe.SliceData(root.f.data) != array || cap(root.f.data) != writers*regions*regionLen {
+			t.Error("concurrent writes into reserved capacity reallocated the file")
+		}
+		for i, b := range readBack(t, fs, "parts") {
+			if want := byte(i/regionLen%writers + 1); b != want {
+				t.Fatalf("byte %d = %d, want %d", i, b, want)
+			}
+		}
+	})
 }

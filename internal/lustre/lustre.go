@@ -16,7 +16,17 @@
 //     write of the same volume.
 //
 // Data is stored for real (in memory), so everything written can be read
-// back and verified; only the *costs* are simulated.
+// back and verified; only the *costs* are simulated. Because the bytes are
+// real, a Handle offers two ways to keep them from being allocated and
+// copied more than once, next to WriteAt and ReadAt:
+//
+//   - Grow reserves capacity for bytes about to be written — fallocate,
+//     not a write: nothing observable (size, contents, durable and crash
+//     images, checksums, counters, fault sites, simulated clock) changes;
+//   - View is ReadAt with the stored bytes lent to a callback instead of
+//     copied, whenever the file system has nothing to inject or verify
+//     (no fault plan, no integrity tracking, no crash model); otherwise it
+//     is ReadAt into a private buffer. Costs and counters are ReadAt's.
 package lustre
 
 import (
@@ -306,6 +316,15 @@ func (fs *FS) checkFault(site faultinject.Site) error {
 	plan := fs.plan
 	fs.mu.Unlock()
 	return plan.Check(site)
+}
+
+// readsAreCopies reports whether a read has nothing to do but copy
+// stored bytes: no plan to consult or inject from, no checksums to verify,
+// no crash model to refuse it.
+func (fs *FS) readsAreCopies() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.plan == nil && !fs.integrity && fs.cs == nil
 }
 
 // Create makes (or truncates) a file and returns a handle positioned at
@@ -659,26 +678,10 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 	}
 	h.f.mu.RUnlock()
 
-	h.mu.Lock()
-	seek := h.lastOff != off
-	h.lastOff = off + int64(n)
-	h.mu.Unlock()
-
-	cost := h.fs.chargeIO(h.f, off, int64(n), seek)
+	h.bookRead(off, n, rereads)
 	if rereads > 0 {
-		cost += h.fs.chargeIO(h.f, off, int64(n), false) // the reread pays the wire again
 		h.fs.detect(faultinject.LustreRead, h.name, off+injected.Offset, true, 1)
 	}
-	hub, parent, m, spans := h.fs.telemetry()
-	if spans {
-		hub.RecordSim(parent, "lustre.read", cost, telemetry.Int64("bytes", int64(n)))
-	}
-	m.rereads.Add(rereads)
-	if seek {
-		m.seeks.Inc()
-	}
-	m.readOps.Inc()
-	m.bytesRead.Add(int64(n))
 	if budgetDenied {
 		h.fs.detect(faultinject.LustreRead, h.name, off+injected.Offset, false, 1)
 		return 0, fmt.Errorf("lustre: read %q at %d: %w (%w)", h.name, off, ErrCorruptData, health.ErrBudgetExhausted)
@@ -693,6 +696,88 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 		return n, io.EOF
 	}
 	return n, nil
+}
+
+// bookRead accounts for a read that returned n bytes at off — the tail
+// ReadAt and View share: the handle's seek tracking, the stripe traffic
+// (paid again by each verification reread), the lustre.read span and the
+// op, byte and seek counters.
+func (h *Handle) bookRead(off int64, n int, rereads int64) {
+	h.mu.Lock()
+	seek := h.lastOff != off
+	h.lastOff = off + int64(n)
+	h.mu.Unlock()
+
+	cost := h.fs.chargeIO(h.f, off, int64(n), seek)
+	if rereads > 0 {
+		cost += h.fs.chargeIO(h.f, off, int64(n), false) // the reread pays the wire again
+	}
+	hub, parent, m, spans := h.fs.telemetry()
+	if spans {
+		hub.RecordSim(parent, "lustre.read", cost, telemetry.Int64("bytes", int64(n)))
+	}
+	m.rereads.Add(rereads)
+	if seek {
+		m.seeks.Inc()
+	}
+	m.readOps.Inc()
+	m.bytesRead.Add(int64(n))
+}
+
+// View is ReadAt for a caller that only decodes: fn sees the n bytes at
+// off, and the read costs, counts and traces exactly what ReadAt of the
+// same range would. A range reaching past EOF returns io.EOF without
+// calling fn.
+//
+// When a read is nothing but a copy — the file system has no fault plan,
+// no integrity tracking and no crash model — the stored bytes themselves
+// are lent to fn under the file's read lock. fn must not retain or write
+// b, and must not write the file it is viewing (it would deadlock); the
+// slice's capacity is clipped, so an append cannot reach the file. In
+// every other configuration View reads into a private buffer through
+// ReadAt, so injection, verification, rereads and the retry budget behave
+// as they do there.
+func (h *Handle) View(off, n int64, fn func(b []byte) error) error {
+	if off < 0 || n < 0 {
+		return fmt.Errorf("lustre: view of %d bytes at offset %d on %q", n, off, h.name)
+	}
+	if !h.fs.readsAreCopies() {
+		buf := make([]byte, n)
+		if _, err := h.ReadAt(buf, off); err != nil {
+			return err
+		}
+		return fn(buf)
+	}
+	h.f.mu.RLock()
+	size := int64(len(h.f.data))
+	held := min(max(size-off, 0), n)
+	var err error
+	if held == n {
+		err = fn(h.f.data[min(off, size):][:n:n])
+	}
+	h.f.mu.RUnlock()
+	h.bookRead(off, int(held), 0)
+	if held < n {
+		return io.EOF
+	}
+	return err
+}
+
+// Grow reserves capacity for n more bytes past the file's current end,
+// with bytes.Buffer.Grow's meaning: the next n bytes written there cause
+// no reallocation. It is fallocate, not a write — the file's length and
+// contents, its durable and crash images, its checksums, every counter,
+// fault site and the simulated clock are untouched. Writers that know
+// their final size call it once; appenders that do not are served by
+// growTo's doubling.
+func (h *Handle) Grow(n int) {
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
+	if need := len(h.f.data) + n; need > cap(h.f.data) {
+		grown := make([]byte, len(h.f.data), need)
+		copy(grown, h.f.data)
+		h.f.data = grown
+	}
 }
 
 // Write appends at the handle's current position.

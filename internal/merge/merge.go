@@ -40,6 +40,7 @@ package merge
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/dsu"
@@ -498,4 +499,34 @@ func AssignGlobalIDs(sums []*Summary) map[ClusterKey]int32 {
 		}
 	}
 	return mapping
+}
+
+// GlobalByLeaf resolves AssignGlobalIDs' mapping into one dense table per
+// leaf, indexed by local cluster ID, so relabelling a leaf's points is an
+// index, not a hash per point. Local IDs the mapping has no entry for
+// read -1 (global IDs are never negative); keys naming a leaf outside
+// [0, leaves) or a local ID no table can index are ignored.
+func GlobalByLeaf(mapping map[ClusterKey]int32, leaves int) [][]int32 {
+	known := func(k ClusterKey) bool {
+		return k.Leaf >= 0 && int(k.Leaf) < leaves && k.Local >= 0 && k.Local < math.MaxInt32
+	}
+	size := make([]int32, leaves)
+	for k := range mapping {
+		if known(k) && k.Local >= size[k.Leaf] {
+			size[k.Leaf] = k.Local + 1
+		}
+	}
+	tables := make([][]int32, leaves)
+	for l, n := range size {
+		tables[l] = make([]int32, n)
+		for i := range tables[l] {
+			tables[l][i] = -1
+		}
+	}
+	for k, gid := range mapping {
+		if known(k) {
+			tables[k.Leaf][k.Local] = gid
+		}
+	}
+	return tables
 }

@@ -1,7 +1,9 @@
 package merge
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -359,5 +361,22 @@ func TestAssignGlobalIDs(t *testing.T) {
 	}
 	if m[key(0, 0)] != 0 || m[key(0, 1)] != 1 {
 		t.Errorf("IDs must be dense in key order: %v", m)
+	}
+}
+
+// TestGlobalByLeaf: the tables hold the mapping's entries at their local
+// IDs and -1 in the gaps; a leaf without entries gets an empty table; keys
+// that name no leaf, a negative local ID, or one no slice can index are
+// skipped rather than sized from.
+func TestGlobalByLeaf(t *testing.T) {
+	mapping := map[ClusterKey]int32{
+		{Leaf: 0, Local: 0}: 5, {Leaf: 0, Local: 3}: 0,
+		{Leaf: 2, Local: 1}:  7,
+		{Leaf: -1, Local: 0}: 9, {Leaf: 3, Local: 0}: 9, {Leaf: 1, Local: -2}: 9, {Leaf: 1, Local: math.MaxInt32}: 9,
+	}
+	got := GlobalByLeaf(mapping, 3)
+	want := [][]int32{{5, -1, -1, 0}, {}, {-1, 7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("GlobalByLeaf = %v, want %v", got, want)
 	}
 }

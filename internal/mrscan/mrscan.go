@@ -1001,16 +1001,13 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdb
 	cfg := &r.cfg
 	leafSpan := r.hub.Start(phaseSpan, "leaf", telemetry.Int("leaf", leaf))
 	defer leafSpan.End()
-	owned, shadow, err := r.parts.load(r.ctx, leaf)
+	slab, owned, err := r.parts.load(r.ctx, leaf)
 	if err != nil {
 		return leafState{}, err
 	}
-	combined := make([]geom.Point, 0, len(owned)+len(shadow))
-	combined = append(combined, owned...)
-	combined = append(combined, shadow...)
 	dev.SetTraceParent(leafSpan)
 	gpuStart := time.Now()
-	res, err := gdbscan.Cluster(dev, combined, gdbscan.Options{
+	res, err := gdbscan.Cluster(dev, slab, gdbscan.Options{
 		Params:          dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
 		DenseBox:        cfg.DenseBox,
 		Mode:            cfg.Mode,
@@ -1023,13 +1020,13 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdb
 		return leafState{}, err
 	}
 	gpuTime := time.Since(gpuStart)
-	sums, err := merge.BuildSummaries(r.grid, leaf, combined, len(owned), res.Labels, res.Core, res.NumClusters)
+	sums, err := merge.BuildSummaries(r.grid, leaf, slab, owned, res.Labels, res.Core, res.NumClusters)
 	if err != nil {
 		return leafState{}, err
 	}
 	return leafState{
-		Owned:     owned,
-		Labels:    res.Labels[:len(owned)],
+		Owned:     slab[:owned:owned],
+		Labels:    res.Labels[:owned],
 		Summaries: sums,
 		GPUTime:   gpuTime,
 		Stats:     res.Stats,
@@ -1143,19 +1140,64 @@ func RunPointsContext(ctx context.Context, pts []geom.Point, cfg Config) (*Resul
 
 // LabelsByID reads a sweep output file and aligns its cluster IDs with
 // pts by point ID. Points absent from the output are labeled -1 (noise
-// was omitted).
+// was omitted). The (id, cluster) pairs are decoded where the records
+// lie, not materialised.
 func LabelsByID(fs *lustre.FS, file string, pts []geom.Point) ([]int, error) {
-	out, err := sweep.ReadOutput(fs, file)
+	h, err := fs.Open(file)
 	if err != nil {
 		return nil, err
 	}
-	labels, dup, ok := geom.AlignByID(pts, len(out), func(i int) (uint64, int) {
-		return out[i].Point.ID, int(out[i].Cluster)
-	}, -1)
+	count, err := outputRecords(h)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		labels []int
+		dup    uint64
+		ok     bool
+	)
+	align := func(recs []byte) error {
+		labels, dup, ok = geom.AlignByID(pts, len(recs)/ptio.LabeledRecordSize, func(i int) (uint64, int) {
+			lp := ptio.LabeledAt(recs, i)
+			return lp.Point.ID, int(lp.Cluster)
+		}, -1)
+		return nil
+	}
+	if count == 0 {
+		err = align(nil)
+	} else {
+		err = h.View(ptio.DatasetHeaderSize, count*ptio.LabeledRecordSize, align)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mrscan: reading %s records: %w", file, err)
+	}
 	if !ok {
 		return nil, fmt.Errorf("mrscan: point %d written twice", dup)
 	}
 	return labels, nil
+}
+
+// outputRecords returns how many labeled records the MRSL file behind h
+// holds: the count its header declares, once the file is seen to be long
+// enough to hold that many — nothing may be sized from the header before.
+// An empty file holds none.
+func outputRecords(h *lustre.Handle) (int64, error) {
+	size := h.Size()
+	if size == 0 {
+		return 0, nil
+	}
+	var hdr [ptio.DatasetHeaderSize]byte
+	if _, err := h.ReadAt(hdr[:], 0); err != nil {
+		return 0, fmt.Errorf("mrscan: reading %s header: %w", h.Name(), err)
+	}
+	count, err := ptio.LabeledCount(hdr[:])
+	if err != nil {
+		return 0, fmt.Errorf("mrscan: %s: %w", h.Name(), err)
+	}
+	if held := uint64(size-ptio.DatasetHeaderSize) / ptio.LabeledRecordSize; count > held {
+		return 0, fmt.Errorf("mrscan: %s declares %d records but holds %d", h.Name(), count, held)
+	}
+	return int64(count), nil
 }
 
 // IsStateFile reports whether a file on the simulated FS is part of the

@@ -22,17 +22,22 @@ type partitionSource struct {
 	gate *partitionGate
 }
 
-// load returns partition j's owned and shadow points.
-func (s *partitionSource) load(ctx context.Context, j int) (owned, shadow []geom.Point, err error) {
+// load returns partition j as the cluster phase consumes it: one slab
+// holding its owned points then its shadow points, and the owned count.
+// File mode decodes the slab from the partition files; Direct mode, whose
+// two halves arrived separately, joins them with one copy.
+func (s *partitionSource) load(ctx context.Context, j int) (slab []geom.Point, owned int, err error) {
 	if s.Direct {
-		return s.Partitions[j], s.Shadows[j], nil
+		slab = make([]geom.Point, 0, len(s.Partitions[j])+len(s.Shadows[j]))
+		slab = append(append(slab, s.Partitions[j]...), s.Shadows[j]...)
+		return slab, len(s.Partitions[j]), nil
 	}
 	if s.gate != nil {
 		if err := s.gate.wait(ctx, j); err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 	}
-	return partition.ReadPartition(s.fs, partitionFile, s.Meta, j)
+	return partition.ReadPartitionSlab(s.fs, partitionFile, s.Meta, j)
 }
 
 // size reports j's total point count (owned + shadow) without loading

@@ -2,7 +2,6 @@ package mrscan
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -37,6 +36,7 @@ func StageStateIn(fs *lustre.FS, dir string) error {
 		if err != nil {
 			return err
 		}
+		// One write of a fresh file allocates exactly len(b): nothing to Grow.
 		if _, err := fs.Create(e.Name()).WriteAt(b, 0); err != nil {
 			return fmt.Errorf("staging %s in: %w", e.Name(), err)
 		}
@@ -62,11 +62,10 @@ func StageStateOut(fs *lustre.FS, dir string) error {
 		if err != nil {
 			return err
 		}
-		b := make([]byte, h.Size())
-		if _, err := h.ReadAt(b, 0); err != nil && err != io.EOF {
-			return err
-		}
-		if err := writeFileSync(filepath.Join(dir, name), b); err != nil {
+		err = h.View(0, h.Size(), func(b []byte) error {
+			return writeFileSync(filepath.Join(dir, name), b)
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -113,16 +113,23 @@ func writePartitionsAggregated(ctx context.Context, net *mrnet.Network, fs *lust
 	// shards spread the load. Without tracking (nil HealthyOSTs) the
 	// legacy all-OST layout — and its simulated costs — are unchanged.
 	healthy := fs.HealthyOSTs()
+	rs := int64(ptio.RecordSize(hasWeight))
 	for i, seg := range meta.Segments {
 		segNames[i] = seg.File
+		var h *lustre.Handle
 		if len(healthy) > 0 {
 			osts := make([]int, len(healthy))
 			for j := range healthy {
 				osts[j] = healthy[(i+j)%len(healthy)]
 			}
-			fs.CreateWithOSTs(seg.File, osts)
+			h = fs.CreateWithOSTs(seg.File, osts)
 		} else {
-			fs.Create(seg.File)
+			h = fs.Create(seg.File)
+		}
+		// The index is offset-ascending, so its last run ends the shard:
+		// size the file before the leaves append to it.
+		if n := len(seg.Runs); n > 0 {
+			h.Grow(int(seg.Runs[n-1].Offset + seg.Runs[n-1].Count*rs))
 		}
 	}
 	// Redelivery guard: overlay crash recovery may re-run deliver at a
@@ -154,8 +161,12 @@ func writePartitionsAggregated(ctx context.Context, net *mrnet.Network, fs *lust
 			c := contribs[leaf]
 			if opt.OnPartitionDurable == nil {
 				// Maximal aggregation: the leaf's whole contribution as
-				// one sequential write.
-				var buf []byte
+				// one sequential write, encoded into a buffer of its size.
+				var records int64
+				for j := 0; j < opt.NumPartitions; j++ {
+					records += int64(len(c.part[j]) + len(c.shadow[j]))
+				}
+				buf := make([]byte, 0, records*rs)
 				for j := 0; j < opt.NumPartitions; j++ {
 					for _, p := range c.part[j] {
 						buf = ptio.AppendRecord(buf, p, hasWeight)
@@ -229,50 +240,48 @@ func partitionRuns(meta *ptio.PartitionMeta, j int) (owned, shadow []segRunRef) 
 	return owned, shadow
 }
 
-// readPartitionSegments reassembles partition j from the log-structured
-// layout.
-func readPartitionSegments(fs *lustre.FS, meta *ptio.PartitionMeta, j int) (points, shadow []geom.Point, err error) {
-	rs := int64(ptio.RecordSize(meta.HasWeight))
+// appendPartitionSegments reassembles partition j from the log-structured
+// layout onto slab: its owned runs in leaf order, then its shadow runs.
+func appendPartitionSegments(slab []geom.Point, fs *lustre.FS, meta *ptio.PartitionMeta, j int) ([]geom.Point, error) {
 	handles := make(map[string]*lustre.Handle)
-	readRuns := func(refs []segRunRef, want int64) ([]geom.Point, error) {
-		var pts []geom.Point
-		if want > 0 {
-			pts = make([]geom.Point, 0, want)
+	open := func(file string) (*lustre.Handle, error) {
+		if h := handles[file]; h != nil {
+			return h, nil
 		}
+		h, err := fs.Open(file)
+		if err != nil {
+			return nil, fmt.Errorf("partition: opening segment: %w", err)
+		}
+		handles[file] = h
+		return h, nil
+	}
+	appendRuns := func(refs []segRunRef, want int64) error {
 		var got int64
 		for _, ref := range refs {
-			h := handles[ref.file]
-			if h == nil {
-				if h, err = fs.Open(ref.file); err != nil {
-					return nil, fmt.Errorf("partition: opening segment: %w", err)
-				}
-				handles[ref.file] = h
-			}
-			buf := make([]byte, ref.run.Count*rs)
-			if _, err := h.ReadAt(buf, ref.run.Offset); err != nil {
-				return nil, fmt.Errorf("partition: reading %d records at %d of %s: %w",
-					ref.run.Count, ref.run.Offset, ref.file, err)
-			}
-			decoded, err := ptio.DecodeRecords(buf, meta.HasWeight)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, decoded...)
 			got += ref.run.Count
 		}
 		if got != want {
-			return nil, fmt.Errorf("partition: segment index holds %d records for partition %d, metadata entry says %d",
+			return fmt.Errorf("partition: segment index holds %d records for partition %d, metadata entry says %d",
 				got, j, want)
 		}
-		return pts, nil
+		for _, ref := range refs {
+			h, err := open(ref.file)
+			if err != nil {
+				return err
+			}
+			if slab, err = appendRecordsAt(slab, h, ref.run.Offset, ref.run.Count, meta.HasWeight); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	ownedRefs, shadowRefs := partitionRuns(meta, j)
 	e := meta.Partitions[j]
-	if points, err = readRuns(ownedRefs, e.Count); err != nil {
-		return nil, nil, err
+	if err := appendRuns(ownedRefs, e.Count); err != nil {
+		return nil, err
 	}
-	if shadow, err = readRuns(shadowRefs, e.ShadowCount); err != nil {
-		return nil, nil, err
+	if err := appendRuns(shadowRefs, e.ShadowCount); err != nil {
+		return nil, err
 	}
-	return points, shadow, nil
+	return slab, nil
 }

@@ -114,9 +114,9 @@ func BenchmarkPartitionWrite(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			net, fs := env(b)
-			_, offsets := layoutRegions(eps, false, parts, allCounts)
+			_, offsets, size := layoutRegions(eps, false, parts, allCounts)
 			b.StartTimer()
-			if err := writePartitionsLegacy(context.Background(), net, fs, "parts.bin", contribs, offsets, parts, false); err != nil {
+			if err := writePartitionsLegacy(context.Background(), net, fs, "parts.bin", size, contribs, offsets, parts, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -125,7 +125,7 @@ func BenchmarkPartitionWrite(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			net, fs := env(b)
-			meta, _ := layoutRegions(eps, false, parts, allCounts)
+			meta, _, _ := layoutRegions(eps, false, parts, allCounts)
 			places := buildSegmentLayout(meta, allCounts, "parts.bin", parts, 0)
 			b.StartTimer()
 			opt := DistOptions{NumPartitions: parts, Aggregate: true}

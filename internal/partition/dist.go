@@ -234,13 +234,12 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 			if err != nil {
 				return nil, err
 			}
-			buf := make([]byte, (hi-lo)*rs)
-			if _, err := h.ReadAt(buf, ptio.DatasetHeaderSize+lo*rs); err != nil {
+			var pts []geom.Point
+			if err := h.View(ptio.DatasetHeaderSize+lo*rs, (hi-lo)*rs, func(b []byte) (err error) {
+				pts, err = ptio.DecodeRecords(b, opt.HasWeight)
+				return err
+			}); err != nil {
 				return nil, fmt.Errorf("reading shard [%d,%d): %w", lo, hi, err)
-			}
-			pts, err := ptio.DecodeRecords(buf, opt.HasWeight)
-			if err != nil {
-				return nil, err
 			}
 			shard[leaf] = pts
 			return g.HistogramOf(pts), nil
@@ -341,7 +340,7 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 
 	// Root: region layout, then (aggregate mode) the segment-log layout
 	// over it.
-	meta, offsets := layoutRegions(eps, opt.HasWeight, opt.NumPartitions, allCounts)
+	meta, offsets, size := layoutRegions(eps, opt.HasWeight, opt.NumPartitions, allCounts)
 	var places []segPlace
 	if opt.Aggregate {
 		places = buildSegmentLayout(meta, allCounts, outputFile, opt.NumPartitions, opt.SegmentShards)
@@ -359,7 +358,7 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	if opt.Aggregate {
 		err = writePartitionsAggregated(ctx, net, fs, contribs, places, meta, opt)
 	} else {
-		err = writePartitionsLegacy(ctx, net, fs, outputFile, contribs, offsets, opt.NumPartitions, opt.HasWeight)
+		err = writePartitionsLegacy(ctx, net, fs, outputFile, size, contribs, offsets, opt.NumPartitions, opt.HasWeight)
 	}
 	if err != nil {
 		return nil, err
@@ -395,8 +394,8 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 // layoutRegions computes the legacy contiguous layout: the output file
 // holds, per partition, its owned points then its shadow points, and
 // offsets[l][j] = {owned, shadow} write cursors for leaf l — exclusive
-// prefix sums within each region.
-func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []leafCounts) (*ptio.PartitionMeta, [][][2]int64) {
+// prefix sums within each region — and size is the file's final length.
+func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []leafCounts) (meta *ptio.PartitionMeta, offsets [][][2]int64, size int64) {
 	rs := int64(ptio.RecordSize(hasWeight))
 	leaves := len(allCounts)
 	partTotal := make([]int64, numPartitions)
@@ -407,7 +406,7 @@ func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []l
 			shadTotal[j] += lc[j][1]
 		}
 	}
-	meta := &ptio.PartitionMeta{Eps: eps, HasWeight: hasWeight}
+	meta = &ptio.PartitionMeta{Eps: eps, HasWeight: hasWeight}
 	var cursor int64
 	for j := 0; j < numPartitions; j++ {
 		entry := ptio.PartitionEntry{
@@ -419,7 +418,7 @@ func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []l
 		cursor = entry.ShadowOffset + shadTotal[j]*rs
 		meta.Partitions = append(meta.Partitions, entry)
 	}
-	offsets := make([][][2]int64, leaves)
+	offsets = make([][][2]int64, leaves)
 	for l := range offsets {
 		offsets[l] = make([][2]int64, numPartitions)
 	}
@@ -432,16 +431,17 @@ func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []l
 			shadCur += allCounts[l][j][1] * rs
 		}
 	}
-	return meta, offsets
+	return meta, offsets, cursor
 }
 
 // writePartitionsLegacy is stage 3's historical write path: every leaf
 // issues one small WriteAt per partition region it contributes to,
 // O(leaves×partitions) random writes in total — the behaviour §5.1.1
 // measured at 65.2% of the phase. Kept as the default layout and the
-// baseline the aggregated writer is benchmarked against.
-func writePartitionsLegacy(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outputFile string, contribs []*leafContrib, offsets [][][2]int64, numPartitions int, hasWeight bool) error {
-	fs.Create(outputFile)
+// baseline the aggregated writer is benchmarked against. The root creates
+// the file at its final size, so the leaves' writes land in place.
+func writePartitionsLegacy(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outputFile string, size int64, contribs []*leafContrib, offsets [][][2]int64, numPartitions int, hasWeight bool) error {
+	fs.Create(outputFile).Grow(int(size))
 	return mrnet.Multicast(ctx, net, offsets,
 		func(n *mrnet.Node, in [][][2]int64) ([][][][2]int64, error) {
 			pLo, _ := n.LeafRange()
@@ -482,48 +482,78 @@ func writePartitionsLegacy(ctx context.Context, net *mrnet.Network, fs *lustre.F
 // layout meta describes: the legacy contiguous partition file, or — when
 // meta carries a segment index — the aggregated writer's segment files
 // (file is ignored then; the index names them). Both layouts return
-// byte-identical partitions.
+// byte-identical partitions. The two slices are ReadPartitionSlab's one
+// allocation, cut at the owned count.
 func ReadPartition(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) (points, shadow []geom.Point, err error) {
-	if j < 0 || j >= len(meta.Partitions) {
-		return nil, nil, fmt.Errorf("partition: index %d out of range (%d partitions)", j, len(meta.Partitions))
-	}
-	if len(meta.Segments) > 0 {
-		return readPartitionSegments(fs, meta, j)
-	}
-	h, err := fs.Open(file)
+	slab, owned, err := ReadPartitionSlab(fs, file, meta, j)
 	if err != nil {
 		return nil, nil, err
 	}
-	rs := int64(ptio.RecordSize(meta.HasWeight))
+	return slab[:owned:owned], slab[owned:], nil
+}
+
+// ReadPartitionSlab loads partition j as the cluster phase consumes it:
+// one slice holding the owned points then the shadow points, decoded
+// straight from the stored bytes into a single allocation, and the owned
+// count that cuts it.
+func ReadPartitionSlab(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) (slab []geom.Point, owned int, err error) {
+	if j < 0 || j >= len(meta.Partitions) {
+		return nil, 0, fmt.Errorf("partition: index %d out of range (%d partitions)", j, len(meta.Partitions))
+	}
 	e := meta.Partitions[j]
-	read := func(off, count int64) ([]geom.Point, error) {
-		if count == 0 {
-			return nil, nil
-		}
-		buf := make([]byte, count*rs)
-		if _, err := h.ReadAt(buf, off); err != nil {
-			return nil, fmt.Errorf("partition: reading %d records at %d: %w", count, off, err)
-		}
-		return ptio.DecodeRecords(buf, meta.HasWeight)
+	if e.Count < 0 || e.ShadowCount < 0 {
+		return nil, 0, fmt.Errorf("partition: metadata entry %d has negative counts (%d owned, %d shadow)", j, e.Count, e.ShadowCount)
 	}
-	if points, err = read(e.Offset, e.Count); err != nil {
-		return nil, nil, err
+	slab = make([]geom.Point, 0, e.Count+e.ShadowCount)
+	if len(meta.Segments) > 0 {
+		slab, err = appendPartitionSegments(slab, fs, meta, j)
+	} else {
+		slab, err = appendPartitionRegions(slab, fs, file, meta, j)
 	}
-	if shadow, err = read(e.ShadowOffset, e.ShadowCount); err != nil {
-		return nil, nil, err
+	if err != nil {
+		return nil, 0, err
 	}
-	return points, shadow, nil
+	return slab, int(e.Count), nil
+}
+
+// appendRecordsAt decodes the count records stored at off of h onto pts.
+func appendRecordsAt(pts []geom.Point, h *lustre.Handle, off, count int64, hasWeight bool) ([]geom.Point, error) {
+	if count == 0 {
+		return pts, nil
+	}
+	err := h.View(off, count*int64(ptio.RecordSize(hasWeight)), func(b []byte) (err error) {
+		pts, err = ptio.AppendPoints(pts, b, hasWeight)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("partition: reading %d records at %d of %s: %w", count, off, h.Name(), err)
+	}
+	return pts, nil
+}
+
+// appendPartitionRegions reads partition j from the legacy layout: its
+// owned region, then its shadow region.
+func appendPartitionRegions(slab []geom.Point, fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) ([]geom.Point, error) {
+	h, err := fs.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	e := meta.Partitions[j]
+	if slab, err = appendRecordsAt(slab, h, e.Offset, e.Count, meta.HasWeight); err != nil {
+		return nil, err
+	}
+	return appendRecordsAt(slab, h, e.ShadowOffset, e.ShadowCount, meta.HasWeight)
 }
 
 // ReadMeta loads a metadata document written by Distribute.
-func ReadMeta(fs *lustre.FS, metaFile string) (*ptio.PartitionMeta, error) {
+func ReadMeta(fs *lustre.FS, metaFile string) (meta *ptio.PartitionMeta, err error) {
 	h, err := fs.Open(metaFile)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, h.Size())
-	if _, err := h.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return ptio.UnmarshalPartitionMeta(buf)
+	err = h.View(0, h.Size(), func(b []byte) (err error) {
+		meta, err = ptio.UnmarshalPartitionMeta(b)
+		return err
+	})
+	return meta, err
 }

@@ -152,8 +152,31 @@ func AppendPoints(pts []geom.Point, data []byte, hasWeight bool) ([]geom.Point, 
 	return pts, nil
 }
 
+// reserve tells a writer that can size itself ahead (a bytes.Buffer, a
+// lustre.Handle) how many bytes are coming, so a file whose length is
+// known before its first byte is allocated once.
+func reserve(w io.Writer, n int) {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(n)
+	}
+}
+
+// bytesHeld returns how many bytes r says it holds (Len or Size), if it
+// says: the bound an untrusted header count is capped by before anything
+// is sized from it.
+func bytesHeld(r io.Reader) (uint64, bool) {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return uint64(v.Len()), true
+	case interface{ Size() int64 }:
+		return uint64(max(v.Size(), 0)), true
+	}
+	return 0, false
+}
+
 // WriteDataset writes a complete MRSC file (header + records) to w.
 func WriteDataset(w io.Writer, pts []geom.Point, hasWeight bool) error {
+	reserve(w, DatasetHeaderSize+len(pts)*RecordSize(hasWeight))
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [16]byte
 	copy(hdr[:4], magicDataset[:])
@@ -179,6 +202,7 @@ func WriteDataset(w io.Writer, pts []geom.Point, hasWeight bool) error {
 
 // ReadDataset reads a complete MRSC file from r.
 func ReadDataset(r io.Reader) ([]geom.Point, error) {
+	held, said := bytesHeld(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [DatasetHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -191,23 +215,26 @@ func ReadDataset(r io.Reader) ([]geom.Point, error) {
 	hasWeight := dh.HasWeight
 	count := uint64(dh.Count)
 	rs := RecordSize(hasWeight)
-	// The header count is untrusted input: read in bounded batches so a
-	// corrupt count cannot force a giant allocation — memory grows only
-	// with bytes actually present.
+	// The header count is untrusted input. The result is sized from it
+	// once — capped by the bytes the reader says it holds, or by one batch
+	// when it does not say, growing from there only with records actually
+	// read — so a corrupt count cannot force a giant allocation.
 	const batch = 1 << 16
-	pts := make([]geom.Point, 0, min64(count, batch))
-	buf := make([]byte, batch*rs)
+	room := uint64(batch)
+	if said {
+		room = held / uint64(rs)
+	}
+	pts := make([]geom.Point, 0, min64(count, room))
+	buf := make([]byte, min64(count, batch)*uint64(rs))
 	for read := uint64(0); read < count; {
 		n := min64(count-read, batch)
 		chunk := buf[:n*uint64(rs)]
 		if _, err := io.ReadFull(br, chunk); err != nil {
 			return nil, fmt.Errorf("ptio: reading records %d..%d of %d: %w", read, read+n, count, err)
 		}
-		decoded, err := DecodeRecords(chunk, hasWeight)
-		if err != nil {
+		if pts, err = AppendPoints(pts, chunk, hasWeight); err != nil {
 			return nil, err
 		}
-		pts = append(pts, decoded...)
 		read += n
 	}
 	return pts, nil
@@ -247,17 +274,38 @@ func DecodeLabeled(data []byte) ([]LabeledPoint, error) {
 // appendLabeledRecords decodes data, a whole number of labeled records,
 // onto lps.
 func appendLabeledRecords(lps []LabeledPoint, data []byte) []LabeledPoint {
-	for off := 0; off < len(data); off += LabeledRecordSize {
-		lps = append(lps, LabeledPoint{
-			Point: geom.Point{
-				ID: binary.LittleEndian.Uint64(data[off:]),
-				X:  math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
-				Y:  math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
-			},
-			Cluster: int64(binary.LittleEndian.Uint64(data[off+24:])),
-		})
+	for i := 0; i < len(data)/LabeledRecordSize; i++ {
+		lps = append(lps, LabeledAt(data, i))
 	}
 	return lps
+}
+
+// LabeledAt decodes record i of data, headerless labeled records: a
+// reader that wants a field or two of each record decodes them where they
+// lie instead of materialising a []LabeledPoint.
+func LabeledAt(data []byte, i int) LabeledPoint {
+	rec := data[i*LabeledRecordSize:][:LabeledRecordSize]
+	return LabeledPoint{
+		Point: geom.Point{
+			ID: binary.LittleEndian.Uint64(rec),
+			X:  math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+			Y:  math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
+		},
+		Cluster: int64(binary.LittleEndian.Uint64(rec[24:])),
+	}
+}
+
+// LabeledCount checks a 16-byte MRSL header's magic and returns the
+// record count it declares. The count is untrusted: compare it with the
+// bytes actually present before sizing anything from it.
+func LabeledCount(hdr []byte) (uint64, error) {
+	if len(hdr) < DatasetHeaderSize {
+		return 0, fmt.Errorf("ptio: labeled header is %d bytes, need %d", len(hdr), DatasetHeaderSize)
+	}
+	if [4]byte(hdr[:4]) != magicLabeled {
+		return 0, fmt.Errorf("ptio: bad magic %q", hdr[:4])
+	}
+	return binary.LittleEndian.Uint64(hdr[8:]), nil
 }
 
 // LabeledHeader returns the 16-byte MRSL file header for count records.
@@ -273,6 +321,7 @@ func LabeledHeader(count int64) []byte {
 
 // WriteLabeled writes a complete MRSL file (header + records) to w.
 func WriteLabeled(w io.Writer, pts []LabeledPoint) error {
+	reserve(w, DatasetHeaderSize+len(pts)*LabeledRecordSize)
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var hdr [16]byte
 	copy(hdr[:4], magicLabeled[:])
@@ -298,23 +347,20 @@ func ReadLabeled(r io.Reader) ([]LabeledPoint, error) {
 	// when it does not say, growing from there only with records actually
 	// read — so a corrupt count cannot force a giant allocation.
 	const batch = 1 << 16
-	held := uint64(batch)
-	switch v := r.(type) {
-	case interface{ Len() int }:
-		held = uint64(v.Len()) / LabeledRecordSize
-	case interface{ Size() int64 }:
-		held = uint64(max(v.Size(), 0)) / LabeledRecordSize
+	room := uint64(batch)
+	if held, said := bytesHeld(r); said {
+		room = held / LabeledRecordSize
 	}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("ptio: reading header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != magicLabeled {
-		return nil, fmt.Errorf("ptio: bad magic %q", hdr[:4])
+	count, err := LabeledCount(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	lps := make([]LabeledPoint, 0, min64(count, held))
+	lps := make([]LabeledPoint, 0, min64(count, room))
 	buf := make([]byte, min64(count, batch)*LabeledRecordSize)
 	for read := uint64(0); read < count; {
 		n := min64(count-read, batch)

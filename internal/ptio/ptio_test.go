@@ -216,6 +216,89 @@ func TestReadLabeledHostileHeader(t *testing.T) {
 	}
 }
 
+// datasetFile encodes n unweighted records behind a header claiming count.
+func datasetFile(n int, count uint64) []byte {
+	data := rawDatasetHeader(Version, 0, count)
+	for i := 0; i < n; i++ {
+		data = AppendRecord(data, geom.Point{ID: uint64(i), X: float64(i), Y: -float64(i)}, false)
+	}
+	return data
+}
+
+// TestReadDatasetSizesResultOnce is ReadLabeled's contract for its twin: a
+// well-formed file lands in one slice sized from the header when the
+// reader says what it holds, every record in place across the batch
+// boundary — and a ten-record file costs ten records, not a 1.5 MiB batch
+// buffer.
+func TestReadDatasetSizesResultOnce(t *testing.T) {
+	const n = 1<<16 + 1000
+	data := datasetFile(n, n)
+	for name, open := range map[string]func() io.Reader{
+		"Len":  func() io.Reader { return bytes.NewReader(data) },
+		"Size": func() io.Reader { return sizedReader{bareReader{bytes.NewReader(data)}, int64(len(data))} },
+		"bare": func() io.Reader { return bareReader{bytes.NewReader(data)} },
+	} {
+		got, err := ReadDataset(open())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != n {
+			t.Fatalf("%s: read %d records, want %d", name, len(got), n)
+		}
+		for _, i := range []int{0, 1<<16 - 1, 1 << 16, n - 1} {
+			if want := (geom.Point{ID: uint64(i), X: float64(i), Y: -float64(i)}); got[i] != want {
+				t.Errorf("%s: record %d = %+v, want %+v", name, i, got[i], want)
+			}
+		}
+		if name != "bare" && cap(got) != n {
+			t.Errorf("%s: result has capacity %d, want exactly the header's %d", name, cap(got), n)
+		}
+	}
+	small := datasetFile(10, 10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if pts, err := ReadDataset(bytes.NewReader(small)); err != nil || len(pts) != 10 {
+		t.Fatalf("ten-record file: %d points, %v", len(pts), err)
+	}
+	runtime.ReadMemStats(&after)
+	// The 64 KiB bufio buffer, ten records and their ten points.
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<17 {
+		t.Errorf("reading a ten-record file allocated %d bytes", spent)
+	}
+}
+
+// TestReadDatasetHostileHeader: the untrusted-count rule — memory grows
+// with the bytes present, not with the count the header claims.
+func TestReadDatasetHostileHeader(t *testing.T) {
+	torn := datasetFile(100, 100)
+	torn = torn[:len(torn)-5]
+	huge := datasetFile(3, 1<<60)
+	const batchBytes = (1 << 16) * (24 + 32) // one batch: its read buffer and its points
+	for name, tc := range map[string]struct {
+		data   []byte
+		open   func(data []byte) io.Reader
+		budget uint64
+	}{
+		"torn/Len":  {torn, func(d []byte) io.Reader { return bytes.NewReader(d) }, 1 << 16},
+		"torn/bare": {torn, func(d []byte) io.Reader { return bareReader{bytes.NewReader(d)} }, 1 << 16},
+		"huge/Len":  {huge, func(d []byte) io.Reader { return bytes.NewReader(d) }, batchBytes},
+		"huge/Size": {huge, func(d []byte) io.Reader { return sizedReader{bareReader{bytes.NewReader(d)}, int64(len(d))} }, batchBytes},
+		"huge/bare": {huge, func(d []byte) io.Reader { return bareReader{bytes.NewReader(d)} }, 2 * batchBytes},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadDataset(tc.open(tc.data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a header count the file does not hold must be rejected", name)
+		}
+		// 64 KiB of bufio buffer rides on every call.
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > tc.budget+(1<<17) {
+			t.Errorf("%s: allocated %d bytes for a %d-byte file, budget %d", name, spent, len(tc.data), tc.budget+(1<<17))
+		}
+	}
+}
+
 func TestLabeledHeaderMatchesWriter(t *testing.T) {
 	// The sweep phase writes the header with LabeledHeader while leaves
 	// write records at offsets; the result must parse exactly like a

@@ -124,6 +124,8 @@ var invalidBodies = []struct{ reason, points, scalars string }{
 	{"invalid_point", `[{"id":1,"x":0,"y":-214748365}]`, `"eps":0.1,"min_pts":2`},
 	{"invalid_params", `[{"id":1,"x":0,"y":0}]`, `"eps":0,"min_pts":2`},
 	{"invalid_params", `[{"id":1,"x":0,"y":0}]`, `"eps":0.1,"min_pts":0`},
+	{"invalid_params", `[{"id":1,"x":0,"y":0}]`, `"eps":0.1,"min_pts":2,"leaves":1025`},
+	{"invalid_params", `[{"id":1,"x":0,"y":0}]`, `"eps":0.1,"min_pts":2,"leaves":100000`},
 }
 
 // TestInvalidInputIsNotAFailure: input that could never run is answered
@@ -207,6 +209,16 @@ func TestInvalidInputFromDirectCallers(t *testing.T) {
 		if _, err := s.Submit(JobSpec{Points: []geom.Point{{ID: 1}}, Eps: eps, MinPts: 2}); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("Submit(eps=%v) = %v, want ErrInvalidInput", eps, err)
 		}
+	}
+	// leaves: every value up to maxLeaves is the caller's choice (≤ 0 asks
+	// for the default); one more could never be hosted on this box.
+	for leaves, ok := range map[int]bool{-3: true, 0: true, 1: true, maxLeaves: true, maxLeaves + 1: false, 100_000: false, math.MaxInt: false} {
+		if err := validateInput([]geom.Point{{ID: 1}}, 0.1, 2, leaves); (err == nil) != ok || (!ok && !errors.Is(err, errInvalidParams)) {
+			t.Errorf("validateInput(leaves=%d) = %v, want accepted=%t", leaves, err, ok)
+		}
+	}
+	if _, err := s.Submit(JobSpec{Points: []geom.Point{{ID: 1}}, Eps: 0.1, MinPts: 2, Leaves: maxLeaves + 1}); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("Submit(leaves=%d) = %v, want ErrInvalidInput", maxLeaves+1, err)
 	}
 	// An ID still live in the window is a duplicate too, and the refused
 	// tick leaves the window and the tenant's tokens as they were.

@@ -400,7 +400,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	if len(spec.Points) == 0 {
 		return "", fmt.Errorf("server: job has no points")
 	}
-	if err := validateInput(spec.Points, spec.Eps, spec.MinPts); err != nil {
+	if err := validateInput(spec.Points, spec.Eps, spec.MinPts, spec.Leaves); err != nil {
 		return "", err
 	}
 	if spec.Leaves <= 0 {

@@ -113,22 +113,26 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 	}
 
 	// Multicast the mapping and per-leaf offsets down the tree; leaves
-	// relabel and write in parallel.
+	// relabel and write in parallel. The mapping travels resolved into one
+	// dense table per leaf, so a leaf relabels by index, not by hash.
 	type payload struct {
-		mapping map[merge.ClusterKey]int32
+		global  [][]int32
 		offsets []int64
 	}
+	global := merge.GlobalByLeaf(mapping, leaves)
 	root := fs.Create(outFile)
+	root.Grow(int(cursor)) // every record's offset is assigned: size the file once
 	if _, err := root.WriteAt(ptio.LabeledHeader(totalRecords), 0); err != nil {
 		return nil, fmt.Errorf("sweep: writing header: %w", err)
 	}
 	var written, skipped int64
 	writtenPerLeaf := make([]int64, leaves)
 	skippedPerLeaf := make([]int64, leaves)
-	err = mrnet.Multicast(ctx, net, payload{mapping: mapping, offsets: offsets},
+	err = mrnet.Multicast(ctx, net, payload{global: global, offsets: offsets},
 		nil,
 		func(leaf int, pl payload) error {
 			d := leafData[leaf]
+			table := pl.global[leaf]
 			h := fs.OpenOrCreate(outFile)
 			buf := make([]byte, 0, 1<<16)
 			off := pl.offsets[leaf]
@@ -146,11 +150,10 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 			for i, p := range d.Points {
 				var cluster int64
 				if l := d.Labels[i]; l >= 0 {
-					gid, ok := pl.mapping[merge.ClusterKey{Leaf: int32(leaf), Local: l}]
-					if !ok {
+					if int(l) >= len(table) || table[l] < 0 {
 						return fmt.Errorf("sweep: leaf %d cluster %d missing from global mapping", leaf, l)
 					}
-					cluster = int64(gid)
+					cluster = int64(table[l])
 				} else if gid, claimed := opt.Claims[p.ID]; claimed {
 					// Border reclaim: another leaf saw this point within
 					// Eps of one of its core points.
@@ -171,7 +174,7 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 			}
 			return flush()
 		},
-		func(pl payload) int64 { return int64(len(pl.mapping))*12 + int64(len(pl.offsets))*8 },
+		func(pl payload) int64 { return int64(len(mapping))*12 + int64(len(pl.offsets))*8 },
 	)
 	if err != nil {
 		return nil, err
