@@ -37,7 +37,12 @@ race:
 # encoding per value. Then the HTTP edge: the point-array scanner against
 # encoding/json (same verdict, same bits), and the two point-bearing POSTs
 # through server.Handler (documented status, allocation bounded by the
-# body's length, goroutines return). Minimising every new corpus entry
+# body's length, goroutines return). Then the durable formats, seeded with
+# the file images every crash point of a save or an append leaves: the
+# MRCKPT envelope and the manifest inside it, and journal replay (typed
+# refusal or a valid prefix, idempotently). Last the KD-tree build: bytes
+# become points and a cell size, the tree keeps its contract (checkFlat)
+# and counts ranges as brute force does. Minimising every new corpus entry
 # would eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -48,6 +53,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPointsBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTickBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointEnvelope -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/checkpoint
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number
@@ -123,11 +132,11 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_22.json: BENCH_21.json's
-# rows plus the two RunPoints rows, which are the per-row median of three
-# `make bench-gated` captures at PR 22's head; EXPERIMENTS.md "Batch data
-# path (PR 22)" says which other rows were re-captured and why; BENCH_21.json
-# and earlier are history and gate nothing). Fails if any Cluster,
+# committed baseline of current performance (BENCH_23.json: BENCH_22.json's
+# rows plus BuildCells — the cell-first KD build on one partition of each
+# batch shape; EXPERIMENTS.md "Cell-first tree (PR 23)" says which rows
+# were re-captured and how; BENCH_22.json and earlier are history and gate
+# nothing). Fails if any Cluster,
 # GPUDBSCAN, Classify (gdbscan pass one alone on one partition of each
 # batch shape), KD-tree Build, Partition (including the write-stage
 # PartitionWrite layouts), planner (MakePlan, Split), StreamTick (engine at
@@ -140,10 +149,10 @@ bench:
 # repeats to under 1% where ns/op moves by tens — grew more than 5%.
 BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_22.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_23.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_22.json's rows were produced).
+# BENCH_run.json, and how BENCH_23.json's rows were produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

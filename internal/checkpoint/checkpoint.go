@@ -77,10 +77,13 @@ var ErrCorrupt = errors.New("checkpoint: snapshot corrupt")
 var ErrNoCheckpoint = errors.New("checkpoint: no snapshot")
 
 // File is the handle surface snapshots are read and written through.
-// Sync flushes written bytes to stable storage (fsync).
+// Sync flushes written bytes to stable storage (fsync); Seek is how a
+// reader learns how many bytes a file holds before it believes the
+// file's own header.
 type File interface {
 	io.Reader
 	io.Writer
+	io.Seeker
 	Sync() error
 }
 
@@ -445,7 +448,7 @@ func (s *Store) loadFile(name string, out any) error {
 
 // verifyEnvelope checks magic, version, length and CRC, returning the
 // verified payload bytes.
-func verifyEnvelope(f io.Reader, name string) ([]byte, error) {
+func verifyEnvelope(f io.ReadSeeker, name string) ([]byte, error) {
 	var hdr [len(magic) + 2 + 4 + 8]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %s: short header: %w", ErrCorrupt, name, integrity.ErrTorn)
@@ -462,6 +465,11 @@ func verifyEnvelope(f io.Reader, name string) ([]byte, error) {
 	if length > maxSnapshot {
 		return nil, fmt.Errorf("%w: %s: implausible length %d", ErrCorrupt, name, length)
 	}
+	// The length is the file's word: check it against the bytes the file
+	// holds before anything is sized from it.
+	if held, err := remaining(f); err != nil || length > uint64(held) {
+		return nil, fmt.Errorf("%w: %s: truncated payload: %w", ErrCorrupt, name, integrity.ErrTorn)
+	}
 	payload := make([]byte, length)
 	if _, err := io.ReadFull(f, payload); err != nil {
 		return nil, fmt.Errorf("%w: %s: truncated payload: %w", ErrCorrupt, name, integrity.ErrTorn)
@@ -470,6 +478,20 @@ func verifyEnvelope(f io.Reader, name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: CRC32C %08x, want %08x", ErrCorrupt, name, got, wantCRC)
 	}
 	return payload, nil
+}
+
+// remaining returns the number of bytes between f's position and its end.
+func remaining(f io.Seeker) (int64, error) {
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, err
+	}
+	end, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Seek(pos, io.SeekStart)
+	return end - pos, err
 }
 
 // verifiedPayload locates the phase in the manifest and returns its

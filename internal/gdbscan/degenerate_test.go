@@ -2,6 +2,7 @@ package gdbscan
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/baseline"
@@ -13,35 +14,66 @@ import (
 // pipeline actually produces at the margins: an empty partition (a leaf
 // whose region holds no points), a single point, and an all-duplicate
 // dataset (the Twitter data contains heavy coordinate duplication —
-// retweet bursts geotag identical coordinates). Both host-interaction
-// modes must handle all of them.
+// retweet bursts geotag identical coordinates) — and against geometry
+// chosen to break the tree's cell grid: a progression that halves toward
+// one corner (a tree as deep as its Morton keys are long, at an Eps far
+// below the grid's resolution too), extents at both ends of the float
+// range, everything in one cell and a cell per point. Both
+// host-interaction modes must handle all of them.
 func TestDegenerateInputs(t *testing.T) {
 	dup := make([]geom.Point, 50)
 	for i := range dup {
 		dup[i] = geom.Point{ID: uint64(i), X: 1.5, Y: -2.5}
 	}
 	twoDup := []geom.Point{{ID: 0, X: 1, Y: 1}, {ID: 1, X: 1, Y: 1}}
+	mk := func(n int, f func(i int) (x, y float64)) []geom.Point {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			x, y := f(i)
+			pts[i] = geom.Point{ID: uint64(i), X: x, Y: y}
+		}
+		return pts
+	}
+	geometric := mk(61, func(i int) (float64, float64) { return math.Ldexp(1, -i), 0 })
+	geometric2 := mk(122, func(i int) (float64, float64) { return math.Ldexp(1, -(i / 2)), math.Ldexp(1, -(i+1)/2) })
+	wave := func(scale float64) []geom.Point {
+		return mk(300, func(i int) (float64, float64) {
+			return scale * math.Sin(float64(i)), scale * math.Cos(float64(3*i))
+		})
+	}
+	lattice := mk(400, func(i int) (float64, float64) { return float64(i % 20), float64(i / 20) })
 
 	cases := []struct {
 		name   string
 		pts    []geom.Point
+		eps    float64
 		minPts int
 		// wantClusters < 0 means "validate against the reference" only.
 		wantClusters int
 	}{
-		{"empty", nil, 4, 0},
-		{"empty-slice", []geom.Point{}, 4, 0},
-		{"single-noise", []geom.Point{{ID: 7, X: 3, Y: 4}}, 4, 0},
-		{"single-minpts1", []geom.Point{{ID: 7, X: 3, Y: 4}}, 1, 1},
-		{"all-duplicates", dup, 4, 1},
-		{"duplicates-below-minpts", twoDup, 3, 0},
-		{"duplicates-at-minpts", twoDup, 2, 1},
+		{"empty", nil, 0.1, 4, 0},
+		{"empty-slice", []geom.Point{}, 0.1, 4, 0},
+		{"single-noise", []geom.Point{{ID: 7, X: 3, Y: 4}}, 0.1, 4, 0},
+		{"single-minpts1", []geom.Point{{ID: 7, X: 3, Y: 4}}, 0.1, 1, 1},
+		{"all-duplicates", dup, 0.1, 4, 1},
+		{"duplicates-below-minpts", twoDup, 0.1, 3, 0},
+		{"duplicates-at-minpts", twoDup, 0.1, 2, 1},
+		{"two-apart", mk(2, func(i int) (float64, float64) { return float64(i), 0 }), 0.1, 1, 2},
+		{"two-near", mk(2, func(i int) (float64, float64) { return 0.05 * float64(i), 0 }), 0.1, 2, 1},
+		{"geometric", geometric, 0.1, 3, -1},
+		{"geometric-below-the-grid", geometric, 1e-15, 2, -1},
+		{"geometric-2d", geometric2, 1e-9, 2, -1},
+		{"extent-1e300", wave(1e300), 2e299, 3, -1},
+		{"extent-1e-300", wave(1e-300), 2e-301, 3, -1},
+		{"one-cell", mk(400, func(i int) (float64, float64) { return 1 + 1e-9*float64(i%20), 1 + 1e-9*float64(i/20) }), 0.1, 4, 1},
+		{"cell-each", lattice, 0.1, 1, 400},
+		{"cell-each-at-eps", lattice, 1, 5, -1},
 	}
 	for _, mode := range []Mode{ModeMrScan, ModeCUDADClust} {
 		for _, denseBox := range []bool{false, true} {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("%s/densebox=%v/%s", mode, denseBox, tc.name), func(t *testing.T) {
-					params := dbscan.Params{Eps: 0.1, MinPts: tc.minPts}
+					params := dbscan.Params{Eps: tc.eps, MinPts: tc.minPts}
 					res, err := Cluster(testDevice(), tc.pts, Options{
 						Params:   params,
 						Mode:     mode,
@@ -53,7 +85,7 @@ func TestDegenerateInputs(t *testing.T) {
 					if len(res.Labels) != len(tc.pts) || len(res.Core) != len(tc.pts) {
 						t.Fatalf("output lengths %d/%d, want %d", len(res.Labels), len(res.Core), len(tc.pts))
 					}
-					if res.NumClusters != tc.wantClusters {
+					if tc.wantClusters >= 0 && res.NumClusters != tc.wantClusters {
 						t.Errorf("NumClusters = %d, want %d", res.NumClusters, tc.wantClusters)
 					}
 					if len(tc.pts) > 0 {
@@ -85,8 +117,8 @@ func TestDenseBoxLinkingAcrossLeaves(t *testing.T) {
 		pts = append(pts, geom.Point{ID: uint64(minPts + i), X: 0.09 + 0.001*float64(i), Y: 0})
 	}
 	params := dbscan.Params{Eps: eps, MinPts: minPts}
-	// LeafSize = minPts forces the median split between the clumps: one
-	// leaf per group, both dense.
+	// The clumps lie in different cells of the Eps/√2 grid and LeafSize =
+	// minPts lets no leaf hold both: one leaf per group, both dense.
 	res, err := Cluster(testDevice(), pts, Options{
 		Params:   params,
 		DenseBox: true,

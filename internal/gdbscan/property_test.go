@@ -305,17 +305,19 @@ func leafPts(c *clustering, ni int) []geom.Point {
 	return out
 }
 
-// TestBoxesWithinEpsOnlyByRectangle: two boxes whose rectangles are 0.07
-// apart but whose closest points are 0.139 apart must stay two clusters;
-// moving one point into reach must make them one.
+// TestBoxesWithinEpsOnlyByRectangle: two boxes whose rectangles are 0.09
+// apart but whose closest points are 0.108 apart must stay two clusters;
+// moving one point into reach must make them one. Each pair shares a cell
+// of the Eps/√2 grid laid from (0, 0) — columns 0 and 2 of its first row
+// — which is what makes it one leaf.
 func TestBoxesWithinEpsOnlyByRectangle(t *testing.T) {
 	params := dbscan.Params{Eps: 0.1, MinPts: 2}
 	apart := []geom.Point{
 		{ID: 0, X: 0, Y: 0}, {ID: 1, X: 0.06, Y: 0.06},
-		{ID: 2, X: 0.13, Y: -0.06}, {ID: 3, X: 0.19, Y: 0},
+		{ID: 2, X: 0.15, Y: 0}, {ID: 3, X: 0.20, Y: 0.06},
 	}
 	joined := slices.Clone(apart)
-	joined[2].Y = 0 // (0.13, 0) is 0.092 from (0.06, 0.06)
+	joined[2].Y = 0.06 // (0.15, 0.06) is 0.09 from (0.06, 0.06)
 	for name, tc := range map[string]struct {
 		pts  []geom.Point
 		want int

@@ -96,18 +96,20 @@ func (t *refTree) build(start, end int32) int32 {
 	return idx
 }
 
+// mk returns n points, point i at f(i), IDs in slice order.
+func mk(n int, f func(i int) (x, y float64)) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		x, y := f(i)
+		pts[i] = geom.Point{ID: uint64(i), X: x, Y: y}
+	}
+	return pts
+}
+
 // tieHeavyInputs are seeded point sets whose coordinates collide in every
 // way the strict-split pass has to handle.
 func tieHeavyInputs() map[string][]geom.Point {
 	rng := rand.New(rand.NewSource(15))
-	mk := func(n int, f func(i int) (x, y float64)) []geom.Point {
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			x, y := f(i)
-			pts[i] = geom.Point{ID: uint64(i), X: x, Y: y}
-		}
-		return pts
-	}
 	const leafCap = 8
 	in := map[string][]geom.Point{
 		"uniform":     mk(3000, func(int) (float64, float64) { return rng.Float64(), rng.Float64() }),
@@ -127,7 +129,22 @@ func tieHeavyInputs() map[string][]geom.Point {
 	return in
 }
 
-// TestSelectionBuildMatchesSortBuild: the selection build must produce
+// medianBuild runs the in-cell median splitter over the whole of pts — as
+// if one grid cell held everything — which no build does; it is how the
+// tests reach the splitter with inputs of their choosing.
+func medianBuild(pts []geom.Point, leafCap int) *Tree {
+	t := &Tree{}
+	t.reset(pts, leafCap, 0)
+	for i := range t.flat.Order {
+		t.flat.Order[i] = int32(i)
+	}
+	if len(pts) > 0 {
+		t.build(0, int32(len(pts)))
+	}
+	return t
+}
+
+// TestSelectionBuildMatchesSortBuild: the median splitter must produce
 // the reference's tree — the same nodes in the same order, with the same
 // bounds, the same split axes and values, the same subtree ranges and the
 // same point *sets* in every leaf (the order inside a leaf is unspecified
@@ -137,7 +154,9 @@ func TestSelectionBuildMatchesSortBuild(t *testing.T) {
 		for _, leafCap := range []int{1, 8, 64} {
 			t.Run(fmt.Sprintf("%s/leaf=%d", name, leafCap), func(t *testing.T) {
 				ref := refBuild(pts, leafCap)
-				f := Build(pts, leafCap).Flat()
+				tr := medianBuild(pts, leafCap)
+				checkFlat(t, tr)
+				f := tr.Flat()
 				if len(f.Left) != len(ref.nodes) {
 					t.Fatalf("%d nodes, reference has %d", len(f.Left), len(ref.nodes))
 				}
@@ -243,29 +262,62 @@ func TestRebuildAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBuildScansLinearithmic is the clock-free complexity guard: the
-// elements the build examines (bounds, selection and tie passes) may grow
-// from n to 8n points only as n log n does. A full sort per level —
-// O(n log² n) — fails it.
+// TestBuildScansLinearithmic is the clock-free complexity guard. Above
+// the cell level the build examines each point a bounded number of times
+// — keying, three passes per eight-bit digit of the radix sort for as
+// many digits as it takes to tell the point's cell from its neighbours'
+// (or to get its bucket under the leaf size), one search per node —
+// whatever the tree's depth: the count per point is held under a
+// constant at n and at 8n, which a pass over the points per tree level
+// (9 levels at the larger size, on top of the sort) breaks. (The count
+// itself steps up by a digit's three passes when an eight times denser
+// input needs one more digit, so a bound on its growth from n to 8n
+// would measure where those steps fall, not the complexity.) At and below
+// the cell level the median splitter examines a cell's points once per
+// level of the cell's own subtree, so those scans grow with the logarithm
+// of the cell occupancy and not of n; a sort per level — O(n log² n) —
+// fails that.
 func TestBuildScansLinearithmic(t *testing.T) {
 	const leafCap, n = 64, 4000
-	levels := func(n int) float64 { return float64(bits.Len(uint(n / leafCap))) }
 	for name, gen := range map[string]func(n int) []geom.Point{
 		"uniform": func(n int) []geom.Point { return randomPoints(rand.New(rand.NewSource(2)), n, 1) },
 		"twitter": func(n int) []geom.Point { return dataset.Twitter(n, 2) },
 		"sdss":    func(n int) []geom.Point { return dataset.SDSS(n, 2) },
 	} {
-		small := Build(gen(n), leafCap).scanned
-		large := Build(gen(8*n), leafCap).scanned
-		limit := 8 * levels(8*n) / levels(n) * 1.25
-		if ratio := float64(large) / float64(small); ratio > limit {
-			t.Errorf("%s: scans grew %.1fx from n=%d (%d) to n=%d (%d), limit %.1fx",
-				name, ratio, n, small, 8*n, large, limit)
+		for mode, eps := range map[string]float64{"plain": 0, "cells": 0.01} {
+			var ws Workspace
+			small, _ := ws.BuildCells(gen(n), leafCap, eps)
+			smallSorted, smallScanned := small.sorted, small.scanned
+			large, _ := ws.BuildCells(gen(8*n), leafCap, eps)
+			t.Logf("%s/%s: above the cells %.1f and %.1f per point, at and below %.1f and %.1f", name, mode,
+				float64(smallSorted)/n, float64(large.sorted)/(8*n), float64(smallScanned)/n, float64(large.scanned)/(8*n))
+			for _, perPoint := range []float64{float64(smallSorted) / n, float64(large.sorted) / (8 * n)} {
+				if perPoint > 16 {
+					t.Errorf("%s/%s: %.1f elements examined above the cells per point, want a small constant", name, mode, perPoint)
+				}
+			}
+			// The 16-bit grid of a plain build leaves these inputs a point
+			// or two per cell: nothing is scanned but each leaf, once.
+			if eps == 0 && (smallScanned != n || large.scanned != 8*n) {
+				t.Errorf("%s/%s: %d and %d coordinates scanned, want each point's once (%d, %d)",
+					name, mode, smallScanned, large.scanned, n, 8*n)
+			}
 		}
-		// A linear pass per level, a handful of passes each: the absolute
-		// count stays within a small multiple of n·levels.
-		if perLevel := float64(large) / (8 * n * levels(8*n)); perLevel > 6 {
-			t.Errorf("%s: %.1f scans per point per level, want a small constant", name, perLevel)
+	}
+	// In-cell: 2¹⁵ points spread evenly over g×g grid cells, split down
+	// to leaves of 8. A cell's subtree has log₂(occupancy/8) levels.
+	const m, cap8 = 1 << 15, 8
+	pts := randomPoints(rand.New(rand.NewSource(3)), m, 1)
+	for _, g := range []int{2, 8, 32} {
+		var ws Workspace
+		tr, _ := ws.BuildCells(pts, cap8, 1/(0.7071*float64(g)))
+		levels := float64(bits.Len(uint(m / (g * g) / cap8)))
+		if perLevel := float64(tr.scanned) / (m * levels); perLevel > 6 {
+			t.Errorf("%dx%d cells: %.1f scans per point per level of a cell's subtree (%v levels), want a small constant",
+				g, g, perLevel, levels)
+		}
+		if perPoint := float64(tr.sorted) / m; perPoint > 16 {
+			t.Errorf("%dx%d cells: %.1f elements examined above the cells per point", g, g, perPoint)
 		}
 	}
 }

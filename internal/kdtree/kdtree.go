@@ -11,11 +11,22 @@
 //
 // The tree is built straight into index arrays (Flat) — the layout a real
 // CUDA kernel traverses with an explicit stack, and the form consumed by
-// the gpusim kernels. Each level of the build splits at the median found
-// by selection (nth_element), not by sorting, so the build is O(n log n).
+// the gpusim kernels. The build is cells first, tree second: the points
+// are sorted once into the cells of a grid (side just under Eps/√2 for
+// BuildCells, the paper's dense-box cell) by the cells' Morton keys, the
+// tree above the cells is the radix tree of the sorted keys — every split
+// a grid line, found by binary search — and only a single cell that still
+// has to be divided is split at the median of its points, by selection
+// (nth_element). DESIGN.md "Cell-first tree" has the contract.
 package kdtree
 
-import "repro/internal/geom"
+import (
+	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/geom"
+)
 
 // DefaultLeafSize is the leaf region capacity used when the caller passes
 // a non-positive leaf size.
@@ -33,19 +44,26 @@ const cellFloor = 8
 // point indices; leaves own contiguous ranges of that permutation.
 type Tree struct {
 	pts []geom.Point
-	// xs, ys are the coordinate columns of pts: the selection build and
-	// the range queries read coordinates by index far more often than
-	// they need a whole Point.
+	// xs, ys are the coordinate columns of pts: the build and the range
+	// queries read coordinates by index far more often than they need a
+	// whole Point.
 	xs, ys []float64
 	flat   Flat
 	// leafCap is the leaf capacity; cellDiag2 > 0 additionally demands
-	// the Eps-cell stop rule (squared cell diagonal).
+	// the Eps-cell stop rule (squared cell diagonal). A region of at most
+	// anyRect points is a leaf whatever its rectangle.
 	leafCap   int
 	cellDiag2 float64
-	// scanned counts the elements examined by the build's bounds,
-	// selection and tie passes: the clock-free cost the complexity guard
-	// in the tests bounds.
-	scanned int64
+	anyRect   int
+	// words is the build's one scratch array: per point, the Morton key
+	// of its grid cell above idxBits bits of its index, sorted in place.
+	words   []uint64
+	idxBits uint
+	// sorted counts the elements examined above the cell level (keying,
+	// the radix sort's passes, the split searches) and scanned those
+	// examined by the bounds, selection and tie passes at and below it:
+	// the clock-free costs the complexity guard in the tests bounds.
+	sorted, scanned int64
 }
 
 // Build constructs a tree over pts with the given leaf capacity.
@@ -62,6 +80,18 @@ func Build(pts []geom.Point, leafCap int) *Tree {
 // only when it holds ≤ leafCap points and is either an Eps cell
 // (diagonal ≤ cellEps) or holds ≤ cellFloor points.
 func (t *Tree) buildInto(pts []geom.Point, leafCap int, cellEps float64) {
+	minX, minY, w, h := t.reset(pts, leafCap, cellEps)
+	if len(pts) == 0 {
+		return
+	}
+	t.sortCells(minX, minY, gridSide(w, h, cellEps, t.axisBits()))
+	t.radix(0, int32(len(pts)))
+}
+
+// reset points t at pts with every array sized and the tree empty, and
+// returns the corner and extent of pts' bounding box — an extent is NaN
+// when a coordinate is not finite.
+func (t *Tree) reset(pts []geom.Point, leafCap int, cellEps float64) (minX, minY, w, h float64) {
 	if leafCap <= 0 {
 		leafCap = DefaultLeafSize
 	}
@@ -69,36 +99,233 @@ func (t *Tree) buildInto(pts []geom.Point, leafCap int, cellEps float64) {
 	t.pts = pts
 	t.leafCap = leafCap
 	t.cellDiag2 = cellEps * cellEps
-	t.scanned = 0
+	t.anyRect = leafCap
+	if cellEps > 0 {
+		t.anyRect = min(leafCap, cellFloor)
+	}
+	t.idxBits = uint(bits.Len(uint(max(n, 1) - 1)))
+	t.sorted, t.scanned = 0, 0
 	t.xs = grow(t.xs, n)
 	t.ys = grow(t.ys, n)
+	t.words = grow(t.words, n)
 	f := &t.flat
 	f.Order = grow(f.Order, n)
+	minX, minY = math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	notFinite := 0.0 // x-x is 0 for a finite x and NaN otherwise
 	for i, p := range pts {
 		t.xs[i], t.ys[i] = p.X, p.Y
-		f.Order[i] = int32(i)
+		minX, maxX = min(minX, p.X), max(maxX, p.X)
+		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
+		notFinite += (p.X - p.X) + (p.Y - p.Y)
 	}
-	// Size the node arrays once. A median split of a region that must
-	// split (more than minLeaf points) leaves at least minLeaf/2 points on
-	// each side, which bounds the leaf count; only splits pushed off the
-	// median by tied coordinates can exceed it, and then append grows.
-	minLeaf := leafCap
-	if cellEps > 0 && cellFloor < minLeaf {
-		minLeaf = cellFloor
+	// Size the node arrays once, for leaves half full on average: what a
+	// median split guarantees, and what grid lines — which can leave one
+	// point on a side — keep to on the workloads' partitions (at most 0.45
+	// nodes a point on SDSS, 0.19 on Twitter); past it append grows. With
+	// cells, a region of up to leafCap points is split down to its cells
+	// before it collapses into one leaf: room for that subtree too.
+	nodes := 2*(n/((t.anyRect+1)/2)) + 1
+	if cellEps > 0 {
+		nodes += 2 * leafCap
 	}
-	nodes := 2*(n/((minLeaf+1)/2)) + 1
 	f.Bounds = grow(f.Bounds, 4*nodes)[:0]
 	f.Left = grow(f.Left, nodes)[:0]
 	f.Right = grow(f.Right, nodes)[:0]
 	f.Start = grow(f.Start, nodes)[:0]
 	f.Count = grow(f.Count, nodes)[:0]
-	if n > 0 {
-		t.build(0, int32(n))
+	return minX, minY, maxX - minX + notFinite, maxY - minY + notFinite
+}
+
+// axisBits is the number of bits a cell coordinate may take: two of them
+// interleaved share a word with the idxBits of the point's index.
+func (t *Tree) axisBits() uint { return min((64-t.idxBits)/2, 31) }
+
+// gridSide returns the side of the grid the points are sorted into: just
+// under Eps/√2 with cells, so that whatever shares a cell is mutually
+// within Eps; without, 2⁻¹⁶ of the larger extent. It doubles until both
+// axes fit axisBits bits. 0 means one cell holds everything: the extent
+// is zero or not finite, or the side underflows.
+func gridSide(w, h, cellEps float64, axisBits uint) float64 {
+	extent := max(w, h)
+	if !(extent > 0 && extent < math.Inf(1)) {
+		return 0
+	}
+	side := extent / (1 << 16)
+	if cellEps > 0 {
+		side = cellEps * 0.7071
+	}
+	if side == 0 || math.IsInf(1/side, 0) {
+		return 0
+	}
+	for limit := float64(uint64(1) << axisBits); extent/side >= limit; {
+		side *= 2
+	}
+	return side
+}
+
+// sortCells quantises every point to its grid cell and sorts Order by
+// the cells' Morton keys: afterwards the points of any 2ᵏ-aligned block
+// of cells — a cell included — are one range of Order, and words holds
+// the sorted keys for radix to split on.
+func (t *Tree) sortCells(minX, minY, side float64) {
+	words, order := t.words, t.flat.Order
+	if side == 0 {
+		for i := range words {
+			words[i], order[i] = uint64(i), int32(i)
+		}
+		return
+	}
+	// A product, not a quotient: either is monotone in the coordinate,
+	// which is all that makes a grid line a strict split.
+	inv, maxCell := 1/side, uint64(1)<<t.axisBits()-1
+	for i := range words {
+		cx := min(uint64((t.xs[i]-minX)*inv), maxCell)
+		cy := min(uint64((t.ys[i]-minY)*inv), maxCell)
+		words[i] = (spread(cx)|spread(cy)<<1)<<t.idxBits | uint64(i)
+	}
+	t.sorted += int64(len(words))
+	t.sortWords(words)
+	index := uint64(1)<<t.idxBits - 1
+	for i, w := range words {
+		order[i] = int32(w & index)
 	}
 }
 
-// build recursively constructs the subtree over Order[start:end) and
-// returns its node index.
+// spread moves bit i of a 32-bit v to bit 2i.
+func spread(v uint64) uint64 {
+	v = (v | v<<16) & 0x0000FFFF0000FFFF
+	v = (v | v<<8) & 0x00FF00FF00FF00FF
+	v = (v | v<<4) & 0x0F0F0F0F0F0F0F0F
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
+}
+
+// sortWords sorts w by key (the bits above idxBits) in place, as far as
+// radix needs it sorted: an MSD radix sort that swaps each word into its
+// digit's bucket (American flag sort), takes its eight-bit digit from
+// the highest bits that differ within the range — constant digits cost
+// nothing — and hands short ranges to insertion sort. A bucket — the
+// words under one key prefix, so an aligned block of cells — of at most
+// anyRect words is left as it fell: it is in place among its siblings,
+// and radix makes a leaf of any part of it without looking at its keys.
+// Words of one key end in an unspecified order that depends on w alone.
+func (t *Tree) sortWords(w []uint64) {
+	if len(w) <= t.anyRect {
+		return
+	}
+	t.sorted += int64(len(w))
+	if len(w) <= 32 {
+		for i := 1; i < len(w); i++ {
+			v, j := w[i], i
+			for ; j > 0 && w[j-1] > v; j-- {
+				w[j] = w[j-1]
+			}
+			w[j] = v
+		}
+		return
+	}
+	diff := uint64(0)
+	for _, v := range w[1:] {
+		diff |= v ^ w[0]
+	}
+	diff >>= t.idxBits
+	if diff == 0 {
+		return
+	}
+	shift := t.idxBits + uint(max(bits.Len64(diff)-8, 0))
+	var next, end [256]int32
+	for _, v := range w {
+		end[uint8(v>>shift)]++
+	}
+	sum := int32(0)
+	for d, c := range end {
+		next[d] = sum
+		sum += c
+		end[d] = sum
+	}
+	t.sorted += 2 * int64(len(w))
+	for d := range next {
+		for i := next[d]; i < end[d]; i = next[d] {
+			v := w[i]
+			for uint8(v>>shift) != uint8(d) {
+				j := &next[uint8(v>>shift)]
+				v, w[*j] = w[*j], v
+				*j++
+			}
+			w[i] = v
+			next[d]++
+		}
+	}
+	if shift == t.idxBits {
+		return
+	}
+	from := int32(0)
+	for _, to := range end {
+		if to-from > 1 {
+			t.sortWords(w[from:to])
+		}
+		from = to
+	}
+}
+
+// addLeaf appends a childless node over Order[start:start+count) and
+// returns its index.
+func (f *Flat) addLeaf(start, count int32, minX, minY, maxX, maxY float64) int32 {
+	f.Bounds = append(f.Bounds, minX, minY, maxX, maxY)
+	f.Left = append(f.Left, -1)
+	f.Right = append(f.Right, -1)
+	f.Start = append(f.Start, start)
+	f.Count = append(f.Count, count)
+	return int32(len(f.Left) - 1)
+}
+
+// radix builds the subtree over Order[start:end), a range of the sorted
+// cells, and returns its node index. A range within one cell, or small
+// enough to be a leaf whatever its rectangle, is build's; any other
+// splits where its keys' highest differing bit turns — a grid line on
+// one axis, so the children are ranges, their rectangles are strictly
+// apart on that axis, and the node's are its children's sum and union.
+// The stop rule that needs the rectangle is applied on the way back up:
+// a node of at most leafCap points whose rectangle turns out to be an
+// Eps cell drops the subtree just built beneath it (nodes are in
+// pre-order: a truncation) and is a leaf, so every point's coordinates
+// are read once however many grid lines cross its leaf.
+func (t *Tree) radix(start, end int32) int32 {
+	words := t.words[start:end]
+	// A longer range is whole buckets, sorted or (the small ones) at least
+	// in place: its ends differ where its smallest and largest keys do.
+	first, last := words[0]>>t.idxBits, words[len(words)-1]>>t.idxBits
+	if len(words) <= t.anyRect || first == last {
+		return t.build(start, end)
+	}
+	f := &t.flat
+	idx := f.addLeaf(start, end-start, 0, 0, 0, 0) // bounds: once the children have theirs
+
+	bit := t.idxBits + uint(bits.Len64(first^last)-1)
+	mid, _ := slices.BinarySearch(words, words[len(words)-1]>>bit<<bit)
+	t.sorted += int64(bits.Len(uint(len(words))))
+	left := t.radix(start, start+int32(mid))
+	right := t.radix(start+int32(mid), end)
+
+	l, r, b := f.Bounds[4*left:4*left+4], f.Bounds[4*right:4*right+4], f.Bounds[4*idx:4*idx+4]
+	b[0], b[1], b[2], b[3] = min(l[0], r[0]), min(l[1], r[1]), max(l[2], r[2]), max(l[3], r[3])
+	if len(words) <= t.leafCap && f.Diag2(int(idx)) <= t.cellDiag2 {
+		f.Bounds = f.Bounds[:4*idx+4]
+		f.Left, f.Right = f.Left[:idx+1], f.Right[:idx+1]
+		f.Start, f.Count = f.Start[:idx+1], f.Count[:idx+1]
+		return idx
+	}
+	f.Left[idx], f.Right[idx] = left, right
+	return idx
+}
+
+// build recursively constructs the subtree over Order[start:end) by
+// median splits and returns its node index: the bounds scan and stop rule
+// of every leaf, and the splitter of a single grid cell — one holding
+// more than leafCap points, or (rounding, a coarsened grid) wider than an
+// Eps cell.
 func (t *Tree) build(start, end int32) int32 {
 	f := &t.flat
 	seg := f.Order[start:end]
@@ -117,15 +344,10 @@ func (t *Tree) build(start, end int32) int32 {
 		}
 	}
 	t.scanned += int64(len(seg))
-	idx := int32(len(f.Left))
-	f.Bounds = append(f.Bounds, minX, minY, maxX, maxY)
-	f.Left = append(f.Left, -1)
-	f.Right = append(f.Right, -1)
-	f.Start = append(f.Start, start)
-	f.Count = append(f.Count, end-start)
+	idx := f.addLeaf(start, end-start, minX, minY, maxX, maxY)
 
 	w, h := maxX-minX, maxY-minY
-	if len(seg) <= t.leafCap && (t.cellDiag2 == 0 || len(seg) <= cellFloor || w*w+h*h <= t.cellDiag2) {
+	if len(seg) <= t.leafCap && (len(seg) <= t.anyRect || w*w+h*h <= t.cellDiag2) {
 		return idx
 	}
 	// Split on the wider axis at the median, mirroring CUDA-DClust's
@@ -155,6 +377,9 @@ func (t *Tree) build(start, end int32) int32 {
 			seg[i], seg[mid] = seg[mid], seg[i]
 			mid++
 		}
+	}
+	if mid == 0 || mid == len(seg) {
+		return idx // only coordinates that are not numbers order like this
 	}
 	left := t.build(start, start+int32(mid))
 	right := t.build(start+int32(mid), end)

@@ -74,6 +74,63 @@ func TestRefusedBeforePaying(t *testing.T) {
 	}
 }
 
+// unread is a request body that counts what is read of it.
+type unread struct {
+	r    io.Reader
+	read int
+}
+
+func (u *unread) Read(p []byte) (int, error) {
+	n, err := u.r.Read(p)
+	u.read += n
+	return n, err
+}
+
+// TestTickRefusedBeforeReading: a tick for a stream that does not exist,
+// or sent to a draining server, is refused on its URL alone — the body is
+// not read and nothing its size is allocated — with the status a decoded
+// tick would have got.
+func TestTickRefusedBeforeReading(t *testing.T) {
+	s := mustServer(t, Config{Workers: 1})
+	h := s.Handler()
+	sid, err := s.CreateStream(StreamSpec{Tenant: "acme", Eps: 0.1, MinPts: 2, WindowTicks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5 MB of well-formed points: about 110 000 of them, 3.5 MB decoded.
+	var doc strings.Builder
+	doc.WriteString(`{"points":[`)
+	for i := 0; doc.Len() < 5<<20; i++ {
+		fmt.Fprintf(&doc, `{"id":%d,"x":%d.123456789,"y":-0.987654321},`, i, i%100)
+	}
+	doc.WriteString(`{"id":4000000000,"x":0,"y":0}]}`)
+	refusedUnread := func(path string, wrap func(io.Reader) io.Reader, wantCode int, wantReason string) {
+		t.Helper()
+		body := &unread{r: strings.NewReader(doc.String())}
+		code, reason, allocated := post(t, h, path, wrap(body))
+		if code != wantCode || reason != wantReason {
+			t.Fatalf("POST %s: %d %s, want %d %s", path, code, reason, wantCode, wantReason)
+		}
+		if body.read != 0 {
+			t.Errorf("POST %s: %d bytes of the body read before the refusal", path, body.read)
+		}
+		if allocated >= 64<<10 {
+			t.Errorf("POST %s: refusing allocated %d bytes, want < 64 KB", path, allocated)
+		}
+	}
+	for _, wrap := range []func(io.Reader) io.Reader{
+		func(r io.Reader) io.Reader { return r },
+		func(r io.Reader) io.Reader { return chunked{r} },
+	} {
+		refusedUnread("/api/v1/streams/nope/points", wrap, http.StatusNotFound, "unknown_stream")
+	}
+	s.Drain()
+	refusedUnread("/api/v1/streams/"+sid+"/points", func(r io.Reader) io.Reader { return r }, http.StatusServiceUnavailable, "draining")
+	if got := s.hub.Counter("server_streams_rejected_total", "tenant", "acme", "reason", "draining").Value(); got != 1 {
+		t.Errorf("server_streams_rejected_total{acme,draining} = %d, want 1", got)
+	}
+}
+
 // TestBodyLimit: a body of exactly the limit is taken, one byte more is
 // 413 — declared by Content-Length or found out while reading.
 func TestBodyLimit(t *testing.T) {

@@ -346,6 +346,10 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
+	if err := s.precheckTick(r.PathValue("id")); err != nil {
+		refuse(w, err)
+		return
+	}
 	body, err := readBody(r)
 	if err != nil {
 		refuse(w, err)

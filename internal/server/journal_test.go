@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -166,4 +167,96 @@ func TestJournalReplayIdempotentUnderCrash(t *testing.T) {
 			t.Fatalf("seed %d: third replay: states = %v err = %v", seed, states2, err)
 		}
 	}
+}
+
+// journalCrashImages appends a job's life to a journal on a crash-capable
+// file system, loses power at every file-system operation in turn, and
+// returns each journal.log image recovery leaves — whole records, none,
+// and the tail torn wherever the crash tore it.
+func journalCrashImages(tb testing.TB) [][]byte {
+	transitions := [][2]string{
+		{"job-000001", "queued"}, {"job-000001", "running"}, {"job-000002", "queued"},
+		{"job-000001", "suspended"}, {"job-000002", "running"}, {"job-000002", "completed"},
+	}
+	life := func(fs *lustre.FS) {
+		j := newJournal(LustreJournalFS(fs), "state", telemetry.New(nil))
+		for _, tr := range transitions {
+			if j.setState(tr[0], tr[1]) != nil {
+				return // the crash
+			}
+		}
+	}
+	probe := lustre.New(lustre.Titan(), nil)
+	probe.EnableCrashSim(1)
+	life(probe)
+	var images [][]byte
+	seen := map[string]bool{}
+	for k := int64(1); k <= probe.OpCount(); k++ {
+		fs := lustre.New(lustre.Titan(), nil)
+		fs.EnableCrashSim(k)
+		fs.ArmCrash(k)
+		life(fs)
+		if _, err := fs.Recover(); err != nil {
+			tb.Fatal(err)
+		}
+		img, err := LustreJournalFS(fs).ReadFile("state/journal.log")
+		if err != nil && !isNotExist(err) {
+			tb.Fatal(err)
+		}
+		if !seen[string(img)] {
+			seen[string(img)] = true
+			images = append(images, img)
+		}
+	}
+	return images
+}
+
+// FuzzJournalReplay replays arbitrary bytes as a journal. It never
+// panics. Either the log is refused whole as ErrJournalCorrupt, or the
+// replay keeps a prefix of it — valid records back to back, the rest a
+// torn tail — and replaying what it kept is a fixed point: the same
+// records, nothing more to drop. The repair on a journal's file system
+// leaves exactly that prefix behind.
+func FuzzJournalReplay(f *testing.F) {
+	for _, img := range journalCrashImages(f) {
+		f.Add(img)
+	}
+	whole, _ := encodeRecord(logRecord{Seq: 1, ID: "job-000001", State: "queued"})
+	flipped := append(append([]byte(nil), whole...), whole...)
+	flipped[recHeaderSize+3] ^= 0x10 // interior damage: a valid record follows
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), whole...), 'J', 'L', recVersion, 0xff, 0xff, 0xff, 0x7f)) // implausible length
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, goodLen, torn, err := decodeRecords(data)
+		if err != nil {
+			if !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if goodLen < 0 || goodLen > len(data) || torn != (goodLen < len(data)) {
+			t.Fatalf("kept %d of %d bytes, torn = %v", goodLen, len(data), torn)
+		}
+		again, againLen, againTorn, err := decodeRecords(data[:goodLen])
+		if err != nil || againTorn || againLen != goodLen || !reflect.DeepEqual(again, recs) {
+			t.Fatalf("replaying the kept prefix: %d records in %d bytes (torn %v, err %v), first replay kept %d in %d",
+				len(again), againLen, againTorn, err, len(recs), goodLen)
+		}
+		fs := lustre.New(lustre.Titan(), nil)
+		j := newJournal(LustreJournalFS(fs), "state", telemetry.New(nil))
+		if err := j.fs.WriteFileSync(j.logPath(), data); err != nil {
+			t.Fatal(err)
+		}
+		states, _, err := j.replayLog(true)
+		if err != nil {
+			t.Fatalf("replayLog refuses what decodeRecords took: %v", err)
+		}
+		repaired, err := j.fs.ReadFile(j.logPath())
+		if err != nil || !bytes.Equal(repaired, data[:goodLen]) {
+			t.Fatalf("repaired log holds %d bytes (%v), want the %d-byte prefix", len(repaired), err, goodLen)
+		}
+		if states2, _, err := j.replayLog(true); err != nil || !reflect.DeepEqual(states2, states) {
+			t.Fatalf("second replay: %v, %v; first: %v", states2, err, states)
+		}
+	})
 }

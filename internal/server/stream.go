@@ -281,6 +281,25 @@ func (s *Server) lookupStream(id string) (*streamState, error) {
 	return st, nil
 }
 
+// precheckTick is a tick's admission run early, on what the HTTP edge
+// knows before it has read the body: it refuses (and books) what
+// StreamTick would refuse whatever the points — no such stream, a
+// draining server — and otherwise changes nothing; StreamTick's own
+// gates stay the authority (the stream can be deleted meanwhile).
+func (s *Server) precheckTick(id string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.streams[id]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownStream, id)
+	}
+	if s.draining || s.closed {
+		s.hub.Counter("server_streams_rejected_total", "tenant", st.spec.Tenant, "reason", "draining").Inc()
+		return fmt.Errorf("%w: tenant %s", ErrDraining, st.spec.Tenant)
+	}
+	return nil
+}
+
 // StreamTick feeds one tick of arrivals into a stream. Admission gates
 // apply per tick: draining rejects new points, and the tenant's point
 // quota is charged for arrivals and refunded for expiries, so a
