@@ -40,10 +40,12 @@ race:
 # body's length, goroutines return). Then the durable formats, seeded with
 # the file images every crash point of a save or an append leaves: the
 # MRCKPT envelope and the manifest inside it, and journal replay (typed
-# refusal or a valid prefix, idempotently). Last the KD-tree build: bytes
-# become points and a cell size, the tree keeps its contract (checkFlat)
-# and counts ranges as brute force does. Minimising every new corpus entry
-# would eat the whole budget, hence the 1s cap.
+# refusal or a valid prefix, idempotently), and the pipeline's partition,
+# cluster and merge snapshot decoders, seeded from real snapshots (bounded
+# allocation, typed refusal, one encoding per value). Last the KD-tree
+# build: bytes become points and a cell size, the tree keeps its contract
+# (checkFlat) and counts ranges as brute force does. Minimising every new
+# corpus entry would eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointEnvelope -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/mrscan
 	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
@@ -132,27 +135,28 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_23.json: BENCH_22.json's
-# rows plus BuildCells — the cell-first KD build on one partition of each
-# batch shape; EXPERIMENTS.md "Cell-first tree (PR 23)" says which rows
-# were re-captured and how; BENCH_22.json and earlier are history and gate
-# nothing). Fails if any Cluster,
+# committed baseline of current performance (BENCH_25.json: BENCH_23.json's
+# rows plus CheckpointOverhead — a whole 4-leaf Twitter run with phase
+# checkpoints off and on; EXPERIMENTS.md "Snapshots in records (PR 25)"
+# says which rows were re-captured and how; BENCH_23.json and earlier are
+# history and gate nothing). Fails if any Cluster,
 # GPUDBSCAN, Classify (gdbscan pass one alone on one partition of each
 # batch shape), KD-tree Build, Partition (including the write-stage
 # PartitionWrite layouts), planner (MakePlan, Split), StreamTick (engine at
 # two shapes, and the served tick with its durable commit), merge
 # (BuildSummaries, Combine), distrib (DistribRun end to end over loopback,
 # WireCodec encode/decode), SubmitDecode (the HTTP edge's body scanner on
-# both serve_jobs body sizes, beside the encoding/json path it replaced) or
-# RunPoints (the whole front door at the two batch workloads' shapes)
+# both serve_jobs body sizes, beside the encoding/json path it replaced),
+# RunPoints (the whole front door at the two batch workloads' shapes) or
+# CheckpointOverhead (the same run with and without phase snapshots)
 # benchmark's wall clock regressed more than 20%, or its B/op — which
 # repeats to under 1% where ns/op moves by tens — grew more than 5%.
-BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints)
+BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints|CheckpointOverhead)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_23.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_25.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_23.json's rows were produced).
+# BENCH_run.json, and how BENCH_25.json's rows were produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

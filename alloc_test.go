@@ -26,23 +26,49 @@ func TestRunPointsBytesPerPoint(t *testing.T) {
 		{"twitter30k_8", dataset.Twitter(30_000, 1), Default(0.1, 40, 8), 480},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, _, err := RunPoints(c.pts, c.cfg); err != nil { // warm lazily built tables
-				t.Fatal(err)
-			}
-			const runs = 3
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				if _, _, err := RunPoints(c.pts, c.cfg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			perPoint := (after.TotalAlloc - before.TotalAlloc) / runs / uint64(len(c.pts))
+			perPoint := allocatedPerRun(t, c.pts, c.cfg) / uint64(len(c.pts))
 			t.Logf("%d bytes allocated per input point (budget %d)", perPoint, c.budget)
 			if perPoint > c.budget {
 				t.Errorf("RunPoints allocated %d bytes per input point, budget %d", perPoint, c.budget)
 			}
 		})
+	}
+}
+
+// allocatedPerRun returns the bytes one RunPoints allocates, averaged over
+// three runs after a warm-up that builds lazily built tables.
+func allocatedPerRun(t *testing.T, pts []Point, cfg Config) uint64 {
+	t.Helper()
+	if _, _, err := RunPoints(pts, cfg); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, _, err := RunPoints(pts, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestCheckpointOverheadBytes guards what durability costs on
+// BenchmarkCheckpointOverhead's shape (Twitter 50 k, 4 leaves) without a
+// clock: with every phase snapshotted, a run allocates at most 1.25× the
+// bytes of one without. Gob snapshots cost 1.63× here.
+func TestCheckpointOverheadBytes(t *testing.T) {
+	pts := dataset.Twitter(4*12_500, 1)
+	var allocated [2]uint64
+	for i, ckpt := range []bool{false, true} {
+		cfg := Default(0.1, 40, 4)
+		cfg.Checkpoint = ckpt
+		allocated[i] = allocatedPerRun(t, pts, cfg)
+	}
+	ratio := float64(allocated[1]) / float64(allocated[0])
+	t.Logf("checkpoint on: %.1f MB per run, off: %.1f MB (%.2f×)", float64(allocated[1])/1e6, float64(allocated[0])/1e6, ratio)
+	if ratio > 1.25 {
+		t.Errorf("checkpointing allocates %.2f× the bytes of a run without it, budget 1.25×", ratio)
 	}
 }

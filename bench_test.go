@@ -333,8 +333,12 @@ func BenchmarkAblationRebalance(b *testing.B) {
 // BenchmarkCheckpointOverhead compares a full pipeline run with phase
 // checkpointing off and on. The snapshots ride the simulated Lustre FS
 // through the same charged write path as the pipeline's own I/O, so the
-// wall-clock delta between the two sub-benchmarks is the real cost of
-// durability — it should stay under a few percent of total time.
+// delta between the two sub-benchmarks is the real cost of durability.
+// Measured at PR 25 on a 2-core box: checkpoint-on takes 29–31 ms/op
+// against 26–27 off (≈ 1.13×) and allocates 24.5 MB/op against 20.1
+// (1.22×); with gob snapshots it was 36–39 against 28–30 ms/op and 32.8
+// MB/op (1.63×). TestCheckpointOverheadBytes holds the bytes ratio under
+// 1.25×, clock-free.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	pts := twitterData(4 * benchPointsPerLeaf)
 	for _, ckpt := range []bool{false, true} {

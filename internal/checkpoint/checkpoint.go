@@ -30,6 +30,14 @@
 //     ErrCorrupt on any mismatch, so a damaged checkpoint re-executes
 //     its phase rather than poisoning the output.
 //
+// The envelope does not know what its payload means. A payload type that
+// implements encoding.BinaryMarshaler/BinaryUnmarshaler (the pipeline's
+// partition, cluster and merge snapshots, the distributed coordinator's
+// per-partition responses: fixed records, docs/FORMATS.md) encodes
+// itself; everything else — the manifest, the server's stream spec and
+// ticks — is gob. A run ID records which format a store's snapshots are
+// in (RecordsTag), so a reader never hands one to the other's decoder.
+//
 // A phase saved again replaces its snapshot in place. A log that keeps a
 // moving window of entries (the server's stream ticks) uses Rotate
 // instead: entries are published under names that never repeat and
@@ -46,6 +54,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -68,6 +77,14 @@ const (
 	magic   = "MRCKPT"
 	version = 1
 )
+
+// RecordsTag goes into the run ID of every store whose snapshots encode
+// themselves (encoding.BinaryMarshaler). The envelope version stays 1 —
+// bumping it would orphan every durable stream directory — so the tag is
+// what keeps a store written with gob snapshots, under a run ID without
+// it, from reaching a record decoder: the run IDs differ, and the old
+// snapshots are recomputed. Change it whenever a record layout changes.
+const RecordsTag = "records-v1"
 
 // ErrCorrupt reports a snapshot that failed verification: bad magic,
 // unknown version, truncated payload, or checksum mismatch.
@@ -272,10 +289,13 @@ func (s *Store) ensureManifest() {
 	s.manifest = m
 }
 
-// Save snapshots one phase's payload (gob-encoded) and records it in the
-// manifest. Phases saved twice keep the latest snapshot. The snapshot is
-// durable before the manifest references it (write-then-rename, snapshot
-// first), so a crash between the two leaves a consistent store.
+// Save snapshots one phase's payload and records it in the manifest. A
+// payload that implements encoding.BinaryMarshaler is stored as the bytes
+// its MarshalBinary returns, and Load hands them to the UnmarshalBinary of
+// its out; any other payload is gob-encoded. Phases saved twice keep the
+// latest snapshot. The snapshot is durable before the manifest references
+// it (write-then-rename, snapshot first), so a crash between the two
+// leaves a consistent store.
 func (s *Store) Save(phase string, payload any) error {
 	return s.Rotate(phase, phase, payload)
 }
@@ -293,22 +313,22 @@ func (s *Store) Rotate(kind, phase string, payload any, retire ...string) error 
 	hub, parent := s.telemetry()
 	sp := hub.Start(parent, "checkpoint.save", telemetry.String("phase", kind))
 	defer sp.End()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(payload); err != nil {
+	data, err := encode(payload)
+	if err != nil {
 		return fmt.Errorf("checkpoint: encoding %s: %w", phase, err)
 	}
-	sp.Annotate(telemetry.Int("bytes", buf.Len()))
+	sp.Annotate(telemetry.Int("bytes", len(data)))
 	name := phaseFile(phase)
-	crc, err := s.writeFile(name, buf.Bytes())
+	crc, err := s.writeFile(name, data)
 	if err != nil {
 		return err
 	}
 	hub.Counter("checkpoint_saves_total", "phase", kind).Inc()
-	hub.Counter("checkpoint_bytes_total", "phase", kind).Add(int64(buf.Len()))
+	hub.Counter("checkpoint_bytes_total", "phase", kind).Add(int64(len(data)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ensureManifest()
-	entry := Entry{Phase: phase, File: name, CRC: crc, Bytes: int64(buf.Len())}
+	entry := Entry{Phase: phase, File: name, CRC: crc, Bytes: int64(len(data))}
 	next := s.manifest
 	next.Entries = make([]Entry, 0, len(s.manifest.Entries)+1)
 	var retired []string
@@ -375,12 +395,40 @@ func (s *Store) Sweep() (int, error) {
 // saveManifest durably writes m as the store's manifest. Callers hold
 // s.mu.
 func (s *Store) saveManifest(m *Manifest) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	data, err := encode(m)
+	if err != nil {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
-	_, err := s.writeFile(manifestName, buf.Bytes())
+	_, err = s.writeFile(manifestName, data)
 	return err
+}
+
+// encode is a snapshot's payload: the bytes of its own MarshalBinary when
+// it has one (the pipeline's fixed-record snapshots), gob otherwise.
+func encode(v any) ([]byte, error) {
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		return m.MarshalBinary()
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// decode is encode's inverse: out's UnmarshalBinary when it has one, gob
+// otherwise. Any failure is ErrCorrupt.
+func decode(payload []byte, out any, name string) error {
+	var err error
+	if u, ok := out.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(payload)
+	} else {
+		err = gob.NewDecoder(bytes.NewReader(payload)).Decode(out)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: undecodable payload: %v", ErrCorrupt, name, err)
+	}
+	return nil
 }
 
 // writeFile writes payload under the integrity envelope via the atomic
@@ -424,8 +472,8 @@ func (s *Store) writeFile(name string, payload []byte) (uint32, error) {
 	return crc, nil
 }
 
-// loadFile reads and verifies an envelope, gob-decoding the payload into
-// out. Missing files return ErrNoCheckpoint; damaged ones ErrCorrupt.
+// loadFile reads and verifies an envelope, decoding the payload into out.
+// Missing files return ErrNoCheckpoint; damaged ones ErrCorrupt.
 func (s *Store) loadFile(name string, out any) error {
 	f, err := s.fs.Open(name)
 	if err != nil {
@@ -440,10 +488,7 @@ func (s *Store) loadFile(name string, out any) error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("%w: %s: undecodable payload: %v", ErrCorrupt, name, err)
-	}
-	return nil
+	return decode(payload, out, name)
 }
 
 // verifyEnvelope checks magic, version, length and CRC, returning the
@@ -542,8 +587,8 @@ func (s *Store) Load(phase string, out any) error {
 		return err
 	}
 	sp.Annotate(telemetry.Int("bytes", len(payload)))
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return fmt.Errorf("%w: %s: undecodable payload: %v", ErrCorrupt, phaseFile(phase), err)
+	if err := decode(payload, out, phaseFile(phase)); err != nil {
+		return err
 	}
 	hub.Counter("checkpoint_restores_total", "phase", phase).Inc()
 	return nil

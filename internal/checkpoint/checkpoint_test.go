@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -49,6 +50,51 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !st.Has("cluster") || st.Has("merge") {
 		t.Fatal("Has is wrong")
+	}
+}
+
+// rawSnap encodes itself; an empty payload is its decoder's refusal.
+type rawSnap struct{ b []byte }
+
+func (r *rawSnap) MarshalBinary() ([]byte, error) { return r.b, nil }
+
+func (r *rawSnap) UnmarshalBinary(p []byte) error {
+	if len(p) == 0 {
+		return errors.New("rawSnap: empty")
+	}
+	r.b = bytes.Clone(p)
+	return nil
+}
+
+// TestBinaryPayloadStoredVerbatim: a payload that marshals itself is the
+// envelope's payload byte for byte — no gob around it — and comes back
+// through UnmarshalBinary; its decoder's refusal is ErrCorrupt.
+func TestBinaryPayloadStoredVerbatim(t *testing.T) {
+	fs, st := newLustreStore(t, "run1")
+	want := []byte("fixed records")
+	if err := st.Save("cluster", &rawSnap{want}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := fs.Open(phaseFile("cluster"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]byte, h.Size())
+	if _, err := h.ReadAt(img, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img[envelopeHeader:], want) {
+		t.Fatalf("envelope payload %q, want the marshalled bytes %q", img[envelopeHeader:], want)
+	}
+	var got rawSnap
+	if err := st.Load("cluster", &got); err != nil || !bytes.Equal(got.b, want) {
+		t.Fatalf("Load = %q, %v; want %q", got.b, err, want)
+	}
+	if err := st.Save("merge", &rawSnap{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Load("merge", &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("refused payload: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -60,11 +61,7 @@ func (r *WorkRequest) wireSize() int { return requestHdr + pointRec*(len(r.Owned
 
 // wireSize is the response's encoded payload length.
 func (r *WorkResponse) wireSize() int {
-	n := responseHdr + 4*len(r.Labels) + len(r.Err) + merge.BlockHeaderSize
-	for _, s := range r.Summaries {
-		n += int(s.WireSize())
-	}
-	return n
+	return responseHdr + 4*len(r.Labels) + len(r.Err) + merge.BlockSize(r.Summaries)
 }
 
 func appendRequest(buf []byte, r *WorkRequest) []byte {
@@ -114,6 +111,28 @@ func appendResponse(buf []byte, r *WorkResponse) []byte {
 		buf = le.AppendUint32(buf, uint32(l))
 	}
 	return merge.AppendSummaries(append(buf, r.Err...), r.Summaries)
+}
+
+// The coordinator's per-partition checkpoints hold a response in its wire
+// encoding.
+var _ interface {
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+} = (*WorkResponse)(nil)
+
+// MarshalBinary is the response's wire payload.
+func (r *WorkResponse) MarshalBinary() ([]byte, error) {
+	return appendResponse(make([]byte, 0, r.wireSize()), r), nil
+}
+
+// UnmarshalBinary decodes a wire payload into r.
+func (r *WorkResponse) UnmarshalBinary(p []byte) error {
+	got, err := decodeResponse(p)
+	if err != nil {
+		return err
+	}
+	*r = *got
+	return nil
 }
 
 func decodeResponse(p []byte) (*WorkResponse, error) {

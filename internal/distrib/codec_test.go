@@ -440,23 +440,24 @@ type v1WorkResponse struct {
 	Err         string
 }
 
-// TestResumeIgnoresV1Snapshots: a -checkpoint-dir the parent revision
-// filled (map-shaped summaries, the parent's run ID) restores nothing:
+// gobWorkResponse is WorkResponse without its methods: what the revision
+// before the record format gob-encoded under "cluster-%04d".
+type gobWorkResponse struct {
+	Leaf                             int
+	Summaries                        []*merge.Summary
+	Labels                           []int32
+	NumClusters                      int
+	Ping                             bool
+	Err                              string
+	TraceID                          uint64
+	DecodeNS, ClusterNS, SummariseNS int64
+}
+
+// TestResumeIgnoresV1Snapshots: a -checkpoint-dir the schema-1 revision
+// filled (map-shaped summaries, that revision's run ID) restores nothing:
 // every partition is dispatched again and the labels are a fresh run's.
 func TestResumeIgnoresV1Snapshots(t *testing.T) {
-	pts := dataset.Twitter(5000, 5)
-	opt := Options{Eps: 0.1, MinPts: 10, Leaves: 6, DenseBox: true}
-	bk, err := checkpoint.DirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parentID := fmt.Sprintf("mrscan-dist|%s|%d|%g|%d|%d", "in.mrsc", len(pts), opt.Eps, opt.MinPts, opt.Leaves)
-	if parentID == CheckpointRunID("in.mrsc", len(pts), opt) {
-		t.Fatal("CheckpointRunID does not carry the summary schema")
-	}
-	old := checkpoint.NewStore(bk, parentID)
-	_, resps := sampleExchange(t, pts, opt)
-	for _, r := range resps {
+	checkResumeIgnores(t, "mrscan-dist|%s|%d|%g|%d|%d", func(r *WorkResponse) any {
 		v := v1WorkResponse{Leaf: r.Leaf, Labels: r.Labels, NumClusters: r.NumClusters}
 		for _, s := range r.Summaries {
 			vs := &v1Summary{Key: s.Key, Members: s.Members, Cells: map[grid.Coord]*v1CellData{}}
@@ -465,12 +466,44 @@ func TestResumeIgnoresV1Snapshots(t *testing.T) {
 			}
 			v.Summaries = append(v.Summaries, vs)
 		}
-		if err := old.Save(clusterSnapshot(r.Leaf), &v); err != nil {
+		return &v
+	})
+}
+
+// TestResumeIgnoresGobSnapshots: likewise a -checkpoint-dir of gob-encoded
+// responses under the run ID of the revision before the record format.
+func TestResumeIgnoresGobSnapshots(t *testing.T) {
+	checkResumeIgnores(t, "mrscan-dist|%s|%d|%g|%d|%d|summary-v2", func(r *WorkResponse) any {
+		v := gobWorkResponse(*r)
+		return &v
+	})
+}
+
+// checkResumeIgnores fills a store with every partition's response as
+// old encodes it, under the run ID parentFormat spelled, and checks that a
+// run on it restores nothing — the record decoder would refuse the
+// snapshots anyway — and labels as a fresh run does.
+func checkResumeIgnores(t *testing.T, parentFormat string, old func(*WorkResponse) any) {
+	t.Helper()
+	pts := dataset.Twitter(5000, 5)
+	opt := Options{Eps: 0.1, MinPts: 10, Leaves: 6, DenseBox: true}
+	bk, err := checkpoint.DirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentID := fmt.Sprintf(parentFormat, "in.mrsc", len(pts), opt.Eps, opt.MinPts, opt.Leaves)
+	if parentID == CheckpointRunID("in.mrsc", len(pts), opt) {
+		t.Fatal("CheckpointRunID does not tell the formats apart")
+	}
+	parent := checkpoint.NewStore(bk, parentID)
+	_, resps := sampleExchange(t, pts, opt)
+	for _, r := range resps {
+		if err := parent.Save(clusterSnapshot(r.Leaf), old(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !old.Has(clusterSnapshot(0)) {
-		t.Fatal("fixture store is empty")
+	if err := parent.Load(clusterSnapshot(0), new(WorkResponse)); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("old snapshot into the record decoder: err = %v, want ErrCorrupt", err)
 	}
 
 	run := func(store *checkpoint.Store) *Result {
@@ -493,10 +526,10 @@ func TestResumeIgnoresV1Snapshots(t *testing.T) {
 	fresh := run(nil)
 	resumed := run(checkpoint.NewStore(bk, CheckpointRunID("in.mrsc", len(pts), opt)))
 	if resumed.RestoredPartitions != 0 {
-		t.Fatalf("restored %d partitions from a schema-1 store, want 0", resumed.RestoredPartitions)
+		t.Fatalf("restored %d partitions from an older store, want 0", resumed.RestoredPartitions)
 	}
 	if !slices.Equal(resumed.Labels, fresh.Labels) {
-		t.Fatal("labels after ignoring schema-1 snapshots differ from a fresh run's")
+		t.Fatal("labels after ignoring older snapshots differ from a fresh run's")
 	}
 }
 

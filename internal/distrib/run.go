@@ -20,7 +20,8 @@ type Options struct {
 	DenseBox bool
 
 	// Checkpoint, when non-nil, durably snapshots every partition's
-	// winning response under "cluster-%04d" as results stream in, and a
+	// winning response (its wire payload) under "cluster-%04d" as results
+	// stream in, and a
 	// later run over the same store restores those partitions instead of
 	// re-dispatching them. Back the store with checkpoint.DirFS to
 	// survive coordinator process restarts.
@@ -29,11 +30,11 @@ type Options struct {
 
 // CheckpointRunID fingerprints a run for the store behind
 // Options.Checkpoint: the input's name and size, the parameters that
-// shape every partition's response, and the shape of the summaries the
-// snapshots hold — a store written under another ID is ignored, its
-// partitions dispatched again.
+// shape every partition's response, the shape of the summaries the
+// snapshots hold and their record format — a store written under another
+// ID is ignored, its partitions dispatched again.
 func CheckpointRunID(input string, n int, opt Options) string {
-	return fmt.Sprintf("mrscan-dist|%s|%d|%g|%d|%d|summary-v%d", input, n, opt.Eps, opt.MinPts, opt.Leaves, merge.SummarySchema)
+	return fmt.Sprintf("mrscan-dist|%s|%d|%g|%d|%d|summary-v%d|%s", input, n, opt.Eps, opt.MinPts, opt.Leaves, merge.SummarySchema, checkpoint.RecordsTag)
 }
 
 // clusterSnapshot names partition i's checkpoint on the store.

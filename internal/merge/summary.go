@@ -111,6 +111,15 @@ func (s *Summary) WireSize() int64 {
 	return n
 }
 
+// BlockSize returns the exact length of sums' AppendSummaries block.
+func BlockSize(sums []*Summary) int {
+	n := BlockHeaderSize
+	for _, s := range sums {
+		n += int(s.WireSize())
+	}
+	return n
+}
+
 var le = binary.LittleEndian
 
 func appendKey(buf []byte, k ClusterKey) []byte {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/gdbscan"
 	"repro/internal/lustre"
 	"repro/internal/ptio"
 )
@@ -72,11 +73,13 @@ func TestCleanRunsDeterministic(t *testing.T) {
 
 // TestKillThenResumeByteIdentical is the driver's contract as one table:
 // a fatal fault kills the run entering each of the four phases, in each
-// of the three partition modes. The killed run's CompletedPhases is
-// exactly the prefix before the fault (every one of them durable), a
-// second run with Resume restores that same prefix — capped at merge, the
-// last snapshotted phase — and completes, and its output is
-// byte-identical to an uninterrupted run's.
+// of the three partition modes, with the merge over TCP, and in
+// CUDA-DClust mode (whose leaves record per-round transfer bytes). The
+// killed run's CompletedPhases is exactly the prefix before the fault
+// (every one of them durable), a second run with Resume restores that same
+// prefix — capped at merge, the last snapshotted phase — into the state the
+// killed run executed, and completes, and its output is byte-identical to
+// an uninterrupted run's.
 func TestKillThenResumeByteIdentical(t *testing.T) {
 	all := []string{PhasePartition, PhaseCluster, PhaseMerge, PhaseSweep}
 	modes := []struct {
@@ -89,6 +92,8 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 		{"direct", func(c *Config) { c.DirectPartitions = true; c.Retry = RetryPolicy{MaxAttempts: 3} }},
 		// No retry policy: the partition phase overlaps the cluster phase.
 		{"aggregated", func(c *Config) { c.WriteAggregation = true }},
+		{"tcp-merge", func(c *Config) { c.MergeOverTCP = true; c.Retry = RetryPolicy{MaxAttempts: 3} }},
+		{"cudadclust", func(c *Config) { c.Mode = gdbscan.ModeCUDADClust; c.Retry = RetryPolicy{MaxAttempts: 3} }},
 	}
 	for _, mode := range modes {
 		// Reference: uninterrupted run.
@@ -108,7 +113,7 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 				mode.set(&cfg)
 				cfg.FaultPlan = faultinject.New(0).
 					Arm(PhaseSite(phase), faultinject.Rule{Times: 1, Fatal: true})
-				res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+				killed, res, err := runState(fs, cfg)
 				if err == nil {
 					t.Fatal("fatal fault: run succeeded, want death")
 				}
@@ -132,13 +137,22 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 				cfg2 := ckptConfig()
 				mode.set(&cfg2)
 				cfg2.Resume = true
-				res2, err := Run(fs, "input.mrsc", "output.mrsl", cfg2)
+				resumed, res2, err := runState(fs, cfg2)
 				if err != nil {
 					t.Fatalf("resume failed: %v", err)
 				}
 				restored := all[:min(k, 3)]
 				if got := res2.RestoredPhases; !slices.Equal(got, restored) {
 					t.Fatalf("RestoredPhases = %v, want %v", got, restored)
+				}
+				if k > 1 {
+					checkSameCluster(t, &resumed.clustered, &killed.clustered)
+					if mode.name == "cudadclust" && killed.clustered.Leaves[0].Stats.RoundTransferBytes == nil {
+						t.Fatal("CUDA-DClust leaf recorded no per-round transfer bytes")
+					}
+				}
+				if k > 2 {
+					checkSameSummaries(t, "merge", resumed.merged.Final, killed.merged.Final)
 				}
 				if !slices.Equal(res2.CompletedPhases, all) {
 					t.Fatalf("resumed CompletedPhases = %v, want all four", res2.CompletedPhases)

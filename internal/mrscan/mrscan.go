@@ -409,6 +409,12 @@ func RunContext(ctx context.Context, fs *lustre.FS, inputFile, outputFile string
 		ctx = context.Background()
 	}
 	r := newRun(ctx, fs, inputFile, outputFile, cfg)
+	return r.finish(r.execAll())
+}
+
+// execAll drives every phase in pipeline order, stopping at the first
+// error.
+func (r *run) execAll() error {
 	phases := r.phases()
 	for i := range phases {
 		if phases[i].name == PhaseCluster {
@@ -416,15 +422,15 @@ func RunContext(ctx context.Context, fs *lustre.FS, inputFile, outputFile string
 			// cluster tree. It is built between the partition and cluster
 			// spans, so its startup charge lands inside neither.
 			var err error
-			if r.clusterNet, err = r.newNet("cluster", cfg.Topology, cfg.Leaves); err != nil {
-				return r.finish(err)
+			if r.clusterNet, err = r.newNet("cluster", r.cfg.Topology, r.cfg.Leaves); err != nil {
+				return err
 			}
 		}
 		if err := r.exec(i, &phases[i]); err != nil {
-			return r.finish(err)
+			return err
 		}
 	}
-	return r.finish(nil)
+	return nil
 }
 
 // run is the state one RunContext call threads through its phases. A
@@ -701,7 +707,7 @@ type phase struct {
 	// snapshot points at the run state the phase produces: what the
 	// checkpoint store saves after an executed phase and decodes into for
 	// a restored one. Nil for the sweep (see Config.Checkpoint).
-	snapshot any
+	snapshot snapshotCodec
 	// adopt validates the snapshot and derives what later phases and the
 	// Result read from it, executed or restored alike — a restored phase
 	// is indistinguishable from an executed one.
@@ -735,47 +741,10 @@ func (r *run) phases() [4]phase {
 	}
 }
 
-// Snapshot payloads for the checkpoint store. All fields are exported
-// for gob.
-type partitionCkpt struct {
-	// Meta locates every partition inside partitionFile — or, when its
-	// Segments index is populated (WriteAggregation), inside the sharded
-	// segment files. The partition data itself stays on the FS; the
-	// snapshot holds only the index, so resuming requires both.
-	Meta *ptio.PartitionMeta
-	// Direct marks a DirectPartitions run, whose partition contents
-	// never touch the file system and are carried in the snapshot.
-	Direct     bool
-	Partitions [][]geom.Point
-	Shadows    [][]geom.Point
-
-	TotalPoints   int64
-	WrittenPoints int64
-	ReadSim       time.Duration
-	WriteSim      time.Duration
-}
-
-// leafState is one leaf's cluster-phase output: what the merge and sweep
-// phases read, and one element of the cluster snapshot.
-type leafState struct {
-	Owned     []geom.Point
-	Labels    []int32
-	Summaries []*merge.Summary
-	GPUTime   time.Duration
-	Stats     gdbscan.Stats
-}
-
-type clusterCkpt struct {
-	Leaves []leafState
-}
-
-type mergeCkpt struct {
-	Final []*merge.Summary
-}
-
 // runFingerprint derives the checkpoint RunID from every configuration
-// field that shapes phase outputs, the input file's name and size, and the
-// shape of the summaries the cluster and merge snapshots hold.
+// field that shapes phase outputs, the input file's name and size, the
+// shape of the summaries the cluster and merge snapshots hold, and the
+// snapshots' record format.
 // Checkpoints written under a different fingerprint are ignored by
 // Resume — restoring a snapshot into a run that would have computed
 // something else silently corrupts the output.
@@ -785,12 +754,12 @@ func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 		size = s
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t|summary-v%d",
+	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t|summary-v%d|%s",
 		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
 		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
-		cfg.WriteAggregation, merge.SummarySchema)
+		cfg.WriteAggregation, merge.SummarySchema, checkpoint.RecordsTag)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
 }
 

@@ -66,17 +66,23 @@ func toV1(sums []*merge.Summary) []*v1Summary {
 	return out
 }
 
-// v1Fingerprint is runFingerprint as the parent revision computed it.
-func v1Fingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
+// fingerprintAt is runFingerprint as a revision whose fingerprint ended in
+// tail after the configuration computed it.
+func fingerprintAt(cfg *Config, fs *lustre.FS, inputFile, tail string) string {
 	size, _ := fs.Size(inputFile)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t",
+	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t%s",
 		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
 		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
-		cfg.WriteAggregation)
+		cfg.WriteAggregation, tail)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
+}
+
+// v1Fingerprint is runFingerprint before the summary schema joined it.
+func v1Fingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
+	return fingerprintAt(cfg, fs, inputFile, "")
 }
 
 // TestV1SummaryNeverDecodesUsable pins why the fingerprint carries the

@@ -2,11 +2,15 @@ package server
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/mrscan"
+	"repro/internal/ptio"
 	"repro/internal/quality"
 )
 
@@ -106,6 +110,63 @@ func TestDrainSuspendsAndResumes(t *testing.T) {
 	}
 	if got := s2.Hub().Counter("server_jobs_resumed_total", "tenant", "acme").Value(); got != 2 {
 		t.Fatalf("server_jobs_resumed_total after restart = %d, want 2", got)
+	}
+}
+
+// TestResumeGobStateDir: a state directory a drain left at 872bd60 —
+// job-000001 suspended after its merge phase, its partition, cluster and
+// merge snapshots staged out in gob under that revision's run ID
+// (testdata/gobstate-872bd60) — is recovered by a server of the record
+// format: the job resumes, recomputes every phase instead of restoring a
+// snapshot it cannot read, and completes with the labels of a fresh run.
+func TestResumeGobStateDir(t *testing.T) {
+	const src = "testdata/gobstate-872bd60"
+	stateDir := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(stateDir, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(stateDir, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := os.Open(filepath.Join(src, "jobs/job-000001/input.mrsc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	pts, err := ptio.ReadDataset(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Workers: 1, StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := waitTerminal(t, s, "job-000001")
+	if st.State != StateCompleted || !st.Resumed {
+		t.Fatalf("recovered job: state = %s (err %q), resumed = %t; want completed, resumed", st.State, st.Err, st.Resumed)
+	}
+	if len(st.RestoredPhases) != 0 {
+		t.Fatalf("restored %v from gob snapshots, want every phase recomputed", st.RestoredPhases)
+	}
+	labels, err := s.Result("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceLabels(t, pts, testSpec("acme", pts)); !slices.Equal(labels, want) {
+		t.Fatal("resumed job's labels differ from a fresh run's")
 	}
 }
 
