@@ -79,11 +79,25 @@ func boundsInputs() []contractInput {
 	}
 }
 
-// TestCellBoundsBracketNeighborhoods is the bounds property: for every
-// leaf and every point p in it, lo ≤ |N_Eps(p)| ≤ hi, the neighborhood
-// (p included) counted over all pairs with the neighbor test's own
-// expression. hi − lo is exactly what the straddling list holds, and the
-// property holds for Build and BuildCells trees alike.
+// rectReach is the rectangle arithmetic of the list contract, written
+// out again: whether leaf rectangles ra and rb are within Eps of each
+// other (near), and whether every point pair across them is (whole).
+func rectReach(ra, rb []float64, eps2 float64) (near, whole bool) {
+	dx := max(0, rb[0]-ra[2], ra[0]-rb[2])
+	dy := max(0, rb[1]-ra[3], ra[1]-rb[3])
+	fx := max(ra[2]-rb[0], rb[2]-ra[0])
+	fy := max(ra[3]-rb[1], rb[3]-ra[1])
+	return dx*dx+dy*dy <= eps2, fx*fx+fy*fy <= eps2
+}
+
+// TestCellBoundsBracketNeighborhoods is the neighbour-list contract, for
+// Build and BuildCells trees at leaf sizes 1, 4 and 64: (a) every leaf's
+// list is exactly the leaves within Eps of it by the rectangle test, each
+// once; (b) an entry is whole exactly when the far-corner test passes,
+// and the lists are symmetric, whole flags included; (c) for every point
+// p, lo ≤ |N_Eps(p)| ≤ hi — the neighborhood (p included) counted over
+// all pairs with the neighbor test's own expression — where lo is the
+// whole entries' points and hi − lo the straddle entries'.
 func TestCellBoundsBracketNeighborhoods(t *testing.T) {
 	for _, in := range boundsInputs() {
 		size := make([]int, len(in.pts))
@@ -103,29 +117,51 @@ func TestCellBoundsBracketNeighborhoods(t *testing.T) {
 			// lattice, ties at d² == Eps² included.
 			for _, leafSize := range []int{1, 4, 64} {
 				name := fmt.Sprintf("%s/cells=%v/leaf=%d", in.name, cells, leafSize)
-				opt := Options{Params: in.params, DenseBox: cells, LeafSize: leafSize}
-				opt.setDefaults()
-				// A MinPts no sum reaches: the traversal never stops early.
-				opt.Params.MinPts = len(in.pts) + 1
-				c := newClustering(testDevice(), in.pts, opt)
+				c := classified(t, in.pts, Options{Params: in.params, DenseBox: cells, LeafSize: leafSize})
+				var leaves []int32
 				for ni, left := range c.flat.Left {
-					if left >= 0 {
-						continue
+					if left < 0 {
+						leaves = append(leaves, int32(ni))
 					}
-					lo, hi, list := c.cellBounds(int32(ni), nil)
-					listed := 0
-					for _, li := range list {
-						listed += int(c.flat.Count[li])
+				}
+				// listed[a][b] is b's whole flag in a's list.
+				listed := make(map[int32]map[int32]bool, len(leaves))
+				for _, a := range leaves {
+					list, straddle := c.neighbours(a)
+					listed[a] = make(map[int32]bool, len(list))
+					lo, hi := 0, 0
+					for k, b := range list {
+						if _, dup := listed[a][b]; dup {
+							t.Fatalf("%s: leaf %d lists leaf %d twice", name, a, b)
+						}
+						listed[a][b] = k >= straddle
+						hi += int(c.flat.Count[b])
+						if k >= straddle {
+							lo += int(c.flat.Count[b])
+						}
 					}
-					if hi-lo != listed {
-						t.Fatalf("%s: leaf %d: hi − lo = %d − %d but the straddling list holds %d points", name, ni, hi, lo, listed)
+					for _, b := range leaves {
+						near, whole := rectReach(c.flat.Bounds[4*a:4*a+4], c.flat.Bounds[4*b:4*b+4], eps2)
+						if got, ok := listed[a][b]; ok != near || ok && got != whole {
+							t.Fatalf("%s: leaf %d lists leaf %d: %v (whole %v); rectangles near %v, whole %v", name, a, b, ok, got, near, whole)
+						}
 					}
-					for _, pi := range c.leafPoints(ni) {
+					if kLo, kHi := c.bounds(list, straddle); kLo != lo || kHi != hi {
+						t.Fatalf("%s: leaf %d: bounds [%d, %d], its list says [%d, %d]", name, a, kLo, kHi, lo, hi)
+					}
+					for _, pi := range c.leafPoints(int(a)) {
 						if size[pi] < lo || size[pi] > hi {
-							t.Fatalf("%s: leaf %d point %d has %d neighbors, outside [%d, %d]", name, ni, pi, size[pi], lo, hi)
+							t.Fatalf("%s: leaf %d point %d has %d neighbors, outside [%d, %d]", name, a, pi, size[pi], lo, hi)
 						}
 						if size[pi] == lo || size[pi] == hi {
 							tight++
+						}
+					}
+				}
+				for a, row := range listed {
+					for b, whole := range row {
+						if back, ok := listed[b][a]; !ok || back != whole {
+							t.Fatalf("%s: leaf %d lists %d (whole %v) but not the reverse (listed %v, whole %v)", name, a, b, whole, ok, back)
 						}
 					}
 				}
@@ -192,7 +228,7 @@ func TestCellClassifyMatchesPerPointLoop(t *testing.T) {
 			minPts := []int{1, in.params.MinPts, 3 * in.params.MinPts, len(in.pts) + 1}
 			// The verdicts turn at MinPts = lo (all core), lo+1, hi and
 			// hi+1 (none core) of each leaf: visit a spread of those.
-			edges := boundEdges(in.pts, opt)
+			edges := boundEdges(t, in.pts, opt)
 			for i := 0; i < len(edges); i += max(1, len(edges)/8) {
 				minPts = append(minPts, edges[i], edges[i]+1)
 			}
@@ -206,14 +242,12 @@ func TestCellClassifyMatchesPerPointLoop(t *testing.T) {
 
 // boundEdges returns the distinct positive lo and hi values of the leaves
 // of the tree opt builds over pts, ascending.
-func boundEdges(pts []geom.Point, opt Options) []int {
-	opt.setDefaults()
-	opt.Params.MinPts = len(pts) + 1 // never reached: full bounds
-	c := newClustering(testDevice(), pts, opt)
+func boundEdges(tb testing.TB, pts []geom.Point, opt Options) []int {
+	c := classified(tb, pts, opt)
 	var edges []int
 	for ni, left := range c.flat.Left {
 		if left < 0 {
-			lo, hi, _ := c.cellBounds(int32(ni), nil)
+			lo, hi := c.bounds(c.neighbours(int32(ni)))
 			edges = append(edges, max(lo, 1), hi)
 		}
 	}
@@ -285,20 +319,20 @@ func classifyAlone(tb testing.TB, in contractInput) (*clustering, func()) {
 }
 
 // TestClassifyReusesWorkspace: after one warm-up call, pass one allocates
-// nothing — the verdicts, the undecided list and every block's straddling
-// lists live in the Workspace.
+// nothing — the list locations, the undecided list and every block's
+// neighbour lists live in the Workspace.
 func TestClassifyReusesWorkspace(t *testing.T) {
 	for _, in := range classifyShapes() {
 		c, run := classifyAlone(t, in)
 		run()
 		if len(c.ws.undecided) == 0 {
-			t.Fatalf("%s: no undecided leaf; the guard would not cover the straddling lists", in.name)
+			t.Fatalf("%s: no undecided leaf; the guard would not cover the classify kernel", in.name)
 		}
 		// A launch allocates by itself (its goroutines): the budget is
 		// what the two kernels' grids cost with empty bodies, plus the two
 		// kernel closures.
 		grids := []gpusim.LaunchConfig{
-			gpusim.GridFor(len(c.flat.Left), c.opt.ThreadsPerBlock),
+			{Blocks: gpusim.GridFor(len(c.flat.Left), c.opt.ThreadsPerBlock).Blocks, ThreadsPerBlock: 1},
 			{Blocks: len(c.ws.undecided), ThreadsPerBlock: 1},
 		}
 		budget := 2 + testing.AllocsPerRun(10, func() {

@@ -9,44 +9,47 @@
 //     (CUDA-DClust's modified KD-tree whose leaves are point regions).
 //     With DenseBox on, regions are subdivided down to Eps cells: leaves
 //     whose diagonal is ≤ Eps, so their points are mutually within Eps.
-//  2. Pass one classifies core points by cell counts. A bounds kernel,
-//     one thread per leaf, traverses the tree with the leaf's rectangle
-//     and sums the subtree counts of the nodes wholly within Eps of the
-//     whole leaf (a lower bound on every member's neighborhood) and the
-//     counts of the leaves within Eps of any of it (an upper bound):
-//     lower ≥ MinPts makes every member core and upper < MinPts none,
-//     with no per-point work — the paper's §3.2.3 test ("an Eps cell
-//     holding ≥ MinPts points") is the special case of a leaf bounding
-//     itself. Only the points of the remaining cells are counted, one
-//     thread each, over the cell's list of straddling leaves, stopping
-//     as soon as MinPts is reached.
+//  2. The bounds kernel is the only tree search: for every leaf it walks
+//     the tree once with the leaf's rectangle and records the leaf's
+//     neighbour list — every leaf within Eps of it, each flagged
+//     whole when it lies wholly within Eps of all of it. The whole
+//     entries' counts are a lower bound on every member's neighborhood,
+//     all entries' counts an upper bound. In Mr. Scan mode pass one
+//     classifies core points from them: lower ≥ MinPts makes every member
+//     core and upper < MinPts none, with no per-point work — the paper's
+//     §3.2.3 test ("an Eps cell holding ≥ MinPts points") is the special
+//     case of a leaf bounding itself. Only the points of the remaining
+//     cells are counted, one thread each, over the list's non-whole
+//     entries, stopping as soon as MinPts is reached.
 //  3. Dense boxes: every Eps cell whose points are all core is a box —
 //     one cluster, pre-assigned one ID, none of its points expanded.
 //  4. Pass two expands the remaining core points: each GPGPU block claims
-//     a seed and grows a cluster over core points; when two blocks touch
-//     the same core point, or a block reaches any member of a box, the
+//     a seed and grows a cluster over core points, each expanded point
+//     reading its own leaf's neighbour list; when two blocks touch the
+//     same core point, or a block reaches any member of a box, the
 //     collision is recorded in a per-block collision list (Figure 4).
-//     Adjacent boxes are found by traversing the tree with a box's
-//     rectangle and linked by an early-exit point-pair test.
+//     Adjacent boxes are the box entries of a box's list, linked at once
+//     when whole and otherwise by an early-exit point-pair test.
 //  5. Collisions are rectified with union-find on the host, then a final
-//     pass joins every non-core point to the adjacent cluster whose first
-//     core point comes first in (Point.ID, index) order — the cluster
-//     sequential DBSCAN visiting points in that order would give it — so
-//     labels are a function of the input alone.
+//     pass joins every non-core point, over its leaf's list, to the
+//     adjacent cluster whose first core point comes first in (Point.ID,
+//     index) order — the cluster sequential DBSCAN visiting points in
+//     that order would give it — so labels are a function of the input
+//     alone.
 //
 // Input is copied to the device once and results retrieved once. The
 // CUDA-DClust compatibility mode (ModeCUDADClust) instead charges two
 // synchronous transfers per expansion round and disables both the early
-// classification exit and dense boxes (cells included), reproducing the
-// cost profile the paper optimizes away.
+// classification exit (its pass one counts every neighborhood in full;
+// the bounds kernel only lists) and dense boxes (cells included),
+// reproducing the cost profile the paper optimizes away.
 //
 // A leaf node processes its partitions back-to-back on one device, so
 // Cluster supports an optional Workspace: host-side scratch (the KD-tree
-// and its flattened arrays, coordinate columns, cell verdicts and
-// straddling lists, per-block queues and traversal stacks) is built into
-// caller-provided backing arrays, and device buffers are leased from the
-// device's pool (gpusim.AllocPooled), making repeated calls
-// allocation-free on the classify/expand hot path.
+// and its flattened arrays, coordinate columns, neighbour lists,
+// per-block queues) is built into caller-provided backing arrays, and
+// device buffers are leased from the device's pool (gpusim.AllocPooled),
+// making repeated calls allocation-free on the classify/expand hot path.
 package gdbscan
 
 import (
@@ -184,12 +187,15 @@ const collSeenSlots = 128
 // Each block is executed by exactly one goroutine per launch, so blocks
 // use their own scratch without locks.
 type blockScratch struct {
-	queue      []int32
-	stack      []int32
+	queue      []queued
 	collisions []collision
 	// seen is the duplicate-collision filter: seen[hash(pair)] == pair.
 	seen [collSeenSlots]uint64
 }
+
+// queued is an entry of a block's expansion queue: a claimed core point
+// and the leaf that holds it, whose neighbour list the point reads.
+type queued struct{ p, leaf int32 }
 
 // collisionSlot returns the pair's key and its slot in the seen filter.
 func collisionSlot(a, b int32) (key uint64, slot uint64) {
@@ -221,13 +227,13 @@ type Workspace struct {
 	compact []int32
 	near    []int32
 	blocks  []blockScratch
-	// Cell-count classification: per node, the bounds kernel's verdict on
-	// the leaf; the leaves it left undecided; per bounds-kernel block, the
-	// straddling lists of its undecided leaves, back to back.
-	cells     []cellBound
+	// The bounds kernel's output: per node, where the leaf's neighbour
+	// list is; per bounds-kernel block, the lists of its leaves, back to
+	// back; the leaves whose bounds left them undecided.
+	lists     []leafList
+	nbrs      [][]int32
 	undecided []int32
-	straddle  [][]int32
-	// hasCore marks the tree nodes with a core point beneath them.
+	// hasCore marks the leaves holding a core point.
 	hasCore []bool
 	// boxPairs counts the box pairs the last call's linking pass
 	// examined: the clock-free cost the tests' linearity guard bounds.
@@ -267,9 +273,12 @@ type clustering struct {
 
 	xs, ys []float64
 	eps2   float64
-	// labels holds raw cluster IDs (-1: none yet): boxes take 0..nBoxes-1,
-	// the expansion seed ws.seeds[si] takes nBoxes+si. merges records which
-	// IDs are one cluster; compactLabels renumbers the clusters densely.
+	// labels holds raw cluster IDs: boxes take 0..nBoxes-1, the expansion
+	// seed ws.seeds[si] takes nBoxes+si. merges records which IDs are one
+	// cluster; compactLabels renumbers the clusters densely. A point no
+	// cluster holds yet is labelled ^leaf (negative), the complement of
+	// its leaf's node index: the kernels that reach it read that leaf's
+	// neighbour list without a per-point table.
 	labels []int32
 	core   []bool
 	// leafBox maps a tree node to the ID of the dense box it is, or -1.
@@ -369,8 +378,15 @@ func newClustering(dev *gpusim.Device, pts []geom.Point, opt Options) *clusterin
 		tree, c.flat = ws.kd.Build(pts, opt.LeafSize)
 	}
 	c.xs, c.ys = tree.Coords()
-	ws.labels = fill(ws.labels, len(pts), -1)
+	ws.labels = grow(ws.labels, len(pts))
 	c.labels = ws.labels
+	for ni, left := range c.flat.Left {
+		if left < 0 {
+			for _, pi := range c.leafPoints(ni) {
+				c.labels[pi] = ^int32(ni)
+			}
+		}
+	}
 	c.core = make([]bool, len(pts)) // returned to the caller; never pooled
 	ws.leafBox = fill(ws.leafBox, len(c.flat.Left), -1)
 	c.leafBox = ws.leafBox
@@ -383,78 +399,89 @@ func (c *clustering) leafPoints(ni int) []int32 {
 	return c.flat.Order[s : s+c.flat.Count[ni]]
 }
 
-// cellBound is the bounds kernel's verdict on one leaf.
-type cellBound struct {
-	// lo is the number of points within Eps of every point of the leaf,
-	// itself included: the summed counts of the nodes whose rectangles lie
-	// wholly within Eps of the leaf's. lo ≥ MinPts makes every member
-	// core; noneCore says the leaves within reach hold < MinPts points.
-	lo int32
-	// at, n locate the straddling leaves of an undecided leaf — within
-	// Eps of some of it but not wholly within Eps of all of it — in its
-	// block's list: the only points its members still have to test.
-	at, n int32
-}
+// leafList locates one leaf's neighbour list in its block's buffer. Its
+// first straddle entries are the leaves within Eps of some of the leaf but
+// not wholly within Eps of all of it — the only points a member of an
+// undecided leaf still has to test — and the rest are whole.
+type leafList struct{ at, n, straddle int32 }
 
-const noneCore = -1
-
-// classify is pass one. Mr. Scan mode decides coreness per cell from
-// subtree counts and counts neighbors only for the points of the cells
-// the bounds leave undecided, with early exit at MinPts ("expansion
-// during this phase stops as soon as MinPts is reached"). The CUDA-DClust
-// profile counts every point's whole neighborhood.
+// classify is pass one. Both modes run the bounds kernel for its
+// neighbour lists. Mr. Scan mode then decides coreness per cell from its
+// bounds and counts neighbors only for the points of the cells the bounds
+// leave undecided, with early exit at MinPts ("expansion during this
+// phase stops as soon as MinPts is reached"). The CUDA-DClust profile
+// counts every point's whole neighborhood.
 func (c *clustering) classify() error {
-	pass := c.classifyCells
-	if c.opt.Mode == ModeCUDADClust {
-		pass = c.classifyFull
+	c.ws.leafScans.Store(0)
+	err := c.boundCells()
+	if err == nil {
+		if c.opt.Mode == ModeCUDADClust {
+			err = c.classifyFull()
+		} else {
+			err = c.classifyCells()
+		}
 	}
-	err := pass()
 	c.stats.CorePoints = countTrue(c.core)
 	return err
 }
 
-// classifyCells runs the bounds kernel and then the classify kernel over
-// the leaves it left undecided: one block per leaf, so its members share
-// the leaf's list; as in the expansion kernel a block is one thread here.
+// classifyCells runs the classify kernel over the leaves the bounds kernel
+// left undecided: one block per leaf, so its members share the leaf's
+// list; as in the expansion kernel a block is one thread here.
 func (c *clustering) classifyCells() error {
-	c.ws.leafScans.Store(0)
-	if err := c.boundCells(); err != nil || len(c.ws.undecided) == 0 {
-		return err
-	}
 	undecided := c.ws.undecided
+	if len(undecided) == 0 {
+		return nil
+	}
 	lc := gpusim.LaunchConfig{Blocks: len(undecided), ThreadsPerBlock: 1}
 	return c.dev.Launch("gdbscan/classify", lc, func(ctx gpusim.KernelCtx) {
 		c.classifyCell(undecided[ctx.Block])
 	})
 }
 
-// boundCells runs the bounds kernel, one thread per leaf (boundCell), and
-// lists the leaves it left undecided for the classify kernel.
+// stagedEntries is the bounds kernel's per-block staging buffer, in
+// entries (16 KiB of stack): three times the most a block of either batch
+// workload's partitions lists (≈ 1 400). A denser block spills to the
+// heap, with the same result.
+const stagedEntries = 4096
+
+// boundCells runs the bounds kernel (boundCell on every leaf) and in Mr.
+// Scan mode lists the leaves it left undecided for the classify kernel.
+// Block b owns nodes [b·ThreadsPerBlock, (b+1)·ThreadsPerBlock); as in the
+// classify and expansion kernels a block is one thread here, so it stages
+// its leaves' lists in one stack buffer and copies them out at once: the
+// block's list in the Workspace is allocated at its exact size, with none
+// of the garbage growing it entry by entry would leave.
 func (c *clustering) boundCells() error {
-	ws, left, nodes := c.ws, c.flat.Left, len(c.flat.Left)
-	lc := gpusim.GridFor(nodes, c.opt.ThreadsPerBlock)
-	ws.cells = grow(ws.cells, nodes)
-	for len(ws.straddle) < lc.Blocks {
-		ws.straddle = append(ws.straddle, nil)
-	}
-	for b := range ws.straddle {
-		ws.straddle[b] = ws.straddle[b][:0]
+	ws, left, nodes, tpb := c.ws, c.flat.Left, len(c.flat.Left), c.opt.ThreadsPerBlock
+	lc := gpusim.LaunchConfig{Blocks: gpusim.GridFor(nodes, tpb).Blocks, ThreadsPerBlock: 1}
+	ws.lists = grow(ws.lists, nodes)
+	for len(ws.nbrs) < lc.Blocks {
+		ws.nbrs = append(ws.nbrs, nil)
 	}
 	err := c.dev.Launch("gdbscan/cell-bounds", lc, func(ctx gpusim.KernelCtx) {
-		// A block's threads run one after another, so they share the
-		// block's list without locks.
-		if ni := ctx.GlobalID(); ni < nodes && left[ni] < 0 {
-			ws.straddle[ctx.Block] = c.boundCell(int32(ni), ws.straddle[ctx.Block])
+		var stage [stagedEntries]int32
+		buf := stage[:0]
+		for ni := ctx.Block * tpb; ni < min(nodes, (ctx.Block+1)*tpb); ni++ {
+			if left[ni] < 0 {
+				buf = c.boundCell(int32(ni), buf)
+			}
 		}
+		ws.nbrs[ctx.Block] = append(ws.nbrs[ctx.Block][:0], buf...)
 	})
 	ws.undecided = ws.undecided[:0]
+	if c.opt.Mode == ModeCUDADClust {
+		return err
+	}
 	minPts := c.opt.Params.MinPts
-	for ni, cell := range ws.cells {
-		switch {
-		case left[ni] >= 0:
-		case int(cell.lo) >= minPts:
+	for ni, l := range left {
+		if l >= 0 {
+			continue
+		}
+		switch lo, hi := c.bounds(c.neighbours(int32(ni))); {
+		case lo >= minPts:
 			c.stats.CellCorePoints += int(c.flat.Count[ni])
-		case cell.lo == noneCore:
+		case hi < minPts:
 			c.stats.CellNonCorePoints += int(c.flat.Count[ni])
 		default:
 			ws.undecided = append(ws.undecided, int32(ni))
@@ -463,59 +490,75 @@ func (c *clustering) boundCells() error {
 	return err
 }
 
-// boundCell is the bounds kernel body for leaf a: the verdict on it lands
-// in ws.cells[a] and, when every member is core, in their core flags.
-// Only an undecided leaf keeps the straddling leaves it appended to list.
-func (c *clustering) boundCell(a int32, list []int32) []int32 {
-	at, minPts := len(list), c.opt.Params.MinPts
-	lo, hi, list := c.cellBounds(a, list)
-	cell := cellBound{lo: int32(lo), at: int32(at)}
-	switch {
-	case lo >= minPts:
+// boundCell is the bounds kernel body for leaf a: it appends a's
+// neighbour list to buf and, in Mr. Scan mode, marks every member core
+// when the list's lower bound reaches MinPts.
+func (c *clustering) boundCell(a int32, buf []int32) []int32 {
+	at := len(buf)
+	straddle, buf := c.listNeighbours(a, buf)
+	c.ws.lists[a] = leafList{at: int32(at), n: int32(len(buf) - at), straddle: int32(straddle)}
+	if c.opt.Mode == ModeCUDADClust {
+		return buf
+	}
+	switch lo, hi := c.bounds(buf[at:], straddle); {
+	case lo >= c.opt.Params.MinPts:
 		for _, pi := range c.leafPoints(int(a)) {
 			c.core[pi] = true
 		}
-		list = list[:at]
-	case hi < minPts:
-		cell.lo = noneCore
-		list = list[:at]
-	default:
-		// A member's nearest points are its own leaf's: scanned first,
-		// they end most counts soonest (at MinPts 1, all in one scan).
-		if own := slices.Index(list[at:], a); own > 0 {
-			list[at], list[at+own] = a, list[at]
+	case hi >= c.opt.Params.MinPts:
+		// Undecided. A member's nearest points are its own leaf's:
+		// scanned first, they end most counts soonest (at MinPts 1, all
+		// in one scan).
+		if own := slices.Index(buf[at:at+straddle], a); own > 0 {
+			buf[at], buf[at+own] = a, buf[at]
 		}
-		cell.n = int32(len(list) - at)
 	}
-	c.ws.cells[a] = cell
-	return list
+	return buf
 }
 
-// straddling returns the list boundCell left for undecided leaf a, in the
-// buffer of the bounds-kernel block that thread a belongs to.
-func (c *clustering) straddling(a int32) []int32 {
-	cell := c.ws.cells[a]
-	return c.ws.straddle[int(a)/c.opt.ThreadsPerBlock][cell.at : cell.at+cell.n]
+// neighbours returns leaf a's neighbour list, in the buffer of the
+// bounds-kernel block that owns node a: its entries before straddle are
+// not wholly within Eps of a, the rest are.
+func (c *clustering) neighbours(a int32) (list []int32, straddle int) {
+	l := c.ws.lists[a]
+	return c.ws.nbrs[int(a)/c.opt.ThreadsPerBlock][l.at : l.at+l.n], int(l.straddle)
 }
 
-// cellBounds traverses the tree with leaf a's rectangle and brackets the
-// neighborhood size |N_Eps(p)| (p included) of every member p between lo
-// and hi. A node whose rectangle is wholly within Eps of a's — the
-// farthest corner pair passes the neighbor test — holds only neighbors of
-// every member: its subtree count goes to both bounds with no descent. A
-// leaf merely within Eps of a's rectangle goes to hi and onto list: one
-// of a's straddling leaves, the only points a member has left to test.
-// Both tests use the neighbor test's arithmetic on rectangle sides that
-// bound the points' coordinates, and rounding is monotone, so they agree
-// with the per-point test bit for bit. The traversal stops once lo
-// reaches MinPts (hi and list are then incomplete, and not needed).
-func (c *clustering) cellBounds(a int32, list []int32) (lo, hi int, _ []int32) {
-	bounds, left, right, counts := c.flat.Bounds, c.flat.Left, c.flat.Right, c.flat.Count
-	minPts, eps2 := c.opt.Params.MinPts, c.eps2
+// bounds brackets the neighborhood size |N_Eps(p)| (p included) of every
+// member p of the leaf whose neighbour list this is: lo sums the counts of
+// the whole entries, whose points neighbour every member, and hi the
+// counts of all of them, beyond which no member has a neighbor.
+func (c *clustering) bounds(list []int32, straddle int) (lo, hi int) {
+	for k, li := range list {
+		n := int(c.flat.Count[li])
+		hi += n
+		if k >= straddle {
+			lo += n
+		}
+	}
+	return lo, hi
+}
+
+// listNeighbours walks the tree once with leaf a's rectangle, down to the
+// leaves, and appends to list every leaf whose rectangle is within Eps of
+// a's: a's neighbour list, straddling entries first. A leaf whose
+// rectangle is wholly within Eps of a's — the farthest corner pair passes
+// the neighbor test — is whole: every one of its points neighbours every
+// member of a. Any other leaf within Eps straddles. Both tests use the
+// neighbor test's arithmetic on rectangle sides that bound the points'
+// coordinates, and rounding is monotone, so they agree with the per-point
+// test bit for bit.
+//
+// The walk starts at the deepest ancestor of a that encloses a's Eps
+// neighbourhood (enclosing) rather than at the root: the list is the
+// same, and the levels above it are passed without a rectangle test.
+func (c *clustering) listNeighbours(a int32, list []int32) (straddle int, _ []int32) {
+	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	eps2, at := c.eps2, len(list)
 	ra := bounds[4*a : 4*a+4 : 4*a+4]
 	var buf [64]int32
-	stack := append(buf[:0], 0)
-	for len(stack) > 0 && lo < minPts {
+	stack := append(buf[:0], c.enclosing(a))
+	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		rb := bounds[4*ni : 4*ni+4 : 4*ni+4]
@@ -524,31 +567,63 @@ func (c *clustering) cellBounds(a int32, list []int32) (lo, hi int, _ []int32) {
 		if dx*dx+dy*dy > eps2 {
 			continue
 		}
+		if left[ni] >= 0 {
+			stack = append(stack, left[ni], right[ni])
+			continue
+		}
+		list = append(list, ni)
 		fx := max(ra[2]-rb[0], rb[2]-ra[0])
 		fy := max(ra[3]-rb[1], rb[3]-ra[1])
-		switch {
-		case fx*fx+fy*fy <= eps2:
-			lo += int(counts[ni])
-			hi += int(counts[ni])
-		case left[ni] >= 0:
-			stack = append(stack, left[ni], right[ni])
-		default:
-			hi += int(counts[ni])
-			list = append(list, ni)
+		if fx*fx+fy*fy <= eps2 {
+			continue
 		}
+		// Swap the straddling leaf ahead of the whole ones.
+		s := at + straddle
+		list[s], list[len(list)-1] = ni, list[s]
+		straddle++
 	}
-	return lo, hi, list
+	return straddle, list
+}
+
+// enclosing returns the deepest proper ancestor of leaf a whose rectangle
+// reaches more than Eps past a's on all four sides, or the root. No leaf
+// outside its subtree is within Eps of a: sibling rectangles are strictly
+// apart on their parent's split axis, so such a leaf lies beyond one side
+// of the ancestor, and its gap to a — computed with the neighbor test's
+// monotone arithmetic — is at least that side's margin. Nodes are in
+// pre-order, so the path down to a needs no rectangle: a lies under the
+// right child exactly when its index is at least the right child's.
+func (c *clustering) enclosing(a int32) int32 {
+	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
+	ra := bounds[4*a : 4*a+4 : 4*a+4]
+	top := int32(0)
+	for top != a {
+		child := left[top]
+		if a >= right[top] {
+			child = right[top]
+		}
+		// Negated, so that a NaN margin does not enclose.
+		rb := bounds[4*child : 4*child+4 : 4*child+4]
+		if m := min(ra[0]-rb[0], ra[1]-rb[1], rb[2]-ra[2], rb[3]-ra[3]); !(m*m > c.eps2) {
+			break
+		}
+		top = child
+	}
+	return top
 }
 
 // classifyCell is the classify kernel body for undecided leaf a: every
-// member starts at the leaf's lower bound and walks its straddling leaves
-// — out of the member's reach: skipped; wholly inside its disc: counted
-// whole; else scanned — until it has MinPts neighbors. Counts include the
-// point itself (dbscan.Params): its own leaf is part of lo or on the list.
+// member starts at the leaf's lower bound and walks the straddle entries
+// of its list — out of the member's reach: skipped; wholly inside its
+// disc: counted whole; else scanned — until it has MinPts neighbors.
+// Counts include the point itself (dbscan.Params): its own leaf is part
+// of lo or on the list.
 func (c *clustering) classifyCell(a int32) {
 	xs, ys, eps2, minPts := c.xs, c.ys, c.eps2, c.opt.Params.MinPts
 	bounds, starts, counts, order := c.flat.Bounds, c.flat.Start, c.flat.Count, c.flat.Order
-	lo, list := int(c.ws.cells[a].lo), c.straddling(a)
+	list, straddle := c.neighbours(a)
+	lo, _ := c.bounds(list, straddle)
+	list = list[:straddle]
 	scans := int64(0)
 	for _, pi := range c.leafPoints(int(a)) {
 		cx, cy := xs[pi], ys[pi]
@@ -640,13 +715,12 @@ func (c *clustering) expand(outBuf *gpusim.Buffer) error {
 	ws.seeds = seeds
 	c.merges = dsu.New(int(c.nBoxes) + len(seeds))
 
-	// Per-block scratch: expansion queue, KD traversal stack, collision
-	// list and duplicate filter. Each block is executed by exactly one
-	// goroutine per launch (and kernels in a stream run in order), so
-	// blocks may use their scratch without locks. In Mr. Scan mode the
-	// collision buffers are drained once after the bulk-issued kernels
-	// synchronize; the CUDA-DClust profile drains per round between its
-	// synchronous copies.
+	// Per-block scratch: expansion queue, collision list and duplicate
+	// filter. Each block is executed by exactly one goroutine per launch
+	// (and kernels in a stream run in order), so blocks may use their
+	// scratch without locks. In Mr. Scan mode the collision buffers are
+	// drained once after the bulk-issued kernels synchronize; the
+	// CUDA-DClust profile drains per round between its synchronous copies.
 	ws.blocks = grow(ws.blocks, opt.Blocks)
 	for b := range ws.blocks {
 		ws.blocks[b].collisions = ws.blocks[b].collisions[:0]
@@ -715,6 +789,9 @@ func (c *clustering) drainCollisions() {
 // expandSeed is the expansion kernel body of one block: claim seed si and
 // grow its cluster over the core points density-reachable from it. Only
 // core points are claimed; non-core neighbors are left to attachBorders.
+// An expanded point reads its own leaf's neighbour list: a whole entry's
+// members are its neighbors with no distance test, a straddling leaf is
+// tested by rectangle and then point by point.
 func (c *clustering) expandSeed(block, si int) {
 	labels, core := c.labels, c.core
 	seed := c.ws.seeds[si]
@@ -724,49 +801,31 @@ func (c *clustering) expandSeed(block, si int) {
 	// Claim the seed. If another cluster already owns it, this seed
 	// never starts a cluster (it was absorbed).
 	myID := c.nBoxes + int32(si)
-	if !atomic.CompareAndSwapInt32(&labels[seed], -1, myID) {
+	unclaimed := atomic.LoadInt32(&labels[seed])
+	if unclaimed >= 0 || !atomic.CompareAndSwapInt32(&labels[seed], unclaimed, myID) {
 		return
 	}
 	bs := &c.ws.blocks[block]
 	xs, ys, eps2, leafBox := c.xs, c.ys, c.eps2, c.leafBox
-	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
-	starts, counts, order := c.flat.Start, c.flat.Count, c.flat.Order
-	q := append(bs.queue[:0], seed)
-	stack := bs.stack
+	bounds, starts, counts, order := c.flat.Bounds, c.flat.Start, c.flat.Count, c.flat.Order
+	q := append(bs.queue[:0], queued{seed, ^unclaimed})
 	for len(q) > 0 {
-		p := q[len(q)-1]
+		e := q[len(q)-1]
 		q = q[:len(q)-1]
-		cx, cy := xs[p], ys[p]
-		// Inlined KD range traversal (kdtree.Flat.Range) with the
-		// block's reusable stack: the expansion visits every neighbor of
-		// every expanded point, so per-visit callback indirection is the
-		// kernel's hottest cost.
-		stack = append(stack[:0], 0)
-		for len(stack) > 0 {
-			ni := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
+		p, cx, cy := e.p, xs[e.p], ys[e.p]
+		list, straddle := c.neighbours(e.leaf)
+		for k, li := range list {
+			whole := k >= straddle
+			if !whole && rectDist2(bounds[4*li:4*li+4:4*li+4], cx, cy) > eps2 {
 				continue
 			}
-			if left[ni] >= 0 {
-				stack = append(stack, left[ni], right[ni])
-				continue
-			}
-			members := order[starts[ni] : starts[ni]+counts[ni]]
-			if box := leafBox[ni]; box >= 0 {
-				// A dense box is one cluster: the first member within
-				// Eps settles the collision and the rest of the leaf is
-				// skipped — as is the whole leaf once the pair is known.
-				if key, slot := collisionSlot(myID, box); bs.seen[slot] == key {
-					continue
-				}
-				for _, nb := range members {
-					ddx := cx - xs[nb]
-					ddy := cy - ys[nb]
-					if ddx*ddx+ddy*ddy <= eps2 {
-						bs.collide(myID, box)
-						break
-					}
+			members := order[starts[li] : starts[li]+counts[li]]
+			if box := leafBox[li]; box >= 0 {
+				// A dense box is one cluster: the first member within Eps
+				// settles the collision, and a pair already recorded
+				// skips the leaf.
+				if key, slot := collisionSlot(myID, box); bs.seen[slot] != key && (whole || c.reaches(members, cx, cy)) {
+					bs.collide(myID, box)
 				}
 				continue
 			}
@@ -774,21 +833,22 @@ func (c *clustering) expandSeed(block, si int) {
 				if nb == p || !core[nb] {
 					continue
 				}
-				ddx := cx - xs[nb]
-				ddy := cy - ys[nb]
-				if ddx*ddx+ddy*ddy > eps2 {
-					continue
+				if !whole {
+					ddx, ddy := cx-xs[nb], cy-ys[nb]
+					if ddx*ddx+ddy*ddy > eps2 {
+						continue
+					}
 				}
 				// Most neighbor visits land on points this block already
 				// claimed (a cluster's points see each other from many
-				// range queries), so check with a plain atomic load
+				// expanded points), so check with a plain atomic load
 				// before paying for a CAS.
 				other := atomic.LoadInt32(&labels[nb])
 				if other == myID {
 					continue
 				}
-				if other < 0 && atomic.CompareAndSwapInt32(&labels[nb], -1, myID) {
-					q = append(q, nb)
+				if other < 0 && atomic.CompareAndSwapInt32(&labels[nb], other, myID) {
+					q = append(q, queued{nb, li})
 				} else if other = atomic.LoadInt32(&labels[nb]); other != myID {
 					// Figure 4: two blocks share a core point — the
 					// clusters are the same cluster.
@@ -798,47 +858,42 @@ func (c *clustering) expandSeed(block, si int) {
 		}
 	}
 	bs.queue = q[:0]
-	bs.stack = stack[:0]
+}
+
+// reaches reports whether a point of members is within Eps of (cx, cy).
+func (c *clustering) reaches(members []int32, cx, cy float64) bool {
+	for _, nb := range members {
+		dx, dy := cx-c.xs[nb], cy-c.ys[nb]
+		if dx*dx+dy*dy <= c.eps2 {
+			return true
+		}
+	}
+	return false
 }
 
 // linkBoxes unions dense boxes that are directly density-reachable: two
 // boxes with no expanded point between them are never joined by
-// expansion. Candidate pairs come from traversing the tree with each
-// box's rectangle (every leaf rectangle within Eps of it); a pair not
-// already connected is decided by boxesTouch.
+// expansion. Candidate pairs are the box entries of each box's neighbour
+// list; a pair not already connected is linked at once when the entry is
+// whole and otherwise decided by boxesTouch.
 func (c *clustering) linkBoxes() {
 	c.ws.boxPairs = 0
 	if c.nBoxes < 2 {
 		return
 	}
-	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
-	var buf [64]int32
 	for a, boxA := range c.leafBox {
 		if boxA < 0 {
 			continue
 		}
-		ra := bounds[4*a : 4*a+4]
-		stack := append(buf[:0], 0)
-		for len(stack) > 0 {
-			ni := int(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-			rb := bounds[4*ni : 4*ni+4]
-			dx := max(0, rb[0]-ra[2], ra[0]-rb[2])
-			dy := max(0, rb[1]-ra[3], ra[1]-rb[3])
-			if dx*dx+dy*dy > c.eps2 {
-				continue
-			}
-			if left[ni] >= 0 {
-				stack = append(stack, left[ni], right[ni])
-				continue
-			}
+		list, straddle := c.neighbours(int32(a))
+		for k, b := range list {
 			// Each unordered pair is examined once, from its lower node.
-			boxB := c.leafBox[ni]
-			if boxB < 0 || ni <= a {
+			boxB := c.leafBox[b]
+			if boxB < 0 || int(b) <= a {
 				continue
 			}
 			c.ws.boxPairs++
-			if !c.merges.Same(int(boxA), int(boxB)) && c.boxesTouch(a, ni) {
+			if !c.merges.Same(int(boxA), int(boxB)) && (k >= straddle || c.boxesTouch(a, int(b))) {
 				c.merges.Union(int(boxA), int(boxB))
 				c.stats.Collisions++
 			}
@@ -908,9 +963,9 @@ func rectFar2(b []float64, x, y float64) float64 {
 // (Point.ID, index) order — comes first. Sequential DBSCAN visiting
 // points in that order starts each cluster at its lead and lets the
 // earliest-started cluster keep a contested border point, so this is its
-// labelling, whatever the block scheduling or tree shape was. Subtrees
-// without a core point (markCoreNodes) are skipped before their rectangle
-// is tested.
+// labelling, whatever the block scheduling or tree shape was. A thread
+// walks its leaf's neighbour list and skips the leaves without a core
+// point (markCoreLeaves) before their rectangle is tested.
 func (c *clustering) attachBorders() error {
 	pts, labels, core, merges := c.pts, c.labels, c.core, c.merges
 	before := func(a, b int32) bool {
@@ -933,32 +988,27 @@ func (c *clustering) attachBorders() error {
 	}
 
 	n, xs, ys, eps2, leafBox := len(pts), c.xs, c.ys, c.eps2, c.leafBox
-	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
-	hasCore := c.markCoreNodes()
+	bounds := c.flat.Bounds
+	hasCore := c.markCoreLeaves()
 	return c.dev.Launch("gdbscan/border", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
 		if i >= n || core[i] {
 			return
 		}
+		// A non-core point is never claimed: its label names its leaf.
 		cx, cy := xs[i], ys[i]
 		best := int32(-1)
-		var buf [64]int32
-		stack := append(buf[:0], 0)
-		for len(stack) > 0 {
-			ni := int(stack[len(stack)-1])
-			stack = stack[:len(stack)-1]
-			if !hasCore[ni] || rectDist2(bounds[4*ni:4*ni+4:4*ni+4], cx, cy) > eps2 {
+		list, straddle := c.neighbours(^labels[i])
+		for k, li := range list {
+			whole := k >= straddle
+			if !hasCore[li] || !whole && rectDist2(bounds[4*li:4*li+4:4*li+4], cx, cy) > eps2 {
 				continue
 			}
-			if left[ni] >= 0 {
-				stack = append(stack, left[ni], right[ni])
-				continue
-			}
-			box := leafBox[ni]
+			box := leafBox[li]
 			if box >= 0 && lead[box] == best {
 				continue // a box is one cluster, and it is already chosen
 			}
-			for _, nb := range c.leafPoints(ni) {
+			for _, nb := range c.leafPoints(int(li)) {
 				if !core[nb] {
 					continue
 				}
@@ -966,9 +1016,11 @@ func (c *clustering) attachBorders() error {
 				if cand == best {
 					continue
 				}
-				dx, dy := cx-xs[nb], cy-ys[nb]
-				if dx*dx+dy*dy > eps2 {
-					continue
+				if !whole {
+					dx, dy := cx-xs[nb], cy-ys[nb]
+					if dx*dx+dy*dy > eps2 {
+						continue
+					}
 				}
 				if best < 0 || before(cand, best) {
 					best = cand
@@ -984,24 +1036,14 @@ func (c *clustering) attachBorders() error {
 	})
 }
 
-// markCoreNodes fills and returns ws.hasCore: whether a node has a core
-// point beneath it. Nodes are in pre-order, children after their parent,
-// so one reverse sweep sees both children before the parent.
-func (c *clustering) markCoreNodes() []bool {
-	left, right := c.flat.Left, c.flat.Right
-	hasCore := grow(c.ws.hasCore, len(left))
+// markCoreLeaves fills and returns ws.hasCore: whether a leaf holds a
+// core point (internal nodes' entries are left stale; nothing reads them).
+func (c *clustering) markCoreLeaves() []bool {
+	hasCore := grow(c.ws.hasCore, len(c.flat.Left))
 	c.ws.hasCore = hasCore
-	for ni := len(left) - 1; ni >= 0; ni-- {
-		if left[ni] >= 0 {
-			hasCore[ni] = hasCore[left[ni]] || hasCore[right[ni]]
-			continue
-		}
-		hasCore[ni] = false
-		for _, pi := range c.leafPoints(ni) {
-			if c.core[pi] {
-				hasCore[ni] = true
-				break
-			}
+	for ni, left := range c.flat.Left {
+		if left < 0 {
+			hasCore[ni] = slices.ContainsFunc(c.leafPoints(ni), func(pi int32) bool { return c.core[pi] })
 		}
 	}
 	return hasCore

@@ -910,36 +910,3 @@ func multicastAt[T any](net *Network, n *Node, payload T, split func(*Node, T) (
 		}
 	}
 }
-
-// LeafRun executes fn at every leaf in parallel and collects the results
-// by leaf index. It models the per-leaf compute stage of a phase (e.g.
-// the cluster phase running GPGPU DBSCAN on every leaf). Cancelling ctx
-// prevents leaves that have not started from running; leaves already
-// executing finish (per-leaf compute is not interruptible, exactly like
-// a kernel already launched on a device), and the ctx error is reported.
-func LeafRun[T any](ctx context.Context, net *Network, fn func(leaf int) (T, error)) ([]T, error) {
-	results := make([]T, len(net.leaves))
-	errs := make([]error, len(net.leaves))
-	var wg sync.WaitGroup
-	wg.Add(len(net.leaves))
-	for i := range net.leaves {
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("mrnet: leaf run aborted: %w", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mrnet: leaf %d: %w", i, err)
-		}
-	}
-	return results, nil
-}

@@ -278,29 +278,6 @@ func TestMulticastSplitArityError(t *testing.T) {
 	}
 }
 
-func TestLeafRun(t *testing.T) {
-	net := mustNew(t, 50, 8)
-	got, err := LeafRun(context.Background(), net, func(leaf int) (int, error) { return leaf * 2, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*2 {
-			t.Fatalf("leaf %d produced %d, want %d", i, v, i*2)
-		}
-	}
-	boom := errors.New("leaf failure")
-	_, err = LeafRun(context.Background(), net, func(leaf int) (int, error) {
-		if leaf == 33 {
-			return 0, boom
-		}
-		return 0, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want wrapped boom", err)
-	}
-}
-
 func TestStartupCostScalesWithNodes(t *testing.T) {
 	costs := CostModel{StartupBase: time.Millisecond, StartupPerNode: time.Millisecond}
 	small, err := New(4, 256, costs, nil)

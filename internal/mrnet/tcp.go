@@ -330,9 +330,6 @@ func (t *TCPNetwork) Reduce(down []byte) ([]byte, error) {
 	return t.runSubtree(t.nodes[0], down)
 }
 
-// Tree exposes the underlying topology (for assertions and fan-out info).
-func (t *TCPNetwork) Tree() *Network { return t.tree }
-
 // Close tears the overlay down; in-flight operations fail.
 func (t *TCPNetwork) Close() {
 	t.stateMu.Lock()

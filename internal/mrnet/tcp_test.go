@@ -295,7 +295,7 @@ func TestTCPTopologyMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	if net.Tree().NumInternal() != 2 {
-		t.Errorf("512 leaves over TCP: internal = %d, want 2 (Table 1)", net.Tree().NumInternal())
+	if net.tree.NumInternal() != 2 {
+		t.Errorf("512 leaves over TCP: internal = %d, want 2 (Table 1)", net.tree.NumInternal())
 	}
 }

@@ -12,8 +12,8 @@ import (
 //
 // "The time of the cluster phase is dictated by the slowest node" (§5):
 // the phase ends when its largest partition finishes, so the largest
-// partition must start first. A naive fan-out (one goroutine per leaf,
-// mrnet.LeafRun) gets the ordering right only by luck and gives every
+// partition must start first. A naive fan-out (one goroutine per leaf)
+// gets the ordering right only by luck and gives every
 // leaf its own simulated device — the wrong shape when leaves share a
 // bounded pool of GPGPU nodes. This scheduler runs leaves on a fixed
 // worker pool: leaves are sorted largest-first and dealt round-robin
