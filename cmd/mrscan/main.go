@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/lustre"
 	"repro/internal/mrscan"
@@ -131,8 +133,18 @@ func run(input, output string, cfg mrscan.Config, format string, verbose bool, c
 		return fmt.Errorf("unknown input format %q", format)
 	}
 
+	// The checkpoint directory is reached through a port on its parent,
+	// so staging out can make the directory's own name durable too.
+	var port checkpoint.FS
+	ckptDir = filepath.Clean(ckptDir)
+	stateDir := filepath.Base(ckptDir)
+	if cfg.Checkpoint || cfg.Resume {
+		if port, err = checkpoint.DirFS(filepath.Dir(ckptDir)); err != nil {
+			return err
+		}
+	}
 	if cfg.Resume {
-		if err := mrscan.StageStateIn(fs, ckptDir); err != nil {
+		if err := mrscan.StageStateIn(fs, port, stateDir); err != nil {
 			return fmt.Errorf("staging checkpoint state in: %w", err)
 		}
 	}
@@ -153,7 +165,7 @@ func run(input, output string, cfg mrscan.Config, format string, verbose bool, c
 	if cfg.Checkpoint || cfg.Resume {
 		// Stage state out even on failure: the snapshots written before
 		// the abort are what the next -resume run restarts from.
-		if serr := mrscan.StageStateOut(fs, ckptDir); serr != nil {
+		if serr := mrscan.StageStateOut(fs, port, stateDir); serr != nil {
 			fmt.Fprintln(os.Stderr, "mrscan: staging checkpoint state out:", serr)
 		}
 	}

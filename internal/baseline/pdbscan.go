@@ -9,7 +9,7 @@ import (
 	"repro/internal/dbscan"
 	"repro/internal/dsu"
 	"repro/internal/geom"
-	"repro/internal/rtree"
+	"repro/internal/kdtree"
 )
 
 // PDBSCANResult is the output of the PDBSCAN baseline.
@@ -27,11 +27,12 @@ type PDBSCANResult struct {
 
 // PDBSCAN implements the design of the first parallel DBSCAN (Xu, Jäger
 // & Kriegel 1999; paper §2.2): the data is spatially partitioned among
-// compute nodes, but the R*-tree index is *replicated on every node* —
+// compute nodes, but the spatial index is *replicated on every node* —
 // "distributed R*-trees partition data but they replicate the entire
 // index on each node. If a neighborhood query included an area of the
 // dataset that resides on a different node, the node that started the
-// query must send a message to obtain the data."
+// query must send a message to obtain the data." The replicated index
+// is the KD-tree, not the original's R*-tree (EXPERIMENTS.md §2.2).
 //
 // Three phases, with barriers where the original had communication
 // rounds: parallel core classification over owned points, parallel
@@ -64,8 +65,8 @@ func PDBSCAN(pts []geom.Point, params dbscan.Params, nodes int) (*PDBSCANResult,
 		owner[idx] = int32(nodes * rank / n)
 	}
 
-	// The replicated index: every node holds the full R*-tree.
-	index := rtree.Build(pts)
+	// The replicated index: every node holds the full tree.
+	index := kdtree.Build(pts, 0)
 
 	core := make([]bool, n)
 	minNeighbors := params.MinPts - 1

@@ -205,8 +205,8 @@ const (
 	outputFile = "output.mrsl"
 )
 
-// stageInput writes pts as the pipeline input on fs.
-func stageInput(fs *lustre.FS, pts []geom.Point) error {
+// writeInput writes pts as the pipeline input on fs.
+func writeInput(fs *lustre.FS, pts []geom.Point) error {
 	return ptio.WriteDataset(fs.Create(inputFile), pts, false)
 }
 
@@ -214,7 +214,7 @@ func stageInput(fs *lustre.FS, pts []geom.Point) error {
 // pipeline input.
 func stagedTitan(pts []geom.Point) (*lustre.FS, error) {
 	fs := lustre.New(lustre.Titan(), nil)
-	return fs, stageInput(fs, pts)
+	return fs, writeInput(fs, pts)
 }
 
 // baseConfig is the pipeline configuration a scenario's faulted runs and

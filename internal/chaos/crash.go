@@ -38,6 +38,7 @@ import (
 	"path"
 	"slices"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/lustre"
@@ -96,7 +97,7 @@ func (o CrashOptions) withDefaults() CrashOptions {
 func (o CrashOptions) newCrashSim(simSeed int64, pts []geom.Point) (*lustre.FS, error) {
 	fs := lustre.New(lustre.Titan(), nil)
 	if pts != nil {
-		if err := stageInput(fs, pts); err != nil {
+		if err := writeInput(fs, pts); err != nil {
 			return nil, err
 		}
 	}
@@ -401,12 +402,18 @@ func crashDuringResume(ctx context.Context, fs *lustre.FS, resumeCfg mrscan.Conf
 // the journal writes go through the crash-simulated one, so the op
 // space covers exactly the durability path Submit acknowledges through.
 
-func journalServerConfig(jfs server.JournalFS) server.Config {
+func journalServerConfig(jfs checkpoint.FS) server.Config {
 	return server.Config{
-		Workers:   2,
-		StateDir:  "state",
-		JournalFS: jfs,
+		Workers:  2,
+		StateDir: "state",
+		Storage:  jfs,
 	}
+}
+
+// stateFS is the server's state directory, "state", on the crash-simulated
+// file system.
+func stateFS(sfs *lustre.FS) checkpoint.FS {
+	return checkpoint.Sub(checkpoint.LustreFS(sfs), "state")
 }
 
 func (o CrashOptions) journalWorkload(seed int64) []server.JobSpec {
@@ -428,7 +435,7 @@ func (o CrashOptions) journalProbe(ctx context.Context, seed int64) (int64, erro
 	if err != nil {
 		return 0, err
 	}
-	srv, err := server.New(journalServerConfig(server.LustreJournalFS(sfs)))
+	srv, err := server.New(journalServerConfig(stateFS(sfs)))
 	if err != nil {
 		return 0, err
 	}
@@ -460,7 +467,7 @@ func (o CrashOptions) journalCrashPoint(ctx context.Context, seed, k int64, doub
 	if err != nil {
 		return failf(jr, "crash sim: %v", err)
 	}
-	jfs := server.LustreJournalFS(sfs)
+	jfs := stateFS(sfs)
 	srv, err := server.New(journalServerConfig(jfs))
 	if err != nil {
 		return failf(jr, "starting server: %v", err)
@@ -488,7 +495,7 @@ func (o CrashOptions) journalCrashPoint(ctx context.Context, seed, k int64, doub
 
 	// Audit 1: every acknowledged job has a durable journal record —
 	// Submit fsynced the queued record before returning the ID.
-	states, torn, err := server.JournalStates(jfs, "state")
+	states, torn, err := server.JournalStates(jfs)
 	if err != nil {
 		return failf(jr, "journal replay: %v", err)
 	}
@@ -514,7 +521,7 @@ func (o CrashOptions) journalCrashPoint(ctx context.Context, seed, k int64, doub
 // point: it loses power again during the restart's journal replay (which
 // may be mid torn-tail repair) and recovers, so the next restart must
 // proceed as if the first crash never happened twice.
-func crashDuringRestart(sfs *lustre.FS, jfs server.JournalFS, seed, k int64) error {
+func crashDuringRestart(sfs *lustre.FS, jfs checkpoint.FS, seed, k int64) error {
 	rng := rand.New(rand.NewSource(seed ^ (k << 8)))
 	sfs.ArmCrash(sfs.OpCount() + 1 + rng.Int63n(8))
 	srv, err := server.New(journalServerConfig(jfs))
@@ -537,13 +544,13 @@ func crashDuringRestart(sfs *lustre.FS, jfs server.JournalFS, seed, k int64) err
 // auditReadmission is audit 2 of a journal crash point: a server
 // restarted on the surviving state re-admits every acknowledged
 // non-terminal job and drives it to termination.
-func auditReadmission(ctx context.Context, jfs server.JournalFS, acked []string) error {
+func auditReadmission(ctx context.Context, jfs checkpoint.FS, acked []string) error {
 	srv, err := server.New(journalServerConfig(jfs))
 	if err != nil {
 		return fmt.Errorf("restart on recovered state: %w", err)
 	}
 	defer srv.Close()
-	states, _, err := server.JournalStates(jfs, "state")
+	states, _, err := server.JournalStates(jfs)
 	if err != nil {
 		return fmt.Errorf("journal replay after restart: %w", err)
 	}

@@ -520,7 +520,7 @@ func grayShardLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 	budget := health.NewBudget(grayRetryBudget, 0)
 	fs.SetRetryBudget(budget)
 	history := collectTransitions(tracker)
-	if err := stageInput(fs, pts); err != nil {
+	if err := writeInput(fs, pts); err != nil {
 		return failf(leg, "gray input: %v", err)
 	}
 	res, err := distribute(fs)

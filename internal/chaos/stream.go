@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
+	"path"
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/lustre"
 	"repro/internal/server"
 	"repro/internal/stream"
 )
@@ -18,7 +18,9 @@ import (
 // taken down twice mid-sequence — once drained between two ticks, once
 // by a power cut inside a tick's save (the tick's snapshot published,
 // the manifest commit not) — and each time a fresh instance on the same
-// state directory recovers the stream and keeps ticking. Because the
+// state directory recovers the stream and keeps ticking. The state
+// directory lives on the crash-simulating file system, so the cut also
+// drops and tears whatever the save had not synced. Because the
 // engine's labels are deterministic (restart-stable cluster IDs), the
 // audit is exact equality — after every tick, on either side of a
 // restart, the served snapshot must be bit-identical to a fault-free
@@ -80,26 +82,23 @@ func (o StreamOptions) run(ctx context.Context, seed int64) *StreamRunReport {
 	o = o.withDefaults()
 	rep := &StreamRunReport{Ticks: o.Ticks}
 
-	stateDir, err := os.MkdirTemp("", "mrscan-stream-")
-	if err != nil {
-		return failf(rep, "creating state dir: %v", err)
-	}
-	defer os.RemoveAll(stateDir)
-
+	sfs := lustre.New(lustre.Titan(), nil)
+	sfs.EnableCrashSim(seed)
 	r := &streamRun{
 		rep:     rep,
 		rng:     rand.New(rand.NewSource(seed)),
 		batches: dataset.Firehose(o.Ticks, o.PerTick, seed, dataset.DefaultFirehoseOptions()),
-		cfg:     server.Config{Workers: 1, StateDir: stateDir},
+		cfg:     server.Config{Workers: 1, StateDir: "state", Storage: stateFS(sfs)},
 	}
 	spec := server.StreamSpec{
 		Tenant: "chaos", Name: "firehose", Eps: 0.12, MinPts: 8,
 		WindowTicks: o.WindowTicks,
 	}
-	r.ref, err = stream.New(stream.Config{Eps: spec.Eps, MinPts: spec.MinPts, WindowTicks: spec.WindowTicks})
+	ref, err := stream.New(stream.Config{Eps: spec.Eps, MinPts: spec.MinPts, WindowTicks: spec.WindowTicks})
 	if err != nil {
 		return failf(rep, "building reference engine: %v", err)
 	}
+	r.ref = ref
 
 	// Both strikes land in the interior of the sequence so all three
 	// generations tick a nonempty share: the drain between ticks cut-1
@@ -132,8 +131,7 @@ func (o StreamOptions) run(ctx context.Context, seed int64) *StreamRunReport {
 		srv.Close()
 		return failf(rep, "generation 2: %v", err)
 	}
-	streamDir := filepath.Join(stateDir, "streams", r.id)
-	files, err := r.powerCut(srv, streamDir, strike)
+	files, err := r.powerCut(srv, sfs, strike)
 	if err != nil {
 		return failf(rep, "staging the power cut: %v", err)
 	}
@@ -143,9 +141,9 @@ func (o StreamOptions) run(ctx context.Context, seed int64) *StreamRunReport {
 		return failf(rep, "after the power cut: %v", err)
 	}
 	defer srv.Close()
-	if after, err := readDir(streamDir); err != nil || len(after) != files {
+	if after, err := r.streamFiles(); err != nil || after != files {
 		return failf(rep, "recovery left %d files in the stream directory, %d before the interrupted tick (%v)",
-			len(after), files, err)
+			after, files, err)
 	}
 	if err := r.feed(ctx, srv, strike, o.Ticks); err != nil {
 		return failf(rep, "generation 3: %v", err)
@@ -232,27 +230,37 @@ func (r *streamRun) restart(want int) (*server.Server, error) {
 	return next, nil
 }
 
-// powerCut stages a power cut inside the save of tick strike, after the
-// tick's snapshot was published and before the manifest commit: s takes
-// the tick and is shut down, then every file that existed before it is
-// put back as it was (the manifest, the snapshot the tick retired) while
-// the files the tick created stay. The tick was never acknowledged, so
-// the reference does not see it; the next generation must come up at
-// the tick before, sweep the orphan, and take the tick again from the
-// client. It returns how many files the stream directory held before
-// the tick.
-func (r *streamRun) powerCut(s *server.Server, streamDir string, strike int) (int, error) {
-	before, err := readDir(streamDir)
-	if err == nil {
-		_, err = s.StreamTick(r.id, r.batches[strike])
+// manifestCreateOp is the operation of a tick's save on the simulated
+// file system that creates the manifest's temp file: the six before it
+// publish and sync the tick's snapshot (create, two writes, fsync,
+// rename, directory sync).
+const manifestCreateOp = 7
+
+// powerCut loses power inside the save of tick strike, as the manifest's
+// temp file is created: the tick's snapshot is published, its commit is
+// not. The tick was never acknowledged, so the reference does not see
+// it; the next generation must come up at the tick before, sweep the
+// orphan, and take the tick again from the client. It returns how many
+// files the stream directory held before the tick.
+func (r *streamRun) powerCut(s *server.Server, sfs *lustre.FS, strike int) (int, error) {
+	before, err := r.streamFiles()
+	if err != nil {
+		return 0, err
 	}
+	sfs.ArmCrash(sfs.OpCount() + manifestCreateOp)
+	_, err = s.StreamTick(r.id, r.batches[strike])
 	s.Close()
-	for name, data := range before {
-		if err == nil {
-			err = os.WriteFile(filepath.Join(streamDir, name), data, 0o644)
-		}
+	if !sfs.Crashed() {
+		return 0, fmt.Errorf("tick %d's save finished before the cut (%v)", strike, err)
 	}
-	return len(before), err
+	_, err = sfs.Recover()
+	return before, err
+}
+
+// streamFiles counts the files in the stream's state directory.
+func (r *streamRun) streamFiles() (int, error) {
+	names, err := r.cfg.Storage.List(path.Join("streams", r.id))
+	return len(names), err
 }
 
 // sameWindow requires the served snapshot to equal the reference's,
@@ -269,19 +277,4 @@ func sameWindow(got, want stream.Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// readDir returns the contents of every file in dir by name.
-func readDir(dir string) (map[string][]byte, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	files := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-			return nil, err
-		}
-	}
-	return files, nil
 }

@@ -45,11 +45,8 @@
 // manifest rename is the log's single commit point; Sweep collects what
 // a crash on either side of it leaves behind.
 //
-// The package is storage-agnostic: it talks to an FS interface
-// implemented by the simulated Lustre file system (LustreFS) and by a
-// real OS directory (DirFS, used by the distributed CLI, whose
-// coordinator outlives process restarts, and by the job server's
-// streams).
+// The store writes through the storage port FS (fs.go), which every
+// other durable writer in the tree shares.
 package checkpoint
 
 import (
@@ -59,15 +56,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/integrity"
-	"repro/internal/lustre"
 	"repro/internal/telemetry"
 )
 
@@ -92,110 +85,6 @@ var ErrCorrupt = errors.New("checkpoint: snapshot corrupt")
 
 // ErrNoCheckpoint reports a phase with no snapshot on the store.
 var ErrNoCheckpoint = errors.New("checkpoint: no snapshot")
-
-// File is the handle surface snapshots are read and written through.
-// Sync flushes written bytes to stable storage (fsync); Seek is how a
-// reader learns how many bytes a file holds before it believes the
-// file's own header.
-type File interface {
-	io.Reader
-	io.Writer
-	io.Seeker
-	Sync() error
-}
-
-// FS is the storage surface the store needs: named files with POSIX
-// rename semantics plus a directory sync to make renames durable.
-// Implemented by LustreFS (the simulated parallel file system) and
-// DirFS (a real OS directory).
-type FS interface {
-	Create(name string) (File, error)
-	Open(name string) (File, error)
-	Rename(oldname, newname string) error
-	Remove(name string) error
-	// List names every file on the store (Sweep looks for snapshots the
-	// manifest does not reference).
-	List() ([]string, error)
-	// SyncDir makes completed renames durable (fsync of the store's
-	// directory). Stores are flat, so one directory suffices.
-	SyncDir() error
-}
-
-// lustreFS adapts *lustre.FS to the FS interface.
-type lustreFS struct{ fs *lustre.FS }
-
-// LustreFS wraps the simulated parallel file system as a checkpoint
-// store backend. Snapshot I/O is charged to the simulated clock like any
-// other file traffic, so checkpoint overhead shows up in the evaluation.
-func LustreFS(fs *lustre.FS) FS { return lustreFS{fs} }
-
-func (l lustreFS) Create(name string) (File, error) { return l.fs.Create(name), nil }
-func (l lustreFS) Open(name string) (File, error)   { return l.fs.Open(name) }
-func (l lustreFS) Rename(o, n string) error         { return l.fs.Rename(o, n) }
-func (l lustreFS) Remove(name string) error         { l.fs.Remove(name); return nil }
-func (l lustreFS) List() ([]string, error)          { return l.fs.List(), nil }
-func (l lustreFS) SyncDir() error                   { return l.fs.SyncDir(".") }
-
-// dirFS implements FS on a real OS directory, for checkpoint state that
-// must survive process restarts (the distributed coordinator).
-type dirFS struct{ dir string }
-
-// DirFS returns a checkpoint backend rooted at an OS directory, created
-// if missing.
-func DirFS(dir string) (FS, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating %s: %w", dir, err)
-	}
-	return dirFS{dir}, nil
-}
-
-func (d dirFS) path(name string) string {
-	// Snapshot names are flat ("<phase>.ckpt"); keep them inside dir.
-	return filepath.Join(d.dir, filepath.Base(name))
-}
-
-func (d dirFS) Create(name string) (File, error) { return os.Create(d.path(name)) }
-
-func (d dirFS) Open(name string) (File, error) {
-	f, err := os.Open(d.path(name))
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (d dirFS) Rename(o, n string) error { return os.Rename(d.path(o), d.path(n)) }
-
-func (d dirFS) Remove(name string) error {
-	err := os.Remove(d.path(name))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
-}
-
-func (d dirFS) List() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}
-
-func (d dirFS) SyncDir() error {
-	f, err := os.Open(d.dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
 
 // Manifest is the run's durable table of contents: which phases have
 // completed, in order, and the checksum each snapshot must verify
@@ -238,8 +127,10 @@ type Store struct {
 	parent *telemetry.Span
 }
 
-// manifestName is the manifest's file name on the store.
-const manifestName = "MANIFEST.ckpt"
+// ManifestName is the manifest's file name on the store. The manifest's
+// rename is the store's commit point: a store directory without one holds
+// nothing committed.
+const ManifestName = "MANIFEST.ckpt"
 
 // NewStore opens (or initializes) a checkpoint store. runID fingerprints
 // the run configuration: if the store holds a manifest for a different
@@ -280,7 +171,7 @@ func (s *Store) ensureManifest() {
 	s.loaded = true
 	s.manifest = Manifest{Version: version, RunID: s.runID}
 	var m Manifest
-	if err := s.loadFile(manifestName, &m); err != nil {
+	if err := s.loadFile(ManifestName, &m); err != nil {
 		return // missing or corrupt: start fresh
 	}
 	if m.Version != version || m.RunID != s.runID {
@@ -374,13 +265,13 @@ func (s *Store) Sweep() (int, error) {
 	if len(s.manifest.Entries) == 0 {
 		return 0, nil
 	}
-	names, err := s.fs.List()
+	names, err := s.fs.List(".")
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: listing store: %w", err)
 	}
 	removed := 0
 	for _, name := range names {
-		if !IsCheckpointFile(name) || name == manifestName ||
+		if !IsCheckpointFile(name) || name == ManifestName ||
 			slices.ContainsFunc(s.manifest.Entries, func(e Entry) bool { return e.File == name }) {
 			continue
 		}
@@ -399,7 +290,7 @@ func (s *Store) saveManifest(m *Manifest) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
-	_, err = s.writeFile(manifestName, data)
+	_, err = s.writeFile(ManifestName, data)
 	return err
 }
 
@@ -431,42 +322,24 @@ func decode(payload []byte, out any, name string) error {
 	return nil
 }
 
-// writeFile writes payload under the integrity envelope via the atomic
-// write-then-rename protocol and returns the payload CRC. Sync
-// ordering: the tmp file's bytes are fsynced *before* the rename (so
-// the published name can never surface empty or torn after a crash)
-// and the directory is fsynced *after* (so the rename itself is
-// durable when writeFile returns).
+// writeFile writes payload under the integrity envelope by the
+// write-fsync-rename-syncdir protocol of the package doc and returns the
+// payload CRC.
 func (s *Store) writeFile(name string, payload []byte) (uint32, error) {
 	crc := integrity.Checksum(payload)
 	tmp := name + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: creating %s: %w", tmp, err)
-	}
-	var hdr [len(magic) + 2 + 4 + 8]byte
+	var hdr [headerSize]byte
 	copy(hdr[:], magic)
 	binary.LittleEndian.PutUint16(hdr[len(magic):], version)
 	binary.LittleEndian.PutUint32(hdr[len(magic)+2:], crc)
 	binary.LittleEndian.PutUint64(hdr[len(magic)+6:], uint64(len(payload)))
-	if _, err := f.Write(hdr[:]); err != nil {
+	if err := s.fs.WriteFile(tmp, hdr[:], payload); err != nil {
 		return 0, fmt.Errorf("checkpoint: writing %s: %w", tmp, err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		return 0, fmt.Errorf("checkpoint: writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		return 0, fmt.Errorf("checkpoint: syncing %s: %w", tmp, err)
-	}
-	if c, ok := f.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return 0, fmt.Errorf("checkpoint: closing %s: %w", tmp, err)
-		}
 	}
 	if err := s.fs.Rename(tmp, name); err != nil {
 		return 0, fmt.Errorf("checkpoint: publishing %s: %w", name, err)
 	}
-	if err := s.fs.SyncDir(); err != nil {
+	if err := s.fs.SyncDir("."); err != nil {
 		return 0, fmt.Errorf("checkpoint: syncing store directory after publishing %s: %w", name, err)
 	}
 	return crc, nil
@@ -475,68 +348,48 @@ func (s *Store) writeFile(name string, payload []byte) (uint32, error) {
 // loadFile reads and verifies an envelope, decoding the payload into out.
 // Missing files return ErrNoCheckpoint; damaged ones ErrCorrupt.
 func (s *Store) loadFile(name string, out any) error {
-	f, err := s.fs.Open(name)
-	if err != nil {
-		return fmt.Errorf("%w: %s (%v)", ErrNoCheckpoint, name, err)
-	}
-	defer func() {
-		if c, ok := f.(io.Closer); ok {
-			c.Close()
-		}
-	}()
-	payload, err := verifyEnvelope(f, name)
+	payload, err := s.readEnvelope(name)
 	if err != nil {
 		return err
 	}
 	return decode(payload, out, name)
 }
 
-// verifyEnvelope checks magic, version, length and CRC, returning the
-// verified payload bytes.
-func verifyEnvelope(f io.ReadSeeker, name string) ([]byte, error) {
-	var hdr [len(magic) + 2 + 4 + 8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+// readEnvelope reads a whole envelope file and returns its verified
+// payload. A missing file is ErrNoCheckpoint.
+func (s *Store) readEnvelope(name string) ([]byte, error) {
+	data, err := s.fs.ReadFile(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s (%v)", ErrNoCheckpoint, name, err)
+	}
+	return verifyEnvelope(data, name)
+}
+
+// headerSize is the envelope header: magic, version, CRC32C, length.
+const headerSize = len(magic) + 2 + 4 + 8
+
+// verifyEnvelope checks an envelope's magic, version, length and CRC,
+// returning the verified payload, a subslice of data.
+func verifyEnvelope(data []byte, name string) ([]byte, error) {
+	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %s: short header: %w", ErrCorrupt, name, integrity.ErrTorn)
 	}
-	if string(hdr[:len(magic)]) != magic {
+	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, name)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[len(magic):]); v != version {
+	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != version {
 		return nil, fmt.Errorf("%w: %s: version %d, want %d", ErrCorrupt, name, v, version)
 	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[len(magic)+2:])
-	length := binary.LittleEndian.Uint64(hdr[len(magic)+6:])
-	const maxSnapshot = 1 << 32
-	if length > maxSnapshot {
-		return nil, fmt.Errorf("%w: %s: implausible length %d", ErrCorrupt, name, length)
-	}
-	// The length is the file's word: check it against the bytes the file
-	// holds before anything is sized from it.
-	if held, err := remaining(f); err != nil || length > uint64(held) {
+	wantCRC := binary.LittleEndian.Uint32(data[len(magic)+2:])
+	length := binary.LittleEndian.Uint64(data[len(magic)+6:])
+	if length > uint64(len(data)-headerSize) {
 		return nil, fmt.Errorf("%w: %s: truncated payload: %w", ErrCorrupt, name, integrity.ErrTorn)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("%w: %s: truncated payload: %w", ErrCorrupt, name, integrity.ErrTorn)
-	}
+	payload := data[headerSize : headerSize+int(length)]
 	if got := integrity.Checksum(payload); got != wantCRC {
 		return nil, fmt.Errorf("%w: %s: CRC32C %08x, want %08x", ErrCorrupt, name, got, wantCRC)
 	}
 	return payload, nil
-}
-
-// remaining returns the number of bytes between f's position and its end.
-func remaining(f io.Seeker) (int64, error) {
-	pos, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	end, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
-	}
-	_, err = f.Seek(pos, io.SeekStart)
-	return end - pos, err
 }
 
 // verifiedPayload locates the phase in the manifest and returns its
@@ -557,16 +410,7 @@ func (s *Store) verifiedPayload(phase string) ([]byte, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("%w: phase %s not in manifest", ErrNoCheckpoint, phase)
 	}
-	f, err := s.fs.Open(entry.File)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s (%v)", ErrNoCheckpoint, entry.File, err)
-	}
-	defer func() {
-		if c, ok := f.(io.Closer); ok {
-			c.Close()
-		}
-	}()
-	payload, err := verifyEnvelope(f, entry.File)
+	payload, err := s.readEnvelope(entry.File)
 	if err != nil {
 		return nil, err
 	}
@@ -616,17 +460,7 @@ func (s *Store) Completed() []string {
 
 // Has reports whether the manifest records the phase (without verifying
 // the snapshot).
-func (s *Store) Has(phase string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureManifest()
-	for _, e := range s.manifest.Entries {
-		if e.Phase == phase {
-			return true
-		}
-	}
-	return false
-}
+func (s *Store) Has(phase string) bool { return slices.Contains(s.Completed(), phase) }
 
 // ValidPrefix walks phases in the given order, verifying each snapshot,
 // and returns how many lead phases are restorable: the walk stops at the
@@ -653,7 +487,7 @@ func (s *Store) Clear() error {
 			return fmt.Errorf("checkpoint: clearing %s: %w", e.File, err)
 		}
 	}
-	if err := s.fs.Remove(manifestName); err != nil {
+	if err := s.fs.Remove(ManifestName); err != nil {
 		return fmt.Errorf("checkpoint: clearing manifest: %w", err)
 	}
 	s.manifest = Manifest{Version: version, RunID: s.runID}

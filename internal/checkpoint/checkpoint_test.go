@@ -83,8 +83,8 @@ func TestBinaryPayloadStoredVerbatim(t *testing.T) {
 	if _, err := h.ReadAt(img, 0); err != nil && err != io.EOF {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(img[envelopeHeader:], want) {
-		t.Fatalf("envelope payload %q, want the marshalled bytes %q", img[envelopeHeader:], want)
+	if !bytes.Equal(img[headerSize:], want) {
+		t.Fatalf("envelope payload %q, want the marshalled bytes %q", img[headerSize:], want)
 	}
 	var got rawSnap
 	if err := st.Load("cluster", &got); err != nil || !bytes.Equal(got.b, want) {

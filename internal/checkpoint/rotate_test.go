@@ -44,7 +44,7 @@ func TestRotateKeepsWindow(t *testing.T) {
 	}
 	files := fs.List()
 	slices.Sort(files)
-	want := []string{manifestName, phaseFile("spec"), phaseFile("tick-5"), phaseFile("tick-6"), phaseFile("tick-7")}
+	want := []string{ManifestName, phaseFile("spec"), phaseFile("tick-5"), phaseFile("tick-6"), phaseFile("tick-7")}
 	slices.Sort(want)
 	if !slices.Equal(files, want) {
 		t.Fatalf("store holds %v, want %v", files, want)
@@ -86,7 +86,7 @@ func TestSweepRemovesOnlyOrphans(t *testing.T) {
 	}
 	files := fs.List()
 	slices.Sort(files)
-	want := []string{manifestName, phaseFile("spec"), phaseFile("tick-2"), phaseFile("tick-3"), phaseFile("tick-4"), "partition.bin"}
+	want := []string{ManifestName, phaseFile("spec"), phaseFile("tick-2"), phaseFile("tick-3"), phaseFile("tick-4"), "partition.bin"}
 	slices.Sort(want)
 	if !slices.Equal(files, want) {
 		t.Fatalf("after Sweep the store holds %v, want %v", files, want)
@@ -148,7 +148,7 @@ func TestRotateCrashPoints(t *testing.T) {
 			}
 			snapshots := 0
 			for _, name := range fs.List() {
-				if IsCheckpointFile(name) && name != manifestName {
+				if IsCheckpointFile(name) && name != ManifestName {
 					snapshots++
 				}
 			}

@@ -30,9 +30,9 @@
 package lustre
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	iofs "io/fs"
 	"sort"
 	"sync"
 	"time"
@@ -211,8 +211,9 @@ func (f *file) growTo(off, end int64) {
 	}
 }
 
-// ErrNotExist is returned when opening a file that was never created.
-var ErrNotExist = errors.New("lustre: file does not exist")
+// ErrNotExist is returned when opening a file that was never created. It
+// matches io/fs.ErrNotExist, as an OS file system's error does.
+var ErrNotExist = fmt.Errorf("lustre: %w", iofs.ErrNotExist)
 
 // New creates a file system. A nil clock allocates a private one.
 func New(cfg Config, clock *simclock.Clock) *FS {
@@ -799,31 +800,6 @@ func (h *Handle) Read(p []byte) (int, error) {
 	h.pos += int64(n)
 	h.mu.Unlock()
 	return n, err
-}
-
-// Seek positions the handle for Read/Write.
-func (h *Handle) Seek(offset int64, whence int) (int64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = h.pos
-	case io.SeekEnd:
-		h.f.mu.RLock()
-		base = int64(len(h.f.data))
-		h.f.mu.RUnlock()
-	default:
-		return 0, fmt.Errorf("lustre: bad whence %d", whence)
-	}
-	np := base + offset
-	if np < 0 {
-		return 0, fmt.Errorf("lustre: seek to negative position %d", np)
-	}
-	h.pos = np
-	return np, nil
 }
 
 // Size returns the file's current length.

@@ -106,30 +106,6 @@ func TestSequentialReadWrite(t *testing.T) {
 	}
 }
 
-func TestSeek(t *testing.T) {
-	fs := New(testConfig(), nil)
-	h := fs.Create("seek")
-	if _, err := h.Write([]byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	if pos, err := h.Seek(4, io.SeekStart); err != nil || pos != 4 {
-		t.Fatalf("Seek = %d,%v", pos, err)
-	}
-	buf := make([]byte, 2)
-	if _, err := h.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "45" {
-		t.Errorf("read after seek = %q, want 45", buf)
-	}
-	if pos, err := h.Seek(-2, io.SeekEnd); err != nil || pos != 8 {
-		t.Fatalf("SeekEnd = %d,%v", pos, err)
-	}
-	if _, err := h.Seek(-100, io.SeekStart); err == nil {
-		t.Error("negative seek must fail")
-	}
-}
-
 func TestSeekPenaltyChargedOnRandomWrites(t *testing.T) {
 	// The §5.1.1 behaviour: the same volume written as many small random
 	// writes must cost far more simulated time than one streaming write.

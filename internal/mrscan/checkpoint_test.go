@@ -18,9 +18,9 @@ import (
 	"repro/internal/ptio"
 )
 
-// stageInput provisions a fresh simulated FS holding the standard test
+// writeInput provisions a fresh simulated FS holding the standard test
 // dataset as input.mrsc.
-func stageInput(t *testing.T) *lustre.FS {
+func writeInput(t *testing.T) *lustre.FS {
 	t.Helper()
 	fs := lustre.New(lustre.Titan(), nil)
 	in := fs.Create("input.mrsc")
@@ -56,7 +56,7 @@ func ckptConfig() Config {
 func TestCleanRunsDeterministic(t *testing.T) {
 	var outs [][]byte
 	for i := 0; i < 2; i++ {
-		fs := stageInput(t)
+		fs := writeInput(t)
 		res, err := Run(fs, "input.mrsc", "output.mrsl", ckptConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 	}
 	for _, mode := range modes {
 		// Reference: uninterrupted run.
-		refFS := stageInput(t)
+		refFS := writeInput(t)
 		ref := ckptConfig()
 		mode.set(&ref)
 		if _, err := Run(refFS, "input.mrsc", "output.mrsl", ref); err != nil {
@@ -108,7 +108,7 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 		for k, phase := range all {
 			t.Run(mode.name+"/"+phase, func(t *testing.T) {
 				// Run 1: killed entering the phase.
-				fs := stageInput(t)
+				fs := writeInput(t)
 				cfg := ckptConfig()
 				mode.set(&cfg)
 				cfg.FaultPlan = faultinject.New(0).
@@ -175,7 +175,7 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 // back to the partition snapshot, re-execute cluster and merge, and
 // still produce byte-identical output.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	if _, err := Run(fs, "input.mrsc", "output.mrsl", ckptConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 // re-executes, and the RunID fingerprint keeps snapshots from a
 // different configuration out.
 func TestResumeAfterCompletedRun(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	if _, err := Run(fs, "input.mrsc", "output.mrsl", ckptConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestResumeAfterCompletedRun(t *testing.T) {
 // context.DeadlineExceeded and names the in-flight phase, and the
 // partial result lists no completed phases.
 func TestDeadlineAbortsNamingPhase(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, err := RunContext(ctx, fs, "input.mrsc", "output.mrsl", ckptConfig())
@@ -269,7 +269,7 @@ func TestDeadlineAbortsNamingPhase(t *testing.T) {
 // is in flight, the run must abort with a wrapped context error naming
 // a phase and report a consistent partial result.
 func TestCancelMidRun(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -311,7 +311,7 @@ func TestCancelMidRun(t *testing.T) {
 // TestCheckpointFilesOnFS sanity-checks what a checkpointed run leaves
 // on the file system — the files the CLI stages across restarts.
 func TestCheckpointFilesOnFS(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	if _, err := Run(fs, "input.mrsc", "output.mrsl", ckptConfig()); err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestTCPMergeKillMidFrameRecovers(t *testing.T) {
 // the file system — not after a partition phase that, with
 // WriteAggregation, would still be writing when the run returned.
 func TestBadTopologyFailsBeforeAnyIO(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	before := fs.Stats()
 	cfg := aggConfig()
 	cfg.Topology = "3x3" // 9 leaves ≠ 4
@@ -243,7 +243,7 @@ func TestBadTopologyFailsBeforeAnyIO(t *testing.T) {
 // built fails the run like any other phase error — a partial Result, the
 // phase named, and every span the run opened closed and in the trace.
 func TestNetworkConstructionErrorFinishes(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	cfg := Default(0.1, 40, 4)
 	cfg.Fanout = 1 // mrnet needs at least 2
 	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)

@@ -28,14 +28,14 @@ func aggConfig() Config {
 func TestWriteAggregationLabelIdentity(t *testing.T) {
 	base := Default(0.1, 40, 4)
 	base.IncludeNoise = true
-	refFS := stageInput(t)
+	refFS := writeInput(t)
 	if _, err := Run(refFS, "input.mrsc", "output.mrsl", base); err != nil {
 		t.Fatal(err)
 	}
 	want := fileBytes(t, refFS, "output.mrsl")
 
 	for _, workers := range []int{0, 2} {
-		fs := stageInput(t)
+		fs := writeInput(t)
 		cfg := aggConfig()
 		cfg.ClusterWorkers = workers
 		res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
@@ -73,13 +73,13 @@ func TestWriteAggregationSequentialLeaves(t *testing.T) {
 	base := Default(0.1, 40, 4)
 	base.IncludeNoise = true
 	base.SequentialLeaves = true
-	refFS := stageInput(t)
+	refFS := writeInput(t)
 	if _, err := Run(refFS, "input.mrsc", "output.mrsl", base); err != nil {
 		t.Fatal(err)
 	}
 	want := fileBytes(t, refFS, "output.mrsl")
 
-	fs := stageInput(t)
+	fs := writeInput(t)
 	cfg := aggConfig()
 	cfg.SequentialLeaves = true
 	if _, err := Run(fs, "input.mrsc", "output.mrsl", cfg); err != nil {
@@ -137,7 +137,7 @@ func TestWriteAggregationOverlapsPhases(t *testing.T) {
 // partition checkpoint's segment index re-reads the shards) and produces
 // byte-identical output.
 func TestWriteAggregationKillThenResume(t *testing.T) {
-	refFS := stageInput(t)
+	refFS := writeInput(t)
 	ref := aggConfig()
 	ref.Checkpoint = true
 	if _, err := Run(refFS, "input.mrsc", "output.mrsl", ref); err != nil {
@@ -145,7 +145,7 @@ func TestWriteAggregationKillThenResume(t *testing.T) {
 	}
 	want := fileBytes(t, refFS, "output.mrsl")
 
-	fs := stageInput(t)
+	fs := writeInput(t)
 	cfg := aggConfig()
 	cfg.Checkpoint = true
 	cfg.FaultPlan = faultinject.New(0).
@@ -177,7 +177,7 @@ func TestWriteAggregationKillThenResume(t *testing.T) {
 // the pipelined path must poison the gate and surface as a partition
 // phase error, not hang the cluster workers.
 func TestWriteAggregationPartitionFaultFails(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	cfg := aggConfig()
 	cfg.FaultPlan = faultinject.New(0).
 		Arm(faultinject.LustreIO, faultinject.Rule{After: 5})
@@ -200,7 +200,7 @@ func TestWriteAggregationPartitionFaultFails(t *testing.T) {
 // aggregated writer — and a transient partition fault is retried to
 // success.
 func TestWriteAggregationRetryFallsBack(t *testing.T) {
-	fs := stageInput(t)
+	fs := writeInput(t)
 	cfg := aggConfig()
 	cfg.Retry = RetryPolicy{MaxAttempts: 3}
 	cfg.FaultPlan = faultinject.New(0).

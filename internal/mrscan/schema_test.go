@@ -110,7 +110,7 @@ func TestV1SummaryNeverDecodesUsable(t *testing.T) {
 // recomputed and the output is a fresh run's.
 func TestResumeIgnoresV1Snapshots(t *testing.T) {
 	cfg := ckptConfig()
-	refFS := stageInput(t)
+	refFS := writeInput(t)
 	if _, err := Run(refFS, "input.mrsc", "output.mrsl", cfg); err != nil {
 		t.Fatal(err)
 	}

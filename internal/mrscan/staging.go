@@ -1,59 +1,56 @@
 package mrscan
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	iofs "io/fs"
+	"path"
 
+	"repro/internal/checkpoint"
 	"repro/internal/lustre"
 )
 
-// Checkpoint state staging: the pipeline's durable state (checkpoint
-// snapshots plus the partition artifacts a file-mode resume re-reads)
-// lives on the simulated parallel file system, which dies with the
-// process. Long-lived callers — the CLI across invocations, the job
-// server across drain/restart cycles — carry that state over a real OS
-// directory: StageStateOut after a checkpointed (or aborted) run,
-// StageStateIn before a resumed one.
+// The pipeline's durable state lives on the simulated file system, which
+// dies with the process. The CLI across invocations and the job server
+// across restarts carry it over a directory of their storage port.
 
 // StageStateIn copies durable pipeline state (checkpoint snapshots and
-// partition artifacts, per IsStateFile) from dir onto fs, so a resumed
-// process sees what the previous one left behind. A missing dir is not
-// an error — there is simply nothing to resume from.
-func StageStateIn(fs *lustre.FS, dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
+// partition artifacts, per IsStateFile) from dir on port onto fs, so a
+// resumed process sees what the previous one left behind. A missing dir
+// is not an error — there is simply nothing to resume from.
+func StageStateIn(fs *lustre.FS, port checkpoint.FS, dir string) error {
+	names, err := port.List(dir)
+	if errors.Is(err, iofs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if e.IsDir() || !IsStateFile(e.Name()) {
+	for _, name := range names {
+		if !IsStateFile(name) {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		b, err := port.ReadFile(path.Join(dir, name))
 		if err != nil {
 			return err
 		}
 		// One write of a fresh file allocates exactly len(b): nothing to Grow.
-		if _, err := fs.Create(e.Name()).WriteAt(b, 0); err != nil {
-			return fmt.Errorf("staging %s in: %w", e.Name(), err)
+		if _, err := fs.Create(name).WriteAt(b, 0); err != nil {
+			return fmt.Errorf("staging %s in: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// StageStateOut copies durable pipeline state off fs into dir (created
-// if missing). Call it even after a failed run — the checkpoints written
-// before the failure are exactly what the next resumed run needs.
-// Staged files are fsynced and the directory synced before returning:
-// staging out is the last act before a process exits (drain, crash
-// handoff), so "returned" must mean "on stable storage".
-func StageStateOut(fs *lustre.FS, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// StageStateOut copies durable pipeline state off fs into dir on port.
+// Call it even after a failed run — the checkpoints written before the
+// failure are exactly what the next resumed run needs. Staging out is the
+// last act before a process exits (drain, crash handoff), so "returned"
+// must mean "on stable storage": every staged file is fsynced, then dir
+// is synced, then dir's parent, which holds dir's own name when the
+// staging created it.
+func StageStateOut(fs *lustre.FS, port checkpoint.FS, dir string) error {
+	staged := false
 	for _, name := range fs.List() {
 		if !IsStateFile(name) {
 			continue
@@ -63,38 +60,16 @@ func StageStateOut(fs *lustre.FS, dir string) error {
 			return err
 		}
 		err = h.View(0, h.Size(), func(b []byte) error {
-			return writeFileSync(filepath.Join(dir, name), b)
+			return port.WriteFile(path.Join(dir, name), b)
 		})
 		if err != nil {
 			return err
 		}
+		staged = true
 	}
-	return syncOSDir(dir)
-}
-
-// writeFileSync is os.WriteFile plus an fsync before close.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	// A run that left no state staged nothing, so dir may not exist.
+	if err := port.SyncDir(dir); err != nil && (staged || !errors.Is(err, iofs.ErrNotExist)) {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncOSDir fsyncs a directory so freshly created names are durable.
-func syncOSDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return port.SyncDir(path.Dir(dir))
 }

@@ -257,7 +257,7 @@ func TestTimesAreTheRunsOwnOnSharedHub(t *testing.T) {
 	hub := telemetry.New(nil)
 	run := func(cfg Config) *Result {
 		t.Helper()
-		fs := stageInput(t)
+		fs := writeInput(t)
 		cfg.Telemetry = hub
 		res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
 		if err != nil {

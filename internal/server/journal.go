@@ -6,17 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	iofs "io/fs"
 	"path"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"repro/internal/checkpoint"
 	"repro/internal/geom"
 	"repro/internal/integrity"
-	"repro/internal/lustre"
-	"repro/internal/mrscan"
 	"repro/internal/ptio"
 	"repro/internal/telemetry"
 )
@@ -32,7 +31,8 @@ import (
 // failed-loudly, or resumed") survives not just process death but
 // power failure.
 //
-// Layout under StateDir:
+// Layout under StateDir, written through the server's storage port
+// (checkpoint.FS):
 //
 //	journal.log           append-only state records (see record framing)
 //	jobs/<id>/spec.json   submission parameters (+ degraded decision)
@@ -48,14 +48,9 @@ import (
 // (the crash hit mid-writeSpec, before the ack) are skipped — the
 // caller never learned the ID, so nothing was lost.
 //
-// Torn-tail policy (replay): the final record of the log may be torn
-// by a crash mid-append — that is expected, not corruption. Replay
-// truncates it (crash-safely: repaired log to a tmp name, fsync,
-// rename, dir sync) and continues, counting
-// server_journal_torn_tail_total. A damaged record with a valid record
-// *after* it cannot be explained by a torn append, so replay fails
-// loudly with ErrJournalCorrupt rather than silently dropping
-// acknowledged transitions.
+// Torn-tail policy: a final record torn by a crash mid-append is
+// expected and repaired (replayLog); damage with a valid record after it
+// is interior corruption, and replay fails loudly (decodeRecords).
 
 // ErrJournalCorrupt reports a damaged interior journal record — data
 // loss that a torn final append cannot explain. The server refuses to
@@ -99,11 +94,10 @@ type recoveredJob struct {
 	points []geom.Point
 }
 
-// journal persists jobs under dir on a JournalFS; an empty dir
+// journal persists jobs on the state directory's port; a nil port
 // disables durability and every method becomes a no-op.
 type journal struct {
-	fs  JournalFS
-	dir string
+	fs  checkpoint.FS
 	hub *telemetry.Hub
 
 	mu         sync.Mutex // serializes appends and seq
@@ -111,24 +105,18 @@ type journal struct {
 	rootSynced bool
 }
 
-func newJournal(fs JournalFS, dir string, hub *telemetry.Hub) *journal {
-	if fs == nil {
-		fs = osJournalFS{}
-	}
-	return &journal{fs: fs, dir: dir, hub: hub}
-}
+func newJournal(fs checkpoint.FS, hub *telemetry.Hub) *journal { return &journal{fs: fs, hub: hub} }
 
-func (j *journal) enabled() bool { return j.dir != "" }
+func (j *journal) enabled() bool { return j.fs != nil }
 
-func (j *journal) logPath() string          { return path.Join(j.dir, "journal.log") }
-func (j *journal) jobsDir() string          { return path.Join(j.dir, "jobs") }
-func (j *journal) jobDir(id string) string  { return path.Join(j.jobsDir(), id) }
-func (j *journal) ckptDir(id string) string { return path.Join(j.jobDir(id), "ckpt") }
+// Names on the state directory's port.
+const (
+	logPath = "journal.log"
+	jobsDir = "jobs"
+)
 
-// isNotExist matches missing files from either JournalFS backend.
-func isNotExist(err error) bool {
-	return errors.Is(err, os.ErrNotExist) || errors.Is(err, lustre.ErrNotExist)
-}
+func jobDir(id string) string  { return path.Join(jobsDir, id) }
+func ckptDir(id string) string { return path.Join(jobDir(id), "ckpt") }
 
 // writeSpec makes an admitted job durable: spec.json and the input
 // dataset fsynced, their directory entries synced, then the initial
@@ -138,31 +126,28 @@ func (j *journal) writeSpec(id string, spec persistedSpec, pts []geom.Point) err
 	if !j.enabled() {
 		return nil
 	}
-	dir := j.jobDir(id)
-	if err := j.fs.MkdirAll(dir); err != nil {
-		return err
-	}
+	dir := jobDir(id)
 	b, err := json.MarshalIndent(spec, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := j.fs.WriteFileSync(path.Join(dir, "spec.json"), b); err != nil {
+	if err := j.fs.WriteFile(path.Join(dir, "spec.json"), b); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
 	if err := ptio.WriteDataset(&buf, pts, false); err != nil {
 		return err
 	}
-	if err := j.fs.WriteFileSync(path.Join(dir, "input.mrsc"), buf.Bytes()); err != nil {
+	if err := j.fs.WriteFile(path.Join(dir, "input.mrsc"), buf.Bytes()); err != nil {
 		return err
 	}
 	if err := j.fs.SyncDir(dir); err != nil {
 		return err
 	}
-	if err := j.fs.SyncDir(j.jobsDir()); err != nil {
+	if err := j.fs.SyncDir(jobsDir); err != nil {
 		return err
 	}
-	if err := j.fs.SyncDir(j.dir); err != nil {
+	if err := j.fs.SyncDir("."); err != nil {
 		return err
 	}
 	return j.setState(id, string(StateQueued))
@@ -181,14 +166,14 @@ func (j *journal) setState(id, state string) error {
 	if err != nil {
 		return err
 	}
-	if err := j.fs.AppendSync(j.logPath(), frame); err != nil {
+	if err := j.fs.AppendFile(logPath, frame); err != nil {
 		j.hub.Counter("server_journal_append_errors_total").Inc()
 		return err
 	}
 	if !j.rootSynced {
 		// First append created the log file; its name must be durable
 		// too.
-		if err := j.fs.SyncDir(j.dir); err != nil {
+		if err := j.fs.SyncDir("."); err != nil {
 			return err
 		}
 		j.rootSynced = true
@@ -209,108 +194,99 @@ func encodeRecord(rec logRecord) ([]byte, error) {
 	return frame, nil
 }
 
-// validRecordAfter reports whether any byte position after from starts
-// a fully-valid record — the discriminator between a torn tail (no
-// valid data follows the damage) and interior corruption (it does).
-func validRecordAfter(data []byte, from int) bool {
-	for i := from; i+recHeaderSize <= len(data); i++ {
-		if data[i] != 'J' || data[i+1] != 'L' || data[i+2] != recVersion {
-			continue
-		}
-		n := int(binary.LittleEndian.Uint32(data[i+3:]))
-		if n > maxRecordSize || i+recHeaderSize+n > len(data) {
-			continue
-		}
-		payload := data[i+recHeaderSize : i+recHeaderSize+n]
-		if integrity.Checksum(payload) == binary.LittleEndian.Uint32(data[i+7:]) && json.Valid(payload) {
-			return true
-		}
+// tornRecord is parseRecord's reason for bytes that end inside a frame.
+const tornRecord = "torn"
+
+// parseRecord decodes the record at the start of b and returns it with
+// its framed length, or the reason b does not start with one.
+func parseRecord(b []byte) (rec logRecord, size int, bad string) {
+	if len(b) < recHeaderSize {
+		return rec, 0, tornRecord
 	}
-	return false
+	if b[0] != 'J' || b[1] != 'L' || b[2] != recVersion {
+		return rec, 0, "bad record header"
+	}
+	n := int(binary.LittleEndian.Uint32(b[3:]))
+	if n > maxRecordSize {
+		return rec, 0, "implausible record length"
+	}
+	if len(b) < recHeaderSize+n {
+		return rec, 0, tornRecord
+	}
+	payload := b[recHeaderSize : recHeaderSize+n]
+	if integrity.Checksum(payload) != binary.LittleEndian.Uint32(b[7:]) {
+		return rec, 0, "record checksum mismatch"
+	}
+	if json.Unmarshal(payload, &rec) != nil {
+		return rec, 0, "undecodable record payload"
+	}
+	return rec, recHeaderSize + n, ""
 }
 
 // decodeRecords parses the log, returning the valid records, the byte
-// length of the valid prefix, and whether a torn tail was dropped.
-// Interior corruption returns ErrJournalCorrupt.
+// length of the valid prefix, and whether a torn tail was dropped. A
+// damaged record followed, at any later byte, by a valid one cannot be a
+// torn tail: that is interior corruption, ErrJournalCorrupt.
 func decodeRecords(data []byte) (recs []logRecord, goodLen int, torn bool, err error) {
 	off := 0
 	for off < len(data) {
-		bad := func(reason string) ([]logRecord, int, bool, error) {
-			if validRecordAfter(data, off+1) {
-				return nil, 0, false, fmt.Errorf("%w: %s at offset %d with valid records after it", ErrJournalCorrupt, reason, off)
+		rec, size, bad := parseRecord(data[off:])
+		if bad == "" {
+			recs = append(recs, rec)
+			off += size
+			continue
+		}
+		if bad != tornRecord {
+			for i := off + 1; i < len(data); i++ {
+				if _, _, after := parseRecord(data[i:]); after == "" {
+					return nil, 0, false, fmt.Errorf("%w: %s at offset %d with valid records after it", ErrJournalCorrupt, bad, off)
+				}
 			}
-			return recs, off, true, nil
 		}
-		rest := data[off:]
-		if len(rest) < recHeaderSize {
-			return recs, off, true, nil // torn mid-header
-		}
-		if rest[0] != 'J' || rest[1] != 'L' || rest[2] != recVersion {
-			return bad("bad record header")
-		}
-		n := int(binary.LittleEndian.Uint32(rest[3:]))
-		if n > maxRecordSize {
-			return bad("implausible record length")
-		}
-		if len(rest) < recHeaderSize+n {
-			return recs, off, true, nil // torn mid-payload
-		}
-		payload := rest[recHeaderSize : recHeaderSize+n]
-		if integrity.Checksum(payload) != binary.LittleEndian.Uint32(rest[7:]) {
-			return bad("record checksum mismatch")
-		}
-		var rec logRecord
-		if uerr := json.Unmarshal(payload, &rec); uerr != nil {
-			return bad("undecodable record payload")
-		}
-		recs = append(recs, rec)
-		off += recHeaderSize + n
+		return recs, off, true, nil
 	}
 	return recs, off, false, nil
 }
 
 // replayLog reads and decodes the journal, repairing a torn tail
 // in place (crash-safely: tmp + fsync + rename + dir sync) when
-// repair is true. Returns the last state per job and the highest
-// record sequence.
-func (j *journal) replayLog(repair bool) (map[string]State, int64, error) {
-	states := make(map[string]State)
-	raw, err := j.fs.ReadFile(j.logPath())
-	if isNotExist(err) {
-		return states, 0, nil
+// repair is true. Returns the last state per job, the highest record
+// sequence and whether the log ended in a torn tail.
+func (j *journal) replayLog(repair bool) (states map[string]State, maxSeq int64, torn bool, err error) {
+	states = make(map[string]State)
+	raw, err := j.fs.ReadFile(logPath)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return states, 0, false, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: reading journal: %w", err)
+		return nil, 0, false, fmt.Errorf("server: reading journal: %w", err)
 	}
 	recs, goodLen, torn, err := decodeRecords(raw)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
 	if torn {
 		j.hub.Counter("server_journal_torn_tail_total").Inc()
 		j.hub.Event(nil, "server.journal-torn-tail",
 			telemetry.Int("dropped_bytes", len(raw)-goodLen))
 		if repair {
-			tmp := j.logPath() + ".tmp"
-			if err := j.fs.WriteFileSync(tmp, raw[:goodLen]); err != nil {
-				return nil, 0, fmt.Errorf("server: repairing torn journal: %w", err)
+			tmp := logPath + ".tmp"
+			if err := j.fs.WriteFile(tmp, raw[:goodLen]); err != nil {
+				return nil, 0, false, fmt.Errorf("server: repairing torn journal: %w", err)
 			}
-			if err := j.fs.Rename(tmp, j.logPath()); err != nil {
-				return nil, 0, fmt.Errorf("server: repairing torn journal: %w", err)
+			if err := j.fs.Rename(tmp, logPath); err != nil {
+				return nil, 0, false, fmt.Errorf("server: repairing torn journal: %w", err)
 			}
-			if err := j.fs.SyncDir(j.dir); err != nil {
-				return nil, 0, fmt.Errorf("server: repairing torn journal: %w", err)
+			if err := j.fs.SyncDir("."); err != nil {
+				return nil, 0, false, fmt.Errorf("server: repairing torn journal: %w", err)
 			}
 		}
 	}
-	var maxSeq int64
 	for _, r := range recs {
 		states[r.ID] = State(r.State)
-		if r.Seq > maxSeq {
-			maxSeq = r.Seq
-		}
+		maxSeq = max(maxSeq, r.Seq)
 	}
-	return states, maxSeq, nil
+	return states, maxSeq, torn, nil
 }
 
 // recoverJobs replays the journal and loads every job whose last
@@ -323,7 +299,7 @@ func (j *journal) recoverJobs() ([]recoveredJob, int, error) {
 	if !j.enabled() {
 		return nil, 0, nil
 	}
-	states, maxRecSeq, err := j.replayLog(true)
+	states, maxRecSeq, _, err := j.replayLog(true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -335,9 +311,9 @@ func (j *journal) recoverJobs() ([]recoveredJob, int, error) {
 	j.mu.Unlock()
 
 	maxSeq := 0
-	if names, err := j.fs.ReadDirNames(j.jobsDir()); err == nil {
+	if names, err := j.fs.List(jobsDir); err == nil {
 		for _, id := range names {
-			if n, ok := jobSeq(id); ok && n > maxSeq {
+			if n := seqOf("job-", id); n > maxSeq {
 				maxSeq = n
 			}
 		}
@@ -348,14 +324,14 @@ func (j *journal) recoverJobs() ([]recoveredJob, int, error) {
 			continue
 		}
 		var spec persistedSpec
-		sb, err := j.fs.ReadFile(path.Join(j.jobDir(id), "spec.json"))
+		sb, err := j.fs.ReadFile(path.Join(jobDir(id), "spec.json"))
 		if err != nil {
 			return nil, 0, fmt.Errorf("server: recovering %s: %w", id, err)
 		}
 		if err := json.Unmarshal(sb, &spec); err != nil {
 			return nil, 0, fmt.Errorf("server: recovering %s: %w", id, err)
 		}
-		in, err := j.fs.ReadFile(path.Join(j.jobDir(id), "input.mrsc"))
+		in, err := j.fs.ReadFile(path.Join(jobDir(id), "input.mrsc"))
 		if err != nil {
 			return nil, 0, fmt.Errorf("server: recovering %s input: %w", id, err)
 		}
@@ -369,109 +345,23 @@ func (j *journal) recoverJobs() ([]recoveredJob, int, error) {
 	return out, maxSeq, nil
 }
 
-// stageOut copies the pipeline's checkpoint state files from a job's
-// simulated file system into its journal checkpoint directory, fsynced
-// and dir-synced — suspension is an ack, so the staged state must be
-// durable before the suspended record is written.
-func (j *journal) stageOut(fs *lustre.FS, id string) error {
-	if !j.enabled() {
-		return nil
-	}
-	dir := j.ckptDir(id)
-	if err := j.fs.MkdirAll(dir); err != nil {
-		return err
-	}
-	for _, name := range fs.List() {
-		if !mrscan.IsStateFile(name) {
-			continue
-		}
-		h, err := fs.Open(name)
-		if err != nil {
-			return err
-		}
-		data := make([]byte, h.Size())
-		if len(data) > 0 {
-			if _, err := h.ReadAt(data, 0); err != nil {
-				return err
-			}
-		}
-		if err := j.fs.WriteFileSync(path.Join(dir, name), data); err != nil {
-			return err
-		}
-	}
-	if err := j.fs.SyncDir(dir); err != nil {
-		return err
-	}
-	return j.fs.SyncDir(j.jobDir(id))
+// JournalStates replays the job journal on a state directory's port
+// read-only (no repair) and returns the last journaled state per job ID
+// plus whether the log ends in a torn tail. Interior corruption returns
+// ErrJournalCorrupt. This is the audit surface the crash harness (and
+// operators) use to check the acknowledgment invariant without starting
+// a server.
+func JournalStates(fs checkpoint.FS) (map[string]State, bool, error) {
+	states, _, torn, err := newJournal(fs, nil).replayLog(false)
+	return states, torn, err
 }
 
-// stageIn copies a job's staged checkpoint state back onto a fresh
-// simulated file system before a resumed run.
-func (j *journal) stageIn(fs *lustre.FS, id string) error {
-	if !j.enabled() {
-		return nil
-	}
-	names, err := j.fs.ReadDirNames(j.ckptDir(id))
-	if isNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		data, err := j.fs.ReadFile(path.Join(j.ckptDir(id), name))
-		if err != nil {
-			return err
-		}
-		if len(data) == 0 {
-			fs.Create(name)
-			continue
-		}
-		if _, err := fs.Create(name).WriteAt(data, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// JournalStates replays the job journal under dir read-only (no
-// repair) and returns the last journaled state per job ID plus whether
-// the log ends in a torn tail. Interior corruption returns
-// ErrJournalCorrupt. A nil fs uses the real OS filesystem. This is the
-// audit surface the crash harness (and operators) use to check the
-// acknowledgment invariant without starting a server.
-func JournalStates(fs JournalFS, dir string) (map[string]State, bool, error) {
-	j := newJournal(fs, dir, nil)
-	if !j.enabled() {
-		return nil, false, errors.New("server: JournalStates: empty dir")
-	}
-	raw, err := j.fs.ReadFile(j.logPath())
-	if isNotExist(err) {
-		return map[string]State{}, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	recs, _, torn, err := decodeRecords(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	states := make(map[string]State, len(recs))
-	for _, r := range recs {
-		states[r.ID] = State(r.State)
-	}
-	return states, torn, nil
-}
-
-// jobSeq extracts the numeric sequence from a "job-000042" ID.
-func jobSeq(id string) (int, bool) {
-	const prefix = "job-"
-	if !strings.HasPrefix(id, prefix) {
-		return 0, false
-	}
+// seqOf parses the sequence number of an ID minted as prefix plus a
+// number ("job-000042", "stream-000007"); it is 0 for any other name.
+func seqOf(prefix, id string) int {
 	n, err := strconv.Atoi(strings.TrimPrefix(id, prefix))
-	if err != nil {
-		return 0, false
+	if err != nil || !strings.HasPrefix(id, prefix) {
+		return 0
 	}
-	return n, true
+	return n
 }

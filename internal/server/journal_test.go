@@ -3,19 +3,26 @@ package server
 import (
 	"bytes"
 	"errors"
+	iofs "io/fs"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/lustre"
 	"repro/internal/telemetry"
 )
+
+// lustreState is a state directory, "state", on a simulated FS.
+func lustreState(fs *lustre.FS) checkpoint.FS {
+	return checkpoint.Sub(checkpoint.LustreFS(fs), "state")
+}
 
 // journalOnLustre builds a journal over a fresh simulated FS and
 // appends the given state transitions.
 func journalOnLustre(t *testing.T, hub *telemetry.Hub, transitions [][2]string) (*lustre.FS, *journal) {
 	t.Helper()
 	fs := lustre.New(lustre.Titan(), nil)
-	j := newJournal(LustreJournalFS(fs), "state", hub)
+	j := newJournal(lustreState(fs), hub)
 	for _, tr := range transitions {
 		if err := j.setState(tr[0], tr[1]); err != nil {
 			t.Fatalf("setState(%s, %s): %v", tr[0], tr[1], err)
@@ -26,7 +33,7 @@ func journalOnLustre(t *testing.T, hub *telemetry.Hub, transitions [][2]string) 
 
 func readLog(t *testing.T, j *journal) []byte {
 	t.Helper()
-	raw, err := j.fs.ReadFile(j.logPath())
+	raw, err := j.fs.ReadFile(logPath)
 	if err != nil {
 		t.Fatalf("reading log: %v", err)
 	}
@@ -35,7 +42,7 @@ func readLog(t *testing.T, j *journal) []byte {
 
 func writeLog(t *testing.T, j *journal, raw []byte) {
 	t.Helper()
-	if err := j.fs.WriteFileSync(j.logPath(), raw); err != nil {
+	if err := j.fs.WriteFile(logPath, raw); err != nil {
 		t.Fatalf("rewriting log: %v", err)
 	}
 }
@@ -53,7 +60,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	raw := readLog(t, j)
 	writeLog(t, j, raw[:len(raw)-3]) // tear the last record mid-payload
 
-	states, _, err := j.replayLog(true)
+	states, _, _, err := j.replayLog(true)
 	if err != nil {
 		t.Fatalf("replay with torn tail: %v", err)
 	}
@@ -66,7 +73,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 
 	// The repair is durable: a second replay sees a clean log.
-	states2, _, err := j.replayLog(true)
+	states2, _, _, err := j.replayLog(true)
 	if err != nil {
 		t.Fatalf("replay after repair: %v", err)
 	}
@@ -89,7 +96,7 @@ func TestJournalTornMidHeaderTolerated(t *testing.T) {
 	recLen := len(raw) / 2
 	writeLog(t, j, raw[:recLen+recHeaderSize/2])
 
-	states, _, err := j.replayLog(true)
+	states, _, _, err := j.replayLog(true)
 	if err != nil {
 		t.Fatalf("replay with torn header: %v", err)
 	}
@@ -112,12 +119,12 @@ func TestJournalInteriorCorruptionFailsLoudly(t *testing.T) {
 	raw[recHeaderSize+2] ^= 0xff // flip a byte inside the first payload
 	writeLog(t, j, raw)
 
-	_, _, err := j.replayLog(true)
+	_, _, _, err := j.replayLog(true)
 	if !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("replay of interior-corrupt log: err = %v, want ErrJournalCorrupt", err)
 	}
 	// The audit surface agrees.
-	if _, _, err := JournalStates(j.fs, "state"); !errors.Is(err, ErrJournalCorrupt) {
+	if _, _, err := JournalStates(j.fs); !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("JournalStates: err = %v, want ErrJournalCorrupt", err)
 	}
 }
@@ -142,7 +149,7 @@ func TestJournalReplayIdempotentUnderCrash(t *testing.T) {
 		// The repair is 5 durability ops: tmp create, write, fsync,
 		// rename, dir sync. Land the crash on each in turn.
 		fs.ArmCrash(1 + (seed-1)%5)
-		_, _, err := j.replayLog(true)
+		_, _, _, err := j.replayLog(true)
 		if err == nil {
 			t.Fatalf("seed %d: repair survived an armed crash", seed)
 		}
@@ -153,8 +160,8 @@ func TestJournalReplayIdempotentUnderCrash(t *testing.T) {
 			t.Fatalf("seed %d: recover: %v", seed, err)
 		}
 
-		j2 := newJournal(LustreJournalFS(fs), "state", telemetry.New(nil))
-		states, _, err := j2.replayLog(true)
+		j2 := newJournal(lustreState(fs), telemetry.New(nil))
+		states, _, _, err := j2.replayLog(true)
 		if err != nil {
 			t.Fatalf("seed %d: replay after crashed repair: %v", seed, err)
 		}
@@ -162,7 +169,7 @@ func TestJournalReplayIdempotentUnderCrash(t *testing.T) {
 			t.Fatalf("seed %d: states = %v, want %v", seed, states, want)
 		}
 		// And the second repair must itself be durable and idempotent.
-		states2, _, err := j2.replayLog(true)
+		states2, _, _, err := j2.replayLog(true)
 		if err != nil || !reflect.DeepEqual(states2, want) {
 			t.Fatalf("seed %d: third replay: states = %v err = %v", seed, states2, err)
 		}
@@ -179,7 +186,7 @@ func journalCrashImages(tb testing.TB) [][]byte {
 		{"job-000001", "suspended"}, {"job-000002", "running"}, {"job-000002", "completed"},
 	}
 	life := func(fs *lustre.FS) {
-		j := newJournal(LustreJournalFS(fs), "state", telemetry.New(nil))
+		j := newJournal(lustreState(fs), telemetry.New(nil))
 		for _, tr := range transitions {
 			if j.setState(tr[0], tr[1]) != nil {
 				return // the crash
@@ -199,8 +206,8 @@ func journalCrashImages(tb testing.TB) [][]byte {
 		if _, err := fs.Recover(); err != nil {
 			tb.Fatal(err)
 		}
-		img, err := LustreJournalFS(fs).ReadFile("state/journal.log")
-		if err != nil && !isNotExist(err) {
+		img, err := checkpoint.LustreFS(fs).ReadFile("state/journal.log")
+		if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 			tb.Fatal(err)
 		}
 		if !seen[string(img)] {
@@ -243,19 +250,19 @@ func FuzzJournalReplay(f *testing.F) {
 				len(again), againLen, againTorn, err, len(recs), goodLen)
 		}
 		fs := lustre.New(lustre.Titan(), nil)
-		j := newJournal(LustreJournalFS(fs), "state", telemetry.New(nil))
-		if err := j.fs.WriteFileSync(j.logPath(), data); err != nil {
+		j := newJournal(lustreState(fs), telemetry.New(nil))
+		if err := j.fs.WriteFile(logPath, data); err != nil {
 			t.Fatal(err)
 		}
-		states, _, err := j.replayLog(true)
+		states, _, _, err := j.replayLog(true)
 		if err != nil {
 			t.Fatalf("replayLog refuses what decodeRecords took: %v", err)
 		}
-		repaired, err := j.fs.ReadFile(j.logPath())
+		repaired, err := j.fs.ReadFile(logPath)
 		if err != nil || !bytes.Equal(repaired, data[:goodLen]) {
 			t.Fatalf("repaired log holds %d bytes (%v), want the %d-byte prefix", len(repaired), err, goodLen)
 		}
-		if states2, _, err := j.replayLog(true); err != nil || !reflect.DeepEqual(states2, states) {
+		if states2, _, _, err := j.replayLog(true); err != nil || !reflect.DeepEqual(states2, states) {
 			t.Fatalf("second replay: %v, %v; first: %v", states2, err, states)
 		}
 	})

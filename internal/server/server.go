@@ -252,14 +252,16 @@ type Config struct {
 	// rates buy more throughput for more quality loss).
 	SampleRate float64
 	// StateDir, when non-empty, is the durable directory for job specs,
-	// inputs and staged checkpoints — the substrate of drain/resume.
-	// Empty disables durability: drains cancel and fail in-flight jobs.
+	// inputs, staged checkpoints and streams — the substrate of
+	// drain/resume. Empty disables durability: drains cancel and fail
+	// in-flight jobs.
 	StateDir string
-	// JournalFS is the storage the journal writes through. Nil (the
-	// default) uses the real OS filesystem; the crash harness injects a
-	// simulated crash-capable filesystem to audit sync ordering under
-	// power failure.
-	JournalFS JournalFS
+	// Storage is the port every durable write under StateDir goes
+	// through. Nil (the default) is checkpoint.DirFS(StateDir); the crash
+	// harness and tests put a simulated crash-capable file system there,
+	// or one that fails on cue, to audit sync ordering under power
+	// failure.
+	Storage checkpoint.FS
 	// Telemetry is the server-level hub (metrics + transition events).
 	// Nil provisions a private hub, exposed via Hub().
 	Telemetry *telemetry.Hub
@@ -331,7 +333,7 @@ type Server struct {
 
 	streams   map[string]*streamState
 	streamSeq int
-	streamFS  func(dir string) (checkpoint.FS, error) // opens a stream's store directory
+	state     checkpoint.FS // the state directory's port; nil without a StateDir
 
 	global *breaker
 	lat    *latencyWindow
@@ -345,26 +347,30 @@ type Server struct {
 // cfg.StateDir holds suspended jobs from a previous instance they are
 // recovered and re-queued for resumption before New returns.
 func New(cfg Config) (*Server, error) {
-	return newServer(cfg, checkpoint.DirFS)
-}
-
-// newServer is New with the file system stream stores open their
-// directories through (tests substitute one that fails on cue).
-func newServer(cfg Config, streamFS func(dir string) (checkpoint.FS, error)) (*Server, error) {
 	cfg.setDefaults()
 	hub := cfg.Telemetry
 	if hub == nil {
 		hub = telemetry.New(nil)
 	}
+	var state checkpoint.FS
+	if cfg.StateDir != "" {
+		state = cfg.Storage
+		if state == nil {
+			var err error
+			if state, err = checkpoint.DirFS(cfg.StateDir); err != nil {
+				return nil, fmt.Errorf("server: opening state directory: %w", err)
+			}
+		}
+	}
 	s := &Server{
-		cfg:      cfg,
-		hub:      hub,
-		jr:       newJournal(cfg.JournalFS, cfg.StateDir, hub),
-		tenants:  make(map[string]*tenantState),
-		jobs:     make(map[string]*Job),
-		streams:  make(map[string]*streamState),
-		streamFS: streamFS,
-		lat:      newLatencyWindow(64),
+		cfg:     cfg,
+		hub:     hub,
+		jr:      newJournal(state, hub),
+		tenants: make(map[string]*tenantState),
+		jobs:    make(map[string]*Job),
+		streams: make(map[string]*streamState),
+		state:   state,
+		lat:     newLatencyWindow(64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.global = newBreaker(cfg.GlobalBreakerThreshold, cfg.BreakerCooldown,
@@ -772,7 +778,7 @@ func (s *Server) runJob(job *Job) {
 	cfg.Telemetry = job.hub
 	cfg.Checkpoint = s.jr.enabled()
 	if job.resumed && s.jr.enabled() {
-		if err := s.jr.stageIn(fs, job.id); err != nil {
+		if err := mrscan.StageStateIn(fs, s.state, ckptDir(job.id)); err != nil {
 			s.finish(job, nil, nil, fmt.Errorf("server: staging checkpoint state in: %w", err))
 			return
 		}
@@ -785,7 +791,7 @@ func (s *Server) runJob(job *Job) {
 			// The snapshots written before the abort are what a resumed
 			// run restarts from — stage them out even (especially) on
 			// failure.
-			if serr := s.jr.stageOut(fs, job.id); serr != nil {
+			if serr := mrscan.StageStateOut(fs, s.state, ckptDir(job.id)); serr != nil {
 				runErr = errors.Join(runErr, fmt.Errorf("server: staging checkpoint state out: %w", serr))
 			}
 		}

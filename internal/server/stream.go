@@ -3,8 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	iofs "io/fs"
+	"path"
 	"slices"
 	"sort"
 	"strconv"
@@ -44,9 +44,12 @@ import (
 // directory restores every stream (stream.Restore over the listed
 // ticks) before it starts serving. A directory written by the earlier whole-window format (one
 // "window" snapshot, rewritten every tick) is converted the first time
-// it is recovered. Stream state lives on the real filesystem
-// (checkpoint.DirFS); the crash-simulating JournalFS covers only the
-// job journal.
+// it is recovered. Stream state goes through the server's storage port
+// like the job journal, so the crash simulator can stand under it too.
+//
+// The manifest is a stream's commit point both ways: written last by
+// CreateStream, removed first by CloseStream (removeStreamDir), and a
+// directory without one holds no stream (recoverStreams).
 
 // Stream-specific typed errors.
 var (
@@ -145,34 +148,12 @@ func (st *streamState) persist() error {
 }
 
 // persistedStreamSpec is the gob image of a stream's configuration,
-// saved as the "spec" phase of its checkpoint store.
-type persistedStreamSpec struct {
-	Tenant             string
-	Name               string
-	Eps                float64
-	MinPts             int
-	WindowTicks        int
-	SubsampleThreshold int
-	SubsampleRate      float64
-	ReanchorEvery      int
-	Seed               int64
-}
+// saved as the "spec" phase of its checkpoint store. gob writes the type's
+// name and fields, so it keeps its own name while it shares StreamSpec's
+// fields.
+type persistedStreamSpec StreamSpec
 
-func (p persistedStreamSpec) spec() StreamSpec {
-	return StreamSpec{
-		Tenant: p.Tenant, Name: p.Name, Eps: p.Eps, MinPts: p.MinPts,
-		WindowTicks: p.WindowTicks, SubsampleThreshold: p.SubsampleThreshold,
-		SubsampleRate: p.SubsampleRate, ReanchorEvery: p.ReanchorEvery, Seed: p.Seed,
-	}
-}
-
-func fromSpec(sp StreamSpec) persistedStreamSpec {
-	return persistedStreamSpec{
-		Tenant: sp.Tenant, Name: sp.Name, Eps: sp.Eps, MinPts: sp.MinPts,
-		WindowTicks: sp.WindowTicks, SubsampleThreshold: sp.SubsampleThreshold,
-		SubsampleRate: sp.SubsampleRate, ReanchorEvery: sp.ReanchorEvery, Seed: sp.Seed,
-	}
-}
+func fromSpec(sp StreamSpec) persistedStreamSpec { return persistedStreamSpec(sp) }
 
 // engineConfig maps a StreamSpec onto the engine's Config. The engine
 // reports metrics on the server hub labeled by stream ID.
@@ -185,10 +166,10 @@ func (s *Server) engineConfig(id string, sp StreamSpec) stream.Config {
 	}
 }
 
-// streamDir is a stream's durable directory under the state dir.
-func (s *Server) streamDir(id string) string {
-	return filepath.Join(s.cfg.StateDir, "streams", id)
-}
+// streamsDir holds one directory per stream on the state port.
+const streamsDir = "streams"
+
+func streamDir(id string) string { return path.Join(streamsDir, id) }
 
 // CreateStream admits and registers a new stream, durably persisting
 // its spec before the ID is returned.
@@ -239,12 +220,9 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 	s.hub.Gauge("server_streams_active", "tenant", sp.Tenant).Add(1)
 	s.mu.Unlock()
 
-	if s.cfg.StateDir != "" {
-		store, err := s.openStreamStore(id)
-		if err == nil {
-			err = store.Save(specPhase, fromSpec(sp))
-		}
-		if err != nil {
+	if s.state != nil {
+		store := s.openStreamStore(id)
+		if err := store.Save(specPhase, fromSpec(sp)); err != nil {
 			s.mu.Lock()
 			delete(s.streams, id)
 			s.hub.Gauge("server_streams_active", "tenant", sp.Tenant).Add(-1)
@@ -260,14 +238,33 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 	return id, nil
 }
 
-func (s *Server) openStreamStore(id string) (*checkpoint.Store, error) {
-	fs, err := s.streamFS(s.streamDir(id))
-	if err != nil {
-		return nil, err
-	}
-	store := checkpoint.NewStore(fs, id)
+func (s *Server) openStreamStore(id string) *checkpoint.Store {
+	store := checkpoint.NewStore(checkpoint.Sub(s.state, streamDir(id)), id)
 	store.SetTelemetry(s.hub)
-	return store, nil
+	return store
+}
+
+// removeStreamDir deletes a stream's directory, manifest first: once the
+// directory sync after that removal returns, the stream is gone for good,
+// and a cut anywhere after it leaves a directory recovery deletes.
+func (s *Server) removeStreamDir(id string) error {
+	dir := streamDir(id)
+	if err := s.state.Remove(path.Join(dir, checkpoint.ManifestName)); err != nil {
+		return err
+	}
+	if err := s.state.SyncDir(dir); err != nil {
+		return err
+	}
+	names, err := s.state.List(dir)
+	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return err
+	}
+	for _, name := range names {
+		if err := s.state.Remove(path.Join(dir, name)); err != nil {
+			return err
+		}
+	}
+	return s.state.Remove(dir)
 }
 
 // lookupStream fetches a stream under s.mu.
@@ -461,8 +458,8 @@ func (s *Server) CloseStream(id string) error {
 	s.hub.Gauge("server_streams_active", "tenant", st.spec.Tenant).Add(-1)
 	s.mu.Unlock()
 
-	if s.cfg.StateDir != "" {
-		if err := os.RemoveAll(s.streamDir(id)); err != nil {
+	if s.state != nil {
+		if err := s.removeStreamDir(id); err != nil {
 			return fmt.Errorf("server: removing stream state: %w", err)
 		}
 	}
@@ -476,36 +473,36 @@ func (s *Server) CloseStream(id string) error {
 // and verified (CRC + manifest), the engine is rebuilt via
 // stream.Restore — whose labels provably equal the pre-crash labels —
 // and the tenant's quota tokens are re-acquired. A corrupt stream
-// refuses startup loudly, like interior journal corruption.
+// refuses startup loudly, like interior journal corruption; a directory
+// without a manifest holds no stream and is deleted.
 func (s *Server) recoverStreams() error {
-	if s.cfg.StateDir == "" {
+	if s.state == nil {
 		return nil
 	}
-	root := filepath.Join(s.cfg.StateDir, "streams")
-	entries, err := os.ReadDir(root)
-	if errors.Is(err, os.ErrNotExist) {
+	ids, err := s.state.List(streamsDir)
+	if errors.Is(err, iofs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("server: scanning stream state: %w", err)
 	}
-	ids := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
-		}
-	}
-	sort.Strings(ids)
 	for _, id := range ids {
-		store, err := s.openStreamStore(id)
+		names, err := s.state.List(streamDir(id))
 		if err != nil {
 			return fmt.Errorf("server: recovering stream %s: %w", id, err)
 		}
+		if !slices.Contains(names, checkpoint.ManifestName) {
+			if err := s.removeStreamDir(id); err != nil {
+				return fmt.Errorf("server: removing uncommitted stream %s: %w", id, err)
+			}
+			continue
+		}
+		store := s.openStreamStore(id)
 		var psp persistedStreamSpec
 		if err := store.Load(specPhase, &psp); err != nil {
 			return fmt.Errorf("server: recovering stream %s spec: %w", id, err)
 		}
-		sp := psp.spec()
+		sp := StreamSpec(psp)
 		st := &streamState{id: id, spec: sp, recovered: true, store: store}
 		ws, err := st.loadWindow()
 		if err != nil {
@@ -516,7 +513,7 @@ func (s *Server) recoverStreams() error {
 		}
 		s.mu.Lock()
 		s.streams[id] = st
-		if seq := streamSeqOf(id); seq > s.streamSeq {
+		if seq := seqOf("stream-", id); seq > s.streamSeq {
 			s.streamSeq = seq
 		}
 		t := s.tenantLocked(sp.Tenant)
@@ -590,13 +587,4 @@ func (st *streamState) upgradeLegacyWindow() error {
 		}
 	}
 	return nil
-}
-
-// streamSeqOf parses the numeric suffix of a stream ID (0 if foreign).
-func streamSeqOf(id string) int {
-	var seq int
-	if _, err := fmt.Sscanf(id, "stream-%d", &seq); err != nil {
-		return 0
-	}
-	return seq
 }

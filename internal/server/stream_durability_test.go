@@ -3,60 +3,76 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/lustre"
 	"repro/internal/stream"
 )
 
 var errInjected = errors.New("injected file-system failure")
 
-// failFS is a checkpoint.FS over a real directory that fails on cue: a
+// failFS is a state port over a real directory that fails on cue: a
 // power cut (every operation from the failAt-th on fails — the process
 // is gone) or an outage (every operation fails while down is set).
 // Operations are counted whether they read or write, so a cut can land
-// inside recovery too.
+// inside recovery too. It can only stop operations; the crash simulator
+// (crashSim) also drops and tears the writes that were not synced.
 type failFS struct {
 	checkpoint.FS
-	ops    atomic.Int64
+	count  atomic.Int64
 	failAt atomic.Int64 // 0 = never
 	down   atomic.Bool
 }
 
+func newFailFS(t *testing.T) *failFS {
+	fs, err := checkpoint.DirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &failFS{FS: fs}
+}
+
 func (f *failFS) step() error {
-	n := f.ops.Add(1)
+	n := f.count.Add(1)
 	if at := f.failAt.Load(); f.down.Load() || at > 0 && n >= at {
 		return errInjected
 	}
 	return nil
 }
 
-// open is the streamFS a test server is built with: the one stream of
-// these tests gets f wrapped around its directory.
-func (f *failFS) open(dir string) (checkpoint.FS, error) {
-	fs, err := checkpoint.DirFS(dir)
-	f.FS = fs
-	return f, err
+func (f *failFS) WriteFile(name string, chunks ...[]byte) error {
+	if err := f.step(); err != nil {
+		return err
+	}
+	return f.FS.WriteFile(name, chunks...)
 }
 
-func (f *failFS) Create(name string) (checkpoint.File, error) {
+func (f *failFS) AppendFile(name string, data []byte) error {
+	if err := f.step(); err != nil {
+		return err
+	}
+	return f.FS.AppendFile(name, data)
+}
+
+func (f *failFS) ReadFile(name string) ([]byte, error) {
 	if err := f.step(); err != nil {
 		return nil, err
 	}
-	file, err := f.FS.Create(name)
-	return &failFile{file, f}, err
+	return f.FS.ReadFile(name)
 }
 
-func (f *failFS) Open(name string) (checkpoint.File, error) {
+func (f *failFS) List(dir string) ([]string, error) {
 	if err := f.step(); err != nil {
 		return nil, err
 	}
-	return f.FS.Open(name)
+	return f.FS.List(dir)
 }
 
 func (f *failFS) Rename(o, n string) error {
@@ -73,57 +89,93 @@ func (f *failFS) Remove(name string) error {
 	return f.FS.Remove(name)
 }
 
-func (f *failFS) List() ([]string, error) {
-	if err := f.step(); err != nil {
-		return nil, err
-	}
-	return f.FS.List()
-}
-
-func (f *failFS) SyncDir() error {
+func (f *failFS) SyncDir(dir string) error {
 	if err := f.step(); err != nil {
 		return err
 	}
-	return f.FS.SyncDir()
+	return f.FS.SyncDir(dir)
 }
 
-type failFile struct {
-	checkpoint.File
-	fs *failFS
+// powerCut is a state port whose power a test can cut at the k-th
+// operation from now.
+type powerCut interface {
+	port() checkpoint.FS
+	// files is a view of the same state that no cut fails.
+	files() checkpoint.FS
+	ops() int64
+	cutAt(k int64)
+	// restore ends a cut, armed or fired: what survived is the state.
+	restore(t *testing.T)
 }
 
-func (f *failFile) Write(p []byte) (int, error) {
-	if err := f.fs.step(); err != nil {
-		return 0, err
+func (f *failFS) port() checkpoint.FS  { return f }
+func (f *failFS) files() checkpoint.FS { return f.FS }
+func (f *failFS) ops() int64           { return f.count.Load() }
+func (f *failFS) cutAt(k int64)        { f.failAt.Store(f.count.Load() + k) }
+func (f *failFS) restore(t *testing.T) { f.failAt.Store(0) }
+
+// crashSim is the state directory on the crash-simulating file system:
+// a cut there also drops, reorders and tears every write not yet synced.
+type crashSim struct{ fs *lustre.FS }
+
+func newCrashSim(seed int64) crashSim {
+	fs := lustre.New(lustre.Titan(), nil)
+	fs.EnableCrashSim(seed)
+	return crashSim{fs}
+}
+
+func (c crashSim) port() checkpoint.FS  { return lustreState(c.fs) }
+func (c crashSim) files() checkpoint.FS { return lustreState(c.fs) }
+func (c crashSim) ops() int64           { return c.fs.OpCount() }
+func (c crashSim) cutAt(k int64)        { c.fs.ArmCrash(c.fs.OpCount() + k) }
+
+func (c crashSim) restore(t *testing.T) {
+	t.Helper()
+	c.fs.ArmCrash(0)
+	if c.fs.Crashed() {
+		if _, err := c.fs.Recover(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return f.File.Write(p)
 }
 
-func (f *failFile) Sync() error {
-	if err := f.fs.step(); err != nil {
-		return err
-	}
-	return f.File.Sync()
-}
+// isCut reports an error a power cut caused.
+func isCut(err error) bool { return errors.Is(err, errInjected) || errors.Is(err, lustre.ErrCrashed) }
 
-// Close always closes the real file (the test must not leak handles)
-// but reports the cut.
-func (f *failFile) Close() error {
-	err := f.File.(io.Closer).Close()
-	if stepErr := f.fs.step(); stepErr != nil {
-		return stepErr
+func stateConfig(p powerCut) Config { return Config{Workers: 1, StateDir: "state", Storage: p.port()} }
+
+// restartThroughCuts starts a server on p's state with power cut at every
+// operation of its recovery in turn, restoring after each, until one
+// recovery completes. A recovery must fail only at its cut.
+func restartThroughCuts(t *testing.T, p powerCut, context string) {
+	t.Helper()
+	for again := int64(1); ; again++ {
+		start := p.ops()
+		p.cutAt(again)
+		s, err := New(stateConfig(p))
+		if err == nil {
+			s.Close()
+			p.restore(t)
+			return
+		}
+		// Whatever the dying process reported (a manifest it could not
+		// read looks like a missing one), only the state it leaves
+		// matters — unless it failed with the cut still ahead of it.
+		if p.ops()-start < again {
+			t.Fatalf("%s: recovery failed on its own: %v", context, err)
+		}
+		p.restore(t)
 	}
-	return err
 }
 
 // streamFiles counts the files in a stream's state directory.
-func streamFiles(t *testing.T, s *Server, id string) int {
+func streamFiles(t *testing.T, fs checkpoint.FS, id string) int {
 	t.Helper()
-	entries, err := os.ReadDir(s.streamDir(id))
+	names, err := fs.List(streamDir(id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(entries)
+	return len(names)
 }
 
 // TestStreamCrashPoints cuts power at every file-system operation of a
@@ -132,10 +184,18 @@ func streamFiles(t *testing.T, s *Server, id string) int {
 // must succeed; the window must be the fault-free window before or
 // after the interrupted tick, never anything else; every acknowledged
 // tick must be there; and cutting power again anywhere inside that
-// recovery (its orphan sweep included) must change nothing. At the
-// parent commit a cut between the window snapshot's rename and the
-// manifest's left a directory no server could open.
+// recovery (its orphan sweep included) must change nothing. It runs on a
+// real directory that fails on cue and on the crash simulator.
 func TestStreamCrashPoints(t *testing.T) {
+	t.Run("dir", func(t *testing.T) {
+		testStreamCrashPoints(t, func(int64) powerCut { return newFailFS(t) })
+	})
+	t.Run("crashsim", func(t *testing.T) {
+		testStreamCrashPoints(t, func(cut int64) powerCut { return newCrashSim(cut) })
+	})
+}
+
+func testStreamCrashPoints(t *testing.T, newState func(cut int64) powerCut) {
 	const ticks = 5
 	sp := StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 4, WindowTicks: 2}
 	batches := dataset.Firehose(ticks, 30, 5, dataset.DefaultFirehoseOptions())
@@ -150,9 +210,8 @@ func TestStreamCrashPoints(t *testing.T) {
 
 	// run feeds the batches until one fails and returns how many were
 	// acknowledged; cutAt is counted from after CreateStream.
-	run := func(dir string, cutAt int64) (id string, acked int, ops int64) {
-		fs := &failFS{}
-		s, err := newServer(Config{Workers: 1, StateDir: dir}, fs.open)
+	run := func(p powerCut, cutAt int64) (id string, acked int, ops int64) {
+		s, err := New(stateConfig(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,72 +219,181 @@ func TestStreamCrashPoints(t *testing.T) {
 		if id, err = s.CreateStream(sp); err != nil {
 			t.Fatal(err)
 		}
-		created := fs.ops.Load()
+		created := p.ops()
 		if cutAt > 0 {
-			fs.failAt.Store(created + cutAt)
+			p.cutAt(cutAt)
 		}
 		for _, b := range batches {
 			if _, err := s.StreamTick(id, b); err != nil {
-				if !errors.Is(err, errInjected) {
+				if !isCut(err) {
 					t.Fatalf("cut at %d: tick %d: %v", cutAt, acked+1, err)
 				}
 				break // the process is gone
 			}
 			acked++
 		}
-		if files := streamFiles(t, s, id); files > sp.WindowTicks+3+1 { // + the manifest's .tmp in flight
+		if files := streamFiles(t, p.files(), id); files > sp.WindowTicks+3+1 { // + the manifest's .tmp in flight
 			t.Fatalf("cut at %d: %d files in the stream directory", cutAt, files)
 		}
-		return id, acked, fs.ops.Load() - created
+		return id, acked, p.ops() - created
 	}
-	_, acked, total := run(t.TempDir(), 0)
-	if acked != ticks || total < 10*ticks {
+	_, acked, total := run(newState(0), 0)
+	if acked != ticks || total < 5*ticks {
 		t.Fatalf("fault-free run: %d ticks acknowledged over %d operations", acked, total)
 	}
 
-	recovered := func(dir, id, context string) stream.Snapshot {
-		s, err := New(Config{Workers: 1, StateDir: dir})
+	for cut := int64(1); cut <= total; cut++ {
+		p := newState(cut)
+		// (A cut that only hits a retired snapshot's removal fails no
+		// tick: the commit stands and the sweep collects the file.)
+		id, acked, _ := run(p, cut)
+		p.restore(t)
+		context := fmt.Sprintf("cut at %d (%d ticks acknowledged)", cut, acked)
+		restartThroughCuts(t, p, context)
+		s, err := New(stateConfig(p))
 		if err != nil {
 			t.Fatalf("%s: restart: %v", context, err)
 		}
-		defer s.Close()
 		snap, err := s.StreamSnapshot(id)
+		s.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", context, err)
 		}
-		if files, most := streamFiles(t, s, id), sp.WindowTicks+2; files > most {
+		if files, most := streamFiles(t, p.files(), id), sp.WindowTicks+2; files > most {
 			t.Fatalf("%s: %d files left after recovery, want at most %d", context, files, most)
 		}
-		return snap
-	}
-	for cut := int64(1); cut <= total; cut++ {
-		dir := t.TempDir()
-		// (A cut that only hits a retired snapshot's removal fails no
-		// tick: the commit stands and the sweep collects the file.)
-		id, acked, _ := run(dir, cut)
-		// A second cut inside recovery, at every operation it makes.
-		for again := int64(1); ; again++ {
-			fs := &failFS{}
-			fs.failAt.Store(again)
-			s, err := newServer(Config{Workers: 1, StateDir: dir}, fs.open)
-			if err == nil {
-				s.Close()
-				break // recovery finished before the cut
-			}
-			// Whatever the dying process reported (a manifest it could
-			// not read looks like a missing one), only the directory
-			// it leaves matters — unless it failed with the cut still
-			// ahead of it.
-			if fs.ops.Load() < again {
-				t.Fatalf("cut at %d: recovery failed on its own: %v", cut, err)
-			}
-		}
-		context := fmt.Sprintf("cut at %d (%d ticks acknowledged)", cut, acked)
-		snap := recovered(dir, id, context)
 		if snap.Tick != acked && snap.Tick != acked+1 {
 			t.Fatalf("%s: recovered at tick %d", context, snap.Tick)
 		}
 		sameSnapshot(t, snap, want[snap.Tick], context)
+	}
+}
+
+// TestStreamCreateCloseCrashPoints cuts power at every operation of a
+// stream's creation, first tick and close, and of a second stream's
+// creation, on the crash simulator. Every restart must succeed, and the
+// manifest decides which streams it finds: an acknowledged CreateStream's
+// stream is there; one cut before its manifest's rename is not, leaving
+// no directory behind; a stream whose CloseStream returned never comes
+// back; and the tenant holds tokens for exactly the windows that did. At
+// the parent commit a cut that left a stream directory without a
+// manifest, or a manifest without its spec, stopped every later server.
+func TestStreamCreateCloseCrashPoints(t *testing.T) {
+	sp := StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 4, WindowTicks: 2}
+	batch := dataset.Firehose(1, 30, 9, dataset.DefaultFirehoseOptions())[0]
+	const first, second = "stream-000001", "stream-000002"
+
+	// step is where a life stopped: its call, how many operations into it
+	// the cut came, and whether it returned.
+	type step struct {
+		call     string
+		at       int64 // operations into the call before the cut, counting the cut one
+		returned bool
+	}
+	life := func(p powerCut) (steps []step) {
+		s, err := New(stateConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		calls := []struct {
+			name string
+			do   func() error
+		}{
+			{"create " + first, func() error { _, err := s.CreateStream(sp); return err }},
+			{"tick", func() error { _, err := s.StreamTick(first, batch); return err }},
+			{"close " + first, func() error { return s.CloseStream(first) }},
+			{"create " + second, func() error { _, err := s.CreateStream(sp); return err }},
+		}
+		for _, c := range calls {
+			start := p.ops()
+			err := c.do()
+			steps = append(steps, step{c.name, p.ops() - start, err == nil})
+			if err != nil {
+				if !isCut(err) {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				return steps
+			}
+		}
+		return steps
+	}
+	probe := newCrashSim(1)
+	full := life(probe)
+	createOps, closeOps := full[0].at, full[2].at
+	total := probe.ops()
+
+	for cut := int64(1); cut <= total; cut++ {
+		p := newCrashSim(cut)
+		p.cutAt(cut)
+		steps := life(p)
+		p.restore(t)
+		last := steps[len(steps)-1]
+		context := fmt.Sprintf("cut at %d (in %q after %d operations)", cut, last.call, last.at)
+		restartThroughCuts(t, p, context)
+		s, err := New(stateConfig(p))
+		if err != nil {
+			t.Fatalf("%s: restart: %v", context, err)
+		}
+		var live []string
+		for _, st := range s.Streams() {
+			live = append(live, st.ID)
+		}
+		s.mu.Lock()
+		tokens := s.tenantLocked(sp.Tenant).tokens
+		s.mu.Unlock()
+		var window int64
+		for _, id := range live {
+			snap, err := s.StreamSnapshot(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			window += int64(len(snap.Points))
+		}
+		s.Close()
+		dirs, err := p.files().List(streamsDir)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dirs, live) {
+			t.Fatalf("%s: stream directories %v, live streams %v", context, dirs, live)
+		}
+		if tokens != window {
+			t.Fatalf("%s: tenant holds %d tokens for %d live points", context, tokens, window)
+		}
+		has := func(id string) bool { return slices.Contains(live, id) }
+		// What each stream's fate must be, from where its calls stopped.
+		fate := func(id string, create, close int) (must, mustNot bool) {
+			if create >= len(steps) {
+				return false, true // never created
+			}
+			c := steps[create]
+			switch {
+			case !c.returned && c.at < createOps:
+				return false, true // cut before the manifest's rename ran
+			case !c.returned:
+				return false, false // cut at the commit's directory sync
+			case close < 0 || close >= len(steps):
+				return true, false
+			case steps[close].returned || steps[close].at > 2:
+				return false, true // the manifest's removal is durable
+			case steps[close].at < 2:
+				return true, false // cut before the manifest's removal ran
+			}
+			return false, false // cut at the removal's directory sync
+		}
+		for _, f := range []struct {
+			id            string
+			create, close int
+		}{{first, 0, 2}, {second, 3, -1}} {
+			must, mustNot := fate(f.id, f.create, f.close)
+			if must && !has(f.id) || mustNot && has(f.id) {
+				t.Fatalf("%s: %s live = %v, want live %v / gone %v", context, f.id, has(f.id), must, mustNot)
+			}
+		}
+	}
+	if createOps < 4 || closeOps < 3 {
+		t.Fatalf("CreateStream took %d operations, CloseStream %d", createOps, closeOps)
 	}
 }
 
@@ -235,11 +403,10 @@ func TestStreamCrashPoints(t *testing.T) {
 // live window — the failed tick's arrivals included — and the tenant's
 // quota tokens stay balanced throughout.
 func TestStreamFailedSaveCatchesUp(t *testing.T) {
-	dir := t.TempDir()
 	sp := StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 4, WindowTicks: 3}
 	batches := dataset.Firehose(7, 40, 9, dataset.DefaultFirehoseOptions())
-	fs := &failFS{}
-	s, err := newServer(Config{Workers: 1, StateDir: dir}, fs.open)
+	fs := newFailFS(t)
+	s, err := New(stateConfig(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +444,7 @@ func TestStreamFailedSaveCatchesUp(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := New(Config{Workers: 1, StateDir: dir})
+	s2, err := New(stateConfig(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +484,12 @@ func TestStreamRejectedTickLeavesNoTrace(t *testing.T) {
 	ref := refEngine(t, sp)
 	for i, b := range batches {
 		if i == 3 {
-			files := streamFiles(t, s, id)
+			files := streamFiles(t, s.state, id)
 			bad := append([]geom.Point{batches[2][0]}, b...) // an ID still in the window
 			if _, err := s.StreamTick(id, bad); err == nil {
 				t.Fatal("a batch repeating a live ID was accepted")
 			}
-			if got := streamFiles(t, s, id); got != files {
+			if got := streamFiles(t, s.state, id); got != files {
 				t.Fatalf("the refused tick left %d files in the stream directory, %d before it", got, files)
 			}
 		}
@@ -374,16 +541,21 @@ func TestStreamLegacyWindowUpgrade(t *testing.T) {
 	if err := legacy.Save("window", ref.WindowState()); err != nil {
 		t.Fatal(err)
 	}
+	windowFile := filepath.Join(dir, streamDir(id), "ckpt-window.ckpt")
+	root, err := checkpoint.DirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for cut := int64(1); ; cut++ {
-		fs := &failFS{}
+		fs := &failFS{FS: root}
 		fs.failAt.Store(cut)
-		s, err := newServer(Config{Workers: 1, StateDir: dir}, fs.open)
+		s, err := New(stateConfig(fs))
 		if err == nil {
 			s.Close()
 			break
 		}
-		if fs.ops.Load() < cut {
+		if fs.count.Load() < cut {
 			t.Fatalf("upgrade failed on its own: %v", err)
 		}
 	}
@@ -397,7 +569,7 @@ func TestStreamLegacyWindowUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSnapshot(t, got, ref.Snapshot(), "upgraded legacy directory")
-	if _, err := os.Stat(s.streamDir(id) + "/ckpt-window.ckpt"); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(windowFile); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("the whole-window snapshot survives the upgrade: %v", err)
 	}
 	for _, b := range batches[5:] {
@@ -410,7 +582,7 @@ func TestStreamLegacyWindowUpgrade(t *testing.T) {
 	}
 	got, _ = s.StreamSnapshot(id)
 	sameSnapshot(t, got, ref.Snapshot(), "ticking on after the upgrade")
-	if _, err := os.Stat(s.streamDir(id) + "/ckpt-window.ckpt"); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(windowFile); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a tick wrote a whole-window snapshot again: %v", err)
 	}
 }
@@ -436,13 +608,13 @@ func TestStreamSteadyStateFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i+1 == sp.WindowTicks+1 {
-			series, files = len(s.hub.Metrics.Snapshot()), streamFiles(t, s, id)
+			series, files = len(s.hub.Metrics.Snapshot()), streamFiles(t, s.state, id)
 		}
 	}
 	if got := len(s.hub.Metrics.Snapshot()); got != series {
 		t.Fatalf("hub holds %d series after 200 ticks, %d after tick %d", got, series, sp.WindowTicks+1)
 	}
-	if got := streamFiles(t, s, id); got != files || files != sp.WindowTicks+2 {
+	if got := streamFiles(t, s.state, id); got != files || files != sp.WindowTicks+2 {
 		t.Fatalf("stream directory holds %d files after 200 ticks, %d after tick %d; want manifest + spec + %d ticks",
 			got, files, sp.WindowTicks+1, sp.WindowTicks)
 	}

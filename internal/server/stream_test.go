@@ -99,7 +99,7 @@ func TestStreamLifecycle(t *testing.T) {
 	if held != 0 {
 		t.Fatalf("tokens after close = %d, want 0", held)
 	}
-	if _, err := os.Stat(s.streamDir(id)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := s.state.List(streamDir(id)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stream dir survives close: %v", err)
 	}
 	if _, err := s.StreamSnapshot(id); !errors.Is(err, ErrUnknownStream) {
