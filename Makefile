@@ -139,14 +139,16 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_26.json: BENCH_25.json
-# with the bytes and allocations of the rows the leaf neighbour lists
-# touch re-captured; EXPERIMENTS.md "Leaf neighbour lists" says which rows
-# and how; BENCH_25.json and earlier are history and gate nothing). Fails
+# committed baseline of current performance (BENCH_32.json: BENCH_26.json
+# less the row of the deleted aggregated partition writer, nothing
+# re-captured; BENCH_26.json is BENCH_25.json with the bytes and
+# allocations of the rows the leaf neighbour lists touch re-captured —
+# EXPERIMENTS.md "Leaf neighbour lists" says which rows and how;
+# BENCH_26.json and earlier are history and gate nothing). Fails
 # if any Cluster,
 # GPUDBSCAN, Classify (gdbscan pass one alone on one partition of each
-# batch shape), KD-tree Build, Partition (including the write-stage
-# PartitionWrite layouts), planner (MakePlan, Split), StreamTick (engine at
+# batch shape), KD-tree Build, Partition (including the write stage
+# alone, PartitionWrite), planner (MakePlan, Split), StreamTick (engine at
 # two shapes, and the served tick with its durable commit), merge
 # (BuildSummaries, Combine), distrib (DistribRun end to end over loopback,
 # WireCodec encode/decode), SubmitDecode (the HTTP edge's body scanner on
@@ -157,10 +159,10 @@ bench:
 # repeats to under 1% where ns/op moves by tens — grew more than 5%.
 BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints|CheckpointOverhead)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_26.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_32.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_26.json's rows were produced).
+# BENCH_run.json, and how BENCH_32.json's rows were produced).
 bench-gated:
 	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 

@@ -485,14 +485,14 @@ func grayLinkLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 }
 
 // grayShardLeg: one OST serves at 1/16th bandwidth. OST read-latency
-// health must quarantine it during the input pass, segment-shard
-// placement must route every aggregated shard onto healthy OSTs, and
-// the partition bytes must equal a healthy-fleet reference exactly.
+// health must quarantine it during the input pass, OST-aware placement
+// must stripe the partition file over healthy OSTs only, and the
+// partition bytes must equal a healthy-fleet reference exactly.
 func grayShardLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 	leg := &GrayLeg{Name: "shard"}
 	const eps = 0.1
 	pts := dataset.Twitter(12000, seed)
-	opt := partition.DistOptions{NumPartitions: 8, MinPts: 4, Aggregate: true, SegmentShards: 3}
+	opt := partition.DistOptions{NumPartitions: 8, MinPts: 4}
 	distribute := func(fs *lustre.FS) (*partition.DistResult, error) {
 		net, err := mrnet.New(4, mrnet.DefaultFanout, mrnet.CostModel{}, fs.Clock())
 		if err != nil {
@@ -537,14 +537,12 @@ func grayShardLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 	if len(leg.Quarantined) != 1 {
 		return failf(leg, "false quarantines: %v", leg.Quarantined)
 	}
-	for _, seg := range res.Meta.Segments {
-		osts := fs.FileOSTs(seg.File)
-		if osts == nil {
-			return failf(leg, "segment %s has no explicit OST layout", seg.File)
-		}
-		if slices.Contains(osts, sickOST) {
-			return failf(leg, "segment %s placed on quarantined OST %d (layout %v)", seg.File, sickOST, osts)
-		}
+	osts := fs.FileOSTs("parts.bin")
+	if osts == nil {
+		return failf(leg, "partition file has no explicit OST layout")
+	}
+	if slices.Contains(osts, sickOST) {
+		return failf(leg, "partition file placed on quarantined OST %d (layout %v)", sickOST, osts)
 	}
 	if err := samePartitions(fs, res.Meta, refFS, ref.Meta); err != nil {
 		return failf(leg, "%v", err)

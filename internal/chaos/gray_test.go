@@ -9,7 +9,7 @@ import (
 // One seeded gray campaign must pass all five legs: the limping worker
 // quarantined with labels intact and wall time bounded, the transient
 // limper walking quarantine → probation → healthy, the flapping link
-// preemptively re-parented, the slow OST excluded from shard placement,
+// preemptively re-parented, the slow OST excluded from the partition file's placement,
 // and the phase-retry budget enforced loudly.
 func TestGrayCampaignInvariants(t *testing.T) {
 	c := Campaign{Seeds: Seeds(1, 1), RunTimeout: time.Minute, Logf: t.Logf}

@@ -200,13 +200,15 @@ func TestRedispatchBudgetDenialFailsLoud(t *testing.T) {
 // TestStatsCounterBackedWithCarryover: Stats reads from the telemetry
 // counters, and counts accumulated before SetTelemetry carry over to
 // the run hub — so Prometheus and the JSON report see the same numbers.
+// One rule shared by both workers' sites kills exactly one of them,
+// whichever the dispatcher sends work to first.
 func TestStatsCounterBackedWithCarryover(t *testing.T) {
 	pts := dataset.Twitter(1200, 17)
 	c, err := NewCoordinator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetFaultPlan(faultinject.New(4).Arm(WorkerFaultSite(0), faultinject.Rule{Times: 1}))
+	c.SetFaultPlan(faultinject.New(4).ArmShared(faultinject.Rule{Times: 1}, WorkerFaultSite(0), WorkerFaultSite(1)))
 	wg := startWorkers(t, c, 2)
 	if _, err := c.Dispatch(smallReqs(pts, 4)); err != nil {
 		t.Fatal(err)

@@ -81,8 +81,7 @@ type Stats struct {
 	Seeks        int64
 	// WriteSeeks counts the subset of Seeks charged to discontiguous
 	// writes — the quantity behind §5.1.1's "dominated by small random
-	// writes". A sequential (aggregated) write path keeps this near the
-	// number of writers; the legacy per-region path scales it with
+	// writes": the partition writer's per-region writes scale it with
 	// leaves×partitions.
 	WriteSeeks   int64
 	FilesCreated int64

@@ -73,8 +73,9 @@ func TestCleanRunsDeterministic(t *testing.T) {
 
 // TestKillThenResumeByteIdentical is the driver's contract as one table:
 // a fatal fault kills the run entering each of the four phases, in each
-// of the three partition modes, with the merge over TCP, and in
-// CUDA-DClust mode (whose leaves record per-round transfer bytes). The
+// of the partition modes (file, direct, two partitioner leaves), with the
+// merge over TCP, in CUDA-DClust mode (whose leaves record per-round
+// transfer bytes), and without a retry policy. The
 // killed run's CompletedPhases is exactly the prefix before the fault
 // (every one of them durable), a second run with Resume restores that same
 // prefix — capped at merge, the last snapshotted phase — into the state the
@@ -90,10 +91,12 @@ func TestKillThenResumeByteIdentical(t *testing.T) {
 		// not erroring.
 		{"file", func(c *Config) { c.Retry = RetryPolicy{MaxAttempts: 3} }},
 		{"direct", func(c *Config) { c.DirectPartitions = true; c.Retry = RetryPolicy{MaxAttempts: 3} }},
-		// No retry policy: the partition phase overlaps the cluster phase.
-		{"aggregated", func(c *Config) { c.WriteAggregation = true }},
 		{"tcp-merge", func(c *Config) { c.MergeOverTCP = true; c.Retry = RetryPolicy{MaxAttempts: 3} }},
 		{"cudadclust", func(c *Config) { c.Mode = gdbscan.ModeCUDADClust; c.Retry = RetryPolicy{MaxAttempts: 3} }},
+		// No retry policy: the driver's default, one attempt per phase.
+		{"no-retry", func(*Config) {}},
+		// Two partitioner leaves write their slices of the one file.
+		{"partnodes", func(c *Config) { c.PartitionLeaves = 2; c.Retry = RetryPolicy{MaxAttempts: 3} }},
 	}
 	for _, mode := range modes {
 		// Reference: uninterrupted run.

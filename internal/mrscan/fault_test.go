@@ -220,12 +220,11 @@ func TestTCPMergeKillMidFrameRecovers(t *testing.T) {
 
 // TestBadTopologyFailsBeforeAnyIO: a Topology that cannot host Leaves is
 // a configuration error, caught before the run opens a span or touches
-// the file system — not after a partition phase that, with
-// WriteAggregation, would still be writing when the run returned.
+// the file system — not after a partition phase it would have wasted.
 func TestBadTopologyFailsBeforeAnyIO(t *testing.T) {
 	fs := writeInput(t)
 	before := fs.Stats()
-	cfg := aggConfig()
+	cfg := Default(0.1, 40, 4)
 	cfg.Topology = "3x3" // 9 leaves ≠ 4
 	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
 	if err == nil || !strings.Contains(err.Error(), "topology") {

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -113,21 +112,6 @@ type Config struct {
 	// clustering processes instead of through the parallel file system,
 	// eliminating the small random writes that dominate Figure 9a.
 	DirectPartitions bool
-
-	// WriteAggregation replaces the partition phase's small random writes
-	// — "65.2% of the partition phase" at scale (§5.1.1) — with
-	// log-structured per-leaf appends: each leaf writes its whole
-	// contribution as one sequential run into a sharded segment file, and
-	// a segment index in the partition metadata lets the cluster phase
-	// reassemble any partition. Because a partition's segments become
-	// durable before the whole phase finishes, the run also pipelines the
-	// two phases: clustering starts on partition j as soon as its
-	// segments are synced while leaves are still writing j+1. Output
-	// labels are byte-identical with the option on or off. Ignored under
-	// DirectPartitions (no files at all); pipelining is additionally
-	// disabled when phase retries or resume are in play, where the
-	// phase-barrier semantics must hold.
-	WriteAggregation bool
 
 	// MergeOverTCP runs the merge phase's tree reduction over real TCP
 	// connections on the loopback interface instead of the in-process
@@ -297,9 +281,9 @@ type PhaseTimes struct {
 	Sweep     time.Duration
 	// PartitionReadSim and PartitionWriteSim are the simulated Lustre
 	// costs of the partition phase's read and write stages — §5.1.1
-	// reports write 65.2% vs read 29.9% of the phase at scale.
-	// WriteAggregation turns the write stage's small random writes into
-	// sequential appends and shrinks PartitionWriteSim. Zero when
+	// reports write 65.2% vs read 29.9% of the phase at scale. Each is
+	// the clock's advance over its stage, which nothing else shares: the
+	// cluster phase starts after the partition phase commits. Zero when
 	// DirectPartitions bypasses the file system; the overlay transfer
 	// cost replacing the write stage is recorded on
 	// partition.DirectResult (and the phase checkpoint) instead, so the
@@ -454,8 +438,6 @@ type run struct {
 	curSpan atomic.Pointer[telemetry.Span]
 	// validPrefix counts the leading phases a Resume run restores.
 	validPrefix int
-	// overlapped is a phase that set join: begun, not yet committed.
-	overlapped *phase
 
 	partNet, clusterNet *mrnet.Network
 
@@ -529,11 +511,6 @@ func (r *run) exec(i int, p *phase) error {
 	p.sp = r.hub.Start(r.runSpan, "phase:"+p.name, telemetry.String(telemetry.AttrKind, telemetry.KindPhase))
 	r.curSpan.Store(p.sp)
 	r.fs.SetTraceParent(p.sp)
-	if r.overlapped != nil {
-		// The previous phase's writes are still in flight: keep FS spans
-		// parented to the run, not this phase, while the two overlap.
-		r.fs.SetTraceParent(r.runSpan)
-	}
 	if r.store != nil {
 		r.store.SetTraceParent(p.sp)
 	}
@@ -553,26 +530,8 @@ func (r *run) exec(i int, p *phase) error {
 		r.complete(p)
 		return nil
 	}
-	err := r.attempts(p)
-	if prev := r.overlapped; prev != nil {
-		// Close out the overlapped previous phase before this one commits
-		// anything durable: its artifacts sync and its checkpoint lands
-		// first, keeping the phase-prefix order. When both phases failed,
-		// the earlier one's error is the root cause and wins.
-		r.overlapped = nil
-		if jerr := prev.join(); jerr != nil {
-			return phaseErr(prev.name, jerr)
-		}
-		if cerr := r.commit(prev); cerr != nil {
-			return cerr
-		}
-	}
-	if err != nil {
+	if err := r.attempts(p); err != nil {
 		return err
-	}
-	if p.join != nil {
-		r.overlapped = p // commits after the next phase's attempt, above
-		return nil
 	}
 	return r.commit(p)
 }
@@ -675,11 +634,6 @@ func (r *run) complete(p *phase) {
 // and their stats filled. Open spans are closed so the trace of an
 // aborted run still exports.
 func (r *run) finish(err error) (*Result, error) {
-	if r.overlapped != nil {
-		// Never return under a phase that is still writing (its error is
-		// dropped: the run is already failing).
-		_ = r.overlapped.join()
-	}
 	r.curSpan.Load().End()
 	r.runSpan.End()
 	r.fs.SetTraceParent(nil)
@@ -720,10 +674,6 @@ type phase struct {
 	// there is no span.
 	sp    *telemetry.Span
 	since time.Time
-	// join is set by an attempt that returns with its work still running,
-	// overlapping the next phase; it blocks until that work ends and
-	// reports its error.
-	join func() error
 }
 
 // phases lists the pipeline in execution order (paper §3, Fig. 1).
@@ -747,7 +697,9 @@ func (r *run) phases() [4]phase {
 // snapshots' record format.
 // Checkpoints written under a different fingerprint are ignored by
 // Resume — restoring a snapshot into a run that would have computed
-// something else silently corrupts the output.
+// something else silently corrupts the output. The literal false fills
+// the slot of a removed option (log-structured partition writes), so
+// every RunID, and every checkpoint written under it, stays as it was.
 func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 	var size int64
 	if s, err := fs.Size(inputFile); err == nil {
@@ -759,7 +711,7 @@ func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
 		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
-		cfg.WriteAggregation, merge.SummarySchema, checkpoint.RecordsTag)
+		false, merge.SummarySchema, checkpoint.RecordsTag)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
 }
 
@@ -781,7 +733,6 @@ func (r *run) partition(p *phase) error {
 		ShadowReps:     cfg.ShadowReps,
 		HasWeight:      cfg.HasWeight,
 		SplitThreshold: cfg.HotCellThreshold,
-		Aggregate:      cfg.WriteAggregation && !cfg.DirectPartitions,
 	}
 	if cfg.DirectPartitions {
 		direct, err := partition.DistributeDirect(r.ctx, r.partNet, r.fs, cfg.Eps, r.inputFile, opts)
@@ -802,23 +753,10 @@ func (r *run) partition(p *phase) error {
 		}
 		return nil
 	}
-	// Overlap the partition and cluster phases only when the aggregated
-	// writer provides per-partition durability signals and no retry
-	// policy demands a clean phase barrier (a whole-phase retry would
-	// rewrite segments the cluster phase already read).
-	if opts.Aggregate && cfg.Retry.MaxAttempts <= 1 {
-		return r.partitionOverlapped(p, opts)
-	}
 	dist, err := partition.Distribute(r.ctx, r.partNet, r.fs, cfg.Eps, r.inputFile, partitionFile, metadataFile, opts)
 	if err != nil {
 		return err
 	}
-	r.distributed(dist)
-	return nil
-}
-
-// distributed records a finished file-mode partition phase.
-func (r *run) distributed(dist *partition.DistResult) {
 	r.res.Plan = dist.Plan
 	r.part = partitionCkpt{
 		Meta:          dist.Meta,
@@ -827,77 +765,22 @@ func (r *run) distributed(dist *partition.DistResult) {
 		ReadSim:       dist.ReadSim,
 		WriteSim:      dist.WriteSim,
 	}
+	return nil
 }
 
-// partitionOverlapped pipelines the partition phase into the cluster
-// phase: Distribute keeps writing in a goroutine while this attempt
-// returns as soon as the partition layout is known, and a gate admits
-// cluster leaves as their partitions become durable. p.join has exec
-// collect the result and commit the phase after the cluster compute.
-func (r *run) partitionOverlapped(p *phase, opts partition.DistOptions) error {
-	gate := newPartitionGate(r.cfg.Leaves)
-	layout := make(chan *ptio.PartitionMeta, 1)
-	opts.OnLayout = func(m *ptio.PartitionMeta) { layout <- m }
-	opts.OnPartitionDurable = gate.markReady
-	var (
-		dist *partition.DistResult
-		err  error
-		done = make(chan struct{}) // closed once dist and err are final
-	)
-	go func() {
-		defer close(done)
-		dist, err = partition.Distribute(r.ctx, r.partNet, r.fs, r.cfg.Eps, r.inputFile, partitionFile, metadataFile, opts)
-		// The phase span ends when the writes actually finish, inside the
-		// already-open cluster span, so the trace shows the overlap;
-		// complete's later End is a no-op.
-		p.sp.End()
-		if err != nil {
-			gate.fail(phaseErr(PhasePartition, err))
-			return
-		}
-		gate.markAllReady()
-	}()
-	join := func() error {
-		<-done
-		if err == nil {
-			r.distributed(dist)
-		}
-		return err
-	}
-	// The layout (partition bounds and counts) arrives before any data is
-	// written; it is all the cluster scheduler needs.
-	select {
-	case meta := <-layout:
-		r.parts = &partitionSource{&partitionCkpt{Meta: meta}, r.fs, gate}
-		p.join = join
-		return nil
-	case <-done:
-		return join()
-	}
-}
-
-// partitionArtifacts lists the partition phase's durable files: in
-// aggregated runs the sharded segment files (the legacy partition file
-// is never created), otherwise the partition file itself, plus the
-// metadata document either way. A DirectPartitions run wrote no files.
+// partitionArtifacts lists the partition phase's durable files: the
+// partition file and its metadata document. A DirectPartitions run wrote
+// no files.
 func (r *run) partitionArtifacts() []string {
 	if r.part.Direct {
 		return nil
-	}
-	meta := r.part.Meta
-	if len(meta.Segments) > 0 {
-		names := make([]string, 0, len(meta.Segments)+1)
-		for _, s := range meta.Segments {
-			names = append(names, s.File)
-		}
-		return append(names, metadataFile)
 	}
 	return []string{partitionFile, metadataFile}
 }
 
 func (r *run) adoptPartition() error {
 	pc := &r.part
-	r.parts = &partitionSource{pc, r.fs, nil}
+	r.parts = &partitionSource{pc, r.fs}
 	r.res.Stats.TotalPoints, r.res.Stats.WrittenPoints = pc.TotalPoints, pc.WrittenPoints
 	if !pc.Direct {
 		// Direct snapshots carry the overlay-transfer sims for parity
@@ -945,7 +828,7 @@ func (r *run) cluster(p *phase) error {
 	for w := range wstates {
 		wstates[w].dev = r.newDevice(w)
 	}
-	leaves, err := runLeavesGated(r.ctx, cfg.Leaves, workers, sizes, r.parts.gate,
+	leaves, err := runLeaves(r.ctx, cfg.Leaves, workers, sizes,
 		func(w, leaf int) (leafState, error) {
 			return r.clusterLeaf(p.sp, wstates[w].dev, &wstates[w].ws, leaf)
 		})
@@ -970,7 +853,7 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdb
 	cfg := &r.cfg
 	leafSpan := r.hub.Start(phaseSpan, "leaf", telemetry.Int("leaf", leaf))
 	defer leafSpan.End()
-	slab, owned, err := r.parts.load(r.ctx, leaf)
+	slab, owned, err := r.parts.load(leaf)
 	if err != nil {
 		return leafState{}, err
 	}
@@ -1175,6 +1058,5 @@ func outputRecords(h *lustre.Handle) (int64, error) {
 // to a real directory after a checkpointed run and back in before a
 // resumed one, carrying the state across process restarts.
 func IsStateFile(name string) bool {
-	return checkpoint.IsCheckpointFile(name) || name == partitionFile || name == metadataFile ||
-		strings.HasPrefix(name, partitionFile+".seg")
+	return checkpoint.IsCheckpointFile(name) || name == partitionFile || name == metadataFile
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Work-stealing leaf scheduler for the cluster phase.
@@ -34,33 +33,28 @@ type schedQueue struct {
 	leaves []int
 }
 
-// popFront takes the owner's first admitted (largest remaining ready)
-// leaf. admit == nil admits everything, so the front is taken.
-func (q *schedQueue) popFront(admit func(int) bool) (int, bool) {
+// popFront takes the owner's next (largest remaining) leaf.
+func (q *schedQueue) popFront() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, leaf := range q.leaves {
-		if admit == nil || admit(leaf) {
-			q.leaves = append(q.leaves[:i], q.leaves[i+1:]...)
-			return leaf, true
-		}
+	if len(q.leaves) == 0 {
+		return 0, false
 	}
-	return 0, false
+	leaf := q.leaves[0]
+	q.leaves = q.leaves[1:]
+	return leaf, true
 }
 
-// stealBack takes a victim's last admitted (smallest remaining ready)
-// leaf.
-func (q *schedQueue) stealBack(admit func(int) bool) (int, bool) {
+// stealBack takes a victim's last (smallest remaining) leaf.
+func (q *schedQueue) stealBack() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i := len(q.leaves) - 1; i >= 0; i-- {
-		leaf := q.leaves[i]
-		if admit == nil || admit(leaf) {
-			q.leaves = append(q.leaves[:i], q.leaves[i+1:]...)
-			return leaf, true
-		}
+	if len(q.leaves) == 0 {
+		return 0, false
 	}
-	return 0, false
+	leaf := q.leaves[len(q.leaves)-1]
+	q.leaves = q.leaves[:len(q.leaves)-1]
+	return leaf, true
 }
 
 func (q *schedQueue) size() int {
@@ -69,49 +63,22 @@ func (q *schedQueue) size() int {
 	return len(q.leaves)
 }
 
-// runLeavesGated executes fn(worker, leaf) for every leaf in
+// runLeaves executes fn(worker, leaf) for every leaf in
 // [0, nLeaves) on a pool of `workers` goroutines, scheduling leaves
 // largest-first by sizes[leaf] (len(sizes) must be nLeaves; a nil sizes
 // keeps index order). Results are returned indexed by leaf. The first
 // error cancels the remaining leaves; ctx cancellation is honored
 // between leaves.
-//
-// With a non-nil partitionGate a worker only takes leaf j once gate
-// reports partition j ready, so the cluster phase can start on durable
-// partitions while the partition phase is still writing later ones.
-// Workers with no admitted leaf block on the gate's change channel
-// (grabbed before scanning, so no readiness transition is missed) rather
-// than spinning; a poisoned gate aborts the run with the partition
-// phase's error.
-func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []int64, gate *partitionGate, fn func(worker, leaf int) (T, error)) ([]T, error) {
+func runLeaves[T any](ctx context.Context, nLeaves, workers int, sizes []int64, fn func(worker, leaf int) (T, error)) ([]T, error) {
 	if workers <= 0 || workers > nLeaves {
 		workers = nLeaves
 	}
 	if workers <= 0 {
 		return []T{}, nil
 	}
-	order := make([]int, nLeaves)
-	for i := range order {
-		order[i] = i
-	}
-	if sizes != nil {
-		if len(sizes) != nLeaves {
-			return nil, fmt.Errorf("mrscan: scheduler got %d sizes for %d leaves", len(sizes), nLeaves)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return sizes[order[a]] > sizes[order[b]]
-		})
-	}
-	// Deal largest-first round-robin: worker w's deque is itself sorted
-	// descending, so popFront always runs the worker's largest remaining
-	// leaf and stealBack poaches the victim's smallest.
-	queues := make([]*schedQueue, workers)
-	for w := range queues {
-		queues[w] = &schedQueue{}
-	}
-	for i, leaf := range order {
-		w := i % workers
-		queues[w].leaves = append(queues[w].leaves, leaf)
+	queues, err := deal(nLeaves, workers, sizes)
+	if err != nil {
+		return nil, err
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -130,16 +97,6 @@ func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []in
 		errMu.Unlock()
 	}
 
-	var admit func(int) bool
-	if gate != nil {
-		admit = gate.isReady
-	}
-	// drained closes when the last leaf finishes, waking workers that
-	// blocked on the gate with no admissible work left for them.
-	drained := make(chan struct{})
-	var outstanding atomic.Int64
-	outstanding.Store(int64(nLeaves))
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -149,52 +106,15 @@ func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []in
 				if err := runCtx.Err(); err != nil {
 					return
 				}
-				if gate != nil {
-					if err := gate.failure(); err != nil {
-						setErr(err)
-						return
-					}
-				}
-				// Grab the gate's change channel before scanning: a
-				// partition turning ready after the scan then closes this
-				// very channel, so the select below cannot miss it.
-				var changed <-chan struct{}
-				if gate != nil {
-					changed = gate.changed()
-				}
-				leaf, ok := queues[w].popFront(admit)
+				leaf, ok := queues[w].popFront()
 				if !ok {
-					// Own deque has no admitted leaf: steal from victims,
-					// most-loaded first.
-					type victim struct{ v, n int }
-					var victims []victim
-					for v, q := range queues {
-						if v == w {
-							continue
-						}
-						if n := q.size(); n > 0 {
-							victims = append(victims, victim{v, n})
-						}
-					}
-					sort.Slice(victims, func(a, b int) bool { return victims[a].n > victims[b].n })
-					for _, c := range victims {
-						if leaf, ok = queues[c.v].stealBack(admit); ok {
-							break
-						}
+					var more bool
+					leaf, ok, more = steal(queues, w)
+					if !more {
+						return // no work anywhere
 					}
 					if !ok {
-						if len(victims) == 0 && queues[w].size() == 0 {
-							return // no work anywhere
-						}
-						// Work exists but none is admitted yet (or a steal
-						// raced): wait for the gate to change, the pool to
-						// drain, or the run to end.
-						select {
-						case <-changed:
-						case <-drained:
-						case <-runCtx.Done():
-						}
-						continue
+						continue // raced with the owner; rescan
 					}
 				}
 				out, err := fn(w, leaf)
@@ -203,9 +123,6 @@ func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []in
 					return
 				}
 				results[leaf] = out
-				if outstanding.Add(-1) == 0 {
-					close(drained)
-				}
 			}
 		}(w)
 	}
@@ -217,4 +134,52 @@ func runLeavesGated[T any](ctx context.Context, nLeaves, workers int, sizes []in
 		return nil, firstErr
 	}
 	return results, nil
+}
+
+// deal sorts the leaves largest-first by sizes (index order when sizes is
+// nil) and deals them round-robin into one deque per worker: each deque
+// is itself sorted descending, so popFront always runs the worker's
+// largest remaining leaf and stealBack poaches the victim's smallest.
+func deal(nLeaves, workers int, sizes []int64) ([]*schedQueue, error) {
+	order := make([]int, nLeaves)
+	for i := range order {
+		order[i] = i
+	}
+	if sizes != nil {
+		if len(sizes) != nLeaves {
+			return nil, fmt.Errorf("mrscan: scheduler got %d sizes for %d leaves", len(sizes), nLeaves)
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return sizes[order[a]] > sizes[order[b]]
+		})
+	}
+	queues := make([]*schedQueue, workers)
+	for w := range queues {
+		queues[w] = &schedQueue{}
+	}
+	for i, leaf := range order {
+		w := i % workers
+		queues[w].leaves = append(queues[w].leaves, leaf)
+	}
+	return queues, nil
+}
+
+// steal takes the back leaf of the most-loaded deque other than worker
+// w's own. more reports whether any other deque held work; ok is false
+// when the victim's owner emptied it first.
+func steal(queues []*schedQueue, w int) (leaf int, ok, more bool) {
+	victim, most := -1, 0
+	for v, q := range queues {
+		if v == w {
+			continue
+		}
+		if n := q.size(); n > most {
+			victim, most = v, n
+		}
+	}
+	if victim < 0 {
+		return 0, false, false
+	}
+	leaf, ok = queues[victim].stealBack()
+	return leaf, ok, true
 }

@@ -16,7 +16,7 @@ import (
 func TestScheduledRunsEveryLeafOnce(t *testing.T) {
 	const n = 37
 	var counts [n]int32
-	results, err := runLeavesGated(context.Background(), n, 4, nil, nil,
+	results, err := runLeaves(context.Background(), n, 4, nil,
 		func(w, leaf int) (int, error) {
 			atomic.AddInt32(&counts[leaf], 1)
 			return leaf * 10, nil
@@ -42,7 +42,7 @@ func TestScheduledLargestFirstOnSingleWorker(t *testing.T) {
 	// descending partition size.
 	sizes := []int64{10, 500, 30, 999, 1}
 	var order []int
-	_, err := runLeavesGated(context.Background(), len(sizes), 1, sizes, nil,
+	_, err := runLeaves(context.Background(), len(sizes), 1, sizes,
 		func(w, leaf int) (struct{}, error) {
 			order = append(order, leaf)
 			return struct{}{}, nil
@@ -67,7 +67,7 @@ func TestScheduledStealsFromLoadedWorker(t *testing.T) {
 	var done int32
 	var mu sync.Mutex
 	workerOf := map[int]int{}
-	_, err := runLeavesGated(context.Background(), 4, 2, sizes, nil,
+	_, err := runLeaves(context.Background(), 4, 2, sizes,
 		func(w, leaf int) (struct{}, error) {
 			mu.Lock()
 			workerOf[leaf] = w
@@ -92,7 +92,7 @@ func TestScheduledStealsFromLoadedWorker(t *testing.T) {
 func TestScheduledPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int32
-	_, err := runLeavesGated(context.Background(), 20, 2, nil, nil,
+	_, err := runLeaves(context.Background(), 20, 2, nil,
 		func(w, leaf int) (struct{}, error) {
 			atomic.AddInt32(&ran, 1)
 			if leaf == 3 {
@@ -115,7 +115,7 @@ func TestScheduledHonorsContextCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, err := runLeavesGated(ctx, 1000, 1, nil, nil,
+	_, err := runLeaves(ctx, 1000, 1, nil,
 		func(w, leaf int) (struct{}, error) {
 			atomic.AddInt32(&ran, 1)
 			time.Sleep(time.Millisecond)
@@ -131,13 +131,13 @@ func TestScheduledHonorsContextCancel(t *testing.T) {
 
 func TestScheduledDegenerateShapes(t *testing.T) {
 	// Zero leaves.
-	res, err := runLeavesGated(context.Background(), 0, 4, nil, nil,
+	res, err := runLeaves(context.Background(), 0, 4, nil,
 		func(w, leaf int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 {
 		t.Errorf("0 leaves: res=%v err=%v", res, err)
 	}
 	// More workers than leaves clamps.
-	res, err = runLeavesGated(context.Background(), 2, 16, []int64{1, 2}, nil,
+	res, err = runLeaves(context.Background(), 2, 16, []int64{1, 2},
 		func(w, leaf int) (int, error) {
 			if w >= 2 {
 				t.Errorf("worker index %d with only 2 leaves", w)
@@ -148,7 +148,7 @@ func TestScheduledDegenerateShapes(t *testing.T) {
 		t.Fatalf("clamped run: res=%v err=%v", res, err)
 	}
 	// Mismatched sizes slice is an explicit error.
-	if _, err := runLeavesGated(context.Background(), 3, 2, []int64{1}, nil,
+	if _, err := runLeaves(context.Background(), 3, 2, []int64{1},
 		func(w, leaf int) (int, error) { return 0, nil }); err == nil {
 		t.Error("mismatched sizes accepted")
 	}

@@ -3,6 +3,8 @@ package mrscan
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -67,8 +69,9 @@ func toV1(sums []*merge.Summary) []*v1Summary {
 }
 
 // fingerprintAt is runFingerprint as a revision whose fingerprint ended in
-// tail after the configuration computed it.
-func fingerprintAt(cfg *Config, fs *lustre.FS, inputFile, tail string) string {
+// tail after the configuration computed it, with aggregated in the slot
+// of the removed log-structured-writes option.
+func fingerprintAt(cfg *Config, fs *lustre.FS, inputFile string, aggregated bool, tail string) string {
 	size, _ := fs.Size(inputFile)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t%s",
@@ -76,13 +79,13 @@ func fingerprintAt(cfg *Config, fs *lustre.FS, inputFile, tail string) string {
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
 		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
-		cfg.WriteAggregation, tail)
+		aggregated, tail)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
 }
 
 // v1Fingerprint is runFingerprint before the summary schema joined it.
 func v1Fingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
-	return fingerprintAt(cfg, fs, inputFile, "")
+	return fingerprintAt(cfg, fs, inputFile, false, "")
 }
 
 // TestV1SummaryNeverDecodesUsable pins why the fingerprint carries the
@@ -162,6 +165,102 @@ func TestResumeIgnoresV1Snapshots(t *testing.T) {
 	}
 	if !bytes.Equal(fileBytes(t, fs, "output.mrsl"), want) {
 		t.Fatal("output after ignoring schema-1 snapshots differs from a fresh run's")
+	}
+}
+
+// rawSnapshot is a snapshot payload saved verbatim.
+type rawSnapshot []byte
+
+func (p rawSnapshot) MarshalBinary() ([]byte, error) { return p, nil }
+
+// TestResumeIgnoresAggregatedState: the state a parent revision's
+// log-structured (aggregated) run left behind — a partition snapshot
+// whose metadata carries a segment index, under that run's ID, beside
+// the segment file it indexes — is never restored from. The run ID the
+// option's removal left differs, so the resumed run recomputes every
+// phase with no decode error and ends with a fresh run's output and a
+// plain partition layout; had the IDs matched, the record decoder would
+// have refused the snapshot as corrupt rather than drop its index.
+func TestResumeIgnoresAggregatedState(t *testing.T) {
+	cfg := ckptConfig()
+	refFS := writeInput(t)
+	ref, _, err := runState(refFS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fileBytes(t, refFS, "output.mrsl")
+
+	// The parent's aggregated run over the same input: one partitioner
+	// leaf, so its one segment holds the legacy file's bytes, every
+	// partition's owned then shadow run at the legacy offsets.
+	fs := writeInput(t)
+	full := cfg
+	if err := full.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	const leftover = partitionFile + ".seg0"
+	if _, err := fs.Create(leftover).WriteAt(fileBytes(t, refFS, partitionFile), 0); err != nil {
+		t.Fatal(err)
+	}
+	var runs []map[string]any
+	entries := slices.Clone(ref.part.Meta.Partitions)
+	for j, e := range entries {
+		runs = append(runs, map[string]any{"leaf": 0, "partition": j, "offset": e.Offset, "count": e.Count})
+		if e.ShadowCount > 0 {
+			runs = append(runs, map[string]any{"leaf": 0, "partition": j, "shadow": true, "offset": e.ShadowOffset, "count": e.ShadowCount})
+		}
+		entries[j].Offset, entries[j].ShadowOffset = -1, -1
+	}
+	doc, err := json.MarshalIndent(struct {
+		ptio.PartitionMeta
+		Segments []map[string]any `json:"segments"`
+	}{ptio.PartitionMeta{Eps: full.Eps, Partitions: entries}, []map[string]any{{"file": leftover, "runs": runs}}}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ref.part.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := append(slices.Clone(plain[:partitionHdr]), doc...)
+	le.PutUint64(payload[40:], uint64(len(doc)))
+	payload = append(payload, plain[partitionHdr+int(le.Uint64(plain[40:])):]...)
+
+	summary := fmt.Sprintf("|summary-v%d|%s", merge.SummarySchema, checkpoint.RecordsTag)
+	aggID := fingerprintAt(&full, fs, "input.mrsc", true, summary)
+	if aggID == runFingerprint(&full, fs, "input.mrsc") {
+		t.Fatal("an aggregated run's ID equals a plain run's")
+	}
+	old := checkpoint.NewStore(checkpoint.LustreFS(fs), aggID)
+	if err := old.Save(PhasePartition, rawSnapshot(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if got := old.ValidPrefix([]string{PhasePartition}); got != 1 {
+		t.Fatalf("fixture store holds %d valid phases, want 1", got)
+	}
+	if err := old.Load(PhasePartition, &partitionCkpt{}); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("aggregated snapshot decoded with err = %v, want ErrCorrupt", err)
+	}
+	if IsStateFile(leftover) {
+		t.Fatalf("%s counts as pipeline state", leftover)
+	}
+
+	cfg.Resume = true
+	r, res, err := runState(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.RestoredPhases) != 0 {
+		t.Fatalf("RestoredPhases = %v from an aggregated store, want none", res.RestoredPhases)
+	}
+	if !bytes.Equal(fileBytes(t, fs, "output.mrsl"), want) {
+		t.Fatal("output after ignoring the aggregated state differs from a fresh run's")
+	}
+	if !slices.Equal(r.part.Meta.Partitions, ref.part.Meta.Partitions) {
+		t.Fatal("resumed run's partition layout differs from a fresh run's")
+	}
+	if meta := fileBytes(t, fs, metadataFile); bytes.Contains(meta, []byte(`"segments"`)) {
+		t.Fatalf("resumed run's metadata carries a segment index:\n%s", meta)
 	}
 }
 

@@ -33,10 +33,9 @@ type snapshotCodec interface {
 }
 
 type partitionCkpt struct {
-	// Meta locates every partition inside partitionFile — or, when its
-	// Segments index is populated (WriteAggregation), inside the sharded
-	// segment files. The partition data itself stays on the FS; the
-	// snapshot holds only the index, so resuming requires both.
+	// Meta locates every partition inside partitionFile. The partition
+	// data itself stays on the FS; the snapshot holds only the metadata,
+	// so resuming requires both.
 	Meta *ptio.PartitionMeta
 	// Direct marks a DirectPartitions run, whose partition contents
 	// never touch the file system and are carried in the snapshot.

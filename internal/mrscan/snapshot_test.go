@@ -92,14 +92,15 @@ func TestSnapshotFieldsPinned(t *testing.T) {
 }
 
 // realSnapshots marshals the three snapshots of a small run in each mode
-// that shapes them differently: partition files, direct partitions, the
-// aggregated segment index, and CUDA-DClust's per-round transfer bytes.
+// that shapes them differently: partition files, direct partitions, eight
+// partitions written by two partitioner leaves, and CUDA-DClust's
+// per-round transfer bytes.
 func realSnapshots(tb testing.TB) [][]byte {
 	var out [][]byte
 	for _, set := range []func(*Config){
 		func(*Config) {},
 		func(c *Config) { c.DirectPartitions = true },
-		func(c *Config) { c.WriteAggregation = true },
+		func(c *Config) { c.Leaves, c.PartitionLeaves = 8, 2 },
 		func(c *Config) { c.Mode = gdbscan.ModeCUDADClust },
 	} {
 		fs := lustre.New(lustre.Titan(), nil)
@@ -212,10 +213,10 @@ func TestResumeRecomputesGobState(t *testing.T) {
 		t.Fatal(err)
 	}
 	summary := fmt.Sprintf("|summary-v%d", merge.SummarySchema)
-	if runFingerprint(&full, fs, "input.mrsc") != fingerprintAt(&full, fs, "input.mrsc", summary+"|"+checkpoint.RecordsTag) {
+	if runFingerprint(&full, fs, "input.mrsc") != fingerprintAt(&full, fs, "input.mrsc", false, summary+"|"+checkpoint.RecordsTag) {
 		t.Fatal("fingerprintAt no longer mirrors runFingerprint")
 	}
-	gob := checkpoint.NewStore(checkpoint.LustreFS(fs), fingerprintAt(&full, fs, "input.mrsc", summary))
+	gob := checkpoint.NewStore(checkpoint.LustreFS(fs), fingerprintAt(&full, fs, "input.mrsc", false, summary))
 	phases := []string{PhasePartition, PhaseCluster, PhaseMerge}
 	if got := gob.ValidPrefix(phases); got != len(phases) {
 		t.Fatalf("testdata holds %d valid phases under the gob revision's run ID, want %d", got, len(phases))

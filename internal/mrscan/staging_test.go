@@ -19,6 +19,32 @@ func (r *syncRecorder) SyncDir(dir string) error {
 	return r.FS.SyncDir(dir)
 }
 
+// TestIsStateFile: the checkpoint files and the partition file with its
+// metadata are pipeline state; the run's input and output are not, and
+// neither is a segment file an older aggregated run left beside the
+// partition file — no reader of it remains, so staging leaves it behind.
+func TestIsStateFile(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		want       bool
+	}{
+		{"partition-file", partitionFile, true},
+		{"metadata-file", metadataFile, true},
+		{"snapshot", "ckpt-" + PhaseCluster + ".ckpt", true},
+		{"snapshot-tmp", "ckpt-" + PhaseCluster + ".ckpt.tmp", true},
+		{"manifest", checkpoint.ManifestName, true},
+		{"output", "output.mrsl", false},
+		{"input", "input.mrsc", false},
+		{"aggregated-segment", partitionFile + ".seg0", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := IsStateFile(tc.file); got != tc.want {
+				t.Errorf("IsStateFile(%q) = %t, want %t", tc.file, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestStageStateRoundTrip stages a checkpointed run's state out into a
 // directory staging creates and back onto a fresh file system. Staging
 // out must sync the directory and then its parent, which holds the new

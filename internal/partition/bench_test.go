@@ -72,11 +72,10 @@ func BenchmarkQuadCounts(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionWrite isolates stage 3 — the write paths themselves,
-// fed identical precomputed leaf contributions — so the legacy
-// random-write layout and the log-structured aggregated layout compare
-// head to head without stage 1/2 noise (§5.1.1: the small random writes
-// are 65.2% of the phase).
+// BenchmarkPartitionWrite isolates stage 3 — the write path itself, fed
+// precomputed leaf contributions — without stage 1/2 noise (§5.1.1: the
+// small random writes are 65.2% of the phase). The sub-benchmark keeps
+// the name the bench gate's baseline rows carry.
 func BenchmarkPartitionWrite(b *testing.B) {
 	const leaves, parts = 8, 8
 	pts := dataset.Twitter(100_000, 4)
@@ -116,20 +115,7 @@ func BenchmarkPartitionWrite(b *testing.B) {
 			net, fs := env(b)
 			_, offsets, size := layoutRegions(eps, false, parts, allCounts)
 			b.StartTimer()
-			if err := writePartitionsLegacy(context.Background(), net, fs, "parts.bin", size, contribs, offsets, parts, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("layout=aggregated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			net, fs := env(b)
-			meta, _, _ := layoutRegions(eps, false, parts, allCounts)
-			places := buildSegmentLayout(meta, allCounts, "parts.bin", parts, 0)
-			b.StartTimer()
-			opt := DistOptions{NumPartitions: parts, Aggregate: true}
-			if err := writePartitionsAggregated(context.Background(), net, fs, contribs, places, meta, opt); err != nil {
+			if err := writePartitions(context.Background(), net, fs, "parts.bin", size, contribs, offsets, parts, false); err != nil {
 				b.Fatal(err)
 			}
 		}

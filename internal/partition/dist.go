@@ -31,33 +31,6 @@ type DistOptions struct {
 	// strong-scaling limit ("we need to subdivide grid cells when they
 	// have extremely high density").
 	SplitThreshold int64
-
-	// Aggregate selects the log-structured write path for stage 3.
-	// Instead of every leaf issuing one small random write per partition
-	// region (§5.1.1's "small random writes" — 65.2% of the phase), each
-	// leaf appends its whole contribution as one sequential run into a
-	// sharded segment file, and the metadata carries a segment index from
-	// which ReadPartition reassembles every partition
-	// byte-identically. O(leaves×partitions) random writes become
-	// O(leaves) sequential ones.
-	Aggregate bool
-	// SegmentShards is the number of segment files the aggregated writer
-	// spreads leaves over (sharding the append logs across OSTs instead
-	// of funneling every leaf into one file). 0 picks min(leaves, 8).
-	SegmentShards int
-	// OnLayout, when set, is called once, on the caller's goroutine, as
-	// soon as the root has fixed the partition layout — after stage 2,
-	// before any partition data is written. The meta it receives is the
-	// same object the DistResult later carries, so a pipelined consumer
-	// can size partitions before they are durable.
-	OnLayout func(meta *ptio.PartitionMeta)
-	// OnPartitionDurable, when set (aggregate mode only), is called
-	// exactly once per partition index, as soon as every leaf's
-	// contribution to that partition has been written and the segment
-	// files synced — the signal a pipelined cluster phase starts
-	// clustering partition j on while leaves still write j+1. Calls come
-	// from concurrent leaf goroutines in arbitrary partition order.
-	OnPartitionDurable func(j int)
 }
 
 // hotCells picks the subdivision depth of every cell holding more than
@@ -338,29 +311,15 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 		return nil, fmt.Errorf("partition: gathered counts from %d leaves, want %d", len(allCounts), leaves)
 	}
 
-	// Root: region layout, then (aggregate mode) the segment-log layout
-	// over it.
+	// Root: region layout.
 	meta, offsets, size := layoutRegions(eps, opt.HasWeight, opt.NumPartitions, allCounts)
-	var places []segPlace
-	if opt.Aggregate {
-		places = buildSegmentLayout(meta, allCounts, outputFile, opt.NumPartitions, opt.SegmentShards)
-	}
-	if opt.OnLayout != nil {
-		opt.OnLayout(meta)
-	}
 
 	// Each leaf holds a random portion of the data and "may need to
 	// contribute some point data to nearly every partition. These
 	// contributions are generally small, and each must be written at a
 	// specific offset" — the small random writes that dominate the phase.
-	// Aggregate mode replaces them with per-leaf sequential segment runs.
 	simAtWrite := fs.Clock().Total()
-	if opt.Aggregate {
-		err = writePartitionsAggregated(ctx, net, fs, contribs, places, meta, opt)
-	} else {
-		err = writePartitionsLegacy(ctx, net, fs, outputFile, size, contribs, offsets, opt.NumPartitions, opt.HasWeight)
-	}
-	if err != nil {
+	if err := writePartitions(ctx, net, fs, outputFile, size, contribs, offsets, opt.NumPartitions, opt.HasWeight); err != nil {
 		return nil, err
 	}
 	// Root writes the metadata document.
@@ -391,7 +350,7 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	}, nil
 }
 
-// layoutRegions computes the legacy contiguous layout: the output file
+// layoutRegions computes the paper's contiguous layout: the output file
 // holds, per partition, its owned points then its shadow points, and
 // offsets[l][j] = {owned, shadow} write cursors for leaf l — exclusive
 // prefix sums within each region — and size is the file's final length.
@@ -434,14 +393,21 @@ func layoutRegions(eps float64, hasWeight bool, numPartitions int, allCounts []l
 	return meta, offsets, cursor
 }
 
-// writePartitionsLegacy is stage 3's historical write path: every leaf
-// issues one small WriteAt per partition region it contributes to,
-// O(leaves×partitions) random writes in total — the behaviour §5.1.1
-// measured at 65.2% of the phase. Kept as the default layout and the
-// baseline the aggregated writer is benchmarked against. The root creates
-// the file at its final size, so the leaves' writes land in place.
-func writePartitionsLegacy(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outputFile string, size int64, contribs []*leafContrib, offsets [][][2]int64, numPartitions int, hasWeight bool) error {
-	fs.Create(outputFile).Grow(int(size))
+// writePartitions is stage 3's write path: every leaf issues one small
+// WriteAt per partition region it contributes to, O(leaves×partitions)
+// random writes in total — the behaviour §5.1.1 measured at 65.2% of the
+// phase. The root creates the file at its final size, so the leaves'
+// writes land in place. With OST health tracking on, the file stripes
+// over the currently healthy OSTs only; without it (nil HealthyOSTs) it
+// gets the default all-OST layout and its simulated costs.
+func writePartitions(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outputFile string, size int64, contribs []*leafContrib, offsets [][][2]int64, numPartitions int, hasWeight bool) error {
+	var h *lustre.Handle
+	if healthy := fs.HealthyOSTs(); len(healthy) > 0 {
+		h = fs.CreateWithOSTs(outputFile, healthy)
+	} else {
+		h = fs.Create(outputFile)
+	}
+	h.Grow(int(size))
 	return mrnet.Multicast(ctx, net, offsets,
 		func(n *mrnet.Node, in [][][2]int64) ([][][][2]int64, error) {
 			pLo, _ := n.LeafRange()
@@ -479,11 +445,8 @@ func writePartitionsLegacy(ctx context.Context, net *mrnet.Network, fs *lustre.F
 }
 
 // ReadPartition loads partition j's owned and shadow points from the
-// layout meta describes: the legacy contiguous partition file, or — when
-// meta carries a segment index — the aggregated writer's segment files
-// (file is ignored then; the index names them). Both layouts return
-// byte-identical partitions. The two slices are ReadPartitionSlab's one
-// allocation, cut at the owned count.
+// partition file meta describes. The two slices are ReadPartitionSlab's
+// one allocation, cut at the owned count.
 func ReadPartition(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) (points, shadow []geom.Point, err error) {
 	slab, owned, err := ReadPartitionSlab(fs, file, meta, j)
 	if err != nil {
@@ -504,13 +467,15 @@ func ReadPartitionSlab(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j i
 	if e.Count < 0 || e.ShadowCount < 0 {
 		return nil, 0, fmt.Errorf("partition: metadata entry %d has negative counts (%d owned, %d shadow)", j, e.Count, e.ShadowCount)
 	}
-	slab = make([]geom.Point, 0, e.Count+e.ShadowCount)
-	if len(meta.Segments) > 0 {
-		slab, err = appendPartitionSegments(slab, fs, meta, j)
-	} else {
-		slab, err = appendPartitionRegions(slab, fs, file, meta, j)
-	}
+	h, err := fs.Open(file)
 	if err != nil {
+		return nil, 0, err
+	}
+	slab = make([]geom.Point, 0, e.Count+e.ShadowCount)
+	if slab, err = appendRecordsAt(slab, h, e.Offset, e.Count, meta.HasWeight); err != nil {
+		return nil, 0, err
+	}
+	if slab, err = appendRecordsAt(slab, h, e.ShadowOffset, e.ShadowCount, meta.HasWeight); err != nil {
 		return nil, 0, err
 	}
 	return slab, int(e.Count), nil
@@ -529,20 +494,6 @@ func appendRecordsAt(pts []geom.Point, h *lustre.Handle, off, count int64, hasWe
 		return nil, fmt.Errorf("partition: reading %d records at %d of %s: %w", count, off, h.Name(), err)
 	}
 	return pts, nil
-}
-
-// appendPartitionRegions reads partition j from the legacy layout: its
-// owned region, then its shadow region.
-func appendPartitionRegions(slab []geom.Point, fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) ([]geom.Point, error) {
-	h, err := fs.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	e := meta.Partitions[j]
-	if slab, err = appendRecordsAt(slab, h, e.Offset, e.Count, meta.HasWeight); err != nil {
-		return nil, err
-	}
-	return appendRecordsAt(slab, h, e.ShadowOffset, e.ShadowCount, meta.HasWeight)
 }
 
 // ReadMeta loads a metadata document written by Distribute.

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,17 +12,16 @@ import (
 	"repro/internal/mrnet"
 )
 
-// TestSegmentShardsAvoidQuarantinedOST: with OST health tracking on and
+// TestPartitionFileAvoidsQuarantinedOST: with OST health tracking on and
 // one OST limping hard enough to be quarantined during the input read,
-// every aggregated segment shard must be placed on healthy OSTs only —
-// the ROADMAP's OST-aware shard placement — while the partition contents
-// stay identical to a run on a healthy file system.
-func TestSegmentShardsAvoidQuarantinedOST(t *testing.T) {
+// the partition file must be placed on healthy OSTs only, while the
+// partition contents stay identical to a run on a healthy file system.
+func TestPartitionFileAvoidsQuarantinedOST(t *testing.T) {
 	pts := dataset.Twitter(12000, 5)
-	opt := DistOptions{NumPartitions: 8, MinPts: 4, Aggregate: true, SegmentShards: 3}
+	opt := DistOptions{NumPartitions: 8, MinPts: 4}
 
 	// Reference: healthy fleet.
-	ref, refFS := aggEnv(t, pts, 4, opt)
+	ref, refFS := distributeEnv(t, pts, 4, opt)
 
 	// Gray run: tiny stripes so the input read touches every OST, OST 1
 	// degraded 16x.
@@ -43,17 +43,16 @@ func TestSegmentShardsAvoidQuarantinedOST(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every segment shard must carry an explicit healthy-only layout.
-	for _, seg := range res.Meta.Segments {
-		osts := fs.FileOSTs(seg.File)
-		if osts == nil {
-			t.Fatalf("segment %s has no explicit OST layout", seg.File)
-		}
-		for _, o := range osts {
-			if o == 1 {
-				t.Fatalf("segment %s placed on quarantined OST 1 (layout %v)", seg.File, osts)
-			}
-		}
+	// The partition file must carry an explicit healthy-only layout.
+	osts := fs.FileOSTs("parts.bin")
+	if osts == nil {
+		t.Fatal("partition file has no explicit OST layout")
+	}
+	if slices.Contains(osts, 1) {
+		t.Fatalf("partition file placed on quarantined OST 1 (layout %v)", osts)
+	}
+	if refFS.FileOSTs("parts.bin") != nil {
+		t.Fatal("partition file on an untracked FS has an explicit OST layout")
 	}
 
 	// Placement must not change bytes: partitions match the reference.

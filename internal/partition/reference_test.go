@@ -205,9 +205,6 @@ func refReadPartition(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j in
 	if j < 0 || j >= len(meta.Partitions) {
 		return nil, nil, fmt.Errorf("partition: index %d out of range (%d partitions)", j, len(meta.Partitions))
 	}
-	if len(meta.Segments) > 0 {
-		return refReadPartitionSegments(fs, meta, j)
-	}
 	h, err := fs.Open(file)
 	if err != nil {
 		return nil, nil, err
@@ -228,52 +225,6 @@ func refReadPartition(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j in
 		return nil, nil, err
 	}
 	if shadow, err = read(e.ShadowOffset, e.ShadowCount); err != nil {
-		return nil, nil, err
-	}
-	return points, shadow, nil
-}
-
-func refReadPartitionSegments(fs *lustre.FS, meta *ptio.PartitionMeta, j int) (points, shadow []geom.Point, err error) {
-	rs := int64(ptio.RecordSize(meta.HasWeight))
-	handles := make(map[string]*lustre.Handle)
-	readRuns := func(refs []segRunRef, want int64) ([]geom.Point, error) {
-		var pts []geom.Point
-		if want > 0 {
-			pts = make([]geom.Point, 0, want)
-		}
-		var got int64
-		for _, ref := range refs {
-			h := handles[ref.file]
-			if h == nil {
-				if h, err = fs.Open(ref.file); err != nil {
-					return nil, fmt.Errorf("partition: opening segment: %w", err)
-				}
-				handles[ref.file] = h
-			}
-			buf := make([]byte, ref.run.Count*rs)
-			if _, err := h.ReadAt(buf, ref.run.Offset); err != nil {
-				return nil, fmt.Errorf("partition: reading %d records at %d of %s: %w",
-					ref.run.Count, ref.run.Offset, ref.file, err)
-			}
-			decoded, err := ptio.DecodeRecords(buf, meta.HasWeight)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, decoded...)
-			got += ref.run.Count
-		}
-		if got != want {
-			return nil, fmt.Errorf("partition: segment index holds %d records for partition %d, metadata entry says %d",
-				got, j, want)
-		}
-		return pts, nil
-	}
-	ownedRefs, shadowRefs := partitionRuns(meta, j)
-	e := meta.Partitions[j]
-	if points, err = readRuns(ownedRefs, e.Count); err != nil {
-		return nil, nil, err
-	}
-	if shadow, err = readRuns(shadowRefs, e.ShadowCount); err != nil {
 		return nil, nil, err
 	}
 	return points, shadow, nil

@@ -44,25 +44,39 @@ func checkSlab(t *testing.T, fs *lustre.FS, meta *ptio.PartitionMeta, j int) {
 	}
 }
 
-// TestReadPartitionSlabMatchesReference: every partition of a legacy and
-// of an aggregated layout (weights on and off, pipelined chunks or one
-// write per leaf) reads back point for point what the two-slice reader
-// this package used to ship returns.
+// TestReadPartitionSlabMatchesReference: every partition (weights on and
+// off, representative shadows, hot-cell tiles, one or many partitioner
+// leaves writing the file) reads back point for point what the two-slice
+// reader this package used to ship returns.
 func TestReadPartitionSlabMatchesReference(t *testing.T) {
 	pts := dataset.Twitter(12000, 3)
 	for i := range pts {
 		pts[i].Weight = float64(i%7) + 0.5
 	}
-	for _, opt := range []DistOptions{
-		{NumPartitions: 8, MinPts: 4, Rebalance: true},
-		{NumPartitions: 8, MinPts: 4, Rebalance: true, HasWeight: true},
-		{NumPartitions: 8, MinPts: 4, Rebalance: true, Aggregate: true},
-		{NumPartitions: 8, MinPts: 4, Rebalance: true, Aggregate: true, HasWeight: true, SegmentShards: 3},
-		{NumPartitions: 8, MinPts: 4, Rebalance: true, Aggregate: true, OnPartitionDurable: func(int) {}},
-		{NumPartitions: 1, MinPts: 4}, // one partition: no shadow at all
+	for _, tc := range []struct {
+		opt    DistOptions
+		leaves int
+	}{
+		{DistOptions{NumPartitions: 8, MinPts: 4, Rebalance: true}, 4},
+		{DistOptions{NumPartitions: 8, MinPts: 4, Rebalance: true, HasWeight: true}, 4},
+		{DistOptions{NumPartitions: 1, MinPts: 4}, 4}, // one partition: no shadow at all
+		{DistOptions{NumPartitions: 8, MinPts: 4, Rebalance: true, ShadowReps: true}, 4},
+		{DistOptions{NumPartitions: 8, MinPts: 4, Rebalance: true, HasWeight: true, SplitThreshold: 100}, 4}, // 7 hot cells split
+		{DistOptions{NumPartitions: 8, MinPts: 4, Rebalance: true}, 1},                                       // one writer
 	} {
-		t.Run(fmt.Sprintf("aggregate=%t,weight=%t,parts=%d", opt.Aggregate, opt.HasWeight, opt.NumPartitions), func(t *testing.T) {
-			res, fs := aggEnv(t, pts, 4, opt)
+		opt := tc.opt
+		name := fmt.Sprintf("weight=%t,parts=%d", opt.HasWeight, opt.NumPartitions)
+		if opt.ShadowReps {
+			name += ",shadowreps"
+		}
+		if opt.SplitThreshold > 0 {
+			name += fmt.Sprintf(",split=%d", opt.SplitThreshold)
+		}
+		if tc.leaves != 4 {
+			name += fmt.Sprintf(",leaves=%d", tc.leaves)
+		}
+		t.Run(name, func(t *testing.T) {
+			res, fs := distributeEnv(t, pts, tc.leaves, opt)
 			meta, err := ReadMeta(fs, "parts.json") // what a resume reads
 			if err != nil {
 				t.Fatal(err)
@@ -77,50 +91,39 @@ func TestReadPartitionSlabMatchesReference(t *testing.T) {
 	}
 }
 
-// An empty partition, and one with owned points but no shadow, in both
-// layouts: nothing to read is not an error and issues no read.
+// An empty partition, and one with owned points but no shadow: nothing
+// to read is not an error and issues no read.
 func TestReadPartitionSlabEmpty(t *testing.T) {
 	fs := lustre.New(lustre.Titan(), nil)
 	pts := dataset.Twitter(10, 1)
 	if _, err := fs.Create("parts.bin").WriteAt(ptio.EncodeRecords(pts, false), 0); err != nil {
 		t.Fatal(err)
 	}
-	legacy := &ptio.PartitionMeta{Partitions: []ptio.PartitionEntry{
+	meta := &ptio.PartitionMeta{Partitions: []ptio.PartitionEntry{
 		{Offset: 0, Count: 0, ShadowOffset: 0, ShadowCount: 0},
 		{Offset: 0, Count: 10, ShadowOffset: 240, ShadowCount: 0},
 	}}
-	segmented := &ptio.PartitionMeta{
-		Partitions: []ptio.PartitionEntry{{Offset: -1, ShadowOffset: -1}, {Offset: -1, Count: 10, ShadowOffset: -1}},
-		Segments:   []ptio.Segment{{File: "parts.bin", Runs: []ptio.SegmentRun{{Leaf: 0, Partition: 1, Offset: 0, Count: 10}}}},
+	before := fs.Stats().ReadOps
+	slab, owned, err := ReadPartitionSlab(fs, "parts.bin", meta, 0)
+	if err != nil || len(slab) != 0 || owned != 0 {
+		t.Errorf("empty partition read as %d points, %d owned, err %v", len(slab), owned, err)
 	}
-	for name, meta := range map[string]*ptio.PartitionMeta{"legacy": legacy, "segmented": segmented} {
-		before := fs.Stats().ReadOps
-		slab, owned, err := ReadPartitionSlab(fs, "parts.bin", meta, 0)
-		if err != nil || len(slab) != 0 || owned != 0 {
-			t.Errorf("%s: empty partition read as %d points, %d owned, err %v", name, len(slab), owned, err)
-		}
-		if got := fs.Stats().ReadOps - before; got != 0 {
-			t.Errorf("%s: empty partition cost %d reads", name, got)
-		}
-		checkSlab(t, fs, meta, 0)
-		checkSlab(t, fs, meta, 1)
+	if got := fs.Stats().ReadOps - before; got != 0 {
+		t.Errorf("empty partition cost %d reads", got)
 	}
+	checkSlab(t, fs, meta, 0)
+	checkSlab(t, fs, meta, 1)
 }
 
 // Metadata is a JSON document someone else wrote: counts that cannot be
-// sizes, an index that disagrees with its entry and a region the file
-// does not hold are errors.
+// sizes and a region the file does not hold are errors.
 func TestReadPartitionSlabRejectsBadMetadata(t *testing.T) {
 	fs := lustre.New(lustre.Titan(), nil)
 	fs.Create("parts.bin")
 	for name, meta := range map[string]*ptio.PartitionMeta{
 		"negative count":  {Partitions: []ptio.PartitionEntry{{Count: -1}}},
 		"negative shadow": {Partitions: []ptio.PartitionEntry{{Count: 1, ShadowCount: -2}}},
-		"index disagrees": {
-			Partitions: []ptio.PartitionEntry{{Offset: -1, Count: 5, ShadowOffset: -1}},
-			Segments:   []ptio.Segment{{File: "parts.bin", Runs: []ptio.SegmentRun{{Partition: 0, Count: 3}}}},
-		},
-		"past the file": {Partitions: []ptio.PartitionEntry{{Count: 5}}},
+		"past the file":   {Partitions: []ptio.PartitionEntry{{Count: 5}}},
 	} {
 		if _, _, err := ReadPartitionSlab(fs, "parts.bin", meta, 0); err == nil {
 			t.Errorf("%s: accepted", name)

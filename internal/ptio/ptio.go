@@ -448,44 +448,13 @@ type PartitionEntry struct {
 	ShadowCount  int64 `json:"shadowCount"`
 }
 
-// SegmentRun locates one leaf's contiguous contribution to a partition
-// region inside a segment file — one entry of the aggregated writer's
-// log-structured index. A leaf's runs are laid out back to back in
-// partition order (owned before shadow), so the leaf's whole contribution
-// is a single sequential write.
-type SegmentRun struct {
-	// Leaf is the partitioner leaf that wrote the run.
-	Leaf int `json:"leaf"`
-	// Partition is the destination partition index.
-	Partition int `json:"partition"`
-	// Shadow marks a shadow-region run (owned otherwise).
-	Shadow bool `json:"shadow,omitempty"`
-	// Offset is the byte offset of the run inside the segment file.
-	Offset int64 `json:"offset"`
-	// Count is the number of point records in the run.
-	Count int64 `json:"count"`
-}
-
-// Segment is one sharded append-log file of the aggregated partition
-// writer, with the index of runs it holds (offset-ascending).
-type Segment struct {
-	File string       `json:"file"`
-	Runs []SegmentRun `json:"runs"`
-}
-
-// PartitionMeta is the metadata document the partitioner root generates.
-//
-// Two layouts exist. In the legacy layout each PartitionEntry's offsets
-// point into a single partition file holding the regions contiguously. In
-// the aggregated (log-structured) layout Segments is non-empty: partition
-// data lives as per-leaf sequential runs in the segment files and the
-// entries' Offset/ShadowOffset are -1 (Count/ShadowCount stay valid).
+// PartitionMeta is the metadata document the partitioner root generates:
+// one PartitionEntry per partition, locating its regions inside the single
+// partition file ("the offset from which each partition starts", §3.1.3).
 type PartitionMeta struct {
 	Eps        float64          `json:"eps"`
 	HasWeight  bool             `json:"hasWeight"`
 	Partitions []PartitionEntry `json:"partitions"`
-	// Segments, when non-empty, is the aggregated writer's segment index.
-	Segments []Segment `json:"segments,omitempty"`
 }
 
 // Marshal encodes the metadata as JSON.
