@@ -88,7 +88,6 @@ var modes = []struct {
 		fs.IntVar(&o.Points, "points", 0, "dataset points per job (0 = 4000)")
 		fs.IntVar(&o.Leaves, "leaves", 0, "cluster-phase leaves per job (0 = 2)")
 		fs.Float64Var(&o.FaultRate, "fault-rate", 0, "share of jobs carrying a fault plan, in (0,1] (0 = 0.5)")
-		fs.Float64Var(&o.DegradedFloor, "quality-floor", 0, "minimum DBDC quality of a degraded-mode job vs the fault-free reference (0 = 0.95); full-quality jobs are always held to 0.995")
 		return func(ctx context.Context, c chaos.Campaign) result { return chaos.Run(ctx, c, o) }
 	}},
 	{"crash", func(fs *flag.FlagSet) campaign {

@@ -34,7 +34,7 @@ func TestModes(t *testing.T) {
 			args:     "-mode overload -seeds 1",
 			summary:  "chaos overload: 1 runs: 1 ok, 0 FAILED",
 			top:      []string{"failed", "ok", "runs"},
-			run:      []string{"admitted", "completed", "degraded", "elapsed_ns", "failed", "min_degraded_quality", "min_quality", "outcome", "resumed", "seed", "submitted", "suspended_at_drain"},
+			run:      []string{"admitted", "completed", "elapsed_ns", "failed", "min_quality", "outcome", "resumed", "seed", "submitted", "suspended_at_drain"},
 			optional: []string{"rejected"},
 		},
 		{

@@ -370,8 +370,11 @@ func grayRecoveryLeg(ctx context.Context, seed int64, o GrayOptions) *GrayLeg {
 		return failf(leg, "%v", err)
 	}
 
-	recovered := false
-	for round := 1; round <= 6 && !recovered; round++ {
+	// Quarantine, probation and re-admission can all happen inside one
+	// round, so the leg reads the transition history, not a round-end
+	// sample of the tracker, and dispatches until it shows re-admission.
+	var hist []health.Transition
+	for round := 1; round <= 6; round++ {
 		res, err := f.c.RunContext(ctx, pts, opt)
 		if err != nil {
 			return failf(leg, "round %d: %v", round, err)
@@ -380,16 +383,10 @@ func grayRecoveryLeg(ctx context.Context, seed int64, o GrayOptions) *GrayLeg {
 			return failf(leg, "round %d: labels differ from fault-free reference", round)
 		}
 		leg.Dispatches = round
-		for _, q := range leg.Quarantined {
-			if f.tracker.State(q) == health.Healthy {
-				recovered = true
-			}
-		}
-		if qs := f.tracker.QuarantinedComponents(); len(qs) > 0 {
-			leg.Quarantined = qs
+		if hist = f.history(); slices.ContainsFunc(hist, readmitted) {
+			break
 		}
 	}
-	hist := f.history()
 	leg.Identical = true
 	leg.observe(hist, f.budget)
 
@@ -401,19 +398,28 @@ func grayRecoveryLeg(ctx context.Context, seed int64, o GrayOptions) *GrayLeg {
 			sick[tr.Component] = true
 		case tr.From == health.Quarantined && tr.To == health.Probation:
 			sawProbation = true
-		case tr.From == health.Probation && tr.To == health.Healthy:
+		case readmitted(tr):
 			sawReadmit = true
 		}
 	}
-	if len(sick) != 1 {
-		return failf(leg, "quarantined set %v, want exactly the limper (transitions %v)", sick, leg.Transitions)
+	for c := range sick {
+		leg.Quarantined = append(leg.Quarantined, c)
 	}
-	if !sawProbation || !sawReadmit || !recovered {
-		return failf(leg, "state machine incomplete: probation=%v readmit=%v healthy-again=%v (transitions %v)",
-			sawProbation, sawReadmit, recovered, leg.Transitions)
+	slices.Sort(leg.Quarantined)
+	if len(sick) != 1 {
+		return failf(leg, "quarantined set %v, want exactly the limper (transitions %v)", leg.Quarantined, leg.Transitions)
+	}
+	if end := f.tracker.State(leg.Quarantined[0]); !sawProbation || !sawReadmit || end != health.Healthy {
+		return failf(leg, "state machine incomplete: probation=%v readmit=%v state at end=%v (transitions %v)",
+			sawProbation, sawReadmit, end, leg.Transitions)
 	}
 	leg.OK = true
 	return leg
+}
+
+// readmitted reports a transition out of probation back to healthy.
+func readmitted(tr health.Transition) bool {
+	return tr.From == health.Probation && tr.To == health.Healthy
 }
 
 // grayLinkLeg: an internal uplink drops two frames out of three — alive,

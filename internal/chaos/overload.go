@@ -32,12 +32,11 @@ import (
 //  2. Typed backpressure: every rejected submission fails with one of
 //     the typed admission errors (ErrQueueFull, ErrQuotaExceeded,
 //     ErrDraining, ErrBreakerOpen) — never an anonymous error.
-//  3. Quality under load: completed full-quality jobs score >=
-//     the paper's 0.995 floor against a fault-free pipeline reference; degraded
-//     jobs are marked as such and score >= DegradedFloor.
+//  3. Quality under load: every completed job scores >= the paper's
+//     0.995 floor against a fault-free pipeline reference.
 //
-// Which jobs get rejected or degraded depends on scheduling interleave
-// — the invariants are written to hold for every interleave.
+// Which jobs get rejected depends on scheduling interleave — the
+// invariants are written to hold for every interleave.
 
 // OverloadOptions are the overload scenario's knobs.
 type OverloadOptions struct {
@@ -46,18 +45,13 @@ type OverloadOptions struct {
 	Tenants       int
 	JobsPerTenant int
 	// Points is the per-job dataset size (default 4000); each tenant
-	// has its own seeded dataset. Degraded-mode quality degrades with
-	// dataset size — below ~3000 points the rate-0.8 subsample can dip
-	// under the 0.95 floor, so keep campaign datasets at least that big.
+	// has its own seeded dataset.
 	Points int
 	// Leaves is the pipeline tree width per job (default 2).
 	Leaves int
 	// FaultRate in (0,1] scales how many jobs carry fault plans
 	// (default 0.5).
 	FaultRate float64
-	// DegradedFloor is the minimum DBDC score of a degraded-mode job
-	// (default 0.95). Full-quality jobs are held to the paper's floor.
-	DegradedFloor float64
 }
 
 func (o OverloadOptions) withDefaults() OverloadOptions {
@@ -68,7 +62,6 @@ func (o OverloadOptions) withDefaults() OverloadOptions {
 	if o.FaultRate <= 0 || o.FaultRate > 1 {
 		o.FaultRate = 0.5
 	}
-	orDefault(&o.DegradedFloor, 0.95)
 	return o
 }
 
@@ -82,16 +75,14 @@ type OverloadRunReport struct {
 
 	Completed int `json:"completed"`
 	Failed    int `json:"failed"`
-	Degraded  int `json:"degraded"`
 	Resumed   int `json:"resumed"`
 	// SuspendedAtDrain counts jobs parked by the mid-campaign drain
 	// (all of which must complete or fail loudly after the restart).
 	SuspendedAtDrain int `json:"suspended_at_drain"`
 
-	// MinQuality / MinDegradedQuality are the worst DBDC scores seen
-	// among completed full-quality / degraded jobs (-1 = none ran).
-	MinQuality         float64 `json:"min_quality"`
-	MinDegradedQuality float64 `json:"min_degraded_quality"`
+	// MinQuality is the worst DBDC score among completed jobs (-1 =
+	// none completed).
+	MinQuality float64 `json:"min_quality"`
 }
 
 func (OverloadOptions) summarize(rpt *Report[*OverloadRunReport]) (string, map[string]int) {
@@ -127,7 +118,7 @@ type overloadRun struct {
 // invariants.
 func (o OverloadOptions) run(ctx context.Context, seed int64) *OverloadRunReport {
 	o = o.withDefaults()
-	rep := &OverloadRunReport{Rejected: map[string]int{}, MinQuality: -1, MinDegradedQuality: -1}
+	rep := &OverloadRunReport{Rejected: map[string]int{}, MinQuality: -1}
 	r := &overloadRun{o: o, rep: rep}
 
 	stateDir, err := os.MkdirTemp("", "mrscan-overload-")
@@ -146,22 +137,20 @@ func (o OverloadOptions) run(ctx context.Context, seed int64) *OverloadRunReport
 	}
 
 	// A deliberately tight server: queues sized below the burst so
-	// saturation rejects, the degrade watermark low so overload degrades,
-	// a short drain deadline so the mid-campaign SIGTERM suspends
-	// in-flight work instead of waiting it out, a two-worker pool the
-	// default burst saturates. No job may outlast what is left of the
-	// seed's budget.
+	// saturation rejects, a short drain deadline so the mid-campaign
+	// SIGTERM suspends in-flight work instead of waiting it out, a
+	// two-worker pool the default burst saturates. No job may outlast
+	// what is left of the seed's budget.
 	deadline, _ := ctx.Deadline()
 	cfg := server.Config{
-		Workers:           2,
-		QueuePerTenant:    2,
-		QueueTotal:        2 * o.Tenants,
-		DegradeQueueDepth: 2,
-		BreakerThreshold:  -1, // rejection mix is queue/quota/drain here
-		JobTimeout:        time.Until(deadline),
-		DrainTimeout:      20 * time.Millisecond,
-		Retry:             mrscan.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
-		StateDir:          stateDir,
+		Workers:          2,
+		QueuePerTenant:   2,
+		QueueTotal:       2 * o.Tenants,
+		BreakerThreshold: -1, // rejection mix is queue/quota/drain here
+		JobTimeout:       time.Until(deadline),
+		DrainTimeout:     20 * time.Millisecond,
+		Retry:            mrscan.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		StateDir:         stateDir,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	if err := r.generation1(cfg, seed, rng); err != nil {
@@ -340,16 +329,11 @@ func (r *overloadRun) audit() error {
 			if err != nil {
 				return fmt.Errorf("job %s quality: %w", j.id, err)
 			}
-			floor, worst := paperFloor, &rep.MinQuality
-			if st.Degraded {
-				rep.Degraded++
-				floor, worst = r.o.DegradedFloor, &rep.MinDegradedQuality
+			if rep.MinQuality < 0 || q < rep.MinQuality {
+				rep.MinQuality = q
 			}
-			if *worst < 0 || q < *worst {
-				*worst = q
-			}
-			if q < floor {
-				return fmt.Errorf("job %s (degraded=%v) quality %.4f below floor %.3f", j.id, st.Degraded, q, floor)
+			if q < paperFloor {
+				return fmt.Errorf("job %s quality %.4f below floor %.3f", j.id, q, paperFloor)
 			}
 			if st.Resumed {
 				rep.Resumed++

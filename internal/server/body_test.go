@@ -24,7 +24,6 @@ type submitRequest struct {
 	MinPts     int          `json:"min_pts"`
 	Leaves     int          `json:"leaves,omitempty"`
 	DeadlineMS int64        `json:"deadline_ms,omitempty"`
-	NoDegrade  bool         `json:"no_degrade,omitempty"`
 	Points     []pointJSON  `json:"points,omitempty"`
 	Dataset    *datasetJSON `json:"dataset,omitempty"`
 }
@@ -156,7 +155,7 @@ func checkAgainstOracle(t *testing.T, s *Server, body []byte) {
 		}
 		if spec.Tenant != req.Tenant || math.Float64bits(spec.Eps) != math.Float64bits(req.Eps) ||
 			spec.MinPts != req.MinPts || spec.Leaves != req.Leaves ||
-			spec.NoDegrade != req.NoDegrade || spec.Deadline != deadline {
+			spec.Deadline != deadline {
 			t.Fatalf("%q: scanner scalars %+v, encoding/json %+v", body, spec, req)
 		}
 		if !reflect.DeepEqual(ds, req.Dataset) {

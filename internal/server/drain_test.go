@@ -1,17 +1,23 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
+	"repro/internal/lustre"
 	"repro/internal/mrscan"
 	"repro/internal/ptio"
 	"repro/internal/quality"
+	"repro/internal/telemetry"
 )
 
 // TestDrainSuspendsAndResumes is the SIGTERM story end to end: a job is
@@ -190,59 +196,71 @@ func TestDrainIdle(t *testing.T) {
 	s.Close()
 }
 
-// TestRecoveryPreservesDegradedDecision: a degraded job suspended by a
-// drain resumes degraded at the same sample rate — the journal carries
-// the decision so the resumed run regenerates the same subsample and
-// matches its checkpoint fingerprint.
-func TestRecoveryPreservesDegradedDecision(t *testing.T) {
+// TestRecoverParentDegradedJob: a state directory written before
+// degraded mode was removed holds a suspended degraded job — its spec
+// carries no_degrade, degraded and sample_rate, and its staged snapshots
+// come from a run over a 0.4 subsample of its input at MinPts scaled to
+// match. A server of this revision decodes the spec without error,
+// restores none of those snapshots (their RunID fingerprints the
+// subsample's size and MinPts), and completes the job at full quality.
+func TestRecoverParentDegradedJob(t *testing.T) {
+	const id = "job-000001"
 	stateDir := t.TempDir()
-	s, err := New(Config{Workers: 1, StateDir: stateDir, DegradeP95: time.Nanosecond, SampleRate: 0.4})
+	port, err := checkpoint.DirFS(stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := testPoints(1200, 23)
-	warm, err := s.Submit(testSpec("acme", pts))
-	if err != nil {
+	j := newJournal(port, telemetry.New(nil))
+	pts := testPoints(2000, 23)
+	spec := testSpec("acme", pts)
+	if err := j.writeSpec(id, persistedSpec{Tenant: spec.Tenant, Eps: spec.Eps, MinPts: spec.MinPts, Leaves: spec.Leaves}, pts); err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, s, warm)
+	parentSpec := `{"tenant":"acme","eps":0.1,"min_pts":20,"leaves":2,"no_degrade":true,"degraded":true,"sample_rate":0.4}`
+	if err := port.WriteFile(path.Join(jobDir(id), "spec.json"), []byte(parentSpec)); err != nil {
+		t.Fatal(err)
+	}
 
-	// Admit a degraded job but drain before any worker can take it:
-	// stall the worker with a slow job first.
-	slow := testSpec("acme", pts)
-	slow.FaultPlan = faultinject.New(5).Arm(mrscan.PhaseSite(mrscan.PhasePartition),
-		faultinject.Rule{Times: 1, Delay: 300 * time.Millisecond})
-	slowID, err := s.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if st, _ := s.Status(slowID); st.State == StateRunning {
-			break
+	var sample []geom.Point
+	for i, p := range pts {
+		if i%5 < 2 {
+			sample = append(sample, p)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	id, err := s.Submit(testSpec("acme", pts))
-	if err != nil {
+	fs := lustre.New(lustre.Titan(), nil)
+	if err := ptio.WriteDataset(fs.Create("input.mrsc"), sample, false); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.Status(id); !st.Degraded {
-		t.Fatalf("setup: job not degraded at admission")
+	cfg := mrscan.Default(spec.Eps, 8, spec.Leaves) // round(0.4 × 20)
+	cfg.IncludeNoise = true
+	cfg.Checkpoint = true
+	if _, err := mrscan.RunContext(context.Background(), fs, "input.mrsc", "output.mrsl", cfg); err != nil {
+		t.Fatal(err)
 	}
-	s.Drain()
-	s.Close()
+	if err := mrscan.StageStateOut(fs, port, ckptDir(id)); err != nil {
+		t.Fatal(err)
+	}
+	if staged, err := port.List(ckptDir(id)); err != nil || len(staged) == 0 {
+		t.Fatalf("setup: no snapshots staged (%v)", err)
+	}
+	if err := j.setState(id, string(StateSuspended)); err != nil {
+		t.Fatal(err)
+	}
 
-	s2, err := New(Config{Workers: 1, StateDir: stateDir})
+	s := mustServer(t, Config{Workers: 1, StateDir: stateDir})
+	st := waitTerminal(t, s, id)
+	if st.State != StateCompleted || st.Err != "" {
+		t.Fatalf("recovered job: state = %s (err %q), want completed", st.State, st.Err)
+	}
+	if len(st.RestoredPhases) != 0 || st.Degraded || st.SampleRate != 0 {
+		t.Fatalf("recovered job: restored %v, degraded %t, sample rate %g; want none, false, 0",
+			st.RestoredPhases, st.Degraded, st.SampleRate)
+	}
+	labels, err := s.Result(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	st := waitTerminal(t, s2, id)
-	if st.State != StateCompleted {
-		t.Fatalf("recovered degraded job state = %s (err %q)", st.State, st.Err)
-	}
-	if !st.Degraded || st.SampleRate != 0.4 {
-		t.Fatalf("recovery lost the degraded decision: degraded=%v rate=%v, want true/0.4",
-			st.Degraded, st.SampleRate)
+	if want := referenceLabels(t, pts, spec); !slices.Equal(labels, want) {
+		t.Fatal("recovered job's labels differ from a full-quality run's")
 	}
 }

@@ -58,11 +58,10 @@ import (
 // handler kilobytes, not hundreds of megabytes.
 
 // A job submission is an object of tenant, eps, min_pts, leaves,
-// deadline_ms (overrides the server's per-job timeout), no_degrade
-// (opts out of degraded mode) and either points — [{"id","x","y"},…]
-// inline — or dataset, which asks the server to generate one of the
-// paper's distributions (handy for curl-driven exploration and soak
-// tests).
+// deadline_ms (overrides the server's per-job timeout) and either
+// points — [{"id","x","y"},…] inline — or dataset, which asks the
+// server to generate one of the paper's distributions (handy for
+// curl-driven exploration and soak tests). Unknown members are skipped.
 type datasetJSON struct {
 	Dist string `json:"dist"` // twitter | sdss | uniform
 	N    int    `json:"n"`
@@ -153,8 +152,6 @@ func (s *Server) decodeSubmission(body []byte) (spec JobSpec, ds *datasetJSON, e
 			o.decode(&spec.Leaves)
 		case o.keyIs("deadline_ms"):
 			o.decode(&deadlineMS)
-		case o.keyIs("no_degrade"):
-			o.decode(&spec.NoDegrade)
 		case o.keyIs("dataset"):
 			o.decode(&ds)
 		case o.keyIs("points"):

@@ -35,7 +35,7 @@ import (
 // (checkpoint.FS):
 //
 //	journal.log           append-only state records (see record framing)
-//	jobs/<id>/spec.json   submission parameters (+ degraded decision)
+//	jobs/<id>/spec.json   submission parameters
 //	jobs/<id>/input.mrsc  the full input dataset
 //	jobs/<id>/ckpt/       staged pipeline checkpoints
 //
@@ -72,19 +72,16 @@ type logRecord struct {
 	State string `json:"state"`
 }
 
-// persistedSpec is the on-disk form of a job's parameters. The degraded
-// decision is persisted so a resumed job regenerates the same
-// subsample (same seed = job ID) and thus the same checkpoint
-// fingerprint as its first attempt.
+// persistedSpec is the on-disk form of a job's parameters. Keys it does
+// not name (no_degrade, degraded and sample_rate in directories written
+// before degraded mode was removed) are ignored on decode, and such a
+// job reruns at full quality.
 type persistedSpec struct {
 	Tenant     string  `json:"tenant"`
 	Eps        float64 `json:"eps"`
 	MinPts     int     `json:"min_pts"`
 	Leaves     int     `json:"leaves"`
 	DeadlineNS int64   `json:"deadline_ns,omitempty"`
-	NoDegrade  bool    `json:"no_degrade,omitempty"`
-	Degraded   bool    `json:"degraded,omitempty"`
-	SampleRate float64 `json:"sample_rate,omitempty"`
 }
 
 // recoveredJob is one non-terminal job found at startup.

@@ -27,14 +27,16 @@ func (g goldenRecord) MarshalBinary() ([]byte, error) {
 
 // onDiskGolden is every file the script in TestOnDiskBytesUnchanged
 // leaves, with its SHA-256, as the writers produced them before they
-// shared one storage port (commit fb856f6).
+// shared one storage port (commit fb856f6). The one exception is
+// job-000002's spec.json: its optional key was no_degrade until degraded
+// mode was removed, and is deadline_ns since.
 var onDiskGolden = map[string]string{
 	"journal/jobs/job-000001/input.mrsc":               "f142a663e54d2f809d03f10a2e43ab0caf3fef89c00de5a6db376d6a52f64d6c",
 	"journal/jobs/job-000001/spec.json":                "42129456f8ba2970c1feddbabddec6e7763297bfe4885c2998615a0f13b69a03",
 	"journal/jobs/job-000002/ckpt/MANIFEST.ckpt":       "d54b12f709f9399a5ae54f7c58401cd0dbed9c09f7dcf1632499f59a234f4f31",
 	"journal/jobs/job-000002/ckpt/ckpt-partition.ckpt": "1f941ed2a243b067efdcb1b68e4c3d1c087a5d7a79131b3810ba52dd27988e96",
 	"journal/jobs/job-000002/input.mrsc":               "69f37b9bb04b4e16367e092f200c4bf6beee6d47d57015583ab2c2639eb87211",
-	"journal/jobs/job-000002/spec.json":                "d0864c4cd3902976521bb2860635c5dc563330283769578262efee53ac22486c",
+	"journal/jobs/job-000002/spec.json":                "9a6fe5c3954f144abfe50528098eee323b7ce82b9bb8faafc4666cb11892afe1",
 	"journal/journal.log":                              "b3d6dff0c2a370531262d8565c4a02a909490fa381cc3aa9d2a012d8ffb54208",
 	"server/streams/stream-000001/MANIFEST.ckpt":       "5de62844142a70545c5416d3c1bcad612aa23929fb0941965951c68bbff4ecf4",
 	"server/streams/stream-000001/ckpt-spec.ckpt":      "eb9f93b006e44398c08d375bcfc8cd4d5f23b07eee7cb907706540ac0ee23c2e",
@@ -112,7 +114,7 @@ func writeOnDiskScript(t *testing.T, root string) {
 	must(j.writeSpec("job-000001", persistedSpec{Tenant: "acme", Eps: 0.1, MinPts: 5, Leaves: 2}, dataset.Twitter(200, 1)))
 	must(j.setState("job-000001", "running"))
 	must(j.setState("job-000001", "completed"))
-	must(j.writeSpec("job-000002", persistedSpec{Tenant: "bulk", Eps: 0.2, MinPts: 7, Leaves: 4, NoDegrade: true}, dataset.Twitter(150, 2)))
+	must(j.writeSpec("job-000002", persistedSpec{Tenant: "bulk", Eps: 0.2, MinPts: 7, Leaves: 4, DeadlineNS: 250e6}, dataset.Twitter(150, 2)))
 	must(j.setState("job-000002", "suspended"))
 	pipeline := lustre.New(lustre.Titan(), nil)
 	for i, name := range []string{"MANIFEST.ckpt", "ckpt-partition.ckpt", "input.mrsc", "part-000.mrsc"} {

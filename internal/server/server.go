@@ -13,7 +13,7 @@
 //	              (ErrQueueFull | ErrQuotaExceeded |
 //	               ErrDraining  | ErrBreakerOpen | ErrInvalidInput)
 //
-// Four mechanisms implement it:
+// Three mechanisms implement it:
 //
 //   - Admission control: per-tenant bounded queues, a global queue bound,
 //     and per-tenant point-count quotas. Overload is shed at the door
@@ -24,13 +24,6 @@
 //     (mrscan.Config.Retry), and consecutive failures trip a per-tenant
 //     or whole-pipeline circuit breaker that sheds further load until a
 //     cooldown elapses.
-//   - Graceful degradation: when queue depth or p95 job latency crosses
-//     a watermark, newly admitted jobs run in a degraded mode — the
-//     input is subsampled and MinPts scaled (the subsampled-similarity-
-//     queries construction of Jiang, Jang & Łącki), then unsampled
-//     points are attached by estimated-core majority vote — trading a
-//     bounded quality loss (≥ 0.95 DBDC in practice) for throughput.
-//     The mode is recorded on the job result, never silent.
 //   - Graceful drain: Drain stops admission, lets in-flight jobs finish
 //     under a drain deadline, and suspends the rest — queued jobs
 //     immediately, in-flight jobs after cancelling them at a phase
@@ -43,7 +36,7 @@
 // labels (server_jobs_*_total{tenant,...}, server_queue_depth{tenant},
 // server_job_latency_seconds{tenant}, server_breaker_state{scope}) and
 // out the Prometheus exporter. The seeded overload scenario in
-// internal/chaos drives all four mechanisms at once and audits the
+// internal/chaos drives all three mechanisms at once and audits the
 // invariant: every admitted job terminates in exactly one of
 // {completed, failed-loudly, resumed-after-restart}, with zero silent
 // drops.
@@ -132,9 +125,6 @@ type JobSpec struct {
 	Leaves int
 	// Deadline overrides Config.JobTimeout for this job when positive.
 	Deadline time.Duration
-	// NoDegrade opts the job out of degraded mode: it always runs at
-	// full quality, even past the overload watermarks.
-	NoDegrade bool
 	// FaultPlan, when non-nil, is installed on the job's pipeline run —
 	// the chaos and test hook for transient faults and simulated process
 	// death. Not journaled: a resumed job runs fault-free.
@@ -146,9 +136,9 @@ type JobStatus struct {
 	ID     string `json:"id"`
 	Tenant string `json:"tenant"`
 	State  State  `json:"state"`
-	// Degraded records that the job ran (or will run) in degraded mode
-	// at SampleRate; the quality floor for degraded output is 0.95
-	// rather than the paper's 0.995.
+	// Degraded and SampleRate are always false and 0: every job runs at
+	// full quality and no code sets them. They stay because the v1 wire
+	// format (the result reply and status JSON) carries them.
 	Degraded   bool    `json:"degraded,omitempty"`
 	SampleRate float64 `json:"sample_rate,omitempty"`
 	// Resumed marks a job restored after a drain/restart or a simulated
@@ -174,8 +164,6 @@ type Job struct {
 	spec   JobSpec
 
 	state        State
-	degraded     bool
-	sampleRate   float64
 	resumed      bool // restored after restart or fatal fault
 	fatalRetried bool // one in-place resume after a fatal fault already used
 	restored     []string
@@ -195,7 +183,6 @@ type Job struct {
 func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID: j.id, Tenant: j.tenant, State: j.state,
-		Degraded: j.degraded, SampleRate: j.sampleRate,
 		Resumed:         j.resumed,
 		RestoredPhases:  append([]string(nil), j.restored...),
 		CompletedPhases: append([]string(nil), j.completed...),
@@ -240,17 +227,6 @@ type Config struct {
 	BreakerThreshold       int
 	GlobalBreakerThreshold int
 	BreakerCooldown        time.Duration
-	// DegradeQueueDepth is the total queued-job watermark beyond which
-	// newly admitted jobs run degraded (default 3/4 of QueueTotal; <0
-	// disables). DegradeP95 is the completed-job p95 latency watermark
-	// (default 0 = disabled).
-	DegradeQueueDepth int
-	DegradeP95        time.Duration
-	// SampleRate is the degraded-mode subsample rate in (0,1)
-	// (default 0.8 — pair-operation cost scales roughly with the rate
-	// squared, and 0.8 holds the 0.95 quality floor with margin; lower
-	// rates buy more throughput for more quality loss).
-	SampleRate float64
 	// StateDir, when non-empty, is the durable directory for job specs,
 	// inputs, staged checkpoints and streams — the substrate of
 	// drain/resume. Empty disables durability: drains cancel and fail
@@ -301,12 +277,6 @@ func (c *Config) setDefaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
 	}
-	if c.DegradeQueueDepth == 0 {
-		c.DegradeQueueDepth = 3 * c.QueueTotal / 4
-	}
-	if c.SampleRate <= 0 || c.SampleRate >= 1 {
-		c.SampleRate = 0.8
-	}
 	if c.StreamsPerTenant == 0 {
 		c.StreamsPerTenant = 4
 	}
@@ -336,7 +306,6 @@ type Server struct {
 	state     checkpoint.FS // the state directory's port; nil without a StateDir
 
 	global *breaker
-	lat    *latencyWindow
 
 	runCtx    context.Context // cancelled to abort in-flight jobs
 	runCancel context.CancelFunc
@@ -370,7 +339,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:    make(map[string]*Job),
 		streams: make(map[string]*streamState),
 		state:   state,
-		lat:     newLatencyWindow(64),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.global = newBreaker(cfg.GlobalBreakerThreshold, cfg.BreakerCooldown,
@@ -396,9 +364,7 @@ func (s *Server) Hub() *telemetry.Hub { return s.hub }
 // Submit validates the input (ErrInvalidInput: nothing is held, counted
 // or created for input that could never run), runs admission control and
 // either queues the job (returning its ID) or rejects it with one of the
-// typed errors. The degraded-mode
-// decision is taken here — "new jobs run degraded" once the overload
-// watermarks are crossed — and recorded on the job before it runs.
+// typed errors.
 func (s *Server) Submit(spec JobSpec) (string, error) {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
@@ -428,13 +394,6 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 		submitted: time.Now(),
 		hub:       telemetry.New(nil),
 	}
-	if !spec.NoDegrade && s.shouldDegradeLocked() {
-		job.degraded = true
-		job.sampleRate = s.cfg.SampleRate
-		s.hub.Counter("server_jobs_degraded_total", "tenant", job.tenant).Inc()
-		s.hub.Event(nil, "server.degraded", telemetry.String("tenant", job.tenant),
-			telemetry.String("job", job.id))
-	}
 	s.mu.Unlock()
 
 	// Journal outside the lock but before the job becomes visible to the
@@ -444,7 +403,6 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 	if err := s.jr.writeSpec(job.id, persistedSpec{
 		Tenant: job.tenant, Eps: spec.Eps, MinPts: spec.MinPts,
 		Leaves: spec.Leaves, DeadlineNS: int64(spec.Deadline),
-		NoDegrade: spec.NoDegrade, Degraded: job.degraded, SampleRate: job.sampleRate,
 	}, spec.Points); err != nil {
 		s.mu.Lock()
 		s.releaseTokensLocked(job)
@@ -639,7 +597,6 @@ func (s *Server) finish(job *Job, res *mrscan.Result, labels []int, runErr error
 		job.labels = labels
 		job.numClusters = res.NumClusters
 		s.releaseTokensLocked(job)
-		s.lat.add(job.finished.Sub(job.started))
 		s.hub.Counter("server_jobs_completed_total", "tenant", job.tenant).Inc()
 		s.hub.Histogram("server_job_latency_seconds", nil, "tenant", job.tenant).
 			Observe(job.finished.Sub(job.started).Seconds())
@@ -727,14 +684,12 @@ func (s *Server) recover() error {
 			spec: JobSpec{
 				Tenant: r.spec.Tenant, Points: r.points, Eps: r.spec.Eps,
 				MinPts: r.spec.MinPts, Leaves: r.spec.Leaves,
-				Deadline: time.Duration(r.spec.DeadlineNS), NoDegrade: r.spec.NoDegrade,
+				Deadline: time.Duration(r.spec.DeadlineNS),
 			},
-			state:      StateQueued,
-			degraded:   r.spec.Degraded,
-			sampleRate: r.spec.SampleRate,
-			resumed:    true,
-			submitted:  time.Now(),
-			hub:        telemetry.New(nil),
+			state:     StateQueued,
+			resumed:   true,
+			submitted: time.Now(),
+			hub:       telemetry.New(nil),
 		}
 		t := s.tenantLocked(job.tenant)
 		t.tokens += int64(len(job.spec.Points))
@@ -748,7 +703,7 @@ func (s *Server) recover() error {
 }
 
 // runJob executes one job end to end: provision a fresh simulated file
-// system, stage the (possibly subsampled) input, resume from staged
+// system, stage the input, resume from staged
 // checkpoints if the job was suspended, run the pipeline under the job
 // deadline, and land the result in exactly one terminal state.
 func (s *Server) runJob(job *Job) {
@@ -761,17 +716,12 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 
 	fs := lustre.New(lustre.Titan(), nil)
-	runPts := job.spec.Points
-	var sampled []int32
-	if job.degraded {
-		runPts, sampled = subsample(job.spec.Points, job.sampleRate, jobSeed(job.id))
-	}
-	if err := ptio.WriteDataset(fs.Create("input.mrsc"), runPts, false); err != nil {
+	if err := ptio.WriteDataset(fs.Create("input.mrsc"), job.spec.Points, false); err != nil {
 		s.finish(job, nil, nil, fmt.Errorf("server: staging input: %w", err))
 		return
 	}
 
-	cfg := mrscan.Default(job.spec.Eps, effectiveMinPts(job), job.spec.Leaves)
+	cfg := mrscan.Default(job.spec.Eps, job.spec.MinPts, job.spec.Leaves)
 	cfg.IncludeNoise = true
 	cfg.Retry = s.cfg.Retry
 	cfg.FaultPlan = job.spec.FaultPlan
@@ -799,14 +749,10 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 
-	labels, err := mrscan.LabelsByID(fs, res.OutputFile, runPts)
+	labels, err := mrscan.LabelsByID(fs, res.OutputFile, job.spec.Points)
 	if err != nil {
 		s.finish(job, res, nil, fmt.Errorf("server: reading output: %w", err))
 		return
-	}
-	if job.degraded {
-		labels = attachUnsampled(job.spec.Points, sampled, labels, job.spec.Eps,
-			effectiveMinPts(job), job.spec.MinPts)
 	}
 	s.finish(job, res, labels, nil)
 }

@@ -2,6 +2,8 @@ package server
 
 import (
 	"errors"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,9 +71,6 @@ func TestSubmitCompletes(t *testing.T) {
 	st := waitTerminal(t, s, id)
 	if st.State != StateCompleted {
 		t.Fatalf("state = %s (err %q), want completed", st.State, st.Err)
-	}
-	if st.Degraded {
-		t.Fatalf("unloaded server degraded a job")
 	}
 	labels, err := s.Result(id)
 	if err != nil {
@@ -201,10 +200,81 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 }
 
+// TestOverloadKeepsFullQuality: overload sheds load at the door and
+// never changes an admitted job's answer. One worker is held by a slow
+// job, after another has completed, while the queue fills to its bound
+// (past the three-quarter mark that used to switch admissions to a
+// subsampled run). Every job completes with all its labels at full
+// quality, and every result reply says so.
+func TestOverloadKeepsFullQuality(t *testing.T) {
+	s := mustServer(t, Config{Workers: 1, QueueTotal: 4})
+	pts := testPoints(4000, 11)
+	spec := testSpec("acme", pts)
+	warm, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, warm); st.State != StateCompleted {
+		t.Fatalf("warmup job state = %s (err %q)", st.State, st.Err)
+	}
+
+	slow := spec
+	slow.FaultPlan = faultinject.New(5).Arm(mrscan.PhaseSite(mrscan.PhasePartition),
+		faultinject.Rule{Times: 1, Delay: time.Second})
+	slowID, err := s.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if st, _ := s.Status(slowID); st.State == StateRunning {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ids := []string{warm, slowID}
+	for i := 0; i < 4; i++ {
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("queueing job %d behind the slow one: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := s.Submit(spec); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit past the queue bound: err = %v, want ErrQueueFull", err)
+	}
+
+	ref := referenceLabels(t, pts, spec)
+	h := s.Handler()
+	for _, id := range ids {
+		if st := waitTerminal(t, s, id); st.State != StateCompleted {
+			t.Fatalf("job %s state = %s (err %q)", id, st.State, st.Err)
+		}
+		got, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(pts) {
+			t.Fatalf("job %s returned %d labels for %d points", id, len(got), len(pts))
+		}
+		q, err := quality.Score(ref, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q < 0.995 {
+			t.Fatalf("job %s quality %.4f under overload, want >= 0.995", id, q)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/jobs/"+id+"/result", nil))
+		if !strings.Contains(rec.Body.String(), `"degraded":false,"sample_rate":0,`) {
+			t.Fatalf("job %s result reply does not report full quality: %.120s", id, rec.Body)
+		}
+	}
+}
+
 func TestRoundRobinFairness(t *testing.T) {
 	// One worker and three tenants each queueing several jobs: every
 	// tenant's work completes — a burst from one cannot starve another.
-	s, err := New(Config{Workers: 1, QueuePerTenant: 8, QueueTotal: 32, DegradeQueueDepth: -1})
+	s, err := New(Config{Workers: 1, QueuePerTenant: 8, QueueTotal: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
