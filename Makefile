@@ -139,12 +139,12 @@ bench:
 	$(GO) run ./cmd/benchjson -o BENCH_run.json BENCH_run.txt
 
 # Regression gate: compare the latest BENCH_run.json against the
-# committed baseline of current performance (BENCH_32.json: BENCH_26.json
-# less the row of the deleted aggregated partition writer, nothing
-# re-captured; BENCH_26.json is BENCH_25.json with the bytes and
-# allocations of the rows the leaf neighbour lists touch re-captured —
-# EXPERIMENTS.md "Leaf neighbour lists" says which rows and how;
-# BENCH_26.json and earlier are history and gate nothing). Fails
+# committed baseline of current performance (BENCH_34.json: BENCH_32.json
+# with the bytes and allocations of the rows per-core cluster workers
+# move re-captured — EXPERIMENTS.md "Per-core cluster workers" says
+# which rows and how; BENCH_32.json is BENCH_26.json less the row of
+# the deleted aggregated partition writer; BENCH_32.json and earlier are
+# history and gate nothing). Fails
 # if any Cluster,
 # GPUDBSCAN, Classify (gdbscan pass one alone on one partition of each
 # batch shape), KD-tree Build, Partition (including the write stage
@@ -159,12 +159,14 @@ bench:
 # repeats to under 1% where ns/op moves by tens — grew more than 5%.
 BENCHGATE = ^Benchmark(Cluster|Classify|Partition|PartitionWrite|StreamTick|MakePlan|Split|Build|GPUDBSCAN|DistribRun|BuildSummaries|Combine|WireCodec|SubmitDecode|RunPoints|CheckpointOverhead)
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_32.json -match '$(BENCHGATE)' BENCH_run.json
+	$(GO) run ./cmd/benchjson -compare BENCH_34.json -match '$(BENCHGATE)' BENCH_run.json
 
 # Run exactly the gated benchmarks (what bench-compare needs in
-# BENCH_run.json, and how BENCH_32.json's rows were produced).
+# BENCH_run.json, and how BENCH_34.json's rows were produced). Cluster
+# workers follow GOMAXPROCS, so RunPoints' B/op does too: -cpu 2 makes a
+# runner of any core count read like the 2-core capture.
 bench-gated:
-	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
+	$(MAKE) bench BENCHPAT='$(BENCHGATE)' BENCHFLAGS='-benchtime=3x -cpu 2' BENCHPKGS='. ./internal/stream ./internal/server ./internal/partition ./internal/kdtree ./internal/gdbscan ./internal/distrib ./internal/merge'
 
 # Regenerate every evaluation artifact (measured + modeled rows).
 experiments:

@@ -11,25 +11,35 @@ import (
 // and it needs no clock: bytes allocated by one RunPoints, per input
 // point. Every file on the path (input, partition, output) and every
 // point slab is allocated once — DESIGN.md "Batch data path" has the hop
-// table — which is what the budgets below hold the pipeline to. They sit
-// about 10 % over what PR 22 measured (519 and 436 B/point); the revision
-// before it read 867 and 764, so a second copy of any file or slab
-// creeping back in fails here.
+// table — and host scratch is held per cluster worker, not per leaf,
+// which is what the budgets below hold the pipeline to. Workers follow
+// the core count, so the test runs at GOMAXPROCS 2. The budgets sit about
+// 10 % over the measured 395 and 341 B/point; with host scratch per leaf
+// the pipeline read 513 and 437, and with files and slabs copied twice
+// 867 and 764, so either creeping back in fails here. The 64-leaf row must stay within 1.1× of the 16-leaf one:
+// allocation may not grow with the leaf count.
 func TestRunPointsBytesPerPoint(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	sdss := dataset.SDSS(50_000, 1)
+	perPoint := map[string]uint64{}
 	for _, c := range []struct {
 		name   string
 		pts    []Point
 		cfg    Config
 		budget uint64 // bytes per input point
 	}{
-		{"sdss50k_16", dataset.SDSS(50_000, 1), Default(0.00015, 5, 16), 570},
-		{"twitter30k_8", dataset.Twitter(30_000, 1), Default(0.1, 40, 8), 480},
+		{"sdss50k_16", sdss, Default(0.00015, 5, 16), 435},
+		{"sdss50k_64", sdss, Default(0.00015, 5, 64), 0},
+		{"twitter30k_8", dataset.Twitter(30_000, 1), Default(0.1, 40, 8), 375},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perPoint := allocatedPerRun(t, c.pts, c.cfg) / uint64(len(c.pts))
-			t.Logf("%d bytes allocated per input point (budget %d)", perPoint, c.budget)
-			if perPoint > c.budget {
-				t.Errorf("RunPoints allocated %d bytes per input point, budget %d", perPoint, c.budget)
+			if c.budget == 0 {
+				c.budget = perPoint["sdss50k_16"] * 11 / 10
+			}
+			perPoint[c.name] = allocatedPerRun(t, c.pts, c.cfg) / uint64(len(c.pts))
+			t.Logf("%d bytes allocated per input point (budget %d)", perPoint[c.name], c.budget)
+			if perPoint[c.name] > c.budget {
+				t.Errorf("RunPoints allocated %d bytes per input point, budget %d", perPoint[c.name], c.budget)
 			}
 		})
 	}
@@ -56,8 +66,11 @@ func allocatedPerRun(t *testing.T, pts []Point, cfg Config) uint64 {
 
 // TestCheckpointOverheadBytes guards what durability costs on
 // BenchmarkCheckpointOverhead's shape (Twitter 50 k, 4 leaves) without a
-// clock: with every phase snapshotted, a run allocates at most 1.25× the
-// bytes of one without. Gob snapshots cost 1.63× here.
+// clock: with every phase snapshotted, a run allocates at most 100 bytes
+// per input point more than one without (it measures 87). The budget is
+// a difference, not a ratio to the run without snapshots, so making that
+// run cheaper does not shrink the allowance. Gob snapshots cost 1.63× a
+// run without them.
 func TestCheckpointOverheadBytes(t *testing.T) {
 	pts := dataset.Twitter(4*12_500, 1)
 	var allocated [2]uint64
@@ -66,9 +79,9 @@ func TestCheckpointOverheadBytes(t *testing.T) {
 		cfg.Checkpoint = ckpt
 		allocated[i] = allocatedPerRun(t, pts, cfg)
 	}
-	ratio := float64(allocated[1]) / float64(allocated[0])
-	t.Logf("checkpoint on: %.1f MB per run, off: %.1f MB (%.2f×)", float64(allocated[1])/1e6, float64(allocated[0])/1e6, ratio)
-	if ratio > 1.25 {
-		t.Errorf("checkpointing allocates %.2f× the bytes of a run without it, budget 1.25×", ratio)
+	overhead := (int64(allocated[1]) - int64(allocated[0])) / int64(len(pts))
+	t.Logf("checkpoint on: %.1f MB per run, off: %.1f MB (+%d bytes per input point)", float64(allocated[1])/1e6, float64(allocated[0])/1e6, overhead)
+	if overhead > 100 {
+		t.Errorf("checkpointing allocates %d bytes per input point more than a run without it, budget 100", overhead)
 	}
 }

@@ -173,19 +173,22 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 }
 
 // workerScratch is the state a worker process reuses across the
-// partitions it serves: its simulated device (with buffer pool) and the
-// gdbscan host workspace.
+// partitions it serves: its simulated device (with buffer pool), the
+// gdbscan host workspace, the summary sort buffers and the owned + shadow
+// slab. Nothing in a reply points into the slab: the labels are
+// gdbscan's own and the summaries copy their points.
 type workerScratch struct {
-	dev *gpusim.Device
-	ws  gdbscan.Workspace
+	dev  *gpusim.Device
+	ws   gdbscan.Workspace
+	sum  merge.Scratch
+	slab []geom.Point
 }
 
 // serve executes one partition, exactly like a cluster-phase leaf.
 func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
 	resp := &WorkResponse{Leaf: req.Leaf}
-	combined := make([]geom.Point, 0, len(req.Owned)+len(req.Shadow))
-	combined = append(combined, req.Owned...)
-	combined = append(combined, req.Shadow...)
+	combined := append(append(scratch.slab[:0], req.Owned...), req.Shadow...)
+	scratch.slab = combined
 	if scratch.dev == nil {
 		scratch.dev = gpusim.New(gpusim.K20(), nil)
 	}
@@ -201,7 +204,7 @@ func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
 	}
 	resp.ClusterNS = time.Since(begin).Nanoseconds()
 	begin = time.Now()
-	sums, err := merge.BuildSummaries(grid.New(req.Eps), req.Leaf, combined, len(req.Owned), res.Labels, res.Core, res.NumClusters)
+	sums, err := scratch.sum.BuildSummaries(grid.New(req.Eps), req.Leaf, combined, len(req.Owned), res.Labels, res.Core, res.NumClusters)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp

@@ -21,15 +21,17 @@ func benchSummaries(b *testing.B, n, nParts int) [][]*Summary {
 
 // BenchmarkBuildSummaries summarizes all 16 leaves of the two shapes the
 // end-to-end benchmark runs: sparse SDSS (thousands of small clusters a
-// leaf) and dense Twitter (a few large ones).
+// leaf) and dense Twitter (a few large ones), through one Scratch per op
+// as one cluster worker of a run would.
 func BenchmarkBuildSummaries(b *testing.B) {
 	for _, tc := range dataCases()[1:] {
 		gg, leaves := leafInputs(b, tc.pts, tc.params, tc.leaves)
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				var scratch Scratch
 				for leaf, in := range leaves {
-					if _, err := BuildSummaries(gg, leaf, in.pts, in.owned, in.labels, in.core, in.n); err != nil {
+					if _, err := scratch.BuildSummaries(gg, leaf, in.pts, in.owned, in.labels, in.core, in.n); err != nil {
 						b.Fatal(err)
 					}
 				}

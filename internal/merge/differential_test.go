@@ -102,10 +102,13 @@ func leafInputs(tb testing.TB, pts []geom.Point, params dbscan.Params, nParts in
 }
 
 // buildBoth summarizes every leaf with the flat code and with the oracle.
+// The flat builds share one Scratch, as a cluster worker's leaves do, and
+// every leaf's summaries are compared after the last build.
 func buildBoth(tb testing.TB, gg grid.Grid, leaves []leafInput) (flat [][]*Summary, ref [][]*refSummary) {
 	tb.Helper()
+	var scratch Scratch
 	for leaf, in := range leaves {
-		f, err := BuildSummaries(gg, leaf, in.pts, in.owned, in.labels, in.core, in.n)
+		f, err := scratch.BuildSummaries(gg, leaf, in.pts, in.owned, in.labels, in.core, in.n)
 		if err != nil {
 			tb.Fatal(err)
 		}

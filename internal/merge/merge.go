@@ -91,9 +91,10 @@ func sortByKey(refs, tmp []ref) (sorted, spare []ref) {
 	return refs, tmp
 }
 
-// sortByA stably sorts refs by a ∈ [0, n) into tmp: one counting pass.
-func sortByA(refs, tmp []ref, n int) []ref {
-	next := make([]int32, n+1)
+// sortByA stably sorts refs by a ∈ [0, len(next)-1) into tmp: one
+// counting pass over next, which must arrive zeroed.
+func sortByA(refs, tmp []ref, next []int32) []ref {
+	n := len(next) - 1
 	for _, r := range refs {
 		next[r.a+1]++
 	}
@@ -192,11 +193,26 @@ func withoutIDs(run, drop []geom.Point) []geom.Point {
 	return run[:k]
 }
 
+// Scratch holds BuildSummaries' sort buffers — the 2·n (label, cell)
+// refs and the per-label counts — so a caller that summarises leaf after
+// leaf allocates them once. Nothing a build returns points into it. The
+// zero value is ready; a Scratch serves one goroutine at a time.
+type Scratch struct {
+	refs []ref
+	next []int32
+}
+
+// BuildSummaries converts one leaf's clustering result into summaries,
+// with sort buffers of its own.
+func BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, labels []int32, core []bool, numClusters int) ([]*Summary, error) {
+	return new(Scratch).BuildSummaries(g, leaf, pts, ownedCount, labels, core, numClusters)
+}
+
 // BuildSummaries converts one leaf's clustering result into summaries.
 // pts are the leaf's points — the partition's owned points first, then
 // the shadow points: ownedCount says how many are owned. labels and core
 // are gdbscan's output over pts; numClusters is its cluster count.
-func BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, labels []int32, core []bool, numClusters int) ([]*Summary, error) {
+func (s *Scratch) BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, labels []int32, core []bool, numClusters int) ([]*Summary, error) {
 	if len(pts) != len(labels) || len(pts) != len(core) {
 		return nil, fmt.Errorf("merge: %d points with %d labels / %d core flags", len(pts), len(labels), len(core))
 	}
@@ -204,7 +220,8 @@ func BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, lab
 		return nil, fmt.Errorf("merge: ownedCount %d out of range", ownedCount)
 	}
 	// One sort by (label, cell) over the clustered points; noise is left out.
-	buf := make([]ref, 2*len(pts))
+	s.refs = slices.Grow(s.refs[:0], 2*len(pts))
+	buf := s.refs[:2*len(pts)]
 	refs := buf[:0:len(pts)]
 	for i, p := range pts {
 		l := labels[i]
@@ -217,7 +234,8 @@ func BuildSummaries(g grid.Grid, leaf int, pts []geom.Point, ownedCount int, lab
 		refs = append(refs, ref{g.CellOf(p).Key(), l, int32(i)})
 	}
 	sorted, spare := sortByKey(refs, buf[len(pts):][:len(refs)])
-	refs = sortByA(sorted, spare, numClusters)
+	s.next = append(s.next[:0], make([]int32, numClusters+1)...)
+	refs = sortByA(sorted, spare, s.next)
 	// Size the arrays exactly: a cell keeps its non-core points and at most
 	// MaxReps of its core ones.
 	var nSums, nCells, nPoints, cores int
@@ -337,7 +355,7 @@ func Combine(g grid.Grid, eps float64, groups [][]*Summary) []*Summary {
 	for si := range all {
 		sets[si] = ref{a: int32(uf.Find(si)), b: int32(si)}
 	}
-	sets = sortByA(sets[:len(all)], sets[len(all):], len(all))
+	sets = sortByA(sets[:len(all)], sets[len(all):], make([]int32, len(all)+1))
 	out := make([]*Summary, 0, uf.Count())
 	b := builder{g: g}
 	for i, j := 0, 0; i < len(sets); i = j {

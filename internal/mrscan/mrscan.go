@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -88,24 +89,13 @@ type Config struct {
 	Costs mrnet.CostModel
 
 	// SequentialLeaves executes the cluster phase one leaf at a time
-	// instead of concurrently. On hosts with fewer cores than leaves,
-	// concurrent leaves contend for CPU and the slowest-leaf GPU time
+	// instead of on min(GOMAXPROCS, Leaves) host workers. Every leaf
+	// runs on its own simulated device either way; with several leaves
+	// in flight they contend for CPU and the slowest-leaf GPU time
 	// (Figure 9c/10's quantity) gets inflated by scheduling noise;
 	// sequential execution measures each simulated node in isolation,
 	// as on Titan where every leaf owned a physical GPU.
 	SequentialLeaves bool
-
-	// ClusterWorkers bounds the number of leaves in flight during the
-	// cluster phase. Leaves are scheduled onto the worker pool largest
-	// partition first with work stealing: "the time of the cluster phase
-	// is dictated by the slowest node" (§5), so the biggest partition
-	// must never be the one still waiting when the pool drains. Each
-	// worker owns one simulated device and one gdbscan workspace for all
-	// the leaves it runs, so device buffer pools and host scratch
-	// amortize across its share of the phase. 0 (the default) gives
-	// every leaf its own worker — the paper's one-GPGPU-node-per-leaf
-	// hardware shape. Ignored when SequentialLeaves is set.
-	ClusterWorkers int
 
 	// DirectPartitions implements the paper's stated future work (§6):
 	// partition contents travel over the network directly to the
@@ -794,62 +784,46 @@ func (r *run) adoptPartition() error {
 
 func (r *run) cluster(p *phase) error {
 	cfg := &r.cfg
-	if cfg.SequentialLeaves {
-		// One leaf at a time on its own device: each simulated node
-		// measured in isolation (the host workspace is shared — it never
-		// touches simulated time).
-		leaves := make([]leafState, cfg.Leaves)
-		var ws gdbscan.Workspace
-		for leaf := range leaves {
-			if err := r.ctx.Err(); err != nil {
-				return err
-			}
-			var err error
-			if leaves[leaf], err = r.clusterLeaf(p.sp, r.newDevice(leaf), &ws, leaf); err != nil {
-				return err
-			}
-		}
-		r.clustered.Leaves = leaves
-		return nil
-	}
-	workers := cfg.ClusterWorkers
-	if workers <= 0 || workers > cfg.Leaves {
-		workers = cfg.Leaves
+	workers := 1
+	if !cfg.SequentialLeaves {
+		workers = min(runtime.GOMAXPROCS(0), cfg.Leaves)
 	}
 	sizes := make([]int64, cfg.Leaves)
 	for j := range sizes {
 		sizes[j] = r.parts.size(j)
 	}
-	type workerState struct {
-		dev *gpusim.Device
-		ws  gdbscan.Workspace
-	}
-	wstates := make([]workerState, workers)
-	for w := range wstates {
-		wstates[w].dev = r.newDevice(w)
-	}
+	// Host scratch per worker, a simulated device per leaf: scratch never
+	// touches simulated time, so sharing it leaves each leaf's GPGPU node
+	// as the paper has it.
+	scratch := make([]leafScratch, workers)
 	leaves, err := runLeaves(r.ctx, cfg.Leaves, workers, sizes,
 		func(w, leaf int) (leafState, error) {
-			return r.clusterLeaf(p.sp, wstates[w].dev, &wstates[w].ws, leaf)
+			return r.clusterLeaf(p.sp, &scratch[w], leaf)
 		})
 	r.clustered.Leaves = leaves
 	return err
 }
 
-func (r *run) newDevice(id int) *gpusim.Device {
+// leafScratch is the host memory one cluster worker reuses for every
+// leaf it runs: the gdbscan workspace and the summary sort buffers.
+type leafScratch struct {
+	ws  gdbscan.Workspace
+	sum merge.Scratch
+}
+
+func (r *run) newDevice(leaf int) *gpusim.Device {
 	gpuCfg := r.cfg.GPU
-	gpuCfg.Name = fmt.Sprintf("gpu%04d", id)
+	gpuCfg.Name = fmt.Sprintf("gpu%04d", leaf)
 	dev := gpusim.New(gpuCfg, r.fs.Clock())
 	dev.SetFaultPlan(r.cfg.FaultPlan)
 	dev.SetTelemetry(r.hub)
 	return dev
 }
 
-// clusterLeaf runs one leaf's GPGPU DBSCAN + summary build on a
-// caller-provided device and workspace; the scheduler reuses both across
-// all leaves a worker processes, so device buffers (pool) and host
-// scratch amortize over the worker's whole share.
-func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdbscan.Workspace, leaf int) (leafState, error) {
+// clusterLeaf runs one leaf's GPGPU DBSCAN + summary build on a device of
+// the leaf's own, with host scratch its worker reuses across all the
+// leaves it runs.
+func (r *run) clusterLeaf(phaseSpan *telemetry.Span, scratch *leafScratch, leaf int) (leafState, error) {
 	cfg := &r.cfg
 	leafSpan := r.hub.Start(phaseSpan, "leaf", telemetry.Int("leaf", leaf))
 	defer leafSpan.End()
@@ -857,6 +831,7 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdb
 	if err != nil {
 		return leafState{}, err
 	}
+	dev := r.newDevice(leaf)
 	dev.SetTraceParent(leafSpan)
 	gpuStart := time.Now()
 	res, err := gdbscan.Cluster(dev, slab, gdbscan.Options{
@@ -866,13 +841,13 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, dev *gpusim.Device, ws *gdb
 		Blocks:          cfg.Blocks,
 		ThreadsPerBlock: cfg.ThreadsPerBlock,
 		LeafSize:        cfg.LeafSize,
-		Workspace:       ws,
+		Workspace:       &scratch.ws,
 	})
 	if err != nil {
 		return leafState{}, err
 	}
 	gpuTime := time.Since(gpuStart)
-	sums, err := merge.BuildSummaries(r.grid, leaf, slab, owned, res.Labels, res.Core, res.NumClusters)
+	sums, err := scratch.sum.BuildSummaries(r.grid, leaf, slab, owned, res.Labels, res.Core, res.NumClusters)
 	if err != nil {
 		return leafState{}, err
 	}

@@ -2,6 +2,7 @@ package mrscan
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"errors"
@@ -356,6 +357,8 @@ func TestDirectPartitionsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSequentialLeavesEquivalent: one worker running every leaf gives
+// the labels, byte for byte, that the per-core workers give.
 func TestSequentialLeavesEquivalent(t *testing.T) {
 	pts := dataset.Twitter(8000, 14)
 	cfg := Default(0.1, 40, 4)
@@ -364,12 +367,19 @@ func TestSequentialLeavesEquivalent(t *testing.T) {
 	if score < 0.995 {
 		t.Errorf("quality with sequential leaves = %.4f, want >= 0.995", score)
 	}
-	par, _, err := RunPoints(pts, Default(0.1, 40, 4))
+	_, seq, err := RunPoints(pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, parLabels, err := RunPoints(pts, Default(0.1, 40, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumClusters != par.NumClusters {
 		t.Errorf("sequential found %d clusters, parallel %d", res.NumClusters, par.NumClusters)
+	}
+	if !slices.Equal(seq, parLabels) {
+		t.Error("sequential and parallel leaves labelled the points differently")
 	}
 }
 

@@ -12,20 +12,18 @@ import (
 // "The time of the cluster phase is dictated by the slowest node" (§5):
 // the phase ends when its largest partition finishes, so the largest
 // partition must start first. A naive fan-out (one goroutine per leaf)
-// gets the ordering right only by luck and gives every
-// leaf its own simulated device — the wrong shape when leaves share a
-// bounded pool of GPGPU nodes. This scheduler runs leaves on a fixed
-// worker pool: leaves are sorted largest-first and dealt round-robin
-// into per-worker deques; a worker drains its own deque from the front
-// and, when empty, steals from the back of the most-loaded victim (the
-// victim's back holds its smallest remaining leaves, so steals poach
-// cheap work and leave the owner its expensive head-of-queue items).
+// gets the ordering right only by luck and holds host scratch for every
+// leaf at once, though only as many leaves as there are cores can run.
+// This scheduler runs leaves on a fixed worker pool: leaves are sorted
+// largest-first and dealt round-robin into per-worker deques; a worker
+// drains its own deque from the front and, when empty, steals from the
+// back of the most-loaded victim (the victim's back holds its smallest
+// remaining leaves, so steals poach cheap work and leave the owner its
+// expensive head-of-queue items).
 //
-// The worker index is exposed to the leaf function so per-worker state
-// (a simulated device and a gdbscan.Workspace) can be reused across all
-// leaves a worker processes — the device's buffer pool and the
-// workspace's arrays then amortize across the worker's whole share of
-// the phase.
+// The worker index is exposed to the leaf function so per-worker host
+// scratch (a gdbscan.Workspace and a merge.Scratch) can be reused across
+// all leaves a worker processes.
 
 // schedQueue is one worker's deque of leaf indices.
 type schedQueue struct {

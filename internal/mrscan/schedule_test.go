@@ -3,9 +3,7 @@ package mrscan
 import (
 	"context"
 	"errors"
-
 	"fmt"
-	"repro/internal/dataset"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -151,26 +149,5 @@ func TestScheduledDegenerateShapes(t *testing.T) {
 	if _, err := runLeaves(context.Background(), 3, 2, []int64{1},
 		func(w, leaf int) (int, error) { return 0, nil }); err == nil {
 		t.Error("mismatched sizes accepted")
-	}
-}
-
-// TestClusterWorkersBoundedMatchesUnbounded runs the full pipeline with
-// a worker pool smaller than the leaf count — devices and workspaces
-// shared across leaves, largest-first scheduling, stealing — and checks
-// the clustering is exactly as good as the default one-worker-per-leaf
-// shape.
-func TestClusterWorkersBoundedMatchesUnbounded(t *testing.T) {
-	pts := dataset.Twitter(12000, 7)
-	base := Default(0.1, 40, 6)
-	_, resA, _ := runAndScore(t, pts, base)
-
-	bounded := base
-	bounded.ClusterWorkers = 2
-	score, resB, _ := runAndScore(t, pts, bounded)
-	if score < 0.995 {
-		t.Errorf("bounded workers: quality = %.4f, want >= 0.995", score)
-	}
-	if resB.NumClusters != resA.NumClusters {
-		t.Errorf("bounded workers found %d clusters, unbounded %d", resB.NumClusters, resA.NumClusters)
 	}
 }

@@ -99,17 +99,30 @@ func TestLabelsIndependentOfTreeShape(t *testing.T) {
 // each shape at each GOMAXPROCS, 2 400 runs — hashed identically at
 // 9f6e11b, which places the 1-in-300 relabelling seen on the serve_jobs
 // workload (ROADMAP item 1) in what the server does around a run, not in
-// the pipeline; this is that loop at 5 repeats, 40 runs.
+// the pipeline; this is that loop at 5 repeats. Cluster workers follow
+// GOMAXPROCS, so the SDSS row has far fewer workers than its 16 leaves
+// (one workspace serves up to all 16), and the SequentialLeaves row runs
+// every leaf on one worker at every GOMAXPROCS.
 func TestRunPointsRepeatable(t *testing.T) {
 	const repeats = 5
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, n := range []int{4_000, 30_000} {
-		pts, cfg := dataset.Twitter(n, 1), Default(0.1, 40, 4)
+	sequential := Default(0.1, 40, 8)
+	sequential.SequentialLeaves = true
+	for _, c := range []struct {
+		name string
+		pts  []Point
+		cfg  Config
+	}{
+		{"twitter4k_4", dataset.Twitter(4_000, 1), Default(0.1, 40, 4)},
+		{"twitter30k_4", dataset.Twitter(30_000, 1), Default(0.1, 40, 4)},
+		{"sdss50k_16", dataset.SDSS(50_000, 1), Default(0.00015, 5, 16)},
+		{"twitter30k_8_sequential", dataset.Twitter(30_000, 1), sequential},
+	} {
 		var want uint64
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			for r := 0; r < repeats; r++ {
-				res, labels, err := RunPoints(pts, cfg)
+				res, labels, err := RunPoints(c.pts, c.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,8 +131,8 @@ func TestRunPointsRepeatable(t *testing.T) {
 					want = got
 				}
 				if got != want {
-					t.Fatalf("twitter %d / 4, GOMAXPROCS %d, repeat %d: labels %#x, first run %#x",
-						n, procs, r, got, want)
+					t.Fatalf("%s, GOMAXPROCS %d, repeat %d: labels %#x, first run %#x",
+						c.name, procs, r, got, want)
 				}
 			}
 		}
