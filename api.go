@@ -136,8 +136,7 @@ func DBSCAN(pts []Point, eps float64, minPts int) ([]int, error) {
 type Stream = stream.Engine
 
 // StreamConfig parameterizes a Stream: Eps/MinPts as in DBSCAN, the
-// window length in ticks, optional subsampled ε-queries for over-dense
-// cells, and an optional periodic full re-anchor.
+// window length in ticks, and a metrics name and telemetry hub.
 type StreamConfig = stream.Config
 
 // StreamTickStats summarizes the incremental work one Tick performed.

@@ -18,8 +18,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
@@ -27,37 +29,50 @@ import (
 	"repro/internal/ptio"
 )
 
-func main() {
-	var (
-		dist   = flag.String("dist", "twitter", "distribution: twitter | sdss | uniform | blobs")
-		n      = flag.Int("n", 100_000, "number of points")
-		seed   = flag.Int64("seed", 1, "random seed")
-		out    = flag.String("o", "points.mrsc", "output file")
-		format = flag.String("format", "bin", "output format: bin | text")
-		blobs  = flag.Int("blobs", 10, "blob count (blobs distribution)")
-		sigma  = flag.Float64("sigma", 0.2, "blob spread (blobs distribution)")
-		weight = flag.Bool("weight", false, "include the per-point weight field")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		firehose = flag.Bool("firehose", false, "generate a timestamped firehose stream instead of a static dataset")
-		ticks    = flag.Int("ticks", 60, "firehose: number of ticks")
-		perTick  = flag.Int("per-tick", 1000, "firehose: points per tick")
+// run is the command behind main: it parses args, writes the file and
+// returns the exit status — 2 for a bad command line, 1 for a failed
+// write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("genpoints", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dist   = fs.String("dist", "twitter", "distribution: twitter | sdss | uniform | blobs")
+		n      = fs.Int("n", 100_000, "number of points")
+		seed   = fs.Int64("seed", 1, "random seed")
+		out    = fs.String("o", "points.mrsc", "output file")
+		format = fs.String("format", "bin", "output format: bin | text")
+		blobs  = fs.Int("blobs", 10, "blob count (blobs distribution)")
+		sigma  = fs.Float64("sigma", 0.2, "blob spread (blobs distribution)")
+		weight = fs.Bool("weight", false, "include the per-point weight field")
+
+		firehose = fs.Bool("firehose", false, "generate a timestamped firehose stream instead of a static dataset")
+		ticks    = fs.Int("ticks", 60, "firehose: number of ticks")
+		perTick  = fs.Int("per-tick", 1000, "firehose: points per tick")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	var err error
 	if *firehose {
-		err = runFirehose(*ticks, *perTick, *seed, *out)
+		err = writeFirehose(stdout, *ticks, *perTick, *seed, *out)
 	} else {
-		err = run(*dist, *n, *seed, *out, *format, *blobs, *sigma, *weight)
+		err = writeStatic(stdout, *dist, *n, *seed, *out, *format, *blobs, *sigma, *weight)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "genpoints:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "genpoints:", err)
+		return 1
 	}
+	return 0
 }
 
-// runFirehose writes one "tick id x y" text line per point, tick-major,
+// writeFirehose writes one "tick id x y" text line per point, tick-major,
 // so the file replays in arrival order.
-func runFirehose(ticks, perTick int, seed int64, out string) error {
+func writeFirehose(stdout io.Writer, ticks, perTick int, seed int64, out string) error {
 	if ticks <= 0 || perTick <= 0 {
 		return fmt.Errorf("firehose needs positive -ticks and -per-tick, got %d and %d", ticks, perTick)
 	}
@@ -76,11 +91,13 @@ func runFirehose(ticks, perTick int, seed int64, out string) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d firehose points (%d ticks x %d) to %s\n", ticks*perTick, ticks, perTick, out)
+	fmt.Fprintf(stdout, "wrote %d firehose points (%d ticks x %d) to %s\n", ticks*perTick, ticks, perTick, out)
 	return f.Close()
 }
 
-func run(dist string, n int, seed int64, out, format string, blobs int, sigma float64, weight bool) error {
+// writeStatic writes n points of one distribution as an MRSC binary or
+// text point file.
+func writeStatic(stdout io.Writer, dist string, n int, seed int64, out, format string, blobs int, sigma float64, weight bool) error {
 	var pts []geom.Point
 	world := geom.Rect{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}
 	switch dist {
@@ -111,6 +128,6 @@ func run(dist string, n int, seed int64, out, format string, blobs int, sigma fl
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d %s points to %s (%s)\n", n, dist, out, format)
+	fmt.Fprintf(stdout, "wrote %d %s points to %s (%s)\n", n, dist, out, format)
 	return f.Close()
 }

@@ -287,15 +287,11 @@ func writeLabelArray(bw *bufio.Writer, labels []int) {
 
 // createStreamRequest is the POST /api/v1/streams body.
 type createStreamRequest struct {
-	Tenant             string  `json:"tenant"`
-	Name               string  `json:"name,omitempty"`
-	Eps                float64 `json:"eps"`
-	MinPts             int     `json:"min_pts"`
-	WindowTicks        int     `json:"window_ticks"`
-	SubsampleThreshold int     `json:"subsample_threshold,omitempty"`
-	SubsampleRate      float64 `json:"subsample_rate,omitempty"`
-	ReanchorEvery      int     `json:"reanchor_every,omitempty"`
-	Seed               int64   `json:"seed,omitempty"`
+	Tenant      string  `json:"tenant"`
+	Name        string  `json:"name,omitempty"`
+	Eps         float64 `json:"eps"`
+	MinPts      int     `json:"min_pts"`
+	WindowTicks int     `json:"window_ticks"`
 }
 
 // tickStatsJSON is the POST .../points response: what the tick did.
@@ -306,7 +302,6 @@ type tickStatsJSON struct {
 	DirtyCells   int     `json:"dirty_cells"`
 	WindowPoints int     `json:"window_points"`
 	NumClusters  int     `json:"num_clusters"`
-	Reanchored   bool    `json:"reanchored"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
 }
 
@@ -318,9 +313,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.CreateStream(StreamSpec{
 		Tenant: req.Tenant, Name: req.Name, Eps: req.Eps, MinPts: req.MinPts,
-		WindowTicks: req.WindowTicks, SubsampleThreshold: req.SubsampleThreshold,
-		SubsampleRate: req.SubsampleRate, ReanchorEvery: req.ReanchorEvery,
-		Seed: req.Seed,
+		WindowTicks: req.WindowTicks,
 	})
 	if err != nil {
 		refuse(w, err)
@@ -365,8 +358,8 @@ func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tickStatsJSON{
 		Tick: stats.Tick, Arrivals: stats.Arrivals, Expired: stats.Expired,
 		DirtyCells: stats.DirtyCells, WindowPoints: stats.WindowPoints,
-		NumClusters: stats.Clusters, Reanchored: stats.Reanchored,
-		ElapsedMS: float64(stats.Elapsed.Microseconds()) / 1000,
+		NumClusters: stats.Clusters,
+		ElapsedMS:   float64(stats.Elapsed.Microseconds()) / 1000,
 	})
 }
 

@@ -27,9 +27,12 @@ func (g goldenRecord) MarshalBinary() ([]byte, error) {
 
 // onDiskGolden is every file the script in TestOnDiskBytesUnchanged
 // leaves, with its SHA-256, as the writers produced them before they
-// shared one storage port (commit fb856f6). The one exception is
-// job-000002's spec.json: its optional key was no_degrade until degraded
-// mode was removed, and is deadline_ns since.
+// shared one storage port (commit fb856f6). Two exceptions: job-000002's
+// spec.json, whose optional key was no_degrade until degraded mode was
+// removed and is deadline_ns since; and the stream's spec, saved as
+// StreamSpec without the subsampling and re-anchor fields since those
+// were removed, together with its MANIFEST, whose spec entry records the
+// spec payload's CRC (the tick entries are unchanged).
 var onDiskGolden = map[string]string{
 	"journal/jobs/job-000001/input.mrsc":               "f142a663e54d2f809d03f10a2e43ab0caf3fef89c00de5a6db376d6a52f64d6c",
 	"journal/jobs/job-000001/spec.json":                "42129456f8ba2970c1feddbabddec6e7763297bfe4885c2998615a0f13b69a03",
@@ -38,8 +41,8 @@ var onDiskGolden = map[string]string{
 	"journal/jobs/job-000002/input.mrsc":               "69f37b9bb04b4e16367e092f200c4bf6beee6d47d57015583ab2c2639eb87211",
 	"journal/jobs/job-000002/spec.json":                "9a6fe5c3954f144abfe50528098eee323b7ce82b9bb8faafc4666cb11892afe1",
 	"journal/journal.log":                              "b3d6dff0c2a370531262d8565c4a02a909490fa381cc3aa9d2a012d8ffb54208",
-	"server/streams/stream-000001/MANIFEST.ckpt":       "5de62844142a70545c5416d3c1bcad612aa23929fb0941965951c68bbff4ecf4",
-	"server/streams/stream-000001/ckpt-spec.ckpt":      "eb9f93b006e44398c08d375bcfc8cd4d5f23b07eee7cb907706540ac0ee23c2e",
+	"server/streams/stream-000001/MANIFEST.ckpt":       "942f0e08c1596a95c1cddd2ca5aba45209dfbc34fcb7fbfde433b4d9809bb11f",
+	"server/streams/stream-000001/ckpt-spec.ckpt":      "fc8873f30e481d23ba8fe4165ad458c40fb425323875eb3e287382ed1da57b26",
 	"server/streams/stream-000001/ckpt-tick-4.ckpt":    "098815210a0ca3ddd6fe96292167d5d53a6e8e6ae06d7a4318cfe30ba743f1b4",
 	"server/streams/stream-000001/ckpt-tick-5.ckpt":    "94f777a091970aaa424ac27af0ea7909ea92327994c9ab9e7b301b3c5204edc1",
 	"store/MANIFEST.ckpt":                              "6e08a1a01fe9d566758480e0f207269f8a942e67f7323432f39b8e27cf67b9b3",

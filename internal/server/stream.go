@@ -59,7 +59,9 @@ var (
 	ErrStreamLimit = errors.New("server: stream limit reached")
 )
 
-// StreamSpec describes one stream creation.
+// StreamSpec describes one stream creation. It is saved, gob-encoded,
+// as the "spec" phase of the stream's store; gob matches fields by name,
+// so a spec that still carries fields since removed loads all the same.
 type StreamSpec struct {
 	// Tenant is the owning principal (empty means "default").
 	Tenant string
@@ -69,14 +71,6 @@ type StreamSpec struct {
 	Eps         float64
 	MinPts      int
 	WindowTicks int
-	// SubsampleThreshold/SubsampleRate enable approximate ε-queries for
-	// over-dense cells (0 threshold = exact).
-	SubsampleThreshold int
-	SubsampleRate      float64
-	// ReanchorEvery forces a periodic full recompute (0 disables).
-	ReanchorEvery int
-	// Seed feeds the subsampling hash.
-	Seed int64
 }
 
 // StreamStatus is a point-in-time snapshot of one stream.
@@ -147,21 +141,11 @@ func (st *streamState) persist() error {
 	return nil
 }
 
-// persistedStreamSpec is the gob image of a stream's configuration,
-// saved as the "spec" phase of its checkpoint store. gob writes the type's
-// name and fields, so it keeps its own name while it shares StreamSpec's
-// fields.
-type persistedStreamSpec StreamSpec
-
-func fromSpec(sp StreamSpec) persistedStreamSpec { return persistedStreamSpec(sp) }
-
 // engineConfig maps a StreamSpec onto the engine's Config. The engine
 // reports metrics on the server hub labeled by stream ID.
 func (s *Server) engineConfig(id string, sp StreamSpec) stream.Config {
 	return stream.Config{
 		Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks,
-		SubsampleThreshold: sp.SubsampleThreshold, SubsampleRate: sp.SubsampleRate,
-		ReanchorEvery: sp.ReanchorEvery, Seed: sp.Seed,
 		Name: id, Telemetry: s.hub,
 	}
 }
@@ -179,8 +163,6 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 	}
 	if _, err := stream.New(stream.Config{
 		Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks,
-		SubsampleThreshold: sp.SubsampleThreshold, SubsampleRate: sp.SubsampleRate,
-		ReanchorEvery: sp.ReanchorEvery,
 	}); err != nil {
 		return "", err
 	}
@@ -222,7 +204,7 @@ func (s *Server) CreateStream(sp StreamSpec) (string, error) {
 
 	if s.state != nil {
 		store := s.openStreamStore(id)
-		if err := store.Save(specPhase, fromSpec(sp)); err != nil {
+		if err := store.Save(specPhase, sp); err != nil {
 			s.mu.Lock()
 			delete(s.streams, id)
 			s.hub.Gauge("server_streams_active", "tenant", sp.Tenant).Add(-1)
@@ -498,11 +480,10 @@ func (s *Server) recoverStreams() error {
 			continue
 		}
 		store := s.openStreamStore(id)
-		var psp persistedStreamSpec
-		if err := store.Load(specPhase, &psp); err != nil {
+		var sp StreamSpec
+		if err := store.Load(specPhase, &sp); err != nil {
 			return fmt.Errorf("server: recovering stream %s spec: %w", id, err)
 		}
-		sp := StreamSpec(psp)
 		st := &streamState{id: id, spec: sp, recovered: true, store: store}
 		ws, err := st.loadWindow()
 		if err != nil {

@@ -535,7 +535,7 @@ func TestStreamLegacyWindowUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := checkpoint.NewStore(legacyFS, id)
-	if err := legacy.Save("spec", fromSpec(sp)); err != nil {
+	if err := legacy.Save("spec", sp); err != nil {
 		t.Fatal(err)
 	}
 	if err := legacy.Save("window", ref.WindowState()); err != nil {
@@ -584,6 +584,91 @@ func TestStreamLegacyWindowUpgrade(t *testing.T) {
 	sameSnapshot(t, got, ref.Snapshot(), "ticking on after the upgrade")
 	if _, err := os.Stat(windowFile); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a tick wrote a whole-window snapshot again: %v", err)
+	}
+}
+
+// persistedStreamSpec is a stream spec as the server saved it while
+// streams could be subsampled and re-anchored: the same gob type name and
+// fields, so a spec saved from it is byte for byte what that server
+// wrote.
+type persistedStreamSpec struct {
+	Tenant             string
+	Name               string
+	Eps                float64
+	MinPts             int
+	WindowTicks        int
+	SubsampleThreshold int
+	SubsampleRate      float64
+	ReanchorEvery      int
+	Seed               int64
+}
+
+// TestRecoverParentSampledStream recovers a stream directory written
+// before subsampled ε-queries were removed: its spec turns sampling on
+// at every cell population (threshold 1, rate 0.3) and asks for a
+// re-anchor every two ticks. The fields are skipped by name, and the
+// recovered stream must serve exactly the labels of a fresh exact engine
+// fed the same ticks, then keep ticking exactly. On this input the
+// sampled engine's labels differ from the exact ones.
+func TestRecoverParentSampledStream(t *testing.T) {
+	sp := StreamSpec{Tenant: "acme", Name: "geo", Eps: 0.05, MinPts: 8, WindowTicks: 4}
+	batches := dataset.Firehose(9, 200, 29, dataset.DefaultFirehoseOptions())
+	const id = "stream-000003"
+	dir := t.TempDir()
+	fs, err := checkpoint.DirFS(filepath.Join(dir, streamDir(id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := checkpoint.NewStore(fs, id)
+	err = store.Save(specPhase, persistedStreamSpec{
+		Tenant: sp.Tenant, Name: sp.Name, Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks,
+		SubsampleThreshold: 1, SubsampleRate: 0.3, ReanchorEvery: 2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := refEngine(t, sp)
+	for i, b := range batches[:6] {
+		tick := i + 1
+		var retire []string
+		if old := tick - sp.WindowTicks; old >= 1 {
+			retire = append(retire, tickPhase(old))
+		}
+		if err := store.Rotate(tickSaveKind, tickPhase(tick), stream.TickArrivals{Tick: tick, Points: b}, retire...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Tick(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := New(Config{Workers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.StreamStatus(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Recovered || st.Tenant != sp.Tenant || st.Name != sp.Name || st.Eps != sp.Eps ||
+		st.MinPts != sp.MinPts || st.WindowTicks != sp.WindowTicks || st.Tick != 6 {
+		t.Fatalf("recovered status %+v does not match the spec %+v at tick 6", st, sp)
+	}
+	got, err := s.StreamSnapshot(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSnapshot(t, got, ref.Snapshot(), "recovered sampled stream")
+	for _, b := range batches[6:] {
+		if _, err := s.StreamTick(id, b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Tick(b); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.StreamSnapshot(id)
+		sameSnapshot(t, got, ref.Snapshot(), "ticking on after recovery")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,11 +19,7 @@ import (
 // parameters a server stream uses, for label comparison.
 func refEngine(t *testing.T, sp StreamSpec) *stream.Engine {
 	t.Helper()
-	eng, err := stream.New(stream.Config{
-		Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks,
-		SubsampleThreshold: sp.SubsampleThreshold, SubsampleRate: sp.SubsampleRate,
-		ReanchorEvery: sp.ReanchorEvery, Seed: sp.Seed,
-	})
+	eng, err := stream.New(stream.Config{Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +256,21 @@ func TestStreamRecovery(t *testing.T) {
 	}
 }
 
+// tickBody is the POST .../points body carrying batch.
+func tickBody(batch []geom.Point) string {
+	var sb strings.Builder
+	sb.WriteString(`{"points":[`)
+	for i, p := range batch {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		b, _ := json.Marshal(pointJSON{ID: p.ID, X: p.X, Y: p.Y})
+		sb.Write(b)
+	}
+	sb.WriteString(`]}`)
+	return sb.String()
+}
+
 func TestHTTPStreamEndpoints(t *testing.T) {
 	s, err := New(Config{Workers: 1, StateDir: t.TempDir()})
 	if err != nil {
@@ -281,17 +293,7 @@ func TestHTTPStreamEndpoints(t *testing.T) {
 	// Feed a few ticks and check the stats response.
 	batches := dataset.Firehose(4, 50, 7, dataset.DefaultFirehoseOptions())
 	for ti, batch := range batches {
-		var sb strings.Builder
-		sb.WriteString(`{"points":[`)
-		for i, p := range batch {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			b, _ := json.Marshal(pointJSON{ID: p.ID, X: p.X, Y: p.Y})
-			sb.Write(b)
-		}
-		sb.WriteString(`]}`)
-		resp, m = postJSON(t, ts, "/api/v1/streams/"+id+"/points", sb.String())
+		resp, m = postJSON(t, ts, "/api/v1/streams/"+id+"/points", tickBody(batch))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tick %d status = %d body %v", ti, resp.StatusCode, m)
 		}
@@ -354,5 +356,61 @@ func TestHTTPStreamEndpoints(t *testing.T) {
 	resp, m = getJSON(t, ts, "/api/v1/streams/"+id)
 	if resp.StatusCode != http.StatusNotFound || m["reason"] != "unknown_stream" {
 		t.Fatalf("deleted stream lookup = %d %v", resp.StatusCode, m)
+	}
+}
+
+// TestHTTPStreamSkipsSamplingMembers creates a stream with the create
+// members of the removed subsampled and re-anchored modes. They are
+// skipped as unknown: the stream is created and serves exactly the labels
+// of an exact engine, on an input where sampling at that threshold and
+// rate would change them, and a tick reply has no "reanchored" member.
+func TestHTTPStreamSkipsSamplingMembers(t *testing.T) {
+	s, err := New(Config{Workers: 1, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp, m := postJSON(t, ts, "/api/v1/streams", `{"tenant":"acme","eps":0.05,"min_pts":8,"window_ticks":4,`+
+		`"subsample_threshold":1,"subsample_rate":0.3,"reanchor_every":2,"seed":7}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status = %d body %v", resp.StatusCode, m)
+	}
+	id, _ := m["id"].(string)
+	ref := refEngine(t, StreamSpec{Eps: 0.05, MinPts: 8, WindowTicks: 4})
+	want := []string{"arrivals", "dirty_cells", "elapsed_ms", "expired", "num_clusters", "tick", "window_points"}
+	for _, batch := range dataset.Firehose(6, 200, 29, dataset.DefaultFirehoseOptions()) {
+		resp, m = postJSON(t, ts, "/api/v1/streams/"+id+"/points", tickBody(batch))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tick status = %d body %v", resp.StatusCode, m)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		if slices.Sort(keys); !slices.Equal(keys, want) {
+			t.Fatalf("tick reply members %v, want %v", keys, want)
+		}
+		if _, err := ref.Tick(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, m = getJSON(t, ts, "/api/v1/streams/"+id+"/snapshot")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot status = %d", resp.StatusCode)
+	}
+	snap := ref.Snapshot()
+	pts, _ := m["points"].([]any)
+	if len(pts) != len(snap.Points) {
+		t.Fatalf("snapshot has %d points, exact engine %d", len(pts), len(snap.Points))
+	}
+	for i, p := range pts {
+		pm, _ := p.(map[string]any)
+		if uint64(pm["id"].(float64)) != snap.Points[i].ID || int(pm["label"].(float64)) != snap.Labels[i] {
+			t.Fatalf("point %d: served %v, exact engine (id %d, label %d)", i, pm, snap.Points[i].ID, snap.Labels[i])
+		}
 	}
 }

@@ -92,27 +92,6 @@ func TestGoldenLabels(t *testing.T) {
 	}
 }
 
-// TestSubsampledGolden does the same for the approximate path on
-// TestSubsampledQuality's stream: which points take the sampled query,
-// and every label after every tick, are what the old engine produced.
-func TestSubsampledGolden(t *testing.T) {
-	want := []struct {
-		queries int
-		hash    uint64
-	}{
-		{28, 0x8b0fada6944e90ee}, {179, 0xd2d1db19477369f0}, {206, 0x66422a2ab553264}, {205, 0xf9be2c7d98512a19},
-		{194, 0x140b1be775499fda}, {198, 0xa70e7f45a2d363df}, {196, 0xbd8c84567e2821b2}, {212, 0x6dd8aa83f0ebb0fb},
-	}
-	e := mustEngine(t, Config{Eps: 0.15, MinPts: 5, WindowTicks: 4, SubsampleThreshold: 40, SubsampleRate: 0.7, Seed: 7})
-	for i, b := range dataset.Firehose(8, 250, 7, dataset.DefaultFirehoseOptions()) {
-		st := mustTick(t, e, b)
-		if got := labelHash(e.Snapshot().Labels); st.SubsampledQueries != want[i].queries || got != want[i].hash {
-			t.Errorf("tick %d: %d sampled queries, hash %#x; recorded %d, %#x",
-				i+1, st.SubsampledQueries, got, want[i].queries, want[i].hash)
-		}
-	}
-}
-
 // TestSteadyStateTickAllocatesNothing runs the benchmark's shape (2 000
 // points a tick, 20-tick window) with a nil hub: once the slabs and
 // buffers have met the stream's hotspots, a tick must allocate (almost)

@@ -47,20 +47,12 @@
 // cluster IDs are dense, ordered by each component's smallest member
 // point ID. A drained engine restored from WindowState therefore
 // reproduces labels exactly.
-//
-// Over-dense neighborhoods can optionally use subsampled ε-queries
-// (Jiang, Jang & Łącki, "Faster DBSCAN via subsampled similarity
-// queries"): when the 3×3 cell population reaches SubsampleThreshold,
-// core tests examine each candidate with probability SubsampleRate
-// (seeded, deterministic per point pair) and extrapolate. This trades
-// exactness for bounded per-tick work; it is off by default.
 package stream
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -82,19 +74,6 @@ type Config struct {
 	// WindowTicks is the sliding window length W: a point ingested at
 	// tick t is part of the window for snapshots t .. t+W-1.
 	WindowTicks int
-	// SubsampleThreshold enables subsampled ε-queries for points whose
-	// 3×3 cell population is at least this value (0 disables; the engine
-	// is then exact).
-	SubsampleThreshold int
-	// SubsampleRate is the per-candidate sampling probability in (0,1]
-	// used when SubsampleThreshold triggers.
-	SubsampleRate float64
-	// ReanchorEvery, when positive, forces a full recompute (all cells
-	// dirty, connectivity cache rebuilt) every that-many ticks, bounding
-	// any drift a bug in incremental repair could accumulate.
-	ReanchorEvery int
-	// Seed feeds the deterministic subsampling hash.
-	Seed int64
 	// Name labels this engine's metrics (default "stream").
 	Name string
 	// Telemetry receives per-tick spans and stream_* metrics (nil is
@@ -114,13 +93,11 @@ type TickStats struct {
 	// recomputed: pairs touching a repaired cell where both cells hold a
 	// fragment. A pair with an absent or core-less side only has its
 	// buffer truncated and is not counted.
-	PairsRebuilt      int
-	BorderCells       int           // cells whose border anchors were reassigned
-	SubsampledQueries int           // core tests that took the subsampled path
-	WindowPoints      int           // live points after this tick
-	Clusters          int           // clusters after this tick
-	Reanchored        bool          // this tick ran a full re-anchor
-	Elapsed           time.Duration // wall time spent in Tick
+	PairsRebuilt int
+	BorderCells  int           // cells whose border anchors were reassigned
+	WindowPoints int           // live points after this tick
+	Clusters     int           // clusters after this tick
+	Elapsed      time.Duration // wall time spent in Tick
 }
 
 // fragEdge records Eps-connectivity between fragment FA of a pair's
@@ -238,9 +215,9 @@ type Engine struct {
 // metrics are the engine's hub handles, resolved once (nil-safe on a nil
 // hub) so a tick does no registry lookups.
 type metrics struct {
-	ticks, ingested, expired, dirtyCells, recomputed, subsampled, reanchors *telemetry.Counter
-	windowPoints, clusters                                                  *telemetry.Gauge
-	tickSeconds                                                             *telemetry.Histogram
+	ticks, ingested, expired, dirtyCells, recomputed *telemetry.Counter
+	windowPoints, clusters                           *telemetry.Gauge
+	tickSeconds                                      *telemetry.Histogram
 }
 
 // claimed is the byID value of a batch's IDs between validation and
@@ -257,12 +234,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.WindowTicks < 1 {
 		return nil, fmt.Errorf("stream: window must be >= 1 tick, got %d", cfg.WindowTicks)
-	}
-	if cfg.SubsampleThreshold > 0 && (cfg.SubsampleRate <= 0 || cfg.SubsampleRate > 1) {
-		return nil, fmt.Errorf("stream: subsample rate must be in (0,1], got %v", cfg.SubsampleRate)
-	}
-	if cfg.ReanchorEvery < 0 {
-		return nil, fmt.Errorf("stream: reanchor interval must be >= 0, got %d", cfg.ReanchorEvery)
 	}
 	if cfg.Name == "" {
 		cfg.Name = "stream"
@@ -284,8 +255,6 @@ func New(cfg Config) (*Engine, error) {
 			expired:      hub.Counter("stream_points_expired_total", "stream", name),
 			dirtyCells:   hub.Counter("stream_dirty_cells_total", "stream", name),
 			recomputed:   hub.Counter("stream_cells_recomputed_total", "stream", name),
-			subsampled:   hub.Counter("stream_subsampled_queries_total", "stream", name),
-			reanchors:    hub.Counter("stream_reanchors_total", "stream", name),
 			windowPoints: hub.Gauge("stream_window_points", "stream", name),
 			clusters:     hub.Gauge("stream_clusters", "stream", name),
 			tickSeconds:  hub.Histogram("stream_tick_seconds", []float64{.0001, .001, .01, .1, 1, 10}, "stream", name),
@@ -356,12 +325,7 @@ func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (T
 		Expired:    expired,
 		DirtyCells: len(e.dirty),
 	}
-	if e.cfg.ReanchorEvery > 0 && e.tick%e.cfg.ReanchorEvery == 0 {
-		e.reanchorAll(&st)
-		st.Reanchored = true
-	} else {
-		e.repair(&st)
-	}
+	e.repair(&st)
 	st.WindowPoints = e.Len()
 	st.Clusters = e.nclusters
 	st.Elapsed = time.Since(start)
@@ -371,10 +335,6 @@ func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (T
 	e.m.expired.Add(int64(expired))
 	e.m.dirtyCells.Add(int64(st.DirtyCells))
 	e.m.recomputed.Add(int64(st.CoreCells))
-	e.m.subsampled.Add(int64(st.SubsampledQueries))
-	if st.Reanchored {
-		e.m.reanchors.Inc()
-	}
 	e.m.windowPoints.Set(int64(st.WindowPoints))
 	e.m.clusters.Set(int64(e.nclusters))
 	e.m.tickSeconds.Observe(st.Elapsed.Seconds())
@@ -382,8 +342,7 @@ func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (T
 		sp.Annotate(
 			telemetry.Int("dirty_cells", st.DirtyCells),
 			telemetry.Int("clusters", e.nclusters),
-			telemetry.Int("window_points", st.WindowPoints),
-			telemetry.Bool("reanchored", st.Reanchored))
+			telemetry.Int("window_points", st.WindowPoints))
 		sp.End()
 	}
 	return st, nil
@@ -478,7 +437,7 @@ func (e *Engine) repair(st *TickStats) {
 			continue
 		}
 		st.CoreCells++
-		if e.recomputeCores(id, st) && e.mark(id, markChanged) {
+		if e.recomputeCores(id) && e.mark(id, markChanged) {
 			e.changed = append(e.changed, id)
 		}
 	}
@@ -529,8 +488,7 @@ func (e *Engine) repair(st *TickStats) {
 }
 
 // reanchorAll recomputes everything — every cell dirty, so every edge
-// buffer is refilled — bounding incremental drift (and powering
-// Restore).
+// buffer is refilled. Restore builds its labeling this way.
 func (e *Engine) reanchorAll(st *TickStats) {
 	e.gen++
 	e.dirty = e.dirty[:0]
@@ -575,11 +533,8 @@ func (e *Engine) blockSubs(around *[9]int32, coresOnly bool) {
 // Chebyshev distance 1 is within Eps of every point of this one, so
 // MinPts of them make all of its points core without a distance test,
 // and fewer still count towards each point's total; only the sub-boxes
-// at distance 2..4 are scanned. (The subsampled path keeps the plain
-// rule — a sub-box of >= MinPts points is core, every other point takes
-// the sampled query — so that its labels are a function of the window
-// alone, not of this shortcut.)
-func (e *Engine) recomputeCores(id int32, st *TickStats) bool {
+// at distance 2..4 are scanned.
+func (e *Engine) recomputeCores(id int32) bool {
 	around := e.block(id)
 	pop := 0
 	for _, n := range around {
@@ -587,14 +542,13 @@ func (e *Engine) recomputeCores(id int32, st *TickStats) bool {
 			pop += int(e.cells[n].n)
 		}
 	}
-	sampled := e.cfg.SubsampleThreshold > 0 && pop >= e.cfg.SubsampleThreshold
 	listed := false // e.cand is built for the first sub-box that needs it
 	flipped := false
 	c := &e.cells[id]
 	for i := range c.subs {
 		sb := &c.subs[i]
 		near := len(sb.slots)
-		if !sampled && near < e.cfg.MinPts && pop >= e.cfg.MinPts {
+		if near < e.cfg.MinPts && pop >= e.cfg.MinPts {
 			if !listed {
 				e.blockSubs(&around, false)
 				listed = true
@@ -611,12 +565,7 @@ func (e *Engine) recomputeCores(id int32, st *TickStats) bool {
 		}
 		for _, s := range sb.slots {
 			now := near >= e.cfg.MinPts
-			switch {
-			case now:
-			case sampled:
-				st.SubsampledQueries++
-				now = e.isCoreSampled(s, &around)
-			case pop >= e.cfg.MinPts: // else the whole block is too sparse
+			if !now && pop >= e.cfg.MinPts { // else the whole block is too sparse
 				now = e.isCore(s, e.cfg.MinPts-near)
 			}
 			if now != e.core[s] {
@@ -642,36 +591,6 @@ func (e *Engine) isCore(s int32, need int) bool {
 		}
 	}
 	return false
-}
-
-// isCoreSampled is the subsampled ε-query path: each candidate is
-// examined with probability SubsampleRate (deterministic per point
-// pair), and the hit count is compared against the proportionally
-// scaled threshold.
-func (e *Engine) isCoreSampled(s int32, around *[9]int32) bool {
-	p := e.pts[s]
-	rate := e.cfg.SubsampleRate
-	need := rate * float64(e.cfg.MinPts-1)
-	hits := 0.0
-	for _, n := range around {
-		if n < 0 {
-			continue
-		}
-		subs := e.cells[n].subs
-		for i := range subs {
-			for _, q := range subs[i].slots {
-				if q == s || !sampled(e.cfg.Seed, p.ID, e.pts[q].ID, rate) {
-					continue
-				}
-				if geom.Dist2(p, e.pts[q]) <= e.eps2 {
-					if hits++; hits >= need {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return hits >= need
 }
 
 // rebuildFragments partitions each of c's sub-boxes cores-first and
@@ -819,7 +738,7 @@ func (e *Engine) reassignBorders(id int32) {
 
 // relabel rebuilds the fragment → cluster table from the edge buffers.
 // Cluster IDs are dense and ordered by each component's smallest member
-// point ID, so they are stable across restarts and re-anchors.
+// point ID, so they are stable across restarts.
 func (e *Engine) relabel() {
 	total := int32(0)
 	for id := range e.cells {
@@ -1140,21 +1059,4 @@ func (e *Engine) bucketsTouch(as, bs []int32) bool {
 		}
 	}
 	return false
-}
-
-// sampled is the deterministic per-pair coin for subsampled ε-queries:
-// a splitmix64-style hash of (seed, p, q) compared against rate.
-func sampled(seed int64, a, b uint64, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	x := uint64(seed)
-	x ^= a * 0x9E3779B97F4A7C15
-	x ^= bits.RotateLeft64(b*0xBF58476D1CE4E5B9, 31)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11)/(1<<53) < rate
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
 	"repro/internal/geom"
-	"repro/internal/quality"
 	"repro/internal/telemetry"
 )
 
@@ -69,7 +68,6 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				Eps:         0.12,
 				MinPts:      5,
 				WindowTicks: 6,
-				Seed:        int64(s),
 			})
 			for _, b := range batches {
 				mustTick(t, e, b)
@@ -79,30 +77,49 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestReanchorIsNoOp runs the same sequence with and without periodic
-// full re-anchoring; since incremental repair is exact, re-anchoring
-// must not change a single label.
-func TestReanchorIsNoOp(t *testing.T) {
-	batches := dataset.Firehose(15, 50, 77, dataset.DefaultFirehoseOptions())
-	a := mustEngine(t, Config{Eps: 0.12, MinPts: 5, WindowTicks: 5})
-	b := mustEngine(t, Config{Eps: 0.12, MinPts: 5, WindowTicks: 5, ReanchorEvery: 3})
-	reanchors := 0
-	for _, batch := range batches {
-		mustTick(t, a, batch)
-		st := mustTick(t, b, batch)
-		if st.Reanchored {
-			reanchors++
-		}
-		sa, sb := a.Snapshot(), b.Snapshot()
-		for i := range sa.Labels {
-			if sa.Labels[i] != sb.Labels[i] {
-				t.Fatalf("tick %d: label diverges at point %v: %d vs %d (reanchored=%v)",
-					sa.Tick, sa.Points[i], sa.Labels[i], sb.Labels[i], st.Reanchored)
+// TestFullRecomputeMatchesIncremental holds incremental repair to a
+// from-scratch recompute: after every tick of two Firehose streams, an
+// engine restored from the live engine's WindowState (Restore marks
+// every cell dirty and rebuilds every edge buffer) must have the live
+// engine's snapshot bit for bit. Every third tick that restored engine
+// also becomes the follower, which then repairs incrementally from the
+// recomputed state and must keep agreeing.
+func TestFullRecomputeMatchesIncremental(t *testing.T) {
+	cfg := Config{Eps: 0.12, MinPts: 5, WindowTicks: 5}
+	for _, seed := range []int64{77, 78} {
+		live, follower := mustEngine(t, cfg), mustEngine(t, cfg)
+		for _, batch := range dataset.Firehose(15, 50, seed, dataset.DefaultFirehoseOptions()) {
+			mustTick(t, live, batch)
+			restored, err := Restore(cfg, live.WindowState())
+			if err != nil {
+				t.Fatalf("seed %d tick %d: Restore: %v", seed, live.TickIndex(), err)
 			}
+			if live.TickIndex()%3 == 0 {
+				follower = restored
+			} else {
+				mustTick(t, follower, batch)
+			}
+			want := live.Snapshot()
+			sameBits(t, fmt.Sprintf("seed %d restored", seed), restored.Snapshot(), want)
+			sameBits(t, fmt.Sprintf("seed %d follower", seed), follower.Snapshot(), want)
 		}
 	}
-	if reanchors != 5 {
-		t.Fatalf("expected 5 re-anchors in 15 ticks at every 3, got %d", reanchors)
+}
+
+// sameBits fails unless got equals want field for field, coordinates
+// also compared as bit patterns.
+func sameBits(t *testing.T, what string, got, want Snapshot) {
+	t.Helper()
+	if got.Tick != want.Tick || got.NumClusters != want.NumClusters || len(got.Points) != len(want.Points) || len(got.Labels) != len(want.Labels) {
+		t.Fatalf("%s: tick %d, %d clusters, %d points, %d labels; live engine: %d, %d, %d, %d", what,
+			got.Tick, got.NumClusters, len(got.Points), len(got.Labels), want.Tick, want.NumClusters, len(want.Points), len(want.Labels))
+	}
+	for i, p := range got.Points {
+		q := want.Points[i]
+		if p != q || math.Float64bits(p.X) != math.Float64bits(q.X) || math.Float64bits(p.Y) != math.Float64bits(q.Y) || got.Labels[i] != want.Labels[i] {
+			t.Fatalf("%s: tick %d: point %d is %v labeled %d; live engine: %v labeled %d",
+				what, got.Tick, i, p, got.Labels[i], q, want.Labels[i])
+		}
 	}
 }
 
@@ -332,42 +349,6 @@ func TestRestoreRejectsBadState(t *testing.T) {
 	}
 }
 
-// TestSubsampledQuality checks the approximate path: with subsampling
-// forced on, labels must still score above a quality floor against the
-// exact batch labeling (DBDC), and the subsampled path must actually
-// run.
-func TestSubsampledQuality(t *testing.T) {
-	batches := dataset.Firehose(8, 250, 7, dataset.DefaultFirehoseOptions())
-	e := mustEngine(t, Config{
-		Eps:                0.15,
-		MinPts:             5,
-		WindowTicks:        4,
-		SubsampleThreshold: 40,
-		SubsampleRate:      0.7,
-		Seed:               7,
-	})
-	sampledQueries := 0
-	for _, b := range batches {
-		st := mustTick(t, e, b)
-		sampledQueries += st.SubsampledQueries
-	}
-	if sampledQueries == 0 {
-		t.Fatal("subsampled path never triggered; threshold too high for this workload")
-	}
-	snap := e.Snapshot()
-	ref, err := dbscan.Cluster(snap.Points, dbscan.Params{Eps: 0.15, MinPts: 5}, dbscan.IndexGrid)
-	if err != nil {
-		t.Fatalf("batch oracle: %v", err)
-	}
-	score, err := quality.Score(ref.Labels, snap.Labels)
-	if err != nil {
-		t.Fatalf("quality.Score: %v", err)
-	}
-	if score < 0.9 {
-		t.Fatalf("subsampled labeling DBDC %.3f below 0.9 floor", score)
-	}
-}
-
 // TestTickStatsLocality asserts the repair bookkeeping itself is local:
 // a tick touching one cell must not recompute cells far away.
 func TestTickStatsLocality(t *testing.T) {
@@ -420,9 +401,6 @@ func TestConfigValidation(t *testing.T) {
 		{Eps: -1, MinPts: 2, WindowTicks: 2},
 		{Eps: 1, MinPts: 0, WindowTicks: 2},
 		{Eps: 1, MinPts: 2, WindowTicks: 0},
-		{Eps: 1, MinPts: 2, WindowTicks: 2, SubsampleThreshold: 10},                   // rate unset
-		{Eps: 1, MinPts: 2, WindowTicks: 2, SubsampleThreshold: 10, SubsampleRate: 2}, // rate > 1
-		{Eps: 1, MinPts: 2, WindowTicks: 2, ReanchorEvery: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
