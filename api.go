@@ -43,7 +43,7 @@ type Point = geom.Point
 type Rect = geom.Rect
 
 // Noise is the label reported for points in low-density regions.
-const Noise = dbscan.Noise
+const Noise = geom.Noise
 
 // Config configures a full Mr. Scan run. The zero value is invalid; start
 // from Default.
@@ -117,11 +117,12 @@ func RunPointsContext(ctx context.Context, pts []Point, cfg Config) (*Result, []
 	return mrscan.RunPointsContext(ctx, pts, cfg)
 }
 
-// DBSCAN runs the reference sequential DBSCAN (Ester et al., KDD'96) with
-// a grid index — the implementation Mr. Scan's quality is measured
-// against. Returns per-point labels (-1 = noise).
+// DBSCAN runs the reference sequential DBSCAN (Ester et al., KDD'96) — an
+// exact cell-graph computation sharing no code with the pipeline, the
+// implementation Mr. Scan's quality is measured against. Returns
+// per-point labels (-1 = noise).
 func DBSCAN(pts []Point, eps float64, minPts int) ([]int, error) {
-	res, err := dbscan.Cluster(pts, dbscan.Params{Eps: eps, MinPts: minPts}, dbscan.IndexGrid)
+	res, err := dbscan.Cluster(pts, geom.Params{Eps: eps, MinPts: minPts})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,10 @@
 package mrscan
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestQuickstartFlow(t *testing.T) {
 	pts := Twitter(5000, 42)
@@ -58,6 +62,45 @@ func TestGenerators(t *testing.T) {
 	}
 	if n := len(Blobs(100, 3, 0.1, 1, Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})); n != 100 {
 		t.Errorf("Blobs produced %d points", n)
+	}
+}
+
+// TestBadParamsRefusedBeforeAnyWork: the batch reference, the pipeline
+// and the stream engine refuse the same parameters, with the same reason,
+// before they touch a point. A NaN or +Inf Eps once passed the first two:
+// DBSCAN returned all-noise or one cluster, and RunPoints ran its
+// partition phase and then failed to encode the plan.
+func TestBadParamsRefusedBeforeAnyWork(t *testing.T) {
+	pts := Twitter(500, 1)
+	for _, tc := range []struct {
+		eps    float64
+		minPts int
+		ok     bool
+	}{
+		{math.NaN(), 4, false},
+		{math.Inf(1), 4, false},
+		{math.Inf(-1), 4, false},
+		{0, 4, false},
+		{1e-310, 4, true},
+		{0.1, 0, false},
+		{0.1, 1, true},
+	} {
+		_, dbErr := DBSCAN(pts, tc.eps, tc.minPts)
+		_, streamErr := NewStream(StreamConfig{Eps: tc.eps, MinPts: tc.minPts, WindowTicks: 2})
+		errs := []error{dbErr, streamErr}
+		if !tc.ok {
+			_, _, runErr := RunPoints(pts, Default(tc.eps, tc.minPts, 2))
+			errs = append(errs, runErr)
+		}
+		for i, err := range errs {
+			door := []string{"DBSCAN", "NewStream", "RunPoints"}[i]
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s(eps=%v, minPts=%d) = %v, want accepted", door, tc.eps, tc.minPts, err)
+			case !tc.ok && (err == nil || !strings.Contains(err.Error(), "must be")):
+				t.Errorf("%s(eps=%v, minPts=%d) = %v, want a parameter refusal", door, tc.eps, tc.minPts, err)
+			}
+		}
 	}
 }
 

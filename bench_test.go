@@ -19,10 +19,11 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/dataset"
-	"repro/internal/dbscan"
 	"repro/internal/gdbscan"
+	"repro/internal/geom"
 	"repro/internal/gpusim"
 	"repro/internal/grid"
+	"repro/internal/kdtree"
 	"repro/internal/partition"
 	"repro/internal/quality"
 )
@@ -236,7 +237,7 @@ func BenchmarkAblationHostTransfers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dev := gpusim.New(gpusim.K20(), nil)
 				_, err := gdbscan.Cluster(dev, pts, gdbscan.Options{
-					Params:   dbscan.Params{Eps: 0.1, MinPts: 40},
+					Params:   geom.Params{Eps: 0.1, MinPts: 40},
 					Mode:     mode,
 					DenseBox: mode == gdbscan.ModeMrScan,
 				})
@@ -401,7 +402,7 @@ func BenchmarkClusterMultiPartition(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, part := range combined {
 					if _, err := gdbscan.Cluster(dev, part, gdbscan.Options{
-						Params:    dbscan.Params{Eps: 0.1, MinPts: 40},
+						Params:    geom.Params{Eps: 0.1, MinPts: 40},
 						DenseBox:  true,
 						Workspace: &ws,
 					}); err != nil {
@@ -476,7 +477,7 @@ func BenchmarkClusterSinglePartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := gdbscan.Cluster(dev, pts, gdbscan.Options{
-			Params:    dbscan.Params{Eps: 0.1, MinPts: 40},
+			Params:    geom.Params{Eps: 0.1, MinPts: 40},
 			DenseBox:  true,
 			Workspace: &ws,
 		}); err != nil {
@@ -485,18 +486,53 @@ func BenchmarkClusterSinglePartition(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexStructures compares the spatial indexes backing the
-// reference DBSCAN (§2.1: no index vs grid vs KD-tree).
+// BenchmarkIndexStructures compares the spatial indexes of §2.1 — no
+// index, the Eps grid and the KD-tree — on the query DBSCAN repeats: one
+// op finds the Eps-neighbourhood of every point of Twitter 20k, building
+// the index first. It is the O(n²) vs O(n log n) row of EXPERIMENTS.md;
+// the neighbours/op metric is the same in every arm.
 func BenchmarkIndexStructures(b *testing.B) {
 	pts := twitterData(20_000)
-	params := dbscan.Params{Eps: 0.1, MinPts: 40}
-	for _, kind := range []dbscan.IndexKind{dbscan.IndexBrute, dbscan.IndexGrid, dbscan.IndexKDTree} {
-		b.Run(kind.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dbscan.Cluster(pts, params, kind); err != nil {
-					b.Fatal(err)
+	const eps = 0.1
+	arms := []struct {
+		name      string
+		neighbors func() int
+	}{
+		{"brute", func() int {
+			n := 0
+			for i, p := range pts {
+				for j, q := range pts {
+					if j != i && geom.Dist2(p, q) <= eps*eps {
+						n++
+					}
 				}
 			}
+			return n
+		}},
+		{"grid", func() int {
+			idx := grid.NewIndex(grid.New(eps), pts)
+			n := 0
+			for i, p := range pts {
+				idx.Neighbors(p, eps, int32(i), func(int32) { n++ })
+			}
+			return n
+		}},
+		{"kdtree", func() int {
+			t := kdtree.Build(pts, 0)
+			n := 0
+			for i, p := range pts {
+				t.Range(p, eps, int32(i), func(int32) bool { n++; return true })
+			}
+			return n
+		}},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n = arm.neighbors()
+			}
+			b.ReportMetric(float64(n), "neighbors/op")
 		})
 	}
 }
@@ -505,7 +541,7 @@ func BenchmarkIndexStructures(b *testing.B) {
 // counts, reporting the disjoint-set message proxy (§2.2's bottleneck).
 func BenchmarkBaselinePDS(b *testing.B) {
 	pts := twitterData(4 * benchPointsPerLeaf)
-	params := dbscan.Params{Eps: 0.1, MinPts: 40}
+	params := geom.Params{Eps: 0.1, MinPts: 40}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -529,7 +565,7 @@ func BenchmarkBaselineDBDCQuality(b *testing.B) {
 	}
 	b.Run("dbdc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.DBDC(pts, dbscan.Params{Eps: 0.1, MinPts: 40}, baseline.DBDCOptions{Slaves: 8})
+			res, err := baseline.DBDC(pts, geom.Params{Eps: 0.1, MinPts: 40}, baseline.DBDCOptions{Slaves: 8})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -327,7 +327,7 @@ func (h *harness) fig11() {
 	for _, mult := range []int{1, 2, 4} {
 		n := mult * h.ppl * 4
 		pts := h.twitter(n)
-		ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 40}, dbscan.IndexGrid)
+		ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 40})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -400,7 +400,7 @@ func (h *harness) ablations() {
 	for _, mode := range []gdbscan.Mode{gdbscan.ModeMrScan, gdbscan.ModeCUDADClust} {
 		dev := gpusim.New(gpusim.K20(), nil)
 		_, err := gdbscan.Cluster(dev, pts[:4*h.ppl], gdbscan.Options{
-			Params: dbscan.Params{Eps: 0.1, MinPts: 40},
+			Params: geom.Params{Eps: 0.1, MinPts: 40},
 			Mode:   mode, DenseBox: mode == gdbscan.ModeMrScan,
 		})
 		if err != nil {
@@ -429,7 +429,7 @@ func (h *harness) ablations() {
 
 	// PDBSCAN replicated-index message growth (§2.2).
 	for _, nodes := range []int{2, 4, 8, 16} {
-		res, err := baseline.PDBSCAN(pts[:4*h.ppl], dbscan.Params{Eps: 0.1, MinPts: 40}, nodes)
+		res, err := baseline.PDBSCAN(pts[:4*h.ppl], geom.Params{Eps: 0.1, MinPts: 40}, nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

@@ -9,40 +9,56 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/ptio"
 	"repro/internal/quality"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, scores, prints the
+// result to stdout and returns the exit status — 2 for a bad command line,
+// 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("quality", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		input  = flag.String("input", "", "MRSC input dataset (reference mode)")
-		output = flag.String("output", "", "MRSL labeled output to score (reference mode)")
-		eps    = flag.Float64("eps", 0.1, "DBSCAN Eps for the reference run")
-		minPts = flag.Int("minpts", 40, "DBSCAN MinPts for the reference run")
-		fileA  = flag.String("a", "", "first MRSL output (comparison mode)")
-		fileB  = flag.String("b", "", "second MRSL output (comparison mode)")
+		input  = flags.String("input", "", "MRSC input dataset (reference mode)")
+		output = flags.String("output", "", "MRSL labeled output to score (reference mode)")
+		eps    = flags.Float64("eps", 0.1, "DBSCAN Eps for the reference run")
+		minPts = flags.Int("minpts", 40, "DBSCAN MinPts for the reference run")
+		fileA  = flags.String("a", "", "first MRSL output (comparison mode)")
+		fileB  = flags.String("b", "", "second MRSL output (comparison mode)")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	var err error
 	switch {
 	case *fileA != "" && *fileB != "":
-		err = compareOutputs(*fileA, *fileB)
+		err = compareOutputs(stdout, *fileA, *fileB)
 	case *input != "" && *output != "":
-		err = scoreAgainstReference(*input, *output, *eps, *minPts)
+		err = scoreAgainstReference(stdout, *input, *output, *eps, *minPts)
 	default:
-		fmt.Fprintln(os.Stderr, "quality: need either -input/-output or -a/-b")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "quality: need either -input/-output or -a/-b")
+		flags.Usage()
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "quality:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "quality:", err)
+		return 1
 	}
+	return 0
 }
 
 func readLabeled(name string) (map[uint64]int64, error) {
@@ -65,7 +81,7 @@ func readLabeled(name string) (map[uint64]int64, error) {
 	return out, nil
 }
 
-func scoreAgainstReference(input, output string, eps float64, minPts int) error {
+func scoreAgainstReference(stdout io.Writer, input, output string, eps float64, minPts int) error {
 	in, err := os.Open(input)
 	if err != nil {
 		return err
@@ -75,8 +91,8 @@ func scoreAgainstReference(input, output string, eps float64, minPts int) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("running sequential DBSCAN on %d points (eps=%g minPts=%d)...\n", len(pts), eps, minPts)
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: eps, MinPts: minPts}, dbscan.IndexGrid)
+	fmt.Fprintf(stdout, "running sequential DBSCAN on %d points (eps=%g minPts=%d)...\n", len(pts), eps, minPts)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: eps, MinPts: minPts})
 	if err != nil {
 		return err
 	}
@@ -96,12 +112,12 @@ func scoreAgainstReference(input, output string, eps float64, minPts int) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reference clusters: %d\n", ref.NumClusters)
-	fmt.Printf("quality score:      %.5f  (paper's Figure 11 floor: 0.995)\n", score)
+	fmt.Fprintf(stdout, "reference clusters: %d\n", ref.NumClusters)
+	fmt.Fprintf(stdout, "quality score:      %.5f  (paper's Figure 11 floor: 0.995)\n", score)
 	return nil
 }
 
-func compareOutputs(fileA, fileB string) error {
+func compareOutputs(stdout io.Writer, fileA, fileB string) error {
 	a, err := readLabeled(fileA)
 	if err != nil {
 		return err
@@ -128,8 +144,8 @@ func compareOutputs(fileA, fileB string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("points compared: %d\n", len(ids))
-	fmt.Printf("quality score:   %.5f\n", score)
+	fmt.Fprintf(stdout, "points compared: %d\n", len(ids))
+	fmt.Fprintf(stdout, "quality score:   %.5f\n", score)
 	return nil
 }
 

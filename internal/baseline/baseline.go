@@ -41,9 +41,9 @@ type PDSResult struct {
 
 // PDS runs the PDSDBSCAN-style parallel DBSCAN with the given number of
 // workers.
-func PDS(pts []geom.Point, params dbscan.Params, workers int) (*PDSResult, error) {
+func PDS(pts []geom.Point, params geom.Params, workers int) (*PDSResult, error) {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if workers < 1 {
 		return nil, fmt.Errorf("baseline: need at least one worker, got %d", workers)
@@ -95,7 +95,7 @@ func PDS(pts []geom.Point, params dbscan.Params, workers int) (*PDSResult, error
 			}
 			labels[i] = id
 		} else {
-			labels[i] = dbscan.Noise
+			labels[i] = geom.Noise
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -150,9 +150,9 @@ type DBDCResult struct {
 // shards (no shadow regions — the design's quality flaw), send sampled
 // representatives to the master, and the master merges local clusters
 // whose representatives are within Eps.
-func DBDC(pts []geom.Point, params dbscan.Params, opt DBDCOptions) (*DBDCResult, error) {
+func DBDC(pts []geom.Point, params geom.Params, opt DBDCOptions) (*DBDCResult, error) {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if opt.Slaves < 1 {
 		return nil, fmt.Errorf("baseline: need at least one slave, got %d", opt.Slaves)
@@ -187,7 +187,7 @@ func DBDC(pts []geom.Point, params dbscan.Params, opt DBDCOptions) (*DBDCResult,
 			for i, gi := range shards[s].indices {
 				local[i] = pts[gi]
 			}
-			shards[s].res, errs[s] = dbscan.Cluster(local, params, dbscan.IndexGrid)
+			shards[s].res, errs[s] = dbscan.Cluster(local, params)
 		}(s)
 	}
 	wg.Wait()
@@ -240,7 +240,7 @@ func DBDC(pts []geom.Point, params dbscan.Params, opt DBDCOptions) (*DBDCResult,
 	ids := make(map[key]int)
 	labels := make([]int, n)
 	for i := range labels {
-		labels[i] = dbscan.Noise
+		labels[i] = geom.Noise
 	}
 	nextID := 0
 	for s := range shards {

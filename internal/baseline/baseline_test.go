@@ -9,11 +9,11 @@ import (
 	"repro/internal/quality"
 )
 
-var params = dbscan.Params{Eps: 0.1, MinPts: 40}
+var params = geom.Params{Eps: 0.1, MinPts: 40}
 
 func TestPDSMatchesReference(t *testing.T) {
 	pts := dataset.Twitter(10000, 1)
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPDSMatchesReference(t *testing.T) {
 
 func TestPDSCorePartitionExact(t *testing.T) {
 	pts := dataset.Twitter(5000, 2)
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPDSMessageGrowth(t *testing.T) {
 }
 
 func TestPDSValidation(t *testing.T) {
-	if _, err := PDS(nil, dbscan.Params{Eps: 0, MinPts: 1}, 1); err == nil {
+	if _, err := PDS(nil, geom.Params{Eps: 0, MinPts: 1}, 1); err == nil {
 		t.Error("bad params must fail")
 	}
 	if _, err := PDS(nil, params, 0); err == nil {
@@ -99,7 +99,7 @@ func TestPDSValidation(t *testing.T) {
 
 func TestDBDCRunsAndDegradesGracefully(t *testing.T) {
 	pts := dataset.Twitter(10000, 4)
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDBDCSingleSlaveNearPerfect(t *testing.T) {
 	// With one slave there is no distribution flaw: only border-order
 	// effects remain.
 	pts := dataset.Twitter(5000, 5)
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDBDCValidation(t *testing.T) {
 	if _, err := DBDC(nil, params, DBDCOptions{Slaves: 0}); err == nil {
 		t.Error("zero slaves must fail")
 	}
-	if _, err := DBDC(nil, dbscan.Params{}, DBDCOptions{Slaves: 1}); err == nil {
+	if _, err := DBDC(nil, geom.Params{}, DBDCOptions{Slaves: 1}); err == nil {
 		t.Error("bad params must fail")
 	}
 }
@@ -164,7 +164,7 @@ func TestPDSEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Labels[0] != dbscan.Noise {
+	if res.Labels[0] != geom.Noise {
 		t.Error("single point must be noise")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dbscan"
 	"repro/internal/dsu"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
@@ -38,9 +37,9 @@ type PDBSCANResult struct {
 // rounds: parallel core classification over owned points, parallel
 // expansion collecting union edges (touching a remotely-owned point
 // counts one message), and a master round applying the edges.
-func PDBSCAN(pts []geom.Point, params dbscan.Params, nodes int) (*PDBSCANResult, error) {
+func PDBSCAN(pts []geom.Point, params geom.Params, nodes int) (*PDBSCANResult, error) {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if nodes < 1 {
 		return nil, fmt.Errorf("baseline: need at least one node, got %d", nodes)
@@ -142,7 +141,7 @@ func PDBSCAN(pts []geom.Point, params dbscan.Params, nodes int) (*PDBSCANResult,
 			}
 			labels[i] = id
 		} else {
-			labels[i] = dbscan.Noise
+			labels[i] = geom.Noise
 		}
 	}
 	for i := 0; i < n; i++ {

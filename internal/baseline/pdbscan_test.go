@@ -6,12 +6,13 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/quality"
 )
 
 func TestPDBSCANMatchesReference(t *testing.T) {
 	pts := dataset.Twitter(8000, 1)
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPDBSCANMergeEdges(t *testing.T) {
 }
 
 func TestPDBSCANValidation(t *testing.T) {
-	if _, err := PDBSCAN(nil, dbscan.Params{}, 1); err == nil {
+	if _, err := PDBSCAN(nil, geom.Params{}, 1); err == nil {
 		t.Error("bad params must fail")
 	}
 	if _, err := PDBSCAN(nil, params, 0); err == nil {

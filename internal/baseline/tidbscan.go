@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dbscan"
@@ -17,24 +19,32 @@ import (
 //
 // The output is exactly DBSCAN's (same core points, same cluster
 // partition); only the candidate pruning differs.
-func TIDBSCAN(pts []geom.Point, params dbscan.Params) (*dbscan.Result, error) {
+func TIDBSCAN(pts []geom.Point, params geom.Params) (*dbscan.Result, error) {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	n := len(pts)
 	// Reference point: the corner of the bounding box, as in the paper's
 	// formulation (any fixed reference is correct; a corner spreads the
-	// projection well for geo data).
-	bounds := geom.RectOf(pts)
-	ref := geom.Point{X: bounds.MinX, Y: bounds.MinY}
-	if n == 0 {
-		ref = geom.Point{}
+	// projection well for geo data). A point with a NaN or infinite
+	// coordinate is no point's neighbour: it stays out of the box and
+	// projects to +Inf, past every finite point's window and its own.
+	finite := func(p geom.Point) bool { return !math.IsNaN(p.X-p.X) && !math.IsNaN(p.Y-p.Y) }
+	ref := geom.Point{X: math.Inf(1), Y: math.Inf(1)}
+	for _, p := range pts {
+		if finite(p) {
+			ref.X, ref.Y = min(ref.X, p.X), min(ref.Y, p.Y)
+		}
 	}
 
-	// Sort indices by distance to the reference.
+	// Sort indices by distance to the reference. Hypot does not overflow
+	// where the squared distance would.
 	order := make([]tiProj, n)
 	for i, p := range pts {
-		order[i] = tiProj{idx: int32(i), dist: geom.Dist(p, ref)}
+		order[i] = tiProj{idx: int32(i), dist: math.Inf(1)}
+		if finite(p) {
+			order[i].dist = math.Hypot(p.X-ref.X, p.Y-ref.Y)
+		}
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if order[a].dist != order[b].dist {
@@ -48,7 +58,14 @@ func TIDBSCAN(pts []geom.Point, params dbscan.Params) (*dbscan.Result, error) {
 		pos[pr.idx] = int32(r)
 	}
 
-	idx := &tiIndex{pts: pts, eps: params.Eps, order: order, pos: pos}
+	// reach bounds the distance between two points within Eps: Eps
+	// itself, or about 2⁻⁵¹¹ when Eps² underflows; when Eps² overflows,
+	// every two finite points are within Eps.
+	reach := max(params.Eps, 0x1p-510)
+	if math.IsInf(params.Eps*params.Eps, 1) {
+		reach = math.Inf(1)
+	}
+	idx := &tiIndex{pts: pts, eps2: params.Eps * params.Eps, reach: reach, order: order, pos: pos}
 	return tiRun(pts, params, idx), nil
 }
 
@@ -63,64 +80,55 @@ type tiProj struct {
 }
 
 type tiIndex struct {
-	pts   []geom.Point
-	eps   float64
-	order []tiProj
-	pos   []int32
+	pts         []geom.Point
+	eps2, reach float64
+	order       []tiProj
+	pos         []int32
 }
 
-func (t *tiIndex) neighbors(i int32, fn func(j int32)) {
+// scan counts the points within Eps of point i, excluding i, until it
+// reaches limit, and calls fn (if not nil) with each. The window around
+// i's projection d is reach wide plus the rounding of two projections
+// near d; a point with a non-finite coordinate (projection +Inf) has no
+// window and is in none.
+func (t *tiIndex) scan(i int32, limit int, fn func(j int32)) int {
 	p := t.pts[i]
-	eps2 := t.eps * t.eps
 	center := int(t.pos[i])
 	d := t.order[center].dist
-	// Scan backwards while the projected distance stays within eps.
-	for r := center - 1; r >= 0 && d-t.order[r].dist <= t.eps; r-- {
-		j := t.order[r].idx
-		if geom.Dist2(p, t.pts[j]) <= eps2 {
-			fn(j)
-		}
+	if math.IsInf(d, 1) {
+		return 0
 	}
-	for r := center + 1; r < len(t.order) && t.order[r].dist-d <= t.eps; r++ {
-		j := t.order[r].idx
-		if geom.Dist2(p, t.pts[j]) <= eps2 {
-			fn(j)
-		}
-	}
-}
-
-func (t *tiIndex) countAtLeast(i int32, k int) bool {
-	if k <= 0 {
-		return true
-	}
-	count := 0
-	p := t.pts[i]
-	eps2 := t.eps * t.eps
-	center := int(t.pos[i])
-	d := t.order[center].dist
-	for r := center - 1; r >= 0 && d-t.order[r].dist <= t.eps; r-- {
-		if geom.Dist2(p, t.pts[t.order[r].idx]) <= eps2 {
-			count++
-			if count >= k {
-				return true
+	window := t.reach + 0x1p-50*(2*d+t.reach)
+	n := 0
+	for _, step := range [2]int{-1, 1} {
+		for r := center + step; r >= 0 && r < len(t.order); r += step {
+			if dr := t.order[r].dist; math.Abs(dr-d) > window || math.IsInf(dr, 1) {
+				break
+			}
+			j := t.order[r].idx
+			// The oracle's Eps test: no multiply fused into the add.
+			if dx, dy := p.X-t.pts[j].X, p.Y-t.pts[j].Y; float64(dx*dx)+float64(dy*dy) <= t.eps2 {
+				if n++; fn != nil {
+					fn(j)
+				}
+				if n >= limit {
+					return n
+				}
 			}
 		}
 	}
-	for r := center + 1; r < len(t.order) && t.order[r].dist-d <= t.eps; r++ {
-		if geom.Dist2(p, t.pts[t.order[r].idx]) <= eps2 {
-			count++
-			if count >= k {
-				return true
-			}
-		}
-	}
-	return false
+	return n
 }
 
-// tiRun is the standard DBSCAN control loop over the TI index (the same
-// expansion semantics as internal/dbscan, reimplemented here against the
-// window-pruned candidate generator).
-func tiRun(pts []geom.Point, params dbscan.Params, idx *tiIndex) *dbscan.Result {
+func (t *tiIndex) neighbors(i int32, fn func(j int32)) { t.scan(i, math.MaxInt, fn) }
+
+func (t *tiIndex) countAtLeast(i int32, k int) bool { return t.scan(i, k, nil) >= k }
+
+// tiRun is the textbook DBSCAN control loop (§2.1) over the TI index:
+// seeds in input order, each cluster expanded breadth-first from its
+// first core point. It is the only such loop outside tests; the reference
+// in internal/dbscan computes the same labels from a cell graph.
+func tiRun(pts []geom.Point, params geom.Params, idx *tiIndex) *dbscan.Result {
 	n := len(pts)
 	const unvisited = -2
 	labels := make([]int, n)
@@ -136,7 +144,7 @@ func tiRun(pts []geom.Point, params dbscan.Params, idx *tiIndex) *dbscan.Result 
 			continue
 		}
 		if !idx.countAtLeast(int32(seed), minNeighbors) {
-			labels[seed] = dbscan.Noise
+			labels[seed] = geom.Noise
 			continue
 		}
 		cid := nextCluster
@@ -147,7 +155,7 @@ func tiRun(pts []geom.Point, params dbscan.Params, idx *tiIndex) *dbscan.Result 
 		idx.neighbors(int32(seed), func(j int32) { queue = append(queue, j) })
 		for qi := 0; qi < len(queue); qi++ {
 			p := queue[qi]
-			if labels[p] == dbscan.Noise {
+			if labels[p] == geom.Noise {
 				labels[p] = cid
 			}
 			if labels[p] != unvisited {
@@ -159,7 +167,7 @@ func tiRun(pts []geom.Point, params dbscan.Params, idx *tiIndex) *dbscan.Result 
 			}
 			core[p] = true
 			idx.neighbors(p, func(j int32) {
-				if labels[j] == unvisited || labels[j] == dbscan.Noise {
+				if labels[j] == unvisited || labels[j] == geom.Noise {
 					queue = append(queue, j)
 				}
 			})

@@ -13,7 +13,7 @@ func TestTIDBSCANMatchesReferenceExactly(t *testing.T) {
 	// (both visit seeds in input order, so even cluster IDs agree).
 	for _, seed := range []int64{1, 2, 3} {
 		pts := dataset.Twitter(4000, seed)
-		ref, err := dbscan.Cluster(pts, params, dbscan.IndexBrute)
+		ref, err := dbscan.Cluster(pts, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,8 +37,8 @@ func TestTIDBSCANMatchesReferenceExactly(t *testing.T) {
 
 func TestTIDBSCANSDSSParams(t *testing.T) {
 	pts := dataset.SDSS(3000, 4)
-	p := dbscan.Params{Eps: 0.00015, MinPts: 5}
-	ref, err := dbscan.Cluster(pts, p, dbscan.IndexGrid)
+	p := geom.Params{Eps: 0.00015, MinPts: 5}
+	ref, err := dbscan.Cluster(pts, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestTIDBSCANSDSSParams(t *testing.T) {
 }
 
 func TestTIDBSCANEdgeCases(t *testing.T) {
-	if _, err := TIDBSCAN(nil, dbscan.Params{Eps: 0, MinPts: 1}); err == nil {
+	if _, err := TIDBSCAN(nil, geom.Params{Eps: 0, MinPts: 1}); err == nil {
 		t.Error("bad params must fail")
 	}
 	res, err := TIDBSCAN(nil, params)
@@ -71,7 +71,7 @@ func TestTIDBSCANEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Labels[0] != dbscan.Noise {
+	if res.Labels[0] != geom.Noise {
 		t.Error("single point must be noise")
 	}
 	// Duplicate points (zero projected distance spread).
@@ -79,7 +79,7 @@ func TestTIDBSCANEdgeCases(t *testing.T) {
 	for i := range dup {
 		dup[i] = geom.Point{ID: uint64(i), X: 1, Y: 1}
 	}
-	res, err = TIDBSCAN(dup, dbscan.Params{Eps: 0.1, MinPts: 10})
+	res, err = TIDBSCAN(dup, geom.Params{Eps: 0.1, MinPts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,9 @@ func BenchmarkTIDBSCANvsIndexes(b *testing.B) {
 			}
 		}
 	})
-	b.Run("kdtree", func(b *testing.B) {
+	b.Run("oracle", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dbscan.Cluster(pts, params, dbscan.IndexKDTree); err != nil {
+			if _, err := dbscan.Cluster(pts, params); err != nil {
 				b.Fatal(err)
 			}
 		}

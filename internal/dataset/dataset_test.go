@@ -70,7 +70,7 @@ func TestTwitterClustersAtPaperParams(t *testing.T) {
 	// At Eps=0.1, MinPts=40 the city cores must form real clusters while
 	// background points stay noise.
 	pts := Twitter(20000, 3)
-	res, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 40}, dbscan.IndexGrid)
+	res, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTwitterClustersAtPaperParams(t *testing.T) {
 	}
 	noise := 0
 	for _, l := range res.Labels {
-		if l == dbscan.Noise {
+		if l == geom.Noise {
 			noise++
 		}
 	}
@@ -113,7 +113,7 @@ func TestSDSSClustersAtPaperParams(t *testing.T) {
 	// §5.2 parameters: Eps = 0.00015, MinPts = 5. Objects must be found
 	// as clusters.
 	pts := SDSS(8000, 5)
-	res, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.00015, MinPts: 5}, dbscan.IndexGrid)
+	res, err := dbscan.Cluster(pts, geom.Params{Eps: 0.00015, MinPts: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestBlobs(t *testing.T) {
 	if len(pts) != 5000 {
 		t.Fatalf("generated %d points", len(pts))
 	}
-	res, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.5, MinPts: 10}, dbscan.IndexGrid)
+	res, err := dbscan.Cluster(pts, geom.Params{Eps: 0.5, MinPts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestBlobs(t *testing.T) {
 
 func TestMoonsTwoNonConvexClusters(t *testing.T) {
 	pts := Moons(2000, 13, 0.04)
-	res, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.15, MinPts: 8}, dbscan.IndexGrid)
+	res, err := dbscan.Cluster(pts, geom.Params{Eps: 0.15, MinPts: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dbscan"
 	"repro/internal/faultinject"
 	"repro/internal/gdbscan"
 	"repro/internal/geom"
@@ -194,7 +193,7 @@ func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
 	}
 	begin := time.Now()
 	res, err := gdbscan.Cluster(scratch.dev, combined, gdbscan.Options{
-		Params:    dbscan.Params{Eps: req.Eps, MinPts: req.MinPts},
+		Params:    geom.Params{Eps: req.Eps, MinPts: req.MinPts},
 		DenseBox:  req.DenseBox,
 		Workspace: &scratch.ws,
 	})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/quality"
 )
 
@@ -37,7 +38,7 @@ func startWorkers(t *testing.T, c *Coordinator, n int, opt ...WorkerOptions) *sy
 
 func TestDistributedMatchesReference(t *testing.T) {
 	pts := dataset.Twitter(10000, 1)
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 40}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDistributedMoreLeavesThanWorkers(t *testing.T) {
 	}
 	c.Shutdown()
 	wg.Wait()
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 10}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/quality"
 )
 
@@ -54,7 +55,7 @@ func TestRealProcessWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Shutdown()
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 40}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

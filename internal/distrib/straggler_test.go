@@ -12,6 +12,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/quality"
 	"repro/internal/telemetry"
 )
@@ -79,7 +80,7 @@ func TestStragglerHedging(t *testing.T) {
 		t.Fatalf("dispatch took %v — hedging did not beat the %v straggler", elapsed, delay)
 	}
 	// The hedged run's output must still be correct (losers discarded).
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 10}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

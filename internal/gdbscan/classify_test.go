@@ -70,12 +70,12 @@ func duplicateSites(n int) []geom.Point {
 // exactly and whole rows of leaves are wholly-within by equality.
 func boundsInputs() []contractInput {
 	return []contractInput{
-		{"twitter", dataset.Twitter(3000, 71), dbscan.Params{Eps: 0.1, MinPts: 40}},
-		{"sdss", dataset.SDSS(3000, 72), dbscan.Params{Eps: 0.00015, MinPts: 5}},
-		{"exact-lattice", latticePoints(24, 24, 0.25), dbscan.Params{Eps: 0.25, MinPts: 5}},
-		{"duplicates", duplicatePoints(300), dbscan.Params{Eps: 0.1, MinPts: 4}},
-		{"duplicate-sites", duplicateSites(600), dbscan.Params{Eps: 0.1, MinPts: 6}},
-		{"collinear", collinearPoints(300, 0.01), dbscan.Params{Eps: 0.1, MinPts: 4}},
+		{"twitter", dataset.Twitter(3000, 71), geom.Params{Eps: 0.1, MinPts: 40}},
+		{"sdss", dataset.SDSS(3000, 72), geom.Params{Eps: 0.00015, MinPts: 5}},
+		{"exact-lattice", latticePoints(24, 24, 0.25), geom.Params{Eps: 0.25, MinPts: 5}},
+		{"duplicates", duplicatePoints(300), geom.Params{Eps: 0.1, MinPts: 4}},
+		{"duplicate-sites", duplicateSites(600), geom.Params{Eps: 0.1, MinPts: 6}},
+		{"collinear", collinearPoints(300, 0.01), geom.Params{Eps: 0.1, MinPts: 4}},
 	}
 }
 
@@ -181,7 +181,7 @@ func checkCoreFlags(t *testing.T, name string, pts []geom.Point, opt Options) {
 	if want := classifyPerPoint(c); !slices.Equal(c.core, want) {
 		t.Errorf("%s: core flags differ from the per-point loop's (first at %d)", name, firstDiff(c.core, want))
 	}
-	ref, err := dbscan.Cluster(pts, opt.Params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, opt.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCellClassifyMatchesPerPointLoop(t *testing.T) {
 	f := func(seed int64, nRaw uint16, minRaw, leafRaw uint8, dense bool) bool {
 		pts := clumpsAndScatter(rand.New(rand.NewSource(seed)), int(nRaw)%400+10)
 		opt := Options{
-			Params:   dbscan.Params{Eps: 0.1, MinPts: int(minRaw)%12 + 1},
+			Params:   geom.Params{Eps: 0.1, MinPts: int(minRaw)%12 + 1},
 			DenseBox: dense,
 			LeafSize: int(leafRaw)%48 + 4,
 		}
@@ -264,7 +264,7 @@ func boundEdges(tb testing.TB, pts []geom.Point, opt Options) []int {
 func TestClassifyScansAtMinPtsExtremes(t *testing.T) {
 	pts := dataset.Twitter(6000, 74)
 	for _, dense := range []bool{true, false} {
-		c := classified(t, pts, Options{Params: dbscan.Params{Eps: 0.1, MinPts: 1}, DenseBox: dense})
+		c := classified(t, pts, Options{Params: geom.Params{Eps: 0.1, MinPts: 1}, DenseBox: dense})
 		if c.stats.CorePoints != len(pts) {
 			t.Errorf("densebox=%v, MinPts 1: %d of %d points core", dense, c.stats.CorePoints, len(pts))
 		}
@@ -276,7 +276,7 @@ func TestClassifyScansAtMinPtsExtremes(t *testing.T) {
 			t.Errorf("densebox=%v, MinPts 1: %d leaf scans for %d points of undecided leaves, want at most one each", dense, scans, undecided)
 		}
 
-		c = classified(t, pts, Options{Params: dbscan.Params{Eps: 0.1, MinPts: len(pts) + 1}, DenseBox: dense})
+		c = classified(t, pts, Options{Params: geom.Params{Eps: 0.1, MinPts: len(pts) + 1}, DenseBox: dense})
 		if scans := c.ws.leafScans.Load(); scans != 0 || c.stats.CellNonCorePoints != len(pts) || c.stats.CorePoints != 0 {
 			t.Errorf("densebox=%v, MinPts n+1: %d leaf scans, %d points decided non-core, %d core; want 0, %d, 0",
 				dense, scans, c.stats.CellNonCorePoints, c.stats.CorePoints, len(pts))
@@ -297,8 +297,8 @@ func xStrip(pts []geom.Point, k, parts int) []geom.Point {
 // one of sixteen of batch_io's SDSS 150 k, at those workloads' parameters.
 func classifyShapes() []contractInput {
 	return []contractInput{
-		{"twitter60k/8", xStrip(dataset.Twitter(60000, 75), 3, 8), dbscan.Params{Eps: 0.1, MinPts: 40}},
-		{"sdss150k/16", xStrip(dataset.SDSS(150000, 76), 7, 16), dbscan.Params{Eps: 0.00015, MinPts: 5}},
+		{"twitter60k/8", xStrip(dataset.Twitter(60000, 75), 3, 8), geom.Params{Eps: 0.1, MinPts: 40}},
+		{"sdss150k/16", xStrip(dataset.SDSS(150000, 76), 7, 16), geom.Params{Eps: 0.00015, MinPts: 5}},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/dbscan"
 	"repro/internal/geom"
 )
 
@@ -73,7 +72,7 @@ func TestDegenerateInputs(t *testing.T) {
 		for _, denseBox := range []bool{false, true} {
 			for _, tc := range cases {
 				t.Run(fmt.Sprintf("%s/densebox=%v/%s", mode, denseBox, tc.name), func(t *testing.T) {
-					params := dbscan.Params{Eps: tc.eps, MinPts: tc.minPts}
+					params := geom.Params{Eps: tc.eps, MinPts: tc.minPts}
 					res, err := Cluster(testDevice(), tc.pts, Options{
 						Params:   params,
 						Mode:     mode,
@@ -116,7 +115,7 @@ func TestDenseBoxLinkingAcrossLeaves(t *testing.T) {
 	for i := 0; i < minPts; i++ {
 		pts = append(pts, geom.Point{ID: uint64(minPts + i), X: 0.09 + 0.001*float64(i), Y: 0})
 	}
-	params := dbscan.Params{Eps: eps, MinPts: minPts}
+	params := geom.Params{Eps: eps, MinPts: minPts}
 	// The clumps lie in different cells of the Eps/√2 grid and LeafSize =
 	// minPts lets no leaf hold both: one leaf per group, both dense.
 	res, err := Cluster(testDevice(), pts, Options{
@@ -156,7 +155,7 @@ func TestDenseBoxLinkingAcrossLeaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range ref.Labels {
-		if l == dbscan.Noise || l != ref.Labels[0] {
+		if l == geom.Noise || l != ref.Labels[0] {
 			t.Fatalf("reference disagrees with test premise: labels %v", ref.Labels)
 		}
 	}

@@ -57,7 +57,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/dbscan"
 	"repro/internal/dsu"
 	"repro/internal/geom"
 	"repro/internal/gpusim"
@@ -90,7 +89,7 @@ func (m Mode) String() string {
 
 // Options configures a clustering run.
 type Options struct {
-	Params dbscan.Params
+	Params geom.Params
 	// DenseBox enables the §3.2.3 optimization: the KD-tree is subdivided
 	// to Eps cells and every all-core cell is a dense box. Off, the tree
 	// keeps LeafSize-point leaves and every core point is expanded.
@@ -165,7 +164,7 @@ type Stats struct {
 }
 
 // Result is the clustering output. Labels are local (per-leaf) cluster IDs
-// 0..NumClusters-1 or dbscan.Noise.
+// 0..NumClusters-1 or geom.Noise.
 type Result struct {
 	Labels      []int32
 	Core        []bool
@@ -290,7 +289,7 @@ type clustering struct {
 // Cluster runs the GPGPU DBSCAN over pts on dev.
 func Cluster(dev *gpusim.Device, pts []geom.Point, opt Options) (*Result, error) {
 	if err := opt.Params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gdbscan: %w", err)
 	}
 	opt.setDefaults()
 	n := len(pts)
@@ -616,7 +615,7 @@ func (c *clustering) enclosing(a int32) int32 {
 // member starts at the leaf's lower bound and walks the straddle entries
 // of its list — out of the member's reach: skipped; wholly inside its
 // disc: counted whole; else scanned — until it has MinPts neighbors.
-// Counts include the point itself (dbscan.Params): its own leaf is part
+// Counts include the point itself (geom.Params): its own leaf is part
 // of lo or on the list.
 func (c *clustering) classifyCell(a int32) {
 	xs, ys, eps2, minPts := c.xs, c.ys, c.eps2, c.opt.Params.MinPts
@@ -661,7 +660,7 @@ func (c *clustering) classifyFull() error {
 	n, core, flat, xs, ys := len(c.pts), c.core, c.flat, c.xs, c.ys
 	eps := c.opt.Params.Eps
 	// minNeighbors excludes the point itself (the DBSCAN neighborhood
-	// includes the point, see dbscan.Params).
+	// includes the point, see geom.Params).
 	minNeighbors := c.opt.Params.MinPts - 1
 	return c.dev.Launch("gdbscan/classify", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
@@ -1062,7 +1061,7 @@ func (c *clustering) compactLabels() (out []int32, numClusters int) {
 	next := int32(0)
 	for i, l := range c.labels {
 		if l < 0 {
-			out[i] = dbscan.Noise
+			out[i] = geom.Noise
 			continue
 		}
 		lead := c.ws.lead[l]

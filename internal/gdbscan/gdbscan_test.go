@@ -58,9 +58,9 @@ func mixedDataset(seed int64, n int) []geom.Point {
 // one to the cluster sequential DBSCAN would, provided pts carry IDs that
 // do not decrease along the slice (so the rule's (ID, index) order is the
 // reference's visiting order).
-func validate(t *testing.T, pts []geom.Point, params dbscan.Params, res *Result) {
+func validate(t *testing.T, pts []geom.Point, params geom.Params, res *Result) {
 	t.Helper()
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func matchesReference(ref *dbscan.Result, res *Result) error {
 	if len(res.Labels) != n || len(res.Core) != n {
 		return fmt.Errorf("result sizes %d/%d, want %d", len(res.Labels), len(res.Core), n)
 	}
-	refToGot := map[int]int32{dbscan.Noise: dbscan.Noise}
-	gotToRef := map[int32]int{dbscan.Noise: dbscan.Noise}
+	refToGot := map[int]int32{geom.Noise: geom.Noise}
+	gotToRef := map[int32]int{geom.Noise: geom.Noise}
 	for i := 0; i < n; i++ {
 		if res.Core[i] != ref.Core[i] {
 			return fmt.Errorf("core flag of point %d = %v, want %v", i, res.Core[i], ref.Core[i])
@@ -101,7 +101,7 @@ func matchesReference(ref *dbscan.Result, res *Result) error {
 
 func TestMatchesReferenceSmall(t *testing.T) {
 	pts := mixedDataset(1, 800)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	for _, dense := range []bool{false, true} {
 		name := "densebox=off"
 		if dense {
@@ -121,13 +121,13 @@ func TestMatchesReferenceAcrossMinPts(t *testing.T) {
 	pts := mixedDataset(2, 1500)
 	for _, minPts := range []int{2, 4, 10, 40} {
 		res, err := Cluster(testDevice(), pts, Options{
-			Params:   dbscan.Params{Eps: 0.1, MinPts: minPts},
+			Params:   geom.Params{Eps: 0.1, MinPts: minPts},
 			DenseBox: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		validate(t, pts, dbscan.Params{Eps: 0.1, MinPts: minPts}, res)
+		validate(t, pts, geom.Params{Eps: 0.1, MinPts: minPts}, res)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestDenseBoxActivates(t *testing.T) {
 	// A single very dense blob: dense boxes must eliminate most points.
 	rng := rand.New(rand.NewSource(3))
 	pts := blob(rng, 0, 4000, 0, 0, 0.02) // everything within one Eps region
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	res, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true, LeafSize: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestDenseBoxAdjacentBlobsMerge(t *testing.T) {
 	var pts []geom.Point
 	pts = append(pts, blob(rng, 0, 200, 0, 0, 0.01)...)
 	pts = append(pts, blob(rng, 1000, 200, 0.05, 0, 0.01)...)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	res, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true, LeafSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestDenseBoxBorderAttach(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		pts = append(pts, geom.Point{ID: 200 + uint64(i), X: 1 + float64(i)*0.005, Y: 0})
 	}
-	params := dbscan.Params{Eps: 0.1, MinPts: 15}
+	params := geom.Params{Eps: 0.1, MinPts: 15}
 	res, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true, LeafSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestDenseBoxBorderAttach(t *testing.T) {
 	if res.Core[borderIdx] {
 		t.Fatal("border point must not be core")
 	}
-	if res.Labels[borderIdx] == dbscan.Noise {
+	if res.Labels[borderIdx] == geom.Noise {
 		t.Fatal("point within Eps of a dense box must be a border member, not noise")
 	}
 	if res.Labels[borderIdx] != res.Labels[0] {
@@ -210,7 +210,7 @@ func TestDenseBoxBorderAttach(t *testing.T) {
 }
 
 func TestEmptyAndTinyInputs(t *testing.T) {
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	res, err := Cluster(testDevice(), nil, Options{Params: params})
 	if err != nil {
 		t.Fatal(err)
@@ -222,20 +222,20 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumClusters != 0 || res.Labels[0] != dbscan.Noise {
+	if res.NumClusters != 0 || res.Labels[0] != geom.Noise {
 		t.Errorf("single point must be noise, got %+v", res)
 	}
 }
 
 func TestInvalidParams(t *testing.T) {
-	if _, err := Cluster(testDevice(), nil, Options{Params: dbscan.Params{Eps: -1, MinPts: 4}}); err == nil {
+	if _, err := Cluster(testDevice(), nil, Options{Params: geom.Params{Eps: -1, MinPts: 4}}); err == nil {
 		t.Error("negative Eps must be rejected")
 	}
 }
 
 func TestCUDADClustModeMatchesOutput(t *testing.T) {
 	pts := mixedDataset(6, 700)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	res, err := Cluster(testDevice(), pts, Options{Params: params, Mode: ModeCUDADClust})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestCUDADClustModeTransferCost(t *testing.T) {
 	// §3.2.2: the baseline's per-iteration synchronous copies must show up
 	// as many more device transfers than Mr. Scan's single round trip.
 	pts := mixedDataset(7, 3000)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 
 	devA := testDevice()
 	resA, err := Cluster(devA, pts, Options{Params: params, DenseBox: true, Blocks: 16})
@@ -273,7 +273,7 @@ func TestCUDADClustModeTransferCost(t *testing.T) {
 
 func TestDenseBoxReducesExpansionWork(t *testing.T) {
 	pts := mixedDataset(8, 5000)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	on, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestHighMinPtsWeakensDenseBox(t *testing.T) {
 	pts := mixedDataset(9, 5000)
 	eliminated := func(minPts int) int {
 		res, err := Cluster(testDevice(), pts, Options{
-			Params:   dbscan.Params{Eps: 0.1, MinPts: minPts},
+			Params:   geom.Params{Eps: 0.1, MinPts: minPts},
 			DenseBox: true,
 			LeafSize: 64,
 		})
@@ -325,7 +325,7 @@ func TestRingShape(t *testing.T) {
 		a := float64(i) / 720 * 2 * math.Pi
 		pts = append(pts, geom.Point{ID: uint64(i), X: math.Cos(a) + rng.Float64()*0.001, Y: math.Sin(a) + rng.Float64()*0.001})
 	}
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	res, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true})
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +340,8 @@ func TestDeterministicCorePartitionUnderConcurrency(t *testing.T) {
 	// Block-level races decide which block claims a core point, but not
 	// the clusters that come out. Run repeatedly.
 	pts := mixedDataset(11, 2000)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
-	ref, err := dbscan.Cluster(pts, params, dbscan.IndexGrid)
+	params := geom.Params{Eps: 0.1, MinPts: 4}
+	ref, err := dbscan.Cluster(pts, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestDeterministicCorePartitionUnderConcurrency(t *testing.T) {
 
 func BenchmarkGPUDBSCAN(b *testing.B) {
 	pts := mixedDataset(12, 20000)
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	for _, dense := range []bool{false, true} {
 		name := "densebox=off"
 		if dense {

@@ -25,7 +25,7 @@ func TestPropertyMatchesReference(t *testing.T) {
 		blocks := int(blocksRaw)%16 + 1
 		leafSize := int(leafRaw)%48 + 4
 		pts := clumpsAndScatter(rng, n)
-		params := dbscan.Params{Eps: 0.1, MinPts: minPts}
+		params := geom.Params{Eps: 0.1, MinPts: minPts}
 		res, err := Cluster(testDevice(), pts, Options{
 			Params:   params,
 			DenseBox: dense,
@@ -35,7 +35,7 @@ func TestPropertyMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref, err := dbscan.Cluster(pts, params, dbscan.IndexBrute)
+		ref, err := dbscan.Cluster(pts, params)
 		if err != nil {
 			return false
 		}
@@ -76,7 +76,7 @@ func TestPropertyLatticeAndDegenerate(t *testing.T) {
 	}
 	for name, pts := range cases {
 		t.Run(name, func(t *testing.T) {
-			params := dbscan.Params{Eps: 0.1, MinPts: 4}
+			params := geom.Params{Eps: 0.1, MinPts: 4}
 			res, err := Cluster(testDevice(), pts, Options{Params: params, DenseBox: true})
 			if err != nil {
 				t.Fatal(err)
@@ -128,7 +128,7 @@ func shiftY(pts []geom.Point, dy float64) []geom.Point {
 type contractInput struct {
 	name   string
 	pts    []geom.Point
-	params dbscan.Params
+	params geom.Params
 }
 
 // contractInputs covers the workload shapes (Twitter, SDSS), marginal-
@@ -138,12 +138,12 @@ type contractInput struct {
 // order is the reference's visiting order either way.
 func contractInputs() []contractInput {
 	in := []contractInput{
-		{"twitter", dataset.Twitter(800, 41), dbscan.Params{Eps: 0.1, MinPts: 10}},
-		{"sdss", dataset.SDSS(800, 42), dbscan.Params{Eps: 0.00015, MinPts: 5}},
-		{"uniform", dataset.Uniform(800, 43, geom.Rect{MaxX: 1.6, MaxY: 1.6}), dbscan.Params{Eps: 0.1, MinPts: 8}},
-		{"lattice", latticePoints(20, 20, 0.05), dbscan.Params{Eps: 0.1, MinPts: 4}},
-		{"duplicates", duplicatePoints(300), dbscan.Params{Eps: 0.1, MinPts: 4}},
-		{"collinear", collinearPoints(300, 0.01), dbscan.Params{Eps: 0.1, MinPts: 4}},
+		{"twitter", dataset.Twitter(800, 41), geom.Params{Eps: 0.1, MinPts: 10}},
+		{"sdss", dataset.SDSS(800, 42), geom.Params{Eps: 0.00015, MinPts: 5}},
+		{"uniform", dataset.Uniform(800, 43, geom.Rect{MaxX: 1.6, MaxY: 1.6}), geom.Params{Eps: 0.1, MinPts: 8}},
+		{"lattice", latticePoints(20, 20, 0.05), geom.Params{Eps: 0.1, MinPts: 4}},
+		{"duplicates", duplicatePoints(300), geom.Params{Eps: 0.1, MinPts: 4}},
+		{"collinear", collinearPoints(300, 0.01), geom.Params{Eps: 0.1, MinPts: 4}},
 	}
 	for _, x := range in[:len(in):len(in)] {
 		zero := make([]geom.Point, len(x.pts))
@@ -166,7 +166,7 @@ func contractInputs() []contractInput {
 func TestCellKernelContract(t *testing.T) {
 	repeats := 20
 	for _, in := range contractInputs() {
-		ref, err := dbscan.Cluster(in.pts, in.params, dbscan.IndexGrid)
+		ref, err := dbscan.Cluster(in.pts, in.params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestCellKernelContract(t *testing.T) {
 
 // checkBoxes is contract (d), read from the box map and seed list the
 // run left in its workspace and a rebuild of its (deterministic) tree.
-func checkBoxes(t *testing.T, name string, pts []geom.Point, ws *Workspace, res *Result, params dbscan.Params, boxesOn bool) {
+func checkBoxes(t *testing.T, name string, pts []geom.Point, ws *Workspace, res *Result, params geom.Params, boxesOn bool) {
 	t.Helper()
 	var kd kdtree.Workspace
 	_, flat := kd.BuildCells(pts, kdtree.DefaultLeafSize, params.Eps)
@@ -257,7 +257,7 @@ func TestBoxLinkingMatchesBruteForce(t *testing.T) {
 				pts = append(pts, geom.Point{ID: uint64(len(pts)), X: cx + rng.Float64()*0.05, Y: cy + rng.Float64()*0.05})
 			}
 		}
-		opt := Options{Params: dbscan.Params{Eps: 0.1, MinPts: 3}, DenseBox: true}
+		opt := Options{Params: geom.Params{Eps: 0.1, MinPts: 3}, DenseBox: true}
 		opt.setDefaults()
 		c := newClustering(testDevice(), pts, opt)
 		if err := c.classify(); err != nil {
@@ -311,7 +311,7 @@ func leafPts(c *clustering, ni int) []geom.Point {
 // of the Eps/√2 grid laid from (0, 0) — columns 0 and 2 of its first row
 // — which is what makes it one leaf.
 func TestBoxesWithinEpsOnlyByRectangle(t *testing.T) {
-	params := dbscan.Params{Eps: 0.1, MinPts: 2}
+	params := geom.Params{Eps: 0.1, MinPts: 2}
 	apart := []geom.Point{
 		{ID: 0, X: 0, Y: 0}, {ID: 1, X: 0.06, Y: 0.06},
 		{ID: 2, X: 0.15, Y: 0}, {ID: 3, X: 0.20, Y: 0.06},
@@ -348,7 +348,7 @@ func TestBoxLinkingExaminesLinearPairs(t *testing.T) {
 		n := int(length * 4000)
 		pts := dataset.Uniform(n, 5, geom.Rect{MaxX: length, MaxY: 1})
 		var ws Workspace
-		res, err := Cluster(testDevice(), pts, Options{Params: dbscan.Params{Eps: 0.1, MinPts: 5}, DenseBox: true, Workspace: &ws})
+		res, err := Cluster(testDevice(), pts, Options{Params: geom.Params{Eps: 0.1, MinPts: 5}, DenseBox: true, Workspace: &ws})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataset"
-	"repro/internal/dbscan"
 	"repro/internal/dsu"
 	"repro/internal/geom"
 )
@@ -232,7 +231,7 @@ func TestNeighbourListsMatchTreeWalks(t *testing.T) {
 	f := func(seed int64, nRaw uint16, minRaw, blocksRaw, leafRaw uint8, dense, cuda bool) bool {
 		pts := clumpsAndScatter(rand.New(rand.NewSource(seed)), int(nRaw)%400+10)
 		opt := Options{
-			Params:   dbscan.Params{Eps: 0.1, MinPts: int(minRaw)%12 + 1},
+			Params:   geom.Params{Eps: 0.1, MinPts: int(minRaw)%12 + 1},
 			DenseBox: dense,
 			Blocks:   int(blocksRaw)%16 + 1,
 			LeafSize: int(leafRaw)%48 + 4,
@@ -264,7 +263,7 @@ func TestNeighbourListsStayLocal(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		entriesPerLeaf := func(length float64) (float64, int) {
 			pts := dataset.Uniform(int(length*4000), 5, geom.Rect{MaxX: length, MaxY: 1})
-			c := classified(t, pts, Options{Params: dbscan.Params{Eps: 0.1, MinPts: 5}, DenseBox: dense})
+			c := classified(t, pts, Options{Params: geom.Params{Eps: 0.1, MinPts: 5}, DenseBox: dense})
 			leaves, entries := 0, 0
 			for ni, left := range c.flat.Left {
 				if left < 0 {

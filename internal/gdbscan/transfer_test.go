@@ -3,7 +3,6 @@ package gdbscan
 import (
 	"testing"
 
-	"repro/internal/dbscan"
 	"repro/internal/geom"
 	"repro/internal/kdtree"
 )
@@ -19,7 +18,7 @@ func TestCUDADClustRoundTransferBytes(t *testing.T) {
 	const n, blocks = 1000, 16
 	pts := mixedDataset(11, n)
 	res, err := Cluster(testDevice(), pts, Options{
-		Params: dbscan.Params{Eps: 0.1, MinPts: 4},
+		Params: geom.Params{Eps: 0.1, MinPts: 4},
 		Mode:   ModeCUDADClust,
 		Blocks: blocks,
 	})
@@ -72,7 +71,7 @@ func treeBytesFor(t *testing.T, pts []geom.Point) int64 {
 func TestMrScanModeHasNoRoundTransfers(t *testing.T) {
 	pts := mixedDataset(12, 800)
 	res, err := Cluster(testDevice(), pts, Options{
-		Params:   dbscan.Params{Eps: 0.1, MinPts: 4},
+		Params:   geom.Params{Eps: 0.1, MinPts: 4},
 		DenseBox: true,
 	})
 	if err != nil {

@@ -3,7 +3,7 @@ package gdbscan
 import (
 	"testing"
 
-	"repro/internal/dbscan"
+	"repro/internal/geom"
 )
 
 // TestWorkspaceReuseMatchesFresh runs a sequence of differently-shaped
@@ -13,7 +13,7 @@ import (
 // queues, collision filters, recycled device buffers) would corrupt the
 // later partitions.
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	dev := testDevice()
 	var ws Workspace
 	// Shrinking then growing sizes exercise both reuse (capacity fits)
@@ -45,7 +45,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 // state against workspace reuse (its seeds array is the largest reused
 // allocation).
 func TestWorkspaceReuseCUDADClustMode(t *testing.T) {
-	params := dbscan.Params{Eps: 0.1, MinPts: 4}
+	params := geom.Params{Eps: 0.1, MinPts: 4}
 	dev := testDevice()
 	var ws Workspace
 	for i, n := range []int{900, 300, 1100} {

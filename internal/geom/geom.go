@@ -46,6 +46,33 @@ func WithinEps(p, q Point, eps float64) bool {
 	return Dist2(p, q) <= eps*eps
 }
 
+// Noise is the label of a point in a low-density region, a member of no
+// cluster (§2.1).
+const Noise = -1
+
+// Params carries the two DBSCAN parameters.
+type Params struct {
+	// Eps is the neighborhood radius.
+	Eps float64
+	// MinPts is the minimum neighborhood size for a core point. Following
+	// the original formulation (and ELKI), the neighborhood of p includes
+	// p itself, so p is core iff |N_eps(p)| >= MinPts counting p.
+	MinPts int
+}
+
+// Validate reports whether the parameters are usable: Eps positive and
+// finite, MinPts at least 1. Every entry point that takes an Eps checks it
+// here, before any work.
+func (p Params) Validate() error {
+	if !(p.Eps > 0) || math.IsInf(p.Eps, 1) {
+		return fmt.Errorf("Eps must be positive and finite, got %v", p.Eps)
+	}
+	if p.MinPts < 1 {
+		return fmt.Errorf("MinPts must be at least 1, got %d", p.MinPts)
+	}
+	return nil
+}
+
 // Rect is a closed axis-aligned rectangle.
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64

@@ -41,6 +41,30 @@ func TestWithinEpsBoundaryInclusive(t *testing.T) {
 	}
 }
 
+// TestParamsValidate: Eps must be positive and finite — NaN and +Inf
+// were accepted once, and ran a whole partition phase before failing —
+// and MinPts at least 1. A subnormal Eps is valid: its square underflows
+// to 0, so only coincident points are within it.
+func TestParamsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		p  Params
+		ok bool
+	}{
+		{Params{Eps: math.NaN(), MinPts: 4}, false},
+		{Params{Eps: math.Inf(1), MinPts: 4}, false},
+		{Params{Eps: math.Inf(-1), MinPts: 4}, false},
+		{Params{Eps: 0, MinPts: 4}, false},
+		{Params{Eps: -0.1, MinPts: 4}, false},
+		{Params{Eps: 1e-310, MinPts: 4}, true},
+		{Params{Eps: 0.1, MinPts: 0}, false},
+		{Params{Eps: 0.1, MinPts: 1}, true},
+	} {
+		if err := tc.p.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want accepted=%t", tc.p, err, tc.ok)
+		}
+	}
+}
+
 func TestDistSymmetryProperty(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		if anyNaNInf(ax, ay, bx, by) {

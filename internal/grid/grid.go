@@ -198,9 +198,6 @@ func NewIndex(g Grid, pts []geom.Point) *Index {
 // Grid returns the underlying grid.
 func (idx *Index) Grid() Grid { return idx.g }
 
-// Points returns the indexed points.
-func (idx *Index) Points() []geom.Point { return idx.pts }
-
 // CellPoints returns the indices of points in cell c (nil if empty).
 func (idx *Index) CellPoints(c Coord) []int32 { return idx.cells[c] }
 

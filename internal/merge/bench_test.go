@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/grid"
 )
 
@@ -14,7 +14,7 @@ import (
 // clusterings of a partitioned Twitter dataset.
 func benchSummaries(b *testing.B, n, nParts int) [][]*Summary {
 	b.Helper()
-	gg, leaves := leafInputs(b, dataset.Twitter(n, 4), dbscan.Params{Eps: 0.1, MinPts: 40}, nParts)
+	gg, leaves := leafInputs(b, dataset.Twitter(n, 4), geom.Params{Eps: 0.1, MinPts: 40}, nParts)
 	flat, _ := buildBoth(b, gg, leaves)
 	return flat
 }

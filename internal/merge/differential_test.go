@@ -74,7 +74,7 @@ type leafInput struct {
 	n      int
 }
 
-func leafInputs(tb testing.TB, pts []geom.Point, params dbscan.Params, nParts int) (grid.Grid, []leafInput) {
+func leafInputs(tb testing.TB, pts []geom.Point, params geom.Params, nParts int) (grid.Grid, []leafInput) {
 	tb.Helper()
 	gg := grid.New(params.Eps)
 	plan, err := partition.MakePlan(gg, gg.HistogramOf(pts), nParts, params.MinPts, true)
@@ -88,7 +88,7 @@ func leafInputs(tb testing.TB, pts []geom.Point, params dbscan.Params, nParts in
 	leaves := make([]leafInput, nParts)
 	for leaf := range leaves {
 		combined := append(slices.Clone(split.Partitions[leaf]), split.Shadows[leaf]...)
-		res, err := dbscan.Cluster(combined, params, dbscan.IndexGrid)
+		res, err := dbscan.Cluster(combined, params)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -194,12 +194,12 @@ func reduceBoth(t *testing.T, gg grid.Grid, eps float64, flat [][]*Summary, ref 
 type dataCase struct {
 	name   string
 	pts    []geom.Point
-	params dbscan.Params
+	params geom.Params
 	leaves int
 }
 
 func dataCases() []dataCase {
-	tw, sd := dbscan.Params{Eps: 0.1, MinPts: 40}, dbscan.Params{Eps: 0.00015, MinPts: 5}
+	tw, sd := geom.Params{Eps: 0.1, MinPts: 40}, geom.Params{Eps: 0.00015, MinPts: 5}
 	return []dataCase{
 		{"twitter50k/4", dataset.Twitter(50_000, 4), tw, 4},
 		{"twitter50k/16", dataset.Twitter(50_000, 4), tw, 16},
@@ -323,7 +323,7 @@ func FuzzDecodeSummaries(f *testing.F) {
 			f.Add(AppendSummaries(nil, toFlatAll(grp)))
 		}
 	}
-	gg, leaves := leafInputs(f, dataset.Twitter(3000, 4), dbscan.Params{Eps: 0.1, MinPts: 10}, 3)
+	gg, leaves := leafInputs(f, dataset.Twitter(3000, 4), geom.Params{Eps: 0.1, MinPts: 10}, 3)
 	flat, _ := buildBoth(f, gg, leaves)
 	f.Add(AppendSummaries(nil, Combine(gg, 0.1, flat)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

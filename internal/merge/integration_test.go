@@ -29,16 +29,16 @@ func TestMergeIsolatedFromGPU(t *testing.T) {
 	cases := []struct {
 		name   string
 		pts    []geom.Point
-		params dbscan.Params
+		params geom.Params
 		floor  float64
 	}{
-		{"twitter", dataset.Twitter(6000, 31), dbscan.Params{Eps: 0.1, MinPts: 10}, 0.995},
-		{"sdss", dataset.SDSS(6000, 32), dbscan.Params{Eps: 0.00015, MinPts: 5}, 0.995},
-		{"uniform", dataset.Uniform(6000, 33, geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}), dbscan.Params{Eps: 0.1, MinPts: 8}, 0.98},
+		{"twitter", dataset.Twitter(6000, 31), geom.Params{Eps: 0.1, MinPts: 10}, 0.995},
+		{"sdss", dataset.SDSS(6000, 32), geom.Params{Eps: 0.00015, MinPts: 5}, 0.995},
+		{"uniform", dataset.Uniform(6000, 33, geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5}), geom.Params{Eps: 0.1, MinPts: 8}, 0.98},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			global, err := dbscan.Cluster(tc.pts, tc.params, dbscan.IndexGrid)
+			global, err := dbscan.Cluster(tc.pts, tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func corePartitionDiff(global *dbscan.Result, labels []int) (splits, falseMerges
 // mergeViaSummaries partitions pts, clusters each partition exactly,
 // merges the summaries through a random tree, and returns global labels
 // aligned with pts.
-func mergeViaSummaries(t *testing.T, pts []geom.Point, params dbscan.Params, nParts int, treeSeed int64) []int {
+func mergeViaSummaries(t *testing.T, pts []geom.Point, params geom.Params, nParts int, treeSeed int64) []int {
 	t.Helper()
 	g := grid.New(params.Eps)
 	h := g.HistogramOf(pts)
@@ -115,7 +115,7 @@ func mergeViaSummaries(t *testing.T, pts []geom.Point, params dbscan.Params, nPa
 	leaves := make([]leafOut, nParts)
 	for leaf := 0; leaf < nParts; leaf++ {
 		combined := append(append([]geom.Point(nil), split.Partitions[leaf]...), split.Shadows[leaf]...)
-		res, err := dbscan.Cluster(combined, params, dbscan.IndexGrid)
+		res, err := dbscan.Cluster(combined, params)
 		if err != nil {
 			t.Fatal(err)
 		}

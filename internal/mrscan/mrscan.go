@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/dbscan"
 	"repro/internal/faultinject"
 	"repro/internal/gdbscan"
 	"repro/internal/geom"
@@ -219,11 +218,8 @@ func Default(eps float64, minPts, leaves int) Config {
 }
 
 func (c *Config) setDefaults() error {
-	if c.Eps <= 0 {
-		return fmt.Errorf("mrscan: Eps must be positive, got %v", c.Eps)
-	}
-	if c.MinPts < 1 {
-		return fmt.Errorf("mrscan: MinPts must be positive, got %d", c.MinPts)
+	if err := (geom.Params{Eps: c.Eps, MinPts: c.MinPts}).Validate(); err != nil {
+		return fmt.Errorf("mrscan: %w", err)
 	}
 	if c.Leaves < 1 {
 		return fmt.Errorf("mrscan: need at least one leaf, got %d", c.Leaves)
@@ -835,7 +831,7 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, scratch *leafScratch, leaf 
 	dev.SetTraceParent(leafSpan)
 	gpuStart := time.Now()
 	res, err := gdbscan.Cluster(dev, slab, gdbscan.Options{
-		Params:          dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
+		Params:          geom.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
 		DenseBox:        cfg.DenseBox,
 		Mode:            cfg.Mode,
 		Blocks:          cfg.Blocks,

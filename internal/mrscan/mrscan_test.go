@@ -22,7 +22,7 @@ func runAndScore(t *testing.T, pts []geom.Point, cfg Config) (float64, *Result, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: cfg.Eps, MinPts: cfg.MinPts}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: cfg.Eps, MinPts: cfg.MinPts})
 	if err != nil {
 		t.Fatal(err)
 	}

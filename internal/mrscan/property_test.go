@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
+	"repro/internal/geom"
 	"repro/internal/quality"
 )
 
@@ -15,7 +16,7 @@ import (
 // the paper's quality floor against the sequential reference.
 func TestPipelinePropertyRandomConfigs(t *testing.T) {
 	pts := dataset.Twitter(3000, 50)
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: 0.1, MinPts: 10}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: 0.1, MinPts: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

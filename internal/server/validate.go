@@ -36,7 +36,7 @@ const maxCell = 1 << 30
 const maxLeaves = 1024
 
 func validateInput(pts []geom.Point, eps float64, minPts, leaves int) error {
-	if !(eps > 0) || math.IsInf(eps, 0) || minPts < 1 || leaves > maxLeaves {
+	if (geom.Params{Eps: eps, MinPts: minPts}).Validate() != nil || leaves > maxLeaves {
 		return fmt.Errorf("%w: eps=%v minPts=%d leaves=%d (at most %d)", errInvalidParams, eps, minPts, leaves, maxLeaves)
 	}
 	return validatePoints(pts, eps)

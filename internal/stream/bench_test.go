@@ -57,7 +57,7 @@ func BenchmarkStreamFullRecluster(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dbscan.Cluster(snap.Points, dbscan.Params{Eps: 0.12, MinPts: 8}, dbscan.IndexGrid); err != nil {
+		if _, err := dbscan.Cluster(snap.Points, geom.Params{Eps: 0.12, MinPts: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // pts must be in ascending ID order, as Snapshot returns them.
 func canonicalLabels(t *testing.T, pts []geom.Point, eps float64, minPts int) []int {
 	t.Helper()
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: eps, MinPts: minPts}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: eps, MinPts: minPts})
 	if err != nil {
 		t.Fatalf("batch oracle: %v", err)
 	}

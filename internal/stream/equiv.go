@@ -57,7 +57,7 @@ func EquivalentDBSCAN(pts []geom.Point, eps float64, minPts int, got []int) erro
 	if len(got) != len(pts) {
 		return fmt.Errorf("stream: equivalence: %d labels for %d points", len(got), len(pts))
 	}
-	ref, err := dbscan.Cluster(pts, dbscan.Params{Eps: eps, MinPts: minPts}, dbscan.IndexGrid)
+	ref, err := dbscan.Cluster(pts, geom.Params{Eps: eps, MinPts: minPts})
 	if err != nil {
 		return fmt.Errorf("stream: equivalence: batch oracle: %w", err)
 	}

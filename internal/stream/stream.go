@@ -226,11 +226,8 @@ const claimed = -1
 
 // New validates cfg and returns an empty engine.
 func New(cfg Config) (*Engine, error) {
-	if cfg.Eps <= 0 || math.IsNaN(cfg.Eps) || math.IsInf(cfg.Eps, 0) {
-		return nil, fmt.Errorf("stream: eps must be positive and finite, got %v", cfg.Eps)
-	}
-	if cfg.MinPts < 1 {
-		return nil, fmt.Errorf("stream: minPts must be >= 1, got %d", cfg.MinPts)
+	if err := (geom.Params{Eps: cfg.Eps, MinPts: cfg.MinPts}).Validate(); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.WindowTicks < 1 {
 		return nil, fmt.Errorf("stream: window must be >= 1 tick, got %d", cfg.WindowTicks)

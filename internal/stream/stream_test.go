@@ -436,7 +436,7 @@ func TestIncrementalFasterThanRecluster(t *testing.T) {
 	var batch time.Duration
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		if _, err := dbscan.Cluster(snap.Points, dbscan.Params{Eps: 0.12, MinPts: 8}, dbscan.IndexGrid); err != nil {
+		if _, err := dbscan.Cluster(snap.Points, geom.Params{Eps: 0.12, MinPts: 8}); err != nil {
 			t.Fatalf("batch recluster: %v", err)
 		}
 		batch += time.Since(start)

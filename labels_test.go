@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/dbscan"
 	"repro/internal/gdbscan"
+	"repro/internal/geom"
 	"repro/internal/gpusim"
 )
 
@@ -76,7 +76,7 @@ func TestLabelsIndependentOfTreeShape(t *testing.T) {
 			}
 			dev := gpusim.New(gpusim.K20(), nil)
 			one, err := gdbscan.Cluster(dev, c.pts, gdbscan.Options{
-				Params:   dbscan.Params{Eps: c.cfg.Eps, MinPts: c.cfg.MinPts},
+				Params:   geom.Params{Eps: c.cfg.Eps, MinPts: c.cfg.MinPts},
 				DenseBox: true,
 			})
 			if err != nil {
