@@ -48,8 +48,11 @@ race:
 # cluster and merge snapshot decoders, seeded from real snapshots (bounded
 # allocation, typed refusal, one encoding per value). Last the KD-tree
 # build: bytes become points and a cell size, the tree keeps its contract
-# (checkFlat) and counts ranges as brute force does. Minimising every new
-# corpus entry would eat the whole budget, hence the 1s cap.
+# (checkFlat) and counts ranges as brute force does. Then the stream
+# engine: bytes become up to eight ticks of points on an exact Eps/3
+# lattice, one ulp either side of it, and every tick's labels must equal
+# the canonical labelling. Minimising every new corpus entry would eat the
+# whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/mrscan
 	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
+	$(GO) test -run='^$$' -fuzz=FuzzStreamTicks -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number

@@ -206,8 +206,9 @@ func TestTableChurn(t *testing.T) {
 
 // checkLayout verifies the flat storage's own invariants after a tick:
 // every live point is filed where its slot says, sub-boxes keep their
-// cores in front, cells agree with their neighbours about each other,
-// and the coordinate table names exactly the live cells.
+// cores in front and know the smallest one's ID, cells agree with their
+// neighbours about each other, and the coordinate table names exactly
+// the live cells.
 func checkLayout(t *testing.T, e *Engine) {
 	t.Helper()
 	live, points := 0, 0
@@ -226,6 +227,13 @@ func checkLayout(t *testing.T, e *Engine) {
 			n += len(sb.slots)
 			if int(sb.ncore) > len(sb.slots) {
 				t.Fatalf("cell %d sub-box %d: %d cores among %d slots", id, k, sb.ncore, len(sb.slots))
+			}
+			minCore := uint64(math.MaxUint64)
+			for _, s := range sb.cores() {
+				minCore = min(minCore, e.pts[s].ID)
+			}
+			if sb.minCore != minCore {
+				t.Fatalf("cell %d sub-box %d records smallest core ID %d; its cores' smallest is %d", id, k, sb.minCore, minCore)
 			}
 			for i, s := range sb.slots {
 				if int(e.cellOf[s]) != id || int(e.subOf[s]) != k || int(e.pos[s]) != i {

@@ -90,7 +90,8 @@ func EquivalentDBSCAN(pts []geom.Point, eps float64, minPts int, got []int) erro
 		g2r[g] = r
 	}
 	// Border witness: the assigned cluster must own a core within Eps.
-	idx := grid.NewIndex(grid.New(eps), pts)
+	// Cells of the engine's side keep every such core in the 3×3 scan.
+	idx := grid.NewIndex(grid.New(eps*(1+cellSlack)), pts)
 	eps2 := eps * eps
 	for i := range pts {
 		if ref.Core[i] || got[i] == Noise {

@@ -7,8 +7,12 @@
 // points, expires the batch that arrived W ticks ago, and repairs the
 // labeling incrementally. The grid cell is the incremental unit: a point
 // arriving or expiring in cell c can only change core status inside
-// c ∪ N(c) (its Moore neighborhood), so per-tick work scales with the
-// number of dirtied cells, not the window size.
+// c ∪ N(c) (its Moore neighborhood), so per-tick work scales with what
+// the tick changed, not the window size. Within that neighbourhood the
+// repair narrows further (Engine.repair has the five phases and their
+// recompute sets): a clean cell re-tests only the points within Eps of
+// one of the tick's arrivals or expiries, and fragments, pair edges and
+// border anchors are recomputed only around cells whose core set changed.
 //
 // Geometry shortcuts reuse the paper's dense-box argument (§3.2.3) at
 // sub-box granularity Eps/3:
@@ -39,8 +43,9 @@
 // repair walks 3×3 blocks by array index. A point slot records its cell
 // and sub-box. A pair's edges sit in a buffer on its lower cell (four
 // forward neighbours per cell) that is truncated and refilled. The
-// per-tick work sets are generation-stamped marks plus reused lists, so
-// a steady-state tick allocates nothing.
+// per-tick work sets are generation-stamped marks plus reused lists, and
+// a tick's arrivals and expiries are chained per cell through per-slot
+// links, so a steady-state tick allocates nothing.
 //
 // Labels are a pure function of the window contents: border points
 // anchor to their nearest core (ties to the smallest point ID) and
@@ -87,14 +92,24 @@ type TickStats struct {
 	Arrivals   int // points ingested this tick
 	Expired    int // points expired this tick
 	DirtyCells int // cells with arrivals or expiries
-	CoreCells  int // cells whose points had core flags recomputed
-	FragCells  int // cells whose fragments were rebuilt
+	// CoreCells counts the cells in which some point's core flag was
+	// re-tested: a dirty cell's points, and the points of a clean
+	// neighbour that lie within Eps of one of the tick's events.
+	CoreCells int
+	// FragCells counts the cells whose core set changed — a departing
+	// point was core, or a flag flipped — and whose fragments were
+	// therefore rebuilt.
+	FragCells int
 	// PairsRebuilt counts the adjacent cell pairs whose edges were
-	// recomputed: pairs touching a repaired cell where both cells hold a
-	// fragment. A pair with an absent or core-less side only has its
-	// buffer truncated and is not counted.
+	// recomputed: pairs touching a cell whose core set changed, where both
+	// cells hold a fragment. A pair with an absent or core-less side only
+	// has its buffer truncated and is not counted.
 	PairsRebuilt int
-	BorderCells  int           // cells whose border anchors were reassigned
+	// BorderCells counts the cells whose non-core points were re-anchored:
+	// the 3×3 blocks around FragCells' cells and the neighbours of emptied
+	// cells that held cores, plus every other non-empty dirty cell (its
+	// own points only).
+	BorderCells  int
 	WindowPoints int           // live points after this tick
 	Clusters     int           // clusters after this tick
 	Elapsed      time.Duration // wall time spent in Tick
@@ -118,19 +133,19 @@ type subBox struct {
 	sx, sy  int32
 	frag    int32   // fragment of this sub-box's cores; -1 when it has none
 	ncore   int32   // slots[:ncore] are the cores, as of the cell's last fragment rebuild
-	minCore uint64  // smallest core point ID (while frag >= 0)
-	slots   []int32 // live points, from Engine.slotBufs
+	minCore uint64  // smallest core point ID; math.MaxUint64 when none, or when remove took it
+	slots   []int32 // live points, cores first; from Engine.slotBufs
 }
 
 func (sb *subBox) cores() []int32 { return sb.slots[:sb.ncore] }
 
 // Per-tick work-set membership, valid while cell.gen == Engine.gen.
 const (
-	markDirty   uint8 = 1 << iota // gained or lost a point this tick
-	markInspect                   // core flags to recompute
-	markChanged                   // fragments to rebuild
-	markBorder                    // border anchors to reassign
-	markPair                      // markPair<<k: forward pair k already rebuilt
+	markDirty    uint8 = 1 << iota // gained or lost a point this tick
+	markInspect                    // core flags to recompute
+	markCoreLost                   // a departing point was core
+	markBorder                     // border anchors to reassign
+	markPair                       // markPair<<k: forward pair k already rebuilt
 )
 
 // cell holds the live points of one Eps×Eps grid cell, bucketed by
@@ -139,22 +154,27 @@ const (
 type cell struct {
 	coord grid.Coord
 	n     int32 // live points; 0 also while the cell sits on the free list
+	marks uint8 // beside n: phase 1 reads both of every neighbour
+	gen   uint64
 	// nbr caches the slab ids of the Moore neighbours in
 	// Coord.Neighbors order, -1 where no cell exists. The neighbour at
 	// index i holds this cell at index 7-i.
-	nbr  [8]int32
-	subs []subBox // emptied sub-boxes stay listed until the cell is freed
+	nbr [8]int32
 
 	nfrags   int32
 	fragBase int32 // global id of fragment 0, assigned by relabel
+
+	subs []subBox // emptied sub-boxes stay listed until the cell is freed
 
 	// fwd[k] holds the fragment edges of the pair (this cell, nbr[4+k]):
 	// each unordered pair is stored once, on its lower cell. The buffers
 	// come from Engine.edgeBufs.
 	fwd [4][]fragEdge
 
-	gen   uint64
-	marks uint8
+	// arrived and expired head the cell's chains of this tick's events
+	// (Engine.nextArrived, Engine.nextExpired), -1 when empty; valid while
+	// the cell is marked dirty.
+	arrived, expired int32
 }
 
 // live reports whether the slab entry holds a cell rather than sitting
@@ -166,7 +186,7 @@ func (c *cell) live() bool { return len(c.subs) > 0 }
 // for concurrent use; callers serialize Tick/Snapshot externally.
 type Engine struct {
 	cfg  Config
-	g    grid.Grid // Eps cells
+	g    grid.Grid // cells of side Eps·(1+cellSlack)
 	sg   grid.Grid // Eps/3 sub-boxes
 	eps2 float64
 
@@ -182,6 +202,12 @@ type Engine struct {
 	anchor []int32 // core slot this point labels through; -1 = noise; self for cores
 	free   []int32
 	byID   *table // live point ID -> slot
+
+	// The tick's events, chained per cell through the slots they touched:
+	// an arrival's slot holds its point; an expiry's slot may be refilled
+	// by an arrival of the same tick, so gone keeps the expired point.
+	nextArrived, nextExpired []int32
+	gone                     []geom.Point
 
 	ring [][]int32 // ring[t%W] = slots that arrived at tick t
 
@@ -199,6 +225,7 @@ type Engine struct {
 	gen                             uint64
 	dirty, inspect, changed, border []int32
 	cand, far                       []*subBox // a block's sub-boxes; those in reach of one of them
+	near                            []int32   // a block's dirty cells
 
 	// relabel's output and scratch: label[cell.fragBase+f] is the dense
 	// cluster ID of a cell's fragment f.
@@ -238,7 +265,7 @@ func New(cfg Config) (*Engine, error) {
 	hub, name := cfg.Telemetry, cfg.Name
 	return &Engine{
 		cfg:  cfg,
-		g:    grid.New(cfg.Eps),
+		g:    grid.New(cfg.Eps * (1 + cellSlack)),
 		sg:   grid.New(cfg.Eps / 3),
 		eps2: cfg.Eps * cfg.Eps,
 		byID: newTable(),
@@ -258,6 +285,16 @@ func New(cfg Config) (*Engine, error) {
 		},
 	}, nil
 }
+
+// cellSlack widens the cell a little beyond Eps. Two points whose Dist2
+// rounds to at most Eps² may be up to a few ulps more than Eps apart, and
+// x/Eps rounds too: at side exactly Eps such a pair can straddle a cell
+// (0 and 0.75 apart from a point an ulp below 0, at Eps = 0.75, fall in
+// cells -1 and 1) and escape each other's 3×3 block. With the slack, a
+// pair within Eps lies in adjacent cells for every |x/Eps| below 2³¹,
+// the range of a cell coordinate, while Eps² neither underflows nor
+// overflows (FuzzStreamTicks).
+const cellSlack = 0x1p-20
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
@@ -313,7 +350,10 @@ func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (T
 	}
 	e.ring[slot] = e.ring[slot][:0]
 	for _, p := range arrivals {
-		e.ring[slot] = append(e.ring[slot], e.insert(p))
+		s := e.insert(p)
+		c := e.touch(e.cellOf[s])
+		e.nextArrived[s], c.arrived = c.arrived, s
+		e.ring[slot] = append(e.ring[slot], s)
 	}
 
 	st := TickStats{
@@ -382,61 +422,93 @@ func (e *Engine) mark(id int32, bit uint8) bool {
 	return true
 }
 
+// has reports whether cell id is in the work set bit names.
+func (e *Engine) has(id int32, bit uint8) bool {
+	c := &e.cells[id]
+	return c.gen == e.gen && c.marks&bit != 0
+}
+
+// touch adds cell id to the dirty set, its event chains emptied the first
+// time in a tick, and returns it.
+func (e *Engine) touch(id int32) *cell {
+	c := &e.cells[id]
+	if e.mark(id, markDirty) {
+		e.dirty = append(e.dirty, id)
+		c.arrived, c.expired = -1, -1
+	}
+	return c
+}
+
 // repair re-establishes the labeling invariants after the cells in
 // e.dirty gained or lost points. The five phases and their recompute
 // sets:
 //
 //  1. core flags over dirty ∪ N(dirty) — a point's core status depends
-//     only on its 3×3 cell neighborhood, so flips are confined there;
-//  2. fragments for `changed` = non-empty dirty cells ∪ cells with a
-//     core-flag flip — intra-cell connectivity between two untouched
-//     cores is distance-based and static;
-//  3. inter-cell fragment edges for pairs touching changed or emptied
-//     cells (a vanished cell must drop its cached edges, or phantom
-//     fragments would bridge live neighbors);
-//  4. border anchors over N⁺(changed ∪ emptied) — any core a border
-//     point could gain, lose, or re-rank lives in an adjacent cell of
-//     one of those;
+//     only on its Eps-neighbourhood, which lies in its 3×3 cell block. A
+//     dirty cell re-tests its points; a clean one re-tests only the
+//     points within Eps of one of the tick's events (its neighbours'
+//     arrivals and expiries), since no other point's neighbourhood moved;
+//  2. fragments for `changed` = cells whose core set changed: a departing
+//     point was core, or phase 1 flipped a flag — fragments are
+//     components of cores, so gaining or losing non-core points leaves
+//     them as they were;
+//  3. inter-cell fragment edges for pairs touching changed cells (an
+//     emptied cell's edges went with it when it was freed, or phantom
+//     fragments would bridge live neighbours);
+//  4. border anchors over N⁺(changed) ∪ N(emptied cells that held
+//     cores) — any core a border point could gain, lose or re-rank lives
+//     in an adjacent cell of one of those — plus each other non-empty
+//     dirty cell, whose own new points need an anchor;
 //  5. global relabel from the edge cache.
 //
-// An emptied cell is freed up front, once its neighbours are in the
-// inspect and border sets: unlinking it truncates the edge buffers that
-// pointed at it, and no later phase can meet it through a neighbour id.
+// An emptied cell is freed between phases 1 and 2: until then its
+// expiries stay visible to its neighbours' event filter, and after it
+// no later phase can meet it through a neighbour id.
 func (e *Engine) repair(st *TickStats) {
 	e.inspect, e.changed, e.border = e.inspect[:0], e.changed[:0], e.border[:0]
 	for _, id := range e.dirty {
 		if e.mark(id, markInspect) {
 			e.inspect = append(e.inspect, id)
 		}
-		emptied := e.cells[id].n == 0
-		if !emptied && e.mark(id, markChanged) {
-			e.changed = append(e.changed, id)
-		}
 		for _, n := range e.cells[id].nbr {
-			if n < 0 {
-				continue
-			}
-			if e.mark(n, markInspect) {
+			if n >= 0 && e.mark(n, markInspect) {
 				e.inspect = append(e.inspect, n)
 			}
-			if emptied && e.mark(n, markBorder) {
-				e.border = append(e.border, n)
-			}
-		}
-		if emptied {
-			e.freeCell(id)
 		}
 	}
 
-	// Phase 1: core flags. (A cell freed above has n == 0.)
+	// Phase 1: core flags.
 	for _, id := range e.inspect {
 		if e.cells[id].n == 0 {
 			continue
 		}
-		st.CoreCells++
-		if e.recomputeCores(id) && e.mark(id, markChanged) {
+		tested, flipped := e.recomputeCores(id)
+		if tested > 0 {
+			st.CoreCells++
+		}
+		if flipped || e.has(id, markCoreLost) {
 			e.changed = append(e.changed, id)
 		}
+	}
+
+	// Emptied cells leave; one that held cores takes its neighbours'
+	// anchors with it. Every other dirty cell re-anchors its own points.
+	for _, id := range e.dirty {
+		c := &e.cells[id]
+		if c.n > 0 {
+			if e.mark(id, markBorder) {
+				e.border = append(e.border, id)
+			}
+			continue
+		}
+		if e.has(id, markCoreLost) {
+			for _, n := range c.nbr {
+				if n >= 0 && e.mark(n, markBorder) {
+					e.border = append(e.border, n)
+				}
+			}
+		}
+		e.freeCell(id)
 	}
 
 	// Phase 2: fragments.
@@ -484,15 +556,15 @@ func (e *Engine) repair(st *TickStats) {
 	e.relabel()
 }
 
-// reanchorAll recomputes everything — every cell dirty, so every edge
-// buffer is refilled. Restore builds its labeling this way.
+// reanchorAll recomputes everything — every cell dirty, so every point is
+// re-tested and every cell holding a core is rebuilt with all its pairs.
+// Restore builds its labeling this way: its points were filed non-core.
 func (e *Engine) reanchorAll(st *TickStats) {
 	e.gen++
 	e.dirty = e.dirty[:0]
 	for id := range e.cells {
 		if e.cells[id].live() {
-			e.mark(int32(id), markDirty)
-			e.dirty = append(e.dirty, int32(id))
+			e.touch(int32(id))
 		}
 	}
 	e.repair(st)
@@ -523,29 +595,59 @@ func (e *Engine) blockSubs(around *[9]int32, coresOnly bool) {
 	}
 }
 
-// recomputeCores recomputes the DBSCAN core predicate — at least MinPts
+// recomputeCores re-tests the DBSCAN core predicate — at least MinPts
 // points, itself included, within Eps (the Eps-neighborhood is closed) —
-// for every point of cell id and reports whether any flag flipped.
+// in cell id. It returns how many points it re-tested and whether any
+// flag flipped.
+//
+// A dirty cell re-tests its points. A clean cell's points keep their
+// neighbourhoods unless one of the tick's events lies within Eps, so only
+// those are re-tested: a sub-box of MinPts or more points is core before
+// and after, and one with no such point is skipped whole.
+//
 // Whole sub-boxes are decided first: every point of the sub-boxes within
 // Chebyshev distance 1 is within Eps of every point of this one, so
-// MinPts of them make all of its points core without a distance test,
-// and fewer still count towards each point's total; only the sub-boxes
-// at distance 2..4 are scanned.
-func (e *Engine) recomputeCores(id int32) bool {
+// MinPts of them make all of its points core without a distance test —
+// its known cores, slots[:ncore], stay as they are — and fewer still
+// count towards each point's total; only the sub-boxes at distance 2..4
+// are scanned.
+func (e *Engine) recomputeCores(id int32) (tested int, flipped bool) {
+	minPts := e.cfg.MinPts
+	dirty := e.has(id, markDirty)
+	c := &e.cells[id]
+	if !dirty && !slices.ContainsFunc(c.subs, func(sb subBox) bool { return len(sb.slots) < minPts }) {
+		return 0, false // every sub-box is core by count, before and after
+	}
 	around := e.block(id)
 	pop := 0
+	e.near = e.near[:0]
 	for _, n := range around {
-		if n >= 0 {
-			pop += int(e.cells[n].n)
+		if n < 0 {
+			continue
+		}
+		pop += int(e.cells[n].n)
+		if !dirty && e.has(n, markDirty) {
+			e.near = append(e.near, n)
 		}
 	}
 	listed := false // e.cand is built for the first sub-box that needs it
-	flipped := false
-	c := &e.cells[id]
 	for i := range c.subs {
 		sb := &c.subs[i]
-		near := len(sb.slots)
-		if near < e.cfg.MinPts && pop >= e.cfg.MinPts {
+		slots := sb.slots
+		first := 0 // in a clean cell, the first point an event reaches
+		if !dirty {
+			if len(slots) >= minPts {
+				continue
+			}
+			for first < len(slots) && !e.touched(slots[first]) {
+				first++
+			}
+			if first == len(slots) {
+				continue
+			}
+		}
+		near := len(slots)
+		if near < minPts && pop >= minPts {
 			if !listed {
 				e.blockSubs(&around, false)
 				listed = true
@@ -560,10 +662,19 @@ func (e *Engine) recomputeCores(id int32) bool {
 				}
 			}
 		}
-		for _, s := range sb.slots {
-			now := near >= e.cfg.MinPts
-			if !now && pop >= e.cfg.MinPts { // else the whole block is too sparse
-				now = e.isCore(s, e.cfg.MinPts-near)
+		from := first
+		if near >= minPts {
+			from = max(from, int(sb.ncore))
+		}
+		for j := from; j < len(slots); j++ {
+			s := slots[j]
+			if !dirty && j != first && !e.touched(s) {
+				continue
+			}
+			tested++
+			now := near >= minPts
+			if !now && pop >= minPts { // else the whole block is too sparse
+				now = e.isCore(s, minPts-near)
 			}
 			if now != e.core[s] {
 				e.core[s] = now
@@ -571,7 +682,27 @@ func (e *Engine) recomputeCores(id int32) bool {
 			}
 		}
 	}
-	return flipped
+	return tested, flipped
+}
+
+// touched reports whether an event of one of the cells in e.near lies
+// within Eps of slot s.
+func (e *Engine) touched(s int32) bool {
+	p := e.pts[s]
+	for _, id := range e.near {
+		c := &e.cells[id]
+		for q := c.arrived; q >= 0; q = e.nextArrived[q] {
+			if geom.Dist2(p, e.pts[q]) <= e.eps2 {
+				return true
+			}
+		}
+		for q := c.expired; q >= 0; q = e.nextExpired[q] {
+			if geom.Dist2(p, e.gone[q]) <= e.eps2 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isCore reports whether slot s has need (>= 1) Eps-neighbours among
@@ -596,14 +727,24 @@ func (e *Engine) isCore(s int32, need int) bool {
 // sets; sub-boxes at Chebyshev distance <= 1 join for free and only the
 // rest (distance 2, the in-cell maximum, when the grids align) take a
 // distance scan, and only while still apart.
+//
+// A sub-box's smallest core ID is kept up to date from its changes: the
+// IDs read are those of new cores and of lost ones, and all of them only
+// when the smallest was lost (remove marks that with math.MaxUint64).
 func (e *Engine) rebuildFragments(c *cell) {
 	subs := c.subs
 	for i := range subs {
 		sb := &subs[i]
-		sb.ncore, sb.frag, sb.minCore = 0, -1, math.MaxUint64
-		for j, s := range sb.slots {
+		known := sb.ncore // slots[:known] were the cores
+		rescan := sb.minCore == math.MaxUint64
+		sb.ncore, sb.frag = 0, -1
+		for j, s := range sb.slots { // a swap below only moves visited slots
 			if !e.core[s] {
+				rescan = rescan || int32(j) < known && e.pts[s].ID == sb.minCore
 				continue
+			}
+			if int32(j) >= known && !rescan {
+				sb.minCore = min(sb.minCore, e.pts[s].ID)
 			}
 			if nc := sb.ncore; int(nc) != j {
 				q := sb.slots[nc]
@@ -611,7 +752,12 @@ func (e *Engine) rebuildFragments(c *cell) {
 				e.pos[s], e.pos[q] = nc, int32(j)
 			}
 			sb.ncore++
-			sb.minCore = min(sb.minCore, e.pts[s].ID)
+		}
+		if rescan {
+			sb.minCore = math.MaxUint64
+			for _, s := range sb.cores() {
+				sb.minCore = min(sb.minCore, e.pts[s].ID)
+			}
 		}
 	}
 	e.uf.Reset(len(subs))
@@ -693,7 +839,7 @@ func (e *Engine) rebuildPair(lo int32, k int) bool {
 // Chebyshev distance 4 can hold such a core.
 func (e *Engine) reassignBorders(id int32) {
 	around := e.block(id)
-	e.blockSubs(&around, true)
+	listed := false // e.cand is built for the first sub-box with a non-core
 	c := &e.cells[id]
 	for i := range c.subs {
 		sb := &c.subs[i]
@@ -702,6 +848,10 @@ func (e *Engine) reassignBorders(id int32) {
 		}
 		if int(sb.ncore) == len(sb.slots) {
 			continue
+		}
+		if !listed {
+			e.blockSubs(&around, true)
+			listed = true
 		}
 		e.far = e.far[:0]
 		for _, t := range e.cand {
@@ -868,6 +1018,11 @@ func Restore(cfg Config, ws WindowState) (*Engine, error) {
 	if ws.Tick < 0 {
 		return nil, fmt.Errorf("stream: restore: negative tick %d", ws.Tick)
 	}
+	n := 0
+	for _, ta := range ws.Ticks {
+		n += len(ta.Points)
+	}
+	e.reserve(n)
 	seen := make([]bool, e.cfg.WindowTicks) // in-window ticks have distinct ring slots
 	for _, ta := range ws.Ticks {
 		if ta.Tick < 1 || ta.Tick > ws.Tick || ta.Tick <= ws.Tick-e.cfg.WindowTicks {
@@ -893,6 +1048,20 @@ func Restore(cfg Config, ws WindowState) (*Engine, error) {
 
 // --- slot and cell plumbing ---
 
+// reserve makes room in the slot slabs for n more slots, so that filing
+// a restored window copies none of them.
+func (e *Engine) reserve(n int) {
+	e.pts = slices.Grow(e.pts, n)
+	e.cellOf = slices.Grow(e.cellOf, n)
+	e.subOf = slices.Grow(e.subOf, n)
+	e.pos = slices.Grow(e.pos, n)
+	e.core = slices.Grow(e.core, n)
+	e.anchor = slices.Grow(e.anchor, n)
+	e.nextArrived = slices.Grow(e.nextArrived, n)
+	e.nextExpired = slices.Grow(e.nextExpired, n)
+	e.gone = slices.Grow(e.gone, n)
+}
+
 // insert files p under a slot in its cell and sub-box and returns the
 // slot.
 func (e *Engine) insert(p geom.Point) int32 {
@@ -907,6 +1076,9 @@ func (e *Engine) insert(p geom.Point) int32 {
 		e.pos = append(e.pos, 0)
 		e.core = append(e.core, false)
 		e.anchor = append(e.anchor, 0)
+		e.nextArrived = append(e.nextArrived, 0)
+		e.nextExpired = append(e.nextExpired, 0)
+		e.gone = append(e.gone, geom.Point{})
 	}
 	e.pts[s], e.core[s], e.anchor[s] = p, false, -1
 	e.byID.put(p.ID, s)
@@ -916,9 +1088,6 @@ func (e *Engine) insert(p geom.Point) int32 {
 	if !ok {
 		id = e.newCell(co)
 	}
-	if e.mark(id, markDirty) {
-		e.dirty = append(e.dirty, id)
-	}
 	c := &e.cells[id]
 	c.n++
 	sc := e.sg.CellOf(p)
@@ -927,7 +1096,7 @@ func (e *Engine) insert(p geom.Point) int32 {
 		k++
 	}
 	if k == len(c.subs) {
-		c.subs = append(c.subs, subBox{sx: sc.CX, sy: sc.CY, frag: -1})
+		c.subs = append(c.subs, subBox{sx: sc.CX, sy: sc.CY, frag: -1, minCore: math.MaxUint64})
 	}
 	sb := &c.subs[k]
 	e.cellOf[s], e.subOf[s], e.pos[s] = id, int32(k), int32(len(sb.slots))
@@ -935,20 +1104,23 @@ func (e *Engine) insert(p geom.Point) int32 {
 	return s
 }
 
-// remove detaches slot s from its cell; an emptied cell stays in the
-// slab until the next repair classifies it.
+// remove detaches slot s from its cell, recording the expiry as an event
+// and, when s was a core, the loss on the cell; an emptied cell stays in
+// the slab until the next repair classifies it.
 func (e *Engine) remove(s int32) {
 	id := e.cellOf[s]
-	if e.mark(id, markDirty) {
-		e.dirty = append(e.dirty, id)
-	}
-	c := &e.cells[id]
+	c := e.touch(id)
+	e.gone[s], e.nextExpired[s], c.expired = e.pts[s], c.expired, s
 	c.n--
 	// Fill s's place with the last core if s is one, then that place (or
 	// s's) with the last slot: the cores stay in front.
 	sb := &c.subs[e.subOf[s]]
 	hole := e.pos[s]
 	if hole < sb.ncore {
+		e.mark(id, markCoreLost)
+		if e.pts[s].ID == sb.minCore {
+			sb.minCore = math.MaxUint64
+		}
 		sb.ncore--
 		hole = e.move(sb, sb.ncore, hole)
 	}
@@ -957,6 +1129,10 @@ func (e *Engine) remove(s int32) {
 		e.move(sb, last, hole)
 	}
 	sb.slots = sb.slots[:last]
+	if last == 0 { // the tick's arrivals may reuse the buffer
+		e.slotBufs.put(sb.slots)
+		sb.slots = nil
+	}
 	e.byID.del(e.pts[s].ID)
 	e.free = append(e.free, s)
 }

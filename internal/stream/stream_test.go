@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -350,10 +352,13 @@ func TestRestoreRejectsBadState(t *testing.T) {
 }
 
 // TestTickStatsLocality asserts the repair bookkeeping itself is local:
-// a tick touching one cell must not recompute cells far away.
+// a tick touching one cell must not recompute cells far away, the
+// downstream phases run only around cores that changed, and a clean
+// cell re-tests only points within Eps of the tick's events.
 func TestTickStatsLocality(t *testing.T) {
 	e := mustEngine(t, Config{Eps: 1, MinPts: 3, WindowTicks: 100})
-	// A 20×1 strip of well-separated dense cells.
+	// A 20×1 strip of well-separated dense cells, and one border point
+	// at x = 2.7, alone in its cell and its sub-box.
 	var first []geom.Point
 	id := uint64(0)
 	for c := 0; c < 20; c++ {
@@ -362,6 +367,8 @@ func TestTickStatsLocality(t *testing.T) {
 			id++
 		}
 	}
+	first = append(first, geom.Point{ID: id, X: 2.7, Y: 0.5})
+	id++
 	mustTick(t, e, first)
 	st := mustTick(t, e, []geom.Point{{ID: id, X: 0.3, Y: 0.55}})
 	if st.DirtyCells != 1 {
@@ -375,6 +382,40 @@ func TestTickStatsLocality(t *testing.T) {
 			st.FragCells, st.BorderCells)
 	}
 	checkSnapshot(t, e)
+
+	// A non-core arrival with no core within Eps, in a new cell between
+	// the dense cell at x = 0 and the border point at x = 2.7, both 1.2
+	// away: no core set changes, so no fragment is rebuilt and only the
+	// new point is anchored; and the clean neighbour with a sparse
+	// sub-box is beyond Eps of the tick's one event, so the only point
+	// re-tested is the arrival.
+	st = mustTick(t, e, []geom.Point{{ID: id + 1, X: 1.5, Y: 0.5}})
+	if st.DirtyCells != 1 || st.FragCells != 0 || st.BorderCells != 1 || st.CoreCells != 1 {
+		t.Fatalf("lone non-core arrival: %d dirty, %d frag, %d border, %d core-tested cells; want 1, 0, 1, 1",
+			st.DirtyCells, st.FragCells, st.BorderCells, st.CoreCells)
+	}
+	checkSnapshot(t, e)
+
+	// A core leaving a cell whose other points all stay core flips no
+	// flag, yet its cell's fragments must be rebuilt and its whole 3×3
+	// block re-anchored: a border point anchored to it becomes noise.
+	e = mustEngine(t, Config{Eps: 1, MinPts: 3, WindowTicks: 2})
+	mustTick(t, e, []geom.Point{{ID: 0, X: 0.95, Y: 0.5}}) // core through the four below
+	mustTick(t, e, []geom.Point{
+		{ID: 1, X: 0.4, Y: 0.5}, {ID: 2, X: 0.45, Y: 0.5}, {ID: 3, X: 0.5, Y: 0.5}, {ID: 4, X: 0.55, Y: 0.5},
+		{ID: 5, X: 1.8, Y: 0.5}, // in cell (1,0): a border point of point 0 alone
+		{ID: 6, X: 0.5, Y: 1.2}, // in cell (0,1): a core through the four
+	})
+	if snap := checkSnapshot(t, e); snap.Labels[5] != 0 {
+		t.Fatalf("point 5 labeled %d before the expiry, want 0", snap.Labels[5])
+	}
+	st = mustTick(t, e, nil) // point 0 expires
+	if st.DirtyCells != 1 || st.FragCells != 1 || st.BorderCells != 3 {
+		t.Fatalf("core expiry: %d dirty, %d frag, %d border cells; want 1, 1, 3", st.DirtyCells, st.FragCells, st.BorderCells)
+	}
+	if snap := checkSnapshot(t, e); snap.Labels[4] != Noise {
+		t.Fatalf("point 5 labeled %d after its only core expired, want noise", snap.Labels[4])
+	}
 }
 
 // TestStreamMetrics checks the engine reports through its hub with the
@@ -411,9 +452,11 @@ func TestConfigValidation(t *testing.T) {
 
 // TestIncrementalFasterThanRecluster is an end-to-end sanity check of
 // the design's point: at a 100k-point window, an incremental tick must
-// beat a from-scratch batch recluster comfortably. The precise 5×
-// bound is measured by BenchmarkStreamTick; here we assert a generous
-// 2× so CI noise cannot flake the suite.
+// beat a from-scratch batch recluster comfortably. The precise ratio is
+// measured by BenchmarkStreamTick against BenchmarkStreamFullRecluster;
+// here the median of nine ticks must be 2× faster than the median of
+// nine reclusters of the same windows, each run right after its tick, so
+// that a stall on a shared machine lands in one sample, not the verdict.
 func TestIncrementalFasterThanRecluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
@@ -421,32 +464,35 @@ func TestIncrementalFasterThanRecluster(t *testing.T) {
 	const (
 		window  = 20
 		perTick = 5000 // 100k-point steady-state window
+		rounds  = 9
 	)
-	batches := dataset.Firehose(window+6, perTick, 9, dataset.DefaultFirehoseOptions())
+	batches := dataset.Firehose(window+rounds, perTick, 9, dataset.DefaultFirehoseOptions())
 	e := mustEngine(t, Config{Eps: 0.12, MinPts: 8, WindowTicks: window})
 	for _, b := range batches[:window] {
 		mustTick(t, e, b)
 	}
-	var inc time.Duration
-	for _, b := range batches[window : window+3] {
-		st := mustTick(t, e, b)
-		inc += st.Elapsed
-	}
-	snap := e.Snapshot()
-	var batch time.Duration
-	for i := 0; i < 3; i++ {
+	inc := make([]time.Duration, 0, rounds)
+	full := make([]time.Duration, 0, rounds)
+	for _, b := range batches[window:] {
+		runtime.GC() // neither side pays for the other's garbage
+		inc = append(inc, mustTick(t, e, b).Elapsed)
+		pts := e.Snapshot().Points
+		runtime.GC()
 		start := time.Now()
-		if _, err := dbscan.Cluster(snap.Points, geom.Params{Eps: 0.12, MinPts: 8}); err != nil {
+		if _, err := dbscan.Cluster(pts, geom.Params{Eps: 0.12, MinPts: 8}); err != nil {
 			t.Fatalf("batch recluster: %v", err)
 		}
-		batch += time.Since(start)
+		full = append(full, time.Since(start))
 	}
-	if inc*2 >= batch {
-		t.Fatalf("incremental tick (%v avg) not 2x faster than full recluster (%v avg) at %d points",
-			inc/3, batch/3, len(snap.Points))
+	slices.Sort(inc)
+	slices.Sort(full)
+	tick, recluster := inc[rounds/2], full[rounds/2]
+	if tick*2 >= recluster {
+		t.Fatalf("incremental tick (median %v) not 2x faster than full recluster (median %v) at %d points; ticks %v, reclusters %v",
+			tick, recluster, e.Len(), inc, full)
 	}
-	t.Logf("window %d points: incremental tick %v vs full recluster %v (%.1fx)",
-		len(snap.Points), inc/3, batch/3, float64(batch)/float64(inc))
+	t.Logf("window %d points: incremental tick %v vs full recluster %v, medians of %d (%.1fx)",
+		e.Len(), tick, recluster, rounds, float64(recluster)/float64(tick))
 }
 
 // TestIsomorphic covers the label-isomorphism helper directly.
