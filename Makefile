@@ -51,8 +51,11 @@ race:
 # (checkFlat) and counts ranges as brute force does. Then the stream
 # engine: bytes become up to eight ticks of points on an exact Eps/3
 # lattice, one ulp either side of it, and every tick's labels must equal
-# the canonical labelling. Minimising every new corpus entry would eat the
-# whole budget, hence the 1s cap.
+# the canonical labelling. Last the cell histogram: bytes become an Eps
+# and points on hostile coordinates (NaN, ±Inf, ±2³¹·Eps, key spans of 32
+# and 33 bits) split into shards, and the shards' sorted histograms and
+# their Sum must equal a map count on the same CellOf. Minimising every
+# new corpus entry would eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/mrscan
 	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTicks -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
+	$(GO) test -run='^$$' -fuzz=FuzzHistogramOf -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/grid
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number

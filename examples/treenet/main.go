@@ -62,13 +62,9 @@ func main() {
 			return g.HistogramOf(shards[leaf]), nil
 		},
 		func(n *mrnet.Node, in []*grid.Histogram) (*grid.Histogram, error) {
-			out := grid.NewHistogram()
-			for _, h := range in {
-				out.Add(h)
-			}
-			return out, nil
+			return grid.Sum(in), nil
 		},
-		func(h *grid.Histogram) int64 { return int64(len(h.Counts)) * 12 },
+		func(h *grid.Histogram) int64 { return int64(h.Len()) * 12 },
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -76,7 +72,7 @@ func main() {
 
 	cell, count := hist.MaxCell()
 	fmt.Printf("query region holds %d points in %d one-degree cells\n",
-		hist.Total(), len(hist.Counts))
+		hist.Total(), hist.Len())
 	fmt.Printf("densest cell: %v with %d points (rect %+v)\n", cell, count, g.CellRect(cell))
 
 	stats := net.Stats()

@@ -60,7 +60,7 @@ func TestTwitterIsHighlySkewed(t *testing.T) {
 	g := grid.New(0.1)
 	h := g.HistogramOf(pts)
 	_, maxN := h.MaxCell()
-	mean := float64(h.Total()) / float64(len(h.Counts))
+	mean := float64(h.Total()) / float64(h.Len())
 	if float64(maxN) < 20*mean {
 		t.Errorf("max cell %d vs mean %.1f: distribution not skewed enough", maxN, mean)
 	}

@@ -7,6 +7,11 @@
 // shadow region of a partition exactly the set of 8-neighbor cells not in
 // the partition: any point within Eps of a partition boundary must lie in
 // an adjacent cell.
+//
+// A Histogram, the per-cell point counts the partitioner reduces to its
+// root, is a table of runs sorted by cell key: a leaf builds it with one
+// radix sort of packed cell keys, Sum merges sorted children, and the
+// root's plan reads it in order, so no hash table lies on that path.
 package grid
 
 import (
@@ -106,73 +111,6 @@ func (g Grid) Anchors(c Coord) [8]geom.Point {
 		{X: r.MinX, Y: my},
 		{X: r.MaxX, Y: my},
 	}
-}
-
-// Histogram counts points per non-empty cell. This is the only information
-// the distributed partitioner ships to the root (§3.1.3): "the partitioner
-// is able to ... only send a point count of each non-empty Eps x Eps cell".
-type Histogram struct {
-	Counts map[Coord]int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{Counts: make(map[Coord]int64)}
-}
-
-// HistogramOf builds a histogram of pts on grid g.
-func (g Grid) HistogramOf(pts []geom.Point) *Histogram {
-	h := NewHistogram()
-	for _, p := range pts {
-		h.Counts[g.CellOf(p)]++
-	}
-	return h
-}
-
-// Add accumulates other into h. Used by the mrnet reduction filter that
-// sums per-leaf histograms on the way to the root.
-func (h *Histogram) Add(other *Histogram) {
-	for c, n := range other.Counts {
-		h.Counts[c] += n
-	}
-}
-
-// Total returns the total point count across all cells.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, n := range h.Counts {
-		t += n
-	}
-	return t
-}
-
-// Cells returns the non-empty cells sorted in partitioner iteration order.
-func (h *Histogram) Cells() []Coord {
-	cells := make([]Coord, 0, len(h.Counts))
-	for c := range h.Counts {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Less(cells[j]) })
-	return cells
-}
-
-// MaxCell returns the most populous cell and its count (zero Coord and 0
-// for an empty histogram). The strong-scaling limit in the paper (§5.1.2)
-// is set by the single densest Eps×Eps cell, which cannot be subdivided.
-func (h *Histogram) MaxCell() (Coord, int64) {
-	var best Coord
-	var bestN int64
-	first := true
-	for c, n := range h.Counts {
-		if first || n > bestN || (n == bestN && c.Less(best)) {
-			best, bestN = c, n
-			first = false
-		}
-	}
-	if first {
-		return Coord{}, 0
-	}
-	return best, bestN
 }
 
 // Index groups point indices by cell, supporting neighborhood queries.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -133,30 +134,83 @@ func TestHistogram(t *testing.T) {
 	if h.Total() != 4 {
 		t.Errorf("Total = %d, want 4", h.Total())
 	}
-	if h.Counts[Coord{0, 0}] != 2 || h.Counts[Coord{1, 0}] != 1 || h.Counts[Coord{-1, -1}] != 1 {
-		t.Errorf("unexpected counts %v", h.Counts)
+	want := []struct {
+		c Coord
+		n int64
+	}{{Coord{-1, -1}, 1}, {Coord{0, 0}, 2}, {Coord{1, 0}, 1}}
+	if h.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
 	}
-	cells := h.Cells()
-	if len(cells) != 3 {
-		t.Fatalf("Cells = %v, want 3 cells", cells)
-	}
-	for i := 1; i < len(cells); i++ {
-		if !cells[i-1].Less(cells[i]) {
-			t.Errorf("cells not in iteration order: %v", cells)
+	for i, w := range want {
+		if c, n := h.At(i); c != w.c || n != w.n {
+			t.Errorf("At(%d) = %v,%d, want %v,%d", i, c, n, w.c, w.n)
 		}
 	}
 }
 
-func TestHistogramAdd(t *testing.T) {
+func TestNewHistogramSortsAndSums(t *testing.T) {
+	h := NewHistogram(
+		[]Coord{{1, 0}, {0, 1}, {1, 0}, {-1, 5}, {3, 3}, {3, 3}},
+		[]int64{2, 1, 3, 4, 1, -1},
+	)
+	want := map[Coord]int64{{-1, 5}: 4, {0, 1}: 1, {1, 0}: 5}
+	if got := asMap(h); !maps.Equal(got, want) {
+		t.Errorf("counts %v, want %v", got, want)
+	}
+	checkRuns(t, h)
+}
+
+func TestSum(t *testing.T) {
 	g := New(1)
 	a := g.HistogramOf([]geom.Point{{X: 0.5, Y: 0.5}})
 	b := g.HistogramOf([]geom.Point{{X: 0.6, Y: 0.6}, {X: 1.5, Y: 0.5}})
-	a.Add(b)
-	if a.Total() != 3 {
-		t.Errorf("Total after Add = %d, want 3", a.Total())
+	s := Sum([]*Histogram{a, b})
+	if s.Total() != 3 {
+		t.Errorf("Total of the sum = %d, want 3", s.Total())
 	}
-	if a.Counts[Coord{0, 0}] != 2 {
-		t.Errorf("cell (0,0) = %d, want 2", a.Counts[Coord{0, 0}])
+	if want := map[Coord]int64{{0, 0}: 2, {1, 0}: 1}; !maps.Equal(asMap(s), want) {
+		t.Errorf("sum %v, want %v", asMap(s), want)
+	}
+	if Sum(nil).Len() != 0 || Sum([]*Histogram{{}, {}}).Len() != 0 {
+		t.Error("a sum of nothing must be empty")
+	}
+}
+
+// TestSumComplexity is the guard on the reduction filter at fanout 256:
+// each entry costs O(log k) key comparisons (a heap merge makes at most
+// 2·log₂k), where folding the children into an accumulator pairwise would
+// revisit the accumulated cells once per child. The children's cells are
+// disjoint and interleaved, so every output entry comes from another
+// child than the one before it.
+func TestSumComplexity(t *testing.T) {
+	const k, perChild = 256, 64
+	parts := make([]*Histogram, k)
+	want := make(map[Coord]int64)
+	for j := range parts {
+		cells, counts := make([]Coord, perChild), make([]int64, perChild)
+		for i := range cells {
+			cells[i], counts[i] = Coord{CX: int32(i), CY: int32(j)}, int64(i+j+1)
+			want[cells[i]] = counts[i]
+		}
+		parts[j] = NewHistogram(cells, counts)
+	}
+	got, compares := sum(parts)
+	if !maps.Equal(asMap(got), want) {
+		t.Fatal("the sum of 256 children lost or miscounted cells")
+	}
+	checkRuns(t, got)
+	perEntry := float64(compares) / float64(got.Len())
+	t.Logf("%d children, %d entries: %d comparisons, %.1f per entry", k, got.Len(), compares, perEntry)
+	if limit := 2 * math.Log2(k); perEntry > limit {
+		t.Errorf("%.1f comparisons per entry, O(log k) allows %.0f", perEntry, limit)
+	}
+
+	one := parts[:1]
+	if Sum(one) != one[0] {
+		t.Error("a lone child must pass through as it is")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Sum(one) }); allocs != 0 {
+		t.Errorf("summing a lone child allocates %.0f times", allocs)
 	}
 }
 
@@ -170,7 +224,12 @@ func TestMaxCell(t *testing.T) {
 	if c != (Coord{0, 0}) || n != 3 {
 		t.Errorf("MaxCell = %v,%d, want (0,0),3", c, n)
 	}
-	if _, n := NewHistogram().MaxCell(); n != 0 {
+	// Among equals, the first in iteration order.
+	tie := NewHistogram([]Coord{{2, -1}, {1, 7}, {1, 3}, {0, 0}}, []int64{4, 4, 4, 1})
+	if c, n := tie.MaxCell(); c != (Coord{1, 3}) || n != 4 {
+		t.Errorf("MaxCell of a tie = %v,%d, want (1,3),4", c, n)
+	}
+	if _, n := NewHistogram(nil, nil).MaxCell(); n != 0 {
 		t.Errorf("MaxCell of empty histogram must have count 0")
 	}
 }

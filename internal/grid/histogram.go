@@ -1,0 +1,327 @@
+package grid
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/geom"
+)
+
+// Histogram counts points per non-empty cell. This is the only information
+// the distributed partitioner ships to the root (§3.1.3): "the partitioner
+// is able to ... only send a point count of each non-empty Eps x Eps cell".
+//
+// It is a sorted run table, the grid layout of Wang, Gu & Shun: the
+// non-empty cells ascending by Coord.Key (the partitioner's iteration
+// order) with their counts, all positive, in a parallel slice. A histogram
+// is immutable once built, so it stays sorted from the leaf that counts it
+// through the reduction (Sum) to the root's plan, which reads it in order.
+type Histogram struct {
+	keys   []uint64 // Coord.Key of each non-empty cell, ascending
+	counts []int64
+}
+
+// NewHistogram builds a histogram from per-cell counts in any order: it
+// sorts them once, adds the counts of a repeated cell and drops a cell
+// whose count comes to zero. It is for hand-made histograms; HistogramOf
+// and Sum build theirs in order.
+func NewHistogram(cells []Coord, counts []int64) *Histogram {
+	if len(cells) != len(counts) {
+		panic(fmt.Sprintf("grid: %d cells, %d counts", len(cells), len(counts)))
+	}
+	type run struct {
+		key uint64
+		n   int64
+	}
+	runs := make([]run, len(cells))
+	for i, c := range cells {
+		runs[i] = run{c.Key(), counts[i]}
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.key, b.key) })
+	h := &Histogram{}
+	for i := 0; i < len(runs); {
+		k, n := runs[i].key, int64(0)
+		for ; i < len(runs) && runs[i].key == k; i++ {
+			n += runs[i].n
+		}
+		if n != 0 {
+			h.keys = append(h.keys, k)
+			h.counts = append(h.counts, n)
+		}
+	}
+	return h
+}
+
+// Len returns the number of non-empty cells.
+func (h *Histogram) Len() int { return len(h.keys) }
+
+// At returns the i-th non-empty cell in iteration order and its count.
+func (h *Histogram) At(i int) (Coord, int64) { return coordOfKey(h.keys[i]), h.counts[i] }
+
+// Total returns the total point count across all cells.
+func (h *Histogram) Total() int64 {
+	var t int64
+	for _, n := range h.counts {
+		t += n
+	}
+	return t
+}
+
+// MaxCell returns the most populous cell and its count, the first in
+// iteration order among equals (zero Coord and 0 for an empty histogram).
+// The strong-scaling limit in the paper (§5.1.2) is set by the single
+// densest Eps×Eps cell, which cannot be subdivided.
+func (h *Histogram) MaxCell() (Coord, int64) {
+	best, bestN := -1, int64(0)
+	for i, n := range h.counts {
+		if n > bestN {
+			best, bestN = i, n
+		}
+	}
+	if best < 0 {
+		return Coord{}, 0
+	}
+	return coordOfKey(h.keys[best]), bestN
+}
+
+// coordOfKey inverts Coord.Key.
+func coordOfKey(k uint64) Coord {
+	return Coord{CX: int32(uint32(k>>32) ^ 1<<31), CY: int32(uint32(k) ^ 1<<31)}
+}
+
+// HistogramOf builds a histogram of pts on grid g: one LSD radix sort of
+// their cell keys, then a count of the runs.
+//
+// A key is packed relative to the shard's lowest cell, (cx−bx)<<yBits |
+// (cy−by), which orders as Coord.Key does; it is 32 bits wide when the
+// shard's cells span at most 32 bits in all and 64 otherwise, and the sort
+// runs digit passes over the span's bits only (three on the SDSS and
+// Twitter inputs). The span is first read off the extreme coordinates,
+// which bound every cell while x/Eps and y/Eps are finite and within
+// int32; CellOf of anything else is implementation-defined, so every cell
+// is checked against the span, and one outside it sends the count round
+// again with the span of the cells themselves.
+func (g Grid) HistogramOf(pts []geom.Point) *Histogram {
+	if len(pts) == 0 {
+		return &Histogram{}
+	}
+	if sp, ok := g.coordSpan(pts); ok {
+		if h := histogramIn(g, pts, sp); h != nil {
+			return h
+		}
+	}
+	return histogramIn(g, pts, g.cellSpan(pts))
+}
+
+// span is a packing of cells relative to base: a cell of the span packs
+// as (cx−base.CX)<<yBits | (cy−base.CY), width bits in all.
+type span struct {
+	base           Coord
+	xRange, yRange uint32 // last cell − base, per axis
+	yBits, width   uint
+}
+
+// newSpan returns the span of cells [lo, hi] per axis; ok is false when hi
+// lies below lo. The ranges are taken in uint32, so a span that reaches
+// from MinInt32 to MaxInt32 does not wrap.
+func newSpan(lo, hi Coord) (sp span, ok bool) {
+	if hi.CX < lo.CX || hi.CY < lo.CY {
+		return span{}, false
+	}
+	sp = span{base: lo, xRange: uint32(hi.CX) - uint32(lo.CX), yRange: uint32(hi.CY) - uint32(lo.CY)}
+	sp.yBits = uint(bits.Len32(sp.yRange))
+	sp.width = uint(bits.Len32(sp.xRange)) + sp.yBits
+	return sp, true
+}
+
+// coordSpan is the span of the cells of pts' extreme coordinates (a NaN
+// is no extreme). It bounds every cell only on tame input; histogramIn
+// checks.
+func (g Grid) coordSpan(pts []geom.Point) (span, bool) {
+	lo := geom.Point{X: math.Inf(1), Y: math.Inf(1)}
+	hi := geom.Point{X: math.Inf(-1), Y: math.Inf(-1)}
+	for _, p := range pts {
+		if p.X < lo.X {
+			lo.X = p.X
+		}
+		if p.X > hi.X {
+			hi.X = p.X
+		}
+		if p.Y < lo.Y {
+			lo.Y = p.Y
+		}
+		if p.Y > hi.Y {
+			hi.Y = p.Y
+		}
+	}
+	return newSpan(g.CellOf(lo), g.CellOf(hi))
+}
+
+// cellSpan is the span of pts' cells themselves, which always holds them.
+func (g Grid) cellSpan(pts []geom.Point) span {
+	lo := Coord{CX: math.MaxInt32, CY: math.MaxInt32}
+	hi := Coord{CX: math.MinInt32, CY: math.MinInt32}
+	for _, p := range pts {
+		c := g.CellOf(p)
+		lo.CX, hi.CX = min(lo.CX, c.CX), max(hi.CX, c.CX)
+		lo.CY, hi.CY = min(lo.CY, c.CY), max(hi.CY, c.CY)
+	}
+	sp, _ := newSpan(lo, hi)
+	return sp
+}
+
+// histogramIn counts pts' cells packed in sp, in 32-bit keys when they
+// fit; it returns nil when a cell lies outside sp.
+func histogramIn(g Grid, pts []geom.Point, sp span) *Histogram {
+	if sp.width <= 32 {
+		return countCells[uint32](g, pts, sp)
+	}
+	return countCells[uint64](g, pts, sp)
+}
+
+// countCells is histogramIn at one key width K.
+func countCells[K uint32 | uint64](g Grid, pts []geom.Point, sp span) *Histogram {
+	keys := make([]K, len(pts))
+	for i, p := range pts {
+		c := g.CellOf(p)
+		dx, dy := uint32(c.CX)-uint32(sp.base.CX), uint32(c.CY)-uint32(sp.base.CY)
+		if dx > sp.xRange || dy > sp.yRange {
+			return nil
+		}
+		keys[i] = K(dx)<<sp.yBits | K(dy)
+	}
+	keys = radixSort(keys, sp.width)
+	runs := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			runs++
+		}
+	}
+	h := &Histogram{keys: make([]uint64, runs), counts: make([]int64, runs)}
+	r, yMask := -1, uint64(1)<<sp.yBits-1
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			r++
+			h.keys[r] = Coord{
+				CX: int32(uint32(sp.base.CX) + uint32(uint64(k)>>sp.yBits)),
+				CY: int32(uint32(sp.base.CY) + uint32(uint64(k)&yMask)),
+			}.Key()
+		}
+		h.counts[r]++
+	}
+	return h
+}
+
+// radixBits caps a digit: 2¹¹ buckets of counts stay in L1.
+const radixBits = 11
+
+// radixSort sorts keys, whose set bits all lie below width, in LSD digit
+// passes of at most radixBits bits through one scratch buffer; it returns
+// whichever of the two holds the result.
+func radixSort[K uint32 | uint64](keys []K, width uint) []K {
+	passes := (width + radixBits - 1) / radixBits
+	if passes == 0 {
+		return keys
+	}
+	tmp := make([]K, len(keys))
+	digit := (width + passes - 1) / passes
+	mask := K(1)<<digit - 1
+	var next [1 << radixBits]int
+	for shift := uint(0); shift < width; shift += digit {
+		bucket := next[:mask+1]
+		clear(bucket)
+		for _, k := range keys {
+			bucket[k>>shift&mask]++
+		}
+		at := 0
+		for d, n := range bucket {
+			bucket[d] = at
+			at += n
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[bucket[d]] = k
+			bucket[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// Sum returns the histogram of all of parts' points: one k-way merge of
+// their sorted runs through a binary heap, adding the counts of a cell
+// that several parts hold, so each entry costs O(log k) key comparisons
+// however many parts there are. A lone part is returned as it is, without
+// a copy. The partitioner's reduction filter sums its children with it
+// (§3.1.3).
+func Sum(parts []*Histogram) *Histogram {
+	h, _ := sum(parts)
+	return h
+}
+
+// cursor is one part's unmerged tail in sum's heap.
+type cursor struct {
+	keys   []uint64
+	counts []int64
+}
+
+// sum is Sum, also returning the number of key comparisons it made.
+func sum(parts []*Histogram) (*Histogram, int) {
+	if len(parts) == 1 {
+		return parts[0], 0
+	}
+	heap := make([]cursor, 0, len(parts))
+	n := 0
+	for _, h := range parts {
+		if len(h.keys) > 0 {
+			heap = append(heap, cursor{h.keys, h.counts})
+			n += len(h.keys)
+		}
+	}
+	compares := 0
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		compares += siftDown(heap, i)
+	}
+	out := &Histogram{keys: make([]uint64, 0, n), counts: make([]int64, 0, n)}
+	for len(heap) > 0 {
+		top := &heap[0]
+		if m := len(out.keys); m > 0 && out.keys[m-1] == top.keys[0] {
+			out.counts[m-1] += top.counts[0]
+		} else {
+			out.keys = append(out.keys, top.keys[0])
+			out.counts = append(out.counts, top.counts[0])
+		}
+		if top.keys, top.counts = top.keys[1:], top.counts[1:]; len(top.keys) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		compares += siftDown(heap, 0)
+	}
+	return out, compares
+}
+
+// siftDown restores the heap order below i and returns the key
+// comparisons it made.
+func siftDown(heap []cursor, i int) (compares int) {
+	for {
+		m := 2*i + 1
+		if m >= len(heap) {
+			return compares
+		}
+		if r := m + 1; r < len(heap) {
+			compares++
+			if heap[r].keys[0] < heap[m].keys[0] {
+				m = r
+			}
+		}
+		compares++
+		if heap[i].keys[0] <= heap[m].keys[0] {
+			return compares
+		}
+		heap[i], heap[m] = heap[m], heap[i]
+		i = m
+	}
+}

@@ -166,39 +166,48 @@ func TestTCPLargePayloads(t *testing.T) {
 // Eps-cell histograms gob-encoded over the wire — through the TCP tree,
 // as the distributed partitioner would on a physical cluster.
 func TestTCPHistogramReduction(t *testing.T) {
-	g := grid.New(0.1)
+	// On the wire a histogram is its runs: cells in order, their counts.
+	type wire struct {
+		Cells  []grid.Coord
+		Counts []int64
+	}
 	encode := func(h *grid.Histogram) ([]byte, error) {
+		var w wire
+		for i := range h.Len() {
+			c, n := h.At(i)
+			w.Cells, w.Counts = append(w.Cells, c), append(w.Counts, n)
+		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(h.Counts); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
 	}
 	decode := func(p []byte) (*grid.Histogram, error) {
-		h := grid.NewHistogram()
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&h.Counts); err != nil {
+		var w wire
+		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&w); err != nil {
 			return nil, err
 		}
-		return h, nil
+		return grid.NewHistogram(w.Cells, w.Counts), nil
 	}
 	handlers := TCPHandlers{
 		Leaf: func(leaf int, down []byte) ([]byte, error) {
-			h := grid.NewHistogram()
 			// Each leaf contributes counts for its own cell and a shared one.
-			h.Counts[grid.Coord{CX: int32(leaf), CY: 0}] = int64(leaf + 1)
-			h.Counts[grid.Coord{CX: 100, CY: 100}] = 2
-			return encode(h)
+			return encode(grid.NewHistogram(
+				[]grid.Coord{{CX: int32(leaf), CY: 0}, {CX: 100, CY: 100}},
+				[]int64{int64(leaf + 1), 2},
+			))
 		},
 		Filter: func(_ *Node, in [][]byte) ([]byte, error) {
-			sum := grid.NewHistogram()
-			for _, p := range in {
+			parts := make([]*grid.Histogram, len(in))
+			for i, p := range in {
 				h, err := decode(p)
 				if err != nil {
 					return nil, err
 				}
-				sum.Add(h)
+				parts[i] = h
 			}
-			return encode(sum)
+			return encode(grid.Sum(parts))
 		},
 	}
 	const leaves = 10
@@ -215,15 +224,19 @@ func TestTCPHistogramReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Counts[grid.Coord{CX: 100, CY: 100}] != 2*leaves {
-		t.Errorf("shared cell = %d, want %d", h.Counts[grid.Coord{CX: 100, CY: 100}], 2*leaves)
+	got := make(map[grid.Coord]int64, h.Len())
+	for i := range h.Len() {
+		c, n := h.At(i)
+		got[c] = n
+	}
+	if got[grid.Coord{CX: 100, CY: 100}] != 2*leaves {
+		t.Errorf("shared cell = %d, want %d", got[grid.Coord{CX: 100, CY: 100}], 2*leaves)
 	}
 	for l := 0; l < leaves; l++ {
-		if h.Counts[grid.Coord{CX: int32(l), CY: 0}] != int64(l+1) {
-			t.Errorf("leaf %d cell = %d, want %d", l, h.Counts[grid.Coord{CX: int32(l), CY: 0}], l+1)
+		if got[grid.Coord{CX: int32(l), CY: 0}] != int64(l+1) {
+			t.Errorf("leaf %d cell = %d, want %d", l, got[grid.Coord{CX: int32(l), CY: 0}], l+1)
 		}
 	}
-	_ = g
 }
 
 func TestTCPValidation(t *testing.T) {

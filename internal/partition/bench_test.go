@@ -25,8 +25,9 @@ func BenchmarkMakePlan(b *testing.B) {
 		})
 	}
 	// The sparse shape (paper §4.2, the repo benchmark's batch_io): about
-	// 50 k non-empty cells of a few points each, where the plan is all
-	// sorting and table building and the rebalancing pass has nothing to do.
+	// 50 k non-empty cells of a few points each. The histogram arrives
+	// sorted, so the plan is copying it into the unit table, hashing its
+	// cells and the forming pass; the rebalancing pass has nothing to do.
 	sdss := grid.New(0.00015)
 	h := sdss.HistogramOf(dataset.SDSS(150_000, 1))
 	b.Run("sdss/points=150000", func(b *testing.B) {

@@ -38,9 +38,9 @@ type DistOptions struct {
 func hotCells(hist *grid.Histogram, threshold int64) map[grid.Coord]uint8 {
 	depth := make(map[grid.Coord]uint8)
 	if threshold > 0 {
-		for c, n := range hist.Counts {
-			if d := DepthFor(n, threshold); d > 0 {
-				depth[c] = d
+		for i := range hist.Len() {
+			if c, n := hist.At(i); n > threshold {
+				depth[c] = DepthFor(n, threshold)
 			}
 		}
 	}
@@ -218,13 +218,9 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 			return g.HistogramOf(pts), nil
 		},
 		func(_ *mrnet.Node, parts []*grid.Histogram) (*grid.Histogram, error) {
-			out := grid.NewHistogram()
-			for _, h := range parts {
-				out.Add(h)
-			}
-			return out, nil
+			return grid.Sum(parts), nil
 		},
-		func(h *grid.Histogram) int64 { return int64(len(h.Counts)) * 12 },
+		func(h *grid.Histogram) int64 { return int64(h.Len()) * 12 },
 	)
 	if err != nil {
 		return nil, err

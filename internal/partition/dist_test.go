@@ -247,7 +247,7 @@ func TestHistogramOnlyProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := grid.New(eps)
-	cells := int64(len(g.HistogramOf(pts).Counts))
+	cells := int64(g.HistogramOf(pts).Len())
 	// Overlay bytes: histogram (≈12 B/cell) + counts + offsets, but never
 	// the point data (24 B/point).
 	overlay := net.Stats().Bytes

@@ -19,9 +19,11 @@
 // paper's §5.1.2 fix for the strong-scaling limit.
 //
 // The root forms the plan serially, so the planner is written to be linear
-// in units after one sort: the non-empty units live in a sorted table
-// (unitTable), a partition is an index range of it, and shadows are found
-// from the range's boundary columns only (see planner.scanShadow).
+// in units: the cell histogram arrives sorted (the leaves sort their
+// cells, the reduction merges sorted runs), the non-empty units live in a
+// table in that order (unitTable), a partition is an index range of it,
+// and shadows are found from the range's boundary columns only (see
+// planner.scanShadow).
 package partition
 
 import (
@@ -91,13 +93,13 @@ type PlanOptions struct {
 // where possible (§3.1.2). rebalance enables the backward rebalancing
 // pass.
 func MakePlan(g grid.Grid, h *grid.Histogram, nParts, minPts int, rebalance bool) (*Plan, error) {
-	entries := make([]unitCount, 0, len(h.Counts))
-	for c, n := range h.Counts {
-		if n > 0 {
-			entries = append(entries, unitCount{CellUnit(c), n})
-		}
+	units, counts := make([]Unit, h.Len()), make([]int64, h.Len())
+	for i := range units {
+		var c grid.Coord
+		c, counts[i] = h.At(i)
+		units[i] = CellUnit(c)
 	}
-	plan, _, err := makePlan(g, entries, nil, PlanOptions{
+	plan, _, err := makePlan(g, newUnitTable(units, counts), nil, PlanOptions{
 		NumPartitions: nParts,
 		MinPts:        minPts,
 		Rebalance:     rebalance,
@@ -114,7 +116,7 @@ func MakePlanUnits(g grid.Grid, uh *UnitHistogram, opt PlanOptions) (*Plan, erro
 			entries = append(entries, unitCount{u, n})
 		}
 	}
-	plan, _, err := makePlan(g, entries, uh.Depth, opt)
+	plan, _, err := makePlan(g, unitTableOf(entries), uh.Depth, opt)
 	return plan, err
 }
 
@@ -126,9 +128,8 @@ type planStats struct {
 	moves, rebalanceProbes int
 }
 
-// makePlan sorts entries into the unit table and runs the forming and
-// rebalancing passes over it.
-func makePlan(g grid.Grid, entries []unitCount, depth map[grid.Coord]uint8, opt PlanOptions) (*Plan, planStats, error) {
+// makePlan runs the forming and rebalancing passes over the unit table.
+func makePlan(g grid.Grid, t *unitTable, depth map[grid.Coord]uint8, opt PlanOptions) (*Plan, planStats, error) {
 	if opt.NumPartitions < 1 {
 		return nil, planStats{}, fmt.Errorf("partition: need at least 1 partition, got %d", opt.NumPartitions)
 	}
@@ -136,7 +137,7 @@ func makePlan(g grid.Grid, entries []unitCount, depth map[grid.Coord]uint8, opt 
 		return nil, planStats{}, fmt.Errorf("partition: MinPts must be positive, got %d", opt.MinPts)
 	}
 	pl := &planner{
-		t:       newUnitTable(entries),
+		t:       t,
 		minPts:  int64(opt.MinPts),
 		bounds:  make([]int, 1, opt.NumPartitions+1),
 		owned:   make([]int64, opt.NumPartitions),

@@ -21,7 +21,7 @@ func twitterHist(t testing.TB, n int, seed int64) (grid.Grid, *grid.Histogram, [
 
 func TestMakePlanValidation(t *testing.T) {
 	g := grid.New(eps)
-	h := grid.NewHistogram()
+	h := grid.NewHistogram(nil, nil)
 	if _, err := MakePlan(g, h, 0, 4, true); err == nil {
 		t.Error("zero partitions must be rejected")
 	}
@@ -32,7 +32,7 @@ func TestMakePlanValidation(t *testing.T) {
 
 func TestMakePlanEmptyHistogram(t *testing.T) {
 	g := grid.New(eps)
-	plan, err := MakePlan(g, grid.NewHistogram(), 4, 4, true)
+	plan, err := MakePlan(g, grid.NewHistogram(nil, nil), 4, 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,8 @@ func TestPlanCellsContiguous(t *testing.T) {
 			t.Fatal(err)
 		}
 		pos := make(map[grid.Coord]int)
-		for i, c := range h.Cells() {
+		for i := range h.Len() {
+			c, _ := h.At(i)
 			pos[c] = i
 		}
 		next := 0
@@ -187,11 +188,12 @@ func TestPlanProperty(t *testing.T) {
 	// preserve totals.
 	f := func(seeds []uint32, nRaw uint8, minRaw uint8) bool {
 		g := grid.New(1)
-		h := grid.NewHistogram()
-		for _, s := range seeds {
-			c := grid.Coord{CX: int32(s % 37), CY: int32((s / 37) % 37)}
-			h.Counts[c] += int64(s%50) + 1
+		cells, counts := make([]grid.Coord, len(seeds)), make([]int64, len(seeds))
+		for i, s := range seeds {
+			cells[i] = grid.Coord{CX: int32(s % 37), CY: int32((s / 37) % 37)}
+			counts[i] = int64(s%50) + 1
 		}
+		h := grid.NewHistogram(cells, counts)
 		nParts := int(nRaw)%20 + 1
 		minPts := int(minRaw)%10 + 1
 		plan, err := MakePlan(g, h, nParts, minPts, true)
@@ -314,7 +316,7 @@ func TestShadowRepsBounded(t *testing.T) {
 		// every unit capped.
 		var capped int64
 		for _, u := range plan.Specs[i].Shadow {
-			capped += min(h.Counts[u.Cell], MaxShadowReps)
+			capped += min(plan.tab.counts[plan.tab.indexOf(u)], MaxShadowReps)
 		}
 		if int64(len(split.Shadows[i])) != capped {
 			t.Errorf("partition %d: %d shadow reps, capped ShadowCount is %d",

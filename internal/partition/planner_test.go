@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/grid"
 )
@@ -184,16 +185,12 @@ func TestPlannerMatchesReference(t *testing.T) {
 		}
 		// MakePlan takes the cell-histogram shortcut into the same planner.
 		if len(hc.uh.Depth) == 0 {
-			h := grid.NewHistogram()
-			for u, n := range hc.uh.Counts {
-				h.Counts[u.Cell] = n
-			}
-			got, err := MakePlan(hc.g, h, 5, 3, true)
+			got, err := MakePlan(hc.g, cellHistogram(entriesOf(hc.uh)), 5, 3, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameSpecs(t, got, refMakePlanUnits(hc.g, hc.uh, PlanOptions{NumPartitions: 5, MinPts: 3, Rebalance: true}))
-			_, stats, _ := makePlan(hc.g, entriesOf(hc.uh), nil, PlanOptions{NumPartitions: 5, MinPts: 3, Rebalance: true})
+			_, stats, _ := makePlan(hc.g, unitTableOf(entriesOf(hc.uh)), nil, PlanOptions{NumPartitions: 5, MinPts: 3, Rebalance: true})
 			moved = moved || stats.moves > 0
 		}
 	}
@@ -212,12 +209,83 @@ func TestPlannerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestMakePlanMatchesMapHistogram: on the benchmark's input shapes, the
+// plan MakePlan forms from the sorted histogram (summed over shards where
+// the partitioner would reduce one) is the plan formed, as before the
+// histogram was sorted, from a Go map count's entries sorted by
+// sortEntries — the same Specs, owners and shadow slots.
+func TestMakePlanMatchesMapHistogram(t *testing.T) {
+	shapes := []struct {
+		name   string
+		eps    float64
+		minPts int
+		pts    []geom.Point
+		shards int
+	}{
+		{"batch_io", 0.00015, 5, dataset.SDSS(150_000, 3), 4},
+		{"dist_tcp", 0.00015, 5, dataset.SDSS(150_000, 4), 1},
+		{"batch_dense", 0.1, 40, dataset.Twitter(60_000, 5), 8},
+	}
+	for _, sh := range shapes {
+		g := grid.New(sh.eps)
+		parts := make([]*grid.Histogram, sh.shards)
+		for s := range parts {
+			parts[s] = g.HistogramOf(sh.pts[len(sh.pts)*s/sh.shards : len(sh.pts)*(s+1)/sh.shards])
+		}
+		hist := grid.Sum(parts)
+		counts := make(map[grid.Coord]int64)
+		for _, p := range sh.pts {
+			counts[g.CellOf(p)]++
+		}
+		var entries []unitCount
+		for c, n := range counts {
+			entries = append(entries, unitCount{CellUnit(c), n})
+		}
+		for _, nParts := range []int{4, 16, 64} {
+			t.Run(fmt.Sprintf("%s/parts=%d", sh.name, nParts), func(t *testing.T) {
+				got, err := MakePlan(g, hist, nParts, sh.minPts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := PlanOptions{NumPartitions: nParts, MinPts: sh.minPts, Rebalance: true}
+				want, _, err := makePlan(g, unitTableOf(slices.Clone(entries)), nil, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range want.Specs {
+					s := got.Specs[i]
+					if !slices.Equal(s.Units, w.Units) || !slices.Equal(s.Shadow, w.Shadow) ||
+						s.PointCount != w.PointCount || s.ShadowCount != w.ShadowCount {
+						t.Fatalf("spec %d differs: %d units + %d shadow (%d+%d points), map plan %d + %d (%d+%d)",
+							i, len(s.Units), len(s.Shadow), s.PointCount, s.ShadowCount,
+							len(w.Units), len(w.Shadow), w.PointCount, w.ShadowCount)
+					}
+				}
+				if !slices.Equal(got.owner, want.owner) || !slices.Equal(got.slotOff, want.slotOff) ||
+					!slices.Equal(got.shadowStart, want.shadowStart) || !slices.Equal(got.shadowSlots, want.shadowSlots) {
+					t.Fatal("owners or shadow slots differ from the map plan's")
+				}
+			})
+		}
+	}
+}
+
 func entriesOf(uh *UnitHistogram) []unitCount {
 	var out []unitCount
 	for u, n := range uh.Counts {
 		out = append(out, unitCount{u, n})
 	}
 	return out
+}
+
+// cellHistogram is the cell histogram of entries, which must be whole
+// cells.
+func cellHistogram(entries []unitCount) *grid.Histogram {
+	cells, counts := make([]grid.Coord, len(entries)), make([]int64, len(entries))
+	for i, e := range entries {
+		cells[i], counts[i] = e.u.Cell, e.n
+	}
+	return grid.NewHistogram(cells, counts)
 }
 
 // TestSplitConcurrentMatchesReference: sixteen leaves Split their shards
@@ -300,10 +368,7 @@ func TestMakePlanAllocsIndependentOfUnits(t *testing.T) {
 	}
 	g := grid.New(1)
 	allocs := func(w int) float64 {
-		hist := grid.NewHistogram()
-		for _, e := range blockEntries(w, 100) {
-			hist.Counts[e.u.Cell] = e.n
-		}
+		hist := cellHistogram(blockEntries(w, 100))
 		return testing.AllocsPerRun(3, func() {
 			if _, err := MakePlan(g, hist, 16, 5, true); err != nil {
 				t.Fatal(err)
@@ -325,7 +390,7 @@ func TestRebalanceMoveTouchesBoundaryOnly(t *testing.T) {
 	const h = 50
 	g := grid.New(1)
 	perMove := func(w int) float64 {
-		_, stats, err := makePlan(g, blockEntries(w, h), nil, PlanOptions{NumPartitions: 2, MinPts: 5, Rebalance: true})
+		_, stats, err := makePlan(g, unitTableOf(blockEntries(w, h)), nil, PlanOptions{NumPartitions: 2, MinPts: 5, Rebalance: true})
 		if err != nil {
 			t.Fatal(err)
 		}

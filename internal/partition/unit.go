@@ -178,7 +178,7 @@ type unitCount struct {
 // iteration order, their point counts in a parallel slice, and one hash
 // from a cell to the index of its first unit. The units of a cell are
 // adjacent, a partition is an index range, and every later step is an
-// index sweep: nothing after the sort touches a Go map.
+// index sweep that touches no Go map.
 type unitTable struct {
 	units  []Unit
 	counts []int64
@@ -191,10 +191,10 @@ type unitTable struct {
 }
 
 // sortEntries orders entries by compareUnits and returns them (in entries
-// or in a scratch copy). The root sorts every non-empty cell of the run
-// here, so it is a byte-wise LSD radix sort on the packed cell key —
-// skipping the bytes all keys share, typically four of eight — followed by
-// a comparison sort of each split cell's few tiles.
+// or in a scratch copy): a byte-wise LSD radix sort on the packed cell key
+// — skipping the bytes all keys share, typically four of eight — followed
+// by a comparison sort of each split cell's few tiles. Only the hot-cell
+// path needs it; a plain grid.Histogram arrives sorted.
 func sortEntries(entries []unitCount) []unitCount {
 	allOnes, anyOnes := ^uint64(0), uint64(0) // bits set in every key, in some key
 	for _, e := range entries {
@@ -232,19 +232,23 @@ func sortEntries(entries []unitCount) []unitCount {
 	return src
 }
 
-// newUnitTable sorts entries into a table (and may reorder them). Entries
+// unitTableOf sorts entries (and may reorder them) into a table. Entries
 // must be distinct units with positive counts.
-func newUnitTable(entries []unitCount) *unitTable {
+func unitTableOf(entries []unitCount) *unitTable {
 	entries = sortEntries(entries)
-	t := &unitTable{
-		units:  make([]Unit, len(entries)),
-		counts: make([]int64, len(entries)),
-	}
+	units, counts := make([]Unit, len(entries)), make([]int64, len(entries))
 	for i, e := range entries {
-		t.units[i], t.counts[i] = e.u, e.n
+		units[i], counts[i] = e.u, e.n
 	}
+	return newUnitTable(units, counts)
+}
+
+// newUnitTable indexes units, distinct and already in iteration order,
+// with their positive counts; the table keeps both slices.
+func newUnitTable(units []Unit, counts []int64) *unitTable {
+	t := &unitTable{units: units, counts: counts}
 	bits := uint(4)
-	for 1<<bits < 2*len(entries) {
+	for 1<<bits < 2*len(units) {
 		bits++
 	}
 	t.slots = make([]int32, 1<<bits)

@@ -101,9 +101,9 @@ func TestQuadCountsPreserveTotals(t *testing.T) {
 	h := g.HistogramOf(pts)
 	// Split the two densest cells.
 	depth := map[grid.Coord]uint8{}
-	cells := h.Cells()
-	for i := 0; i < 2 && i < len(cells); i++ {
-		depth[cells[i]] = 2
+	for i := 0; i < 2 && i < h.Len(); i++ {
+		c, _ := h.At(i)
+		depth[c] = 2
 	}
 	counts := QuadCounts(g, pts, depth)
 	var total int64
