@@ -145,12 +145,7 @@ func BenchmarkFig10StrongScaling(b *testing.B) {
 	for _, leaves := range []int{2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("leaves=%d", leaves), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := Default(0.1, 40, leaves)
-				// Sequential leaves: time each simulated GPU in
-				// isolation so host-core contention does not skew the
-				// slowest-leaf metric.
-				cfg.SequentialLeaves = true
-				res := runPipeline(b, pts, cfg)
+				res := runPipeline(b, pts, Default(0.1, 40, leaves))
 				b.ReportMetric(res.Times.GPUDBSCAN.Seconds(), "gpu-sec")
 			}
 		})
@@ -303,7 +298,6 @@ func BenchmarkAblationHotCellSplit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := Default(0.1, 40, 16)
 				cfg.HotCellThreshold = threshold
-				cfg.SequentialLeaves = true
 				res := runPipeline(b, pts, cfg)
 				b.ReportMetric(res.Times.GPUDBSCAN.Seconds(), "slowest-gpu-sec")
 				b.ReportMetric(float64(res.Stats.MaxLeafPoints), "max-leaf-points")

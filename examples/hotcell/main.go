@@ -47,7 +47,6 @@ func main() {
 			cfg := mrscan.Default(0.1, 4, leaves)
 			cfg.HotCellThreshold = mode.threshold
 			cfg.ShadowReps = mode.shadowReps
-			cfg.SequentialLeaves = true // time each simulated GPU in isolation
 			res, _, err := mrscan.RunPoints(pts, cfg)
 			if err != nil {
 				log.Fatal(err)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -42,31 +43,48 @@ func TestPDSMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPDSCorePartitionExact: PDS's core flags equal the oracle's, and
+// its clusters over core points are the oracle's up to renaming. The
+// pair exactly Eps apart across a cell border (an ulp below 0 and 0.75,
+// at Eps 0.75) fell two cells apart on a grid of side exactly Eps.
 func TestPDSCorePartitionExact(t *testing.T) {
-	pts := dataset.Twitter(5000, 2)
-	ref, err := dbscan.Cluster(pts, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := PDS(pts, params, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refToGot := map[int]int{}
-	gotToRef := map[int]int{}
-	for i := range pts {
-		if !ref.Core[i] {
-			continue
-		}
-		r, g := ref.Labels[i], got.Labels[i]
-		if prev, ok := refToGot[r]; ok && prev != g {
-			t.Fatalf("ref cluster %d split", r)
-		}
-		if prev, ok := gotToRef[g]; ok && prev != r {
-			t.Fatalf("got cluster %d merges two ref clusters", g)
-		}
-		refToGot[r] = g
-		gotToRef[g] = r
+	for _, c := range []struct {
+		name   string
+		pts    []geom.Point
+		params geom.Params
+	}{
+		{"twitter5k", dataset.Twitter(5000, 2), params},
+		{"pair_exactly_eps", []geom.Point{{ID: 0, X: math.Nextafter(0, -1)}, {ID: 1, X: 0.75}}, geom.Params{Eps: 0.75, MinPts: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref, err := dbscan.Cluster(c.pts, c.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PDS(c.pts, c.params, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refToGot := map[int]int{}
+			gotToRef := map[int]int{}
+			for i := range c.pts {
+				if got.Core[i] != ref.Core[i] {
+					t.Fatalf("core flag of %v: %v, oracle %v", c.pts[i], got.Core[i], ref.Core[i])
+				}
+				if !ref.Core[i] {
+					continue
+				}
+				r, g := ref.Labels[i], got.Labels[i]
+				if prev, ok := refToGot[r]; ok && prev != g {
+					t.Fatalf("ref cluster %d split", r)
+				}
+				if prev, ok := gotToRef[g]; ok && prev != r {
+					t.Fatalf("got cluster %d merges two ref clusters", g)
+				}
+				refToGot[r] = g
+				gotToRef[g] = r
+			}
+		})
 	}
 }
 

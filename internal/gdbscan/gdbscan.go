@@ -232,8 +232,8 @@ type Workspace struct {
 	lists     []leafList
 	nbrs      [][]int32
 	undecided []int32
-	// hasCore marks the leaves holding a core point.
-	hasCore []bool
+	// cores counts each leaf's core points.
+	cores []int32
 	// boxPairs counts the box pairs the last call's linking pass
 	// examined: the clock-free cost the tests' linearity guard bounds.
 	boxPairs int
@@ -434,7 +434,7 @@ func (c *clustering) classifyCells() error {
 	}
 	lc := gpusim.LaunchConfig{Blocks: len(undecided), ThreadsPerBlock: 1}
 	return c.dev.Launch("gdbscan/classify", lc, func(ctx gpusim.KernelCtx) {
-		c.classifyCell(undecided[ctx.Block])
+		ctx.Ops(c.classifyCell(undecided[ctx.Block]))
 	})
 }
 
@@ -460,17 +460,24 @@ func (c *clustering) boundCells() error {
 	}
 	err := c.dev.Launch("gdbscan/cell-bounds", lc, func(ctx gpusim.KernelCtx) {
 		var stage [stagedEntries]int32
-		buf := stage[:0]
+		buf, ops := stage[:0], 0
 		for ni := ctx.Block * tpb; ni < min(nodes, (ctx.Block+1)*tpb); ni++ {
 			if left[ni] < 0 {
-				buf = c.boundCell(int32(ni), buf)
+				var tests int
+				buf, tests = c.boundCell(int32(ni), buf)
+				ops += tests
 			}
 		}
 		ws.nbrs[ctx.Block] = append(ws.nbrs[ctx.Block][:0], buf...)
+		ctx.Ops(ops)
 	})
+	// After a failed launch ws.lists may still hold a previous partition's.
+	if err != nil {
+		return err
+	}
 	ws.undecided = ws.undecided[:0]
 	if c.opt.Mode == ModeCUDADClust {
-		return err
+		return nil
 	}
 	minPts := c.opt.Params.MinPts
 	for ni, l := range left {
@@ -486,18 +493,19 @@ func (c *clustering) boundCells() error {
 			ws.undecided = append(ws.undecided, int32(ni))
 		}
 	}
-	return err
+	return nil
 }
 
 // boundCell is the bounds kernel body for leaf a: it appends a's
 // neighbour list to buf and, in Mr. Scan mode, marks every member core
-// when the list's lower bound reaches MinPts.
-func (c *clustering) boundCell(a int32, buf []int32) []int32 {
+// when the list's lower bound reaches MinPts. It returns the buffer and
+// the rectangle tests the list took.
+func (c *clustering) boundCell(a int32, buf []int32) (_ []int32, tests int) {
 	at := len(buf)
-	straddle, buf := c.listNeighbours(a, buf)
+	straddle, tests, buf := c.listNeighbours(a, buf)
 	c.ws.lists[a] = leafList{at: int32(at), n: int32(len(buf) - at), straddle: int32(straddle)}
 	if c.opt.Mode == ModeCUDADClust {
-		return buf
+		return buf, tests
 	}
 	switch lo, hi := c.bounds(buf[at:], straddle); {
 	case lo >= c.opt.Params.MinPts:
@@ -512,7 +520,7 @@ func (c *clustering) boundCell(a int32, buf []int32) []int32 {
 			buf[at], buf[at+own] = a, buf[at]
 		}
 	}
-	return buf
+	return buf, tests
 }
 
 // neighbours returns leaf a's neighbour list, in the buffer of the
@@ -540,7 +548,8 @@ func (c *clustering) bounds(list []int32, straddle int) (lo, hi int) {
 
 // listNeighbours walks the tree once with leaf a's rectangle, down to the
 // leaves, and appends to list every leaf whose rectangle is within Eps of
-// a's: a's neighbour list, straddling entries first. A leaf whose
+// a's: a's neighbour list, straddling entries first. tests counts the
+// nodes whose rectangle it tested. A leaf whose
 // rectangle is wholly within Eps of a's — the farthest corner pair passes
 // the neighbor test — is whole: every one of its points neighbours every
 // member of a. Any other leaf within Eps straddles. Both tests use the
@@ -551,7 +560,7 @@ func (c *clustering) bounds(list []int32, straddle int) (lo, hi int) {
 // The walk starts at the deepest ancestor of a that encloses a's Eps
 // neighbourhood (enclosing) rather than at the root: the list is the
 // same, and the levels above it are passed without a rectangle test.
-func (c *clustering) listNeighbours(a int32, list []int32) (straddle int, _ []int32) {
+func (c *clustering) listNeighbours(a int32, list []int32) (straddle, tests int, _ []int32) {
 	bounds, left, right := c.flat.Bounds, c.flat.Left, c.flat.Right
 	eps2, at := c.eps2, len(list)
 	ra := bounds[4*a : 4*a+4 : 4*a+4]
@@ -560,6 +569,7 @@ func (c *clustering) listNeighbours(a int32, list []int32) (straddle int, _ []in
 	for len(stack) > 0 {
 		ni := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		tests++
 		rb := bounds[4*ni : 4*ni+4 : 4*ni+4]
 		dx := max(0, rb[0]-ra[2], ra[0]-rb[2])
 		dy := max(0, rb[1]-ra[3], ra[1]-rb[3])
@@ -581,7 +591,7 @@ func (c *clustering) listNeighbours(a int32, list []int32) (straddle int, _ []in
 		list[s], list[len(list)-1] = ni, list[s]
 		straddle++
 	}
-	return straddle, list
+	return straddle, tests, list
 }
 
 // enclosing returns the deepest proper ancestor of leaf a whose rectangle
@@ -616,8 +626,9 @@ func (c *clustering) enclosing(a int32) int32 {
 // of its list — out of the member's reach: skipped; wholly inside its
 // disc: counted whole; else scanned — until it has MinPts neighbors.
 // Counts include the point itself (geom.Params): its own leaf is part
-// of lo or on the list.
-func (c *clustering) classifyCell(a int32) {
+// of lo or on the list. It returns its work: one op per straddling entry
+// a member tests and one per point of each leaf it scans.
+func (c *clustering) classifyCell(a int32) (ops int) {
 	xs, ys, eps2, minPts := c.xs, c.ys, c.eps2, c.opt.Params.MinPts
 	bounds, starts, counts, order := c.flat.Bounds, c.flat.Start, c.flat.Count, c.flat.Order
 	list, straddle := c.neighbours(a)
@@ -628,6 +639,7 @@ func (c *clustering) classifyCell(a int32) {
 		cx, cy := xs[pi], ys[pi]
 		count := lo
 		for _, li := range list {
+			ops++
 			b := bounds[4*li : 4*li+4 : 4*li+4]
 			if rectDist2(b, cx, cy) > eps2 {
 				continue
@@ -636,6 +648,7 @@ func (c *clustering) classifyCell(a int32) {
 				count += int(counts[li])
 			} else {
 				scans++
+				ops += int(counts[li])
 				for _, nb := range order[starts[li] : starts[li]+counts[li]] {
 					dx, dy := cx-xs[nb], cy-ys[nb]
 					if dx*dx+dy*dy <= eps2 {
@@ -652,20 +665,24 @@ func (c *clustering) classifyCell(a int32) {
 		}
 	}
 	c.ws.leafScans.Add(scans)
+	return ops
 }
 
 // classifyFull is the CUDA-DClust profile's pass one (the §3.2.2 ablation
-// arm): one thread per point counts its whole Eps-neighborhood.
+// arm): one thread per point counts its whole Eps-neighborhood. Its work
+// is counted as the members of its leaf's neighbour list, the points a
+// full count has to test.
 func (c *clustering) classifyFull() error {
-	n, core, flat, xs, ys := len(c.pts), c.core, c.flat, c.xs, c.ys
+	n, core, flat, xs, ys, labels := len(c.pts), c.core, c.flat, c.xs, c.ys, c.labels
 	eps := c.opt.Params.Eps
 	// minNeighbors excludes the point itself (the DBSCAN neighborhood
 	// includes the point, see geom.Params).
 	minNeighbors := c.opt.Params.MinPts - 1
 	return c.dev.Launch("gdbscan/classify", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
-		i := ctx.GlobalID()
-		if i < n && flat.CountRange(xs, ys, xs[i], ys[i], eps, int32(i), 0) >= minNeighbors {
-			core[i] = true
+		if i := ctx.GlobalID(); i < n {
+			core[i] = flat.CountRange(xs, ys, xs[i], ys[i], eps, int32(i), 0) >= minNeighbors
+			_, members := c.bounds(c.neighbours(^labels[i]))
+			ctx.Ops(members)
 		}
 	})
 }
@@ -738,7 +755,7 @@ func (c *clustering) expand(outBuf *gpusim.Buffer) error {
 	for base := 0; base < len(seeds); base += opt.Blocks {
 		blocksThisRound := min(len(seeds)-base, opt.Blocks)
 		c.stats.SeedRounds++
-		kernel := func(ctx gpusim.KernelCtx) { c.expandSeed(ctx.Block, base+ctx.Block) }
+		kernel := func(ctx gpusim.KernelCtx) { ctx.Ops(c.expandSeed(ctx.Block, base+ctx.Block)) }
 		lc := gpusim.LaunchConfig{Blocks: blocksThisRound, ThreadsPerBlock: 1}
 		if stream != nil {
 			stream.LaunchAsync("gdbscan/expand", lc, kernel)
@@ -791,18 +808,23 @@ func (c *clustering) drainCollisions() {
 // An expanded point reads its own leaf's neighbour list: a whole entry's
 // members are its neighbors with no distance test, a straddling leaf is
 // tested by rectangle and then point by point.
-func (c *clustering) expandSeed(block, si int) {
+//
+// It returns the block's work: one op per list entry of every point it
+// expanded and one per member of each entry it visits that is no dense
+// box. Each core point outside a box is expanded once, whichever block
+// claims it, so a launch's total is the same under any schedule.
+func (c *clustering) expandSeed(block, si int) (ops int) {
 	labels, core := c.labels, c.core
 	seed := c.ws.seeds[si]
 	if !core[seed] {
-		return // CUDA-DClust profile: seed turned out non-core
+		return 0 // CUDA-DClust profile: seed turned out non-core
 	}
 	// Claim the seed. If another cluster already owns it, this seed
 	// never starts a cluster (it was absorbed).
 	myID := c.nBoxes + int32(si)
 	unclaimed := atomic.LoadInt32(&labels[seed])
 	if unclaimed >= 0 || !atomic.CompareAndSwapInt32(&labels[seed], unclaimed, myID) {
-		return
+		return 0
 	}
 	bs := &c.ws.blocks[block]
 	xs, ys, eps2, leafBox := c.xs, c.ys, c.eps2, c.leafBox
@@ -813,6 +835,7 @@ func (c *clustering) expandSeed(block, si int) {
 		q = q[:len(q)-1]
 		p, cx, cy := e.p, xs[e.p], ys[e.p]
 		list, straddle := c.neighbours(e.leaf)
+		ops += len(list)
 		for k, li := range list {
 			whole := k >= straddle
 			if !whole && rectDist2(bounds[4*li:4*li+4:4*li+4], cx, cy) > eps2 {
@@ -828,6 +851,7 @@ func (c *clustering) expandSeed(block, si int) {
 				}
 				continue
 			}
+			ops += len(members)
 			for _, nb := range members {
 				if nb == p || !core[nb] {
 					continue
@@ -857,6 +881,7 @@ func (c *clustering) expandSeed(block, si int) {
 		}
 	}
 	bs.queue = q[:0]
+	return ops
 }
 
 // reaches reports whether a point of members is within Eps of (cx, cy).
@@ -964,7 +989,9 @@ func rectFar2(b []float64, x, y float64) float64 {
 // earliest-started cluster keep a contested border point, so this is its
 // labelling, whatever the block scheduling or tree shape was. A thread
 // walks its leaf's neighbour list and skips the leaves without a core
-// point (markCoreLeaves) before their rectangle is tested.
+// point (countCores) before their rectangle is tested. Its work is one
+// op per list entry and one per core member of each entry it scans that
+// is no dense box.
 func (c *clustering) attachBorders() error {
 	pts, labels, core, merges := c.pts, c.labels, c.core, c.merges
 	before := func(a, b int32) bool {
@@ -988,7 +1015,7 @@ func (c *clustering) attachBorders() error {
 
 	n, xs, ys, eps2, leafBox := len(pts), c.xs, c.ys, c.eps2, c.leafBox
 	bounds := c.flat.Bounds
-	hasCore := c.markCoreLeaves()
+	cores := c.countCores()
 	return c.dev.Launch("gdbscan/border", gpusim.GridFor(n, c.opt.ThreadsPerBlock), func(ctx gpusim.KernelCtx) {
 		i := ctx.GlobalID()
 		if i >= n || core[i] {
@@ -998,14 +1025,18 @@ func (c *clustering) attachBorders() error {
 		cx, cy := xs[i], ys[i]
 		best := int32(-1)
 		list, straddle := c.neighbours(^labels[i])
+		ops := len(list)
 		for k, li := range list {
 			whole := k >= straddle
-			if !hasCore[li] || !whole && rectDist2(bounds[4*li:4*li+4:4*li+4], cx, cy) > eps2 {
+			if cores[li] == 0 || !whole && rectDist2(bounds[4*li:4*li+4:4*li+4], cx, cy) > eps2 {
 				continue
 			}
 			box := leafBox[li]
 			if box >= 0 && lead[box] == best {
 				continue // a box is one cluster, and it is already chosen
+			}
+			if box < 0 {
+				ops += int(cores[li])
 			}
 			for _, nb := range c.leafPoints(int(li)) {
 				if !core[nb] {
@@ -1032,20 +1063,26 @@ func (c *clustering) attachBorders() error {
 		if best >= 0 {
 			labels[i] = labels[best]
 		}
+		ctx.Ops(ops)
 	})
 }
 
-// markCoreLeaves fills and returns ws.hasCore: whether a leaf holds a
-// core point (internal nodes' entries are left stale; nothing reads them).
-func (c *clustering) markCoreLeaves() []bool {
-	hasCore := grow(c.ws.hasCore, len(c.flat.Left))
-	c.ws.hasCore = hasCore
+// countCores fills and returns ws.cores: each leaf's core points
+// (internal nodes' entries stay 0; nothing reads them).
+func (c *clustering) countCores() []int32 {
+	cores := fill(c.ws.cores, len(c.flat.Left), 0)
+	c.ws.cores = cores
 	for ni, left := range c.flat.Left {
-		if left < 0 {
-			hasCore[ni] = slices.ContainsFunc(c.leafPoints(ni), func(pi int32) bool { return c.core[pi] })
+		if left >= 0 {
+			continue
+		}
+		for _, pi := range c.leafPoints(ni) {
+			if c.core[pi] {
+				cores[ni]++
+			}
 		}
 	}
-	return hasCore
+	return cores
 }
 
 // compactLabels is the end of collision rectification on the CPU ("when

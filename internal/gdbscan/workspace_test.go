@@ -1,8 +1,11 @@
 package gdbscan
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/faultinject"
 	"repro/internal/geom"
 )
 
@@ -63,5 +66,23 @@ func TestWorkspaceReuseCUDADClustMode(t *testing.T) {
 		if got := len(res.Stats.RoundTransferBytes); got != res.Stats.SeedRounds {
 			t.Errorf("partition %d: %d round records for %d rounds", i, got, res.Stats.SeedRounds)
 		}
+	}
+}
+
+// TestLaunchFaultOnReusedWorkspace: a cell-bounds launch that fails
+// leaves a reused Workspace holding the previous partition's neighbour
+// lists. Cluster must return the launch's error, not read those lists
+// (which indexed out of range).
+func TestLaunchFaultOnReusedWorkspace(t *testing.T) {
+	params := geom.Params{Eps: 0.1, MinPts: 40}
+	var ws Workspace
+	if _, err := Cluster(testDevice(), dataset.Twitter(20000, 1), Options{Params: params, DenseBox: true, Workspace: &ws}); err != nil {
+		t.Fatal(err)
+	}
+	dev := testDevice()
+	dev.SetFaultPlan(faultinject.New(1).Arm(faultinject.GPULaunch, faultinject.Rule{Times: 1}))
+	_, err := Cluster(dev, dataset.Twitter(1500, 2), Options{Params: params, DenseBox: true, Workspace: &ws})
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("Cluster = %v, want the injected launch fault", err)
 	}
 }

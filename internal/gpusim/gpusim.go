@@ -14,8 +14,11 @@
 //     pool of simulated SMs so blocks genuinely run concurrently and
 //     expansion collisions between blocks (§3.2.1, Figure 4) really occur.
 //
-// Kernels execute real Go code, so clustering results are real; only the
-// costs of hardware we do not have (PCIe, launch overhead) are simulated.
+// Kernels execute real Go code, so clustering results are real, but their
+// cost is counted, not timed: every kernel counts the distance and
+// rectangle tests its threads make (KernelCtx.Ops), and a launch is
+// charged for that count. No wall-clock reading reaches the simulated
+// clock; Stats.KernelWall keeps the host's kernel time apart.
 package gpusim
 
 import (
@@ -78,7 +81,7 @@ type Stats struct {
 	D2HTransfers   int64
 	H2DBytes       int64
 	D2HBytes       int64
-	// KernelWall is real wall time spent executing kernels.
+	// KernelWall is host wall time spent executing kernels (never simulated).
 	KernelWall time.Duration
 	// AllocBytes is the current device memory in use.
 	AllocBytes int64
@@ -105,6 +108,7 @@ type deviceMetrics struct {
 	d2hTransfers *telemetry.Counter
 	h2dBytes     *telemetry.Counter
 	d2hBytes     *telemetry.Counter
+	kernelOps    *telemetry.Counter
 	kernelWallNs *telemetry.Counter
 	allocBytes   *telemetry.Gauge
 	peakAlloc    *telemetry.Gauge
@@ -127,6 +131,7 @@ func resolveDeviceMetrics(h *telemetry.Hub, device string) deviceMetrics {
 		d2hTransfers:     h.Counter("gpusim_d2h_transfers_total", "device", device),
 		h2dBytes:         h.Counter("gpusim_h2d_bytes_total", "device", device),
 		d2hBytes:         h.Counter("gpusim_d2h_bytes_total", "device", device),
+		kernelOps:        h.Counter("gpusim_kernel_ops_total", "device", device),
 		kernelWallNs:     h.Counter("gpusim_kernel_wall_ns_total", "device", device),
 		allocBytes:       h.Gauge("gpusim_alloc_bytes", "device", device),
 		peakAlloc:        h.Gauge("gpusim_peak_alloc_bytes", "device", device),
@@ -142,9 +147,17 @@ func resolveDeviceMetrics(h *telemetry.Hub, device string) deviceMetrics {
 
 // Device is a simulated GPGPU. Safe for use by one host goroutine at a
 // time (like a CUDA stream); kernels themselves run on many goroutines.
+// Kernels charge their counted work to GPUResource, transfers their
+// bytes to name + "/pcie"; SimTime is the sum.
 type Device struct {
 	cfg   Config
 	clock *simclock.Clock
+	// The running launch's state, reused because one host goroutine
+	// launches at a time: the last block claimed, each SM's counted
+	// work, and the SMs still running.
+	next  int64
+	smOps []int64
+	smWG  sync.WaitGroup
 
 	mu     sync.Mutex
 	plan   *faultinject.Plan
@@ -170,7 +183,7 @@ func New(cfg Config, clock *simclock.Clock) *Device {
 	if clock == nil {
 		clock = simclock.New()
 	}
-	d := &Device{cfg: cfg, clock: clock}
+	d := &Device{cfg: cfg, clock: clock, smOps: make([]int64, cfg.SMs)}
 	d.hub = telemetry.New(clock)
 	d.m = resolveDeviceMetrics(d.hub, cfg.Name)
 	return d
@@ -196,6 +209,7 @@ func (d *Device) SetTelemetry(h *telemetry.Hub) {
 	d.m.d2hTransfers.Add(old.d2hTransfers.Value())
 	d.m.h2dBytes.Add(old.h2dBytes.Value())
 	d.m.d2hBytes.Add(old.d2hBytes.Value())
+	d.m.kernelOps.Add(old.kernelOps.Value())
 	d.m.kernelWallNs.Add(old.kernelWallNs.Value())
 	d.m.allocBytes.Set(old.allocBytes.Value())
 	d.m.peakAlloc.SetMax(old.peakAlloc.Value())
@@ -273,6 +287,12 @@ func (d *Device) pcieResource() string { return d.cfg.Name + "/pcie" }
 
 // GPUResource is the clock resource kernels are charged to.
 func (d *Device) GPUResource() string { return d.cfg.Name + "/sm" }
+
+// SimTime returns the simulated time charged to the device so far: its
+// kernels and its transfers.
+func (d *Device) SimTime() time.Duration {
+	return d.clock.Resource(d.GPUResource()) + d.clock.Resource(d.pcieResource())
+}
 
 // Buffer is a device memory allocation. It tracks bytes only: kernel code
 // accesses ordinary Go slices (the "device copy"), because simulating the
@@ -445,20 +465,39 @@ type KernelCtx struct {
 	Thread          int
 	Blocks          int
 	ThreadsPerBlock int
+	// ops is the work counter of the SM running the thread.
+	ops *int64
 }
 
 // GlobalID returns the flattened thread index
 // (blockIdx.x*blockDim.x + threadIdx.x).
 func (c KernelCtx) GlobalID() int { return c.Block*c.ThreadsPerBlock + c.Thread }
 
+// Ops counts n distance or rectangle tests of the thread toward its
+// launch's simulated time. Kernels count work that does not depend on
+// which block reached a point first, so a launch's total is a function
+// of its input alone.
+func (c KernelCtx) Ops(n int) { *c.ops += int64(n) }
+
 // Kernel is the device function type. Each invocation is one thread.
 type Kernel func(ctx KernelCtx)
 
+// opCost is the simulated time of one counted op on one SM: a least-
+// squares fit, in log space, to the host wall time each leaf took when
+// leaves ran one at a time on Figure 9c's small ladder (DESIGN.md
+// "Counted kernel work").
+const opCost = 420 * time.Nanosecond
+
 // Launch executes the kernel over the grid. Blocks are scheduled onto
-// cfg.SMs concurrent workers; within a block, threads run sequentially
-// (warp-level parallelism buys nothing for the cost model and the code
-// paths are identical). Launch blocks until the grid completes, like a
-// cudaDeviceSynchronize after the kernel.
+// min(cfg.SMs, Blocks) concurrent workers; within a block, threads run
+// sequentially (warp-level parallelism buys nothing for the cost model
+// and the code paths are identical). Launch blocks until the grid
+// completes, like a cudaDeviceSynchronize after the kernel.
+//
+// The launch is charged LaunchOverhead + opCost·⌈ops / workers⌉, ops the
+// grid's counted work. The split is even, not each SM's own share:
+// blocks race for points, so which SM did which work depends on the
+// host's scheduling, and only the total is a function of the input.
 func (d *Device) Launch(name string, lc LaunchConfig, k Kernel) error {
 	if lc.Blocks <= 0 || lc.ThreadsPerBlock <= 0 {
 		return fmt.Errorf("gpusim: invalid launch config %+v for kernel %q", lc, name)
@@ -473,35 +512,39 @@ func (d *Device) Launch(name string, lc LaunchConfig, k Kernel) error {
 			telemetry.Int("blocks", lc.Blocks), telemetry.Int("tpb", lc.ThreadsPerBlock))
 	}
 	start := time.Now()
-	var next int64 = -1
-	workers := d.cfg.SMs
-	if workers > lc.Blocks {
-		workers = lc.Blocks
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	workers := min(d.cfg.SMs, lc.Blocks)
+	ops := d.smOps[:workers]
+	clear(ops)
+	d.next = -1
+	d.smWG.Add(workers)
+	for w := range ops {
 		go func() {
-			defer wg.Done()
+			defer d.smWG.Done()
+			ctx := KernelCtx{Blocks: lc.Blocks, ThreadsPerBlock: lc.ThreadsPerBlock, ops: &d.smOps[w]}
 			for {
-				b := int(atomic.AddInt64(&next, 1))
-				if b >= lc.Blocks {
+				ctx.Block = int(atomic.AddInt64(&d.next, 1))
+				if ctx.Block >= lc.Blocks {
 					return
 				}
-				for t := 0; t < lc.ThreadsPerBlock; t++ {
-					k(KernelCtx{Block: b, Thread: t, Blocks: lc.Blocks, ThreadsPerBlock: lc.ThreadsPerBlock})
+				for ctx.Thread = 0; ctx.Thread < lc.ThreadsPerBlock; ctx.Thread++ {
+					k(ctx)
 				}
 			}
 		}()
 	}
-	wg.Wait()
+	d.smWG.Wait()
 	wall := time.Since(start)
-	d.clock.Charge(d.GPUResource(), d.cfg.LaunchOverhead+wall)
+	var total int64
+	for _, n := range ops {
+		total += n
+	}
+	perSM := (total + int64(workers) - 1) / int64(workers)
+	d.clock.Charge(d.GPUResource(), d.cfg.LaunchOverhead+time.Duration(perSM)*opCost)
 	sp.End()
 	m.launches.Inc()
 	m.blocks.Add(int64(lc.Blocks))
+	m.kernelOps.Add(total)
 	m.kernelWallNs.Add(wall.Nanoseconds())
-	occ := float64(workers) / float64(d.cfg.SMs)
-	m.occupancy.Observe(occ)
+	m.occupancy.Observe(float64(workers) / float64(d.cfg.SMs))
 	return nil
 }

@@ -204,8 +204,12 @@ func TestGridFor(t *testing.T) {
 	}
 }
 
+// TestKernelWallAccumulates: a kernel's host wall time lands in
+// KernelWall and never on the simulated clock, which charges exactly
+// LaunchOverhead + opCost·⌈ops / min(SMs, Blocks)⌉.
 func TestKernelWallAccumulates(t *testing.T) {
 	d := New(testConfig(), nil)
+	overhead := testConfig().LaunchOverhead
 	err := d.Launch("sleepy", LaunchConfig{Blocks: 1, ThreadsPerBlock: 1}, func(KernelCtx) {
 		time.Sleep(time.Millisecond)
 	})
@@ -215,9 +219,31 @@ func TestKernelWallAccumulates(t *testing.T) {
 	if got := d.Stats().KernelWall; got < time.Millisecond {
 		t.Errorf("KernelWall = %v, want >= 1ms", got)
 	}
-	// GPU resource on the clock includes wall + overhead.
-	if got := d.Clock().Resource(d.GPUResource()); got < time.Millisecond {
-		t.Errorf("sim GPU time = %v, want >= 1ms", got)
+	if got := d.Clock().Resource(d.GPUResource()); got != overhead {
+		t.Errorf("sim GPU time after a sleeping kernel = %v, want the launch overhead %v", got, overhead)
+	}
+
+	for _, c := range []struct {
+		lc    LaunchConfig
+		perSM int64 // ⌈ops / min(SMs=4, Blocks)⌉
+	}{
+		{LaunchConfig{Blocks: 8, ThreadsPerBlock: 3}, 75}, // 1+2+…+24 = 300 over 4 SMs
+		{LaunchConfig{Blocks: 2, ThreadsPerBlock: 2}, 5},  // 1+2+3+4 = 10 over 2 SMs
+		{LaunchConfig{Blocks: 5, ThreadsPerBlock: 1}, 4},  // 1+…+5 = 15 over 4 SMs, rounded up
+	} {
+		before, opsBefore := d.Clock().Resource(d.GPUResource()), d.m.kernelOps.Value()
+		err := d.Launch("counted", c.lc, func(ctx KernelCtx) { ctx.Ops(ctx.GlobalID() + 1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := overhead + time.Duration(c.perSM)*opCost
+		if got := d.Clock().Resource(d.GPUResource()) - before; got != want {
+			t.Errorf("%+v: sim GPU time = %v, want %v", c.lc, got, want)
+		}
+		n := int64(c.lc.Blocks * c.lc.ThreadsPerBlock)
+		if got := d.m.kernelOps.Value() - opsBefore; got != n*(n+1)/2 {
+			t.Errorf("%+v: gpusim_kernel_ops_total = %d, want %d", c.lc, got, n*(n+1)/2)
+		}
 	}
 }
 

@@ -1,13 +1,9 @@
 package gpusim
 
-import (
-	"fmt"
-	"sync"
-)
-
 // Stream is an ordered kernel queue, modeling a CUDA stream. Launches
-// enqueue without blocking the host; kernels execute in order on the
-// device; Synchronize blocks until the queue drains.
+// enqueue without running; Synchronize runs the queue in order on the
+// caller's goroutine and returns the first error, like CUDA's deferred
+// errors. Kernels still run their blocks on the device's SMs.
 //
 // This is the mechanism behind §3.2.2's optimization: "the next input
 // seed point for DBSCAN is determined by the parameters of the CUDA
@@ -16,16 +12,8 @@ import (
 // copies" — the host enqueues every expansion kernel up front and
 // synchronizes once.
 type Stream struct {
-	dev  *Device
-	mu   sync.Mutex
-	cond *sync.Cond
-	// queue of pending launches; the worker drains it in order.
-	queue    []streamOp
-	running  bool
-	firstErr error
-	queued   int64
-	executed int64
-	closed   bool
+	dev   *Device
+	queue []streamOp
 }
 
 type streamOp struct {
@@ -35,79 +23,23 @@ type streamOp struct {
 }
 
 // NewStream creates a stream on the device.
-func (d *Device) NewStream() *Stream {
-	s := &Stream{dev: d}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
+func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
 
-// LaunchAsync enqueues a kernel; it returns immediately. Invalid launch
-// configurations surface at Synchronize, like CUDA's deferred errors.
+// LaunchAsync enqueues a kernel. Invalid launch configurations surface
+// at Synchronize.
 func (s *Stream) LaunchAsync(name string, lc LaunchConfig, k Kernel) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		if s.firstErr == nil {
-			s.firstErr = fmt.Errorf("gpusim: launch %q on closed stream", name)
-		}
-		return
-	}
 	s.queue = append(s.queue, streamOp{name: name, lc: lc, kernel: k})
-	s.queued++
-	if !s.running {
-		s.running = true
-		go s.drain()
-	}
 }
 
-// drain executes queued kernels in order until the queue empties.
-func (s *Stream) drain() {
-	for {
-		s.mu.Lock()
-		if len(s.queue) == 0 || s.firstErr != nil {
-			s.queue = nil
-			s.running = false
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		op := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-
-		err := s.dev.Launch(op.name, op.lc, op.kernel)
-
-		s.mu.Lock()
-		s.executed++
-		if err != nil && s.firstErr == nil {
-			s.firstErr = err
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Synchronize blocks until every enqueued kernel has executed and
-// returns the first deferred error.
+// Synchronize runs and dequeues every enqueued kernel in order. The first
+// failed launch ends it, dropping the rest, and its error is returned.
 func (s *Stream) Synchronize() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.running {
-		s.cond.Wait()
+	queue := s.queue
+	s.queue = nil
+	for _, op := range queue {
+		if err := s.dev.Launch(op.name, op.lc, op.kernel); err != nil {
+			return err
+		}
 	}
-	return s.firstErr
-}
-
-// Stats returns the number of kernels enqueued and executed so far.
-func (s *Stream) Stats() (queued, executed int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued, s.executed
-}
-
-// Close rejects further launches. Pending kernels still run; call
-// Synchronize to wait for them.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	return nil
 }

@@ -31,10 +31,6 @@ func TestStreamExecutesInOrder(t *testing.T) {
 			t.Fatalf("out of order at %d: %v", i, sequence)
 		}
 	}
-	queued, executed := s.Stats()
-	if queued != 20 || executed != 20 {
-		t.Errorf("stats = %d/%d, want 20/20", queued, executed)
-	}
 }
 
 func TestStreamBulkIssueThenSync(t *testing.T) {
@@ -65,18 +61,6 @@ func TestStreamDeferredError(t *testing.T) {
 	s.LaunchAsync("bad", LaunchConfig{Blocks: 0, ThreadsPerBlock: 1}, func(KernelCtx) {})
 	if err := s.Synchronize(); err == nil {
 		t.Error("invalid launch must surface at Synchronize")
-	}
-}
-
-func TestStreamCloseRejectsLaunches(t *testing.T) {
-	d := New(testConfig(), nil)
-	s := d.NewStream()
-	s.Close()
-	s.LaunchAsync("late", LaunchConfig{Blocks: 1, ThreadsPerBlock: 1}, func(KernelCtx) {
-		t.Error("kernel on closed stream must not run")
-	})
-	if err := s.Synchronize(); err == nil {
-		t.Error("launch after Close must surface an error")
 	}
 }
 

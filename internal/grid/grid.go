@@ -72,6 +72,17 @@ func New(eps float64) Grid {
 	return Grid{eps: eps}
 }
 
+// NewSearch returns the grid for Eps-neighbourhood search: its cells are
+// a little wider than eps, so that the 3×3 block around a point's cell
+// holds every point within eps of it. At side exactly eps it need not:
+// two points whose Dist2 rounds to at most eps² may be up to a few ulps
+// more than eps apart, and x/eps rounds too, so such a pair can straddle
+// a cell (0 and 0.75 apart from a point an ulp below 0, at eps 0.75,
+// fall in cells -1 and 1). With a slack of 2⁻²⁰ a pair within eps lies
+// in adjacent cells for every |x/eps| below 2³¹, the range of a cell
+// coordinate, while eps² neither underflows nor overflows.
+func NewSearch(eps float64) Grid { return New(eps * (1 + 0x1p-20)) }
+
 // Eps returns the cell side length.
 func (g Grid) Eps() float64 { return g.eps }
 

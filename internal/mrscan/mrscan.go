@@ -87,15 +87,6 @@ type Config struct {
 	// Costs is the overlay network cost model.
 	Costs mrnet.CostModel
 
-	// SequentialLeaves executes the cluster phase one leaf at a time
-	// instead of on min(GOMAXPROCS, Leaves) host workers. Every leaf
-	// runs on its own simulated device either way; with several leaves
-	// in flight they contend for CPU and the slowest-leaf GPU time
-	// (Figure 9c/10's quantity) gets inflated by scheduling noise;
-	// sequential execution measures each simulated node in isolation,
-	// as on Titan where every leaf owned a physical GPU.
-	SequentialLeaves bool
-
 	// DirectPartitions implements the paper's stated future work (§6):
 	// partition contents travel over the network directly to the
 	// clustering processes instead of through the parallel file system,
@@ -276,9 +267,9 @@ type PhaseTimes struct {
 	// two designs still compare like-for-like.
 	PartitionReadSim  time.Duration
 	PartitionWriteSim time.Duration
-	// GPUDBSCAN is the slowest leaf's time inside the GPGPU DBSCAN —
-	// "the time of the cluster phase is dictated by the slowest node"
-	// (§5.1.1).
+	// GPUDBSCAN is the slowest leaf's simulated GPU time (kernels and
+	// PCIe, gpusim) inside the GPGPU DBSCAN — "the time of the cluster
+	// phase is dictated by the slowest node" (§5.1.1).
 	GPUDBSCAN time.Duration
 	// Total is the end-to-end elapsed time including I/O, as in Figure 8
 	// ("includes startup and I/O costs, which has not been reported by
@@ -780,10 +771,7 @@ func (r *run) adoptPartition() error {
 
 func (r *run) cluster(p *phase) error {
 	cfg := &r.cfg
-	workers := 1
-	if !cfg.SequentialLeaves {
-		workers = min(runtime.GOMAXPROCS(0), cfg.Leaves)
-	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.Leaves)
 	sizes := make([]int64, cfg.Leaves)
 	for j := range sizes {
 		sizes[j] = r.parts.size(j)
@@ -829,7 +817,7 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, scratch *leafScratch, leaf 
 	}
 	dev := r.newDevice(leaf)
 	dev.SetTraceParent(leafSpan)
-	gpuStart := time.Now()
+	gpuStart := dev.SimTime()
 	res, err := gdbscan.Cluster(dev, slab, gdbscan.Options{
 		Params:          geom.Params{Eps: cfg.Eps, MinPts: cfg.MinPts},
 		DenseBox:        cfg.DenseBox,
@@ -842,7 +830,7 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, scratch *leafScratch, leaf 
 	if err != nil {
 		return leafState{}, err
 	}
-	gpuTime := time.Since(gpuStart)
+	gpuTime := dev.SimTime() - gpuStart
 	sums, err := scratch.sum.BuildSummaries(r.grid, leaf, slab, owned, res.Labels, res.Core, res.NumClusters)
 	if err != nil {
 		return leafState{}, err

@@ -2,7 +2,6 @@ package mrscan
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"errors"
@@ -354,32 +353,6 @@ func TestDirectPartitionsEndToEnd(t *testing.T) {
 	}
 	if res.NumClusters != res2.NumClusters {
 		t.Errorf("direct path found %d clusters, file path %d", res.NumClusters, res2.NumClusters)
-	}
-}
-
-// TestSequentialLeavesEquivalent: one worker running every leaf gives
-// the labels, byte for byte, that the per-core workers give.
-func TestSequentialLeavesEquivalent(t *testing.T) {
-	pts := dataset.Twitter(8000, 14)
-	cfg := Default(0.1, 40, 4)
-	cfg.SequentialLeaves = true
-	score, res, _ := runAndScore(t, pts, cfg)
-	if score < 0.995 {
-		t.Errorf("quality with sequential leaves = %.4f, want >= 0.995", score)
-	}
-	_, seq, err := RunPoints(pts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, parLabels, err := RunPoints(pts, Default(0.1, 40, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters != par.NumClusters {
-		t.Errorf("sequential found %d clusters, parallel %d", res.NumClusters, par.NumClusters)
-	}
-	if !slices.Equal(seq, parLabels) {
-		t.Error("sequential and parallel leaves labelled the points differently")
 	}
 }
 

@@ -20,14 +20,13 @@ func TestPipelinePropertyRandomConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(leavesRaw, fanoutRaw uint8, dense, shadowReps, direct, reclaim, seq bool) bool {
+	f := func(leavesRaw, fanoutRaw uint8, dense, shadowReps, direct, reclaim bool) bool {
 		cfg := Default(0.1, 10, int(leavesRaw)%12+1)
 		cfg.Fanout = int(fanoutRaw)%6 + 2
 		cfg.DenseBox = dense
 		cfg.ShadowReps = shadowReps
 		cfg.DirectPartitions = direct
 		cfg.ReclaimBorders = reclaim
-		cfg.SequentialLeaves = seq
 		_, labels, err := RunPoints(pts, cfg)
 		if err != nil {
 			t.Logf("config %+v failed: %v", cfg, err)

@@ -186,7 +186,7 @@ func (c *cell) live() bool { return len(c.subs) > 0 }
 // for concurrent use; callers serialize Tick/Snapshot externally.
 type Engine struct {
 	cfg  Config
-	g    grid.Grid // cells of side Eps·(1+cellSlack)
+	g    grid.Grid // grid.NewSearch(Eps) cells
 	sg   grid.Grid // Eps/3 sub-boxes
 	eps2 float64
 
@@ -265,7 +265,7 @@ func New(cfg Config) (*Engine, error) {
 	hub, name := cfg.Telemetry, cfg.Name
 	return &Engine{
 		cfg:  cfg,
-		g:    grid.New(cfg.Eps * (1 + cellSlack)),
+		g:    grid.NewSearch(cfg.Eps),
 		sg:   grid.New(cfg.Eps / 3),
 		eps2: cfg.Eps * cfg.Eps,
 		byID: newTable(),
@@ -285,16 +285,6 @@ func New(cfg Config) (*Engine, error) {
 		},
 	}, nil
 }
-
-// cellSlack widens the cell a little beyond Eps. Two points whose Dist2
-// rounds to at most Eps² may be up to a few ulps more than Eps apart, and
-// x/Eps rounds too: at side exactly Eps such a pair can straddle a cell
-// (0 and 0.75 apart from a point an ulp below 0, at Eps = 0.75, fall in
-// cells -1 and 1) and escape each other's 3×3 block. With the slack, a
-// pair within Eps lies in adjacent cells for every |x/Eps| below 2³¹,
-// the range of a cell coordinate, while Eps² neither underflows nor
-// overflows (FuzzStreamTicks).
-const cellSlack = 0x1p-20
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }

@@ -3,16 +3,19 @@ package mrscan
 import (
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gdbscan"
 	"repro/internal/geom"
 	"repro/internal/gpusim"
+	"repro/internal/mrscan"
 )
 
 // hashInts is FNV-1a over the values, eight little-endian bytes each.
-func hashInts[E ~int | ~int32](vs []E) uint64 {
+func hashInts[E ~int | ~int32 | ~int64](vs []E) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, v := range vs {
@@ -94,20 +97,21 @@ func TestLabelsIndependentOfTreeShape(t *testing.T) {
 	}
 }
 
-// TestRunPointsRepeatable: the pipeline's labels are a function of the
-// input alone, whatever the scheduling. The full loop — 300 repeats of
-// each shape at each GOMAXPROCS, 2 400 runs — hashed identically at
-// 9f6e11b, which places the 1-in-300 relabelling seen on the serve_jobs
-// workload (ROADMAP item 1) in what the server does around a run, not in
-// the pipeline; this is that loop at 5 repeats. Cluster workers follow
-// GOMAXPROCS, so the SDSS row has far fewer workers than its 16 leaves
-// (one workspace serves up to all 16), and the SequentialLeaves row runs
-// every leaf on one worker at every GOMAXPROCS.
+// TestRunPointsRepeatable: the pipeline's labels and its simulated GPU
+// time are a function of the input alone, whatever the scheduling. The
+// full label loop — 300 repeats of each shape at each GOMAXPROCS, 2 400
+// runs — hashed identically at 9f6e11b, which places the 1-in-300
+// relabelling seen on the serve_jobs workload (ROADMAP item 1) in what
+// the server does around a run, not in the pipeline; this is that loop
+// at 5 repeats. Cluster workers follow GOMAXPROCS, so the SDSS row has
+// far fewer workers than its 16 leaves (one workspace serves up to all
+// 16). The CUDA-DClust row covers the ablation arm's kernels, whose
+// per-round launches and copies are charged to the same clock.
 func TestRunPointsRepeatable(t *testing.T) {
 	const repeats = 5
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	sequential := Default(0.1, 40, 8)
-	sequential.SequentialLeaves = true
+	cudaDClust := Default(0.1, 40, 8)
+	cudaDClust.Mode = gdbscan.ModeCUDADClust
 	for _, c := range []struct {
 		name string
 		pts  []Point
@@ -116,25 +120,56 @@ func TestRunPointsRepeatable(t *testing.T) {
 		{"twitter4k_4", dataset.Twitter(4_000, 1), Default(0.1, 40, 4)},
 		{"twitter30k_4", dataset.Twitter(30_000, 1), Default(0.1, 40, 4)},
 		{"sdss50k_16", dataset.SDSS(50_000, 1), Default(0.00015, 5, 16)},
-		{"twitter30k_8_sequential", dataset.Twitter(30_000, 1), sequential},
+		{"twitter30k_8_cudadclust", dataset.Twitter(30_000, 1), cudaDClust},
 	} {
-		var want uint64
+		var wantLabels, wantTimes uint64
 		for _, procs := range []int{1, 2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
 			for r := 0; r < repeats; r++ {
-				res, labels, err := RunPoints(c.pts, c.cfg)
-				if err != nil {
-					t.Fatal(err)
+				labels, times := repeatableHashes(t, c.pts, c.cfg)
+				if wantLabels == 0 {
+					wantLabels, wantTimes = labels, times
 				}
-				got := hashInts(append(labels, res.NumClusters))
-				if want == 0 {
-					want = got
-				}
-				if got != want {
+				if labels != wantLabels {
 					t.Fatalf("%s, GOMAXPROCS %d, repeat %d: labels %#x, first run %#x",
-						c.name, procs, r, got, want)
+						c.name, procs, r, labels, wantLabels)
+				}
+				if times != wantTimes {
+					t.Fatalf("%s, GOMAXPROCS %d, repeat %d: GPU times %#x, first run %#x",
+						c.name, procs, r, times, wantTimes)
 				}
 			}
 		}
 	}
+}
+
+// repeatableHashes runs the pipeline as RunPoints does, on a file system
+// of its own so that its simulated clock can be read, and hashes the
+// labels with the cluster count, and the slowest leaf's GPU time with
+// every gpuNNNN/sm and gpuNNNN/pcie resource.
+func repeatableHashes(t *testing.T, pts []Point, cfg Config) (labels, times uint64) {
+	t.Helper()
+	fs := NewFS()
+	if err := WriteDataset(fs, "input.mrsc", pts, cfg.HasWeight); err != nil {
+		t.Fatal(err)
+	}
+	cfg.IncludeNoise = true
+	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := mrscan.LabelsByID(fs, res.OutputFile, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := []time.Duration{res.Times.GPUDBSCAN}
+	for _, r := range fs.Clock().Snapshot() {
+		if strings.HasPrefix(r.Name, "gpu") {
+			gpu = append(gpu, r.Busy)
+		}
+	}
+	if len(gpu) != 1+2*cfg.Leaves {
+		t.Fatalf("%d gpuNNNN resources on the clock, want 2 for each of %d leaves", len(gpu)-1, cfg.Leaves)
+	}
+	return hashInts(append(ls, res.NumClusters)), hashInts(gpu)
 }
