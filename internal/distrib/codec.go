@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/integrity"
 	"repro/internal/merge"
 	"repro/internal/ptio"
@@ -79,26 +81,36 @@ func appendRequest(buf []byte, r *WorkRequest) []byte {
 }
 
 func decodeRequest(p []byte) (*WorkRequest, error) {
+	r, _, err := decodeRequestInto(p, nil)
+	return r, err
+}
+
+// decodeRequestInto is decodeRequest decoding the owned and shadow records
+// in one run into slab, reused when it has room: Owned is slab[:nOwned]
+// and Shadow the rest. It returns the slab it used.
+func decodeRequestInto(p []byte, slab []geom.Point) (*WorkRequest, []geom.Point, error) {
 	if len(p) < requestHdr {
-		return nil, malformed("WorkRequest", "%d bytes, header is %d", len(p), requestHdr)
+		return nil, slab, malformed("WorkRequest", "%d bytes, header is %d", len(p), requestHdr)
 	}
 	nOwned, nShadow, flags := uint64(le.Uint32(p[32:])), uint64(le.Uint32(p[36:])), le.Uint32(p[40:])
 	if (nOwned+nShadow)*pointRec != uint64(len(p)-requestHdr) || flags >= flagDone<<1 {
-		return nil, malformed("WorkRequest", "%d+%d points, flags %#x in %d bytes", nOwned, nShadow, flags, len(p))
+		return nil, slab, malformed("WorkRequest", "%d+%d points, flags %#x in %d bytes", nOwned, nShadow, flags, len(p))
 	}
 	r := &WorkRequest{
 		Leaf: int(int64(le.Uint64(p))), MinPts: int(int64(le.Uint64(p[8:]))),
 		Eps: math.Float64frombits(le.Uint64(p[16:])), TraceID: le.Uint64(p[24:]),
 		DenseBox: flags&flagDenseBox != 0, Ping: flags&flagPing != 0, Done: flags&flagDone != 0,
 	}
-	split := requestHdr + int(nOwned)*pointRec
-	if nOwned > 0 {
-		r.Owned, _ = ptio.DecodeRecords(p[requestHdr:split], true) // whole records: checked above
+	if n := int(nOwned + nShadow); n > 0 {
+		slab, _ = ptio.AppendPoints(slices.Grow(slab[:0], n), p[requestHdr:], true) // whole records: checked above
+		if nOwned > 0 {
+			r.Owned = slab[:nOwned:nOwned]
+		}
+		if nShadow > 0 {
+			r.Shadow = slab[nOwned:n:n]
+		}
 	}
-	if nShadow > 0 {
-		r.Shadow, _ = ptio.DecodeRecords(p[split:], true)
-	}
-	return r, nil
+	return r, slab, nil
 }
 
 func appendResponse(buf []byte, r *WorkResponse) []byte {

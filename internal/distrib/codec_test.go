@@ -45,7 +45,8 @@ func sampleExchange(tb testing.TB, pts []geom.Point, opt Options) ([]WorkRequest
 	for leaf := range reqs {
 		reqs[leaf] = WorkRequest{Leaf: leaf, Eps: opt.Eps, MinPts: opt.MinPts, DenseBox: opt.DenseBox,
 			Owned: split.Partitions[leaf], Shadow: split.Shadows[leaf], TraceID: 77}
-		resps[leaf] = serve(&reqs[leaf], &scratch)
+		combined := append(slices.Clone(reqs[leaf].Owned), reqs[leaf].Shadow...)
+		resps[leaf] = serve(&reqs[leaf], combined, &scratch)
 		if resps[leaf].Err != "" {
 			tb.Fatal(resps[leaf].Err)
 		}

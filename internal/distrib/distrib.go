@@ -145,7 +145,8 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 			return fmt.Errorf("distrib: worker receiving: %w", err)
 		}
 		begin := time.Now()
-		req, err := decodeRequest(p)
+		req, slab, err := decodeRequestInto(p, scratch.slab)
+		scratch.slab = slab
 		if err != nil {
 			return fmt.Errorf("distrib: worker receiving: %w", err)
 		}
@@ -161,7 +162,7 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 				time.Sleep(opt.Delay)
 			}
 			served++
-			resp = serve(req, &scratch)
+			resp = serve(req, slab[:len(req.Owned)+len(req.Shadow)], &scratch)
 			resp.DecodeNS = decodeNS
 		}
 		resp.TraceID = req.TraceID
@@ -173,9 +174,10 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 
 // workerScratch is the state a worker process reuses across the
 // partitions it serves: its simulated device (with buffer pool), the
-// gdbscan host workspace, the summary sort buffers and the owned + shadow
-// slab. Nothing in a reply points into the slab: the labels are
-// gdbscan's own and the summaries copy their points.
+// gdbscan host workspace, the summary sort buffers and the slab every
+// request's owned + shadow records decode into. Nothing in a reply points
+// into the slab: the labels are gdbscan's own and the summaries copy
+// their points.
 type workerScratch struct {
 	dev  *gpusim.Device
 	ws   gdbscan.Workspace
@@ -183,11 +185,10 @@ type workerScratch struct {
 	slab []geom.Point
 }
 
-// serve executes one partition, exactly like a cluster-phase leaf.
-func serve(req *WorkRequest, scratch *workerScratch) *WorkResponse {
+// serve executes one partition, exactly like a cluster-phase leaf;
+// combined is req.Owned followed by req.Shadow in one slice.
+func serve(req *WorkRequest, combined []geom.Point, scratch *workerScratch) *WorkResponse {
 	resp := &WorkResponse{Leaf: req.Leaf}
-	combined := append(append(scratch.slab[:0], req.Owned...), req.Shadow...)
-	scratch.slab = combined
 	if scratch.dev == nil {
 		scratch.dev = gpusim.New(gpusim.K20(), nil)
 	}

@@ -65,12 +65,12 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 		return nil, fmt.Errorf("distrib: need at least one leaf, got %d", opt.Leaves)
 	}
 	g := grid.New(opt.Eps)
-	h := g.HistogramOf(pts)
+	h, rank := g.RankedHistogramOf(pts)
 	plan, err := partition.MakePlan(g, h, opt.Leaves, opt.MinPts, true)
 	if err != nil {
 		return nil, err
 	}
-	split, err := partition.Split(plan, pts, partition.SplitOptions{})
+	split, err := partition.SplitRanked(plan, pts, h, rank, partition.SplitOptions{})
 	if err != nil {
 		return nil, err
 	}

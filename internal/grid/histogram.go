@@ -105,15 +105,33 @@ func coordOfKey(k uint64) Coord {
 // is checked against the span, and one outside it sends the count round
 // again with the span of the cells themselves.
 func (g Grid) HistogramOf(pts []geom.Point) *Histogram {
+	h, _ := g.histogramOf(pts, false)
+	return h
+}
+
+// RankedHistogramOf is HistogramOf that also keeps the sort's
+// permutation: rank[i] is the run of pts[i]'s cell, so At(rank[i]) is
+// CellOf(pts[i]). When the span fits 32 bits each sorted word carries the
+// point's index in its low 32 bits, under its key, and the run count
+// writes the ranks; the sort makes the same passes over the key bits. A
+// wider span, or a recount on cells outside the extremes' span, returns a
+// nil rank: the caller then finds each point's cell itself.
+func (g Grid) RankedHistogramOf(pts []geom.Point) (h *Histogram, rank []int32) {
+	return g.histogramOf(pts, true)
+}
+
+// histogramOf is HistogramOf, ranked when asked and the span allows.
+func (g Grid) histogramOf(pts []geom.Point, ranked bool) (*Histogram, []int32) {
 	if len(pts) == 0 {
-		return &Histogram{}
+		return &Histogram{}, nil
 	}
 	if sp, ok := g.coordSpan(pts); ok {
-		if h := histogramIn(g, pts, sp); h != nil {
-			return h
+		if h, rank := histogramIn(g, pts, sp, ranked); h != nil {
+			return h, rank
 		}
 	}
-	return histogramIn(g, pts, g.cellSpan(pts))
+	h, _ := histogramIn(g, pts, g.cellSpan(pts), false)
+	return h, nil
 }
 
 // span is a packing of cells relative to base: a cell of the span packs
@@ -173,27 +191,46 @@ func (g Grid) cellSpan(pts []geom.Point) span {
 	return sp
 }
 
-// histogramIn counts pts' cells packed in sp, in 32-bit keys when they
-// fit; it returns nil when a cell lies outside sp.
-func histogramIn(g Grid, pts []geom.Point, sp span) *Histogram {
-	if sp.width <= 32 {
-		return countCells[uint32](g, pts, sp)
+// histogramIn counts pts' cells packed in sp: under their indices in
+// 64-bit words when ranked and the span fits 32 bits, in 32-bit keys when
+// it fits otherwise. It returns a nil histogram when a cell lies outside
+// sp.
+func histogramIn(g Grid, pts []geom.Point, sp span, ranked bool) (*Histogram, []int32) {
+	switch {
+	case ranked && sp.width <= 32 && len(pts) <= math.MaxInt32:
+		return rankCells(g, pts, sp)
+	case sp.width <= 32:
+		return countCells[uint32](g, pts, sp), nil
+	default:
+		return countCells[uint64](g, pts, sp), nil
 	}
-	return countCells[uint64](g, pts, sp)
 }
 
-// countCells is histogramIn at one key width K.
+// pack returns c's key in sp; ok is false when c lies outside sp.
+func (sp span) pack(c Coord) (key uint64, ok bool) {
+	dx, dy := uint32(c.CX)-uint32(sp.base.CX), uint32(c.CY)-uint32(sp.base.CY)
+	return uint64(dx)<<sp.yBits | uint64(dy), dx <= sp.xRange && dy <= sp.yRange
+}
+
+// unpack inverts pack into Coord.Key.
+func (sp span) unpack(key uint64) uint64 {
+	return Coord{
+		CX: int32(uint32(sp.base.CX) + uint32(key>>sp.yBits)),
+		CY: int32(uint32(sp.base.CY) + uint32(key&(1<<sp.yBits-1))),
+	}.Key()
+}
+
+// countCells is histogramIn at one key width K, unranked.
 func countCells[K uint32 | uint64](g Grid, pts []geom.Point, sp span) *Histogram {
 	keys := make([]K, len(pts))
 	for i, p := range pts {
-		c := g.CellOf(p)
-		dx, dy := uint32(c.CX)-uint32(sp.base.CX), uint32(c.CY)-uint32(sp.base.CY)
-		if dx > sp.xRange || dy > sp.yRange {
+		k, ok := sp.pack(g.CellOf(p))
+		if !ok {
 			return nil
 		}
-		keys[i] = K(dx)<<sp.yBits | K(dy)
+		keys[i] = K(k)
 	}
-	keys = radixSort(keys, sp.width)
+	keys = radixSort(keys, 0, sp.width)
 	runs := 1
 	for i := 1; i < len(keys); i++ {
 		if keys[i] != keys[i-1] {
@@ -201,27 +238,60 @@ func countCells[K uint32 | uint64](g Grid, pts []geom.Point, sp span) *Histogram
 		}
 	}
 	h := &Histogram{keys: make([]uint64, runs), counts: make([]int64, runs)}
-	r, yMask := -1, uint64(1)<<sp.yBits-1
+	r := -1
 	for i, k := range keys {
 		if i == 0 || k != keys[i-1] {
 			r++
-			h.keys[r] = Coord{
-				CX: int32(uint32(sp.base.CX) + uint32(uint64(k)>>sp.yBits)),
-				CY: int32(uint32(sp.base.CY) + uint32(uint64(k)&yMask)),
-			}.Key()
+			h.keys[r] = sp.unpack(uint64(k))
 		}
 		h.counts[r]++
 	}
 	return h
 }
 
+// rankCells is histogramIn ranking pts: each word is a key of at most 32
+// bits over the point's index, and the sort passes over the key bits
+// only, so a run's indices stay ascending. Its run count is countCells'
+// with a shift; sharing one loop with a variable shift slowed the
+// unranked count by a tenth on Twitter 60 k.
+func rankCells(g Grid, pts []geom.Point, sp span) (*Histogram, []int32) {
+	words := make([]uint64, len(pts))
+	for i, p := range pts {
+		k, ok := sp.pack(g.CellOf(p))
+		if !ok {
+			return nil, nil
+		}
+		words[i] = k<<32 | uint64(i)
+	}
+	words = radixSort(words, 32, sp.width)
+	runs := 1
+	for i := 1; i < len(words); i++ {
+		if words[i]>>32 != words[i-1]>>32 {
+			runs++
+		}
+	}
+	h := &Histogram{keys: make([]uint64, runs), counts: make([]int64, runs)}
+	rank := make([]int32, len(pts))
+	r := -1
+	for i, w := range words {
+		if i == 0 || w>>32 != words[i-1]>>32 {
+			r++
+			h.keys[r] = sp.unpack(w >> 32)
+		}
+		h.counts[r]++
+		rank[uint32(w)] = int32(r)
+	}
+	return h, rank
+}
+
 // radixBits caps a digit: 2¹¹ buckets of counts stay in L1.
 const radixBits = 11
 
-// radixSort sorts keys, whose set bits all lie below width, in LSD digit
-// passes of at most radixBits bits through one scratch buffer; it returns
-// whichever of the two holds the result.
-func radixSort[K uint32 | uint64](keys []K, width uint) []K {
+// radixSort sorts keys by their width bits from bit lo up (no key sets a
+// bit above them), stably, in LSD digit passes of at most radixBits bits
+// through one scratch buffer; it returns whichever of the two holds the
+// result.
+func radixSort[K uint32 | uint64](keys []K, lo, width uint) []K {
 	passes := (width + radixBits - 1) / radixBits
 	if passes == 0 {
 		return keys
@@ -230,7 +300,7 @@ func radixSort[K uint32 | uint64](keys []K, width uint) []K {
 	digit := (width + passes - 1) / passes
 	mask := K(1)<<digit - 1
 	var next [1 << radixBits]int
-	for shift := uint(0); shift < width; shift += digit {
+	for shift := lo; shift < lo+width; shift += digit {
 		bucket := next[:mask+1]
 		clear(bucket)
 		for _, k := range keys {

@@ -3,6 +3,7 @@ package grid
 import (
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -73,10 +74,44 @@ func fuzzCoord(b byte, eps float64) float64 {
 	return (float64(b) - 160) * 0.37 * eps
 }
 
+// checkRanked holds RankedHistogramOf to HistogramOf and to CellOf: the
+// same runs, and a rank exactly when the count could make one (a
+// non-empty shard whose extremes' span holds every cell and fits 32
+// bits), with At(rank[i]) pts[i]'s cell. On hostile input (NaN, ±Inf,
+// ±2³¹·Eps, a 33-bit span) the rank is nil or right, never wrong.
+func checkRanked(t *testing.T, g Grid, pts []geom.Point, want *Histogram) {
+	t.Helper()
+	h, rank := g.RankedHistogramOf(pts)
+	if !slices.Equal(h.keys, want.keys) || !slices.Equal(h.counts, want.counts) {
+		t.Fatalf("ranked histogram %v, HistogramOf %v", asMap(h), asMap(want))
+	}
+	sp, rankable := g.coordSpan(pts)
+	rankable = rankable && sp.width <= 32 && len(pts) > 0
+	for _, p := range pts {
+		c := g.CellOf(p)
+		rankable = rankable && uint32(c.CX)-uint32(sp.base.CX) <= sp.xRange && uint32(c.CY)-uint32(sp.base.CY) <= sp.yRange
+	}
+	if (rank != nil) != rankable {
+		t.Fatalf("rank %v for %d points whose span %+v is rankable=%v", rank != nil, len(pts), sp, rankable)
+	}
+	if rank == nil {
+		return
+	}
+	if len(rank) != len(pts) {
+		t.Fatalf("%d ranks for %d points", len(rank), len(pts))
+	}
+	for i, p := range pts {
+		if c, _ := h.At(int(rank[i])); c != g.CellOf(p) {
+			t.Fatalf("point %d %v: rank %d is cell %v, CellOf %v", i, p, rank[i], c, g.CellOf(p))
+		}
+	}
+}
+
 // FuzzHistogramOf: bytes become an Eps, up to 300 points drawn from
 // hostile coordinates and small cells either side of zero, and a split
 // into 1–8 shards. Every shard's histogram and their Sum must be sorted,
-// hold no zero count and equal the map oracle on the same CellOf.
+// hold no zero count and equal the map oracle on the same CellOf, and
+// every shard's ranked histogram must pass checkRanked.
 func FuzzHistogramOf(f *testing.F) {
 	f.Add([]byte{0, 1, 200, 201, 200, 201, 90, 250})
 	f.Add([]byte{1, 3, 6, 6, 7, 200, 8, 9, 200, 6, 100, 100, 6, 160})
@@ -105,6 +140,7 @@ func FuzzHistogramOf(f *testing.F) {
 			if got, want := asMap(parts[s]), mapHistogram(g, shard); !maps.Equal(got, want) {
 				t.Fatalf("shard %d: histogram %v, oracle %v", s, got, want)
 			}
+			checkRanked(t, g, shard, parts[s])
 		}
 		h := Sum(parts)
 		checkRuns(t, h)
@@ -133,9 +169,11 @@ func TestHistogramOfPacksBothWidths(t *testing.T) {
 		if !ok || sp.width != tc.width {
 			t.Errorf("%v: span %+v (ok=%v), want width %d", tc.pts, sp, ok, tc.width)
 		}
-		if got, want := asMap(g.HistogramOf(tc.pts)), mapHistogram(g, tc.pts); !maps.Equal(got, want) {
+		h := g.HistogramOf(tc.pts)
+		if got, want := asMap(h), mapHistogram(g, tc.pts); !maps.Equal(got, want) {
 			t.Errorf("%v: histogram %v, oracle %v", tc.pts, got, want)
 		}
+		checkRanked(t, g, tc.pts, h)
 	}
 }
 
@@ -143,7 +181,8 @@ var histSink *Histogram
 
 // BenchmarkHistogramOf counts the two benchmark inputs' cells: SDSS 150 k
 // at Eps 0.00015 (about 50 k cells of a few points, batch_io's shape) and
-// Twitter 60 k at Eps 0.1 (about 9 k cells, batch_dense's).
+// Twitter 60 k at Eps 0.1 (about 9 k cells, batch_dense's). The ranked
+// rows also rank every point, as the partitioner leaves do.
 func BenchmarkHistogramOf(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -157,6 +196,12 @@ func BenchmarkHistogramOf(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				histSink = bc.g.HistogramOf(bc.pts)
+			}
+		})
+		b.Run(bc.name+"/ranked", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				histSink, _ = bc.g.RankedHistogramOf(bc.pts)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -40,6 +41,12 @@ func BenchmarkMakePlan(b *testing.B) {
 	})
 }
 
+// BenchmarkSplit times the exported Split, which looks every point's unit
+// up, at the planner benchmark's Twitter shape and at batch_io's (SDSS
+// 150 k, Eps 0.00015, 16 partitions). The sdss150k_16_ranked row is the
+// same shard split as Distribute's leaves split it: units from the
+// histogram's ranks, indices placed instead of points (the rank sort
+// itself is the read stage's, outside the timer).
 func BenchmarkSplit(b *testing.B) {
 	g := grid.New(eps)
 	pts := dataset.Twitter(100_000, 2)
@@ -58,6 +65,35 @@ func BenchmarkSplit(b *testing.B) {
 			}
 		})
 	}
+	sdss := grid.New(0.00015)
+	sdssPts := dataset.SDSS(150_000, 1)
+	sdssHist, rank := sdss.RankedHistogramOf(sdssPts)
+	sdssPlan, err := MakePlan(sdss, sdssHist, 16, 5, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sdss150k_16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Split(sdssPlan, sdssPts, SplitOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ranks := slices.Clone(rank)
+	b.Run("sdss150k_16_ranked", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(ranks, rank)
+			b.StartTimer()
+			unitOf, err := sdssPlan.unitsOf(sdssPts, sdssHist, ranks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			splitIndices(sdssPlan, sdssPts, unitOf, SplitOptions{})
+		}
+	})
 }
 
 func BenchmarkQuadCounts(b *testing.B) {
@@ -91,16 +127,14 @@ func BenchmarkPartitionWrite(b *testing.B) {
 	for l := 0; l < leaves; l++ {
 		lo := total * int64(l) / leaves
 		hi := total * int64(l+1) / leaves
-		split, err := Split(plan, pts[lo:hi], SplitOptions{})
+		s := &leafShard{pts: pts[lo:hi]}
+		unitOf, err := s.units(plan)
 		if err != nil {
 			b.Fatal(err)
 		}
-		contribs[l] = &leafContrib{part: split.Partitions, shadow: split.Shadows}
-		counts := make(leafCounts, parts)
-		for j := 0; j < parts; j++ {
-			counts[j] = [2]int64{int64(len(split.Partitions[j])), int64(len(split.Shadows[j]))}
-		}
-		allCounts[l] = counts
+		contribs[l] = &leafContrib{pts: s.pts}
+		contribs[l].part, contribs[l].shadow = splitIndices(plan, s.pts, unitOf, SplitOptions{})
+		allCounts[l] = contribs[l].counts()
 	}
 	env := func(b *testing.B) (*mrnet.Network, *lustre.FS) {
 		fs := lustre.New(lustre.Titan(), nil)

@@ -55,7 +55,7 @@ func DistributeDirect(ctx context.Context, net *mrnet.Network, fs *lustre.FS, ep
 	if err != nil {
 		return nil, err
 	}
-	plan, shard := st.plan, st.shard
+	plan, shards := st.plan, st.shards
 	rs := int64(ptio.RecordSize(opt.HasWeight))
 
 	// --- Stage 3: contributions travel the overlay as messages ---
@@ -64,7 +64,11 @@ func DistributeDirect(ctx context.Context, net *mrnet.Network, fs *lustre.FS, ep
 	splitOpt := SplitOptions{ShadowReps: opt.ShadowReps}
 	combined, err := mrnet.Reduce(ctx, net,
 		func(leaf int) (*SplitResult, error) {
-			return Split(plan, shard[leaf], splitOpt)
+			unitOf, err := shards[leaf].units(plan)
+			if err != nil {
+				return nil, err
+			}
+			return splitPoints(plan, shards[leaf].pts, unitOf, splitOpt), nil
 		},
 		func(_ *mrnet.Node, parts []*SplitResult) (*SplitResult, error) {
 			out := &SplitResult{

@@ -50,7 +50,7 @@ func hotCells(hist *grid.Histogram, threshold int64) map[grid.Coord]uint8 {
 // tileCounts is the second, small histogram round hot cells cost: the
 // root announces their subdivision depths down the tree and the leaves
 // reduce per-unit counts back up.
-func tileCounts(ctx context.Context, net *mrnet.Network, g grid.Grid, shard [][]geom.Point, depth map[grid.Coord]uint8) (*UnitHistogram, error) {
+func tileCounts(ctx context.Context, net *mrnet.Network, g grid.Grid, shards []leafShard, depth map[grid.Coord]uint8) (*UnitHistogram, error) {
 	// Announce depths; leaves only need the hot cells.
 	if err := mrnet.Multicast(ctx, net, depth, nil,
 		func(int, map[grid.Coord]uint8) error { return nil },
@@ -60,7 +60,7 @@ func tileCounts(ctx context.Context, net *mrnet.Network, g grid.Grid, shard [][]
 	}
 	counts, err := mrnet.Reduce(ctx, net,
 		func(leaf int) (map[Unit]int64, error) {
-			return QuadCounts(g, shard[leaf], depth), nil
+			return QuadCounts(g, shards[leaf].pts, depth), nil
 		},
 		func(_ *mrnet.Node, parts []map[Unit]int64) (map[Unit]int64, error) {
 			out := make(map[Unit]int64)
@@ -112,10 +112,72 @@ type DistResult struct {
 // counts[j] = {owned points, shadow points} destined for partition j.
 type leafCounts [][2]int64
 
-// leafContrib holds one leaf's split output: the owned and shadow points
-// it must deliver to each partition.
+// leafShard is what one partitioner leaf keeps in memory from the read
+// stage to the write stage: its slice of the input, that slice's
+// histogram and, while unspent, the ranks the histogram's sort gave its
+// points (grid.RankedHistogramOf; nil when it could not rank them).
+type leafShard struct {
+	pts    []geom.Point
+	hist   *grid.Histogram
+	rank   []int32
+	unitOf []int32
+}
+
+// units returns the table index of every point's unit under plan
+// (Plan.unitsOf), which spends the ranks. The first call's answer is
+// kept: a leaf the overlay re-executes after a node failure must not
+// read unit indices as ranks.
+func (s *leafShard) units(plan *Plan) ([]int32, error) {
+	if s.unitOf == nil {
+		unitOf, err := plan.unitsOf(s.pts, s.hist, s.rank)
+		if err != nil {
+			return nil, err
+		}
+		s.unitOf, s.rank = unitOf, nil
+	}
+	return s.unitOf, nil
+}
+
+// leafContrib holds one leaf's split output: the indices, into its shard
+// pts, of the owned and shadow points it must deliver to each partition.
 type leafContrib struct {
-	part, shadow [][]geom.Point
+	pts          []geom.Point
+	part, shadow [][]int32
+}
+
+// counts is the contribution's size per partition.
+func (c *leafContrib) counts() leafCounts {
+	counts := make(leafCounts, len(c.part))
+	for j := range counts {
+		counts[j] = [2]int64{int64(len(c.part[j])), int64(len(c.shadow[j]))}
+	}
+	return counts
+}
+
+// write encodes each of the contribution's regions straight from the
+// shard into one buffer, reused across regions, and writes it at its
+// offset: owned then shadow, partition by partition.
+func (c *leafContrib) write(h *lustre.Handle, offsets [][2]int64, hasWeight bool) error {
+	most := 0
+	for j := range c.part {
+		most = max(most, len(c.part[j]), len(c.shadow[j]))
+	}
+	buf := make([]byte, 0, most*ptio.RecordSize(hasWeight))
+	for j := range c.part {
+		for k, region := range [2][]int32{c.part[j], c.shadow[j]} {
+			if len(region) == 0 {
+				continue
+			}
+			buf = buf[:0]
+			for _, i := range region {
+				buf = ptio.AppendRecord(buf, c.pts[i], hasWeight)
+			}
+			if _, err := h.WriteAt(buf, offsets[j][k]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // openInput validates an MRSC input file before either partitioner
@@ -164,11 +226,11 @@ func openInput(fs *lustre.FS, inputFile string, hasWeight bool) (int64, error) {
 // way the partitions then travel (Distribute: files; DistributeDirect:
 // messages).
 type planned struct {
-	// total is the input's record count; shard[l] the slice of it leaf l
-	// read and keeps in memory.
-	total int64
-	shard [][]geom.Point
-	plan  *Plan
+	// total is the input's record count; shards[l] what leaf l read of
+	// it and keeps in memory.
+	total  int64
+	shards []leafShard
+	plan   *Plan
 	// readTime and readSim cover stage 1, planTime stage 2.
 	readTime, planTime time.Duration
 	readSim            time.Duration
@@ -198,7 +260,7 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 	if err != nil {
 		return nil, err
 	}
-	shard := make([][]geom.Point, leaves)
+	shards := make([]leafShard, leaves)
 	hist, err := mrnet.Reduce(ctx, net,
 		func(leaf int) (*grid.Histogram, error) {
 			lo := total * int64(leaf) / int64(leaves)
@@ -214,8 +276,9 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 			}); err != nil {
 				return nil, fmt.Errorf("reading shard [%d,%d): %w", lo, hi, err)
 			}
-			shard[leaf] = pts
-			return g.HistogramOf(pts), nil
+			hist, rank := g.RankedHistogramOf(pts)
+			shards[leaf] = leafShard{pts: pts, hist: hist, rank: rank}
+			return hist, nil
 		},
 		func(_ *mrnet.Node, parts []*grid.Histogram) (*grid.Histogram, error) {
 			return grid.Sum(parts), nil
@@ -227,7 +290,7 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 	}
 	st := &planned{
 		total:    total,
-		shard:    shard,
+		shards:   shards,
 		readTime: time.Since(readStart),
 		readSim:  fs.Clock().Total() - simAtStart,
 	}
@@ -237,7 +300,7 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 		st.plan, err = MakePlan(g, hist, opt.NumPartitions, opt.MinPts, opt.Rebalance)
 	} else {
 		var uh *UnitHistogram
-		if uh, err = tileCounts(ctx, net, g, shard, depth); err == nil {
+		if uh, err = tileCounts(ctx, net, g, shards, depth); err == nil {
 			st.plan, err = MakePlanUnits(g, uh, PlanOptions{
 				NumPartitions: opt.NumPartitions,
 				MinPts:        opt.MinPts,
@@ -267,7 +330,7 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	if err != nil {
 		return nil, err
 	}
-	leaves, plan, shard := net.NumLeaves(), st.plan, st.shard
+	leaves, plan, shards := net.NumLeaves(), st.plan, st.shards
 
 	// --- Stage 3: leaves write partitions in parallel ---
 	writeStart := time.Now()
@@ -280,16 +343,15 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	contribs := make([]*leafContrib, leaves)
 	allCounts, err := mrnet.Reduce(ctx, net,
 		func(leaf int) ([]leafCounts, error) {
-			split, err := Split(plan, shard[leaf], splitOpt)
+			s := &shards[leaf]
+			unitOf, err := s.units(plan)
 			if err != nil {
 				return nil, err
 			}
-			contribs[leaf] = &leafContrib{part: split.Partitions, shadow: split.Shadows}
-			counts := make(leafCounts, opt.NumPartitions)
-			for j := 0; j < opt.NumPartitions; j++ {
-				counts[j] = [2]int64{int64(len(split.Partitions[j])), int64(len(split.Shadows[j]))}
-			}
-			return []leafCounts{counts}, nil
+			c := &leafContrib{pts: s.pts}
+			c.part, c.shadow = splitIndices(plan, s.pts, unitOf, splitOpt)
+			contribs[leaf] = c
+			return []leafCounts{c.counts()}, nil
 		},
 		func(_ *mrnet.Node, parts [][]leafCounts) ([]leafCounts, error) {
 			var out []leafCounts
@@ -418,23 +480,7 @@ func writePartitions(ctx context.Context, net *mrnet.Network, fs *lustre.FS, out
 			if len(rows) != 1 {
 				return fmt.Errorf("leaf %d received %d offset rows", leaf, len(rows))
 			}
-			h := fs.OpenOrCreate(outputFile)
-			c := contribs[leaf]
-			for j := 0; j < numPartitions; j++ {
-				if len(c.part[j]) > 0 {
-					data := ptio.EncodeRecords(c.part[j], hasWeight)
-					if _, err := h.WriteAt(data, rows[0][j][0]); err != nil {
-						return err
-					}
-				}
-				if len(c.shadow[j]) > 0 {
-					data := ptio.EncodeRecords(c.shadow[j], hasWeight)
-					if _, err := h.WriteAt(data, rows[0][j][1]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+			return contribs[leaf].write(fs.OpenOrCreate(outputFile), rows[0], hasWeight)
 		},
 		func(rows [][][2]int64) int64 { return int64(len(rows)) * int64(numPartitions) * 16 },
 	)

@@ -409,6 +409,74 @@ func (p *Plan) unitIndexOf(pt geom.Point) int {
 	return p.tab.indexOf(CellUnit(c))
 }
 
+// unitsOf returns the table index of each point's unit. With a rank
+// (grid.RankedHistogramOf's for pts, h its histogram) it resolves each
+// run's cell once (runUnits) and writes the indices over rank; only a
+// point of a split cell's tiles, or of a cell the table lacks, is looked
+// up by itself, as every point is when rank is nil.
+func (p *Plan) unitsOf(pts []geom.Point, h *grid.Histogram, rank []int32) ([]int32, error) {
+	unitOf := rank
+	var runUnit []int32
+	if rank == nil {
+		unitOf = make([]int32, len(pts))
+	} else {
+		runUnit = p.runUnits(h)
+	}
+	for i, pt := range pts {
+		x := -1
+		if runUnit != nil {
+			x = int(runUnit[rank[i]])
+		}
+		if x < 0 {
+			if x = p.unitIndexOf(pt); x < 0 {
+				return nil, fmt.Errorf("partition: point %v in cell %v owned by no partition (stale plan?)", pt, p.Grid.CellOf(pt))
+			}
+		}
+		unitOf[i] = int32(x)
+	}
+	return unitOf, nil
+}
+
+// runUnits maps each run of h to the table index of its cell's
+// whole-cell unit, -1 when the cell is split into tiles or absent. Both
+// ascend by cell key, so it is one merge walk, galloping over the table
+// (a shard's cells are a sparse subset of it when many leaves share the
+// input).
+func (p *Plan) runUnits(h *grid.Histogram) []int32 {
+	units := p.tab.units
+	out := make([]int32, h.Len())
+	x := 0
+	for r := range out {
+		c, _ := h.At(r)
+		x = gallop(units, x, c.Key())
+		out[r] = -1
+		if x < len(units) && units[x].Cell == c && units[x].Depth == 0 {
+			out[r] = int32(x)
+		}
+	}
+	return out
+}
+
+// gallop returns the first index from x on whose unit's cell key is at
+// least k: it doubles a step until it passes k, then bisects the last
+// step.
+func gallop(units []Unit, x int, k uint64) int {
+	lo, hi, step := x, x, 1 // every unit before lo is below k
+	for hi < len(units) && units[hi].Cell.Key() < k {
+		lo, hi, step = hi+1, hi+step, 2*step
+	}
+	hi = min(hi, len(units))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if units[m].Cell.Key() < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // MaxTotal returns the largest partition size including shadows.
 func (p *Plan) MaxTotal() int64 {
 	var max int64

@@ -1,8 +1,8 @@
 package partition
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -38,20 +38,73 @@ type SplitResult struct {
 // order; a partition's shadow points are ordered by unit, input order
 // within a unit.
 //
-// It is a stable counting sort over the plan's shadow slots (one slot per
-// partition × shadow unit, numbered partition-major in unit order): one
-// pass sizes every bucket, a second drops each point into place.
+// It looks every point's unit up in the plan (Plan.unitIndexOf), then
+// places the points (place).
 func Split(plan *Plan, pts []geom.Point, opt SplitOptions) (*SplitResult, error) {
+	return SplitRanked(plan, pts, nil, nil, opt)
+}
+
+// SplitRanked is Split for a shard counted by grid.RankedHistogramOf: h
+// and rank are what it returned for pts, and each run's unit is looked up
+// once instead of each point's (Plan.unitsOf). It writes the points' unit
+// indices over rank, so rank is spent; a nil rank is Split.
+func SplitRanked(plan *Plan, pts []geom.Point, h *grid.Histogram, rank []int32, opt SplitOptions) (*SplitResult, error) {
+	unitOf, err := plan.unitsOf(pts, h, rank)
+	if err != nil {
+		return nil, err
+	}
+	return splitPoints(plan, pts, unitOf, opt), nil
+}
+
+// splitPoints places pts, whose units unitOf holds.
+func splitPoints(plan *Plan, pts []geom.Point, unitOf []int32, opt SplitOptions) *SplitResult {
+	var reps func(r geom.Rect, members, out []geom.Point) []geom.Point
+	if opt.ShadowReps {
+		reps = func(r geom.Rect, members, out []geom.Point) []geom.Point {
+			return append(out, ShadowRepsRect(r, members)...)
+		}
+	}
+	parts, shadows := place(plan, unitOf, func(i int) geom.Point { return pts[i] }, reps)
+	return &SplitResult{Partitions: parts, Shadows: shadows}
+}
+
+// splitIndices is splitPoints placing each point's index in pts instead
+// of the point, for a writer that encodes the regions straight from the
+// shard. Representatives are picked from each shadow slot's members,
+// gathered into one small reused buffer.
+func splitIndices(plan *Plan, pts []geom.Point, unitOf []int32, opt SplitOptions) (parts, shadows [][]int32) {
+	var reps func(r geom.Rect, members, out []int32) []int32
+	if opt.ShadowReps {
+		var buf []geom.Point
+		reps = func(r geom.Rect, members, out []int32) []int32 {
+			if len(members) <= MaxShadowReps {
+				return append(out, members...)
+			}
+			buf = buf[:0]
+			for _, i := range members {
+				buf = append(buf, pts[i])
+			}
+			picks, n := repPicks(r, buf)
+			for _, k := range picks[:n] {
+				out = append(out, members[k])
+			}
+			return out
+		}
+	}
+	return place(plan, unitOf, func(i int) int32 { return int32(i) }, reps)
+}
+
+// place is the split itself, whatever it places (at(i) stands for point
+// i, whose unit is unitOf[i]): a stable counting sort over the plan's
+// shadow slots (one slot per partition × shadow unit, numbered
+// partition-major in unit order). One pass sizes every bucket, a second
+// drops each item into place. With reps, each shadow slot's members are
+// reduced onto their partition's shadow one slot at a time (ShadowReps).
+func place[T any](plan *Plan, unitOf []int32, at func(int) T, reps func(r geom.Rect, members, out []T) []T) (parts, shadows [][]T) {
 	nParts := plan.NumPartitions()
-	unitOf := make([]int32, len(pts))
 	ownedEnd := make([]int, nParts)
 	slotEnd := make([]int, plan.slotOff[nParts])
-	for i, p := range pts {
-		x := plan.unitIndexOf(p)
-		if x < 0 {
-			return nil, fmt.Errorf("partition: point %v in cell %v owned by no partition (stale plan?)", p, plan.Grid.CellOf(p))
-		}
-		unitOf[i] = int32(x)
+	for _, x := range unitOf {
 		ownedEnd[plan.owner[x]]++
 		for _, slot := range plan.shadowSlots[plan.shadowStart[x]:plan.shadowStart[x+1]] {
 			slotEnd[slot]++
@@ -59,35 +112,32 @@ func Split(plan *Plan, pts []geom.Point, opt SplitOptions) (*SplitResult, error)
 	}
 	// Counts become write cursors (exclusive prefix sums); after the
 	// placement pass each cursor sits at its bucket's end.
-	owned := make([]geom.Point, len(pts))
-	shadow := make([]geom.Point, cursors(slotEnd))
+	owned := make([]T, len(unitOf))
+	shadow := make([]T, cursors(slotEnd))
 	cursors(ownedEnd)
-	for i, p := range pts {
-		x := unitOf[i]
-		owned[ownedEnd[plan.owner[x]]] = p
+	for i, x := range unitOf {
+		v := at(i)
+		owned[ownedEnd[plan.owner[x]]] = v
 		ownedEnd[plan.owner[x]]++
 		for _, slot := range plan.shadowSlots[plan.shadowStart[x]:plan.shadowStart[x+1]] {
-			shadow[slotEnd[slot]] = p
+			shadow[slotEnd[slot]] = v
 			slotEnd[slot]++
 		}
 	}
-	res := &SplitResult{
-		Partitions: make([][]geom.Point, nParts),
-		Shadows:    make([][]geom.Point, nParts),
-	}
+	parts, shadows = make([][]T, nParts), make([][]T, nParts)
 	ownedLo, shadowLo := 0, 0
 	for j := 0; j < nParts; j++ {
 		if hi := ownedEnd[j]; hi > ownedLo {
-			res.Partitions[j] = owned[ownedLo:hi:hi]
+			parts[j] = owned[ownedLo:hi:hi]
 			ownedLo = hi
 		}
 		first, last := plan.slotOff[j], plan.slotOff[j+1]
 		if first == last || slotEnd[last-1] == shadowLo {
 			continue
 		}
-		if !opt.ShadowReps {
+		if reps == nil {
 			hi := slotEnd[last-1]
-			res.Shadows[j] = shadow[shadowLo:hi:hi]
+			shadows[j] = shadow[shadowLo:hi:hi]
 			shadowLo = hi
 			continue
 		}
@@ -99,11 +149,11 @@ func Split(plan *Plan, pts []geom.Point, opt SplitOptions) (*SplitResult, error)
 		for slot := first; slot < last; slot++ {
 			hi := slotEnd[slot]
 			rect := plan.Specs[j].Shadow[slot-first].Rect(plan.Grid)
-			res.Shadows[j] = append(res.Shadows[j], ShadowRepsRect(rect, shadow[shadowLo:hi])...)
+			shadows[j] = reps(rect, shadow[shadowLo:hi], shadows[j])
 			shadowLo = hi
 		}
 	}
-	return res, nil
+	return parts, shadows
 }
 
 // cursors turns bucket sizes into exclusive prefix sums in place and
@@ -134,7 +184,18 @@ func ShadowRepsRect(r geom.Rect, cellPts []geom.Point) []geom.Point {
 	if len(cellPts) <= MaxShadowReps {
 		return cellPts
 	}
-	chosen := make(map[int]bool, MaxShadowReps)
+	picks, n := repPicks(r, cellPts)
+	out := make([]geom.Point, n)
+	for k, i := range picks[:n] {
+		out[k] = cellPts[i]
+	}
+	return out
+}
+
+// repPicks returns the positions in pts, ascending, of the
+// min(len(pts), MaxShadowReps) points ShadowRepsRect keeps.
+func repPicks(r geom.Rect, pts []geom.Point) (picks [MaxShadowReps]int32, n int) {
+	chosen := func(i int) bool { return slices.Contains(picks[:n], int32(i)) }
 	mx := (r.MinX + r.MaxX) / 2
 	my := (r.MinY + r.MaxY) / 2
 	anchors := [8]geom.Point{
@@ -145,26 +206,22 @@ func ShadowRepsRect(r geom.Rect, cellPts []geom.Point) []geom.Point {
 	}
 	for _, a := range anchors {
 		best, bestD := -1, math.Inf(1)
-		for i, p := range cellPts {
-			if chosen[i] {
-				continue
-			}
-			if d := geom.Dist2(p, a); d < bestD {
+		for i, p := range pts {
+			if d := geom.Dist2(p, a); d < bestD && !chosen(i) {
 				best, bestD = i, d
 			}
 		}
 		if best >= 0 {
-			chosen[best] = true
+			picks[n] = int32(best)
+			n++
 		}
 	}
-	for i := 0; len(chosen) < MaxShadowReps && i < len(cellPts); i++ {
-		chosen[i] = true
-	}
-	out := make([]geom.Point, 0, MaxShadowReps)
-	for i, p := range cellPts {
-		if chosen[i] {
-			out = append(out, p)
+	for i := 0; n < MaxShadowReps && i < len(pts); i++ {
+		if !chosen(i) {
+			picks[n] = int32(i)
+			n++
 		}
 	}
-	return out
+	slices.Sort(picks[:n])
+	return picks, n
 }
