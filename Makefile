@@ -54,8 +54,12 @@ race:
 # the canonical labelling. Last the cell histogram: bytes become an Eps
 # and points on hostile coordinates (NaN, ±Inf, ±2³¹·Eps, key spans of 32
 # and 33 bits) split into shards, and the shards' sorted histograms and
-# their Sum must equal a map count on the same CellOf. Minimising every
-# new corpus entry would eat the whole budget, hence the 1s cap.
+# their Sum must equal a map count on the same CellOf. Then the front
+# doors against the oracle: bytes become 2–7 points on a lattice of Eps
+# multiples, each x an ulp below its site or on it, and RunPoints and
+# distrib (two in-process workers) must give the oracle's core partition
+# at every leaf count and flag. Minimising every new corpus entry would
+# eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSummaries -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/merge
@@ -72,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTicks -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramOf -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/grid
+	$(GO) test -run='^$$' -fuzz=FuzzRunPointsOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number

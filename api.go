@@ -106,7 +106,9 @@ func RunContext(ctx context.Context, fs *FS, inputFile, outputFile string, cfg C
 
 // RunPoints is the in-memory convenience entry point: it provisions a
 // fresh simulated file system, stores pts, runs the pipeline, and returns
-// per-point global cluster labels aligned with pts (-1 = noise).
+// per-point global cluster labels aligned with pts (-1 = noise). Labels
+// are matched to pts by ID, so the IDs must be distinct: a repeated ID
+// fails the run with an error that says so.
 func RunPoints(pts []Point, cfg Config) (*Result, []int, error) {
 	return mrscan.RunPoints(pts, cfg)
 }

@@ -49,7 +49,7 @@ func PDS(pts []geom.Point, params geom.Params, workers int) (*PDSResult, error) 
 		return nil, fmt.Errorf("baseline: need at least one worker, got %d", workers)
 	}
 	n := len(pts)
-	idx := grid.NewIndex(grid.NewSearch(params.Eps), pts)
+	idx := grid.NewIndex(grid.New(params.Eps), pts)
 	core := make([]bool, n)
 	minNeighbors := params.MinPts - 1
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"io"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,6 +110,54 @@ func TestServeOrderIsOneDispatch(t *testing.T) {
 	wg.Wait()
 }
 
+// relay forwards one worker's connection to the coordinator at addr and
+// returns the address for the worker to dial. What the coordinator sends
+// waits until gate closes (nil: no wait); received, when not nil, runs
+// when the first of it arrives, i.e. when the worker is handed a request
+// (the coordinator sends nothing before one). Both goroutines start
+// before the worker's hello is forwarded, so they are running when
+// AcceptWorkers returns.
+func relay(t *testing.T, addr string, gate <-chan struct{}, received func()) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer ln.Close()
+		w, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer w.Close()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		go func() {
+			defer w.Close()
+			defer c.Close()
+			if gate != nil {
+				<-gate
+			}
+			if received != nil {
+				var first [1]byte
+				if _, err := io.ReadFull(c, first[:]); err != nil {
+					return
+				}
+				received()
+				if _, err := w.Write(first[:]); err != nil {
+					return
+				}
+			}
+			_, _ = io.Copy(w, c)
+		}()
+		_, _ = io.Copy(c, w)
+	}()
+	return ln.Addr().String()
+}
+
 // settleGoroutines waits for the goroutine count to return to baseline.
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
@@ -162,12 +212,24 @@ func TestDispatchLeavesNoGoroutines(t *testing.T) {
 					ctx = armed
 				}
 			}
+			// With a straggler to hedge, the fast workers receive nothing
+			// until the slow one holds a request: otherwise they may drain
+			// the queue before its loop claims one, and nothing is hedged.
+			hedged := tc.slow > 0 && !tc.wantErr
+			gate := make(chan struct{})
+			var held sync.Once
 			for i := 0; i < tc.fast+tc.slow; i++ {
-				opt := WorkerOptions{}
+				opt, addr := WorkerOptions{}, c.Addr()
 				if i >= tc.fast {
 					opt.Delay = slow
 				}
-				go func() { _ = WorkerWithOptions(c.Addr(), 5000+i, opt) }()
+				switch {
+				case hedged && i >= tc.fast:
+					addr = relay(t, addr, nil, func() { held.Do(func() { close(gate) }) })
+				case hedged:
+					addr = relay(t, addr, gate, nil)
+				}
+				go func() { _ = WorkerWithOptions(addr, 5000+i, opt) }()
 			}
 			if err := c.AcceptWorkers(tc.fast+tc.slow, 30*time.Second); err != nil {
 				t.Fatal(err)
@@ -177,7 +239,7 @@ func TestDispatchLeavesNoGoroutines(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("dispatch err = %v, want an error: %t", err, tc.wantErr)
 			}
-			if tc.slow > 0 && !tc.wantErr && c.Stats().HedgesWon < 1 {
+			if hedged && c.Stats().HedgesWon < 1 {
 				t.Fatalf("HedgesWon = %d: the test needs a losing original", c.Stats().HedgesWon)
 			}
 			settleGoroutines(t, baseline)

@@ -1,12 +1,12 @@
-// Package grid implements the Eps×Eps regular grid that underlies
-// Mr. Scan's partitioner and merge phases (§3.1.2).
+// Package grid implements the Eps grid that underlies Mr. Scan's
+// partitioner and merge phases (§3.1.2), and the stream engine's cells.
 //
-// The input space is divided into square cells of side Eps. Partitions are
-// unions of grid cells, which guarantees each partition's longest distance
-// across exceeds Eps (the first "profitability" constraint), and makes the
-// shadow region of a partition exactly the set of 8-neighbor cells not in
-// the partition: any point within Eps of a partition boundary must lie in
-// an adjacent cell.
+// The input space is divided into square cells of side a hair over Eps
+// (New). Partitions are unions of grid cells, which guarantees each
+// partition's longest distance across exceeds Eps (the first
+// "profitability" constraint), and makes the shadow region of a partition
+// exactly the set of 8-neighbor cells not in the partition: any point
+// InRange within Eps of a partition boundary lies in an adjacent cell.
 //
 // A Histogram, the per-cell point counts the partitioner reduces to its
 // root, is a table of runs sorted by cell key: a leaf builds it with one
@@ -22,8 +22,8 @@ import (
 	"repro/internal/geom"
 )
 
-// Coord identifies one Eps×Eps grid cell. Cell (cx,cy) covers the
-// half-open square [cx·Eps, (cx+1)·Eps) × [cy·Eps, (cy+1)·Eps).
+// Coord identifies one grid cell. Cell (cx,cy) covers the half-open
+// square [cx·s, (cx+1)·s) × [cy·s, (cy+1)·s) of the grid's side s.
 type Coord struct {
 	CX, CY int32
 }
@@ -58,56 +58,67 @@ func (c Coord) Neighbors() [8]Coord {
 	}
 }
 
-// Grid maps points to Eps×Eps cells. The zero value is unusable; construct
+// Grid maps points to square cells. The zero value is unusable; construct
 // with New.
 type Grid struct {
-	eps float64
+	side float64
 }
 
-// New returns a grid with the given cell side. eps must be positive.
-func New(eps float64) Grid {
-	if eps <= 0 {
-		panic(fmt.Sprintf("grid: non-positive eps %v", eps))
-	}
-	return Grid{eps: eps}
-}
-
-// NewSearch returns the grid for Eps-neighbourhood search: its cells are
-// a little wider than eps, so that the 3×3 block around a point's cell
+// New returns the grid for eps-neighbourhood search: its cells are a
+// little wider than eps, so that the 3×3 block around a point's cell
 // holds every point within eps of it. At side exactly eps it need not:
 // two points whose Dist2 rounds to at most eps² may be up to a few ulps
 // more than eps apart, and x/eps rounds too, so such a pair can straddle
 // a cell (0 and 0.75 apart from a point an ulp below 0, at eps 0.75,
 // fall in cells -1 and 1). With a slack of 2⁻²⁰ a pair within eps lies
-// in adjacent cells for every |x/eps| below 2³¹, the range of a cell
-// coordinate, while eps² neither underflows nor overflows.
-func NewSearch(eps float64) Grid { return New(eps * (1 + 0x1p-20)) }
+// in adjacent cells for every point InRange, while eps² neither
+// underflows nor overflows. eps must be positive.
+func New(eps float64) Grid {
+	if eps <= 0 {
+		panic(fmt.Sprintf("grid: non-positive eps %v", eps))
+	}
+	return Grid{side: eps * (1 + 0x1p-20)}
+}
 
-// Eps returns the cell side length.
-func (g Grid) Eps() float64 { return g.eps }
+// Side returns the cell side length: New's eps, widened by the slack.
+func (g Grid) Side() float64 { return g.side }
+
+// MaxCoord bounds |coordinate|/side for a point InRange, at half of what
+// a Coord's int32 holds: a cell index, its neighbours' and the difference
+// of any two then fit, with room for the rounding of the division.
+const MaxCoord = 1 << 30
+
+// InRange reports whether both of p's coordinates are finite (NaN fails
+// every comparison) and lie fewer than MaxCoord cells from the origin.
+// Outside that range CellOf saturates: far-apart points can share a cell.
+func (g Grid) InRange(p geom.Point) bool {
+	reach := MaxCoord * g.side
+	return math.Abs(p.X) < reach && math.Abs(p.Y) < reach
+}
 
 // CellOf returns the cell containing p.
 func (g Grid) CellOf(p geom.Point) Coord {
 	return Coord{
-		CX: int32(math.Floor(p.X / g.eps)),
-		CY: int32(math.Floor(p.Y / g.eps)),
+		CX: int32(math.Floor(p.X / g.side)),
+		CY: int32(math.Floor(p.Y / g.side)),
 	}
 }
 
 // CellRect returns the rectangle covered by cell c.
 func (g Grid) CellRect(c Coord) geom.Rect {
 	return geom.Rect{
-		MinX: float64(c.CX) * g.eps,
-		MinY: float64(c.CY) * g.eps,
-		MaxX: float64(c.CX+1) * g.eps,
-		MaxY: float64(c.CY+1) * g.eps,
+		MinX: float64(c.CX) * g.side,
+		MinY: float64(c.CY) * g.side,
+		MaxX: float64(c.CX+1) * g.side,
+		MaxY: float64(c.CY+1) * g.side,
 	}
 }
 
 // Anchors returns the 8 merge anchors of cell c: its 4 corners and the 4
 // midpoints of its sides. Representative points are the cluster core
 // points closest to each anchor (§3.3.1); the geometric argument in the
-// paper's Figure 5 shows 8 anchors suffice for an Eps×Eps cell.
+// paper's Figure 5 shows 8 anchors suffice for a cell of side Eps;
+// DESIGN.md "Cell geometries" says what New's slack side changes.
 func (g Grid) Anchors(c Coord) [8]geom.Point {
 	r := g.CellRect(c)
 	mx := (r.MinX + r.MaxX) / 2
@@ -162,11 +173,11 @@ func (idx *Index) NonEmptyCells() []Coord {
 
 // Neighbors invokes fn with the index of every point within eps of p
 // (excluding p itself when p is one of the indexed points and self >= 0).
-// eps must be at most the grid cell side for the 3×3 cell scan to be
-// complete; Mr. Scan always queries with eps == cell side.
+// eps must be at most the eps the grid was made for (New) for the 3×3
+// cell scan to be complete.
 func (idx *Index) Neighbors(p geom.Point, eps float64, self int32, fn func(i int32)) {
-	if eps > idx.g.eps*(1+1e-12) {
-		panic(fmt.Sprintf("grid: query eps %v exceeds cell side %v", eps, idx.g.eps))
+	if eps > idx.g.side*(1+1e-12) {
+		panic(fmt.Sprintf("grid: query eps %v exceeds cell side %v", eps, idx.g.side))
 	}
 	eps2 := eps * eps
 	c := idx.g.CellOf(p)
@@ -190,8 +201,8 @@ func (idx *Index) Neighbors(p geom.Point, eps float64, self int32, fn func(i int
 // early exit once the count reaches limit (limit <= 0 means count all).
 func (idx *Index) CountNeighbors(p geom.Point, eps float64, self int32, limit int) int {
 	count := 0
-	if eps > idx.g.eps*(1+1e-12) {
-		panic(fmt.Sprintf("grid: query eps %v exceeds cell side %v", eps, idx.g.eps))
+	if eps > idx.g.side*(1+1e-12) {
+		panic(fmt.Sprintf("grid: query eps %v exceeds cell side %v", eps, idx.g.side))
 	}
 	eps2 := eps * eps
 	c := idx.g.CellOf(p)

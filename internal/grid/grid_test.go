@@ -12,14 +12,20 @@ import (
 )
 
 func TestCellOf(t *testing.T) {
-	g := New(0.1)
+	eps := 0.1
+	g := New(eps)
+	side := g.Side()
+	if want := eps * (1 + 0x1p-20); side != want {
+		t.Fatalf("side %v, want Eps widened by 2^-20 to %v", side, want)
+	}
 	tests := []struct {
 		p    geom.Point
 		want Coord
 	}{
 		{geom.Point{X: 0, Y: 0}, Coord{0, 0}},
 		{geom.Point{X: 0.05, Y: 0.05}, Coord{0, 0}},
-		{geom.Point{X: 0.1, Y: 0}, Coord{1, 0}}, // cell boundary belongs to the next cell
+		{geom.Point{X: 0.1, Y: 0}, Coord{0, 0}},  // Eps lies inside the slack
+		{geom.Point{X: side, Y: 0}, Coord{1, 0}}, // cell boundary belongs to the next cell
 		{geom.Point{X: -0.05, Y: 0.25}, Coord{-1, 2}},
 		{geom.Point{X: -0.1, Y: -0.1}, Coord{-1, -1}},
 		{geom.Point{X: 179.99, Y: -89.99}, Coord{1799, -900}},
@@ -117,8 +123,8 @@ func TestAnchorsOnCellBoundary(t *testing.T) {
 				best = d
 			}
 		}
-		if best > g.Eps()/2+1e-12 {
-			t.Fatalf("point %v is %v from nearest anchor, want <= Eps/2 = %v", p, best, g.Eps()/2)
+		if best > g.Side()/2+1e-12 {
+			t.Fatalf("point %v is %v from nearest anchor, want <= Eps/2 = %v", p, best, g.Side()/2)
 		}
 	}
 }
@@ -317,4 +323,28 @@ func abs32(v int32) int32 {
 		return -v
 	}
 	return v
+}
+
+// TestInRange: a coordinate is in range while it is finite and fewer
+// than MaxCoord cells from the origin, on either axis.
+func TestInRange(t *testing.T) {
+	g := New(0.1)
+	edge := MaxCoord * g.Side()
+	for _, tc := range []struct {
+		p    geom.Point
+		want bool
+	}{
+		{geom.Point{}, true},
+		{geom.Point{X: 1e8, Y: -1e8}, true},
+		{geom.Point{X: math.Nextafter(edge, 0)}, true},
+		{geom.Point{X: edge}, false},
+		{geom.Point{Y: -edge}, false},
+		{geom.Point{X: 3e8}, false},
+		{geom.Point{X: math.Inf(-1)}, false},
+		{geom.Point{Y: math.NaN()}, false},
+	} {
+		if got := g.InRange(tc.p); got != tc.want {
+			t.Errorf("InRange(%v) = %t, want %t", tc.p, got, tc.want)
+		}
+	}
 }

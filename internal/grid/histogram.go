@@ -73,7 +73,7 @@ func (h *Histogram) Total() int64 {
 // MaxCell returns the most populous cell and its count, the first in
 // iteration order among equals (zero Coord and 0 for an empty histogram).
 // The strong-scaling limit in the paper (§5.1.2) is set by the single
-// densest Eps×Eps cell, which cannot be subdivided.
+// densest Eps grid cell, which cannot be subdivided.
 func (h *Histogram) MaxCell() (Coord, int64) {
 	best, bestN := -1, int64(0)
 	for i, n := range h.counts {

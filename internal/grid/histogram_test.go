@@ -130,7 +130,7 @@ func FuzzHistogramOf(f *testing.F) {
 		data = data[2:]
 		pts := make([]geom.Point, 0, len(data)/2)
 		for i := 0; i+1 < len(data) && len(pts) < 300; i += 2 {
-			pts = append(pts, geom.Point{ID: uint64(len(pts)), X: fuzzCoord(data[i], g.Eps()), Y: fuzzCoord(data[i+1], g.Eps())})
+			pts = append(pts, geom.Point{ID: uint64(len(pts)), X: fuzzCoord(data[i], g.Side()), Y: fuzzCoord(data[i+1], g.Side())})
 		}
 		parts := make([]*Histogram, shards)
 		for s := range parts {

@@ -17,7 +17,10 @@ import (
 // unless a reused field name happens to clash in type (schema 1's Cells,
 // a map of cells each holding two maps of non-core points, does). Runs
 // fingerprint this constant instead of relying on that, and recompute.
-const SummarySchema = 2
+// It versions the cells' geometry too: schema 3 keys cells of grid.New's
+// side Eps·(1 + 2⁻²⁰), schema 2 of side Eps, and a run must not merge
+// summaries restored under one with summaries built under the other.
+const SummarySchema = 3
 
 // ClusterKey names a leaf-local cluster globally.
 type ClusterKey struct {

@@ -922,6 +922,8 @@ func (r *run) sweep(*phase) error {
 // RunPoints is a convenience wrapper: it provisions a fresh simulated file
 // system, stores pts as the input file, runs the pipeline, and returns the
 // result plus per-point global labels aligned with pts (noise = -1).
+// Labels are matched to pts by ID, so the IDs must be distinct: a
+// repeated ID fails the run once the output is read back.
 func RunPoints(pts []geom.Point, cfg Config) (*Result, []int, error) {
 	return RunPointsContext(context.Background(), pts, cfg)
 }
@@ -983,6 +985,15 @@ func LabelsByID(fs *lustre.FS, file string, pts []geom.Point) ([]int, error) {
 		return nil, fmt.Errorf("mrscan: reading %s records: %w", file, err)
 	}
 	if !ok {
+		n := 0
+		for _, p := range pts {
+			if p.ID == dup {
+				n++
+			}
+		}
+		if n > 1 {
+			return nil, fmt.Errorf("mrscan: input point IDs are not unique: %d points carry ID %d", n, dup)
+		}
 		return nil, fmt.Errorf("mrscan: point %d written twice", dup)
 	}
 	return labels, nil

@@ -216,7 +216,8 @@ func TestResumeRecomputesGobState(t *testing.T) {
 	if runFingerprint(&full, fs, "input.mrsc") != fingerprintAt(&full, fs, "input.mrsc", false, summary+"|"+checkpoint.RecordsTag) {
 		t.Fatal("fingerprintAt no longer mirrors runFingerprint")
 	}
-	gob := checkpoint.NewStore(checkpoint.LustreFS(fs), fingerprintAt(&full, fs, "input.mrsc", false, summary))
+	// The testdata's revision wrote summary schema 2.
+	gob := checkpoint.NewStore(checkpoint.LustreFS(fs), fingerprintAt(&full, fs, "input.mrsc", false, "|summary-v2"))
 	phases := []string{PhasePartition, PhaseCluster, PhaseMerge}
 	if got := gob.ValidPrefix(phases); got != len(phases) {
 		t.Fatalf("testdata holds %d valid phases under the gob revision's run ID, want %d", got, len(phases))

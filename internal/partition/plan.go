@@ -1,8 +1,9 @@
 // Package partition implements Mr. Scan's partition phase (paper §3.1):
-// dividing the Eps×Eps grid into one partition per clustering process such
-// that (1) partitions merge to a correct global DBSCAN result, (2)
-// partitions have roughly equal computational cost, measured in points,
-// and (3) the work distributes across many partitioner processes.
+// dividing the Eps grid (grid.New) into one partition per clustering
+// process such that (1) partitions merge to a correct global DBSCAN
+// result, (2) partitions have roughly equal computational cost, measured
+// in points, and (3) the work distributes across many partitioner
+// processes.
 //
 // Correctness comes from shadow regions: each partition is extended by
 // every neighboring region it does not own, so every partition point's

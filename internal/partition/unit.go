@@ -9,9 +9,9 @@ import (
 	"repro/internal/grid"
 )
 
-// Unit is one atom of partition ownership: a whole Eps×Eps grid cell
-// (Depth 0), or one of the 4^Depth uniform sub-cells of a cell that the
-// planner subdivided.
+// Unit is one atom of partition ownership: a whole Eps grid cell
+// (grid.New; Depth 0), or one of the 4^Depth uniform sub-cells of a cell
+// that the planner subdivided.
 //
 // Subdivision implements the paper's §5.1.2 suggestion — at 6.5 billion
 // points the slowest cluster process executes "a partition made up of a
@@ -37,7 +37,7 @@ type Unit struct {
 }
 
 // MaxSplitDepth bounds subdivision: 4 levels = 256 tiles per cell, tile
-// side Eps/16.
+// side 1/16 of the cell's.
 const MaxSplitDepth = 4
 
 // CellUnit returns the whole-cell unit of c.

@@ -70,7 +70,7 @@ func TestUnitRectHalvesPerDepth(t *testing.T) {
 	p := geom.Point{X: 0.512345, Y: 0.598765}
 	for depth := uint8(0); depth <= MaxSplitDepth; depth++ {
 		r := UnitOf(g, p, depth).Rect(g)
-		want := 0.1 / float64(int(1)<<depth)
+		want := g.Side() / float64(int(1)<<depth)
 		if diff := r.Width() - want; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("depth %d width = %v, want %v", depth, r.Width(), want)
 		}

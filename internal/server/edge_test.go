@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // post drives one POST through the handler without a socket and returns
@@ -252,7 +253,7 @@ func TestInvalidInputFromDirectCallers(t *testing.T) {
 		"duplicate":  {{ID: 1}, {ID: 2, X: 1}, {ID: 1, X: 2}},
 		"NaN":        {{ID: 1, X: math.NaN()}},
 		"infinite":   {{ID: 1, Y: math.Inf(-1)}},
-		"far":        {{ID: 1, X: 0.2 * maxCell}},
+		"far":        {{ID: 1, X: 0.2 * grid.MaxCoord}},
 		"sparse dup": {{ID: 1}, {ID: 1 << 60}, {ID: 1 << 60, X: 1}},
 	} {
 		if _, err := s.Submit(JobSpec{Points: pts, Eps: 0.1, MinPts: 2}); !errors.Is(err, ErrInvalidInput) {
@@ -261,6 +262,15 @@ func TestInvalidInputFromDirectCallers(t *testing.T) {
 		if _, err := s.StreamTick(sid, pts); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("StreamTick(%s) = %v, want ErrInvalidInput", name, err)
 		}
+	}
+	// A stream's range is its engine's Eps/3 sub-boxes', a third of a
+	// job's: the edge refuses the band between, not the engine.
+	band := []geom.Point{{ID: 1, X: 0.1 * grid.MaxCoord / 2}}
+	if err := validatePoints(band, grid.New(0.1)); err != nil {
+		t.Fatalf("job point in the Eps grid's range refused: %v", err)
+	}
+	if _, err := s.StreamTick(sid, band); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("StreamTick(beyond the sub-boxes' range) = %v, want ErrInvalidInput", err)
 	}
 	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		if _, err := s.Submit(JobSpec{Points: []geom.Point{{ID: 1}}, Eps: eps, MinPts: 2}); !errors.Is(err, ErrInvalidInput) {

@@ -295,7 +295,7 @@ func (s *Server) StreamTick(id string, pts []geom.Point) (stream.TickStats, erro
 		return stream.TickStats{}, err
 	}
 	tenant := st.spec.Tenant
-	if err := validatePoints(pts, st.spec.Eps); err != nil {
+	if err := validatePoints(pts, stream.SubBoxes(st.spec.Eps)); err != nil {
 		return stream.TickStats{}, err
 	}
 

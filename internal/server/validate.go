@@ -2,10 +2,10 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 )
 
 // Input validation for Submit and StreamTick. What it refuses would
@@ -21,11 +21,6 @@ var (
 	errInvalidParams = fmt.Errorf("%w: parameters", ErrInvalidInput)
 )
 
-// maxCell bounds |coordinate|/Eps at half of what grid.Coord's int32
-// holds: a cell index, its neighbours' and the difference of any two
-// then fit, with room for the rounding of the division.
-const maxCell = 1 << 30
-
 // maxLeaves bounds a job's leaf count by what one process hosts: the
 // cluster phase gives every leaf a goroutine, a simulated device and a
 // workspace, and the tree, the plan and the sweep carry per-leaf tables,
@@ -39,22 +34,21 @@ func validateInput(pts []geom.Point, eps float64, minPts, leaves int) error {
 	if (geom.Params{Eps: eps, MinPts: minPts}).Validate() != nil || leaves > maxLeaves {
 		return fmt.Errorf("%w: eps=%v minPts=%d leaves=%d (at most %d)", errInvalidParams, eps, minPts, leaves, maxLeaves)
 	}
-	return validatePoints(pts, eps)
+	return validatePoints(pts, grid.New(eps))
 }
 
-// validatePoints refuses a coordinate that is not finite or lies maxCell
-// cells or more from the origin, and an ID carried by two points.
-func validatePoints(pts []geom.Point, eps float64) error {
+// validatePoints refuses a point outside g's range (grid.InRange): the
+// Eps grid's for a job, the stream engine's sub-boxes' for a tick. It
+// also refuses an ID carried by two points.
+func validatePoints(pts []geom.Point, g grid.Grid) error {
 	if len(pts) == 0 {
 		return nil
 	}
 	lo, hi := pts[0].ID, pts[0].ID
-	reach := maxCell * eps
 	for _, p := range pts {
-		// NaN fails every comparison, so the negated form catches it.
-		if !(math.Abs(p.X) < reach && math.Abs(p.Y) < reach) {
-			return fmt.Errorf("%w %d at (%v, %v) is not finite or beyond %d Eps cells of the origin",
-				errInvalidPoint, p.ID, p.X, p.Y, maxCell)
+		if !g.InRange(p) {
+			return fmt.Errorf("%w %d at (%v, %v) is not finite or beyond %d cells of side %v from the origin",
+				errInvalidPoint, p.ID, p.X, p.Y, grid.MaxCoord, g.Side())
 		}
 		lo, hi = min(lo, p.ID), max(hi, p.ID)
 	}

@@ -91,7 +91,7 @@ func EquivalentDBSCAN(pts []geom.Point, eps float64, minPts int, got []int) erro
 	}
 	// Border witness: the assigned cluster must own a core within Eps.
 	// Cells of the engine's side keep every such core in the 3×3 scan.
-	idx := grid.NewIndex(grid.NewSearch(eps), pts)
+	idx := grid.NewIndex(grid.New(eps), pts)
 	eps2 := eps * eps
 	for i := range pts {
 		if ref.Core[i] || got[i] == Noise {

@@ -1,5 +1,5 @@
 // Package stream implements a sliding-window incremental DBSCAN engine
-// over the Eps×Eps dense-box grid.
+// over the Eps dense-box grid (grid.New).
 //
 // The paper's headline scenario — Twitter geotags — is in production a
 // firehose, not a batch file. This package maintains DBSCAN cluster
@@ -23,9 +23,9 @@
 //     within Eps (a 2×2 sub-box block's diagonal is 2√2·Eps/3 < Eps),
 //     yielding connectivity edges with no distance tests;
 //   - sub-boxes at Chebyshev distance ≥ 5 cannot connect (minimum gap
-//     4·Eps/3 > Eps); distance 2..4 needs explicit tests (at distance 4
-//     the minimum gap is exactly Eps, and the Eps-neighborhood is
-//     closed).
+//     4 sides > Eps); distance 2..4 needs explicit tests (at distance 4
+//     the minimum gap is 3 sides, a hair over Eps at SubBoxes' slack
+//     side: DESIGN.md "Cell geometries").
 //
 // Connectivity is tracked two-level, mirroring the paper's merge design:
 // per-cell fragments (intra-cell core components; the cores of one
@@ -56,6 +56,7 @@ package stream
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -148,7 +149,7 @@ const (
 	markPair                       // markPair<<k: forward pair k already rebuilt
 )
 
-// cell holds the live points of one Eps×Eps grid cell, bucketed by
+// cell holds the live points of one Eps grid cell, bucketed by
 // sub-box, its fragment decomposition and the edges to the four
 // neighbours that sort after it.
 type cell struct {
@@ -186,8 +187,8 @@ func (c *cell) live() bool { return len(c.subs) > 0 }
 // for concurrent use; callers serialize Tick/Snapshot externally.
 type Engine struct {
 	cfg  Config
-	g    grid.Grid // grid.NewSearch(Eps) cells
-	sg   grid.Grid // Eps/3 sub-boxes
+	g    grid.Grid // Eps cells
+	sg   grid.Grid // Eps/3 sub-boxes (SubBoxes)
 	eps2 float64
 
 	tick int // completed ticks
@@ -247,6 +248,15 @@ type metrics struct {
 	tickSeconds                                      *telemetry.Histogram
 }
 
+// ErrOutOfRange refuses an arrival or a restored point outside the range
+// of the engine's sub-box grid (SubBoxes, grid.InRange), where far-apart
+// points would share a sub-box.
+var ErrOutOfRange = errors.New("stream: coordinate out of range")
+
+// SubBoxes returns the grid of the engine's Eps/3 sub-boxes. Its range
+// (grid.InRange) is the engine's, and it implies the Eps grid's.
+func SubBoxes(eps float64) grid.Grid { return grid.New(eps / 3) }
+
 // claimed is the byID value of a batch's IDs between validation and
 // ingest.
 const claimed = -1
@@ -265,8 +275,8 @@ func New(cfg Config) (*Engine, error) {
 	hub, name := cfg.Telemetry, cfg.Name
 	return &Engine{
 		cfg:  cfg,
-		g:    grid.NewSearch(cfg.Eps),
-		sg:   grid.New(cfg.Eps / 3),
+		g:    grid.New(cfg.Eps),
+		sg:   SubBoxes(cfg.Eps),
 		eps2: cfg.Eps * cfg.Eps,
 		byID: newTable(),
 		ring: make([][]int32, cfg.WindowTicks),
@@ -380,8 +390,9 @@ func (e *Engine) TickAdmitted(arrivals []geom.Point, admitted func(tick int)) (T
 func (e *Engine) claim(arrivals []geom.Point) error {
 	for i, p := range arrivals {
 		var err error
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			err = fmt.Errorf("stream: point %d has non-finite coordinates (%v, %v)", p.ID, p.X, p.Y)
+		if !e.sg.InRange(p) {
+			err = fmt.Errorf("%w: point %d at (%v, %v) is not finite or beyond %d sub-boxes of side %v from the origin",
+				ErrOutOfRange, p.ID, p.X, p.Y, grid.MaxCoord, e.sg.Side())
 		} else if s, live := e.byID.get(p.ID); !live {
 			e.byID.put(p.ID, claimed)
 			continue
@@ -1026,6 +1037,9 @@ func Restore(cfg Config, ws WindowState) (*Engine, error) {
 		for _, p := range ta.Points {
 			if _, dup := e.byID.get(p.ID); dup {
 				return nil, fmt.Errorf("stream: restore: point ID %d recorded twice", p.ID)
+			}
+			if !e.sg.InRange(p) {
+				return nil, fmt.Errorf("%w: restore: point %d at (%v, %v)", ErrOutOfRange, p.ID, p.X, p.Y)
 			}
 			e.ring[slot] = append(e.ring[slot], e.insert(p))
 		}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/telemetry"
 )
 
@@ -294,6 +296,64 @@ func TestRejectedBatchLeavesWindowUntouched(t *testing.T) {
 		if after.Labels[i] != before.Labels[i] || after.Points[i] != before.Points[i] {
 			t.Fatalf("rejected batches changed labeling at %d", i)
 		}
+	}
+}
+
+// TestOutOfRangeRefused: an arrival InRange of the engine's sub-box grid
+// (SubBoxes) is clustered exactly; one outside it is refused with
+// ErrOutOfRange and leaves the window as it was, and so is a saved
+// window that holds one. Before the rule, x/Eps of 3·10⁹ saturated the
+// int32 cell, so points 1 apart shared it, and ±10⁹ at Eps 0.1 joined
+// points 2·10⁹ apart. Between 2³⁰/3 and 2³⁰ Eps cells the Eps cell fits
+// but the sub-box saturates, so every sub-box of a cell is one and a
+// diagonal pair more than Eps apart in one cell would be joined.
+func TestOutOfRangeRefused(t *testing.T) {
+	ok := []geom.Point{{ID: 1, X: 3e7}, {ID: 2, X: 3e7 + 0.05}, {ID: 3, X: 3e7 + 1}}
+	g := grid.New(0.1)
+	r := g.CellRect(g.CellOf(geom.Point{X: 1e8, Y: 1e8}))
+	diag := []geom.Point{{ID: 4, X: r.MinX + 0.005, Y: r.MinY + 0.005}, {ID: 5, X: r.MinX + 0.085, Y: r.MinY + 0.085}}
+	if g.CellOf(diag[0]) != g.CellOf(diag[1]) || !g.InRange(diag[1]) || geom.Dist2(diag[0], diag[1]) <= 0.1*0.1 {
+		t.Fatalf("diagonal pair %v is not more than Eps apart in one Eps cell InRange", diag)
+	}
+	for _, tc := range []struct {
+		name   string
+		batch  []geom.Point
+		labels []int // nil: refused
+	}{
+		{"just inside", ok, []int{0, 0, -1}},
+		{"diagonal pair in one cell at 1e9 cells", diag, nil},
+		{"3e8", []geom.Point{{ID: 4, X: 3e8}, {ID: 5, X: 3e8 + 0.05}, {ID: 6, X: 3e8 + 1}}, nil},
+		{"±1e9", []geom.Point{{ID: 4, X: 1e9}, {ID: 5, X: 1e9 + 0.05}, {ID: 6, X: -1e9}}, nil},
+		{"far y after a good point", []geom.Point{{ID: 4, X: 7}, {ID: 5, Y: -2e8}}, nil},
+		{"infinite", []geom.Point{{ID: 4, X: math.Inf(1)}}, nil},
+		{"NaN", []geom.Point{{ID: 4, Y: math.NaN()}}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t, Config{Eps: 0.1, MinPts: 2, WindowTicks: 2})
+			if tc.labels != nil {
+				mustTick(t, e, tc.batch)
+				if got := e.Snapshot().Labels; !slices.Equal(got, tc.labels) {
+					t.Fatalf("labels %v, want %v", got, tc.labels)
+				}
+				return
+			}
+			mustTick(t, e, ok)
+			before := e.Snapshot()
+			if _, err := e.Tick(tc.batch); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("Tick = %v, want ErrOutOfRange", err)
+			}
+			after := e.Snapshot()
+			if after.Tick != before.Tick || !slices.Equal(after.Points, before.Points) || !slices.Equal(after.Labels, before.Labels) {
+				t.Fatalf("refused batch changed the window: %+v -> %+v", before, after)
+			}
+			if _, live := e.byID.get(tc.batch[0].ID); live {
+				t.Fatalf("refused ID %d still claimed", tc.batch[0].ID)
+			}
+			ws := WindowState{Tick: 1, Ticks: []TickArrivals{{Tick: 1, Points: tc.batch}}}
+			if _, err := Restore(e.Config(), ws); !errors.Is(err, ErrOutOfRange) {
+				t.Fatalf("Restore = %v, want ErrOutOfRange", err)
+			}
+		})
 	}
 }
 
