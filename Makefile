@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke loc bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
+.PHONY: all build vet test race fuzz-smoke lattice loc bench bench-compare bench-gated chaos soak crash stream gray experiments cover clean
 
 all: build vet test
 
@@ -54,11 +54,13 @@ race:
 # the canonical labelling. Last the cell histogram: bytes become an Eps
 # and points on hostile coordinates (NaN, ±Inf, ±2³¹·Eps, key spans of 32
 # and 33 bits) split into shards, and the shards' sorted histograms and
-# their Sum must equal a map count on the same CellOf. Then the front
+# their Sum must equal a map count on the same CellOf; a shard with a
+# point outside InRange is refused when ranked. Then the front
 # doors against the oracle: bytes become 2–7 points on a lattice of Eps
 # multiples, each x an ulp below its site or on it, and RunPoints and
 # distrib (two in-process workers) must give the oracle's core partition
-# at every leaf count and flag. Minimising every new corpus entry would
+# and a core neighbour's cluster to every border point, at every leaf
+# count and flag. Minimising every new corpus entry would
 # eat the whole budget, hence the 1s cap.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -77,6 +79,15 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTicks -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramOf -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/grid
 	$(GO) test -run='^$$' -fuzz=FuzzRunPointsOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
+
+# The seeded lattice search (EXPERIMENTS.md "One sweep rule"): 10⁴ trials
+# of 2–7 points on a lattice of Eps multiples, drawn as
+# FuzzRunPointsOracle draws them, through RunPoints and distrib. It prints
+# one table row per front door (core, border as noise, other, clean) and
+# fails on any trial that differs from the oracle; go test -short runs
+# 300 of them.
+lattice:
+	$(GO) test -run='^TestLatticeOracle$$' -count=1 -v .
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package, then in total with and without benchmark/ — the number

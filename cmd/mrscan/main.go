@@ -78,7 +78,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		weight     = flags.Bool("weight", false, "input records carry the weight field")
 		direct     = flags.Bool("direct", false, "send partitions over the network instead of the file system (§6 future work)")
 		hotCell    = flags.Int64("hotcell", 0, "subdivide cells holding more points than this (§5.1.2 future work; 0 = off)")
-		reclaim    = flags.Bool("reclaim", false, "feed shadow-view border observations back during the sweep (beyond-paper fix)")
 		tcpMerge   = flags.Bool("tcpmerge", false, "run the merge phase over real TCP sockets")
 		topology   = flags.String("topology", "", "explicit cluster-tree spec, e.g. 2x16 (leaf product must equal -leaves)")
 		format     = flags.String("format", "bin", "input format: bin (MRSC) | text (id x y [w] lines)")
@@ -115,7 +114,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	cfg.HasWeight = *weight
 	cfg.DirectPartitions = *direct
 	cfg.HotCellThreshold = *hotCell
-	cfg.ReclaimBorders = *reclaim
 	cfg.MergeOverTCP = *tcpMerge
 	cfg.Topology = *topology
 	cfg.Retry = mrscan.RetryPolicy{MaxAttempts: *retries}

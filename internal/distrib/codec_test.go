@@ -260,12 +260,17 @@ func FuzzDecodeWorkResponse(f *testing.F) {
 	fuzzDecoder(f, decodeResponse, func(r *WorkResponse) []byte { return appendResponse(nil, r) })
 }
 
-// alignLabelsMap is the sweep as RunContext did it: hash maps both ways.
-func alignLabelsMap(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32) ([]int, error) {
+// alignLabelsMap is the sweep as RunContext did it, hash maps both ways,
+// with the border claims read for noise.
+func alignLabelsMap(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32, claims map[uint64]int32) ([]int, error) {
 	byID := make(map[uint64]int, len(pts))
 	for leaf, r := range responses {
 		for i, p := range reqs[leaf].Owned {
 			l := r.Labels[i]
+			if gid, claimed := claims[p.ID]; l < 0 && claimed {
+				byID[p.ID] = int(gid)
+				continue
+			}
 			if l < 0 {
 				byID[p.ID] = -1
 				continue
@@ -289,8 +294,9 @@ func alignLabelsMap(pts []geom.Point, reqs []WorkRequest, responses []*WorkRespo
 }
 
 // TestAlignLabelsMatchesMapVersion: dense, shuffled, offset and sparse
-// IDs, duplicated input points, a point no leaf returned and a cluster
-// the mapping lacks — the table-and-sort sweep agrees with the map one.
+// IDs, duplicated input points, a point no leaf returned, a cluster the
+// mapping lacks, and border claims on noise and on clustered points — the
+// table-and-sort sweep agrees with the map one.
 func TestAlignLabelsMatchesMapVersion(t *testing.T) {
 	base := dataset.Twitter(3000, 8)
 	opt := Options{Eps: 0.1, MinPts: 10, Leaves: 6, DenseBox: true}
@@ -312,11 +318,20 @@ func TestAlignLabelsMatchesMapVersion(t *testing.T) {
 			for i, r := range resps {
 				groups[i] = r.Summaries
 			}
-			mapping := merge.AssignGlobalIDs(merge.Combine(grid.New(opt.Eps), opt.Eps, groups))
+			final := merge.Combine(grid.New(opt.Eps), opt.Eps, groups)
+			mapping := merge.AssignGlobalIDs(final)
+			claims := merge.BorderClaims(final, mapping)
+			for leaf, r := range resps { // a claim on each leaf's first noise and first clustered point
+				for _, noise := range []bool{true, false} {
+					if i := slices.IndexFunc(r.Labels, func(l int32) bool { return (l < 0) == noise }); i >= 0 {
+						claims[reqs[leaf].Owned[i].ID] = int32(leaf)
+					}
+				}
+			}
 			check := func(what string, q []geom.Point, wantErr bool) {
 				t.Helper()
-				got, err := alignLabels(q, reqs, resps, mapping)
-				want, werr := alignLabelsMap(q, reqs, resps, mapping)
+				got, err := alignLabels(q, reqs, resps, mapping, claims)
+				want, werr := alignLabelsMap(q, reqs, resps, mapping, claims)
 				if (err != nil) != wantErr || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
 					t.Fatalf("%s: err = %v, map version says %v", what, err, werr)
 				}

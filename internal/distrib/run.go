@@ -65,7 +65,10 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 		return nil, fmt.Errorf("distrib: need at least one leaf, got %d", opt.Leaves)
 	}
 	g := grid.New(opt.Eps)
-	h, rank := g.RankedHistogramOf(pts)
+	h, rank, err := g.RankedHistogramOf(pts)
+	if err != nil {
+		return nil, fmt.Errorf("distrib: %w", err)
+	}
 	plan, err := partition.MakePlan(g, h, opt.Leaves, opt.MinPts, true)
 	if err != nil {
 		return nil, err
@@ -119,7 +122,8 @@ func (c *Coordinator) RunContext(ctx context.Context, pts []geom.Point, opt Opti
 		groups = append(groups, r.Summaries)
 	}
 	final := merge.Combine(g, opt.Eps, groups)
-	labels, err := alignLabels(pts, reqs, responses, merge.AssignGlobalIDs(final))
+	mapping := merge.AssignGlobalIDs(final)
+	labels, err := alignLabels(pts, reqs, responses, mapping, merge.BorderClaims(final, mapping))
 	if err != nil {
 		return nil, err
 	}
@@ -146,9 +150,10 @@ func restorePartitions(store *checkpoint.Store, reqs []WorkRequest) (responses [
 }
 
 // alignLabels is the sweep: it resolves every leaf's owned labels to
-// global IDs through one table per leaf (-1 where the mapping has no
-// entry) and aligns them with pts by point ID.
-func alignLabels(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32) ([]int, error) {
+// global IDs by the sweep's rule (merge.SweepLabel: through one table per
+// leaf, and the shadow views' border claims for its noise) and aligns them
+// with pts by point ID.
+func alignLabels(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse, mapping map[merge.ClusterKey]int32, claims map[uint64]int32) ([]int, error) {
 	global := merge.GlobalByLeaf(mapping, len(reqs))
 	starts := make([]int, len(reqs)+1) // leaf's owned points are pairs starts[leaf]..starts[leaf+1]
 	for leaf, r := range responses {
@@ -165,13 +170,12 @@ func alignLabels(pts []geom.Point, reqs []WorkRequest, responses []*WorkResponse
 			leaf++
 		}
 		i -= starts[leaf]
-		l := int(responses[leaf].Labels[i])
-		if l >= 0 && l < len(global[leaf]) && global[leaf][l] >= 0 {
-			l = int(global[leaf][l])
-		} else if l >= 0 {
+		id, l := reqs[leaf].Owned[i].ID, responses[leaf].Labels[i]
+		gid, ok := merge.SweepLabel(global[leaf], l, id, claims)
+		if !ok {
 			unmapped = fmt.Errorf("distrib: leaf %d cluster %d missing from mapping", leaf, l)
 		}
-		return reqs[leaf].Owned[i].ID, l
+		return id, int(gid)
 	}, absent)
 	if unmapped != nil {
 		return nil, unmapped

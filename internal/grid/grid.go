@@ -96,6 +96,20 @@ func (g Grid) InRange(p geom.Point) bool {
 	return math.Abs(p.X) < reach && math.Abs(p.Y) < reach
 }
 
+// RangeError refuses a point outside a grid's range (InRange).
+// RankedHistogramOf returns it, so every batch front door refuses such a
+// point where it first reads the input: RunPoints and mrscan.Run at the
+// partition read, distrib at its plan.
+type RangeError struct {
+	Point geom.Point
+	Side  float64 // the grid's
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("grid: point %d at (%v, %v) is not finite or not within %d cells of side %v of the origin",
+		e.Point.ID, e.Point.X, e.Point.Y, MaxCoord, e.Side)
+}
+
 // CellOf returns the cell containing p.
 func (g Grid) CellOf(p geom.Point) Coord {
 	return Coord{

@@ -105,33 +105,41 @@ func coordOfKey(k uint64) Coord {
 // is checked against the span, and one outside it sends the count round
 // again with the span of the cells themselves.
 func (g Grid) HistogramOf(pts []geom.Point) *Histogram {
-	h, _ := g.histogramOf(pts, false)
+	h, _, _ := g.histogramOf(pts, false)
 	return h
 }
 
-// RankedHistogramOf is HistogramOf that also keeps the sort's
-// permutation: rank[i] is the run of pts[i]'s cell, so At(rank[i]) is
-// CellOf(pts[i]). When the span fits 32 bits each sorted word carries the
-// point's index in its low 32 bits, under its key, and the run count
-// writes the ranks; the sort makes the same passes over the key bits. A
-// wider span, or a recount on cells outside the extremes' span, returns a
-// nil rank: the caller then finds each point's cell itself.
-func (g Grid) RankedHistogramOf(pts []geom.Point) (h *Histogram, rank []int32) {
+// RankedHistogramOf is HistogramOf for a shard of the pipeline's input:
+// it refuses the shard with a *RangeError for its first point outside
+// InRange, and it also keeps the sort's permutation: rank[i] is the run
+// of pts[i]'s cell, so At(rank[i]) is CellOf(pts[i]). When the span fits
+// 32 bits each sorted word carries the point's index in its low 32 bits,
+// under its key, and the run count writes the ranks; the sort makes the
+// same passes over the key bits. A wider span returns a nil rank: the
+// caller then finds each point's cell itself. The range is read off the
+// extremes the span is taken from, so it costs no pass of its own.
+func (g Grid) RankedHistogramOf(pts []geom.Point) (h *Histogram, rank []int32, err error) {
 	return g.histogramOf(pts, true)
 }
 
 // histogramOf is HistogramOf, ranked when asked and the span allows.
-func (g Grid) histogramOf(pts []geom.Point, ranked bool) (*Histogram, []int32) {
+// Ranked, it refuses a point outside InRange.
+func (g Grid) histogramOf(pts []geom.Point, ranked bool) (*Histogram, []int32, error) {
 	if len(pts) == 0 {
-		return &Histogram{}, nil
+		return &Histogram{}, nil, nil
 	}
-	if sp, ok := g.coordSpan(pts); ok {
+	sp, ok, inRange := g.coordSpan(pts)
+	if ranked && !inRange {
+		i := slices.IndexFunc(pts, func(p geom.Point) bool { return !g.InRange(p) })
+		return nil, nil, &RangeError{Point: pts[i], Side: g.side}
+	}
+	if ok {
 		if h, rank := histogramIn(g, pts, sp, ranked); h != nil {
-			return h, rank
+			return h, rank, nil
 		}
 	}
 	h, _ := histogramIn(g, pts, g.cellSpan(pts), false)
-	return h, nil
+	return h, nil, nil
 }
 
 // span is a packing of cells relative to base: a cell of the span packs
@@ -156,11 +164,13 @@ func newSpan(lo, hi Coord) (sp span, ok bool) {
 }
 
 // coordSpan is the span of the cells of pts' extreme coordinates (a NaN
-// is no extreme). It bounds every cell only on tame input; histogramIn
-// checks.
-func (g Grid) coordSpan(pts []geom.Point) (span, bool) {
+// is no extreme), and whether every point is InRange: no coordinate is
+// NaN and the extremes are InRange. The span bounds every cell only on
+// tame input; histogramIn checks.
+func (g Grid) coordSpan(pts []geom.Point) (sp span, ok, inRange bool) {
 	lo := geom.Point{X: math.Inf(1), Y: math.Inf(1)}
 	hi := geom.Point{X: math.Inf(-1), Y: math.Inf(-1)}
+	nan := false
 	for _, p := range pts {
 		if p.X < lo.X {
 			lo.X = p.X
@@ -174,8 +184,13 @@ func (g Grid) coordSpan(pts []geom.Point) (span, bool) {
 		if p.Y > hi.Y {
 			hi.Y = p.Y
 		}
+		// NaN, or +Inf beside -Inf, which the extremes refuse anyway.
+		if s := p.X + p.Y; s != s {
+			nan = true
+		}
 	}
-	return newSpan(g.CellOf(lo), g.CellOf(hi))
+	sp, ok = newSpan(g.CellOf(lo), g.CellOf(hi))
+	return sp, ok, !nan && g.InRange(lo) && g.InRange(hi)
 }
 
 // cellSpan is the span of pts' cells themselves, which always holds them.

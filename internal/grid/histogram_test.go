@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"maps"
 	"math"
 	"slices"
@@ -74,18 +75,32 @@ func fuzzCoord(b byte, eps float64) float64 {
 	return (float64(b) - 160) * 0.37 * eps
 }
 
-// checkRanked holds RankedHistogramOf to HistogramOf and to CellOf: the
-// same runs, and a rank exactly when the count could make one (a
-// non-empty shard whose extremes' span holds every cell and fits 32
-// bits), with At(rank[i]) pts[i]'s cell. On hostile input (NaN, ±Inf,
-// ±2³¹·Eps, a 33-bit span) the rank is nil or right, never wrong.
+// checkRanked holds RankedHistogramOf to InRange, HistogramOf and CellOf:
+// a *RangeError naming the first point outside InRange exactly when there
+// is one, and otherwise the same runs, and a rank exactly when the count
+// could make one (a non-empty shard whose extremes' span holds every cell
+// and fits 32 bits), with At(rank[i]) pts[i]'s cell. Hostile input (NaN,
+// ±Inf, ±2³¹·Eps) is refused; a 33-bit span is counted without a rank.
 func checkRanked(t *testing.T, g Grid, pts []geom.Point, want *Histogram) {
 	t.Helper()
-	h, rank := g.RankedHistogramOf(pts)
+	h, rank, err := g.RankedHistogramOf(pts)
+	if i := slices.IndexFunc(pts, func(p geom.Point) bool { return !g.InRange(p) }); i >= 0 {
+		var re *RangeError
+		same := func(a, b geom.Point) bool { // bit for bit: NaN included
+			return a.ID == b.ID && math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+		}
+		if !errors.As(err, &re) || !same(re.Point, pts[i]) || re.Side != g.Side() || h != nil || rank != nil {
+			t.Fatalf("point %d %v is out of range: got %v, %v, err %v", i, pts[i], h != nil, rank != nil, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("every point in range: %v", err)
+	}
 	if !slices.Equal(h.keys, want.keys) || !slices.Equal(h.counts, want.counts) {
 		t.Fatalf("ranked histogram %v, HistogramOf %v", asMap(h), asMap(want))
 	}
-	sp, rankable := g.coordSpan(pts)
+	sp, rankable, _ := g.coordSpan(pts)
 	rankable = rankable && sp.width <= 32 && len(pts) > 0
 	for _, p := range pts {
 		c := g.CellOf(p)
@@ -165,7 +180,7 @@ func TestHistogramOfPacksBothWidths(t *testing.T) {
 		{[]geom.Point{{X: 0.5, Y: 0.5}, {X: 65535.5, Y: 65536.5}}, 33},
 		{[]geom.Point{{X: -2147483648, Y: 0}, {X: 2147483647, Y: 0}}, 32},
 	} {
-		sp, ok := g.coordSpan(tc.pts)
+		sp, ok, _ := g.coordSpan(tc.pts)
 		if !ok || sp.width != tc.width {
 			t.Errorf("%v: span %+v (ok=%v), want width %d", tc.pts, sp, ok, tc.width)
 		}
@@ -201,7 +216,7 @@ func BenchmarkHistogramOf(b *testing.B) {
 		b.Run(bc.name+"/ranked", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				histSink, _ = bc.g.RankedHistogramOf(bc.pts)
+				histSink, _, _ = bc.g.RankedHistogramOf(bc.pts)
 			}
 		})
 	}

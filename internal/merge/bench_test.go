@@ -66,3 +66,24 @@ func benchClone(groups [][]*Summary) [][]*Summary {
 	}
 	return out
 }
+
+var claimsSink map[uint64]int32
+
+// BenchmarkBorderClaims builds the sweep's border claims from the final
+// summaries of the end-to-end benchmark's two shapes, as every run does
+// once after its merge.
+func BenchmarkBorderClaims(b *testing.B) {
+	for _, tc := range dataCases()[1:] {
+		gg, leaves := leafInputs(b, tc.pts, tc.params, tc.leaves)
+		flat, _ := buildBoth(b, gg, leaves)
+		final := Combine(gg, tc.params.Eps, flat)
+		mapping := AssignGlobalIDs(final)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				claimsSink = BorderClaims(final, mapping)
+			}
+			b.ReportMetric(float64(len(claimsSink)), "claims")
+		})
+	}
+}

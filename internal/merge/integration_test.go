@@ -22,10 +22,11 @@ func TestMergeIsolatedFromGPU(t *testing.T) {
 	// The uniform case sits right at the core-density margin
 	// (MinPts = 8 vs ~7.5 expected neighbors), maximizing the paper's
 	// residual error class: border points whose only core neighbors are
-	// shadow-misclassified get written as noise by their owner. The
-	// core-point partition stays exact; only those border/noise flips
-	// remain, so the floor there is 0.98 rather than 0.995 (the
-	// border-reclaim option recovers them — see the mrscan tests).
+	// shadow-misclassified, which their owner labels noise. The sweep's
+	// rule (SweepLabel) gives them the cluster a shadow view claims, and
+	// the core-point partition stays exact; what quality still loses
+	// there is border points within Eps of two clusters' cores, where
+	// either is exact DBSCAN, so the floor stays 0.98 rather than 0.995.
 	cases := []struct {
 		name   string
 		pts    []geom.Point
@@ -150,16 +151,13 @@ func mergeViaSummaries(t *testing.T, pts []geom.Point, params geom.Params, nPart
 	}
 	mapping := AssignGlobalIDs(groups[0])
 
-	// Relabel owned points with global IDs, align by point ID.
+	// Relabel owned points by the sweep's rule, align by point ID.
+	global, claims := GlobalByLeaf(mapping, nParts), BorderClaims(groups[0], mapping)
 	byID := make(map[uint64]int, len(pts))
 	for leaf := 0; leaf < nParts; leaf++ {
 		for i, p := range leaves[leaf].owned {
 			l := leaves[leaf].labels[i]
-			if l < 0 {
-				byID[p.ID] = -1
-				continue
-			}
-			gid, ok := mapping[ClusterKey{Leaf: int32(leaf), Local: int32(l)}]
+			gid, ok := SweepLabel(global[leaf], int32(l), p.ID, claims)
 			if !ok {
 				t.Fatalf("leaf %d cluster %d missing from mapping", leaf, l)
 			}

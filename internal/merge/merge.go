@@ -475,13 +475,13 @@ func repsWithinEps(a, b []geom.Point, eps2 float64) bool {
 // cluster's global ID (smallest ID on conflict, mirroring DBSCAN's
 // first-claimer order dependence).
 //
-// This powers the optional border-reclaim improvement: a point whose
-// only core neighbors live in its owner's *shadow* can be misclassified
-// noise by the owner (the owner undercounts shadow points' neighborhoods
-// — the point-level analogue of Figure 7). The claim tells the owner the
-// point is in fact a border member. The paper's pipeline does not feed
-// this information back (its quality floor is 0.995, not 1.0); with
-// reclaim enabled the output moves closer to exact DBSCAN.
+// A point whose only core neighbours live in its owner's *shadow* is
+// labelled noise by the owner (the owner undercounts shadow points'
+// neighbourhoods — the point-level analogue of Figure 7), but the leaf
+// that owns those cores saw it in its own shadow as their border member.
+// The paper's sweep does not feed this back (its quality floor is 0.995,
+// not 1.0); SweepLabel does, so every front door writes such a point as
+// a border member, as exact DBSCAN does.
 func BorderClaims(sums []*Summary, mapping map[ClusterKey]int32) map[uint64]int32 {
 	claims := make(map[uint64]int32)
 	for _, s := range sums {
@@ -498,6 +498,25 @@ func BorderClaims(sums []*Summary, mapping map[ClusterKey]int32) map[uint64]int3
 		}
 	}
 	return claims
+}
+
+// SweepLabel is the sweep's rule for one owned point, on every front
+// door: a local cluster (local ≥ 0) takes its global ID from table, its
+// leaf's GlobalByLeaf table; a noise point that a shadow view claims
+// (BorderClaims) takes the claimed ID; every other point is noise, -1
+// (sweep.NoiseID). A claim only ever turns noise into a cluster. ok is
+// false when table does not map local.
+func SweepLabel(table []int32, local int32, id uint64, claims map[uint64]int32) (gid int32, ok bool) {
+	if local >= 0 {
+		if int(local) >= len(table) || table[local] < 0 {
+			return -1, false
+		}
+		return table[local], true
+	}
+	if gid, claimed := claims[id]; claimed {
+		return gid, true
+	}
+	return -1, true
 }
 
 // AssignGlobalIDs gives each final cluster a dense global ID (§3.4: "a

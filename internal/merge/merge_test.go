@@ -380,3 +380,50 @@ func TestGlobalByLeaf(t *testing.T) {
 		t.Fatalf("GlobalByLeaf = %v, want %v", got, want)
 	}
 }
+
+// TestBorderClaims: every shadow-view non-core point of a mapped summary
+// is claimed for its global ID, the smallest on conflict; owner-view
+// non-core points and unmapped summaries claim nothing.
+func TestBorderClaims(t *testing.T) {
+	core := []geom.Point{{ID: 1, X: 0.05, Y: 0.05}}
+	a := mkSummary(key(0, 0), nil, core, []geom.Point{{ID: 10, X: 0.06, Y: 0.05}}, []geom.Point{{ID: 20, X: 0.07, Y: 0.05}, {ID: 21, X: 0.15, Y: 0.05}})
+	b := mkSummary(key(1, 0), nil, core, nil, []geom.Point{{ID: 21, X: 0.15, Y: 0.05}, {ID: 22, X: 0.16, Y: 0.05}})
+	lost := mkSummary(key(2, 0), nil, core, nil, []geom.Point{{ID: 23, X: 0.17, Y: 0.05}})
+	mapping := map[ClusterKey]int32{key(0, 0): 4, key(1, 0): 3}
+	got := BorderClaims([]*Summary{a, b, lost}, mapping)
+	want := map[uint64]int32{20: 4, 21: 3, 22: 3}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("BorderClaims = %v, want %v", got, want)
+	}
+	if got := BorderClaims([]*Summary{mkSummary(key(0, 0), nil, core, nil, nil)}, mapping); len(got) != 0 {
+		t.Errorf("no shadow-view non-core point: claims %v, want none", got)
+	}
+}
+
+// TestSweepLabel: a local cluster takes its table's global ID whatever
+// the claims say, a claimed noise point takes its claim, other noise
+// stays -1, and a local cluster the table does not map is not ok.
+func TestSweepLabel(t *testing.T) {
+	table := []int32{5, -1, 2}
+	claims := map[uint64]int32{7: 9, 8: 1}
+	for _, tc := range []struct {
+		name   string
+		local  int32
+		id     uint64
+		claims map[uint64]int32
+		gid    int32
+		ok     bool
+	}{
+		{"cluster", 0, 1, claims, 5, true},
+		{"claimed cluster keeps its own ID", 2, 8, claims, 2, true},
+		{"claimed noise", -1, 7, claims, 9, true},
+		{"unclaimed noise", -1, 3, claims, -1, true},
+		{"noise, no claims", -1, 7, nil, -1, true},
+		{"gap in the table", 1, 1, claims, -1, false},
+		{"past the table", 3, 1, claims, -1, false},
+	} {
+		if gid, ok := SweepLabel(table, tc.local, tc.id, tc.claims); gid != tc.gid || ok != tc.ok {
+			t.Errorf("%s: SweepLabel = %d, %t, want %d, %t", tc.name, gid, ok, tc.gid, tc.ok)
+		}
+	}
+}

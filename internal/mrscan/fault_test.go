@@ -2,11 +2,14 @@ package mrscan
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/lustre"
 	"repro/internal/ptio"
 )
@@ -78,6 +81,23 @@ func TestUnrecoverableFaultSurvivesRetries(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "partition phase") {
 		t.Fatalf("error %v does not name the partition phase", err)
+	}
+}
+
+// TestOutOfRangeNotRetried: a point outside the grid's range fails the
+// partition phase with a *grid.RangeError at its first attempt, whatever
+// the retry policy allows.
+func TestOutOfRangeNotRetried(t *testing.T) {
+	fs := lustre.New(lustre.Titan(), nil)
+	in := fs.Create("input.mrsc")
+	if err := ptio.WriteDataset(in, []geom.Point{{ID: 7, X: math.NaN()}, {ID: 8}, {ID: 9, X: 0.05}}, false); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default(0.1, 2, 2)
+	cfg.Retry = RetryPolicy{MaxAttempts: 3}
+	res, err := Run(fs, "input.mrsc", "output.mrsl", cfg)
+	if !errors.As(err, new(*grid.RangeError)) || res.Times.PartitionRetries != 0 {
+		t.Fatalf("err %v after %d retries: want a *grid.RangeError and none", err, res.Times.PartitionRetries)
 	}
 }
 

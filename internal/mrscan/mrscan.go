@@ -100,15 +100,6 @@ type Config struct {
 	// transport-independent (as MRNet is on a physical cluster).
 	MergeOverTCP bool
 
-	// ReclaimBorders feeds shadow-view border observations back to the
-	// owning leaves during the sweep: a point whose only core neighbors
-	// live in its owner's shadow region is misclassified noise by the
-	// owner (the point-level analogue of Figure 7); another leaf's
-	// summary knows better. The paper does not close this loop — it is
-	// the residual behind its 0.995 quality floor — so the option
-	// defaults to off for paper-faithful output.
-	ReclaimBorders bool
-
 	// HotCellThreshold, when positive, subdivides grid cells holding more
 	// points than the threshold into quadrant tiles shared across leaves
 	// — the paper's §5.1.2 fix for the strong-scaling plateau caused by
@@ -121,9 +112,10 @@ type Config struct {
 	// failures). Phases are idempotent — partition and sweep truncate
 	// their output files on re-execution, cluster and merge are pure —
 	// so a whole-phase retry is safe. The zero value disables retries.
-	// Fatal faults (faultinject.FatalError) and context cancellation are
-	// never retried: the former models process death, the latter is the
-	// caller's deadline.
+	// Fatal faults (faultinject.FatalError), context cancellation and an
+	// input point outside the grid's range (*grid.RangeError) are never
+	// retried: the first models process death, the second is the
+	// caller's deadline, and the third fails every attempt.
 	Retry RetryPolicy
 
 	// FaultPlan, when non-nil, is installed on every substrate the run
@@ -532,11 +524,13 @@ func (r *run) attempts(p *phase) error {
 			return nil
 		}
 		if a >= policy.MaxAttempts || faultinject.IsFatal(err) || errors.Is(err, lustre.ErrCrashed) ||
-			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
+			errors.As(err, new(*grid.RangeError)) {
 			// Out of attempts, or terminal. A simulated power failure is
 			// terminal too: retrying against a crashed file system can
 			// only fail again — the run must stop so the harness can
-			// Recover and restart it.
+			// Recover and restart it. So is a point the grid refuses: the
+			// input will not change.
 			break
 		}
 		if !policy.Budget.Take("mrscan.phase") {
@@ -674,9 +668,11 @@ func (r *run) phases() [4]phase {
 // snapshots' record format.
 // Checkpoints written under a different fingerprint are ignored by
 // Resume — restoring a snapshot into a run that would have computed
-// something else silently corrupts the output. The literal false fills
-// the slot of a removed option (log-structured partition writes), so
-// every RunID, and every checkpoint written under it, stays as it was.
+// something else silently corrupts the output. Literal falses fill the
+// slots of two removed options (border reclaim, now the only sweep, and
+// log-structured partition writes), so every RunID, and every checkpoint
+// written under it, stays as it was: no snapshot holds what the sweep
+// writes.
 func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 	var size int64
 	if s, err := fs.Size(inputFile); err == nil {
@@ -686,7 +682,7 @@ func runFingerprint(cfg *Config, fs *lustre.FS, inputFile string) string {
 	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t|summary-v%d|%s",
 		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
-		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
+		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, false,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
 		false, merge.SummarySchema, checkpoint.RecordsTag)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())
@@ -896,9 +892,7 @@ func (r *run) merge(*phase) error {
 func (r *run) adoptMerge() error {
 	r.res.NumClusters = len(r.merged.Final)
 	r.mapping = merge.AssignGlobalIDs(r.merged.Final)
-	if r.cfg.ReclaimBorders {
-		r.claims = merge.BorderClaims(r.merged.Final, r.mapping)
-	}
+	r.claims = merge.BorderClaims(r.merged.Final, r.mapping)
 	return nil
 }
 

@@ -1,10 +1,11 @@
 package mrscan
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
-
-	"errors"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/dbscan"
@@ -110,24 +111,16 @@ func TestEndToEndUniform(t *testing.T) {
 
 // TestBorderReclaimImprovesMarginalDensity targets the paper's residual
 // error class: at core-margin density, border points whose only core
-// neighbors sit in the owner's shadow get written as noise. Border
-// reclaim (an extension beyond the paper) must recover them.
+// neighbors sit in the owner's shadow. The paper's sweep writes them as
+// noise (0.9988 here; EXPERIMENTS.md "Figure 11" keeps it as a row); the
+// shadow views' border claims, which every sweep reads, recover them.
 func TestBorderReclaimImprovesMarginalDensity(t *testing.T) {
 	pts := dataset.Uniform(8000, 33, geom.Rect{MinX: 0, MinY: 0, MaxX: 5, MaxY: 5})
-	base := Default(0.1, 8, 9)
-	baseScore, _, _ := runAndScore(t, pts, base)
-
-	reclaim := Default(0.1, 8, 9)
-	reclaim.ReclaimBorders = true
-	reclaimScore, _, _ := runAndScore(t, pts, reclaim)
-
-	if reclaimScore < baseScore {
-		t.Errorf("reclaim lowered quality: %.4f vs %.4f", reclaimScore, baseScore)
+	score, _, _ := runAndScore(t, pts, Default(0.1, 8, 9))
+	if score < 0.998 {
+		t.Errorf("quality with border claims = %.4f, want >= 0.998", score)
 	}
-	if reclaimScore < 0.998 {
-		t.Errorf("quality with border reclaim = %.4f, want >= 0.998", reclaimScore)
-	}
-	t.Logf("quality: paper-faithful %.4f, with border reclaim %.4f", baseScore, reclaimScore)
+	t.Logf("quality %.4f", score)
 }
 
 func TestOutputConsistency(t *testing.T) {
@@ -251,9 +244,16 @@ func TestPartitionWriteDominatesRead(t *testing.T) {
 	}
 }
 
+// TestPhaseTimesPopulated: the wall-clock phases are positive and within
+// Total. GPUDBSCAN is simulated — counted kernel work and PCIe transfers,
+// not the host's clock — so it is never comparable with the wall-clock
+// Cluster phase (a fast or busy host moves one and not the other); it is
+// held instead to the clock it comes from: the slowest leaf's device time
+// on Stats.Resources, the same bit for bit on a second run.
 func TestPhaseTimesPopulated(t *testing.T) {
 	pts := dataset.Twitter(5000, 9)
-	res, _, err := RunPoints(pts, Default(0.1, 40, 2))
+	cfg := Default(0.1, 40, 2)
+	res, _, err := RunPoints(pts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,31 @@ func TestPhaseTimesPopulated(t *testing.T) {
 	if tm.Partition <= 0 || tm.Cluster <= 0 || tm.Merge <= 0 || tm.Sweep <= 0 {
 		t.Errorf("phase times must be positive: %+v", tm)
 	}
-	if tm.GPUDBSCAN <= 0 || tm.GPUDBSCAN > tm.Cluster {
-		t.Errorf("GPU time %v must be positive and within cluster time %v", tm.GPUDBSCAN, tm.Cluster)
-	}
 	if tm.Total < tm.Partition+tm.Cluster+tm.Merge+tm.Sweep {
 		t.Errorf("total %v less than phase sum", tm.Total)
 	}
 	if res.Stats.SimNow <= 0 {
 		t.Error("simulated clock must have advanced")
+	}
+	var slowest time.Duration
+	for leaf := range cfg.Leaves {
+		var dev time.Duration
+		for _, r := range res.Stats.Resources {
+			if r.Name == fmt.Sprintf("gpu%04d/sm", leaf) || r.Name == fmt.Sprintf("gpu%04d/pcie", leaf) {
+				dev += r.Busy
+			}
+		}
+		slowest = max(slowest, dev)
+	}
+	if tm.GPUDBSCAN <= 0 || tm.GPUDBSCAN != slowest {
+		t.Errorf("GPU time %v must be positive and the slowest leaf's device time %v", tm.GPUDBSCAN, slowest)
+	}
+	again, _, err := RunPoints(pts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Times.GPUDBSCAN != tm.GPUDBSCAN {
+		t.Errorf("GPU time %v on a second run, %v on the first", again.Times.GPUDBSCAN, tm.GPUDBSCAN)
 	}
 }
 

@@ -20,13 +20,12 @@ func TestPipelinePropertyRandomConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := func(leavesRaw, fanoutRaw uint8, dense, shadowReps, direct, reclaim bool) bool {
+	f := func(leavesRaw, fanoutRaw uint8, dense, shadowReps, direct bool) bool {
 		cfg := Default(0.1, 10, int(leavesRaw)%12+1)
 		cfg.Fanout = int(fanoutRaw)%6 + 2
 		cfg.DenseBox = dense
 		cfg.ShadowReps = shadowReps
 		cfg.DirectPartitions = direct
-		cfg.ReclaimBorders = reclaim
 		_, labels, err := RunPoints(pts, cfg)
 		if err != nil {
 			t.Logf("config %+v failed: %v", cfg, err)
@@ -42,8 +41,8 @@ func TestPipelinePropertyRandomConfigs(t *testing.T) {
 			floor = 0.95
 		}
 		if score < floor {
-			t.Logf("leaves=%d fanout=%d dense=%v reps=%v direct=%v reclaim=%v: score=%.4f",
-				cfg.Leaves, cfg.Fanout, dense, shadowReps, direct, reclaim, score)
+			t.Logf("leaves=%d fanout=%d dense=%v reps=%v direct=%v: score=%.4f",
+				cfg.Leaves, cfg.Fanout, dense, shadowReps, direct, score)
 			return false
 		}
 		return true

@@ -70,14 +70,15 @@ func toV1(sums []*merge.Summary) []*v1Summary {
 
 // fingerprintAt is runFingerprint as a revision whose fingerprint ended in
 // tail after the configuration computed it, with aggregated in the slot
-// of the removed log-structured-writes option.
+// of the removed log-structured-writes option (and false in the removed
+// border-reclaim option's, its default on every revision).
 func fingerprintAt(cfg *Config, fs *lustre.FS, inputFile string, aggregated bool, tail string) string {
 	size, _ := fs.Size(inputFile)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%d|%g|%d|%d|%d|%d|%q|%t|%t|%t|%t|%t|%t|%t|%d|%v|%d|%d|%d|%t%s",
 		inputFile, size, cfg.Eps, cfg.MinPts, cfg.Leaves, cfg.PartitionLeaves,
 		cfg.Fanout, cfg.Topology, cfg.DenseBox, cfg.ShadowReps, cfg.Rebalance,
-		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, cfg.ReclaimBorders,
+		cfg.IncludeNoise, cfg.HasWeight, cfg.DirectPartitions, false,
 		cfg.HotCellThreshold, cfg.Mode, cfg.Blocks, cfg.ThreadsPerBlock, cfg.LeafSize,
 		aggregated, tail)
 	return fmt.Sprintf("mrscan-%016x", h.Sum64())

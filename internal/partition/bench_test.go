@@ -67,7 +67,10 @@ func BenchmarkSplit(b *testing.B) {
 	}
 	sdss := grid.New(0.00015)
 	sdssPts := dataset.SDSS(150_000, 1)
-	sdssHist, rank := sdss.RankedHistogramOf(sdssPts)
+	sdssHist, rank, err := sdss.RankedHistogramOf(sdssPts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	sdssPlan, err := MakePlan(sdss, sdssHist, 16, 5, true)
 	if err != nil {
 		b.Fatal(err)

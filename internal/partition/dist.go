@@ -276,7 +276,10 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 			}); err != nil {
 				return nil, fmt.Errorf("reading shard [%d,%d): %w", lo, hi, err)
 			}
-			hist, rank := g.RankedHistogramOf(pts)
+			hist, rank, err := g.RankedHistogramOf(pts)
+			if err != nil {
+				return nil, err
+			}
 			shards[leaf] = leafShard{pts: pts, hist: hist, rank: rank}
 			return hist, nil
 		},

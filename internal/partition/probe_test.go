@@ -233,7 +233,10 @@ func TestSplitMatchesProbeOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameSplit(t, got, want)
-				hist, rank := g.RankedHistogramOf(sh.pts)
+				hist, rank, err := g.RankedHistogramOf(sh.pts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if rank == nil {
 					t.Fatalf("%s: the histogram's sort ranked no point", name)
 				}
@@ -265,7 +268,10 @@ func TestSplitRankedFallsBack(t *testing.T) {
 	}
 	sameSplit(t, got, want)
 	stray := append(slices.Clone(pts), geom.Point{ID: 4, X: 9.5, Y: 9.5})
-	h, rank := g.RankedHistogramOf(stray)
+	h, rank, err := g.RankedHistogramOf(stray)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := SplitRanked(plan, stray, h, rank, SplitOptions{}); err == nil {
 		t.Error("a ranked point in a cell the plan never saw must be rejected")
 	}

@@ -49,9 +49,10 @@ type Options struct {
 	// omitting them. The paper writes "a file of the points included in a
 	// cluster", i.e. omits noise; keeping it is useful for analysis.
 	IncludeNoise bool
-	// Claims carries border-reclaim information (merge.BorderClaims):
+	// Claims are the shadow views' border claims (merge.BorderClaims):
 	// an owned point labeled noise locally whose ID appears here is
-	// written as a border member of the claimed global cluster instead.
+	// written as a border member of the claimed global cluster instead
+	// (merge.SweepLabel). Nil claims leave noise as the leaves labeled it.
 	Claims map[uint64]int32
 }
 
@@ -62,6 +63,9 @@ type Options struct {
 func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string, mapping map[merge.ClusterKey]int32, data func(leaf int) (*LeafData, error), opt Options) (*Result, error) {
 	start := time.Now()
 	leaves := net.NumLeaves()
+	// The mapping travels down the tree resolved into one dense table per
+	// leaf, so a leaf relabels by index, not by hash.
+	global := merge.GlobalByLeaf(mapping, leaves)
 
 	// Leaves report output record counts; the root computes offsets
 	// ("It first calculates file offsets to be used by the leaf nodes to
@@ -79,11 +83,11 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 			leafData[leaf] = d
 			var n int64
 			for i, l := range d.Labels {
-				if l >= 0 || opt.IncludeNoise {
-					n++
-					continue
+				gid, ok := merge.SweepLabel(global[leaf], l, d.Points[i].ID, opt.Claims)
+				if !ok {
+					return nil, fmt.Errorf("sweep: leaf %d cluster %d missing from global mapping", leaf, l)
 				}
-				if _, claimed := opt.Claims[d.Points[i].ID]; claimed {
+				if gid >= 0 || opt.IncludeNoise {
 					n++
 				}
 			}
@@ -113,13 +117,11 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 	}
 
 	// Multicast the mapping and per-leaf offsets down the tree; leaves
-	// relabel and write in parallel. The mapping travels resolved into one
-	// dense table per leaf, so a leaf relabels by index, not by hash.
+	// relabel and write in parallel.
 	type payload struct {
 		global  [][]int32
 		offsets []int64
 	}
-	global := merge.GlobalByLeaf(mapping, leaves)
 	root := fs.Create(outFile)
 	root.Grow(int(cursor)) // every record's offset is assigned: size the file once
 	if _, err := root.WriteAt(ptio.LabeledHeader(totalRecords), 0); err != nil {
@@ -148,23 +150,13 @@ func Run(ctx context.Context, net *mrnet.Network, fs *lustre.FS, outFile string,
 				return nil
 			}
 			for i, p := range d.Points {
-				var cluster int64
-				if l := d.Labels[i]; l >= 0 {
-					if int(l) >= len(table) || table[l] < 0 {
-						return fmt.Errorf("sweep: leaf %d cluster %d missing from global mapping", leaf, l)
-					}
-					cluster = int64(table[l])
-				} else if gid, claimed := opt.Claims[p.ID]; claimed {
-					// Border reclaim: another leaf saw this point within
-					// Eps of one of its core points.
-					cluster = int64(gid)
-				} else if opt.IncludeNoise {
-					cluster = NoiseID
-				} else {
+				// The count pass has checked every local label.
+				gid, _ := merge.SweepLabel(table, d.Labels[i], p.ID, opt.Claims)
+				if gid < 0 && !opt.IncludeNoise {
 					skippedPerLeaf[leaf]++
 					continue
 				}
-				buf = ptio.AppendLabeled(buf, ptio.LabeledPoint{Point: p, Cluster: cluster})
+				buf = ptio.AppendLabeled(buf, ptio.LabeledPoint{Point: p, Cluster: int64(gid)})
 				writtenPerLeaf[leaf]++
 				if len(buf) >= 1<<16 {
 					if err := flush(); err != nil {
