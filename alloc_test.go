@@ -10,14 +10,17 @@ import (
 // TestRunPointsBytesPerPoint is the batch data path's allocation guard,
 // and it needs no clock: bytes allocated by one RunPoints, per input
 // point. Every file on the path (input, partition, output) and every
-// point slab is allocated once — DESIGN.md "Batch data path" has the hop
-// table — and host scratch is held per cluster worker, not per leaf,
-// which is what the budgets below hold the pipeline to. Workers follow
-// the core count, so the test runs at GOMAXPROCS 2. The budgets sit about
-// 10 % over the measured 395 and 341 B/point; with host scratch per leaf
-// the pipeline read 513 and 437, and with files and slabs copied twice
-// 867 and 764, so either creeping back in fails here. The 64-leaf row must stay within 1.1× of the 16-leaf one:
-// allocation may not grow with the leaf count.
+// point slab comes from bufpool and goes back when the run ends, so a
+// run after the warm-up allocates none of them — DESIGN.md "Batch data
+// path" has the hop table — and host scratch is held per cluster worker,
+// not per leaf, which is what the budgets below hold the pipeline to.
+// Workers follow the core count, so the test runs at GOMAXPROCS 2. The
+// budgets sit about 10 % over the measured 152 and 128 B/point; with
+// every file and slab allocated afresh per run the pipeline read 303 and
+// 280, with host scratch per leaf 513 and 437, and with files and slabs
+// copied twice 867 and 764, so any of them creeping back in fails here.
+// The 64-leaf row must stay within 1.1× of the 16-leaf one: allocation
+// may not grow with the leaf count.
 func TestRunPointsBytesPerPoint(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	sdss := dataset.SDSS(50_000, 1)
@@ -28,9 +31,9 @@ func TestRunPointsBytesPerPoint(t *testing.T) {
 		cfg    Config
 		budget uint64 // bytes per input point
 	}{
-		{"sdss50k_16", sdss, Default(0.00015, 5, 16), 435},
+		{"sdss50k_16", sdss, Default(0.00015, 5, 16), 167},
 		{"sdss50k_64", sdss, Default(0.00015, 5, 64), 0},
-		{"twitter30k_8", dataset.Twitter(30_000, 1), Default(0.1, 40, 8), 375},
+		{"twitter30k_8", dataset.Twitter(30_000, 1), Default(0.1, 40, 8), 141},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.budget == 0 {
@@ -67,7 +70,7 @@ func allocatedPerRun(t *testing.T, pts []Point, cfg Config) uint64 {
 // TestCheckpointOverheadBytes guards what durability costs on
 // BenchmarkCheckpointOverhead's shape (Twitter 50 k, 4 leaves) without a
 // clock: with every phase snapshotted, a run allocates at most 100 bytes
-// per input point more than one without (it measures 87). The budget is
+// per input point more than one without (it measures 44). The budget is
 // a difference, not a ratio to the run without snapshots, so making that
 // run cheaper does not shrink the allowance. Gob snapshots cost 1.63× a
 // run without them.

@@ -183,10 +183,18 @@ func New(cfg Config, clock *simclock.Clock) *Device {
 	if clock == nil {
 		clock = simclock.New()
 	}
-	d := &Device{cfg: cfg, clock: clock, smOps: make([]int64, cfg.SMs)}
-	d.hub = telemetry.New(clock)
-	d.m = resolveDeviceMetrics(d.hub, cfg.Name)
-	return d
+	return &Device{cfg: cfg, clock: clock, smOps: make([]int64, cfg.SMs)}
+}
+
+// metrics returns the device's metric handles. A device never handed a
+// hub gets its private one here, on first use, so one whose owner calls
+// SetTelemetry straight after New never builds it. Callers hold d.mu.
+func (d *Device) metrics() *deviceMetrics {
+	if d.hub == nil {
+		d.hub = telemetry.New(d.clock)
+		d.m = resolveDeviceMetrics(d.hub, d.cfg.Name)
+	}
+	return &d.m
 }
 
 // SetTelemetry points the device's metrics and spans at a run-level
@@ -233,7 +241,8 @@ func (d *Device) SetTraceParent(s *telemetry.Span) {
 func (d *Device) telemetry() (*telemetry.Hub, *telemetry.Span, deviceMetrics, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.hub, d.parent, d.m, d.spans
+	m := *d.metrics()
+	return d.hub, d.parent, m, d.spans
 }
 
 // Config returns the device configuration.
@@ -263,7 +272,7 @@ func (d *Device) Clock() *simclock.Clock { return d.clock }
 // telemetry registry.
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
-	m := d.m
+	m := *d.metrics()
 	d.mu.Unlock()
 	return Stats{
 		KernelLaunches: m.launches.Value(),
@@ -315,13 +324,14 @@ func (d *Device) Alloc(name string, size int64) (*Buffer, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	inUse := d.m.allocBytes.Value()
+	m := d.metrics()
+	inUse := m.allocBytes.Value()
 	if d.cfg.MemBytes > 0 && inUse+size > d.cfg.MemBytes {
 		return nil, fmt.Errorf("%w: %q needs %d bytes, %d of %d in use",
 			ErrOutOfMemory, name, size, inUse, d.cfg.MemBytes)
 	}
-	d.m.allocBytes.Add(size)
-	d.m.peakAlloc.SetMax(inUse + size)
+	m.allocBytes.Add(size)
+	m.peakAlloc.SetMax(inUse + size)
 	return &Buffer{dev: d, name: name, size: size, capacity: size}, nil
 }
 
@@ -335,7 +345,7 @@ func (b *Buffer) Free() {
 	}
 	b.freed = true
 	b.dev.mu.Lock()
-	b.dev.m.allocBytes.Add(-b.capacity)
+	b.dev.metrics().allocBytes.Add(-b.capacity)
 	b.dev.mu.Unlock()
 }
 

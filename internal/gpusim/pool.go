@@ -36,15 +36,16 @@ func (d *Device) AllocPooled(name string, size int64) (*Buffer, error) {
 	if best >= 0 {
 		b := d.pool[best]
 		d.pool = append(d.pool[:best], d.pool[best+1:]...)
-		d.m.poolHits.Inc()
-		d.m.poolBytes.Add(-b.capacity)
+		m := d.metrics()
+		m.poolHits.Inc()
+		m.poolBytes.Add(-b.capacity)
 		d.mu.Unlock()
 		b.name = name
 		b.size = size
 		b.freed = false
 		return b, nil
 	}
-	d.m.poolMisses.Inc()
+	d.metrics().poolMisses.Inc()
 	d.mu.Unlock()
 	b, err := d.Alloc(name, size)
 	if err == nil {
@@ -72,7 +73,7 @@ func (b *Buffer) Release() {
 	d := b.dev
 	d.mu.Lock()
 	d.pool = append(d.pool, b)
-	d.m.poolBytes.Add(b.capacity)
+	d.metrics().poolBytes.Add(b.capacity)
 	d.mu.Unlock()
 }
 
@@ -85,9 +86,10 @@ func (d *Device) reclaimPool() int64 {
 		freed += b.capacity
 	}
 	if freed > 0 {
-		d.m.allocBytes.Add(-freed)
-		d.m.poolBytes.Add(-freed)
-		d.m.poolReclaims.Inc()
+		m := d.metrics()
+		m.allocBytes.Add(-freed)
+		m.poolBytes.Add(-freed)
+		m.poolReclaims.Inc()
 	}
 	d.pool = nil
 	d.mu.Unlock()

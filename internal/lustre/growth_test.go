@@ -247,7 +247,9 @@ func TestGrowIsNotAWrite(t *testing.T) {
 
 // TestGrownFileAllocatesOnce: after Grow(final size) the file's bytes are
 // allocated — every write, sequential or concurrent and out of order,
-// lands in that one array.
+// lands in that one array. The array may be larger than asked for (Grow
+// draws it from bufpool's size classes); what is held is that it is not
+// replaced.
 func TestGrownFileAllocatesOnce(t *testing.T) {
 	const chunk, chunks = 64 << 10, 64
 	t.Run("sequential", func(t *testing.T) {
@@ -264,7 +266,7 @@ func TestGrownFileAllocatesOnce(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if unsafe.SliceData(h.f.data) != array || cap(h.f.data) != chunk*chunks {
+		if unsafe.SliceData(h.f.data) != array || cap(h.f.data) < chunk*chunks {
 			t.Error("writes into reserved capacity reallocated the file")
 		}
 		// The cost records and counters of 64 writes are a few KiB; one
@@ -298,7 +300,7 @@ func TestGrownFileAllocatesOnce(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if unsafe.SliceData(root.f.data) != array || cap(root.f.data) != writers*regions*regionLen {
+		if unsafe.SliceData(root.f.data) != array || cap(root.f.data) < writers*regions*regionLen {
 			t.Error("concurrent writes into reserved capacity reallocated the file")
 		}
 		for i, b := range readBack(t, fs, "parts") {

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/faultinject"
 	"repro/internal/health"
 	"repro/internal/integrity"
@@ -186,28 +187,38 @@ type file struct {
 // growTo makes room for a write of [off, end): it extends the file to end
 // bytes when it is shorter and zeroes the hole [old size, off) a write
 // past EOF leaves — the bytes the caller is not about to overwrite. It
-// reslices within capacity (spare capacity is not trusted to be clean)
-// and otherwise reallocates to at least double, so a writer appending
-// chunk by chunk copies O(bytes) in total instead of the whole file per
-// chunk. Callers hold f.mu.
+// reslices within capacity and otherwise moves to an array of at least
+// double the capacity, so a writer appending chunk by chunk copies
+// O(bytes) in total instead of the whole file per chunk. Callers hold
+// f.mu.
 //
-// Nothing else may ever alias f.data's backing array: the durable image
-// and the crash image are cloneBytes copies, so a later in-capacity growth
-// cannot write through to them.
+// Spare capacity is dirty: arrays come from bufpool.Bytes and may hold
+// another file's bytes, which is why the hole is cleared here and why
+// View clips the capacity it lends. Nothing else may ever alias f.data's
+// backing array: the durable image and the crash image are cloneBytes
+// copies, so a later in-capacity growth cannot write through to them, and
+// the array a regrow leaves behind can go back to the pool.
 func (f *file) growTo(off, end int64) {
 	old := int64(len(f.data))
 	if end <= old {
 		return
 	}
 	if end > int64(cap(f.data)) {
-		grown := make([]byte, old, max(end, 2*int64(cap(f.data))))
-		copy(grown, f.data)
-		f.data = grown
+		f.realloc(max(end, 2*int64(cap(f.data))))
 	}
 	f.data = f.data[:end]
 	if off > old {
 		clear(f.data[old:off])
 	}
+}
+
+// realloc moves the file's bytes to a pooled array with room for n and
+// returns the old array to the pool. Callers hold f.mu.
+func (f *file) realloc(n int64) {
+	grown := bufpool.Bytes.Get(int(n))[:len(f.data)]
+	copy(grown, f.data)
+	bufpool.Bytes.Put(f.data)
+	f.data = grown
 }
 
 // ErrNotExist is returned when opening a file that was never created. It
@@ -433,6 +444,27 @@ func (fs *FS) Rename(oldname, newname string) error {
 		fs.maskTaints(replaced) // the unlinked old contents can't be read by name anymore
 	}
 	return nil
+}
+
+// Release gives every file's image back to bufpool.Bytes, for the next
+// file system in the process to reuse, and leaves each file empty: a
+// handle still open afterwards sees size 0 and reads io.EOF, never
+// recycled bytes. Only the owner of a file system that is done with it
+// calls Release, after its last read; nothing may hold a slice of an
+// image (a View callback still running) across the call. Crash-model
+// images, integrity ledgers and counters are untouched.
+func (fs *FS) Release() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for _, f := range fs.files {
+		f.mu.Lock()
+		bufpool.Bytes.Put(f.data)
+		f.data = nil
+		f.imu.Lock()
+		f.sums = nil
+		f.imu.Unlock()
+		f.mu.Unlock()
+	}
 }
 
 // Size returns a file's current length.
@@ -736,17 +768,19 @@ func (h *Handle) bookRead(off int64, n int, rereads int64) {
 // slice's capacity is clipped, so an append cannot reach the file. In
 // every other configuration View reads into a private buffer through
 // ReadAt, so injection, verification, rereads and the retry budget behave
-// as they do there.
+// as they do there; the buffer comes from bufpool.Bytes and goes back
+// when fn returns, so there too fn must not retain b.
 func (h *Handle) View(off, n int64, fn func(b []byte) error) error {
 	if off < 0 || n < 0 {
 		return fmt.Errorf("lustre: view of %d bytes at offset %d on %q", n, off, h.name)
 	}
 	if !h.fs.readsAreCopies() {
-		buf := make([]byte, n)
+		buf := bufpool.Bytes.Get(int(n))
+		defer bufpool.Bytes.Put(buf)
 		if _, err := h.ReadAt(buf, off); err != nil {
 			return err
 		}
-		return fn(buf)
+		return fn(buf[:n:n])
 	}
 	h.f.mu.RLock()
 	size := int64(len(h.f.data))
@@ -774,9 +808,7 @@ func (h *Handle) Grow(n int) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
 	if need := len(h.f.data) + n; need > cap(h.f.data) {
-		grown := make([]byte, len(h.f.data), need)
-		copy(grown, h.f.data)
-		h.f.data = grown
+		h.f.realloc(int64(need))
 	}
 }
 

@@ -21,9 +21,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/checkpoint"
 	"repro/internal/faultinject"
 	"repro/internal/gdbscan"
@@ -362,6 +364,7 @@ func RunContext(ctx context.Context, fs *lustre.FS, inputFile, outputFile string
 		ctx = context.Background()
 	}
 	r := newRun(ctx, fs, inputFile, outputFile, cfg)
+	defer r.releaseSlabs()
 	return r.finish(r.execAll())
 }
 
@@ -418,6 +421,26 @@ type run struct {
 	merged    mergeCkpt
 	mapping   map[merge.ClusterKey]int32
 	claims    map[uint64]int32
+
+	// slabs holds every partition slab the cluster phase loaded, whole:
+	// leafState.Owned is cut to the owned count, and bufpool.Points files
+	// a slab by its full capacity. Guarded by slabsMu (cluster workers
+	// append concurrently).
+	slabsMu sync.Mutex
+	slabs   [][]geom.Point
+}
+
+// releaseSlabs returns the run's partition slabs to bufpool.Points once
+// the run is over: the cluster workers and the overlay have returned, and
+// nothing in the Result, the checkpoints or the output file refers to a
+// slab (summaries and labels are copies).
+func (r *run) releaseSlabs() {
+	r.slabsMu.Lock()
+	defer r.slabsMu.Unlock()
+	for _, s := range r.slabs {
+		bufpool.Points.Put(s)
+	}
+	r.slabs = nil
 }
 
 func newRun(ctx context.Context, fs *lustre.FS, inputFile, outputFile string, cfg Config) *run {
@@ -811,6 +834,9 @@ func (r *run) clusterLeaf(phaseSpan *telemetry.Span, scratch *leafScratch, leaf 
 	if err != nil {
 		return leafState{}, err
 	}
+	r.slabsMu.Lock()
+	r.slabs = append(r.slabs, slab)
+	r.slabsMu.Unlock()
 	dev := r.newDevice(leaf)
 	dev.SetTraceParent(leafSpan)
 	gpuStart := dev.SimTime()
@@ -929,6 +955,7 @@ func RunPoints(pts []geom.Point, cfg Config) (*Result, []int, error) {
 // should drive RunContext against their own file system.
 func RunPointsContext(ctx context.Context, pts []geom.Point, cfg Config) (*Result, []int, error) {
 	fs := lustre.New(lustre.Titan(), nil)
+	defer fs.Release()
 	in := fs.Create("input.mrsc")
 	if err := ptio.WriteDataset(in, pts, cfg.HasWeight); err != nil {
 		return nil, nil, err

@@ -2,13 +2,16 @@ package mrscan
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
 	"repro/internal/lustre"
 	"repro/internal/ptio"
 	"repro/internal/telemetry"
@@ -91,5 +94,53 @@ func TestParallelPipelines(t *testing.T) {
 		if err != nil {
 			t.Errorf("pipeline %d: %v", i, err)
 		}
+	}
+}
+
+// TestConcurrentRunPointsRecycle: four RunPoints calls at a time, round
+// after round, each release their file images and slabs to the pools the
+// others are drawing from — and every run's labels hash to what the same
+// input gives run alone. A buffer handed to two runs at once, or read
+// after it went back, shows up as a changed hash (or a -race report).
+func TestConcurrentRunPointsRecycle(t *testing.T) {
+	const pipelines, rounds = 4, 3
+	input := func(i int) ([]geom.Point, Config) {
+		cfg := Default(0.1, 20, 2+i)
+		return dataset.Twitter(2500+700*i, int64(40+i)), cfg
+	}
+	hash := func(labels []int) uint64 {
+		h := fnv.New64a()
+		for _, l := range labels {
+			binary.Write(h, binary.LittleEndian, int64(l))
+		}
+		return h.Sum64()
+	}
+	solo := make([]uint64, pipelines)
+	for i := range solo {
+		pts, cfg := input(i)
+		_, labels, err := RunPoints(pts, cfg)
+		if err != nil {
+			t.Fatalf("solo run %d: %v", i, err)
+		}
+		solo[i] = hash(labels)
+	}
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for i := 0; i < pipelines; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pts, cfg := input(i)
+				_, labels, err := RunPoints(pts, cfg)
+				if err != nil {
+					t.Errorf("round %d, run %d: %v", r, i, err)
+					return
+				}
+				if got := hash(labels); got != solo[i] {
+					t.Errorf("round %d, run %d: labels hash %016x, alone %016x", r, i, got, solo[i])
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
 }

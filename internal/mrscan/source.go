@@ -1,6 +1,7 @@
 package mrscan
 
 import (
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 	"repro/internal/lustre"
 	"repro/internal/partition"
@@ -16,12 +17,13 @@ type partitionSource struct {
 }
 
 // load returns partition j as the cluster phase consumes it: one slab
-// holding its owned points then its shadow points, and the owned count.
-// File mode decodes the slab from the partition file; Direct mode, whose
-// two halves arrived separately, joins them with one copy.
+// from bufpool.Points holding its owned points then its shadow points,
+// and the owned count. File mode decodes the slab from the partition
+// file; Direct mode, whose two halves arrived separately, joins them with
+// one copy.
 func (s *partitionSource) load(j int) (slab []geom.Point, owned int, err error) {
 	if s.Direct {
-		slab = make([]geom.Point, 0, len(s.Partitions[j])+len(s.Shadows[j]))
+		slab = bufpool.Points.Get(len(s.Partitions[j]) + len(s.Shadows[j]))[:0]
 		slab = append(append(slab, s.Partitions[j]...), s.Shadows[j]...)
 		return slab, len(s.Partitions[j]), nil
 	}

@@ -55,6 +55,9 @@ func DistributeDirect(ctx context.Context, net *mrnet.Network, fs *lustre.FS, ep
 	if err != nil {
 		return nil, err
 	}
+	// The split places copies of the shards' points, so the partitions
+	// returned never alias a shard.
+	defer releaseShards(st.shards)
 	plan, shards := st.plan, st.shards
 	rs := int64(ptio.RecordSize(opt.HasWeight))
 

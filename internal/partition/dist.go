@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lustre"
@@ -269,9 +270,12 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 			if err != nil {
 				return nil, err
 			}
-			var pts []geom.Point
+			// The shard holds the slab from the start, so a failed
+			// read below still returns it to the pool.
+			pts := bufpool.Points.Get(int(hi - lo))[:0]
+			shards[leaf].pts = pts
 			if err := h.View(ptio.DatasetHeaderSize+lo*rs, (hi-lo)*rs, func(b []byte) (err error) {
-				pts, err = ptio.DecodeRecords(b, opt.HasWeight)
+				pts, err = ptio.AppendPoints(pts, b, opt.HasWeight)
 				return err
 			}); err != nil {
 				return nil, fmt.Errorf("reading shard [%d,%d): %w", lo, hi, err)
@@ -289,6 +293,7 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 		func(h *grid.Histogram) int64 { return int64(h.Len()) * 12 },
 	)
 	if err != nil {
+		releaseShards(shards)
 		return nil, err
 	}
 	st := &planned{
@@ -312,10 +317,23 @@ func readAndPlan(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps flo
 		}
 	}
 	if err != nil {
+		releaseShards(shards)
 		return nil, err
 	}
 	st.planTime = time.Since(planStart)
 	return st, nil
+}
+
+// releaseShards returns the leaves' decoded shards to bufpool.Points. The
+// caller has finished every overlay operation that reads them (Reduce and
+// Multicast return only after their leaves have), and nothing it returns
+// holds a shard's points: the split copies points or indices out of
+// them.
+func releaseShards(shards []leafShard) {
+	for i := range shards {
+		bufpool.Points.Put(shards[i].pts)
+		shards[i].pts = nil
+	}
 }
 
 // Distribute runs the distributed partition phase: the partitioner leaves
@@ -333,6 +351,7 @@ func Distribute(ctx context.Context, net *mrnet.Network, fs *lustre.FS, eps floa
 	if err != nil {
 		return nil, err
 	}
+	defer releaseShards(st.shards)
 	leaves, plan, shards := net.NumLeaves(), st.plan, st.shards
 
 	// --- Stage 3: leaves write partitions in parallel ---
@@ -502,8 +521,9 @@ func ReadPartition(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) 
 
 // ReadPartitionSlab loads partition j as the cluster phase consumes it:
 // one slice holding the owned points then the shadow points, decoded
-// straight from the stored bytes into a single allocation, and the owned
-// count that cuts it.
+// straight from the stored bytes into a single slab drawn from
+// bufpool.Points, and the owned count that cuts it. A caller that knows
+// when it is done with every slice of the slab may Put it back.
 func ReadPartitionSlab(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j int) (slab []geom.Point, owned int, err error) {
 	if j < 0 || j >= len(meta.Partitions) {
 		return nil, 0, fmt.Errorf("partition: index %d out of range (%d partitions)", j, len(meta.Partitions))
@@ -516,7 +536,7 @@ func ReadPartitionSlab(fs *lustre.FS, file string, meta *ptio.PartitionMeta, j i
 	if err != nil {
 		return nil, 0, err
 	}
-	slab = make([]geom.Point, 0, e.Count+e.ShadowCount)
+	slab = bufpool.Points.Get(int(e.Count + e.ShadowCount))[:0]
 	if slab, err = appendRecordsAt(slab, h, e.Offset, e.Count, meta.HasWeight); err != nil {
 		return nil, 0, err
 	}

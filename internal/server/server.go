@@ -716,6 +716,7 @@ func (s *Server) runJob(job *Job) {
 	defer cancel()
 
 	fs := lustre.New(lustre.Titan(), nil)
+	defer fs.Release()
 	if err := ptio.WriteDataset(fs.Create("input.mrsc"), job.spec.Points, false); err != nil {
 		s.finish(job, nil, nil, fmt.Errorf("server: staging input: %w", err))
 		return

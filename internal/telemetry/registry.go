@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,7 +35,7 @@ func labelPairs(labels []string) []Attr {
 	for i := 0; i < len(labels); i += 2 {
 		out = append(out, Attr{Key: labels[i], Value: labels[i+1]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -42,7 +43,12 @@ func metricKey(name string, pairs []Attr) string {
 	if len(pairs) == 0 {
 		return name
 	}
+	n := len(name)
+	for _, p := range pairs {
+		n += 2 + len(p.Key) + len(p.Value)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(name)
 	for _, p := range pairs {
 		b.WriteByte(0xff)

@@ -55,9 +55,45 @@ type Tracer struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	spans   []SpanData
-	events  []EventData
+	spans   chunks[SpanData]
+	events  chunks[EventData]
 	dropped int64
+}
+
+// chunks is an append-only record list kept in chunks that are never
+// copied: each new chunk doubles the last, up to maxChunk records, so a
+// tracer's records cost about what they hold where one slice regrown by
+// append costs several times that.
+type chunks[T any] struct {
+	parts [][]T
+	n     int
+}
+
+const maxChunk = 256
+
+func (c *chunks[T]) add(v T) {
+	if k := len(c.parts); k == 0 || len(c.parts[k-1]) == cap(c.parts[k-1]) {
+		size := 16
+		if k > 0 {
+			size = min(2*cap(c.parts[k-1]), maxChunk)
+		}
+		c.parts = append(c.parts, make([]T, 0, size))
+	}
+	last := &c.parts[len(c.parts)-1]
+	*last = append(*last, v)
+	c.n++
+}
+
+// all returns a copy of the records in order (nil when there are none).
+func (c *chunks[T]) all() []T {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]T, 0, c.n)
+	for _, p := range c.parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // NewTracer returns a tracer whose sim timestamps read from clock (nil
@@ -173,10 +209,10 @@ func (s *Span) WallDuration() time.Duration {
 
 func (t *Tracer) record(d SpanData) {
 	t.mu.Lock()
-	if len(t.spans) >= t.maxSpans {
+	if t.spans.n >= t.maxSpans {
 		t.dropped++
 	} else {
-		t.spans = append(t.spans, d)
+		t.spans.add(d)
 	}
 	t.mu.Unlock()
 }
@@ -233,10 +269,10 @@ func (t *Tracer) Event(parent *Span, name string, attrs ...Attr) {
 		Attrs: attrs,
 	}
 	t.mu.Lock()
-	if len(t.events) >= t.maxSpans {
+	if t.events.n >= t.maxSpans {
 		t.dropped++
 	} else {
-		t.events = append(t.events, e)
+		t.events.add(e)
 	}
 	t.mu.Unlock()
 }
@@ -248,7 +284,7 @@ func (t *Tracer) Spans() []SpanData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanData(nil), t.spans...)
+	return t.spans.all()
 }
 
 // Events returns a copy of the recorded events, in record order.
@@ -258,7 +294,7 @@ func (t *Tracer) Events() []EventData {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]EventData(nil), t.events...)
+	return t.events.all()
 }
 
 // Dropped returns how many spans/events the retention bound discarded.
