@@ -39,7 +39,9 @@ race:
 # socket planes' parameters: no panic, no allocation beyond a small
 # multiple of the input (the frame reader: beyond the plane's limit), one
 # encoding per value. Then the HTTP edge: the point-array scanner against
-# encoding/json (same verdict, same bits), and the two point-bearing POSTs
+# encoding/json (same verdict, same bits), its number conversion against
+# strconv.ParseFloat and ParseUint (same verdict, same bits, same error
+# kind), and the two point-bearing POSTs
 # through server.Handler (documented status, allocation bounded by the
 # body's length, goroutines return). Then the durable formats, seeded with
 # the file images every crash point of a save or an append leaves: the
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWorkResponse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/distrib
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/integrity
 	$(GO) test -run='^$$' -fuzz=FuzzPointsBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzNumber -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSubmitBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTickBody -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointEnvelope -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/checkpoint

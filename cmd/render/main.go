@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/geom"
@@ -18,28 +20,41 @@ import (
 	"repro/internal/viz"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, draws the picture and
+// returns the exit status — 2 for a bad command line, 1 for a failed run.
+// ASCII art and the PPM's summary line go to stdout.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("render", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		input  = flag.String("input", "", "MRSL labeled file (required)")
-		out    = flag.String("o", "clusters.ppm", "output PPM file")
-		width  = flag.Int("w", 1024, "raster width")
-		height = flag.Int("h", 768, "raster height")
-		ascii  = flag.Bool("ascii", false, "print ASCII art to stdout instead of writing a PPM")
-		noise  = flag.Bool("noise", true, "draw noise points (gray / ',')")
+		input  = flags.String("input", "", "MRSL labeled file (required)")
+		out    = flags.String("o", "clusters.ppm", "output PPM file")
+		width  = flags.Int("w", 1024, "raster width")
+		height = flags.Int("h", 768, "raster height")
+		ascii  = flags.Bool("ascii", false, "print ASCII art to stdout instead of writing a PPM")
+		noise  = flags.Bool("noise", true, "draw noise points (gray / ',')")
 	)
-	flag.Parse()
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *input == "" {
-		fmt.Fprintln(os.Stderr, "render: -input is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "render: -input is required")
+		flags.Usage()
+		return 2
 	}
-	if err := run(*input, *out, *width, *height, *ascii, *noise); err != nil {
-		fmt.Fprintln(os.Stderr, "render:", err)
-		os.Exit(1)
+	if err := render(stdout, *input, *out, *width, *height, *ascii, *noise); err != nil {
+		fmt.Fprintln(stderr, "render:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(input, out string, width, height int, ascii, noise bool) error {
+func render(stdout io.Writer, input, out string, width, height int, ascii, noise bool) error {
 	f, err := os.Open(input)
 	if err != nil {
 		return err
@@ -60,22 +75,20 @@ func run(input, out string, width, height int, ascii, noise bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(art)
-		return nil
+		_, err = io.WriteString(stdout, art)
+		return err
 	}
 	dst, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	defer dst.Close()
-	if err := viz.WritePPM(dst, pts, labels, viz.Options{
-		Width: width, Height: height, ShowNoise: noise,
-	}); err != nil {
+	err = viz.WritePPM(dst, pts, labels, viz.Options{Width: width, Height: height, ShowNoise: noise})
+	if cerr := dst.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := dst.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("rendered %d points to %s (%dx%d)\n", len(records), out, width, height)
-	return nil
+	_, err = fmt.Fprintf(stdout, "rendered %d points to %s (%dx%d)\n", len(records), out, width, height)
+	return err
 }

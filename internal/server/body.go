@@ -32,9 +32,11 @@ import (
 // and yields bit-identical values (FuzzPointsBody holds it to that):
 // names match case-insensitively and after unescaping, unknown members
 // are validated and skipped, the last of a repeated scalar wins, null
-// leaves the zero value (a null element is a zero point), a number is
-// validated against the JSON grammar and then given to
-// strconv.ParseFloat(…, 64) or ParseUint(…, 10, 64), nesting deeper than
+// leaves the zero value (a null element is a zero point), a number's
+// value is built in the pass that checks it against the JSON grammar and
+// converted as strconv converts it — the exact small-power path, then
+// Eisel–Lemire, then strconv.ParseFloat(…, 64) or ParseUint(…, 10, 64)
+// only for what those decline (number.go) — nesting deeper than
 // 10 000 is refused, and bytes after the top-level value are ignored as
 // Decoder.Decode ignores them. The one divergence: a repeated points
 // member is refused (encoding/json decodes the second array over the
@@ -167,6 +169,8 @@ type object struct {
 	err   error
 	// havePoints is set once points has run.
 	havePoints bool
+	// num is the value of the last number scanned.
+	num decimal
 }
 
 func (o *object) syntax(what string) {
@@ -181,7 +185,7 @@ func (o *object) syntax(what string) {
 }
 
 func (o *object) skipSpace() {
-	for o.i < len(o.b) {
+	for o.i < len(o.b) && o.b[o.i] <= ' ' {
 		switch o.b[o.i] {
 		case ' ', '\t', '\r', '\n':
 			o.i++
@@ -280,11 +284,22 @@ func (o *object) next() bool {
 }
 
 // keyIs reports whether the current member is the one encoding/json
-// would store in a field tagged name: equal under Unicode case folding.
-// An unescaped name is compared as it stands — bytes that are not UTF-8
-// never fold to the ASCII of a field name.
+// would store in a field tagged name (ASCII): equal under Unicode case
+// folding. An unescaped name is compared as it stands — bytes that are
+// not UTF-8 never fold to the ASCII of a field name. A key of the name's
+// length matches only in ASCII, since a rune folding into ASCII from
+// outside it (K, ſ) is longer than its fold.
 func (o *object) keyIs(name string) bool {
-	return string(o.key) == name || (len(o.key) >= len(name) && strings.EqualFold(string(o.key), name))
+	key := o.key
+	if len(key) != len(name) {
+		return len(key) > len(name) && strings.EqualFold(string(key), name)
+	}
+	for i := 0; i < len(name); i++ {
+		if c, n := key[i], name[i]; c != n && (c|0x20 != n|0x20 || n|0x20 < 'a' || n|0x20 > 'z') {
+			return false
+		}
+	}
+	return true
 }
 
 // str consumes the string at the read position, quotes included, and
@@ -329,39 +344,65 @@ func isHex(c byte) bool {
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // number consumes the JSON number at the read position and returns its
-// bytes: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. What follows it
-// is the caller's to judge.
+// bytes: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. In the same pass
+// it builds the number's value as strconv's readFloat does — leading
+// zeros skipped, the first 19 significant digits folded into the
+// mantissa, the exponent accumulator held below 10⁵ — and leaves it in
+// o.num. What follows it is the caller's to judge.
 func (o *object) number() []byte {
 	b, i := o.b, o.i
-	// digits moves i past a run of digits and reports whether there was one.
-	digits := func() bool {
-		from := i
-		for i < len(b) && isDigit(b[i]) {
-			i++
-		}
-		return i > from
-	}
+	var (
+		mant uint64
+		neg  bool
+		nd   int // significant digits, whether kept or not
+	)
 	if i < len(b) && b[i] == '-' {
+		neg = true
 		i++
 	}
 	what := ""
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if !digits() {
+	} else if i, mant, nd = foldDigits(b, i, 0, 0); nd == 0 {
 		what = "in a number"
 	}
+	// dp is the decimal point's position, counted in digits from the
+	// first significant one (strconv's dp).
+	dp := nd
+	plain := !neg
 	if what == "" && i < len(b) && b[i] == '.' {
-		if i++; !digits() {
+		plain = false
+		i++
+		from := i
+		if nd == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ {
+				dp--
+			}
+		}
+		if i, mant, nd = foldDigits(b, i, mant, nd); i == from {
 			what = "after a decimal point"
 		}
 	}
 	if what == "" && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		plain = false
+		eneg := false
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		if !digits() {
+		from, e := i, 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == from {
 			what = "in an exponent"
 		}
+		if eneg {
+			e = -e
+		}
+		dp += e
 	}
 	start := o.i
 	o.i = i
@@ -369,6 +410,11 @@ func (o *object) number() []byte {
 		o.syntax(what)
 		return nil
 	}
+	exp := 0
+	if mant != 0 {
+		exp = dp - min(nd, maxMantDigits)
+	}
+	o.num = decimal{mant: mant, exp: exp, neg: neg, trunc: nd > maxMantDigits, plain: plain}
 	return b[start:i]
 }
 
@@ -440,7 +486,8 @@ func (o *object) mismatch(want string) {
 }
 
 // numberValue consumes the member's value and returns its bytes if it
-// is a number; null gives nil, anything else is refused.
+// is a number, its value left in o.num; null gives nil, anything else is
+// refused.
 func (o *object) numberValue(want string) []byte {
 	if o.err != nil || o.literal("null") {
 		return nil
@@ -454,28 +501,40 @@ func (o *object) numberValue(want string) []byte {
 
 // float stores the member's number in v; null leaves v alone.
 func (o *object) float(v *float64) {
-	if num := o.numberValue("a number"); num != nil {
-		f, err := strconv.ParseFloat(string(num), 64)
-		if err != nil {
+	num := o.numberValue("a number")
+	if num == nil {
+		return
+	}
+	f, ok := o.num.float64()
+	if !ok {
+		var err error
+		if f, err = strconv.ParseFloat(string(num), 64); err != nil {
 			o.err = fmt.Errorf("invalid JSON: member %q: %w", o.key, err)
 			return
 		}
-		*v = f
 	}
+	*v = f
 }
 
 // uint stores the member's non-negative integer in v; null leaves v
 // alone. Like encoding/json it takes digits only: 1.0 and 1e3 are
-// refused.
+// refused. Up to 19 digits are the scan's mantissa; ParseUint judges the
+// rest, overflow included.
 func (o *object) uint(v *uint64) {
-	if num := o.numberValue("an unsigned integer"); num != nil {
-		u, err := strconv.ParseUint(string(num), 10, 64)
-		if err != nil {
-			o.err = fmt.Errorf("invalid JSON: member %q: %w", o.key, err)
-			return
-		}
-		*v = u
+	num := o.numberValue("an unsigned integer")
+	if num == nil {
+		return
 	}
+	if o.num.plain && len(num) <= maxMantDigits {
+		*v = o.num.mant
+		return
+	}
+	u, err := strconv.ParseUint(string(num), 10, 64)
+	if err != nil {
+		o.err = fmt.Errorf("invalid JSON: member %q: %w", o.key, err)
+		return
+	}
+	*v = u
 }
 
 // decode hands the member's value to encoding/json.

@@ -268,11 +268,46 @@ func FuzzPointsBody(f *testing.F) {
 	})
 }
 
-var decodeSink int
+var (
+	decodeSink int
+	numberSink float64
+)
 
 // BenchmarkSubmitDecode decodes serve_jobs bodies of both sizes with the
 // scanner and, for the ratio, with the encoding/json path it replaced.
+// The numbers case converts the coordinates of a serve_jobs body, as its
+// client writes them, with strconv.ParseFloat and with the scanner's own
+// pass.
 func BenchmarkSubmitDecode(b *testing.B) {
+	var nums [][]byte
+	for _, p := range dataset.Twitter(4000, 5) {
+		nums = append(nums, strconv.AppendFloat(nil, p.X, 'g', -1, 64), strconv.AppendFloat(nil, p.Y, 'g', -1, 64))
+	}
+	b.Run("numbers/parsefloat", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, num := range nums {
+				f, err := strconv.ParseFloat(string(num), 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				numberSink += f
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(nums)), "ns/number")
+	})
+	b.Run("numbers/scanner", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, num := range nums {
+				o := object{b: num}
+				var f float64
+				if o.float(&f); o.err != nil {
+					b.Fatal(o.err)
+				}
+				numberSink += f
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(nums)), "ns/number")
+	})
 	s := mustServer(b, Config{Workers: 1})
 	for _, n := range []int{4000, 32000} {
 		body := submitBody(n, 5)
