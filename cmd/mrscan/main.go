@@ -141,6 +141,7 @@ func (e exports) any() bool { return e.trace != "" || e.metrics != "" || e.repor
 func execute(o *options, stdout, stderr io.Writer) error {
 	cfg := o.cfg
 	fs := lustre.New(lustre.Titan(), nil)
+	defer fs.Release()
 	if o.exp.any() {
 		cfg.Telemetry = telemetry.New(fs.Clock())
 	}

@@ -1,9 +1,13 @@
-// Package bufpool recycles the large buffers a batch run fills and drops
-// whole: lustre file images and decoded point slabs. A run draws them
-// from a Pool and gives them back at teardown, once nothing can reach
-// them, so the next run in the process reuses the memory instead of
-// allocating and zeroing it again (§5.1.1: moving points costs more than
-// clustering them).
+// Package bufpool recycles the buffers a run fills and drops whole. A
+// batch run draws lustre file images and decoded point slabs and gives
+// them back at teardown, once nothing can reach them; the serve path
+// draws a job's encoded input file, each phase snapshot's encoding and
+// each request body and gives them back as soon as they are written or
+// decoded; the cell-rank sort's scratch goes back before its histogram
+// is returned. The next user in the process reuses the memory
+// instead of allocating and zeroing it again (§5.1.1: moving points costs
+// more than clustering them). It is the process's one recycling
+// mechanism.
 //
 // A Pool is a free list per power-of-two size class. Get(n) serves n
 // from the class of the next power of two at or above n's bytes and
@@ -31,7 +35,13 @@ import (
 // MaxIdleBytes bounds the bytes all pools together hold idle. It covers
 // the largest batch shape's working set (SDSS 150 k points over 16
 // leaves rounds to about 32 MiB of file images and slabs) twice, for two
-// runs in flight at once.
+// runs in flight at once. The serve path's users are smaller and short
+// lived: a 32 000-point job's input file, snapshots and request body
+// round to a few MiB, and two such jobs in flight beside the
+// interactive tenants' peak at about 13 MiB idle. Over 10 s of each
+// benchmark workload on 2 cores no Put was dropped at this bound, and
+// Get found an idle buffer for 92 % of serve_jobs' requests and 99 %
+// of the others'.
 const MaxIdleBytes = 64 << 20
 
 const (
@@ -55,12 +65,19 @@ type Pool[T any] struct {
 	free [maxClass + 1][][]T
 }
 
-// Bytes holds lustre file images and View's private read buffers.
+// Bytes holds lustre file images and View's private read buffers,
+// WriteDataset's staging chunk, the job journal's input files, the
+// checkpoint store's snapshot encodings and the HTTP edge's request
+// bodies.
 var Bytes Pool[byte]
 
 // Points holds decoded point slabs: partitioner shards and the cluster
 // phase's partition slabs.
 var Points Pool[geom.Point]
+
+// Words holds grid.RankedHistogramOf's sort scratch: the packed
+// cell-and-index words and the radix sort's second buffer.
+var Words Pool[uint64]
 
 // Get returns a slice of length n and capacity at least n, recycled when
 // its class has an idle buffer. Its contents are arbitrary.

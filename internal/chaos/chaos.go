@@ -202,6 +202,7 @@ func (o Options) run(ctx context.Context, seed int64) *RunReport {
 	if err != nil {
 		return failf(rep, "writing input: %v", err)
 	}
+	defer fs.Release()
 	hub := telemetry.New(fs.Clock())
 	cfg := baseConfig(o.Leaves)
 	cfg.FaultPlan = plan

@@ -227,6 +227,7 @@ func (o CrashOptions) pipelineLeg(ctx context.Context, seed int64, rep *CrashRun
 		return fmt.Errorf("probe run: %w", err)
 	}
 	rep.PipelineOps = probeFS.OpCount()
+	probeFS.Release()
 	if rep.PipelineOps < 2 {
 		return fmt.Errorf("probe run recorded only %d durability ops", rep.PipelineOps)
 	}
@@ -314,6 +315,7 @@ func (o CrashOptions) pipelineCrashPoint(ctx context.Context, seed, k int64, dou
 	if err != nil {
 		return failf(pr, "staging input: %v", err)
 	}
+	defer fs.Release()
 	fs.ArmCrash(k)
 
 	acked := ackedPhases{}
@@ -435,6 +437,7 @@ func (o CrashOptions) journalProbe(ctx context.Context, seed int64) (int64, erro
 	if err != nil {
 		return 0, err
 	}
+	defer sfs.Release()
 	srv, err := server.New(journalServerConfig(stateFS(sfs)))
 	if err != nil {
 		return 0, err
@@ -467,6 +470,7 @@ func (o CrashOptions) journalCrashPoint(ctx context.Context, seed, k int64, doub
 	if err != nil {
 		return failf(jr, "crash sim: %v", err)
 	}
+	defer sfs.Release()
 	jfs := stateFS(sfs)
 	srv, err := server.New(journalServerConfig(jfs))
 	if err != nil {

@@ -511,6 +511,7 @@ func grayShardLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 	if err != nil {
 		return failf(leg, "reference input: %v", err)
 	}
+	defer refFS.Release()
 	ref, err := distribute(refFS)
 	if err != nil {
 		return failf(leg, "reference distribute: %v", err)
@@ -521,6 +522,7 @@ func grayShardLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 	sickOST := 1 + int(uint64(seed))%3
 	cfg := lustre.Config{OSTs: 4, StripeSize: 4096, OSTBandwidth: 200e6, SeekPenalty: lustre.Titan().SeekPenalty}
 	fs := lustre.New(cfg, nil)
+	defer fs.Release()
 	fs.SetFaultPlan(faultinject.New(seed).Arm(lustre.OSTFaultSite(sickOST), faultinject.Rule{Degrade: 16}))
 	tracker := fs.EnableOSTHealth(health.Config{SuspectAfter: 2, QuarantineAfter: 1, MinObservations: 2})
 	budget := health.NewBudget(grayRetryBudget, 0)
@@ -592,6 +594,7 @@ func grayBudgetLeg(ctx context.Context, seed int64, _ GrayOptions) *GrayLeg {
 		if err != nil {
 			return err
 		}
+		defer fs.Release()
 		cfg := baseConfig(4)
 		cfg.FaultPlan = faultinject.New(seed).
 			Arm(mrscan.PhaseSite(mrscan.PhaseCluster), faultinject.Rule{Times: 1})

@@ -83,6 +83,7 @@ func (o StreamOptions) run(ctx context.Context, seed int64) *StreamRunReport {
 	rep := &StreamRunReport{Ticks: o.Ticks}
 
 	sfs := lustre.New(lustre.Titan(), nil)
+	defer sfs.Release()
 	sfs.EnableCrashSim(seed)
 	r := &streamRun{
 		rep:     rep,

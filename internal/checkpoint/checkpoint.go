@@ -31,12 +31,14 @@
 //     its phase rather than poisoning the output.
 //
 // The envelope does not know what its payload means. A payload type that
-// implements encoding.BinaryMarshaler/BinaryUnmarshaler (the pipeline's
-// partition, cluster and merge snapshots, the distributed coordinator's
-// per-partition responses: fixed records, docs/FORMATS.md) encodes
-// itself; everything else — the manifest, the server's stream spec and
-// ticks — is gob. A run ID records which format a store's snapshots are
-// in (RecordsTag), so a reader never hands one to the other's decoder.
+// appends its own fixed records (Records) and decodes them with
+// encoding.BinaryUnmarshaler — the pipeline's partition, cluster and
+// merge snapshots, the distributed coordinator's per-partition responses
+// (docs/FORMATS.md) — encodes itself, into a buffer from bufpool.Bytes
+// that goes back once the snapshot is written; everything else — the
+// manifest, the server's stream spec and ticks — is gob. A run ID records
+// which format a store's snapshots are in (RecordsTag), so a reader never
+// hands one to the other's decoder.
 //
 // A phase saved again replaces its snapshot in place. A log that keeps a
 // moving window of entries (the server's stream ticks) uses Rotate
@@ -60,6 +62,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/integrity"
 	"repro/internal/telemetry"
 )
@@ -72,12 +75,21 @@ const (
 )
 
 // RecordsTag goes into the run ID of every store whose snapshots encode
-// themselves (encoding.BinaryMarshaler). The envelope version stays 1 —
+// themselves (Records). The envelope version stays 1 —
 // bumping it would orphan every durable stream directory — so the tag is
 // what keeps a store written with gob snapshots, under a run ID without
 // it, from reaching a record decoder: the run IDs differ, and the old
 // snapshots are recomputed. Change it whenever a record layout changes.
 const RecordsTag = "records-v1"
+
+// Records is a payload that encodes itself as fixed records: AppendBinary
+// appends exactly BinarySize bytes to b. It is encoding.BinaryAppender
+// (Go 1.24) with the size up front, so the store can draw a buffer of the
+// right size before encoding.
+type Records interface {
+	BinarySize() int
+	AppendBinary(b []byte) ([]byte, error)
+}
 
 // ErrCorrupt reports a snapshot that failed verification: bad magic,
 // unknown version, truncated payload, or checksum mismatch.
@@ -181,9 +193,9 @@ func (s *Store) ensureManifest() {
 }
 
 // Save snapshots one phase's payload and records it in the manifest. A
-// payload that implements encoding.BinaryMarshaler is stored as the bytes
-// its MarshalBinary returns, and Load hands them to the UnmarshalBinary of
-// its out; any other payload is gob-encoded. Phases saved twice keep the
+// payload that implements Records is stored as the bytes its
+// AppendBinary appends, and Load hands them to the UnmarshalBinary of its
+// out; any other payload is gob-encoded. Phases saved twice keep the
 // latest snapshot. The snapshot is durable before the manifest references
 // it (write-then-rename, snapshot first), so a crash between the two
 // leaves a consistent store.
@@ -204,13 +216,17 @@ func (s *Store) Rotate(kind, phase string, payload any, retire ...string) error 
 	hub, parent := s.telemetry()
 	sp := hub.Start(parent, "checkpoint.save", telemetry.String("phase", kind))
 	defer sp.End()
-	data, err := encode(payload)
+	data, pooled, err := encode(payload)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding %s: %w", phase, err)
 	}
 	sp.Annotate(telemetry.Int("bytes", len(data)))
 	name := phaseFile(phase)
 	crc, err := s.writeFile(name, data)
+	if pooled {
+		// FS.WriteFile keeps no reference to its chunks.
+		bufpool.Bytes.Put(data)
+	}
 	if err != nil {
 		return err
 	}
@@ -286,7 +302,7 @@ func (s *Store) Sweep() (int, error) {
 // saveManifest durably writes m as the store's manifest. Callers hold
 // s.mu.
 func (s *Store) saveManifest(m *Manifest) error {
-	data, err := encode(m)
+	data, _, err := encode(m)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding manifest: %w", err)
 	}
@@ -294,17 +310,20 @@ func (s *Store) saveManifest(m *Manifest) error {
 	return err
 }
 
-// encode is a snapshot's payload: the bytes of its own MarshalBinary when
-// it has one (the pipeline's fixed-record snapshots), gob otherwise.
-func encode(v any) ([]byte, error) {
-	if m, ok := v.(encoding.BinaryMarshaler); ok {
-		return m.MarshalBinary()
+// encode is a snapshot's payload: its own records when it has them (the
+// pipeline's fixed-record snapshots), appended to a buffer from
+// bufpool.Bytes that the caller gives back once it is done with the bytes
+// (pooled), and gob otherwise.
+func encode(v any) (data []byte, pooled bool, err error) {
+	if r, ok := v.(Records); ok {
+		data, err = r.AppendBinary(bufpool.Bytes.Get(r.BinarySize())[:0])
+		return data, err == nil, err
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), false, nil
 }
 
 // decode is encode's inverse: out's UnmarshalBinary when it has one, gob

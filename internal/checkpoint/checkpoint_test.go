@@ -56,7 +56,9 @@ func TestRoundTrip(t *testing.T) {
 // rawSnap encodes itself; an empty payload is its decoder's refusal.
 type rawSnap struct{ b []byte }
 
-func (r *rawSnap) MarshalBinary() ([]byte, error) { return r.b, nil }
+func (r *rawSnap) BinarySize() int { return len(r.b) }
+
+func (r *rawSnap) AppendBinary(b []byte) ([]byte, error) { return append(b, r.b...), nil }
 
 func (r *rawSnap) UnmarshalBinary(p []byte) error {
 	if len(p) == 0 {

@@ -31,6 +31,11 @@ import (
 // directory; Rename is atomic but not durable until then. Reading,
 // listing or renaming a name that does not exist fails with an error
 // matching fs.ErrNotExist; removing one succeeds.
+//
+// WriteFile and AppendFile keep no reference to their chunks once they
+// return, whatever they return: a caller may overwrite the bytes or give
+// their buffer back to bufpool at once (the checkpoint store and the job
+// journal do).
 type FS interface {
 	// WriteFile creates or truncates name, writes chunks in order (one
 	// write each) and fsyncs the file.

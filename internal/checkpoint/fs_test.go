@@ -87,6 +87,17 @@ func TestFSContract(t *testing.T) {
 			must(t, fs.AppendFile("logs/journal.log", []byte("cd")))
 			mustRead(t, fs, "logs/journal.log", "abcd")
 		}},
+		{"writes keep no reference to their chunks", func(t *testing.T, fs FS) {
+			// What the checkpoint store and the journal rely on to give a
+			// payload's buffer back to bufpool as soon as the call returns.
+			head, tail, more := []byte("snap"), []byte("shot"), []byte("+log")
+			must(t, fs.WriteFile("d/f", head, tail))
+			must(t, fs.AppendFile("d/f", more))
+			for _, b := range [][]byte{head, tail, more} {
+				copy(b, "XXXX")
+			}
+			mustRead(t, fs, "d/f", "snapshot+log")
+		}},
 		{"list names entries directly under a directory", func(t *testing.T, fs FS) {
 			for _, n := range []string{"d/y", "d/x", "d/sub/z", "d.x", "top"} {
 				must(t, fs.WriteFile(n, []byte(n)))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/checkpoint"
 	"repro/internal/geom"
 	"repro/internal/integrity"
 	"repro/internal/merge"
@@ -61,8 +62,8 @@ func decodeHello(p []byte) (Hello, error) {
 // wireSize is the request's encoded payload length.
 func (r *WorkRequest) wireSize() int { return requestHdr + pointRec*(len(r.Owned)+len(r.Shadow)) }
 
-// wireSize is the response's encoded payload length.
-func (r *WorkResponse) wireSize() int {
+// BinarySize is the response's encoded payload length.
+func (r *WorkResponse) BinarySize() int {
 	return responseHdr + 4*len(r.Labels) + len(r.Err) + merge.BlockSize(r.Summaries)
 }
 
@@ -126,15 +127,19 @@ func appendResponse(buf []byte, r *WorkResponse) []byte {
 }
 
 // The coordinator's per-partition checkpoints hold a response in its wire
-// encoding.
+// encoding, and so does encoding/gob.
 var _ interface {
+	checkpoint.Records
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
 } = (*WorkResponse)(nil)
 
+// AppendBinary appends the response's wire payload to buf.
+func (r *WorkResponse) AppendBinary(buf []byte) ([]byte, error) { return appendResponse(buf, r), nil }
+
 // MarshalBinary is the response's wire payload.
 func (r *WorkResponse) MarshalBinary() ([]byte, error) {
-	return appendResponse(make([]byte, 0, r.wireSize()), r), nil
+	return r.AppendBinary(make([]byte, 0, r.BinarySize()))
 }
 
 // UnmarshalBinary decodes a wire payload into r.

@@ -86,8 +86,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	resps = append(resps, &WorkResponse{Ping: true, Leaf: 3}, &WorkResponse{Leaf: 1, Err: "boom"})
 	for i, r := range resps {
 		p := appendResponse(nil, r)
-		if len(p) != r.wireSize() {
-			t.Fatalf("response %d: wireSize %d, encoded %d", i, r.wireSize(), len(p))
+		if len(p) != r.BinarySize() {
+			t.Fatalf("response %d: BinarySize %d, encoded %d", i, r.BinarySize(), len(p))
+		}
+		// The checkpoint store's encoding is the wire payload, appended.
+		if snap, _ := r.AppendBinary([]byte("prefix")); !bytes.Equal(snap, append([]byte("prefix"), p...)) {
+			t.Fatalf("response %d: AppendBinary(prefix) is not the prefix and the wire payload", i)
 		}
 		got, err := decodeResponse(p)
 		if err != nil {
@@ -604,7 +608,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := range reqs {
 				wire.Seal(appendRequest(wire.Begin(nil, reqs[j].wireSize()), &reqs[j]), envData)
-				wire.Seal(appendResponse(wire.Begin(nil, resps[j].wireSize()), resps[j]), envData)
+				wire.Seal(appendResponse(wire.Begin(nil, resps[j].BinarySize()), resps[j]), envData)
 			}
 		}
 	})

@@ -166,7 +166,7 @@ func WorkerWithOptions(coordAddr string, pid int, opt WorkerOptions) error {
 			resp.DecodeNS = decodeNS
 		}
 		resp.TraceID = req.TraceID
-		if err := link.Send(envData, appendResponse(link.Begin(resp.wireSize()), resp)); err != nil {
+		if err := link.Send(envData, appendResponse(link.Begin(resp.BinarySize()), resp)); err != nil {
 			return fmt.Errorf("distrib: worker replying: %w", err)
 		}
 	}

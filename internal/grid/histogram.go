@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -245,7 +246,7 @@ func countCells[K uint32 | uint64](g Grid, pts []geom.Point, sp span) *Histogram
 		}
 		keys[i] = K(k)
 	}
-	keys = radixSort(keys, 0, sp.width)
+	keys = radixSort(keys, make([]K, len(keys)), 0, sp.width)
 	runs := 1
 	for i := 1; i < len(keys); i++ {
 		if keys[i] != keys[i-1] {
@@ -270,7 +271,9 @@ func countCells[K uint32 | uint64](g Grid, pts []geom.Point, sp span) *Histogram
 // with a shift; sharing one loop with a variable shift slowed the
 // unranked count by a tenth on Twitter 60 k.
 func rankCells(g Grid, pts []geom.Point, sp span) (*Histogram, []int32) {
-	words := make([]uint64, len(pts))
+	words, tmp := bufpool.Words.Get(len(pts)), bufpool.Words.Get(len(pts))
+	defer bufpool.Words.Put(tmp)
+	defer bufpool.Words.Put(words)
 	for i, p := range pts {
 		k, ok := sp.pack(g.CellOf(p))
 		if !ok {
@@ -278,18 +281,18 @@ func rankCells(g Grid, pts []geom.Point, sp span) (*Histogram, []int32) {
 		}
 		words[i] = k<<32 | uint64(i)
 	}
-	words = radixSort(words, 32, sp.width)
+	sorted := radixSort(words, tmp, 32, sp.width)
 	runs := 1
-	for i := 1; i < len(words); i++ {
-		if words[i]>>32 != words[i-1]>>32 {
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i]>>32 != sorted[i-1]>>32 {
 			runs++
 		}
 	}
 	h := &Histogram{keys: make([]uint64, runs), counts: make([]int64, runs)}
 	rank := make([]int32, len(pts))
 	r := -1
-	for i, w := range words {
-		if i == 0 || w>>32 != words[i-1]>>32 {
+	for i, w := range sorted {
+		if i == 0 || w>>32 != sorted[i-1]>>32 {
 			r++
 			h.keys[r] = sp.unpack(w >> 32)
 		}
@@ -304,14 +307,13 @@ const radixBits = 11
 
 // radixSort sorts keys by their width bits from bit lo up (no key sets a
 // bit above them), stably, in LSD digit passes of at most radixBits bits
-// through one scratch buffer; it returns whichever of the two holds the
-// result.
-func radixSort[K uint32 | uint64](keys []K, lo, width uint) []K {
+// through tmp, a scratch buffer of keys' length whose contents it
+// ignores; it returns whichever of the two holds the result.
+func radixSort[K uint32 | uint64](keys, tmp []K, lo, width uint) []K {
 	passes := (width + radixBits - 1) / radixBits
 	if passes == 0 {
 		return keys
 	}
-	tmp := make([]K, len(keys))
 	digit := (width + passes - 1) / passes
 	mask := K(1)<<digit - 1
 	var next [1 << radixBits]int

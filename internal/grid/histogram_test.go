@@ -4,9 +4,11 @@ import (
 	"errors"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 )
@@ -189,6 +191,35 @@ func TestHistogramOfPacksBothWidths(t *testing.T) {
 			t.Errorf("%v: histogram %v, oracle %v", tc.pts, got, want)
 		}
 		checkRanked(t, g, tc.pts, h)
+	}
+}
+
+// TestRankedHistogramOfDirtyScratch: the rank scratch comes from
+// bufpool.Words as its last owner left it. With the pool holding buffers
+// of the shard's class filled with 0xFF, the ranked histogram of the
+// benchmark shapes still equals the map oracle and every rank names its
+// point's cell.
+func TestRankedHistogramOfDirtyScratch(t *testing.T) {
+	for _, tc := range []struct {
+		g   Grid
+		pts []geom.Point
+	}{
+		{New(0.00015), dataset.SDSS(20_000, 1)},
+		{New(0.1), dataset.Twitter(20_000, 1)},
+	} {
+		for i := 0; i < 2; i++ { // the key words and the sort's second buffer
+			// A whole class, so the pool files it where the shard draws.
+			dirty := make([]uint64, 1<<bits.Len(uint(8*len(tc.pts)-1))/8)
+			for j := range dirty {
+				dirty[j] = math.MaxUint64
+			}
+			bufpool.Words.Put(dirty)
+		}
+		h := tc.g.HistogramOf(tc.pts)
+		if got, want := asMap(h), mapHistogram(tc.g, tc.pts); !maps.Equal(got, want) {
+			t.Fatalf("histogram %v, oracle %v", got, want)
+		}
+		checkRanked(t, tc.g, tc.pts, h)
 	}
 }
 

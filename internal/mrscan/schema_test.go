@@ -172,7 +172,9 @@ func TestResumeIgnoresV1Snapshots(t *testing.T) {
 // rawSnapshot is a snapshot payload saved verbatim.
 type rawSnapshot []byte
 
-func (p rawSnapshot) MarshalBinary() ([]byte, error) { return p, nil }
+func (p rawSnapshot) BinarySize() int { return len(p) }
+
+func (p rawSnapshot) AppendBinary(b []byte) ([]byte, error) { return append(b, p...), nil }
 
 // TestResumeIgnoresAggregatedState: the state a parent revision's
 // log-structured (aggregated) run left behind — a partition snapshot
@@ -219,7 +221,7 @@ func TestResumeIgnoresAggregatedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ref.part.MarshalBinary()
+	plain, err := ref.part.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/gdbscan"
 	"repro/internal/geom"
 	"repro/internal/integrity"
@@ -17,18 +18,19 @@ import (
 // Snapshot payloads for the checkpoint store. Each encodes itself in
 // fixed little-endian records (docs/FORMATS.md "Checkpoint snapshots"):
 // points as ptio's 32-byte weighted records, summaries as merge's block,
-// every count up front. Marshalling sizes its output exactly and
-// allocates it once; decoding checks every count against the bytes left
-// before allocating, copies everything out, accepts one encoding per value
-// and fails with integrity.ErrMalformed (checkpoint.Load reports it as
-// ErrCorrupt). A field added to any of these types must be added to its
-// codec and checkpoint.RecordsTag bumped — TestSnapshotFieldsPinned fails
-// until it is.
+// every count up front. BinarySize gives the encoding's exact length and
+// AppendBinary appends it to a caller's buffer, so the checkpoint store
+// encodes into one recycled buffer; decoding checks every count against
+// the bytes left before allocating, copies everything out, accepts one
+// encoding per value and fails with integrity.ErrMalformed
+// (checkpoint.Load reports it as ErrCorrupt). A field added to any of
+// these types must be added to its codec and checkpoint.RecordsTag bumped
+// — TestSnapshotFieldsPinned fails until it is.
 
 // snapshotCodec is what a phase snapshot is: a payload the checkpoint
 // store keeps as its own records, never as gob.
 type snapshotCodec interface {
-	encoding.BinaryMarshaler
+	checkpoint.Records
 	encoding.BinaryUnmarshaler
 }
 
@@ -94,25 +96,36 @@ func appendPoints(buf []byte, pts []geom.Point) []byte {
 	return buf
 }
 
-// MarshalBinary encodes the header, the metadata document as
-// PartitionMeta.Marshal writes it (empty for a nil Meta), a count per
-// partition and per shadow region, then their points.
-func (c *partitionCkpt) MarshalBinary() ([]byte, error) {
-	var meta []byte
-	if c.Meta != nil {
-		var err error
-		if meta, err = c.Meta.Marshal(); err != nil {
-			return nil, err
+// metaDoc is the metadata document as PartitionMeta.Marshal writes it,
+// empty for a nil Meta.
+func (c *partitionCkpt) metaDoc() ([]byte, error) {
+	if c.Meta == nil {
+		return nil, nil
+	}
+	return c.Meta.Marshal()
+}
+
+// BinarySize is the length of AppendBinary's encoding. A metadata
+// document that does not marshal counts as empty; AppendBinary reports
+// its error.
+func (c *partitionCkpt) BinarySize() int {
+	meta, _ := c.metaDoc()
+	size := partitionHdr + len(meta) + 8*(len(c.Partitions)+len(c.Shadows))
+	for _, regions := range [2][][]geom.Point{c.Partitions, c.Shadows} {
+		for _, pts := range regions {
+			size += pointRec * len(pts)
 		}
 	}
-	size := partitionHdr + len(meta) + 8*(len(c.Partitions)+len(c.Shadows))
-	for _, pts := range c.Partitions {
-		size += pointRec * len(pts)
+	return size
+}
+
+// AppendBinary appends the header, the metadata document, a count per
+// partition and per shadow region, then their points.
+func (c *partitionCkpt) AppendBinary(buf []byte) ([]byte, error) {
+	meta, err := c.metaDoc()
+	if err != nil {
+		return nil, err
 	}
-	for _, pts := range c.Shadows {
-		size += pointRec * len(pts)
-	}
-	buf := make([]byte, 0, size)
 	var flags uint64
 	if c.Direct {
 		flags = 1
@@ -135,7 +148,7 @@ func (c *partitionCkpt) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes MarshalBinary's layout into c.
+// UnmarshalBinary decodes AppendBinary's layout into c.
 func (c *partitionCkpt) UnmarshalBinary(p []byte) error {
 	const what = "partition"
 	if len(p) < partitionHdr {
@@ -190,17 +203,22 @@ func (c *partitionCkpt) UnmarshalBinary(p []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes a leaf count, then per leaf a header (GPUTime,
-// the Stats counters, four counts), its owned points, its labels as
-// 4-byte words, its per-round transfer bytes as 8-byte words and its
-// summaries block.
-func (c *clusterCkpt) MarshalBinary() ([]byte, error) {
+// BinarySize is the length of AppendBinary's encoding.
+func (c *clusterCkpt) BinarySize() int {
 	size := 8
 	for i := range c.Leaves {
 		l := &c.Leaves[i]
 		size += leafHdr + pointRec*len(l.Owned) + 4*len(l.Labels) + 8*len(l.Stats.RoundTransferBytes) + merge.BlockSize(l.Summaries)
 	}
-	buf := le.AppendUint64(make([]byte, 0, size), uint64(len(c.Leaves)))
+	return size
+}
+
+// AppendBinary appends a leaf count, then per leaf a header (GPUTime, the
+// Stats counters, four counts), its owned points, its labels as 4-byte
+// words, its per-round transfer bytes as 8-byte words and its summaries
+// block.
+func (c *clusterCkpt) AppendBinary(buf []byte) ([]byte, error) {
+	buf = le.AppendUint64(buf, uint64(len(c.Leaves)))
 	for i := range c.Leaves {
 		l := &c.Leaves[i]
 		st := &l.Stats
@@ -223,7 +241,7 @@ func (c *clusterCkpt) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes MarshalBinary's layout into c.
+// UnmarshalBinary decodes AppendBinary's layout into c.
 func (c *clusterCkpt) UnmarshalBinary(p []byte) error {
 	const what = "cluster"
 	if len(p) < 8 {
@@ -285,12 +303,15 @@ func (c *clusterCkpt) UnmarshalBinary(p []byte) error {
 	return nil
 }
 
-// MarshalBinary encodes the final summaries as one merge block.
-func (m *mergeCkpt) MarshalBinary() ([]byte, error) {
-	return merge.AppendSummaries(make([]byte, 0, merge.BlockSize(m.Final)), m.Final), nil
+// BinarySize is the length of AppendBinary's encoding.
+func (m *mergeCkpt) BinarySize() int { return merge.BlockSize(m.Final) }
+
+// AppendBinary appends the final summaries as one merge block.
+func (m *mergeCkpt) AppendBinary(buf []byte) ([]byte, error) {
+	return merge.AppendSummaries(buf, m.Final), nil
 }
 
-// UnmarshalBinary decodes MarshalBinary's layout into m.
+// UnmarshalBinary decodes AppendBinary's layout into m.
 func (m *mergeCkpt) UnmarshalBinary(p []byte) error {
 	final, err := merge.DecodeSummaries(p)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/gdbscan"
+	"repro/internal/geom"
 	"repro/internal/integrity"
 	"repro/internal/lustre"
 	"repro/internal/merge"
@@ -91,12 +92,12 @@ func TestSnapshotFieldsPinned(t *testing.T) {
 	}
 }
 
-// realSnapshots marshals the three snapshots of a small run in each mode
-// that shapes them differently: partition files, direct partitions, eight
-// partitions written by two partitioner leaves, and CUDA-DClust's
+// realSnapshotValues returns the three snapshots of a small run in each
+// mode that shapes them differently: partition files, direct partitions,
+// eight partitions written by two partitioner leaves, and CUDA-DClust's
 // per-round transfer bytes.
-func realSnapshots(tb testing.TB) [][]byte {
-	var out [][]byte
+func realSnapshotValues(tb testing.TB) []snapshotCodec {
+	var out []snapshotCodec
 	for _, set := range []func(*Config){
 		func(*Config) {},
 		func(c *Config) { c.DirectPartitions = true },
@@ -113,28 +114,120 @@ func realSnapshots(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for _, v := range []snapshotCodec{&r.part, &r.clustered, &r.merged} {
-			p, err := v.MarshalBinary()
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, p)
-		}
+		out = append(out, &r.part, &r.clustered, &r.merged)
 	}
 	return out
+}
+
+// realSnapshots encodes realSnapshotValues.
+func realSnapshots(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, v := range realSnapshotValues(tb) {
+		p, err := v.AppendBinary(nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// marshalled is each snapshot's encoding as its MarshalBinary built it,
+// into a fresh buffer, before the checkpoint store appended snapshots to
+// pooled buffers: the reference AppendBinary is held to.
+func marshalled(tb testing.TB, v snapshotCodec) []byte {
+	tb.Helper()
+	switch c := v.(type) {
+	case *partitionCkpt:
+		var meta []byte
+		if c.Meta != nil {
+			var err error
+			if meta, err = c.Meta.Marshal(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		var flags uint64
+		if c.Direct {
+			flags = 1
+		}
+		var buf []byte
+		for _, w := range [...]uint64{flags, uint64(c.TotalPoints), uint64(c.WrittenPoints), uint64(c.ReadSim), uint64(c.WriteSim),
+			uint64(len(meta)), uint64(len(c.Partitions)), uint64(len(c.Shadows))} {
+			buf = le.AppendUint64(buf, w)
+		}
+		buf = append(buf, meta...)
+		for _, regions := range [2][][]geom.Point{c.Partitions, c.Shadows} {
+			for _, pts := range regions {
+				buf = le.AppendUint64(buf, uint64(len(pts)))
+			}
+		}
+		for _, regions := range [2][][]geom.Point{c.Partitions, c.Shadows} {
+			for _, pts := range regions {
+				buf = appendPoints(buf, pts)
+			}
+		}
+		return buf
+	case *clusterCkpt:
+		buf := le.AppendUint64(nil, uint64(len(c.Leaves)))
+		for i := range c.Leaves {
+			l := &c.Leaves[i]
+			st := &l.Stats
+			for _, w := range [...]int64{int64(l.GPUTime),
+				int64(st.DenseBoxes), int64(st.DenseBoxPoints), int64(st.CellCorePoints), int64(st.CellNonCorePoints),
+				int64(st.SeedRounds), int64(st.Collisions), int64(st.BorderAttached), int64(st.CorePoints),
+				st.DeviceH2DBytes, st.DeviceD2HBytes, st.DeviceTransfers,
+				int64(len(l.Owned)), int64(len(l.Labels)), int64(len(st.RoundTransferBytes)), int64(merge.BlockSize(l.Summaries))} {
+				buf = le.AppendUint64(buf, uint64(w))
+			}
+			buf = appendPoints(buf, l.Owned)
+			for _, lab := range l.Labels {
+				buf = le.AppendUint32(buf, uint32(lab))
+			}
+			for _, b := range st.RoundTransferBytes {
+				buf = le.AppendUint64(buf, uint64(b))
+			}
+			buf = merge.AppendSummaries(buf, l.Summaries)
+		}
+		return buf
+	case *mergeCkpt:
+		return merge.AppendSummaries(nil, c.Final)
+	}
+	tb.Fatalf("no reference encoding for %T", v)
+	return nil
+}
+
+// TestAppendBinaryMatchesMarshal: every snapshot, real or empty, appends
+// exactly the bytes its MarshalBinary returned after whatever the buffer
+// already held, BinarySize of them, into dirty spare capacity.
+func TestAppendBinaryMatchesMarshal(t *testing.T) {
+	values := append(realSnapshotValues(t), &partitionCkpt{}, &clusterCkpt{}, &mergeCkpt{})
+	for i, v := range values {
+		want := marshalled(t, v)
+		prefix := bytes.Repeat([]byte{0xFF}, 5+len(want))[:5]
+		got, err := v.AppendBinary(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:5], prefix) || !bytes.Equal(got[5:], want) {
+			t.Fatalf("snapshot %d (%T): AppendBinary(prefix) is not the prefix and the marshalled %d bytes", i, v, len(want))
+		}
+		if n := v.BinarySize(); n != len(want) {
+			t.Fatalf("snapshot %d (%T): BinarySize %d, encoding %d bytes", i, v, n, len(want))
+		}
+	}
 }
 
 // FuzzSnapshotDecode feeds every snapshot decoder arbitrary bytes. None
 // panics; none allocates beyond a small multiple of its input, so a
 // hostile leaf, region or point count is refused before it sizes
 // anything; each fails only with integrity.ErrMalformed; and what one
-// accepts re-marshals to the same bytes, into a buffer sized exactly.
+// accepts re-encodes to the same bytes, BinarySize of them.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, p := range realSnapshots(f) {
 		f.Add(p)
 	}
 	for _, v := range []snapshotCodec{&partitionCkpt{}, &clusterCkpt{}, &mergeCkpt{}} {
-		p, _ := v.MarshalBinary()
+		p, _ := v.AppendBinary(nil)
 		f.Add(p)
 	}
 	f.Add(le.AppendUint64(nil, 1<<40)) // 2⁴⁰ leaves
@@ -158,12 +251,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 				}
 				continue
 			}
-			again, err := v.MarshalBinary()
+			again, err := v.AppendBinary(nil)
 			if err != nil || !bytes.Equal(again, p) {
-				t.Fatalf("%T: accepted %d bytes re-marshal to %d other bytes (%v)", v, len(p), len(again), err)
+				t.Fatalf("%T: accepted %d bytes re-encode to %d other bytes (%v)", v, len(p), len(again), err)
 			}
-			if cap(again) != len(again) {
-				t.Fatalf("%T: marshal sized %d bytes for %d", v, cap(again), len(again))
+			if n := v.BinarySize(); n != len(again) {
+				t.Fatalf("%T: BinarySize %d for %d encoded bytes", v, n, len(again))
 			}
 		}
 	})

@@ -26,9 +26,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -174,30 +176,63 @@ func bytesHeld(r io.Reader) (uint64, bool) {
 	return 0, false
 }
 
-// WriteDataset writes a complete MRSC file (header + records) to w.
-func WriteDataset(w io.Writer, pts []geom.Point, hasWeight bool) error {
-	reserve(w, DatasetHeaderSize+len(pts)*RecordSize(hasWeight))
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [16]byte
-	copy(hdr[:4], magicDataset[:])
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
+// DatasetSize is the byte length of an MRSC file of n records.
+func DatasetSize(n int, hasWeight bool) int { return DatasetHeaderSize + n*RecordSize(hasWeight) }
+
+// AppendDataset appends a complete MRSC file (header + records) to buf,
+// growing it at most once, to the exact size the file needs.
+func AppendDataset(buf []byte, pts []geom.Point, hasWeight bool) []byte {
+	buf = appendDatasetHeader(slices.Grow(buf, DatasetSize(len(pts), hasWeight)), len(pts), hasWeight)
+	for _, p := range pts {
+		buf = AppendRecord(buf, p, hasWeight)
+	}
+	return buf
+}
+
+func appendDatasetHeader(buf []byte, n int, hasWeight bool) []byte {
+	buf = append(buf, magicDataset[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	var flags uint16
 	if hasWeight {
 		flags |= FlagWeight
 	}
-	binary.LittleEndian.PutUint16(hdr[6:], flags)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(pts)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ptio: writing header: %w", err)
-	}
-	var rec []byte
+	buf = binary.LittleEndian.AppendUint16(buf, flags)
+	return binary.LittleEndian.AppendUint64(buf, uint64(n))
+}
+
+// writeChunk is the size of every Write WriteDataset issues but the last.
+// The simulated file system charges each Write as one operation, so the
+// simulated times of every file written through it depend on this size.
+const writeChunk = 1 << 16
+
+// WriteDataset writes a complete MRSC file (header + records) to w, in
+// writes of writeChunk bytes cut from the byte stream regardless of
+// record boundaries, then one of the remainder. The staging chunk comes
+// from bufpool.Bytes and goes back on return, which io.Writer's contract
+// (Write keeps no reference to p) makes safe.
+func WriteDataset(w io.Writer, pts []geom.Point, hasWeight bool) error {
+	reserve(w, DatasetSize(len(pts), hasWeight))
+	chunk := bufpool.Bytes.Get(writeChunk)
+	defer bufpool.Bytes.Put(chunk)
+	buf := appendDatasetHeader(chunk[:0:writeChunk], len(pts), hasWeight)
+	var rec [32]byte
 	for _, p := range pts {
-		rec = AppendRecord(rec[:0], p, hasWeight)
-		if _, err := bw.Write(rec); err != nil {
-			return fmt.Errorf("ptio: writing record %d: %w", p.ID, err)
+		r := AppendRecord(rec[:0], p, hasWeight)
+		n := copy(buf[len(buf):writeChunk], r)
+		buf = buf[:len(buf)+n]
+		if len(buf) == writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("ptio: writing record %d: %w", p.ID, err)
+			}
+			buf = append(buf[:0], r[n:]...)
 		}
 	}
-	return bw.Flush()
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("ptio: writing records: %w", err)
+		}
+	}
+	return nil
 }
 
 // ReadDataset reads a complete MRSC file from r.

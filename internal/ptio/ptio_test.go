@@ -1,13 +1,17 @@
 package ptio
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -85,6 +89,72 @@ func TestDatasetEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("read %d points from empty dataset", len(got))
+	}
+}
+
+// bufioWriteDataset is WriteDataset as it was before it staged its
+// writes in a pooled chunk: a 64 KiB bufio.Writer fed one record at a
+// time. The new encoders are held to it.
+func bufioWriteDataset(w io.Writer, pts []geom.Point, hasWeight bool) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	var hdr [16]byte
+	copy(hdr[:4], magicDataset[:])
+	binary.LittleEndian.PutUint16(hdr[4:], Version)
+	if hasWeight {
+		binary.LittleEndian.PutUint16(hdr[6:], FlagWeight)
+	}
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(pts)))
+	bw.Write(hdr[:])
+	for _, p := range pts {
+		bw.Write(AppendRecord(nil, p, hasWeight))
+	}
+	return bw.Flush()
+}
+
+// writeRecorder keeps the bytes and the size of every Write.
+type writeRecorder struct {
+	data  []byte
+	sizes []int
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.data = append(w.data, p...)
+	w.sizes = append(w.sizes, len(p))
+	return len(p), nil
+}
+
+// TestDatasetEncodersMatchBufio: AppendDataset appends the bytes the bufio
+// writer wrote, DatasetSize of them, after whatever the buffer held, and
+// WriteDataset writes them in the same sequence of Write sizes — what the
+// simulated file system charges — from a dirty pooled chunk; weighted and
+// not, at 0, 1 and 65 537 records (the last cuts records at 64 KiB chunk
+// boundaries).
+func TestDatasetEncodersMatchBufio(t *testing.T) {
+	for _, hasWeight := range []bool{false, true} {
+		for _, n := range []int{0, 1, 65_537} {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{ID: uint64(i) * 7919, X: float64(i) / 3, Y: -float64(i) * 1e-7, Weight: float64(i % 5)}
+			}
+			var old writeRecorder
+			if err := bufioWriteDataset(&old, pts, hasWeight); err != nil {
+				t.Fatal(err)
+			}
+			prefix := []byte("prefix")
+			got := AppendDataset(slices.Clone(prefix), pts, hasWeight)
+			if !bytes.Equal(got, append(prefix, old.data...)) || len(old.data) != DatasetSize(n, hasWeight) {
+				t.Fatalf("hasWeight %v, %d records: AppendDataset differs from the bufio writer's %d bytes", hasWeight, n, len(old.data))
+			}
+			bufpool.Bytes.Put(bytes.Repeat([]byte{0xFF}, writeChunk))
+			var w writeRecorder
+			if err := WriteDataset(&w, pts, hasWeight); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.data, old.data) || !slices.Equal(w.sizes, old.sizes) {
+				t.Fatalf("hasWeight %v, %d records: WriteDataset wrote %d bytes in writes %v, the bufio writer %d in %v",
+					hasWeight, n, len(w.data), w.sizes, len(old.data), old.sizes)
+			}
+		}
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -57,9 +56,6 @@ const (
 	createStreamLimit = 1 << 20
 	// maxDatasetPoints is the most a dataset request may ask for.
 	maxDatasetPoints = 10_000_000
-	// maxPooledBody: buffers grown past this are dropped rather than
-	// pooled, so one huge submission does not pin its buffer.
-	maxPooledBody = 4 << 20
 	// maxDepth is encoding/json's nesting limit.
 	maxDepth = 10000
 )
@@ -94,30 +90,25 @@ func limited(limit int64, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// bodyPool recycles request buffers. Nothing decoded from a buffer
-// refers to it: numbers are parsed, strings copied by encoding/json.
-var bodyPool sync.Pool
-
-// readBody reads the whole (already limited) body into a pooled buffer
-// sized from Content-Length when there is one. The caller hands the
-// buffer back with releaseBody once it is done with the bytes.
-func readBody(r *http.Request) (*[]byte, error) {
-	bp, _ := bodyPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	b := (*bp)[:0]
+// readBody reads the whole (already limited) body into a buffer from
+// bufpool.Bytes, sized from Content-Length when there is one; its size
+// classes keep a small job's body from taking a bulk one's buffer. The
+// caller hands the buffer back with releaseBody once it is done with the
+// bytes. Nothing decoded from a buffer refers to it: numbers are parsed,
+// strings copied by encoding/json.
+func readBody(r *http.Request) ([]byte, error) {
+	var b []byte
 	var err error
 	if n := r.ContentLength; n >= 0 {
-		if int64(cap(b)) < n {
-			b = make([]byte, n)
-		}
-		b = b[:n]
+		b = bufpool.Bytes.Get(int(n))
 		_, err = io.ReadFull(r.Body, b)
 	} else {
 		for err == nil {
 			if len(b) == cap(b) {
-				b = slices.Grow(b, max(len(b), 32<<10))
+				grown := bufpool.Bytes.Get(max(2*len(b), 32<<10))
+				grown = grown[:copy(grown, b)]
+				releaseBody(b)
+				b = grown
 			}
 			var n int
 			n, err = r.Body.Read(b[len(b):cap(b)])
@@ -127,19 +118,14 @@ func readBody(r *http.Request) (*[]byte, error) {
 			err = nil
 		}
 	}
-	*bp = b
 	if err != nil {
-		releaseBody(bp)
+		releaseBody(b)
 		return nil, fmt.Errorf("reading body: %w", err)
 	}
-	return bp, nil
+	return b, nil
 }
 
-func releaseBody(bp *[]byte) {
-	if cap(*bp) <= maxPooledBody {
-		bodyPool.Put(bp)
-	}
-}
+func releaseBody(b []byte) { bufpool.Bytes.Put(b) }
 
 var (
 	errRepeatedPoints = errors.New("invalid JSON: points member given twice")

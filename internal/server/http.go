@@ -113,7 +113,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		refuse(w, err)
 		return
 	}
-	spec, ds, err := s.decodeSubmission(*body)
+	spec, ds, err := s.decodeSubmission(body)
 	releaseBody(body)
 	if err == nil && len(spec.Points) == 0 {
 		spec.Points, err = s.generateFor(spec.Tenant, ds)
@@ -246,7 +246,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	labels, err := s.Result(id)
+	labels, st, err := s.result(id)
 	switch {
 	case errors.Is(err, ErrUnknownJob):
 		writeJSON(w, http.StatusNotFound, errorJSON{Error: err.Error(), Reason: "unknown_job"})
@@ -258,7 +258,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorJSON{Error: err.Error(), Reason: "failed"})
 		return
 	}
-	st, _ := s.Status(id)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 32<<10)
@@ -345,7 +344,7 @@ func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
 		refuse(w, err)
 		return
 	}
-	pts, err := s.decodeTick(*body)
+	pts, err := s.decodeTick(body)
 	releaseBody(body)
 	var stats stream.TickStats
 	if err == nil {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/checkpoint"
 	"repro/internal/geom"
 	"repro/internal/integrity"
@@ -131,11 +132,12 @@ func (j *journal) writeSpec(id string, spec persistedSpec, pts []geom.Point) err
 	if err := j.fs.WriteFile(path.Join(dir, "spec.json"), b); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := ptio.WriteDataset(&buf, pts, false); err != nil {
-		return err
-	}
-	if err := j.fs.WriteFile(path.Join(dir, "input.mrsc"), buf.Bytes()); err != nil {
+	// FS.WriteFile keeps no reference to the input's bytes, so their
+	// buffer goes back to the pool as soon as it returns.
+	input := ptio.AppendDataset(bufpool.Bytes.Get(ptio.DatasetSize(len(pts), false))[:0], pts, false)
+	err = j.fs.WriteFile(path.Join(dir, "input.mrsc"), input)
+	bufpool.Bytes.Put(input)
+	if err != nil {
 		return err
 	}
 	if err := j.fs.SyncDir(dir); err != nil {

@@ -21,8 +21,10 @@ import (
 // goldenRecord is a snapshot payload that encodes itself.
 type goldenRecord struct{ A, B uint32 }
 
-func (g goldenRecord) MarshalBinary() ([]byte, error) {
-	return []byte{byte(g.A), byte(g.A >> 8), byte(g.B), byte(g.B >> 8)}, nil
+func (g goldenRecord) BinarySize() int { return 4 }
+
+func (g goldenRecord) AppendBinary(b []byte) ([]byte, error) {
+	return append(b, byte(g.A), byte(g.A>>8), byte(g.B), byte(g.B>>8)), nil
 }
 
 // onDiskGolden is every file the script in TestOnDiskBytesUnchanged

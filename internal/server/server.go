@@ -444,19 +444,27 @@ func (s *Server) Status(id string) (JobStatus, error) {
 // submitted points; -1 = noise). ErrJobNotFinished while the job is
 // still queued/running; a failed job returns its terminal error.
 func (s *Server) Result(id string) ([]int, error) {
+	labels, _, err := s.result(id)
+	return append([]int(nil), labels...), err
+}
+
+// result is Result without the copy, and with the job's status. A
+// completed job's labels never change after finish, so the caller may
+// read them, but must not write them.
+func (s *Server) result(id string) ([]int, JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job, ok := s.jobs[id]
 	if !ok {
-		return nil, ErrUnknownJob
+		return nil, JobStatus{}, ErrUnknownJob
 	}
 	switch job.state {
 	case StateCompleted:
-		return append([]int(nil), job.labels...), nil
+		return job.labels, job.statusLocked(), nil
 	case StateFailed:
-		return nil, job.err
+		return nil, JobStatus{}, job.err
 	default:
-		return nil, ErrJobNotFinished
+		return nil, JobStatus{}, ErrJobNotFinished
 	}
 }
 
