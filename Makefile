@@ -53,7 +53,9 @@ race:
 # (checkFlat) and counts ranges as brute force does. Then the stream
 # engine: bytes become up to eight ticks of points on an exact Eps/3
 # lattice, one ulp either side of it, and every tick's labels must equal
-# the canonical labelling. Last the cell histogram: bytes become an Eps
+# the canonical labelling, and the server's stream tick records: no input
+# panics the decoder, a size its count does not match is refused, and
+# what it accepts re-encodes to the same bytes. Last the cell histogram: bytes become an Eps
 # and points on hostile coordinates (NaN, ±Inf, ±2³¹·Eps, key spans of 32
 # and 33 bits) split into shards, and the shards' sorted histograms and
 # their Sum must equal a map count on the same CellOf; a shard with a
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/mrscan
 	$(GO) test -run='^$$' -fuzz=FuzzBuildCells -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/kdtree
 	$(GO) test -run='^$$' -fuzz=FuzzStreamTicks -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
+	$(GO) test -run='^$$' -fuzz=FuzzTickRecords -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/stream
 	$(GO) test -run='^$$' -fuzz=FuzzHistogramOf -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/grid
 	$(GO) test -run='^$$' -fuzz=FuzzRunPointsOracle -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 

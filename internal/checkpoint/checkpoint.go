@@ -33,12 +33,14 @@
 // The envelope does not know what its payload means. A payload type that
 // appends its own fixed records (Records) and decodes them with
 // encoding.BinaryUnmarshaler — the pipeline's partition, cluster and
-// merge snapshots, the distributed coordinator's per-partition responses
-// (docs/FORMATS.md) — encodes itself, into a buffer from bufpool.Bytes
-// that goes back once the snapshot is written; everything else — the
-// manifest, the server's stream spec and ticks — is gob. A run ID records
-// which format a store's snapshots are in (RecordsTag), so a reader never
-// hands one to the other's decoder.
+// merge snapshots, the distributed coordinator's per-partition responses,
+// the server's stream ticks (docs/FORMATS.md) — encodes itself, into a
+// buffer from bufpool.Bytes that goes back once the snapshot is written;
+// everything else — the manifest, the server's stream spec — is gob. A
+// run ID records which format a store's snapshots are in (RecordsTag), so
+// a reader never hands one to the other's decoder; a stream store, whose
+// run ID is the stream's, tells its record ticks from gob ones by phase
+// name instead.
 //
 // A phase saved again replaces its snapshot in place. A log that keeps a
 // moving window of entries (the server's stream ticks) uses Rotate

@@ -134,6 +134,12 @@ type FS struct {
 
 	mu    sync.Mutex
 	files map[string]*file
+	// unlinked holds the files Remove and Rename took off the namespace,
+	// for Release to recycle (a handle may still be using one until
+	// then); unlinkedBytes is their image capacity, at most
+	// maxUnlinkedBytes.
+	unlinked      []*file
+	unlinkedBytes int
 
 	// plan is consulted at the lustre.read / lustre.write fault sites.
 	plan   *faultinject.Plan
@@ -398,6 +404,7 @@ func (fs *FS) Remove(name string) {
 	if fs.cs != nil && f != nil {
 		fs.cs.nsOp(OpRemove, name, "", nil)
 	}
+	fs.unlink(f)
 	fs.mu.Unlock()
 	fs.maskTaints(f)
 }
@@ -439,6 +446,9 @@ func (fs *FS) Rename(oldname, newname string) error {
 	replaced := fs.files[newname]
 	fs.files[newname] = f
 	delete(fs.files, oldname)
+	if replaced != f {
+		fs.unlink(replaced)
+	}
 	fs.mu.Unlock()
 	if replaced != f {
 		fs.maskTaints(replaced) // the unlinked old contents can't be read by name anymore
@@ -446,8 +456,31 @@ func (fs *FS) Rename(oldname, newname string) error {
 	return nil
 }
 
+// maxUnlinkedBytes bounds the image capacity a file system keeps for
+// Release after its files are unlinked; past it an unlinked image is
+// left to the garbage collector, so a file system that is never released
+// holds no more than this of dead images.
+const maxUnlinkedBytes = 4 << 20
+
+// unlink keeps f, just taken off the namespace, for Release. Callers hold
+// fs.mu.
+func (fs *FS) unlink(f *file) {
+	if f == nil {
+		return
+	}
+	f.mu.RLock()
+	n := cap(f.data)
+	f.mu.RUnlock()
+	if fs.unlinkedBytes+n > maxUnlinkedBytes {
+		return
+	}
+	fs.unlinked = append(fs.unlinked, f)
+	fs.unlinkedBytes += n
+}
+
 // Release gives every file's image back to bufpool.Bytes, for the next
-// file system in the process to reuse, and leaves each file empty: a
+// file system in the process to reuse — the live files' and those of the
+// files Remove and Rename unlinked — and leaves each file empty: a
 // handle still open afterwards sees size 0 and reads io.EOF, never
 // recycled bytes. Only the owner of a file system that is done with it
 // calls Release, after its last read; nothing may hold a slice of an
@@ -456,15 +489,22 @@ func (fs *FS) Rename(oldname, newname string) error {
 func (fs *FS) Release() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	for _, f := range fs.files {
+	release := func(f *file) {
 		f.mu.Lock()
-		bufpool.Bytes.Put(f.data)
+		bufpool.Bytes.Put(f.data) // a file a crash relinked is met twice; the second Put is of nil
 		f.data = nil
 		f.imu.Lock()
 		f.sums = nil
 		f.imu.Unlock()
 		f.mu.Unlock()
 	}
+	for _, f := range fs.files {
+		release(f)
+	}
+	for _, f := range fs.unlinked {
+		release(f)
+	}
+	fs.unlinked, fs.unlinkedBytes = nil, 0
 }
 
 // Size returns a file's current length.

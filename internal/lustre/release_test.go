@@ -162,3 +162,38 @@ func TestHandleAfterRelease(t *testing.T) {
 		t.Errorf("View after Release = %v (fn called: %t), want io.EOF without fn", err, called)
 	}
 }
+
+// TestReleaseRecyclesUnlinkedImages: the image a Rename replaces and the
+// one a Remove unlinks go back to the pool at Release, not to the garbage
+// collector, and a handle still open on either then reads an empty file.
+func TestReleaseRecyclesUnlinkedImages(t *testing.T) {
+	for _, unlink := range []string{"rename", "remove"} {
+		t.Run(unlink, func(t *testing.T) {
+			fs := New(testConfig(), nil)
+			h := fs.Create("old")
+			if _, err := h.WriteAt(bytes.Repeat([]byte{0x5A}, secretLen), 0); err != nil {
+				t.Fatal(err)
+			}
+			array := unsafe.SliceData(h.f.data)
+			if unlink == "rename" {
+				if _, err := fs.Create("new").WriteAt([]byte("replacement"), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Rename("new", "old"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fs.Remove("old")
+			}
+			fs.Release()
+			if h.Size() != 0 {
+				t.Errorf("a handle on the unlinked file sees %d bytes after Release, want 0", h.Size())
+			}
+			next := New(testConfig(), nil).Create("next")
+			next.Grow(secretLen)
+			if unsafe.SliceData(next.f.data) != array {
+				t.Fatal("the next file system did not draw the unlinked image from the pool")
+			}
+		})
+	}
+}

@@ -11,6 +11,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dataset"
+	"repro/internal/geom"
+	"repro/internal/stream"
 )
 
 // discard is a ResponseWriter that keeps the status and drops the body,
@@ -91,6 +95,134 @@ func TestServeJobBytesPerPoint(t *testing.T) {
 	if perPoint > budget {
 		t.Errorf("serving a job allocated %d bytes per input point, budget %d", perPoint, budget)
 	}
+}
+
+// createStreamHTTP creates a stream through h and returns its ID.
+func createStreamHTTP(t *testing.T, h http.Handler, sp StreamSpec) string {
+	t.Helper()
+	body, _ := json.Marshal(createStreamRequest{Tenant: sp.Tenant, Eps: sp.Eps, MinPts: sp.MinPts, WindowTicks: sp.WindowTicks})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/api/v1/streams", bytes.NewReader(body)))
+	var ack struct{ ID string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil || ack.ID == "" {
+		t.Fatalf("creating a stream: status %d: %s", rec.Code, rec.Body)
+	}
+	return ack.ID
+}
+
+// tickHTTP posts one tick's body to a stream through h.
+func tickHTTP(h http.Handler, id string, body []byte) error {
+	w := &discard{h: http.Header{}}
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/api/v1/streams/"+id+"/points", bytes.NewReader(body)))
+	if w.code != http.StatusOK {
+		return fmt.Errorf("tick on %s: status %d", id, w.code)
+	}
+	return nil
+}
+
+// tickBodies encodes each batch as a tick body.
+func tickBodies(batches [][]geom.Point) [][]byte {
+	bodies := make([][]byte, len(batches))
+	for i, b := range batches {
+		bodies[i] = []byte(tickBody(b))
+	}
+	return bodies
+}
+
+// TestStreamTickBytesPerPoint is the stream tick's allocation guard, as
+// clock-free as TestServeJobBytesPerPoint: bytes allocated per arriving
+// point while a durable stream at the serve_stream benchmark's shape
+// (2 000 points a tick, window 20, Eps 0.12, MinPts 8) takes ticks
+// through Handler once its window is full. A tick's save encodes its
+// records into a recycled buffer and its decoded points come from
+// bufpool, so what is left is mostly the manifest's gob. The budget sits
+// about 20 % over the measured 10–11 B/point; with the tick saved as gob
+// and its points in a fresh slice the path read 177, and with the tick
+// in records but its points still fresh, 43.
+func TestStreamTickBytesPerPoint(t *testing.T) {
+	const window, warm, rounds, points = 20, 5, 10, 2_000
+	s := mustServer(t, Config{Workers: 1, StateDir: t.TempDir()})
+	h := s.Handler()
+	id := createStreamHTTP(t, h, StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 8, WindowTicks: window})
+	bodies := tickBodies(dataset.Firehose(window+warm+rounds, points, 7, dataset.DefaultFirehoseOptions()))
+	for _, b := range bodies[:window+warm] { // fills the window and the pools
+		if err := tickHTTP(h, id, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range bodies[window+warm:] {
+		if err := tickHTTP(h, id, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPoint := (after.TotalAlloc - before.TotalAlloc) / (rounds * points)
+	const budget = 13
+	t.Logf("%d bytes allocated per arriving point (budget %d)", perPoint, budget)
+	if perPoint > budget {
+		t.Errorf("a stream tick allocated %d bytes per arriving point, budget %d", perPoint, budget)
+	}
+}
+
+// TestRecycledTickPointsKeepLabels: three durable streams take different
+// ticks through Handler at once, so each tick's decoded points pass
+// between them through bufpool dirty (300 to 500 points share one size
+// class). After every tick each stream's
+// labels must equal a lone engine's fed the same ticks, and so must a
+// restart's from the ticks the two streams saved.
+func TestRecycledTickPointsKeepLabels(t *testing.T) {
+	const ticks = 80
+	dir := t.TempDir()
+	s := mustServer(t, Config{Workers: 1, StateDir: dir})
+	h := s.Handler()
+	sp := StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 4, WindowTicks: 4}
+	final := map[string]stream.Snapshot{}
+	var wg sync.WaitGroup
+	for i, n := range []int{300, 400, 500} {
+		batches := dataset.Firehose(ticks, n, int64(41+i), dataset.DefaultFirehoseOptions())
+		ref := refEngine(t, sp)
+		want := make([]stream.Snapshot, ticks)
+		for k, b := range batches {
+			if _, err := ref.Tick(b); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = ref.Snapshot()
+		}
+		id := createStreamHTTP(t, h, sp)
+		final[id] = want[ticks-1]
+		wg.Add(1)
+		go func(bodies [][]byte) {
+			defer wg.Done()
+			for k, b := range bodies {
+				if err := tickHTTP(h, id, b); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := s.StreamSnapshot(id)
+				if err != nil || !sameLabels(got, want[k]) {
+					t.Errorf("stream %s, tick %d: labels differ from a lone engine's (%v)", id, k+1, err)
+					return
+				}
+			}
+		}(tickBodies(batches))
+	}
+	wg.Wait()
+	s.Close()
+	restarted := mustServer(t, Config{Workers: 1, StateDir: dir})
+	for id, want := range final {
+		if got, err := restarted.StreamSnapshot(id); err != nil || !sameLabels(got, want) {
+			t.Errorf("stream %s restarted from its saved ticks: labels differ from a lone engine's (%v)", id, err)
+		}
+	}
+}
+
+// sameLabels reports whether two snapshots hold the same point IDs with
+// the same labels, in order.
+func sameLabels(a, b stream.Snapshot) bool {
+	return slices.Equal(a.Labels, b.Labels) &&
+		slices.EqualFunc(a.Points, b.Points, func(p, q geom.Point) bool { return p.ID == q.ID })
 }
 
 // TestRecycledBuffersKeepLabels: two tenants submit different bodies at

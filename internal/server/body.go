@@ -155,6 +155,8 @@ type object struct {
 	err   error
 	// havePoints is set once points has run.
 	havePoints bool
+	// pool, when set, is where points draws its slice.
+	pool *bufpool.Pool[geom.Point]
 	// num is the value of the last number scanned.
 	num decimal
 }
@@ -539,11 +541,12 @@ func (o *object) decode(v any) {
 }
 
 // points scans the member's array of {"id","x","y"} objects straight
-// into a slice of at most limit points; null gives none. Capacity comes
-// from the opening braces left in the body, which is the point count
-// exactly when points is the last member and its elements are flat, and
-// is capped by what that many bytes could hold in canonical form — so a
-// hostile body cannot reserve more than it sent.
+// into a slice of at most limit points, drawn from o.pool when it is
+// set; null gives none. Capacity comes from the opening braces left in
+// the body, which is the point count exactly when points is the last
+// member and its elements are flat, and is capped by what that many
+// bytes could hold in canonical form — so a hostile body cannot reserve
+// more than it sent.
 func (o *object) points(limit int) []geom.Point {
 	if o.err != nil {
 		return nil
@@ -567,7 +570,13 @@ func (o *object) points(limit int) []geom.Point {
 		return nil
 	}
 	rest := o.b[o.i:]
-	pts := make([]geom.Point, 0, min(bytes.Count(rest, []byte{'{'}), len(rest)/minPointBytes+1, limit))
+	n := min(bytes.Count(rest, []byte{'{'}), len(rest)/minPointBytes+1, limit)
+	var pts []geom.Point
+	if o.pool != nil {
+		pts = o.pool.Get(n)[:0]
+	} else {
+		pts = make([]geom.Point, 0, n)
+	}
 	el := object{b: o.b, depth: o.depth + 2}
 	for {
 		if len(pts) == limit {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/stream"
@@ -350,6 +351,9 @@ func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		stats, err = s.StreamTick(r.PathValue("id"), pts)
 	}
+	// The engine has copied the points and the tick's save is joined; a
+	// save that failed queued a copy.
+	bufpool.Points.Put(pts)
 	if err != nil {
 		refuse(w, err)
 		return
@@ -362,10 +366,11 @@ func (s *Server) handleStreamTick(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeTick decodes a stream tick, {"points":[…]}.
+// decodeTick decodes a stream tick, {"points":[…]}, into a slice from
+// bufpool.Points that the caller gives back once the tick is applied.
 func (s *Server) decodeTick(body []byte) ([]geom.Point, error) {
 	var pts []geom.Point
-	o := object{b: body, depth: 1}
+	o := object{b: body, depth: 1, pool: &bufpool.Points}
 	for o.next() {
 		if o.keyIs("points") {
 			pts = o.points(s.pointsLimit())

@@ -29,28 +29,36 @@ func (g goldenRecord) AppendBinary(b []byte) ([]byte, error) {
 
 // onDiskGolden is every file the script in TestOnDiskBytesUnchanged
 // leaves, with its SHA-256, as the writers produced them before they
-// shared one storage port (commit fb856f6). Two exceptions: job-000002's
-// spec.json, whose optional key was no_degrade until degraded mode was
-// removed and is deadline_ns since; and the stream's spec, saved as
-// StreamSpec without the subsampling and re-anchor fields since those
-// were removed, together with its MANIFEST, whose spec entry records the
-// spec payload's CRC (the tick entries are unchanged).
+// shared one storage port (commit fb856f6). The exceptions moved on
+// purpose:
+//   - job-000002's spec.json, whose optional key was no_degrade until
+//     degraded mode was removed and is deadline_ns since;
+//   - the stream's spec, saved as StreamSpec without the subsampling and
+//     re-anchor fields since those were removed;
+//   - the stream's ticks, fixed records since 0edf085's gob ticks:
+//     ckpt-arrivals-4.ckpt and ckpt-arrivals-5.ckpt replace ckpt-tick-4.ckpt
+//     and ckpt-tick-5.ckpt, and its MANIFEST.ckpt names them (and records
+//     the spec's CRC);
+//   - store/ckpt-t-2.ckpt and store/MANIFEST.ckpt, by gob's type numbering
+//     alone: the script no longer gob-encodes a tick before them, so the
+//     []float64 payload's type ID, and the CRC the manifest keeps of it,
+//     changed. Both decode to the same values.
 var onDiskGolden = map[string]string{
-	"journal/jobs/job-000001/input.mrsc":               "f142a663e54d2f809d03f10a2e43ab0caf3fef89c00de5a6db376d6a52f64d6c",
-	"journal/jobs/job-000001/spec.json":                "42129456f8ba2970c1feddbabddec6e7763297bfe4885c2998615a0f13b69a03",
-	"journal/jobs/job-000002/ckpt/MANIFEST.ckpt":       "d54b12f709f9399a5ae54f7c58401cd0dbed9c09f7dcf1632499f59a234f4f31",
-	"journal/jobs/job-000002/ckpt/ckpt-partition.ckpt": "1f941ed2a243b067efdcb1b68e4c3d1c087a5d7a79131b3810ba52dd27988e96",
-	"journal/jobs/job-000002/input.mrsc":               "69f37b9bb04b4e16367e092f200c4bf6beee6d47d57015583ab2c2639eb87211",
-	"journal/jobs/job-000002/spec.json":                "9a6fe5c3954f144abfe50528098eee323b7ce82b9bb8faafc4666cb11892afe1",
-	"journal/journal.log":                              "b3d6dff0c2a370531262d8565c4a02a909490fa381cc3aa9d2a012d8ffb54208",
-	"server/streams/stream-000001/MANIFEST.ckpt":       "942f0e08c1596a95c1cddd2ca5aba45209dfbc34fcb7fbfde433b4d9809bb11f",
-	"server/streams/stream-000001/ckpt-spec.ckpt":      "fc8873f30e481d23ba8fe4165ad458c40fb425323875eb3e287382ed1da57b26",
-	"server/streams/stream-000001/ckpt-tick-4.ckpt":    "098815210a0ca3ddd6fe96292167d5d53a6e8e6ae06d7a4318cfe30ba743f1b4",
-	"server/streams/stream-000001/ckpt-tick-5.ckpt":    "94f777a091970aaa424ac27af0ea7909ea92327994c9ab9e7b301b3c5204edc1",
-	"store/MANIFEST.ckpt":                              "6e08a1a01fe9d566758480e0f207269f8a942e67f7323432f39b8e27cf67b9b3",
-	"store/ckpt-c.ckpt":                                "6ed47a75c3eb8f5d2647c93487240c6690fbd85071c590e218c68fb764db6897",
-	"store/ckpt-d.ckpt":                                "d124d41ca8ed3b9e13f561b2585d18559ebe2d59441839145a878efcdb422d69",
-	"store/ckpt-t-2.ckpt":                              "3024673fc26759767bd81d750def787e6d52ad6fe5bf2a73885f2a45c89c1ff9",
+	"journal/jobs/job-000001/input.mrsc":                "f142a663e54d2f809d03f10a2e43ab0caf3fef89c00de5a6db376d6a52f64d6c",
+	"journal/jobs/job-000001/spec.json":                 "42129456f8ba2970c1feddbabddec6e7763297bfe4885c2998615a0f13b69a03",
+	"journal/jobs/job-000002/ckpt/MANIFEST.ckpt":        "d54b12f709f9399a5ae54f7c58401cd0dbed9c09f7dcf1632499f59a234f4f31",
+	"journal/jobs/job-000002/ckpt/ckpt-partition.ckpt":  "1f941ed2a243b067efdcb1b68e4c3d1c087a5d7a79131b3810ba52dd27988e96",
+	"journal/jobs/job-000002/input.mrsc":                "69f37b9bb04b4e16367e092f200c4bf6beee6d47d57015583ab2c2639eb87211",
+	"journal/jobs/job-000002/spec.json":                 "9a6fe5c3954f144abfe50528098eee323b7ce82b9bb8faafc4666cb11892afe1",
+	"journal/journal.log":                               "b3d6dff0c2a370531262d8565c4a02a909490fa381cc3aa9d2a012d8ffb54208",
+	"server/streams/stream-000001/MANIFEST.ckpt":        "88b8221f777d4a816c54e062d39d70ac472affb6bcc08b0266fd7f06526a40c8",
+	"server/streams/stream-000001/ckpt-arrivals-4.ckpt": "55740fd920dd91f9558a1b9b59250040331c1e26142fd3b7982586c97adb6f1b",
+	"server/streams/stream-000001/ckpt-arrivals-5.ckpt": "f950c6c395942463d117b28c7f07221ebd133918c68b3517b2f1e24bf18e931b",
+	"server/streams/stream-000001/ckpt-spec.ckpt":       "fc8873f30e481d23ba8fe4165ad458c40fb425323875eb3e287382ed1da57b26",
+	"store/MANIFEST.ckpt":                               "85a25381ba73434ea07002582da7e44537eee011be2563249285b7c26af34a5c",
+	"store/ckpt-c.ckpt":                                 "6ed47a75c3eb8f5d2647c93487240c6690fbd85071c590e218c68fb764db6897",
+	"store/ckpt-d.ckpt":                                 "d124d41ca8ed3b9e13f561b2585d18559ebe2d59441839145a878efcdb422d69",
+	"store/ckpt-t-2.ckpt":                               "29d94b8fc9efaa00784d607e73b1b6c7be3177117d2736caa045af8a0388a132",
 }
 
 // TestOnDiskBytesUnchanged runs a fixed script through every durable

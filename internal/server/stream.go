@@ -27,25 +27,27 @@ import (
 // Durability differs from jobs by design: instead of journal + replay,
 // a stream's window is a log of its ticks in a checkpoint.Store under
 // StateDir/streams/<id>/. A tick persists only its own arrivals, as one
-// snapshot named by tick number ("tick-<n>"), and one manifest write
-// both records that snapshot and drops the tick that just left the
-// window (Store.Rotate). The manifest rename is the single commit
-// point: tick snapshots never reuse a name, so nothing the durable
-// manifest references is ever overwritten, and a power cut anywhere
-// inside a save leaves the window either before or after that tick.
-// Files the manifest does not name — a snapshot published just before
-// the cut, a retired one not yet removed — are swept on recovery, so
-// the directory holds at most WindowTicks + 3 snapshot files. A tick's
-// save runs beside the engine's repair of the same arrivals, from the
-// moment the engine has admitted them, and the tick is acknowledged when
-// both are done. Memory never stays ahead of disk: a tick whose save
-// failed stays queued and the next successful save commits it first.
-// There is nothing to stage at drain time, and a new server on the same
-// directory restores every stream (stream.Restore over the listed
-// ticks) before it starts serving. A directory written by the earlier whole-window format (one
-// "window" snapshot, rewritten every tick) is converted the first time
-// it is recovered. Stream state goes through the server's storage port
-// like the job journal, so the crash simulator can stand under it too.
+// snapshot of fixed records (stream.TickArrivals, docs/FORMATS.md)
+// named by tick number ("arrivals-<n>"), and one manifest write both
+// records that snapshot and drops the tick that just left the window
+// (Store.Rotate). The manifest rename is the single commit point: tick
+// snapshots never reuse a name, so nothing the durable manifest
+// references is ever overwritten, and a power cut anywhere inside a save
+// leaves the window either before or after that tick. Files the manifest
+// does not name — a snapshot published just before the cut, a retired
+// one not yet removed — are swept on recovery, so the directory holds at
+// most WindowTicks + 3 snapshot files. A tick's save runs beside the
+// engine's repair of the same arrivals, from the moment the engine has
+// admitted them, and the tick is acknowledged when both are done. Memory
+// never stays ahead of disk: a tick whose save failed stays queued and
+// the next successful save commits it first. There is nothing to stage
+// at drain time, and a new server on the same directory restores every
+// stream (stream.Restore over the listed ticks) before it starts
+// serving. A directory written by an earlier, gob format — one "window"
+// snapshot rewritten every tick, or gob "tick-<n>" snapshots — is
+// converted the first time it is recovered. Stream state goes through
+// the server's storage port like the job journal, so the crash simulator
+// can stand under it too.
 //
 // The manifest is a stream's commit point both ways: written last by
 // CreateStream, removed first by CloseStream (removeStreamDir), and a
@@ -105,19 +107,27 @@ type streamState struct {
 
 // Phase names of a stream's store. tickSaveKind is the one telemetry
 // label every tick save reports under: a label per tick number would
-// grow the hub by two series a tick.
+// grow the hub by two series a tick. A stream store's run ID is the
+// stream ID, so it cannot carry checkpoint.RecordsTag; the record ticks'
+// phase name is what tells them from the gob ticks of the earlier format.
 const (
 	specPhase         = "spec"
 	tickSaveKind      = "tick"
-	legacyWindowPhase = "window" // the whole-window snapshot of the earlier format
+	legacyWindowPhase = "window" // the whole-window gob snapshot of the first format
 )
 
-func tickPhase(tick int) string { return "tick-" + strconv.Itoa(tick) }
+func tickPhase(tick int) string       { return "arrivals-" + strconv.Itoa(tick) }
+func legacyTickPhase(tick int) string { return "tick-" + strconv.Itoa(tick) }
 
 // tickOf is tickPhase's inverse; ok is false for any other phase.
-func tickOf(phase string) (tick int, ok bool) {
-	tick, err := strconv.Atoi(strings.TrimPrefix(phase, "tick-"))
-	return tick, err == nil && tickPhase(tick) == phase
+func tickOf(phase string) (tick int, ok bool) { return phaseTick(phase, tickPhase) }
+
+// legacyTickOf is legacyTickPhase's inverse.
+func legacyTickOf(phase string) (tick int, ok bool) { return phaseTick(phase, legacyTickPhase) }
+
+func phaseTick(phase string, name func(int) string) (int, bool) {
+	tick, err := strconv.Atoi(phase[strings.IndexByte(phase, '-')+1:])
+	return tick, err == nil && name(tick) == phase
 }
 
 // persist commits every pending tick, oldest first, each with the ticks
@@ -136,6 +146,7 @@ func (st *streamState) persist() error {
 		if err := st.store.Rotate(tickSaveKind, tickPhase(ta.Tick), ta, retire...); err != nil {
 			return err
 		}
+		st.pending[0] = stream.TickArrivals{} // its points may go back to bufpool
 		st.pending = st.pending[1:]
 	}
 	return nil
@@ -510,15 +521,13 @@ func (s *Server) recoverStreams() error {
 }
 
 // loadWindow reads the window a stream's store holds — the ticks its
-// manifest lists, after converting a whole-window snapshot of the
-// earlier format — and sweeps the files an interrupted save left
-// behind. A stream created but never ticked restores an empty window.
+// manifest lists, after converting the snapshots of an earlier format —
+// and sweeps the files an interrupted save left behind. A stream created
+// but never ticked restores an empty window.
 func (st *streamState) loadWindow() (stream.WindowState, error) {
 	var ws stream.WindowState
-	if st.store.Has(legacyWindowPhase) {
-		if err := st.upgradeLegacyWindow(); err != nil {
-			return ws, err
-		}
+	if err := st.upgradeLegacy(); err != nil {
+		return ws, err
 	}
 	var ticks []int
 	for _, phase := range st.store.Completed() {
@@ -541,31 +550,88 @@ func (st *streamState) loadWindow() (stream.WindowState, error) {
 	return ws, err
 }
 
-// upgradeLegacyWindow re-commits a whole-window snapshot as tick
-// entries. The cursor tick goes last and its commit retires the
-// "window" phase, so an interrupted upgrade still finds "window" and
-// resumes: ticks already committed are skipped, and none of them is the
-// cursor. After that commit nothing writes "window" again.
-func (st *streamState) upgradeLegacyWindow() error {
-	var ws stream.WindowState
-	if err := st.store.Load(legacyWindowPhase, &ws); err != nil {
-		return err
+// legacyTick and legacyWindow are a tick and a whole window as gob wrote
+// them before ticks were records. They are local types with
+// stream.TickArrivals' and stream.WindowState's field names and no
+// methods, so gob decodes each tick as the struct it was written as.
+type legacyTick struct {
+	Tick   int
+	Points []geom.Point
+}
+
+type legacyWindow struct {
+	Tick  int
+	Ticks []legacyTick
+}
+
+// upgradeLegacy re-commits the gob ticks of the earlier formats — a
+// whole-window "window" snapshot, "tick-<n>" snapshots, or both where a
+// conversion from the first to the second was cut — as record ticks,
+// oldest first. Each commit retires the gob entry of its own tick, and
+// the cursor tick's commit also retires "window", so a cut upgrade
+// resumes where it stopped: the gob entries left are the ticks still to
+// convert, and a tick already committed as records is skipped. After the
+// last commit nothing writes a gob tick again.
+func (st *streamState) upgradeLegacy() error {
+	ticks := map[int][]geom.Point{}
+	window := st.store.Has(legacyWindowPhase)
+	if window {
+		lw, err := st.loadLegacyWindow()
+		if err != nil {
+			return err
+		}
+		ticks[lw.Tick] = nil // an empty tick still carries the cursor
+		for _, lt := range lw.Ticks {
+			ticks[lt.Tick] = lt.Points
+		}
 	}
-	ticks := ws.Ticks
-	if n := len(ticks); n == 0 || ticks[n-1].Tick != ws.Tick {
-		ticks = append(ticks, stream.TickArrivals{Tick: ws.Tick}) // an empty tick still carries the cursor
+	for _, phase := range st.store.Completed() {
+		if t, ok := legacyTickOf(phase); ok {
+			var lt legacyTick
+			if err := st.store.Load(phase, &lt); err != nil {
+				return err
+			}
+			ticks[t] = lt.Points
+		}
 	}
-	for i, ta := range ticks {
-		if st.store.Has(tickPhase(ta.Tick)) {
+	order := make([]int, 0, len(ticks))
+	for t := range ticks {
+		order = append(order, t)
+	}
+	sort.Ints(order)
+	for i, t := range order {
+		if st.store.Has(tickPhase(t)) {
 			continue
 		}
-		var retire []string
-		if i == len(ticks)-1 {
-			retire = []string{legacyWindowPhase}
+		retire := []string{legacyTickPhase(t)}
+		if window && i == len(order)-1 {
+			retire = append(retire, legacyWindowPhase)
 		}
-		if err := st.store.Rotate(tickSaveKind, tickPhase(ta.Tick), ta, retire...); err != nil {
+		ta := stream.TickArrivals{Tick: t, Points: ticks[t]}
+		if err := st.store.Rotate(tickSaveKind, tickPhase(t), ta, retire...); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// loadLegacyWindow reads the "window" snapshot. One written by the
+// server of that format holds gob structs for ticks; one gob-encoded
+// from a stream.WindowState since ticks became records holds their
+// record bytes, and decodes as that type.
+func (st *streamState) loadLegacyWindow() (legacyWindow, error) {
+	var lw legacyWindow
+	err := st.store.Load(legacyWindowPhase, &lw)
+	if err == nil {
+		return lw, nil
+	}
+	var ws stream.WindowState
+	if st.store.Load(legacyWindowPhase, &ws) != nil {
+		return lw, err
+	}
+	lw.Tick = ws.Tick
+	for _, ta := range ws.Ticks {
+		lw.Ticks = append(lw.Ticks, legacyTick(ta))
+	}
+	return lw, nil
 }

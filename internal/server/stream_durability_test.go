@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -734,5 +736,143 @@ func BenchmarkStreamTickDurable(b *testing.B) {
 		if _, err := s.StreamTick(id, batches[window+i]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// gobStreamFixture is the state directory a server of commit 0edf085,
+// the last to save ticks as gob, left (testdata/gobstream-0edf085). Both
+// streams have spec gobStreamSpec and took the first ticks of their
+// gobStreamFeeds entry: stream-000001 was created and ticked 7 times by
+// that server, which leaves gob "tick-5" … "tick-7"; stream-000002 holds
+// its 5-tick window as one gob "window" snapshot, the format before that.
+// The feeds' further ticks are new to both.
+const gobStreamFixture = "testdata/gobstream-0edf085"
+
+var (
+	gobStreamSpec  = StreamSpec{Tenant: "acme", Eps: 0.12, MinPts: 4, WindowTicks: 3}
+	gobStreamTicks = map[string]int{"stream-000001": 7, "stream-000002": 5}
+	gobStreamFeeds = map[string][][]geom.Point{
+		"stream-000001": dataset.Firehose(7+4, 40, 47, dataset.DefaultFirehoseOptions()),
+		"stream-000002": dataset.Firehose(5+4, 40, 48, dataset.DefaultFirehoseOptions()),
+	}
+)
+
+// TestStreamGobTicksUpgrade recovers the gob-tick fixture with power cut
+// at every operation of its conversion in turn, on a real directory and
+// on the crash simulator. A cut must be able to land between two ticks'
+// re-commits, leaving gob and record ticks side by side; the finished
+// upgrade must leave only record ticks, each stream's labels equal to a
+// fresh engine's over the same ticks, and a restart from those records
+// and further ticks must keep them equal.
+func TestStreamGobTicksUpgrade(t *testing.T) {
+	t.Run("dir", func(t *testing.T) { testStreamGobTicksUpgrade(t, newFailFS(t)) })
+	t.Run("crashsim", func(t *testing.T) { testStreamGobTicksUpgrade(t, newCrashSim(3)) })
+}
+
+func testStreamGobTicksUpgrade(t *testing.T, p powerCut) {
+	fs := p.files()
+	err := filepath.WalkDir(gobStreamFixture, func(name string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(gobStreamFixture, name)
+		rel = filepath.ToSlash(rel)
+		if err := fs.WriteFile(rel, data); err != nil {
+			return err
+		}
+		return fs.SyncDir(path.Dir(rel))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SyncDir(streamsDir); err != nil {
+		t.Fatal(err)
+	}
+	refs := map[string]*stream.Engine{}
+	for id, feed := range gobStreamFeeds {
+		refs[id] = refEngine(t, gobStreamSpec)
+		for _, b := range feed[:gobStreamTicks[id]] {
+			if _, err := refs[id].Tick(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// phases lists what a stream's manifest records, by kind.
+	phases := func(id string) (gobTicks, recordTicks int) {
+		sub := checkpoint.Sub(fs, streamDir(id))
+		for _, phase := range checkpoint.NewStore(sub, id).Completed() {
+			switch {
+			case strings.HasPrefix(phase, "tick-"), phase == "window":
+				gobTicks++
+			case strings.HasPrefix(phase, "arrivals-"):
+				recordTicks++
+			}
+		}
+		return gobTicks, recordTicks
+	}
+	var mixed bool
+	for cut := int64(1); ; cut++ {
+		start := p.ops()
+		p.cutAt(cut)
+		s, err := New(stateConfig(p))
+		if err == nil {
+			s.Close()
+			p.restore(t)
+			break
+		}
+		if p.ops()-start < cut {
+			t.Fatalf("upgrade failed on its own: %v", err)
+		}
+		p.restore(t)
+		g, r := phases("stream-000001")
+		mixed = mixed || g > 0 && r > 0
+	}
+	if !mixed {
+		t.Error("no cut left gob and record ticks side by side")
+	}
+	for id := range gobStreamFeeds {
+		names, err := fs.List(streamDir(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasPrefix(name, "ckpt-tick-") || name == "ckpt-window.ckpt" {
+				t.Errorf("%s: gob snapshot %s survives the upgrade", id, name)
+			}
+		}
+		if g, r := phases(id); g != 0 || r != gobStreamSpec.WindowTicks {
+			t.Errorf("%s: manifest lists %d gob and %d record ticks, want 0 and %d", id, g, r, gobStreamSpec.WindowTicks)
+		}
+	}
+
+	for restart := range 2 {
+		s, err := New(stateConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, ref := range refs {
+			got, err := s.StreamSnapshot(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSnapshot(t, got, ref.Snapshot(), fmt.Sprintf("%s, restart %d", id, restart))
+			next := gobStreamTicks[id] + 2*restart
+			for _, b := range gobStreamFeeds[id][next : next+2] {
+				if _, err := s.StreamTick(id, b); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.Tick(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, _ = s.StreamSnapshot(id)
+			sameSnapshot(t, got, ref.Snapshot(), fmt.Sprintf("%s, ticking after restart %d", id, restart))
+		}
+		s.Close()
 	}
 }

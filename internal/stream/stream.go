@@ -973,8 +973,12 @@ func (e *Engine) Snapshot() Snapshot {
 }
 
 // WindowState is the durable form of an engine's window: the arrival
-// batches still inside it, keyed by tick, plus the tick cursor. It gob-
-// encodes cleanly for checkpoint.Store.
+// batches still inside it, keyed by tick, plus the tick cursor. The
+// server persists it a tick at a time, each TickArrivals as its own
+// fixed records (records.go); gob encodes a whole WindowState with each
+// tick as those same record bytes, so a WindowState gob-encoded before
+// ticks had records (ticks as gob structs) does not decode into this
+// type.
 type WindowState struct {
 	Tick  int
 	Ticks []TickArrivals
